@@ -9,18 +9,25 @@ one request per slice, picking the next session with a seeded RNG —
 same seed, same programs ⇒ byte-identical interleaving, event trace,
 and simulated-clock history.
 
+The loop is written over ``self.dbs``: a list of databases, each with
+its own simulated clock, lock manager and ``obs``.  A single server is
+the one-element list; :class:`~repro.shard.sched.ShardedScheduler`
+runs the same loop over a cluster's shards.  Every session has a
+*home* database whose clock stamps its fairness bookkeeping, backoff
+timers and trace events.
+
 Yield points are the natural concurrency seams of the system:
 
 - **RPC boundaries** — every slice is one ``server.dispatch`` call, so
   sessions interleave between requests exactly as network clients do;
 - **lock waits** — the scheduler installs a
-  :class:`SchedulerWaitStrategy` on the database's
+  :class:`SchedulerWaitStrategy` on every database's
   :class:`~repro.db.locks.LockManager`; a session that blocks on a
   lock *parks* and the loop runs other sessions' requests (advancing
   the simulated clock) until the lock frees, times out in simulated
-  seconds, or the waits-for graph picks a victim.  Lock waits finally
-  advance simulated time and land in the per-xid
-  :class:`~repro.obs.accounting.TxAccountant` breakdown;
+  seconds on that database's clock, or the waits-for graph picks a
+  victim.  Lock waits finally advance simulated time and land in the
+  per-xid :class:`~repro.obs.accounting.TxAccountant` breakdown;
 - **I/O** — simulated device time is charged inside each slice, so the
   clock the fairness guard and backoff timers read reflects real
   (simulated) work.
@@ -34,10 +41,10 @@ wait exceeds ``fairness_bound`` simulated seconds to run next, so no
 session starves behind an unlucky RNG streak.
 
 Context switches on one thread need two swaps the threaded world gets
-for free: the per-xid accountant's "current transaction" is re-pointed
-at the incoming session's open xid, and the tracer's open-span stack is
-swapped to the session's own (each session's spans form their own
-request trees).
+for free, once per database: the per-xid accountant's "current
+transaction" is re-pointed at the incoming session's open xid there,
+and the tracer's open-span stack is swapped to the session's own (each
+session's spans form their own request trees).
 """
 
 from __future__ import annotations
@@ -137,11 +144,10 @@ class Call:
         return f"Call({self.method!r})"
 
 
-class Apply:
-    """A direct file-system operation ``fn(fs, tx)`` run under the
-    session's open transaction — the seam the crash testkit uses to
-    drive its model ops through the scheduler.  Only valid inside a
-    :class:`Txn` (it needs the open transaction)."""
+class DirectOp:
+    """A program item that runs ``fn`` itself in one slice instead of
+    dispatching a ``p_*`` request; what ``fn`` is handed is the
+    subclass's contract."""
 
     __slots__ = ("_label", "fn")
 
@@ -154,7 +160,16 @@ class Apply:
         return self._label
 
     def __repr__(self) -> str:
-        return f"Apply({self._label!r})"
+        return f"{type(self).__name__}({self._label!r})"
+
+
+class Apply(DirectOp):
+    """A direct file-system operation ``fn(fs, tx)`` run under the
+    session's open transaction — the seam the crash testkit uses to
+    drive its model ops through the scheduler.  Only valid inside a
+    :class:`Txn` (it needs the open transaction)."""
+
+    __slots__ = ()
 
 
 class Txn:
@@ -190,12 +205,12 @@ class SchedStats:
 
 
 class _Unit:
-    """One compiled program item (a Txn block or a lone Call)."""
+    """One compiled program item (a Txn block or a lone request)."""
 
     __slots__ = ("txn", "items", "ordinals", "attempt")
 
     def __init__(self, txn: Txn | None, items: list, ordinals: list[int]) -> None:
-        self.txn = txn          # None for a lone auto-commit Call
+        self.txn = txn          # None for a lone auto-commit request
         self.items = items
         self.ordinals = ordinals
         self.attempt = 0
@@ -203,13 +218,15 @@ class _Unit:
 
 class Session:
     """One client session: its program, its server connection, and the
-    bookkeeping the fairness report is built from."""
+    bookkeeping the fairness report is built from.  All times are on
+    the clock of the session's ``home`` database."""
 
     def __init__(self, sid: int, name: str, units: list[_Unit],
-                 submitted_at: float) -> None:
+                 submitted_at: float, home: int = 0) -> None:
         self.sid = sid
         self.name = name
         self.units = units
+        self.home = home
         self.state = QUEUED
         self.conn: int | None = None
         #: program counter: current unit / phase within the unit
@@ -229,14 +246,12 @@ class Session:
         self.park_seconds = 0.0
         self.max_park = 0.0
         self.max_ready_wait = 0.0
-        #: the session's own open-span stack (swapped in per slice).
-        self.span_stack: list[int] = []
+        #: the session's own open-span stack on each database's tracer
+        #: (swapped in per slice), by database index.
+        self.span_stacks: dict[int, list[int]] = {}
         #: per-session :class:`~repro.cache.ClientCache` when the
         #: scheduler was built with a ``cache_factory``.
         self.cache = None
-        #: xid of the transaction begun by the current Txn unit, kept
-        #: for the commit hook (the crash testkit's oracle seam).
-        self._last_xid: int | None = None
 
     @property
     def finished(self) -> bool:
@@ -245,6 +260,7 @@ class Session:
     def report_row(self) -> dict:
         return {
             "name": self.name,
+            "home": self.home,
             "state": self.state,
             "slices": self.slices,
             "retries": self.retries,
@@ -257,70 +273,72 @@ class Session:
 
 
 class SchedulerWaitStrategy:
-    """The lock manager wait path under the scheduler: the waiting
-    session parks and the event loop runs *other* sessions' requests —
-    which is how a lock wait spends simulated time doing the system's
-    other work instead of wall time doing nothing.  Timeouts are in
-    simulated seconds."""
+    """One database's lock manager wait path under the scheduler: the
+    waiting session parks and the event loop runs *other* sessions'
+    requests — which is how a lock wait spends simulated time doing the
+    system's other work instead of wall time doing nothing.  Timeouts
+    are in simulated seconds on this database's clock."""
 
-    def __init__(self, sched: "MultiUserScheduler") -> None:
+    def __init__(self, sched: "MultiUserScheduler", index: int) -> None:
         self.sched = sched
+        self.index = index
 
     def suspended_xids(self) -> set:
-        """xids of sessions parked beneath the current one on the
-        scheduler's call stack.  The lock manager exempts them from the
-        FIFO no-barge rule: a stack-suspended waiter cannot acquire
-        until control unwinds through the requester, so queueing behind
-        it would deadlock the event loop, not the data."""
-        sched = self.sched
-        out = set()
-        for session in sched._running[:-1]:
-            tx = sched.server._sessions[session.conn]._tx
-            if tx is not None:
-                out.add(tx.xid)
-        return out
+        """xids (on this database) of sessions parked beneath the
+        current one on the scheduler's call stack.  The lock manager
+        exempts them from the FIFO no-barge rule: a stack-suspended
+        waiter cannot acquire until control unwinds through the
+        requester, so queueing behind it would deadlock the event loop,
+        not the data."""
+        xid_on, index = self.sched.xid_on, self.index
+        xids = {xid_on(session, index) for session in self.sched._running[:-1]}
+        xids.discard(None)
+        return xids
 
     def start(self, lm, xid: int, resource, mode: str) -> dict:
         sched = self.sched
-        now = sched.clock.now()
+        db = sched.dbs[self.index]
+        now = db.clock.now()
         session = sched._running[-1] if sched._running else None
         if session is not None:
             session.state = PARKED
             sched.stats.lock_parks += 1
-            sched._event("park", session.name, f"{mode} {resource!r}")
+            sched._event("park", session, f"{mode} {resource!r}")
+        span = db.obs.tracer.span("sched.park", resource=repr(resource),
+                                  mode=mode)
+        span.__enter__()
         return {"start": now, "deadline": now + lm.timeout_s,
-                "session": session, "span": sched._park_span(resource, mode)}
+                "session": session, "span": span}
 
     def wait_round(self, lm, ctx: dict) -> bool:
         sched = self.sched
-        if sched.clock.now() >= ctx["deadline"]:
+        db = sched.dbs[self.index]
+        if db.clock.now() >= ctx["deadline"]:
             return False
-        acct = sched.db.obs.tx
+        acct = db.obs.tx
         waiter_xid = acct.current_xid()
         # The lock manager's mutex is held here; release it so the
         # sessions we are about to run can take locks themselves, then
         # restore both the mutex and the waiter's accounting identity.
         lm._cond.release()
         try:
-            sched._step_while_parked(ctx["deadline"])
+            sched._step_while_parked(self.index, ctx["deadline"])
         finally:
             acct.activate(waiter_xid)
             lm._cond.acquire()
-        return sched.clock.now() < ctx["deadline"]
+        return db.clock.now() < ctx["deadline"]
 
     def finish(self, lm, ctx: dict, xid: int) -> float:
         sched = self.sched
-        elapsed = sched.clock.now() - ctx["start"]
+        elapsed = sched.dbs[self.index].clock.now() - ctx["start"]
         session = ctx["session"]
         if session is not None:
             session.state = RUNNING
             session.park_seconds += elapsed
             if elapsed > session.max_park:
                 session.max_park = elapsed
-            sched._event("unpark", session.name, f"{elapsed:.6f}")
-        span = ctx.get("span")
-        if span is not None:
-            span.__exit__(None, None, None)
+            sched._event("unpark", session, f"{elapsed:.6f}")
+        ctx["span"].__exit__(None, None, None)
         return elapsed
 
 
@@ -328,9 +346,19 @@ class MultiUserScheduler:
     """Seeded cooperative event loop over N sessions of one server.
 
     Construction installs the scheduler's lock wait strategy on the
-    server database's lock manager and mirrors the ``sched.*`` metric
-    families onto its registry; :meth:`close` undoes both.
+    lock manager of every database in ``self.dbs`` and mirrors the
+    ``sched.*`` metric families onto their registries; :meth:`close`
+    undoes both.
+
+    The methods from :meth:`_databases` to :meth:`_call_commit_hook`,
+    and :meth:`_dispatch`, are the deployment seam — everything that
+    knows a session talks to *one server*.  A subclass that overrides
+    them runs the same loop over another deployment.
     """
+
+    #: item types a program may hold besides :class:`Txn` blocks.
+    ITEMS: tuple = (Call, Apply)
+    session_class = Session
 
     def __init__(self, server, seed: int = 0, max_inflight: int = 8,
                  admission_queue: int = 16, wait_quantum: float = 1e-4,
@@ -338,8 +366,14 @@ class MultiUserScheduler:
                  max_retries: int = 10, fairness_bound: float = 0.5,
                  cluster_commits: bool = True, cache_factory=None) -> None:
         self.server = server
-        self.db = server.fs.db
-        self.clock = self.db.clock
+        #: ``fn(server, conn) -> ClientCache`` — when set, every
+        #: admitted session gets a lease-coherent client cache and the
+        #: scheduler serves eligible p_stat/p_read slices from it (see
+        #: :func:`repro.cache.session_cache_factory`).
+        self.cache_factory = cache_factory
+        #: the databases this loop multiplexes, each with its own
+        #: clock, lock manager and ``obs``.
+        self.dbs = self._databases()
         self.seed = seed
         self.rng = random.Random(seed)
         self.max_inflight = max_inflight
@@ -350,11 +384,6 @@ class MultiUserScheduler:
         self.max_retries = max_retries
         self.fairness_bound = fairness_bound
         self.cluster_commits = cluster_commits
-        #: ``fn(server, conn) -> ClientCache`` — when set, every
-        #: admitted session gets a lease-coherent client cache and the
-        #: scheduler serves eligible p_stat/p_read slices from it (see
-        #: :func:`repro.cache.session_cache_factory`).
-        self.cache_factory = cache_factory
         self.stats = SchedStats()
         self.sessions: list[Session] = []
         self._admitted: list[Session] = []
@@ -365,44 +394,83 @@ class MultiUserScheduler:
         self._last_ran: Session | None = None
         #: commit-burst drain flag (see :meth:`_pick`).
         self._draining = False
-        #: deterministic event trace: (sim_time, kind, session, detail).
+        #: deterministic event trace (see :meth:`_event`).
         self.trace: list[tuple] = []
-        #: hook called as fn(session, tag, xid) right after a Txn's
-        #: commit dispatch returns (the crash testkit's oracle seam).
+        #: hook called right after a Txn's commit dispatch returns (the
+        #: crash testkit's oracle seam; see :meth:`_call_commit_hook`).
         self.commit_hook = None
         self._closed = False
-        self._old_wait_strategy = self.db.locks.wait_strategy
-        self.db.locks.wait_strategy = SchedulerWaitStrategy(self)
+        self._old_wait_strategies = [db.locks.wait_strategy
+                                     for db in self.dbs]
+        for index, db in enumerate(self.dbs):
+            db.locks.wait_strategy = SchedulerWaitStrategy(self, index)
         self._bind_metrics()
 
     # -- wiring ----------------------------------------------------------
 
     def _bind_metrics(self) -> None:
-        registry = self.db.obs.metrics
         stats = self.stats
-        for spec in METRICS:
-            attr = spec.name.rsplit(".", 1)[-1]
-            registry.register(spec).mirror(lambda s=stats, a=attr: getattr(s, a))
+        for db in self.dbs:
+            for spec in METRICS:
+                attr = spec.name.rsplit(".", 1)[-1]
+                db.obs.metrics.register(spec).mirror(
+                    lambda s=stats, a=attr: getattr(s, a))
 
     def close(self) -> None:
-        """Restore the lock manager's previous wait strategy and tear
-        down any server sessions still connected."""
+        """Restore the lock managers' previous wait strategies and tear
+        down any sessions still connected."""
         if self._closed:
             return
         self._closed = True
-        self.db.locks.wait_strategy = self._old_wait_strategy
+        for db, old in zip(self.dbs, self._old_wait_strategies):
+            db.locks.wait_strategy = old
         for session in self.sessions:
-            if session.conn is not None and not session.finished:
-                self.server.disconnect(session.conn)
-                session.conn = None
-            if session.cache is not None:
-                session.cache.revoke()
+            self._close(session)
 
     def __enter__(self) -> "MultiUserScheduler":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- the deployment seam: one server ---------------------------------
+
+    def _databases(self) -> list:
+        return [self.server.fs.db]
+
+    def _open(self, session: Session) -> str:
+        """Connect an admitted session; returns the detail of its
+        ``admit`` trace event."""
+        session.conn = self.server.connect()
+        if self.cache_factory is not None:
+            session.cache = self.cache_factory(self.server, session.conn)
+        return f"conn={session.conn}"
+
+    def _close(self, session: Session) -> None:
+        """Disconnect a session (idempotent).  Disconnecting aborts any
+        transaction a failed session left open, releasing its locks for
+        the survivors."""
+        if session.conn is not None:
+            self.server.disconnect(session.conn)
+            session.conn = None
+        if session.cache is not None:
+            session.cache.revoke()
+
+    def xid_on(self, session: Session, index: int) -> int | None:
+        """The session's open xid on database ``index``, if any."""
+        tx = self.server._sessions[session.conn]._tx
+        return tx.xid if tx is not None else None
+
+    def _abort_open(self, session: Session) -> None:
+        """Abort the session's open transaction, if it has one."""
+        if self.server._sessions[session.conn]._tx is not None:
+            self.server.dispatch(session.conn, "p_abort")
+
+    def _call_commit_hook(self, session: Session, tag) -> None:
+        """``commit_hook`` is ``fn(session, tag, xid)`` here, ``xid``
+        being the transaction whose commit just returned."""
+        self.commit_hook(session, tag,
+                         self.server.session_last_xid(session.conn))
 
     # -- admission -------------------------------------------------------
 
@@ -411,10 +479,13 @@ class MultiUserScheduler:
         than ``max_inflight`` sessions are in flight, queues it FIFO up
         to ``admission_queue`` deep, and refuses it (backpressure) past
         that."""
+        return self._submit(program, name, home=0)
+
+    def _submit(self, program, name: str | None, home: int) -> Session:
         sid = len(self.sessions)
-        name = name or f"s{sid}"
-        units = self._compile(program)
-        session = Session(sid, name, units, self.clock.now())
+        session = self.session_class(sid, name or f"s{sid}",
+                                     self._compile(program),
+                                     self.dbs[home].clock.now(), home)
         if len(self._admitted) < self.max_inflight:
             self.sessions.append(session)
             self._admit(session)
@@ -422,58 +493,49 @@ class MultiUserScheduler:
             self.sessions.append(session)
             self._admission_q.append(session)
             self.stats.admission_waits += 1
-            self._event("queue", session.name, f"depth={len(self._admission_q)}")
+            self._event("queue", session, f"depth={len(self._admission_q)}")
         else:
             self.stats.rejected += 1
-            self._event("reject", name, f"queue_full={self.admission_queue}")
+            self._event("reject", session, f"queue_full={self.admission_queue}")
             raise SchedAdmissionError(
-                f"session {name!r} refused: {len(self._admitted)} in "
-                f"flight and admission queue full "
+                f"session {session.name!r} refused: {len(self._admitted)} "
+                f"in flight and admission queue full "
                 f"({self.admission_queue} deep)")
         return session
 
-    @staticmethod
-    def _compile(program) -> list[_Unit]:
+    @classmethod
+    def _compile(cls, program) -> list[_Unit]:
         units: list[_Unit] = []
         ordinal = 0
         for item in program:
-            if isinstance(item, Txn):
-                ords = list(range(ordinal, ordinal + len(item.items)))
-                ordinal += len(item.items)
-                units.append(_Unit(item, item.items, ords))
-            elif isinstance(item, Call):
-                units.append(_Unit(None, [item], [ordinal]))
-                ordinal += 1
-            elif isinstance(item, Apply):
+            txn = item if isinstance(item, Txn) else None
+            items = txn.items if txn is not None else [item]
+            for sub in items:
+                if not isinstance(sub, cls.ITEMS):
+                    raise TypeError(f"unknown program item {sub!r}")
+            if isinstance(item, Apply):
                 raise TypeError(
                     f"{item!r} outside a Txn: Apply items need the "
                     f"session's open transaction")
-            else:
-                raise TypeError(f"unknown program item {item!r}")
+            ords = list(range(ordinal, ordinal + len(items)))
+            ordinal += len(items)
+            units.append(_Unit(txn, items, ords))
         return units
 
     def _admit(self, session: Session) -> None:
-        session.conn = self.server.connect()
-        if self.cache_factory is not None:
-            session.cache = self.cache_factory(self.server, session.conn)
+        detail = self._open(session)
         session.state = READY
-        now = self.clock.now()
+        now = self.dbs[session.home].clock.now()
         session.admission_wait = now - session.submitted_at
         session.ready_since = now
         self._admitted.append(session)
-        self._event("admit", session.name, f"conn={session.conn}")
+        self._event("admit", session, detail)
 
     def _retire(self, session: Session, state: str) -> None:
         session.state = state
         self._admitted.remove(session)
-        if session.conn is not None:
-            # disconnect aborts any transaction a failed session left
-            # open, releasing its locks for the survivors.
-            self.server.disconnect(session.conn)
-            session.conn = None
-        if session.cache is not None:
-            session.cache.revoke()
-        self._event(state, session.name, session.error or "")
+        self._close(session)
+        self._event(state, session, session.error or "")
         if self._admission_q:
             self._admit(self._admission_q.pop(0))
 
@@ -483,40 +545,56 @@ class MultiUserScheduler:
         """Run every session to completion; returns the fairness
         report.  ``strict`` raises :class:`SessionFailedError` if any
         session exhausted its retry budget."""
-        while True:
-            self._wake_sleepers()
-            if all(s.finished for s in self.sessions):
-                break
-            ready = [s for s in self._admitted if s.state == READY]
-            if ready:
-                self._run_slice(self._pick(ready))
+        while not all(s.finished for s in self.sessions):
+            if self._run_ready():
                 continue
-            sleepers = [s for s in self._admitted if s.state == SLEEPING]
-            if sleepers:
-                target = min(s.wake_time for s in sleepers)
-                self.clock.advance(max(0.0, target - self.clock.now()))
-                continue
-            raise SchedStalledError(
-                "unfinished sessions but nothing runnable: "
-                + ", ".join(f"{s.name}={s.state}" for s in self.sessions
-                            if not s.finished))
+            sleeper = self._next_sleeper()
+            if sleeper is None:
+                raise SchedStalledError(
+                    "unfinished sessions but nothing runnable: "
+                    + ", ".join(f"{s.name}={s.state}" for s in self.sessions
+                                if not s.finished))
+            clock = self.dbs[sleeper.home].clock
+            clock.advance(max(0.0, sleeper.wake_time - clock.now()))
         failed = [s for s in self.sessions if s.state == FAILED]
         if strict and failed:
             raise SessionFailedError(
                 "; ".join(f"{s.name}: {s.error}" for s in failed))
         return self.fairness_report()
 
+    def _run_ready(self) -> bool:
+        """Wake due sleepers, then run one slice of a ready session;
+        False when nobody is ready."""
+        self._wake_sleepers()
+        ready = [s for s in self._admitted if s.state == READY]
+        if ready:
+            self._run_slice(self._pick(ready))
+        return bool(ready)
+
     def _wake_sleepers(self) -> None:
-        now = self.clock.now()
         for session in self._admitted:
-            if session.state == SLEEPING and session.wake_time <= now:
-                session.state = READY
-                session.ready_since = now
+            if session.state == SLEEPING:
+                now = self.dbs[session.home].clock.now()
+                if session.wake_time <= now:
+                    session.state = READY
+                    session.ready_since = now
+
+    def _next_sleeper(self) -> Session | None:
+        """The sleeping session closest to its wake-up, measured on its
+        own home clock (None if nobody sleeps)."""
+        sleepers = [s for s in self._admitted if s.state == SLEEPING]
+        return min(sleepers, default=None,
+                   key=lambda s: (s.wake_time
+                                  - self.dbs[s.home].clock.now(), s.sid))
 
     def _pick(self, ready: list[Session]) -> Session:
         """Seeded random choice with a starvation guard: any session
         runnable for longer than ``fairness_bound`` simulated seconds
-        preempts the lottery, oldest wait first.
+        (on its home clock) preempts the lottery, oldest wait first.
+        Otherwise the lottery runs among the ready sessions homed on
+        the database whose clock is furthest behind — the laggiest
+        timeline runs next, which keeps the databases advancing
+        together; with one database that is every ready session.
 
         With ``cluster_commits`` (the default), sessions whose next
         request is ``p_commit`` are held back while any other ready
@@ -527,11 +605,15 @@ class MultiUserScheduler:
         one sorted pass, the rest find their pages already clean, and
         the batched commit records share a single status force.  The
         starvation guard bounds the delay."""
-        now = self.clock.now()
+        now = [db.clock.now() for db in self.dbs]
         overdue = [s for s in ready
-                   if now - s.ready_since >= self.fairness_bound]
+                   if now[s.home] - s.ready_since >= self.fairness_bound]
         if overdue:
             return min(overdue, key=lambda s: (s.ready_since, s.sid))
+        homes = {s.home for s in ready}
+        if len(homes) > 1:
+            behind = min(homes, key=lambda i: (now[i], i))
+            ready = [s for s in ready if s.home == behind]
         ordered = sorted(ready, key=lambda s: s.sid)
         if self.cluster_commits:
             gated = [s for s in ordered if self._at_commit_gate(s)]
@@ -561,29 +643,30 @@ class MultiUserScheduler:
         return (unit.txn is not None and not unit.txn.abort
                 and session.phase == len(unit.items))
 
-    def _step_while_parked(self, deadline: float) -> None:
-        """One scheduling step on behalf of a parked lock waiter: run
-        another session's request if any is ready, else advance the
-        clock toward the next wake-up (or burn one quantum toward the
-        waiter's own timeout)."""
-        self._wake_sleepers()
-        ready = [s for s in self._admitted if s.state == READY]
-        if ready:
-            self._run_slice(self._pick(ready))
+    def _step_while_parked(self, index: int, deadline: float) -> None:
+        """One scheduling step on behalf of a lock waiter parked on
+        database ``index``: run another session's request if any is
+        ready, else advance a clock toward the next wake-up (or burn
+        the waiter's own clock toward its timeout)."""
+        if self._run_ready():
             return
-        now = self.clock.now()
-        sleepers = [s for s in self._admitted if s.state == SLEEPING]
-        if sleepers:
-            target = min(min(s.wake_time for s in sleepers), deadline)
+        sleeper = self._next_sleeper()
+        if sleeper is not None:
+            clock = self.dbs[sleeper.home].clock
+            now, target = clock.now(), sleeper.wake_time
+            if sleeper.home == index:
+                # same timeline: never sleep past the waiter's timeout.
+                target = min(target, deadline)
             if target > now:
-                self.clock.advance(target - now)
+                clock.advance(target - now)
                 return
         # Nothing runnable at all: the waiter's timeout is the only
         # event left, so jump straight to it (plus one quantum so the
         # deadline test is unambiguous) instead of burning quanta.
         self.stats.idle_advances += 1
-        self.clock.advance(max(self.wait_quantum,
-                               deadline + self.wait_quantum - now))
+        clock = self.dbs[index].clock
+        clock.advance(max(self.wait_quantum,
+                          deadline + self.wait_quantum - clock.now()))
 
     # -- slices ----------------------------------------------------------
 
@@ -596,81 +679,88 @@ class MultiUserScheduler:
             return session.values[value.ordinal]
         return value
 
-    def _next_request(self, session: Session) -> tuple[str, tuple, dict, int | None]:
-        """The (method, args, kwargs, ordinal) of the session's next
-        request, given its unit/phase counters."""
+    def _next_request(self, session: Session) -> tuple:
+        """The ``(label, op, args, kwargs, ordinal)`` of the session's
+        next request, given its unit/phase counters.  ``op`` is what
+        :meth:`_dispatch` takes; ``label`` names the slice in the
+        trace."""
         unit = session.units[session.unit_idx]
         if unit.txn is None:
-            item = unit.items[0]
-            args = tuple(self._resolve(session, a) for a in item.args)
-            kwargs = {k: self._resolve(session, v)
-                      for k, v in item.kwargs.items()}
-            return item.method, args, kwargs, unit.ordinals[0]
-        if session.phase == -1:
-            return "p_begin", (), {}, None
-        if session.phase == len(unit.items):
-            return ("p_abort" if unit.txn.abort else "p_commit"), (), {}, None
-        item = unit.items[session.phase]
-        if isinstance(item, Apply):
-            return "__apply__", (item,), {}, unit.ordinals[session.phase]
+            index = 0
+        elif session.phase == -1:
+            return "p_begin", "p_begin", (), {}, None
+        elif session.phase == len(unit.items):
+            verb = "p_abort" if unit.txn.abort else "p_commit"
+            return verb, verb, (), {}, None
+        else:
+            index = session.phase
+        item, ordinal = unit.items[index], unit.ordinals[index]
+        if isinstance(item, DirectOp):
+            label = "__apply__" if isinstance(item, Apply) else item.label
+            return label, item, (), {}, ordinal
         args = tuple(self._resolve(session, a) for a in item.args)
         kwargs = {k: self._resolve(session, v) for k, v in item.kwargs.items()}
-        return item.method, args, kwargs, unit.ordinals[session.phase]
+        return item.method, item.method, args, kwargs, ordinal
 
     def _run_slice(self, session: Session) -> None:
         """Dispatch one request of ``session`` — the scheduler's unit
         of interleaving."""
         unit = session.units[session.unit_idx]
-        method, args, kwargs, ordinal = self._next_request(session)
+        label, op, args, kwargs, ordinal = self._next_request(session)
         self.stats.slices += 1
         session.slices += 1
         if self._last_ran is not session:
             self.stats.context_switches += 1
         self._last_ran = session
-        now = self.clock.now()
+        home_clock = self.dbs[session.home].clock
         if session.state == READY:
-            waited = now - session.ready_since
+            waited = home_clock.now() - session.ready_since
             if waited > session.max_ready_wait:
                 session.max_ready_wait = waited
         session.state = RUNNING
         self._running.append(session)
-        self._event("slice", session.name, method)
-        obs = self.db.obs
-        tx = self.server._sessions[session.conn]._tx
-        obs.tx.activate(tx.xid if tx is not None else None)
-        tracing = obs.tracer.enabled
-        old_stack = obs.tracer.swap_stack(session.span_stack) if tracing \
-            else None
-        span = obs.tracer.span("sched.slice", session=session.name,
-                               method=method) if tracing else None
+        self._event("slice", session, label)
+        # The context switch, once per database: point its per-xid
+        # accountant at this session's transaction there (or at no
+        # one), and swap in the session's span stack on its tracer.
+        traced = []
+        for index, db in enumerate(self.dbs):
+            db.obs.tx.activate(self.xid_on(session, index))
+            tracer = db.obs.tracer
+            if tracer.enabled:
+                old_stack = tracer.swap_stack(
+                    session.span_stacks.setdefault(index, []))
+                traced.append((tracer, old_stack, tracer.span(
+                    "sched.slice", session=session.name, method=label)))
         try:
-            if span is not None:
+            for _, _, span in traced:
                 span.__enter__()
             try:
-                result = self._dispatch(session, method, args, kwargs)
+                result = self._dispatch(session, op, args, kwargs)
             finally:
-                if span is not None:
+                for _, _, span in reversed(traced):
                     span.__exit__(None, None, None)
         except (DeadlockError, LockTimeoutError) as exc:
             self._handle_victim(session, unit, exc)
             return
         finally:
             self._running.pop()
-            if tracing:
-                obs.tracer.swap_stack(old_stack)
+            for tracer, old_stack, _ in traced:
+                tracer.swap_stack(old_stack)
             if session.state == RUNNING:
                 session.state = READY
-                session.ready_since = self.clock.now()
+                session.ready_since = home_clock.now()
         if ordinal is not None:
             session.values[ordinal] = result
-        self._advance_pc(session, unit, method)
+        self._advance_pc(session, unit)
 
-    def _dispatch(self, session: Session, method: str, args: tuple,
-                  kwargs: dict):
-        if method == "__apply__":
-            item = args[0]
+    def _dispatch(self, session: Session, op, args: tuple, kwargs: dict):
+        """Issue one request: ``op`` is a ``p_*`` method name, or the
+        program item itself for a direct operation."""
+        if isinstance(op, Apply):
             tx = self.server._sessions[session.conn]._tx
-            return item.fn(self.server.fs, tx)
+            return op.fn(self.server.fs, tx)
+        method = op
         cache = session.cache
         if cache is None:
             return self.server.dispatch(session.conn, method, *args, **kwargs)
@@ -724,7 +814,7 @@ class MultiUserScheduler:
                 cache.stats.miss("chunk")
                 return _CACHE_MISS
             data, owners = served
-            acct = self.db.obs.tx
+            acct = self.dbs[0].obs.tx
             for owner in owners:
                 cache.stats.hit("chunk")
                 if owner is not None:
@@ -758,35 +848,25 @@ class MultiUserScheduler:
                 cache.fill_read(desc.fileid, desc.pos - len(result),
                                 bytes(result), server_session.last_xid)
 
-    def _advance_pc(self, session: Session, unit: _Unit, method: str) -> None:
-        if unit.txn is None:
-            done_unit = True
-        elif session.phase == len(unit.items):
-            if self.commit_hook is not None and not unit.txn.abort:
-                self.commit_hook(session, unit.txn.tag, session._last_xid)
-            done_unit = True
-        else:
-            if session.phase == -1:
-                # remember the xid begun here for the commit hook.
-                tx = self.server._sessions[session.conn]._tx
-                session._last_xid = tx.xid if tx is not None else None
+    def _advance_pc(self, session: Session, unit: _Unit) -> None:
+        if unit.txn is not None and session.phase < len(unit.items):
             session.phase += 1
-            done_unit = False
-        if done_unit:
-            unit.attempt = 0
-            session.unit_idx += 1
-            session.phase = -1
-            if session.unit_idx >= len(session.units):
-                self._retire(session, DONE)
+            return
+        if (unit.txn is not None and not unit.txn.abort
+                and self.commit_hook is not None):
+            self._call_commit_hook(session, unit.txn.tag)
+        unit.attempt = 0
+        session.unit_idx += 1
+        session.phase = -1
+        if session.unit_idx >= len(session.units):
+            self._retire(session, DONE)
 
     def _handle_victim(self, session: Session, unit: _Unit, exc) -> None:
         """Deadlock-victim (or lock-timeout) recovery: abort the open
         transaction, roll the unit back, back off (capped exponential,
         simulated seconds), and retry the unit from its beginning."""
-        self._event("victim", session.name, type(exc).__name__)
-        conn_session = self.server._sessions[session.conn]
-        if conn_session._tx is not None:
-            self.server.dispatch(session.conn, "p_abort")
+        self._event("victim", session, type(exc).__name__)
+        self._abort_open(session)
         for ordinal in unit.ordinals:
             session.values.pop(ordinal, None)
         session.phase = -1
@@ -802,27 +882,22 @@ class MultiUserScheduler:
                       self.backoff_base * (2 ** (unit.attempt - 1)))
         self.stats.backoff_seconds.observe(backoff)
         session.state = SLEEPING
-        session.wake_time = self.clock.now() + backoff
-        self._event("retry", session.name,
+        session.wake_time = self.dbs[session.home].clock.now() + backoff
+        self._event("retry", session,
                     f"attempt={unit.attempt} backoff={backoff:.6f}")
 
     # -- tracing / reporting --------------------------------------------
 
-    def _park_span(self, resource, mode: str):
-        tracer = self.db.obs.tracer
-        if not tracer.enabled:
-            return None
-        span = tracer.span("sched.park", resource=repr(resource), mode=mode)
-        span.__enter__()
-        return span
-
-    def _event(self, kind: str, session: str, detail: str = "") -> None:
-        self.trace.append((round(self.clock.now(), 9), kind, session, detail))
+    def _event(self, kind: str, session: Session, detail: str = "") -> None:
+        """Append ``(home_time, kind, session_name, detail)`` to the
+        deterministic event trace."""
+        now = self.dbs[session.home].clock.now()
+        self.trace.append((round(now, 9), kind, session.name, detail))
 
     def trace_hash(self) -> str:
         """SHA-256 over the event trace — the determinism gate: two
-        runs with the same seed and programs must produce the same
-        hash."""
+        runs with the same seed, programs and databases must produce
+        the same hash."""
         blob = json.dumps(self.trace, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -836,6 +911,7 @@ class MultiUserScheduler:
         max_park = max((r["max_park_s"] for r in rows), default=0.0)
         return {
             "seed": self.seed,
+            "nshards": len(self.dbs),
             "sessions": rows,
             "max_ready_wait_s": max_ready_wait,
             "max_park_s": max_park,

@@ -1,8 +1,8 @@
 """Concurrent workloads for the crash-schedule explorer.
 
-:class:`ConcurrentWorkloadRunner` mirrors the single-session
-:class:`~repro.testkit.explorer.WorkloadRunner` interface (``oracle``,
-``pending``, ``floating``, ``run()``, ``completed_state()``) but drives
+:class:`ConcurrentWorkloadRunner` is the single-session
+:class:`~repro.testkit.explorer.WorkloadRunner` (same ``oracle``,
+``pending``, ``floating``, ``run()``, ``completed_state()``) driving
 a :class:`~repro.testkit.workload.Workload` whose ``sessions`` field
 holds one step list *per client* through the deterministic
 multi-session scheduler (:mod:`repro.sched`).  Each
@@ -32,34 +32,27 @@ from __future__ import annotations
 
 from repro.core.server import InversionServer
 from repro.sched import Apply, MultiUserScheduler, Txn
-from repro.testkit.oracle import ModelFS, apply_fs_op
+from repro.testkit.explorer import WorkloadRunner
+from repro.testkit.oracle import apply_fs_op
 from repro.testkit.workload import TxStep, Workload
 
 
-class ConcurrentWorkloadRunner:
+class ConcurrentWorkloadRunner(WorkloadRunner):
     """Executes a workload's per-session step lists through the
     multi-session scheduler, keeping the differential oracle in
-    lock-step at commit order."""
+    lock-step at commit order.
+
+    ``pending`` stays None: concurrent runs are explored without torn
+    appends, where an in-flight transaction can never land on the
+    committed side, so there is never a pending candidate."""
 
     def __init__(self, db, fs, workload: Workload,
                  cached: bool = False) -> None:
-        self.db = db
-        self.fs = fs
-        self.workload = workload
+        super().__init__(db, fs, workload)
         #: run the sessions with lease-coherent client caches attached
         #: (the cache must be invisible: lease bookkeeping is pure dict
         #: work, so write boundaries and oracle outcomes are unchanged).
         self.cached = cached
-        self.oracle = ModelFS()
-        self.oracle.apply_many(workload.setup_ops)
-        #: kept for interface parity with WorkloadRunner.  Concurrent
-        #: runs are explored without torn appends, where an in-flight
-        #: transaction can never land on the committed side, so there
-        #: is never a pending candidate.
-        self.pending: tuple | None = None
-        #: (xid, ops) committed in memory, commit order, records still
-        #: queued by group commit — a crash may lose any suffix.
-        self.floating: list[tuple[int, tuple]] = []
 
     def _program(self, steps) -> list[Txn]:
         program = []
@@ -73,19 +66,6 @@ class ConcurrentWorkloadRunner:
             program.append(Txn(items, abort=step.abort, tag=step))
         return program
 
-    def _on_commit(self, session, step: TxStep, xid: int) -> None:
-        self._drain_floating()
-        if xid in set(self.db.tm.pending_commit_xids()):
-            self.floating.append((xid, step.ops))
-        else:
-            self.oracle.apply_many(step.ops)
-
-    def _drain_floating(self) -> None:
-        still_pending = set(self.db.tm.pending_commit_xids())
-        while self.floating and self.floating[0][0] not in still_pending:
-            _, ops = self.floating.pop(0)
-            self.oracle.apply_many(ops)
-
     def run(self) -> None:
         server = InversionServer(self.fs)
         factory = None
@@ -94,7 +74,8 @@ class ConcurrentWorkloadRunner:
             factory = session_cache_factory()
         sched = MultiUserScheduler(server, seed=self.workload.sched_seed,
                                    cache_factory=factory)
-        sched.commit_hook = self._on_commit
+        sched.commit_hook = (
+            lambda session, step, xid: self._committed(xid, step.ops))
         try:
             for i, steps in enumerate(self.workload.sessions):
                 sched.add_session(self._program(steps), name=f"s{i}")
@@ -102,11 +83,3 @@ class ConcurrentWorkloadRunner:
         finally:
             sched.close()
         self._drain_floating()
-
-    def completed_state(self) -> dict:
-        """Expected visible state of a crash-free run: the durable base
-        plus every floating commit (visible in memory already)."""
-        model = self.oracle
-        for _, ops in self.floating:
-            model = model.preview(ops)
-        return model.state()

@@ -1,22 +1,29 @@
 """The crash-schedule explorer.
 
-For a scripted workload the explorer first runs a *profiling* pass that
-counts every durable write (the write boundaries), then — for each
-chosen boundary ``k`` — rebuilds a pristine database, arms the
+For a scripted workload :class:`CrashExplorer` first runs a *profiling*
+pass that counts every durable write (the write boundaries), then — for
+each chosen boundary ``k`` — rebuilds a pristine deployment, arms the
 :class:`~repro.testkit.faults.FaultyDevice` proxies to crash in place
 of write ``k``, runs the workload until the crash fires, discards
-volatile state, reopens via ``Database.open`` + ``InversionFS.attach``,
-and checks the recovered mount three ways:
+volatile state, recovers, and checks the recovered mounts three ways:
 
 1. **differential oracle** — the visible state must equal the
    :class:`~repro.testkit.oracle.ModelFS` built from exactly the
-   transactions whose commit records became durable (with torn appends
-   enabled, the one in-flight transaction is allowed to land on either
-   side of the boundary — its record may have survived the tear);
+   transactions whose commit records became durable: the durable base,
+   plus any prefix of the commits still floating in the group-commit
+   queue, plus the one in-flight transaction where its record may have
+   survived a torn append or its fate was in doubt under 2PC;
 2. **storage invariants** — ``core.checker.ConsistencyChecker`` must
-   report zero corruptions;
-3. **recovery accounting** — ``TransactionManager.recovery_report``
-   must load without error (its numbers are recorded per crash point).
+   report zero corruptions on every recovered mount;
+3. **recovery accounting** — the recovery report must load without
+   error (its numbers are recorded per crash point).
+
+There is one engine and one :class:`Topology` per kind of deployment:
+a fresh instance over crashed media is the whole interface.
+:class:`OneServer` and :class:`ShardedServers` live here,
+:class:`~repro.testkit.failover.PrimaryWithReplicas` beside the
+replication code it drives.  A new deployment is a new ``Topology``
+subclass and a constructor that binds it — no pass logic.
 
 Everything is seeded and simulated-clock-driven; the same (workload,
 seed, k) always reproduces the same crash byte-for-byte.
@@ -24,6 +31,7 @@ seed, k) always reproduces the same crash byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -46,7 +54,9 @@ class WorkloadRunner:
         self.db = db
         self.fs = fs
         self.workload = workload
+        # setup ops committed before the run was armed: part of the base.
         self.oracle = ModelFS()
+        self.oracle.apply_many(workload.setup_ops)
         #: ops of the transaction in flight when a crash fired, or None
         #: when the crash hit outside any visible-state-changing commit.
         self.pending: tuple | None = None
@@ -81,6 +91,16 @@ class WorkloadRunner:
             _, ops = self.floating.pop(0)
             self.oracle.apply_many(ops)
 
+    def _committed(self, xid: int, ops: tuple) -> None:
+        """A commit just returned: its ops join the oracle base, or the
+        floating list while group commit still queues the record
+        (committed in memory, not yet durable — a crash may lose it)."""
+        self._drain_floating()
+        if xid in set(self.db.tm.pending_commit_xids()):
+            self.floating.append((xid, ops))
+        else:
+            self.oracle.apply_many(ops)
+
     def completed_state(self) -> dict:
         """The expected visible state of a run that finished without a
         crash: the durable oracle base plus every floating commit (they
@@ -103,13 +123,7 @@ class WorkloadRunner:
         else:
             self.fs.commit(tx)
             self.pending = None
-            self._drain_floating()
-            if tx.xid in set(self.db.tm.pending_commit_xids()):
-                # Group commit queued the record: committed in memory,
-                # not yet durable — a crash may still lose it.
-                self.floating.append((tx.xid, step.ops))
-            else:
-                self.oracle.apply_many(step.ops)
+            self._committed(tx.xid, step.ops)
 
     def _run_vacuum(self, step: VacuumStep) -> None:
         table = step.table or self.fs.chunk_table_of(step.path)
@@ -129,185 +143,6 @@ class WorkloadRunner:
         self.db.commit(tx)
 
 
-@dataclass
-class CrashPointResult:
-    """Verdict for one crash point."""
-
-    point: int
-    completed: bool          # the run finished before the crash fired
-    state_ok: bool
-    checker_clean: bool
-    ambiguous: bool          # torn tail let the in-flight tx commit
-    recovery: dict = field(default_factory=dict)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.state_ok and self.checker_clean
-
-
-@dataclass
-class ExplorationReport:
-    workload: str
-    total_writes: int
-    results: list = field(default_factory=list)
-
-    @property
-    def points_tested(self) -> list[int]:
-        return [r.point for r in self.results if not r.completed]
-
-    @property
-    def violations(self) -> list:
-        return [r for r in self.results if not r.ok]
-
-    def summary(self) -> str:
-        return (f"workload={self.workload} boundaries={self.total_writes} "
-                f"tested={len(self.points_tested)} "
-                f"violations={len(self.violations)}")
-
-
-class CrashScheduleExplorer:
-    """Enumerates a workload's write boundaries and crash-tests each."""
-
-    def __init__(self, base_dir: str, workload: Workload,
-                 torn_append: bool = False, seed: int = 0,
-                 cached: bool = False) -> None:
-        self.base_dir = str(base_dir)
-        self.workload = workload
-        self.torn_append = torn_append
-        self.seed = seed
-        #: run concurrent workloads with client caches enabled —
-        #: crash points and oracle outcomes must be identical either
-        #: way (lease bookkeeping does no device I/O).
-        self.cached = cached
-
-    # -- plumbing --------------------------------------------------------
-
-    def _build(self, run_dir: str) -> tuple[Database, InversionFS]:
-        db = Database.create(run_dir)
-        fs = InversionFS.mkfs(db)
-        self.workload.setup(db, fs)
-        return db, fs
-
-    def _arm(self, db: Database, crash_after: int | None) -> CrashController:
-        plan = FaultPlan(crash_after=crash_after,
-                         torn_append=self.torn_append, seed=self.seed)
-        controller = CrashController(plan)
-        db.wrap_devices(lambda dev: FaultyDevice(dev, controller))
-        return controller
-
-    def _make_runner(self, db: Database, fs: InversionFS):
-        """One runner per run: the single-session lock-step runner, or —
-        when the workload declares per-client ``sessions`` — the
-        scheduler-driven concurrent runner (same interface)."""
-        if self.workload.sessions:
-            from repro.testkit.concurrent import ConcurrentWorkloadRunner
-            return ConcurrentWorkloadRunner(db, fs, self.workload,
-                                            cached=self.cached)
-        return WorkloadRunner(db, fs, self.workload)
-
-    # -- passes ----------------------------------------------------------
-
-    def count_write_boundaries(self) -> int:
-        """Profiling pass: run to completion, return the number of
-        durable writes — each index is one crash point.  Also sanity-
-        checks that the completed run matches the oracle."""
-        run_dir = os.path.join(self.base_dir, "profile")
-        db, fs = self._build(run_dir)
-        controller = self._arm(db, crash_after=None)
-        runner = self._make_runner(db, fs)
-        runner.run()
-        controller.disarm()
-        final = harvest_state(fs)
-        expected = runner.completed_state()
-        if final != expected:
-            raise AssertionError(
-                f"workload {self.workload.name!r} diverges from the oracle "
-                f"even without a crash: {_diff(final, expected)}")
-        db.close()
-        return controller.writes
-
-    def run_crash_point(self, point: int) -> CrashPointResult:
-        run_dir = os.path.join(self.base_dir, f"run{point:05d}")
-        db, fs = self._build(run_dir)
-        controller = self._arm(db, crash_after=point)
-        runner = self._make_runner(db, fs)
-        try:
-            runner.run()
-        except SimulatedCrashError:
-            pass
-        controller.disarm()
-        if not controller.crashed:
-            db.close()
-            return CrashPointResult(point, completed=True, state_ok=True,
-                                    checker_clean=True, ambiguous=False)
-        db.simulate_crash()
-
-        try:
-            recovered_db = Database.open(run_dir)
-        except Exception as exc:
-            # Recovery itself must never fail — "no special log
-            # processing is required at crash recovery time".
-            return CrashPointResult(point, completed=False, state_ok=False,
-                                    checker_clean=False, ambiguous=False,
-                                    detail=f"reopen failed: {exc!r}")
-        try:
-            try:
-                recovered_fs = InversionFS.attach(recovered_db)
-                recovered = harvest_state(recovered_fs)
-            except ReproError as exc:
-                # The recovered store is so damaged it cannot even be
-                # read back — the strongest possible violation verdict.
-                return CrashPointResult(point, completed=False, state_ok=False,
-                                        checker_clean=False, ambiguous=False,
-                                        detail=f"harvest raised: {exc!r}")
-            # Allowed recovered states: the durable oracle base, plus —
-            # because group-commit batches are forced as one append and
-            # a crash (or tear) can cut that append anywhere — every
-            # prefix of the floating commit list.
-            model = runner.oracle
-            allowed = [model.state()]
-            for _, ops in runner.floating:
-                model = model.preview(ops)
-                allowed.append(model.state())
-            if self.torn_append and runner.pending is not None:
-                # The tear may have left a parseable commit record: the
-                # in-flight transaction lands on either side.
-                allowed.append(model.preview(runner.pending).state())
-            state_ok = recovered in allowed
-            ambiguous = state_ok and len(allowed) > 1 and recovered != allowed[0]
-            try:
-                check = ConsistencyChecker(recovered_fs).check_all()
-            except ReproError as exc:
-                return CrashPointResult(point, completed=False,
-                                        state_ok=state_ok, checker_clean=False,
-                                        ambiguous=ambiguous,
-                                        detail=f"checker raised: {exc!r}")
-            recovery = recovered_db.tm.recovery_report()
-            detail = ""
-            if not state_ok:
-                detail = _diff(recovered, allowed[0])
-            elif not check.clean:
-                first = check.corruptions[0]
-                detail = f"{len(check.corruptions)} corruptions; first: {first}"
-            return CrashPointResult(point, completed=False, state_ok=state_ok,
-                                    checker_clean=check.clean,
-                                    ambiguous=ambiguous, recovery=recovery,
-                                    detail=detail)
-        finally:
-            recovered_db.close()
-
-    def explore(self, max_points: int | None = None) -> ExplorationReport:
-        """Crash-test the workload at every write boundary (or, with
-        ``max_points``, an evenly spaced deterministic sample that
-        always includes the first and last boundaries)."""
-        total = self.count_write_boundaries()
-        report = ExplorationReport(self.workload.name, total)
-        for point in select_points(total, max_points):
-            report.results.append(self.run_crash_point(point))
-        return report
-
-
 class ShardedWorkloadRunner:
     """Executes a sharded workload's steps through one
     :class:`~repro.shard.client.ShardedInversionClient`, each
@@ -317,9 +152,11 @@ class ShardedWorkloadRunner:
     prepare records and the coordinator's decision log.
 
     Sharded workloads run without a group-commit window (2PC forces
-    bypass the batching queue anyway), so the oracle is strictly
-    two-valued at every boundary: the durable base, or the base plus
-    the one in-flight group."""
+    bypass the batching queue anyway), so nothing ever floats and the
+    oracle is strictly two-valued at every boundary: the durable base,
+    or the base plus the one in-flight group."""
+
+    floating: tuple = ()
 
     def __init__(self, cluster, workload: Workload,
                  cached: bool = False) -> None:
@@ -360,31 +197,349 @@ class ShardedWorkloadRunner:
         return self.oracle.state()
 
 
-def harvest_cluster(cluster) -> dict[str, bytes | None]:
-    """The committed visible state of a whole cluster, in the model's
+def _harvest(mounts) -> dict[str, bytes | None]:
+    """The committed visible state of a set of mounts, in the model's
     shape.  Each shard's root lists only the top-level entries it owns,
-    so the union over shards is disjoint by construction."""
+    so the union over a cluster's mounts is disjoint by construction."""
     state: dict[str, bytes | None] = {}
-    for fs in cluster.fss:
+    for fs in mounts:
         state.update(harvest_state(fs))
     return state
 
 
-class ShardedCrashExplorer:
-    """The crash-schedule explorer, cluster edition.
+def harvest_cluster(cluster) -> dict[str, bytes | None]:
+    """The committed visible state of a whole cluster."""
+    return _harvest(cluster.fss)
 
-    One :class:`~repro.testkit.faults.CrashController` is shared by
-    every device proxy on every shard, so the cluster's durable writes
-    form a single global ordering — "crash at write #k" is a
-    cluster-wide coordinate that lands, across the sweep, on every
-    prepare force, every coordinator decision force, and every
-    phase-two commit record, on coordinator and participant shards
-    alike.  After each crash the cluster reopens through
-    :meth:`~repro.shard.cluster.ShardedCluster.open` (which resolves
-    in-doubt prepared transactions against the decision log) and must
-    match the two-valued oracle: the in-flight group committed
-    everywhere or nowhere.  Half a cross-shard rename — either name
-    missing from both shards, or present on both — is a violation."""
+
+# -- topologies -------------------------------------------------------------
+
+class Topology:
+    """One deployment under test, built pristine per run: what the
+    engine needs beyond "run the workload".  A subclass's constructor
+    builds the deployment under ``run_dir``, runs the workload's setup,
+    and leaves the live node — anything with ``wrap_devices``,
+    ``simulate_crash`` and ``close`` — in ``self.node``."""
+
+    #: True when the in-flight step may land on the committed side
+    #: even without a torn append (its fate was in doubt).
+    in_doubt = False
+
+    def __init__(self, run_dir: str, workload: Workload,
+                 cached: bool = False) -> None:
+        self.run_dir = run_dir
+        self.workload = workload
+        self.cached = cached
+        #: the live :class:`Database` / cluster; None while crashed.
+        self.node = None
+
+    def wrap_devices(self, wrapper) -> None:
+        """Interpose ``wrapper`` over every device (one controller, so
+        the deployment's durable writes form one global ordering)."""
+        self.node.wrap_devices(wrapper)
+
+    def make_runner(self):
+        """A runner exposing ``run()``, ``oracle``, ``pending``,
+        ``floating`` and ``completed_state()``."""
+        raise NotImplementedError
+
+    def live_states(self):
+        """After a crash-free run: settle the deployment and yield
+        ``(who, visible state)`` for every member that must agree with
+        the oracle."""
+        raise NotImplementedError
+
+    def crash(self) -> None:
+        """Discard every volatile byte; only the media survive."""
+        self.node.simulate_crash()
+        self.node = None
+
+    def recover(self) -> list:
+        """Bring a fresh instance up over the crashed media; returns
+        the recovered mounts whose union is the visible state."""
+        raise NotImplementedError
+
+    def recovery_report(self) -> dict:
+        raise NotImplementedError
+
+    def extra_verdicts(self, state: dict) -> tuple[dict, str]:
+        """Deployment-specific checks on the recovered ``state``:
+        extra result fields, and a detail line when one failed."""
+        return {}, ""
+
+    def close(self) -> None:
+        if self.node is not None:
+            self.node.close()
+            self.node = None
+
+
+class OneServer(Topology):
+    """One database, one mount; recovery is ``Database.open`` +
+    ``InversionFS.attach``.  Workloads that declare per-client
+    ``sessions`` run through the scheduler-driven concurrent runner,
+    the rest through the lock-step one (same interface)."""
+
+    def __init__(self, run_dir: str, workload: Workload,
+                 cached: bool = False) -> None:
+        super().__init__(run_dir, workload, cached)
+        self.node = Database.create(run_dir)
+        self.fs = InversionFS.mkfs(self.node)
+        workload.setup(self.node, self.fs)
+
+    def make_runner(self):
+        if self.workload.sessions:
+            from repro.testkit.concurrent import ConcurrentWorkloadRunner
+            return ConcurrentWorkloadRunner(self.node, self.fs, self.workload,
+                                            cached=self.cached)
+        return WorkloadRunner(self.node, self.fs, self.workload)
+
+    def live_states(self):
+        yield f"workload {self.workload.name!r}", harvest_state(self.fs)
+
+    def recover(self) -> list:
+        self.node = Database.open(self.run_dir)
+        return [InversionFS.attach(self.node)]
+
+    def recovery_report(self) -> dict:
+        return self.node.tm.recovery_report()
+
+
+class ShardedServers(Topology):
+    """A sharded cluster.  One controller is shared by every device
+    proxy on every shard, so "crash at write #k" is a cluster-wide
+    coordinate that lands, across the sweep, on every prepare force,
+    every coordinator decision force, and every phase-two commit
+    record, on coordinator and participant shards alike.  Recovery is
+    :meth:`~repro.shard.cluster.ShardedCluster.open`, which resolves
+    in-doubt prepared transactions against the decision log.
+
+    Both sides of the in-flight group are reachable without tears: a
+    crash between the last prepare and the decision force aborts it,
+    one between the decision force and the last phase-two record
+    commits it through in-doubt recovery.  Half a cross-shard rename —
+    either name missing from both shards, or present on both — matches
+    neither and is a violation."""
+
+    in_doubt = True
+
+    def __init__(self, run_dir: str, workload: Workload,
+                 cached: bool = False) -> None:
+        from repro.shard.cluster import ShardedCluster
+        super().__init__(run_dir, workload, cached)
+        self.node = ShardedCluster.create(
+            run_dir, workload.shards, policy="subtree",
+            assignments=dict(workload.assignments))
+        client = self.node.client()
+        for op in workload.setup_ops:
+            # auto-commit, one op per transaction, before arming.
+            apply_client_op(client, op)
+        client.close()
+
+    def make_runner(self):
+        return ShardedWorkloadRunner(self.node, self.workload,
+                                     cached=self.cached)
+
+    def live_states(self):
+        yield (f"sharded workload {self.workload.name!r}",
+               harvest_cluster(self.node))
+
+    def recover(self) -> list:
+        from repro.shard.cluster import ShardedCluster
+        self.node = ShardedCluster.open(self.run_dir)
+        return self.node.fss
+
+    def recovery_report(self) -> dict:
+        return {
+            "shards": [db.tm.recovery_report() for db in self.node.dbs],
+            "in_doubt_commits": self.node.stats.in_doubt_commits,
+            "in_doubt_aborts": self.node.stats.in_doubt_aborts,
+        }
+
+
+# -- the engine -------------------------------------------------------------
+
+@dataclass
+class CrashPointResult:
+    """Verdict for one crash point."""
+
+    point: int
+    completed: bool          # the run finished before the crash fired
+    state_ok: bool
+    checker_clean: bool
+    ambiguous: bool          # recovered to a state past the durable base
+    recovery: dict = field(default_factory=dict)
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.state_ok and self.checker_clean
+
+
+@dataclass
+class ExplorationReport:
+    workload: str
+    total_writes: int
+    results: list = field(default_factory=list)
+
+    @property
+    def points_tested(self) -> list[int]:
+        return [r.point for r in self.results if not r.completed]
+
+    @property
+    def violations(self) -> list:
+        return [r for r in self.results if not r.ok]
+
+    def summary(self) -> str:
+        return (f"workload={self.workload} boundaries={self.total_writes} "
+                f"tested={len(self.points_tested)} "
+                f"violations={len(self.violations)}")
+
+
+class CrashExplorer:
+    """Enumerates a workload's write boundaries and crash-tests each,
+    on the deployment ``topology(run_dir)`` builds."""
+
+    result_class = CrashPointResult
+
+    def __init__(self, base_dir: str, workload: Workload, topology,
+                 torn_append: bool = False, seed: int = 0) -> None:
+        self.base_dir = str(base_dir)
+        self.workload = workload
+        self.topology = topology
+        self.torn_append = torn_append
+        self.seed = seed
+
+    def _start(self, run_name: str, crash_after: int | None):
+        """A pristine deployment, armed to crash in place of write
+        ``crash_after`` (None: count writes, never crash), and its
+        runner."""
+        deployment = self.topology(os.path.join(self.base_dir, run_name))
+        plan = FaultPlan(crash_after=crash_after,
+                         torn_append=self.torn_append, seed=self.seed)
+        controller = CrashController(plan)
+        deployment.wrap_devices(lambda dev: FaultyDevice(dev, controller))
+        return deployment, controller, deployment.make_runner()
+
+    def count_write_boundaries(self) -> int:
+        """Profiling pass: run to completion, return the number of
+        durable writes — each index is one crash point.  Also sanity-
+        checks that the completed run matches the oracle."""
+        deployment, controller, runner = self._start("profile", None)
+        runner.run()
+        controller.disarm()
+        expected = runner.completed_state()
+        for who, state in deployment.live_states():
+            if state != expected:
+                raise AssertionError(
+                    f"{who} diverges from the oracle even without a "
+                    f"crash: {_diff(state, expected)}")
+        deployment.close()
+        return controller.writes
+
+    def run_crash_point(self, point: int) -> CrashPointResult:
+        deployment, controller, runner = self._start(f"run{point:05d}", point)
+        try:
+            runner.run()
+        except SimulatedCrashError:
+            pass
+        controller.disarm()
+        try:
+            if not controller.crashed:
+                return self.result_class(point, completed=True, state_ok=True,
+                                         checker_clean=True, ambiguous=False)
+            deployment.crash()
+            return self._judge(point, deployment, runner)
+        finally:
+            deployment.close()
+
+    def _judge(self, point: int, deployment, runner) -> CrashPointResult:
+        """Recover the crashed deployment and hold it to the oracle,
+        the checker and the topology's own verdicts."""
+        # a failed verdict unless the checks below say otherwise.
+        verdict = functools.partial(self.result_class, point, completed=False,
+                                    state_ok=False, checker_clean=False,
+                                    ambiguous=False)
+        try:
+            mounts = deployment.recover()
+        except Exception as exc:
+            # Recovery itself must never fail — "no special log
+            # processing is required at crash recovery time".
+            return verdict(detail=f"recovery failed: {exc!r}")
+        try:
+            state = _harvest(mounts)
+        except ReproError as exc:
+            # The recovered store is so damaged it cannot even be
+            # read back — the strongest possible violation verdict.
+            return verdict(detail=f"harvest raised: {exc!r}")
+        # Allowed recovered states: the durable oracle base, plus —
+        # because group-commit batches are forced as one append and
+        # a crash (or tear) can cut that append anywhere — every
+        # prefix of the floating commit list.
+        model = runner.oracle
+        allowed = [model.state()]
+        for _, ops in runner.floating:
+            model = model.preview(ops)
+            allowed.append(model.state())
+        if runner.pending is not None and (self.torn_append
+                                           or deployment.in_doubt):
+            # The in-flight transaction lands on either side: a tear
+            # may have left a parseable commit record, or 2PC left it
+            # in doubt for recovery to decide.
+            allowed.append(model.preview(runner.pending).state())
+        state_ok = state in allowed
+        ambiguous = state_ok and len(allowed) > 1 and state != allowed[0]
+        extra, extra_detail = deployment.extra_verdicts(state)
+        corruptions = []
+        try:
+            for index, fs in enumerate(mounts):
+                check = ConsistencyChecker(fs).check_all()
+                corruptions += [f"mount {index}: {c}"
+                                for c in check.corruptions]
+        except ReproError as exc:
+            return verdict(state_ok=state_ok, ambiguous=ambiguous,
+                           detail=f"checker raised: {exc!r}", **extra)
+        detail = extra_detail
+        if not state_ok:
+            detail = _diff(state, allowed[0])
+        elif corruptions and not detail:
+            detail = (f"{len(corruptions)} corruptions; "
+                      f"first: {corruptions[0]}")
+        return verdict(state_ok=state_ok, checker_clean=not corruptions,
+                       ambiguous=ambiguous, detail=detail,
+                       recovery=deployment.recovery_report(), **extra)
+
+    def _new_report(self, total: int) -> ExplorationReport:
+        return ExplorationReport(self.workload.name, total)
+
+    def explore(self, max_points: int | None = None) -> ExplorationReport:
+        """Crash-test the workload at every write boundary (or, with
+        ``max_points``, an evenly spaced deterministic sample that
+        always includes the first and last boundaries)."""
+        total = self.count_write_boundaries()
+        report = self._new_report(total)
+        for point in select_points(total, max_points):
+            report.results.append(self.run_crash_point(point))
+        return report
+
+
+class CrashScheduleExplorer(CrashExplorer):
+    """The explorer bound to :class:`OneServer`."""
+
+    def __init__(self, base_dir: str, workload: Workload,
+                 torn_append: bool = False, seed: int = 0,
+                 cached: bool = False) -> None:
+        #: run concurrent workloads with client caches enabled —
+        #: crash points and oracle outcomes must be identical either
+        #: way (lease bookkeeping does no device I/O).
+        self.cached = cached
+        super().__init__(
+            base_dir, workload,
+            lambda run_dir: OneServer(run_dir, workload, cached),
+            torn_append, seed)
+
+
+class ShardedCrashExplorer(CrashExplorer):
+    """The explorer bound to :class:`ShardedServers`."""
 
     def __init__(self, base_dir: str, workload: Workload,
                  torn_append: bool = False, seed: int = 0,
@@ -393,136 +548,14 @@ class ShardedCrashExplorer:
             raise ValueError(
                 f"workload {workload.name!r} is not sharded "
                 f"(shards={workload.shards})")
-        self.base_dir = str(base_dir)
-        self.workload = workload
-        self.torn_append = torn_append
-        self.seed = seed
         #: drive the workload through a caching cluster client — leases
         #: keep it coherent and the bookkeeping does no device I/O, so
         #: the global write ordering is identical either way.
         self.cached = cached
-
-    # -- plumbing --------------------------------------------------------
-
-    def _build(self, run_dir: str):
-        from repro.shard.cluster import ShardedCluster
-        cluster = ShardedCluster.create(
-            run_dir, self.workload.shards, policy="subtree",
-            assignments=dict(self.workload.assignments))
-        client = cluster.client()
-        for op in self.workload.setup_ops:
-            # auto-commit, one op per transaction, before arming.
-            apply_client_op(client, op)
-        client.close()
-        return cluster
-
-    def _arm(self, cluster, crash_after: int | None) -> CrashController:
-        plan = FaultPlan(crash_after=crash_after,
-                         torn_append=self.torn_append, seed=self.seed)
-        controller = CrashController(plan)
-        cluster.wrap_devices(lambda dev: FaultyDevice(dev, controller))
-        return controller
-
-    # -- passes ----------------------------------------------------------
-
-    def count_write_boundaries(self) -> int:
-        run_dir = os.path.join(self.base_dir, "profile")
-        cluster = self._build(run_dir)
-        controller = self._arm(cluster, crash_after=None)
-        runner = ShardedWorkloadRunner(cluster, self.workload,
-                                       cached=self.cached)
-        runner.run()
-        controller.disarm()
-        final = harvest_cluster(cluster)
-        expected = runner.completed_state()
-        if final != expected:
-            raise AssertionError(
-                f"sharded workload {self.workload.name!r} diverges from "
-                f"the oracle even without a crash: {_diff(final, expected)}")
-        cluster.close()
-        return controller.writes
-
-    def run_crash_point(self, point: int) -> CrashPointResult:
-        from repro.shard.cluster import ShardedCluster
-        run_dir = os.path.join(self.base_dir, f"run{point:05d}")
-        cluster = self._build(run_dir)
-        controller = self._arm(cluster, crash_after=point)
-        runner = ShardedWorkloadRunner(cluster, self.workload,
-                                       cached=self.cached)
-        try:
-            runner.run()
-        except SimulatedCrashError:
-            pass
-        controller.disarm()
-        if not controller.crashed:
-            cluster.close()
-            return CrashPointResult(point, completed=True, state_ok=True,
-                                    checker_clean=True, ambiguous=False)
-        cluster.simulate_crash()
-
-        try:
-            recovered = ShardedCluster.open(run_dir)
-        except Exception as exc:
-            return CrashPointResult(point, completed=False, state_ok=False,
-                                    checker_clean=False, ambiguous=False,
-                                    detail=f"reopen failed: {exc!r}")
-        try:
-            try:
-                state = harvest_cluster(recovered)
-            except ReproError as exc:
-                return CrashPointResult(point, completed=False,
-                                        state_ok=False, checker_clean=False,
-                                        ambiguous=False,
-                                        detail=f"harvest raised: {exc!r}")
-            # The two allowed worlds.  Unlike the single-server torn
-            # case, *both* sides are reachable without tears: a crash
-            # between the last prepare and the decision force aborts
-            # the group, one between the decision force and the last
-            # phase-two record commits it through in-doubt recovery.
-            allowed = [runner.oracle.state()]
-            if runner.pending is not None:
-                allowed.append(runner.oracle.preview(runner.pending).state())
-            state_ok = state in allowed
-            ambiguous = state_ok and len(allowed) > 1 and state != allowed[0]
-            corruptions = 0
-            checker_detail = ""
-            try:
-                for shard, fs in enumerate(recovered.fss):
-                    check = ConsistencyChecker(fs).check_all()
-                    if not check.clean:
-                        corruptions += len(check.corruptions)
-                        if not checker_detail:
-                            checker_detail = (f"shard{shard}: "
-                                              f"{check.corruptions[0]}")
-            except ReproError as exc:
-                return CrashPointResult(point, completed=False,
-                                        state_ok=state_ok,
-                                        checker_clean=False,
-                                        ambiguous=ambiguous,
-                                        detail=f"checker raised: {exc!r}")
-            recovery = {
-                "shards": [db.tm.recovery_report() for db in recovered.dbs],
-                "in_doubt_commits": recovered.stats.in_doubt_commits,
-                "in_doubt_aborts": recovered.stats.in_doubt_aborts,
-            }
-            detail = ""
-            if not state_ok:
-                detail = _diff(state, allowed[0])
-            elif corruptions:
-                detail = f"{corruptions} corruptions; first: {checker_detail}"
-            return CrashPointResult(point, completed=False, state_ok=state_ok,
-                                    checker_clean=corruptions == 0,
-                                    ambiguous=ambiguous, recovery=recovery,
-                                    detail=detail)
-        finally:
-            recovered.close()
-
-    def explore(self, max_points: int | None = None) -> ExplorationReport:
-        total = self.count_write_boundaries()
-        report = ExplorationReport(self.workload.name, total)
-        for point in select_points(total, max_points):
-            report.results.append(self.run_crash_point(point))
-        return report
+        super().__init__(
+            base_dir, workload,
+            lambda run_dir: ShardedServers(run_dir, workload, cached),
+            torn_append, seed)
 
 
 def select_points(total: int, max_points: int | None) -> list[int]:

@@ -12,10 +12,12 @@ the crashed primary would, and the whole single-server oracle argument
 (durable base + floating group-commit prefixes + torn-tail ambiguity)
 carries over unchanged.
 
-For each sampled write boundary ``k`` the explorer rebuilds a pristine
-primary, seeds ``nreplicas`` replicas, arms the fault proxies, runs the
-workload with periodic sync rounds interleaved, crashes the primary in
-place of write ``k``, then:
+The pass logic is :class:`~repro.testkit.explorer.CrashExplorer`'s; this
+module adds the :class:`PrimaryWithReplicas` topology.  For each sampled
+write boundary ``k`` the explorer rebuilds a pristine primary, seeds
+``nreplicas`` replicas, arms the fault proxies, runs the workload with
+periodic sync rounds interleaved, crashes the primary in place of write
+``k``, then:
 
 1. promotes the most caught-up replica (final feed drain + promote);
 2. checks the promoted state against the oracle's allowed states;
@@ -34,15 +36,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.core.checker import ConsistencyChecker
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
-from repro.errors import ReproError, SimulatedCrashError
 from repro.replica.feed import PrimaryFeed, ReplStats
 from repro.replica.server import ReplicaServer
-from repro.testkit.explorer import (CrashPointResult, ExplorationReport,
-                                    WorkloadRunner, _diff, select_points)
-from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
+from repro.testkit.explorer import (CrashExplorer, CrashPointResult,
+                                    ExplorationReport, OneServer,
+                                    WorkloadRunner, _diff)
 from repro.testkit.oracle import harvest_state
 from repro.testkit.workload import TxStep, Workload
 
@@ -65,6 +65,90 @@ class SyncingWorkloadRunner(WorkloadRunner):
         if self.sync_every and self._steps_run % self.sync_every == 0:
             for replica in self.replicas:
                 replica.sync()
+
+
+class PrimaryWithReplicas(OneServer):
+    """A primary feeding ``nreplicas`` log-shipped replicas; recovery
+    is promotion of the most caught-up replica.
+
+    The fault proxy stacks OUTSIDE the feed tap (``wrap_devices``
+    interposes over the current top), so a suppressed write never
+    reaches the feed — the feed is exactly the media."""
+
+    def __init__(self, run_dir: str, workload: Workload, nreplicas: int,
+                 sync_every: int) -> None:
+        super().__init__(os.path.join(run_dir, "primary"), workload)
+        self.sync_every = sync_every
+        feed = PrimaryFeed.attach(self.node, stats=ReplStats())
+        self.replicas = [
+            ReplicaServer.seed(feed, os.path.join(run_dir, f"replica{i}"),
+                               f"replica{i}")
+            for i in range(nreplicas)
+        ]
+
+    def make_runner(self):
+        return SyncingWorkloadRunner(self.node, self.fs, self.workload,
+                                     self.replicas, self.sync_every)
+
+    def live_states(self):
+        self.node.tm.flush_commits()
+        yield "primary", harvest_state(self.fs)
+        for replica in self.replicas:
+            replica.sync()
+            yield f"caught-up {replica.replica_id}", harvest_state(replica.fs)
+
+    def recover(self) -> list:
+        self.victim = max(self.replicas, key=lambda r: r.cursor)
+        before = self.victim.cursor
+        self.new_feed = self.victim.promote()
+        self.drained = self.victim.cursor - before
+        return [self.victim.fs]
+
+    def recovery_report(self) -> dict:
+        return self.victim.db.tm.recovery_report()
+
+    def extra_verdicts(self, state: dict) -> tuple[dict, str]:
+        detail = ""
+        # Zero lost committed transactions: local recovery of the dead
+        # primary's media is the ground truth — it preserves every
+        # durable commit by construction, so promoted == recovered
+        # proves nothing durable was lost.
+        try:
+            recovered_db = Database.open(self.run_dir)
+            local_state = harvest_state(InversionFS.attach(recovered_db))
+            matches_local = state == local_state
+            if not matches_local:
+                detail = ("promoted != local recovery: "
+                          + _diff(state, local_state))
+            recovered_db.close()
+        except Exception as exc:
+            matches_local = False
+            detail = f"local recovery failed: {exc!r}"
+        # Surviving followers resume from their cursors (no re-seed:
+        # the promoted feed was seeded with what the victim applied).
+        followers_ok = True
+        for follower in self.replicas:
+            if follower is self.victim:
+                continue
+            try:
+                follower.rebind_feed(self.new_feed)
+                follower.sync()
+                if harvest_state(follower.fs) != state:
+                    followers_ok = False
+                    detail = detail or (f"{follower.replica_id} diverged "
+                                        f"after failover")
+            except Exception as exc:
+                followers_ok = False
+                detail = detail or (f"{follower.replica_id} resume "
+                                    f"failed: {exc!r}")
+        return {"matches_local_recovery": matches_local,
+                "followers_converged": followers_ok,
+                "drained_entries": self.drained}, detail
+
+    def close(self) -> None:
+        super().close()
+        for replica in self.replicas:
+            replica.close()
 
 
 @dataclass
@@ -98,184 +182,23 @@ class FailoverReport(ExplorationReport):
                 f"violations={len(self.violations)}")
 
 
-class FailoverCrashExplorer:
-    """Crash the primary at every sampled write boundary; promote."""
+class FailoverCrashExplorer(CrashExplorer):
+    """The explorer bound to :class:`PrimaryWithReplicas`: crash the
+    primary at every sampled write boundary; promote."""
+
+    result_class = FailoverPointResult
 
     def __init__(self, base_dir: str, workload: Workload,
                  nreplicas: int = 2, sync_every: int = 3,
                  torn_append: bool = False, seed: int = 0) -> None:
-        self.base_dir = str(base_dir)
-        self.workload = workload
         self.nreplicas = nreplicas
         self.sync_every = sync_every
-        self.torn_append = torn_append
-        self.seed = seed
+        super().__init__(
+            base_dir, workload,
+            lambda run_dir: PrimaryWithReplicas(run_dir, workload, nreplicas,
+                                                sync_every),
+            torn_append, seed)
 
-    # -- plumbing --------------------------------------------------------
-
-    def _build(self, run_dir: str):
-        db = Database.create(os.path.join(run_dir, "primary"))
-        fs = InversionFS.mkfs(db)
-        self.workload.setup(db, fs)
-        feed = PrimaryFeed.attach(db, stats=ReplStats())
-        replicas = [
-            ReplicaServer.seed(feed, os.path.join(run_dir, f"replica{i}"),
-                               f"replica{i}")
-            for i in range(self.nreplicas)
-        ]
-        return db, fs, feed, replicas
-
-    def _arm(self, db: Database, crash_after: int | None) -> CrashController:
-        # The fault proxy stacks OUTSIDE the feed tap (wrap_devices
-        # interposes over the current top), so a suppressed write never
-        # reaches the feed — the feed is exactly the media.
-        plan = FaultPlan(crash_after=crash_after,
-                         torn_append=self.torn_append, seed=self.seed)
-        controller = CrashController(plan)
-        db.wrap_devices(lambda dev: FaultyDevice(dev, controller))
-        return controller
-
-    # -- passes ----------------------------------------------------------
-
-    def count_write_boundaries(self) -> int:
-        """Profiling pass: run to completion, sync everyone, and check
-        that primary and every replica agree with the oracle."""
-        run_dir = os.path.join(self.base_dir, "profile")
-        db, fs, feed, replicas = self._build(run_dir)
-        controller = self._arm(db, crash_after=None)
-        runner = SyncingWorkloadRunner(db, fs, self.workload, replicas,
-                                       self.sync_every)
-        runner.run()
-        controller.disarm()
-        db.tm.flush_commits()
-        expected = runner.completed_state()
-        final = harvest_state(fs)
-        if final != expected:
-            raise AssertionError(
-                f"primary diverges from the oracle without a crash: "
-                f"{_diff(final, expected)}")
-        for replica in replicas:
-            replica.sync()
-            got = harvest_state(replica.fs)
-            if got != expected:
-                raise AssertionError(
-                    f"caught-up {replica.replica_id} diverges from the "
-                    f"oracle: {_diff(got, expected)}")
-            replica.close()
-        db.close()
-        return controller.writes
-
-    def run_crash_point(self, point: int) -> FailoverPointResult:
-        run_dir = os.path.join(self.base_dir, f"run{point:05d}")
-        db, fs, feed, replicas = self._build(run_dir)
-        controller = self._arm(db, crash_after=point)
-        runner = SyncingWorkloadRunner(db, fs, self.workload, replicas,
-                                       self.sync_every)
-        try:
-            runner.run()
-        except SimulatedCrashError:
-            pass
-        controller.disarm()
-        if not controller.crashed:
-            db.close()
-            for replica in replicas:
-                replica.close()
-            return FailoverPointResult(point, completed=True, state_ok=True,
-                                       checker_clean=True, ambiguous=False)
-        db.simulate_crash()
-
-        # -- promote the most caught-up replica --------------------------
-        victim = max(replicas, key=lambda r: r.cursor)
-        before = victim.cursor
-        new_feed = victim.promote()
-        drained = victim.cursor - before
-        try:
-            promoted_state = harvest_state(victim.fs)
-        except ReproError as exc:
-            return FailoverPointResult(
-                point, completed=False, state_ok=False, checker_clean=False,
-                ambiguous=False, matches_local_recovery=False,
-                followers_converged=False, drained_entries=drained,
-                detail=f"promoted harvest raised: {exc!r}")
-
-        # -- the oracle's allowed states ---------------------------------
-        model = runner.oracle
-        allowed = [model.state()]
-        for _, ops in runner.floating:
-            model = model.preview(ops)
-            allowed.append(model.state())
-        if self.torn_append and runner.pending is not None:
-            allowed.append(model.preview(runner.pending).state())
-        state_ok = promoted_state in allowed
-        ambiguous = (state_ok and len(allowed) > 1
-                     and promoted_state != allowed[0])
-
-        # -- zero lost committed transactions ----------------------------
-        # Local recovery of the dead primary's media is the ground
-        # truth: it preserves every durable commit by construction, so
-        # promoted == recovered proves nothing durable was lost.
-        detail = ""
-        matches_local = True
-        try:
-            recovered_db = Database.open(os.path.join(run_dir, "primary"))
-            recovered_fs = InversionFS.attach(recovered_db)
-            local_state = harvest_state(recovered_fs)
-            matches_local = promoted_state == local_state
-            if not matches_local:
-                detail = ("promoted != local recovery: "
-                          + _diff(promoted_state, local_state))
-            recovered_db.close()
-        except Exception as exc:
-            matches_local = False
-            detail = f"local recovery failed: {exc!r}"
-
-        # -- surviving followers resume from their cursors ---------------
-        followers_ok = True
-        for follower in replicas:
-            if follower is victim:
-                continue
-            try:
-                follower.rebind_feed(new_feed)
-                follower.sync()
-                if harvest_state(follower.fs) != promoted_state:
-                    followers_ok = False
-                    if not detail:
-                        detail = (f"{follower.replica_id} diverged after "
-                                  f"failover")
-            except Exception as exc:
-                followers_ok = False
-                if not detail:
-                    detail = (f"{follower.replica_id} resume failed: "
-                              f"{exc!r}")
-
-        # -- storage invariants ------------------------------------------
-        try:
-            check = ConsistencyChecker(victim.fs).check_all()
-            checker_clean = check.clean
-            if state_ok and matches_local and followers_ok and not checker_clean:
-                detail = (f"{len(check.corruptions)} corruptions; "
-                          f"first: {check.corruptions[0]}")
-        except ReproError as exc:
-            checker_clean = False
-            detail = detail or f"checker raised: {exc!r}"
-
-        recovery = victim.db.tm.recovery_report()
-        if not state_ok and not detail:
-            detail = _diff(promoted_state, allowed[0])
-        result = FailoverPointResult(
-            point, completed=False, state_ok=state_ok,
-            checker_clean=checker_clean, ambiguous=ambiguous,
-            recovery=recovery, matches_local_recovery=matches_local,
-            followers_converged=followers_ok, drained_entries=drained,
-            detail=detail)
-        for replica in replicas:
-            replica.close()
-        return result
-
-    def explore(self, max_points: int | None = None) -> FailoverReport:
-        total = self.count_write_boundaries()
-        report = FailoverReport(self.workload.name, total,
-                                nreplicas=self.nreplicas)
-        for point in select_points(total, max_points):
-            report.results.append(self.run_crash_point(point))
-        return report
+    def _new_report(self, total: int) -> FailoverReport:
+        return FailoverReport(self.workload.name, total,
+                              nreplicas=self.nreplicas)

@@ -104,3 +104,76 @@ def test_registry_reset_does_not_disturb_mirrors(tmp_path):
     assert db.obs.metrics.value("txn.commits_recorded") == before
     assert db.obs.metrics.get("device.writes").total() == 0  # pushed: cleared
     db.close()
+
+
+# -- tracing under the cluster scheduler --------------------------------------
+
+def _shard_programs(twophase: bool):
+    """Four sessions, two per shard, two overwrite transactions each;
+    with ``twophase`` every transaction also writes a file on the other
+    shard, so it commits through 2PC."""
+    from repro.core.constants import O_RDWR
+    from repro.sched.scheduler import Call, Ref, Txn
+    programs = []
+    for c in range(4):
+        program, base = [], 0
+        for t in range(2):
+            paths = [f"/{'ab'[c % 2]}/f{c}"]
+            if twophase:
+                paths.append(f"/{'ab'[(c + 1) % 2]}/g{c}")
+            items = []
+            for path in paths:
+                items += [Call("p_open", path, O_RDWR),
+                          Call("p_write", Ref(base), payload(c, f"{path}{t}",
+                                                             3000)),
+                          Call("p_close", Ref(base))]
+                base += 3
+            program.append(Txn(items))
+        programs.append(program)
+    return programs
+
+
+def _run_cluster(workdir, twophase: bool, trace: bool):
+    from repro.shard import ShardedCluster, ShardedScheduler
+    cluster = ShardedCluster.create(str(workdir), 2, policy="subtree",
+                                    assignments={"a": 0, "b": 1})
+    boot = cluster.client()
+    boot.p_mkdir("/a")
+    boot.p_mkdir("/b")
+    for c in range(4):
+        for path in (f"/{'ab'[c % 2]}/f{c}", f"/{'ab'[(c + 1) % 2]}/g{c}"):
+            fd = boot.p_creat(path)
+            boot.p_write(fd, payload(c, path, 3000))
+            boot.p_close(fd)
+    boot.close()
+    if trace:
+        for db in cluster.dbs:
+            db.obs.tracer.enable()
+    with ShardedScheduler(cluster, seed=3) as sched:
+        for c, program in enumerate(_shard_programs(twophase)):
+            sched.add_session(program, name=f"c{c}", home=c % 2)
+        sched.run()
+        trace_hash = sched.trace_hash()
+    clocks = [db.clock.now() for db in cluster.dbs]
+    spans = [db.obs.tracer.spans_emitted for db in cluster.dbs]
+    slice_spans = [sum(e["name"] == "sched.slice"
+                       for e in db.obs.tracer.events()) for db in cluster.dbs]
+    cluster.close()
+    return trace_hash, clocks, spans, slice_spans
+
+
+@pytest.mark.parametrize("twophase", [False, True],
+                         ids=["disjoint", "twophase"])
+def test_sharded_scheduler_identical_with_tracing(tmp_path, twophase):
+    """The cluster scheduler swaps span stacks once per shard, so
+    tracing every shard changes neither the interleaving nor any
+    shard's clock — and each shard's tracer sees every slice."""
+    plain_hash, plain_clocks, plain_spans, _ = _run_cluster(
+        tmp_path / "plain", twophase, trace=False)
+    traced_hash, traced_clocks, traced_spans, slice_spans = _run_cluster(
+        tmp_path / "traced", twophase, trace=True)
+    assert plain_spans == [0, 0]
+    assert all(n > 0 for n in traced_spans)     # tracing actually ran
+    assert slice_spans[0] == slice_spans[1] > 0
+    assert traced_hash == plain_hash
+    assert traced_clocks == plain_clocks        # == , not approx

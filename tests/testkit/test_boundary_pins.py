@@ -1,0 +1,56 @@
+"""Crash-boundary counts, pinned.
+
+A workload's durable-write count is the coordinate system of every
+crash sweep: "crash at write #k" means the same thing from one commit
+to the next only while the count holds.  These pins call nothing but
+``count_write_boundaries()`` (the profiling pass, which also checks the
+crash-free run against the oracle), so a refactor of the explorer, the
+runners or anything beneath them that moves a boundary fails here, in
+tier-1, rather than in a ``-m torture`` sweep nobody ran.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.testkit.explorer import CrashScheduleExplorer, ShardedCrashExplorer
+from repro.testkit.failover import FailoverCrashExplorer
+from repro.testkit.workload import (commit_workload, concurrent_workload,
+                                    cross_shard_workload,
+                                    group_commit_workload, migration_workload,
+                                    vacuum_workload, write_heavy_workload)
+
+SINGLE_SERVER = {
+    "commit": (commit_workload, 63),
+    "vacuum": (vacuum_workload, 94),
+    "migration": (migration_workload, 65),
+    "write_heavy": (write_heavy_workload, 71),
+    "group_commit": (group_commit_workload, 67),
+    "concurrent": (concurrent_workload, 72),
+}
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+@pytest.mark.parametrize("name", SINGLE_SERVER)
+def test_single_server_boundaries(tmp_path, name, torn):
+    factory, expected = SINGLE_SERVER[name]
+    explorer = CrashScheduleExplorer(str(tmp_path), factory(),
+                                     torn_append=torn)
+    assert explorer.count_write_boundaries() == expected
+
+
+def test_cross_shard_boundaries(tmp_path):
+    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload())
+    assert explorer.count_write_boundaries() == 113
+
+
+@pytest.mark.parametrize("nreplicas", [1, 2])
+@pytest.mark.parametrize("factory, expected",
+                         [(commit_workload, 63), (vacuum_workload, 94)],
+                         ids=["commit", "vacuum"])
+def test_failover_boundaries(tmp_path, factory, expected, nreplicas):
+    """Replicas only read the feed: the primary's write count is the
+    single-server count, whatever the replica count."""
+    explorer = FailoverCrashExplorer(str(tmp_path), factory(),
+                                     nreplicas=nreplicas)
+    assert explorer.count_write_boundaries() == expected
