@@ -8,12 +8,15 @@ The package has two halves:
   revocation.
 - :mod:`repro.cache.client` — the client side: bounded LRU tiers for
   path→oid resolution, negative (ENOENT) lookups, fileatt rows, and
-  chunk payloads, with the drop-before-fill ``inval_seq`` protocol.
+  chunk payloads.
+- :mod:`repro.cache.link` — the serving protocol: a server connection
+  with its cache in front, and every rule about when that cache may
+  answer or be filled.  The remote client, the sharded client's
+  per-shard links and the scheduler's sessions all go through it.
 
-:func:`session_cache_factory` packages the standard wiring for the
-multi-user scheduler (one cache per admitted session, one shared
-:class:`~repro.cache.client.CacheStats` so the mirrored ``cache.*``
-metrics cover the whole run).
+:func:`session_cache_factory` is the one place a cache is wired to a
+server (leases on, session subscribed, ``cache.*`` metrics mirrored);
+every link that caches is handed one of its factories.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.cache.client import (
     METRICS as CLIENT_METRICS,
     bind_cache_stats,
 )
+from repro.cache.link import SessionLink
 from repro.cache.leases import (
     EPOCH_MODULUS,
     LeaseManager,
@@ -42,6 +46,7 @@ __all__ = [
     "LeaseManager",
     "LeaseStats",
     "LEASE_METRICS",
+    "SessionLink",
     "bind_cache_stats",
     "bind_lease_stats",
     "epoch_newer",
@@ -53,11 +58,13 @@ __all__ = [
 def session_cache_factory(max_paths: int = 128, max_chunks: int = 64,
                           stats: CacheStats | None = None):
     """A ``cache_factory(server, conn)`` callable for
-    :class:`~repro.sched.scheduler.MultiUserScheduler`: enables leases
-    on the server, subscribes the session, and returns a
-    :class:`ClientCache`.  All caches produced by one factory share one
-    :class:`CacheStats`, so the run's ``cache.*`` metrics aggregate
-    across sessions."""
+    :class:`~repro.cache.link.SessionLink` (and so for
+    :class:`~repro.sched.scheduler.MultiUserScheduler`, which takes one
+    as a constructor argument): enables leases on the server,
+    subscribes the session, and returns a :class:`ClientCache`.  All
+    caches produced by one factory share one :class:`CacheStats`, so
+    the ``cache.*`` metrics aggregate across a scheduler's sessions or
+    a sharded client's shards."""
     shared = stats if stats is not None else CacheStats()
 
     def factory(server, conn: int) -> ClientCache:

@@ -11,22 +11,32 @@
 All tiers serve only *auto-commit* traffic: inside an explicit
 transaction the client always goes to the server (the server's own
 snapshot isolation is the correctness story there), and in-transaction
-results are never cached (they may be rolled back).
+results are never cached (they may be rolled back) — the link refuses
+both.
 
-Coherence rules the caller must follow (the cache enforces what it
-can):
+Coherence rules, and who enforces each:
 
-1. **Poll before serve** — drain the lease channel and apply notices
-   before consulting any tier.
-2. **Drop before fill** — snapshot :attr:`inval_seq` before an RPC and
-   fill only if it is unchanged afterwards; a notice that raced the
-   request means the reply may predate the writer's commit.
+1. **Poll before serve** — the lease channel is drained and its
+   notices applied before any tier is consulted.  Enforced by
+   :meth:`repro.cache.link.SessionLink.ready`, the only doorway to the
+   lookups below; nothing else in ``src/`` calls them.
+2. **Drop before fill** — a reply is cached only if :attr:`inval_seq`
+   did not move while its request was in flight; a notice that raced
+   the request means the reply may predate the writer's commit.
+   Enforced by the link too: ``call`` notes the sequence number on the
+   way out and every fill goes through its check.
 3. **Grants only from quiet batches** — :meth:`apply_notices` ignores
    piggybacked name grants when the same batch carried any
    invalidation (the grant could be staler than the notice).
+   Enforced here.
 4. **Revocation is terminal** — once :meth:`revoke` runs (server
    forgot/expired the lease, or the session disconnected) every tier
-   is dropped and the cache refuses to serve or fill again.
+   is dropped and the cache refuses to serve or fill again.  Enforced
+   here.
+
+This class is therefore storage plus rules 3–4: tiers, LRU bounds,
+notice application.  *When* to look and *when* to fill is
+:mod:`repro.cache.link`.
 """
 
 from __future__ import annotations
@@ -118,16 +128,17 @@ class ClientCache:
         self._atts: OrderedDict[int, object] = OrderedDict()
         #: (oid, chunkno) -> (payload bytes, owner xid or None).
         self._chunks: OrderedDict[tuple[int, int], tuple] = OrderedDict()
-        #: bumped once per applied invalidation notice; fill sites
-        #: compare around their RPC (drop-before-fill).
+        #: bumped once per applied invalidation notice; the link
+        #: compares it around each request (drop-before-fill).
         self.inval_seq = 0
         self.revoked = False
 
     # -- lease protocol ---------------------------------------------------
 
     def poll(self) -> None:
-        """Drain this session's lease channel and apply what arrived.
-        Call after every RPC and before serving from any tier."""
+        """Drain this session's lease channel and apply what arrived
+        (the link does so after every request and before serving from
+        any tier)."""
         if self.revoked:
             return
         notices = self.leases.poll(self.session_id)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache.link import SessionLink
 from repro.core.constants import CHUNK_SIZE
+from repro.core.protocol import CLOSES, OPENS, REMOTE, exposes
 from repro.core.server import InversionServer
-from repro.errors import FileNotFoundError_
 from repro.obs.registry import MetricSpec
 from repro.sim.network import NetworkModel
 
@@ -66,9 +67,15 @@ def _result_bytes(result: object) -> int:
     return 8
 
 
+@exposes(REMOTE)
 @dataclass
 class RemoteInversionClient:
     """The p_* API, executed over the simulated network.
+
+    Verbs with no client-side logic of their own (transaction control,
+    creat/close, the namespace and structural ops, ``p_query``) are not
+    written out here: :func:`repro.core.protocol.exposes` generates
+    them from the verb table, each one :meth:`_forward`.
 
     ``write_behind`` models the library's streaming of consecutive
     ``p_write`` calls: while the server chews on one write, the next
@@ -125,7 +132,6 @@ class RemoteInversionClient:
     cache_stats: object = None
 
     def __post_init__(self) -> None:
-        self._session = self.server.connect()
         self._last_was_write = False
         self._pos: dict[int, int] = {}      # client-visible file position
         self._srv_pos: dict[int, int] = {}  # where the server's descriptor is
@@ -146,27 +152,24 @@ class RemoteInversionClient:
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
         if self._obs is not None:
             self._obs.bind_client(self)
-        self._cache = None
         #: fd -> oid, for descriptors whose resolution the cache knows
         #: (set at p_open from a piggybacked grant or a cached path).
         self._fdpath: dict[int, int] = {}
+        factory = None
         if self.cache_paths > 0 or self.cache_chunks > 0:
-            from repro.cache import ClientCache, bind_cache_stats
-            leases = self.server.enable_leases()
-            leases.subscribe(self._session)
-            self._cache = ClientCache(
-                leases, self._session,
-                max_paths=max(1, self.cache_paths),
-                max_chunks=max(1, self.cache_chunks),
-                stats=self.cache_stats)
-            if self._obs is not None:
-                bind_cache_stats(self._obs.metrics, self._cache.stats)
+            from repro.cache import session_cache_factory
+            factory = session_cache_factory(self.cache_paths,
+                                            self.cache_chunks,
+                                            self.cache_stats)
+        #: the server connection, the lease-coherent cache in front of
+        #: it (if any), and every rule about when that cache may serve.
+        self._link = SessionLink(self.server, factory, self._exchange)
+        self._call = self._link.call
+        self._cache = self._link.cache
 
     def close(self) -> None:
         self._flush_writes()
-        self.server.disconnect(self._session)
-        if self._cache is not None:
-            self._cache.revoke()
+        self._link.close()
 
     # -- read-batching bookkeeping ----------------------------------------
 
@@ -228,76 +231,18 @@ class RemoteInversionClient:
         for fd in list(self._wrbuf):
             self._flush_fd_writes(fd)
 
-    # -- client-cache plumbing --------------------------------------------
+    # -- the wire -----------------------------------------------------------
 
-    def _cache_ready(self):
-        """The cache, if it may serve right now: present, lease intact,
-        and the session outside any explicit transaction.  Drains the
-        lease channel first (poll-before-serve)."""
-        cache = self._cache
-        if cache is None or cache.revoked:
-            return None
-        if self.server.in_transaction(self._session):
-            return None
-        cache.poll()
-        if cache.revoked:
-            return None
-        return cache
+    def _exchange(self, conn: int, method: str, *args, **kwargs):
+        """The link's transport: one synchronous request/response over
+        the simulated network."""
+        obs = self._obs
+        if obs is not None and obs.tracer.enabled:
+            with obs.tracer.span("rpc.call", method=method):
+                return self._round_trip(conn, method, *args, **kwargs)
+        return self._round_trip(conn, method, *args, **kwargs)
 
-    def _cached_read(self, fd: int, pos: int, length: int):
-        """Serve a read entirely from cached chunks, or None.  Each
-        served chunk is accounted to the xid that originally paid for
-        the device read."""
-        cache = self._cache_ready()
-        if cache is None:
-            return None
-        oid = self._fdpath.get(fd)
-        if oid is None:
-            return None
-        served = cache.serve_read(oid, pos, length)
-        if served is None:
-            cache.stats.miss("chunk")
-            return None
-        data, owners = served
-        for owner in owners:
-            cache.stats.hit("chunk")
-            if owner is not None and self._obs is not None:
-                self._obs.tx.charge_xid(owner, "client_cache_hits")
-        self._pos[fd] = pos + len(data)
-        return data
-
-    def _fill_read(self, fd: int, pos: int, data, seq: int) -> None:
-        """Cache a read reply's chunks — only if no invalidation landed
-        while the RPC was in flight (drop-before-fill) and the session
-        is outside a transaction."""
-        cache = self._cache
-        if cache is None or cache.revoked or not data:
-            return
-        if cache.inval_seq != seq:
-            return
-        if self.server.in_transaction(self._session):
-            return
-        oid = self._fdpath.get(fd)
-        if oid is None:
-            return
-        owner = self.server.session_last_xid(self._session)
-        cache.fill_read(oid, pos, bytes(data), owner)
-
-    def _call(self, method: str, *args, **kwargs):
-        try:
-            obs = self._obs
-            if obs is not None and obs.tracer.enabled:
-                with obs.tracer.span("rpc.call", method=method):
-                    return self._call_inner(method, *args, **kwargs)
-            return self._call_inner(method, *args, **kwargs)
-        finally:
-            # Drain piggybacked invalidation notices after *every*
-            # exchange, success or failure, so stale entries drop
-            # before the next cache consultation.
-            if self._cache is not None and not self._cache.revoked:
-                self._cache.poll()
-
-    def _call_inner(self, method: str, *args, **kwargs):
+    def _round_trip(self, conn: int, method: str, *args, **kwargs):
         request = _REQ_BASE + _arg_bytes(args, kwargs)
         pipelined = (self.write_behind and method == "p_write"
                      and self._last_was_write)
@@ -305,93 +250,63 @@ class RemoteInversionClient:
         if not pipelined:
             # The request travels, the server works, the response returns.
             self.network.send(request)
-            result = self.server.dispatch(self._session, method, *args, **kwargs)
+            result = self.server.dispatch(conn, method, *args, **kwargs)
             self.network.send(_RESP_BASE + _result_bytes(result))
             return result
         response = _RESP_BASE + 8
         net_cost = self.network.cost_round_trip(request, response)
         before = self.network.clock.now()
-        result = self.server.dispatch(self._session, method, *args, **kwargs)
+        result = self.server.dispatch(conn, method, *args, **kwargs)
         server_elapsed = self.network.clock.now() - before
         self.network.charge_seconds(max(0.0, net_cost - server_elapsed),
                                     messages=2, payload=request + response)
         return result
 
-    # -- the client API, one forwarding stub per call --------------------
+    # -- the client API ----------------------------------------------------
 
-    def p_begin(self):
+    def _forward(self, verb, args: tuple):
+        """Body of every generated verb: ship buffered writes first (so
+        this client's operations observe its writes in program order),
+        drop read-ahead state if the verb can change what any position
+        holds, then one exchange carrying every parameter; a descriptor
+        the verb opens or closes enters or leaves the position
+        tables."""
         self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_begin")
-
-    def p_commit(self):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_commit")
-
-    def p_abort(self):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_abort")
-
-    def p_creat(self, path, mode=2, device=None, owner="root", ftype="plain"):
-        self._flush_writes()
-        fd = self._call("p_creat", path, mode, device=device, owner=owner,
-                        ftype=ftype)
-        self._track_fd(fd)
-        return fd
+        if verb.drops_buffers:
+            self._drop_buffers()
+        result = self._call(verb.name, *args)
+        if verb.fd == OPENS:
+            self._track_fd(result)
+        elif verb.fd == CLOSES:
+            self._forget_fd(args[0])
+        return result
 
     def p_open(self, fname, mode=0, timestamp=None):
         self._flush_writes()
-        cache = self._cache_ready() if timestamp is None else None
-        if cache is not None:
-            msg = cache.lookup_negative(fname)
-            if msg is not None:
-                # Known-absent name: fail without touching the wire
-                # (the library's p_open never creates).
-                cache.stats.hit("negative")
-                raise FileNotFoundError_(msg)
-            seq = cache.inval_seq
-            try:
-                fd = self._call("p_open", fname, mode, timestamp)
-            except FileNotFoundError_ as exc:
-                if cache.inval_seq == seq and not cache.revoked:
-                    cache.fill_negative(fname, str(exc))
-                raise
-            self._track_fd(fd)
-            # The server granted the resolution on the reply (applied
-            # by the drain above when the batch was quiet).
-            oid = cache.lookup_oid(fname)
-            if oid is not None and isinstance(fd, int):
-                self._fdpath[fd] = oid
-            return fd
-        fd = self._call("p_open", fname, mode, timestamp)
+        fd, oid = self._link.open(fname, mode, timestamp)
         self._track_fd(fd)
+        if oid is not None and isinstance(fd, int):
+            self._fdpath[fd] = oid
         return fd
-
-    def p_close(self, fd):
-        self._flush_writes()
-        result = self._call("p_close", fd)
-        self._forget_fd(fd)
-        return result
 
     def p_read(self, fd, length):
         self._flush_writes()
         pos = self._pos.get(fd)
+        oid = self._fdpath.get(fd)
         if not self._batching or length <= 0 or pos is None:
             if self._cache is not None and pos is not None:
-                if isinstance(length, int) and length > 0:
-                    served = self._cached_read(fd, pos, length)
+                if oid is not None and isinstance(length, int) and length > 0:
+                    served = self._link.read_hit(oid, pos, length)
                     if served is not None:
+                        self._pos[fd] = pos + len(served)
                         return served
                 # Cached serves and absorbed seeks advance only the
                 # client position; realign the server before it reads.
                 self._resync(fd)
-            seq = self._cache.inval_seq if self._cache is not None else 0
             result = self._call("p_read", fd, length)
             if pos is not None and isinstance(result, (bytes, bytearray)):
-                if self._cache is not None:
-                    self._fill_read(fd, pos, result, seq)
+                if oid is not None:
+                    self._link.read_fill(oid, pos, result)
                 self._pos[fd] = pos + len(result)
                 self._srv_pos[fd] = self._pos[fd]
             return result
@@ -409,9 +324,10 @@ class RemoteInversionClient:
                 return piece
             # Unusable (seeked away, or too little left): refetch.
             del self._rdbuf[fd]
-        if self._cache is not None:
-            served = self._cached_read(fd, pos, length)
+        if oid is not None:
+            served = self._link.read_hit(oid, pos, length)
             if served is not None:
+                self._pos[fd] = pos + len(served)
                 return served
         self._resync(fd)
         streak = self._streak.get(fd, 0)
@@ -419,11 +335,10 @@ class RemoteInversionClient:
         # batching only kicks in once the access pattern has proven
         # sequential, so a lone random read never over-fetches.
         want = length * self.read_batch_chunks if streak >= 1 else length
-        seq = self._cache.inval_seq if self._cache is not None else 0
         result = self._call("p_read", fd, want)
         self._srv_pos[fd] = pos + len(result)
-        if self._cache is not None:
-            self._fill_read(fd, pos, result, seq)
+        if oid is not None:
+            self._link.read_fill(oid, pos, result)
         piece = result[:length]
         self._pos[fd] = pos + len(piece)
         if len(result) > length:
@@ -471,8 +386,8 @@ class RemoteInversionClient:
 
     def p_lseek(self, fd, offset_high, offset_low, whence=0):
         self._flush_writes()
-        if (self._cache is not None and whence == 0 and fd in self._pos
-                and fd in self._fdpath and self._cache_ready() is not None):
+        if (whence == 0 and fd in self._pos and fd in self._fdpath
+                and self._link.seek_hit()):
             # Absorb the SEEK_SET: record the position client-side and
             # repay it with one corrective seek only if the server is
             # consulted again for this descriptor (_resync).  Matches
@@ -481,7 +396,6 @@ class RemoteInversionClient:
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
             self._pos[fd] = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
-            self._cache.stats.hit("seek")
             return self._pos[fd]
         if (self._batching or self._wbatching
                 or self._cache is not None) and fd in self._pos:
@@ -495,51 +409,9 @@ class RemoteInversionClient:
             return result
         return self._call("p_lseek", fd, offset_high, offset_low, whence)
 
-    def p_mkdir(self, path, owner="root"):
-        self._flush_writes()
-        return self._call("p_mkdir", path, owner=owner)
-
-    def p_unlink(self, path):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_unlink", path)
-
-    def p_rmdir(self, path):
-        self._flush_writes()
-        return self._call("p_rmdir", path)
-
-    def p_rename(self, old, new):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_rename", old, new)
-
     def p_stat(self, path, timestamp=None):
         self._flush_writes()
-        cache = self._cache_ready() if timestamp is None else None
-        if cache is not None:
-            msg = cache.lookup_negative(path)
-            if msg is not None:
-                cache.stats.hit("negative")
-                raise FileNotFoundError_(msg)
-            oid = cache.lookup_oid(path)
-            if oid is not None:
-                att = cache.lookup_att(oid)
-                if att is not None:
-                    cache.stats.hit("att")
-                    return att
-            cache.stats.miss("att")
-            seq = cache.inval_seq
-            try:
-                att = self._call("p_stat", path, timestamp)
-            except FileNotFoundError_ as exc:
-                if cache.inval_seq == seq and not cache.revoked:
-                    cache.fill_negative(path, str(exc))
-                raise
-            if cache.inval_seq == seq and not cache.revoked:
-                cache.fill_path(path, att.file)
-                cache.fill_att(att.file, att)
-            return att
-        return self._call("p_stat", path, timestamp)
+        return self._link.stat(path, timestamp)
 
     def p_readdir(self, path, timestamp=None, cookie=None, limit=None):
         self._flush_writes()
@@ -548,26 +420,3 @@ class RemoteInversionClient:
         return self._call("p_readdir", path, timestamp,
                           cookie=cookie, limit=limit)
 
-    def p_reflink(self, src, dst, device=None):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_reflink", src, dst, device=device)
-
-    def p_concat(self, srcs, dst, device=None):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_concat", list(srcs), dst, device=device)
-
-    def p_slice(self, src, lo, hi, dst, device=None):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_slice", src, lo, hi, dst, device=device)
-
-    def p_truncate(self, path, size):
-        self._flush_writes()
-        self._drop_buffers()
-        return self._call("p_truncate", path, size)
-
-    def p_query(self, text):
-        self._flush_writes()
-        return self._call("p_query", text)

@@ -15,10 +15,9 @@ charges per-request dispatch CPU.  The network is *not* modelled here —
 
 from __future__ import annotations
 
-import inspect
-
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
+from repro.core.protocol import OPENS, VERBS
 from repro.db.transactions import PREPARED
 from repro.errors import InversionError
 from repro.obs.registry import MetricSpec
@@ -32,22 +31,8 @@ METRICS = (
 
 
 class InversionServer:
-    """Dispatches RPC requests into the file system."""
-
-    #: methods a remote client may invoke.  ``p_prepare``/``p_resolve``
-    #: are the 2PC participant half-calls a shard coordinator drives.
-    ALLOWED = frozenset({
-        "p_begin", "p_commit", "p_abort", "p_prepare", "p_resolve",
-        "p_creat", "p_open", "p_close",
-        "p_read", "p_write", "p_lseek", "p_mkdir", "p_unlink", "p_rmdir",
-        "p_rename", "p_stat", "p_readdir", "p_query",
-        "p_reflink", "p_concat", "p_slice", "p_truncate",
-    })
-
-    #: method -> Signature, for request validation (class-level: the
-    #: signatures are properties of InversionClient, not of any server
-    #: instance).
-    _SIGNATURES: dict[str, inspect.Signature] = {}
+    """Dispatches RPC requests into the file system: any verb of
+    :data:`repro.core.protocol.VERBS`, and nothing else."""
 
     def __init__(self, fs: InversionFS) -> None:
         self.fs = fs
@@ -74,37 +59,30 @@ class InversionServer:
                 bind_lease_stats(obs.metrics, manager.stats)
         return self.leases
 
+    def session_tx(self, session_id: int):
+        """The session's open explicit transaction, or None (also for
+        a session that is gone)."""
+        session = self._sessions.get(session_id)
+        return None if session is None else session._tx
+
     def in_transaction(self, session_id: int) -> bool:
         """Is the session inside an explicit transaction?  Client
         caches refuse to serve or fill transactional traffic."""
+        return self.session_tx(session_id) is not None
+
+    def descriptor(self, session_id: int, fd):
+        """The session's server-side descriptor for ``fd`` (file id,
+        position, time-travel timestamp), or None.  A caller living in
+        the server's address space may advance ``pos`` exactly as a
+        dispatched read would have."""
         session = self._sessions.get(session_id)
-        return session is not None and session._tx is not None
+        return None if session is None else session._fds.get(fd)
 
     def session_last_xid(self, session_id: int) -> int | None:
         """xid of the session's most recent transaction (cache fills
         stamp chunk entries with it for per-tx hit accounting)."""
         session = self._sessions.get(session_id)
         return None if session is None else session.last_xid
-
-    @classmethod
-    def _signature(cls, method: str) -> inspect.Signature:
-        sig = cls._SIGNATURES.get(method)
-        if sig is None:
-            sig = cls._SIGNATURES[method] = inspect.signature(
-                getattr(InversionClient, method))
-        return sig
-
-    def _validate(self, method: str, args: tuple, kwargs: dict) -> None:
-        """Reject malformed requests at the RPC boundary: a remote
-        caller's bad arity must surface as a protocol error
-        (:class:`InversionError`), not as a bare TypeError escaping
-        from deep inside the library."""
-        try:
-            # ``None`` stands in for the bound ``self`` slot.
-            self._signature(method).bind(None, *args, **kwargs)
-        except TypeError as exc:
-            raise InversionError(
-                f"bad arguments for RPC method {method!r}: {exc}") from None
 
     def connect(self) -> int:
         """Open a session; returns a connection id."""
@@ -162,12 +140,20 @@ class InversionServer:
 
     def dispatch(self, session_id: int, method: str, *args, **kwargs):
         """Execute one request for a session, charging dispatch CPU."""
-        if method not in self.ALLOWED:
+        verb = VERBS.get(method)
+        if verb is None:
             raise InversionError(f"unknown RPC method {method!r}")
         session = self._sessions.get(session_id)
         if session is None:
             raise InversionError(f"no session {session_id}")
-        self._validate(method, args, kwargs)
+        # Reject malformed requests at the RPC boundary: a remote
+        # caller's bad arity must surface as a protocol error, not as a
+        # bare TypeError escaping from deep inside the library.
+        try:
+            verb.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise InversionError(
+                f"bad arguments for RPC method {method!r}: {exc}") from None
         if self.fs.db.cpu is not None:
             self.fs.db.cpu.rpc_dispatch()
         obs = self.fs.db.obs
@@ -182,19 +168,19 @@ class InversionServer:
         else:
             result = getattr(session, method)(*args, **kwargs)
         if self.leases is not None:
-            self._lease_post(session_id, session, method, result)
+            self._lease_post(session_id, session, verb, result)
         return result
 
     def _lease_post(self, session_id: int, session: InversionClient,
-                    method: str, result) -> None:
+                    verb, result) -> None:
         """Piggyback lease traffic on a successful reply."""
-        if method in ("p_open", "p_creat"):
+        if verb.fd == OPENS:
             desc = session._fds.get(result)
             if desc is not None and desc.timestamp is None:
                 # The resolution in the reply lets the client pre-fill
                 # its path cache without a stat round trip.
                 self.leases.grant(session_id, desc.path, desc.fileid)
-        elif method == "p_query":
+        elif verb.name == "p_query":
             # POSTQUEL mutation statements bypass the fs hooks, so
             # invalidate conservatively.  Queued if the session is in a
             # transaction; for auto-commit p_query the library already

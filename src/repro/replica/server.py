@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 
 from repro.core.filesystem import InversionFS
+from repro.core.protocol import VERBS, WRITE
 from repro.core.server import InversionServer
 from repro.db.database import Database
 from repro.errors import ReplicaError, ReplicaReadOnlyError
@@ -56,16 +57,6 @@ class ReplicaServer(InversionServer):
     Construction goes through :meth:`seed` (base backup from a live
     primary) or :meth:`reopen` (restart from an existing replica
     directory, resuming at the durable cursor)."""
-
-    #: RPC methods a read-only replica serves.  ``p_begin``/``p_commit``
-    #: give clients a stable multi-read snapshot; such transactions
-    #: write nothing, so they never touch the shipped status file.
-    #: ``p_query`` is excluded wholesale — POSTQUEL can mutate.
-    READ_METHODS = frozenset({
-        "p_begin", "p_commit", "p_abort",
-        "p_open", "p_close", "p_read", "p_lseek",
-        "p_stat", "p_readdir",
-    })
 
     def __init__(self, fs: InversionFS, feed: PrimaryFeed | None,
                  replica_id: str, cursor: int,
@@ -246,8 +237,14 @@ class ReplicaServer(InversionServer):
         return self.db.tm.durable_committed_xid()
 
     def dispatch(self, session_id: int, method: str, *args, **kwargs):
-        if self.read_only and method in self.ALLOWED:
-            if method not in self.READ_METHODS:
+        # A read-only replica serves the protocol's transaction-control
+        # and read verbs: ``p_begin``/``p_commit`` give clients a stable
+        # multi-read snapshot; such transactions write nothing, so they
+        # never touch the shipped status file.  ``p_query`` is a write
+        # verb wholesale — POSTQUEL can mutate.
+        verb = VERBS.get(method)
+        if self.read_only and verb is not None:
+            if verb.kind == WRITE:
                 raise ReplicaReadOnlyError(
                     f"replica {self.replica_id} is read-only: {method!r} "
                     f"mutates (promote first, or route to the primary)")

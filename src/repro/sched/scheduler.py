@@ -54,6 +54,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from repro.cache.link import SessionLink
+from repro.core.protocol import VERBS
 from repro.errors import (DeadlockError, LockTimeoutError,
                           SchedAdmissionError, SchedStalledError,
                           SessionFailedError)
@@ -103,9 +105,6 @@ PARKED = "parked"        # blocked on a lock inside a dispatch
 SLEEPING = "sleeping"    # backing off before a victim retry
 DONE = "done"
 FAILED = "failed"
-
-#: sentinel distinguishing "cache couldn't serve" from a served None.
-_CACHE_MISS = object()
 
 
 class Ref:
@@ -217,7 +216,7 @@ class _Unit:
 
 
 class Session:
-    """One client session: its program, its server connection, and the
+    """One client session: its program, its server link, and the
     bookkeeping the fairness report is built from.  All times are on
     the clock of the session's ``home`` database."""
 
@@ -228,7 +227,11 @@ class Session:
         self.units = units
         self.home = home
         self.state = QUEUED
-        self.conn: int | None = None
+        #: the session's :class:`~repro.cache.link.SessionLink` while
+        #: it is connected: the server connection and, when the
+        #: scheduler was built with a ``cache_factory``, the
+        #: lease-coherent cache in front of it.
+        self.link: SessionLink | None = None
         #: program counter: current unit / phase within the unit
         #: (-1 = p_begin pending, 0..n-1 = item index, n = commit).
         self.unit_idx = 0
@@ -249,9 +252,6 @@ class Session:
         #: the session's own open-span stack on each database's tracer
         #: (swapped in per slice), by database index.
         self.span_stacks: dict[int, list[int]] = {}
-        #: per-session :class:`~repro.cache.ClientCache` when the
-        #: scheduler was built with a ``cache_factory``.
-        self.cache = None
 
     @property
     def finished(self) -> bool:
@@ -441,36 +441,31 @@ class MultiUserScheduler:
     def _open(self, session: Session) -> str:
         """Connect an admitted session; returns the detail of its
         ``admit`` trace event."""
-        session.conn = self.server.connect()
-        if self.cache_factory is not None:
-            session.cache = self.cache_factory(self.server, session.conn)
-        return f"conn={session.conn}"
+        session.link = SessionLink(self.server, self.cache_factory)
+        return f"conn={session.link.conn}"
 
     def _close(self, session: Session) -> None:
         """Disconnect a session (idempotent).  Disconnecting aborts any
         transaction a failed session left open, releasing its locks for
         the survivors."""
-        if session.conn is not None:
-            self.server.disconnect(session.conn)
-            session.conn = None
-        if session.cache is not None:
-            session.cache.revoke()
+        if session.link is not None:
+            session.link.close()
+            session.link = None
 
     def xid_on(self, session: Session, index: int) -> int | None:
         """The session's open xid on database ``index``, if any."""
-        tx = self.server._sessions[session.conn]._tx
-        return tx.xid if tx is not None else None
+        return session.link.xid()
 
     def _abort_open(self, session: Session) -> None:
         """Abort the session's open transaction, if it has one."""
-        if self.server._sessions[session.conn]._tx is not None:
-            self.server.dispatch(session.conn, "p_abort")
+        if session.link.tx() is not None:
+            session.link.call("p_abort")
 
     def _call_commit_hook(self, session: Session, tag) -> None:
         """``commit_hook`` is ``fn(session, tag, xid)`` here, ``xid``
         being the transaction whose commit just returned."""
         self.commit_hook(session, tag,
-                         self.server.session_last_xid(session.conn))
+                         self.server.session_last_xid(session.link.conn))
 
     # -- admission -------------------------------------------------------
 
@@ -756,97 +751,46 @@ class MultiUserScheduler:
 
     def _dispatch(self, session: Session, op, args: tuple, kwargs: dict):
         """Issue one request: ``op`` is a ``p_*`` method name, or the
-        program item itself for a direct operation."""
+        program item itself for a direct operation.  With a session
+        cache, auto-commit ``p_stat``/``p_read`` slices are served
+        through the link (their arguments bound to the verb's
+        parameters first, so positional and keyword forms are one
+        request)."""
+        link = session.link
         if isinstance(op, Apply):
-            tx = self.server._sessions[session.conn]._tx
-            return op.fn(self.server.fs, tx)
-        method = op
-        cache = session.cache
-        if cache is None:
-            return self.server.dispatch(session.conn, method, *args, **kwargs)
-        served = self._try_cache(session, cache, method, args, kwargs)
-        if served is not _CACHE_MISS:
-            return served
-        seq = cache.inval_seq
-        try:
-            result = self.server.dispatch(session.conn, method,
-                                          *args, **kwargs)
-        finally:
-            if not cache.revoked:
-                cache.poll()
-        self._cache_fill(session, cache, method, args, kwargs, result, seq)
+            return op.fn(self.server.fs, link.tx())
+        if link.cache is None:
+            return link.call(op, *args, **kwargs)
+        if op == "p_stat":
+            return link.stat(*VERBS[op].bind(*args, **kwargs))
+        if op == "p_read":
+            return self._read(link, *VERBS[op].bind(*args, **kwargs))
+        # Drain the lease channel before the request leaves: a name
+        # grant riding on the reply is trusted only if its batch holds
+        # no invalidation, so older notices must not share that batch.
+        link.ready()
+        return link.call(op, *args, **kwargs)
+
+    def _read(self, link: SessionLink, fd, length):
+        """A cached session's ``p_read``.  The server-side descriptor
+        is the authoritative position: a cache-served read advances it
+        exactly as the dispatch would have, so no corrective seek is
+        ever owed."""
+        desc = self.server.descriptor(link.conn, fd)
+        if desc is None or desc.timestamp is not None:
+            link.ready()
+            return link.call("p_read", fd, length)
+        if isinstance(length, int) and length > 0:
+            data = link.read_hit(desc.fileid, desc.pos, length)
+            if data is not None:
+                desc.pos += len(data)
+                return data
+        else:
+            link.ready()
+        result = link.call("p_read", fd, length)
+        if isinstance(result, (bytes, bytearray)):
+            link.read_fill(desc.fileid, desc.pos - len(result), result)
         return result
-
-    def _try_cache(self, session: Session, cache, method: str,
-                   args: tuple, kwargs: dict):
-        """Serve an eligible auto-commit p_stat/p_read from the
-        session's cache.  Negative (ENOENT) entries are never served
-        here — a raise out of a slice would fail the session — and
-        transactional slices always reach the server."""
-        if cache.revoked:
-            return _CACHE_MISS
-        server_session = self.server._sessions[session.conn]
-        if server_session._tx is not None:
-            return _CACHE_MISS
-        cache.poll()
-        if cache.revoked:
-            return _CACHE_MISS
-        if method == "p_stat":
-            timestamp = args[1] if len(args) > 1 else kwargs.get("timestamp")
-            if timestamp is not None:
-                return _CACHE_MISS
-            oid = cache.lookup_oid(args[0])
-            if oid is not None:
-                att = cache.lookup_att(oid)
-                if att is not None:
-                    cache.stats.hit("att")
-                    return att
-            cache.stats.miss("att")
-            return _CACHE_MISS
-        if method == "p_read":
-            fd, length = args[0], args[1]
-            desc = server_session._fds.get(fd)
-            if (desc is None or desc.timestamp is not None
-                    or not isinstance(length, int) or length <= 0):
-                return _CACHE_MISS
-            served = cache.serve_read(desc.fileid, desc.pos, length)
-            if served is None:
-                cache.stats.miss("chunk")
-                return _CACHE_MISS
-            data, owners = served
-            acct = self.dbs[0].obs.tx
-            for owner in owners:
-                cache.stats.hit("chunk")
-                if owner is not None:
-                    acct.charge_xid(owner, "client_cache_hits")
-            # The server-side descriptor is the authoritative position;
-            # a cache-served read advances it exactly as the dispatch
-            # would have.
-            desc.pos += len(data)
-            return data
-        return _CACHE_MISS
-
-    def _cache_fill(self, session: Session, cache, method: str, args: tuple,
-                    kwargs: dict, result, seq: int) -> None:
-        """Populate the cache from a successful dispatch — only if no
-        invalidation notice landed while the request ran (lock parks
-        let other sessions commit mid-slice)."""
-        if cache.revoked or cache.inval_seq != seq:
-            return
-        server_session = self.server._sessions.get(session.conn)
-        if server_session is None or server_session._tx is not None:
-            return
-        if method == "p_stat":
-            timestamp = args[1] if len(args) > 1 else kwargs.get("timestamp")
-            if timestamp is None and result is not None:
-                cache.fill_path(args[0], result.file)
-                cache.fill_att(result.file, result)
-        elif method == "p_read":
-            desc = server_session._fds.get(args[0])
-            if (desc is not None and desc.timestamp is None
-                    and isinstance(result, (bytes, bytearray)) and result):
-                cache.fill_read(desc.fileid, desc.pos - len(result),
-                                bytes(result), server_session.last_xid)
 
     def _advance_pc(self, session: Session, unit: _Unit) -> None:
         if unit.txn is not None and session.phase < len(unit.items):

@@ -29,7 +29,11 @@ Two operations are inherently multi-shard and are composed here:
 
 from __future__ import annotations
 
-from repro.core.constants import CHUNK_SIZE, O_RDONLY, O_RDWR, SEEK_SET
+from functools import partial
+
+from repro.cache.link import SessionLink
+from repro.core.constants import CHUNK_SIZE, O_RDONLY, O_RDWR
+from repro.core.protocol import CLOSES, OPENS, SHARDED, exposes
 from repro.errors import (
     BadFileDescriptorError,
     FileExistsError_,
@@ -42,16 +46,24 @@ from repro.shard.twophase import TwoPhaseCoordinator
 _DIRECTORY = "directory"
 
 
+@exposes(SHARDED)
 class ShardedInversionClient:
     """One application's session with a sharded cluster: lazy per-shard
-    server connections, one cluster-level transaction at a time."""
+    server links, one cluster-level transaction at a time.
+
+    Verbs addressed by one path or by a descriptor are not written out
+    here: :func:`repro.core.protocol.exposes` generates them from the
+    verb table, each one :meth:`_forward` (route, translate the
+    descriptor, one request).  What stays hand-written is what spans
+    shards."""
 
     def __init__(self, cluster, cache_paths: int = 0,
                  cache_chunks: int = 0) -> None:
         self.cluster = cluster
         self.coordinator = TwoPhaseCoordinator(cluster)
-        #: shard → server connection id (opened on first use).
-        self._conns: dict[int, int] = {}
+        #: shard → :class:`~repro.cache.link.SessionLink` (opened on
+        #: first use).
+        self._links: dict[int, SessionLink] = {}
         self._in_tx = False
         #: shards enlisted in the open transaction, enlistment order.
         self._tx_shards: list[int] = []
@@ -62,44 +74,33 @@ class ShardedInversionClient:
         #: (each shard has its own epoch space), all sharing one stats
         #: block.  Only p_stat is served client-side — the namespace
         #: tiers are where a sharded tree pays repeated B-tree descents.
-        self.cache_paths = cache_paths
-        self.cache_chunks = cache_chunks
-        self._caches: dict[int, object] = {}
-        self._cache_stats = None
+        self._cache_factory = None
         if cache_paths > 0 or cache_chunks > 0:
-            from repro.cache import CacheStats
-            self._cache_stats = CacheStats()
+            from repro.cache import session_cache_factory
+            self._cache_factory = session_cache_factory(cache_paths,
+                                                        cache_chunks)
 
     # -- plumbing --------------------------------------------------------
 
     def _route(self, path: str) -> int:
         return self.cluster.router.route(path)
 
-    def _conn(self, shard: int) -> int:
-        conn = self._conns.get(shard)
-        if conn is None:
-            server = self.cluster.servers[shard]
-            conn = server.connect()
-            self._conns[shard] = conn
-            if self._cache_stats is not None:
-                from repro.cache import ClientCache, bind_cache_stats
-                leases = server.enable_leases()
-                leases.subscribe(conn)
-                self._caches[shard] = ClientCache(
-                    leases, conn,
-                    max_paths=max(1, self.cache_paths),
-                    max_chunks=max(1, self.cache_chunks),
-                    stats=self._cache_stats)
-                obs = getattr(server.fs.db, "obs", None)
-                if obs is not None:
-                    bind_cache_stats(obs.metrics, self._cache_stats)
-        return conn
+    def _link(self, shard: int) -> SessionLink:
+        link = self._links.get(shard)
+        if link is None:
+            link = self._links[shard] = SessionLink(
+                self.cluster.servers[shard], self._cache_factory,
+                partial(self._exchange, shard))
+        return link
 
     def _call(self, shard: int, method: str, *args, **kwargs):
-        """One request to one shard, enlisting it in the open cluster
-        transaction first.  Any message to a shard other than the
-        transaction's first shard counts as cross-shard traffic."""
-        conn = self._conn(shard)
+        return self._link(shard).call(method, *args, **kwargs)
+
+    def _exchange(self, shard: int, conn: int, method: str, *args, **kwargs):
+        """A shard link's transport: one request to one shard,
+        enlisting it in the open cluster transaction first.  Any
+        message to a shard other than the transaction's first shard
+        counts as cross-shard traffic."""
         if self._in_tx:
             if shard not in self._tx_shards:
                 self._tx_shards.append(shard)
@@ -108,21 +109,29 @@ class ShardedInversionClient:
                 self.cluster.dispatch(shard, conn, "p_begin")
             if shard != self._tx_shards[0]:
                 self.cluster.stats.cross_shard_messages += 1
-        try:
-            return self.cluster.dispatch(shard, conn, method,
-                                         *args, **kwargs)
-        finally:
-            cache = self._caches.get(shard)
-            if cache is not None and not cache.revoked:
-                cache.poll()
+        return self.cluster.dispatch(shard, conn, method, *args, **kwargs)
+
+    def _forward(self, verb, args: tuple):
+        """Body of every generated verb: find the shard (by the verb's
+        path, or by the descriptor's owner), send, and keep the cluster
+        descriptor table in step."""
+        if verb.fd in (None, OPENS):
+            (where,) = verb.paths   # two-path composites are hand-written
+            shard = self._route(args[where])
+            result = self._call(shard, verb.name, *args)
+            return self._register_fd(shard, result) if verb.fd else result
+        fd = args[0]
+        shard, inner = self._fd(fd)
+        result = self._call(shard, verb.name, inner, *args[1:])
+        if verb.fd == CLOSES:
+            del self._fds[fd]
+        return result
 
     def _tx_wrote(self, shard: int) -> bool:
         """Did this shard's local transaction write?  Open handles with
         buffered-but-unflushed data count: their flush at prepare or
         commit will mark the transaction as writing."""
-        server = self.cluster.servers[shard]
-        session = server._sessions[self._conns[shard]]
-        tx = session._tx
+        tx = self._links[shard].tx()
         if tx is None:
             return False
         if tx.wrote:
@@ -134,21 +143,13 @@ class ShardedInversionClient:
     def xid_on(self, shard: int) -> int | None:
         """The session's open xid on ``shard``, if any (the sharded
         scheduler's lock-suspension seam)."""
-        conn = self._conns.get(shard)
-        if conn is None:
-            return None
-        session = self.cluster.servers[shard]._sessions.get(conn)
-        if session is None or session._tx is None:
-            return None
-        return session._tx.xid
+        link = self._links.get(shard)
+        return None if link is None else link.xid()
 
     def close(self) -> None:
-        for shard, conn in list(self._conns.items()):
-            self.cluster.servers[shard].disconnect(conn)
-        for cache in self._caches.values():
-            cache.revoke()
-        self._caches.clear()
-        self._conns.clear()
+        for link in self._links.values():
+            link.close()
+        self._links.clear()
         self._in_tx = False
         self._tx_shards = []
         self._fds.clear()
@@ -166,7 +167,7 @@ class ShardedInversionClient:
         if not self._in_tx:
             raise TransactionError("no transaction in progress")
         try:
-            self.coordinator.abort_group(self._conns, self._tx_shards)
+            self.coordinator.abort_group(self._links, self._tx_shards)
         finally:
             self._in_tx = False
             self._tx_shards = []
@@ -178,7 +179,7 @@ class ShardedInversionClient:
         try:
             writers = [s for s in participants if self._tx_wrote(s)]
             if len(writers) >= 2:
-                self.coordinator.commit_group(self._conns, participants,
+                self.coordinator.commit_group(self._links, participants,
                                               writers)
                 self.cluster.stats.cross_shard_txns += 1
             else:
@@ -186,7 +187,7 @@ class ShardedInversionClient:
                 # atomic commit point; read-only enlistments have
                 # nothing durable to coordinate.
                 for shard in participants:
-                    self.cluster.dispatch(shard, self._conns[shard],
+                    self.cluster.dispatch(shard, self._links[shard].conn,
                                           "p_commit")
                 if participants:
                     self.cluster.stats.single_shard_txns += 1
@@ -211,90 +212,23 @@ class ShardedInversionClient:
             raise BadFileDescriptorError(f"bad file descriptor {fd}")
         return entry
 
-    def p_creat(self, path: str, mode: int = O_RDWR,
-                device: str | None = None, owner: str = "root",
-                ftype: str = "plain") -> int:
-        shard = self._route(path)
-        inner = self._call(shard, "p_creat", path, mode, device=device,
-                           owner=owner, ftype=ftype)
-        return self._register_fd(shard, inner)
-
-    def p_open(self, fname: str, mode: int = O_RDONLY,
-               timestamp: float | None = None) -> int:
-        shard = self._route(fname)
-        inner = self._call(shard, "p_open", fname, mode, timestamp)
-        return self._register_fd(shard, inner)
-
-    def p_close(self, fd: int) -> None:
-        shard, inner = self._fd(fd)
-        self._call(shard, "p_close", inner)
-        del self._fds[fd]
-
-    def p_read(self, fd: int, length: int) -> bytes:
-        shard, inner = self._fd(fd)
-        return self._call(shard, "p_read", inner, length)
-
-    def p_write(self, fd: int, buf: bytes) -> int:
-        shard, inner = self._fd(fd)
-        return self._call(shard, "p_write", inner, buf)
-
-    def p_lseek(self, fd: int, offset_high: int, offset_low: int,
-                whence: int = SEEK_SET) -> int:
-        shard, inner = self._fd(fd)
-        return self._call(shard, "p_lseek", inner, offset_high,
-                          offset_low, whence)
-
     # -- namespace --------------------------------------------------------
 
-    def p_mkdir(self, path: str, owner: str = "root") -> None:
-        self._call(self._route(path), "p_mkdir", path, owner=owner)
-
-    def p_unlink(self, path: str) -> None:
-        self._call(self._route(path), "p_unlink", path)
-
-    def p_rmdir(self, path: str) -> None:
-        self._call(self._route(path), "p_rmdir", path)
-
     def p_stat(self, path: str, timestamp: float | None = None):
-        shard = self._route(path)
-        cache = self._caches.get(shard)
-        if (cache is not None and not cache.revoked
-                and not self._in_tx and timestamp is None):
-            cache.poll()
-            if not cache.revoked:
-                msg = cache.lookup_negative(path)
-                if msg is not None:
-                    cache.stats.hit("negative")
-                    raise FileNotFoundError_(msg)
-                oid = cache.lookup_oid(path)
-                if oid is not None:
-                    att = cache.lookup_att(oid)
-                    if att is not None:
-                        cache.stats.hit("att")
-                        return att
-                cache.stats.miss("att")
-                seq = cache.inval_seq
-                try:
-                    att = self._call(shard, "p_stat", path, timestamp)
-                except FileNotFoundError_ as exc:
-                    if cache.inval_seq == seq and not cache.revoked:
-                        cache.fill_negative(path, str(exc))
-                    raise
-                if cache.inval_seq == seq and not cache.revoked:
-                    cache.fill_path(path, att.file)
-                    cache.fill_att(att.file, att)
-                return att
-        return self._call(shard, "p_stat", path, timestamp)
+        link = self._link(self._route(path))
+        if self._in_tx:
+            # The *cluster* transaction decides, not the shard's: a
+            # stat inside one enlists its shard even when that shard
+            # has no local transaction yet.
+            return link.call("p_stat", path, timestamp)
+        return link.stat(path, timestamp)
 
     def p_readdir(self, path: str,
                   timestamp: float | None = None,
                   cookie: str | None = None, limit: int | None = None):
         if path.strip("/"):
-            if cookie is None and limit is None:
-                return self._call(self._route(path), "p_readdir", path,
-                                  timestamp)
             return self._call(self._route(path), "p_readdir", path,
-                              timestamp, cookie=cookie, limit=limit)
+                              timestamp, cookie, limit)
         # The root is the one directory that spans shards: its listing
         # is the union of every shard's root entries (disjoint by
         # construction — each top-level name lives only on its owner).
@@ -377,9 +311,6 @@ class ShardedInversionClient:
         self._call(src, "p_unlink", old)
 
     # -- structural ops ----------------------------------------------------
-
-    def p_truncate(self, path: str, size: int) -> None:
-        self._call(self._route(path), "p_truncate", path, size)
 
     def p_reflink(self, src: str, dst: str,
                   device: str | None = None) -> tuple[int, int]:

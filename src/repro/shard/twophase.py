@@ -37,16 +37,17 @@ class TwoPhaseCoordinator:
     def __init__(self, cluster) -> None:
         self.cluster = cluster
 
-    def commit_group(self, conns: dict[int, int], participants: list[int],
+    def commit_group(self, links: dict, participants: list[int],
                      writers: list[int]) -> None:
-        """Commit one cluster transaction.  ``conns`` maps shard →
-        server connection id; ``participants`` is every enlisted shard
+        """Commit one cluster transaction.  ``links`` maps shard → the
+        client's :class:`~repro.cache.link.SessionLink` there;
+        ``participants`` is every enlisted shard
         (enlistment order); ``writers`` the subset whose local
         transaction wrote.  The caller guarantees ``len(writers) >= 2``
         — smaller groups commit locally without coordination."""
         cluster = self.cluster
         coord = writers[0]
-        coord_tx = cluster.servers[coord]._sessions[conns[coord]]._tx
+        coord_tx = links[coord].tx()
         if coord_tx is None:
             raise TransactionError(
                 f"no open transaction on coordinator shard {coord}")
@@ -56,7 +57,7 @@ class TwoPhaseCoordinator:
         prepared: list[int] = []
         try:
             for shard in writers:
-                cluster.dispatch(shard, conns[shard], "p_prepare", gid)
+                cluster.dispatch(shard, links[shard].conn, "p_prepare", gid)
                 prepared.append(shard)
                 cluster.stats.prepares += 1
                 cluster.stats.cross_shard_messages += 1
@@ -64,7 +65,7 @@ class TwoPhaseCoordinator:
             # The machine room is down; nothing more can be forced.
             raise
         except BaseException:
-            self._abort_prepared(conns, participants, prepared)
+            self._abort_prepared(links, participants, prepared)
             raise
 
         # The commit point: one forced append on the coordinator.  The
@@ -76,22 +77,21 @@ class TwoPhaseCoordinator:
 
         # Phase two: the decision is durable; drive everyone to it.
         for shard in writers:
-            cluster.dispatch(shard, conns[shard], "p_resolve", True)
+            cluster.dispatch(shard, links[shard].conn, "p_resolve", True)
             cluster.stats.cross_shard_messages += 1
         for shard in participants:
             if shard not in writers:
-                cluster.dispatch(shard, conns[shard], "p_commit")
+                cluster.dispatch(shard, links[shard].conn, "p_commit")
         cluster.sync_clocks(participants)
 
-    def abort_group(self, conns: dict[int, int],
-                    participants: list[int]) -> None:
+    def abort_group(self, links: dict, participants: list[int]) -> None:
         """Abort every enlisted shard's local transaction (none of
         them is prepared — prepare only happens inside
         :meth:`commit_group`)."""
         for shard in participants:
-            self.cluster.dispatch(shard, conns[shard], "p_abort")
+            self.cluster.dispatch(shard, links[shard].conn, "p_abort")
 
-    def _abort_prepared(self, conns: dict[int, int], participants: list[int],
+    def _abort_prepared(self, links: dict, participants: list[int],
                         prepared: list[int]) -> None:
         """Best-effort rollback after a phase-one failure: resolve the
         already-prepared shards to abort, plain-abort the rest.  No
@@ -100,9 +100,9 @@ class TwoPhaseCoordinator:
         for shard in participants:
             try:
                 if shard in prepared:
-                    self.cluster.dispatch(shard, conns[shard],
+                    self.cluster.dispatch(shard, links[shard].conn,
                                           "p_resolve", False)
                 else:
-                    self.cluster.dispatch(shard, conns[shard], "p_abort")
+                    self.cluster.dispatch(shard, links[shard].conn, "p_abort")
             except Exception:
                 pass

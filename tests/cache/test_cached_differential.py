@@ -98,29 +98,6 @@ def test_cached_concurrent_sessions_match_oracle(sessions, seed):
             db.close()
 
 
-@given(sessions=scripts)
-@SETTINGS
-def test_cached_and_uncached_runs_agree(sessions):
-    """The cache is semantically invisible: the same script lands in
-    the same final state with caching on or off."""
-    states = []
-    for cached in (False, True):
-        workload = Workload("cached_vs_not", [], sessions=sessions,
-                            sched_seed=3, setup_ops=_setup_ops())
-        with tempfile.TemporaryDirectory() as root:
-            db = Database.create(root + "/db", clock=SimClock())
-            try:
-                fs = InversionFS.mkfs(db)
-                workload.setup(db, fs)
-                runner = ConcurrentWorkloadRunner(db, fs, workload,
-                                                  cached=cached)
-                runner.run()
-                states.append(harvest_state(fs))
-            finally:
-                db.close()
-    assert states[0] == states[1]
-
-
 def _reader_program(rounds: int) -> list:
     """Top-level Calls (the requests the scheduler cache serves):
     stat, open, read the whole hot file, close — ``rounds`` times."""
@@ -193,5 +170,47 @@ def test_scheduler_cache_actually_serves(tmp_path):
             sched.close()
         assert factory.stats.hits.get("att", 0) > 0
         assert factory.stats.hits.get("chunk", 0) > 0
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_keyword_arguments_are_the_same_request(tmp_path, cached):
+    """A program may pass verb arguments by keyword.  The cache-serving
+    path used to index them positionally (``args[0]``) and died with
+    IndexError as soon as a cache was configured; arguments are now
+    bound to the verb's parameters once, so the cached run is the
+    uncached run."""
+    db = Database.create(str(tmp_path / "db"), clock=SimClock())
+    try:
+        fs = InversionFS.mkfs(db)
+        tx = fs.begin()
+        fs.write_file(tx, "/hot", b"0" * HOT_SIZE)
+        fs.commit(tx)
+        db.tm.flush_commits()
+        factory = session_cache_factory() if cached else None
+        sched = MultiUserScheduler(InversionServer(fs), seed=0,
+                                   cache_factory=factory)
+        program = []
+        for _ in range(2):                  # second round: cache-served
+            first = len(program)
+            program += [Call("p_stat", path="/hot"),
+                        Call("p_open", fname="/hot", mode=0),
+                        Call("p_read", Ref(first + 1), length=HOT_SIZE),
+                        Call("p_read", length=10, fd=Ref(first + 1)),
+                        Call("p_close", fd=Ref(first + 1))]
+        try:
+            session = sched.add_session(program, name="kw")
+            sched.run(strict=True)
+        finally:
+            sched.close()
+        assert session.state == "done"
+        values = session.values
+        assert values[0].size == values[5].size == HOT_SIZE
+        assert values[2] == values[7] == b"0" * HOT_SIZE
+        assert values[3] == values[8] == b""          # at end of file
+        if cached:
+            assert factory.stats.hits.get("att", 0) > 0
+            assert factory.stats.hits.get("chunk", 0) > 0
     finally:
         db.close()

@@ -25,10 +25,10 @@ def test_cluster_client_caches_stats_across_shards(cluster):
     client.p_close(client.p_creat("/b/y"))
     client.p_stat("/a/x")
     client.p_stat("/b/y")
-    before = dict(client._cache_stats.hits)
+    before = dict(client._cache_factory.stats.hits)
     client.p_stat("/a/x")       # shard 0 hit
     client.p_stat("/b/y")       # shard 1 hit
-    assert client._cache_stats.hits["att"] == before.get("att", 0) + 2
+    assert client._cache_factory.stats.hits["att"] == before.get("att", 0) + 2
     client.close()
 
 
@@ -40,7 +40,7 @@ def test_cluster_client_negative_caching(cluster):
     with pytest.raises(FileNotFoundError_) as second:
         client.p_stat("/a/nope")
     assert str(second.value) == str(first.value)
-    assert client._cache_stats.hits.get("negative", 0) >= 1
+    assert client._cache_factory.stats.hits.get("negative", 0) >= 1
     client.close()
 
 
@@ -55,7 +55,7 @@ def test_expire_leases_revokes_every_shard(cluster):
     # The client notices per shard on its next request there.
     client.p_stat("/a")
     client.p_stat("/b")
-    assert all(cache.revoked for cache in client._caches.values())
+    assert all(link.cache.revoked for link in client._links.values())
     client.close()
 
 
@@ -72,7 +72,7 @@ def test_in_doubt_recovery_expires_leases(cluster):
     assert all(not server.leases._channels
                for server in cluster.servers if server.leases is not None)
     client.p_stat("/a")          # served by the server, lease gone
-    assert all(cache.revoked for cache in client._caches.values())
+    assert all(link.cache.revoked for link in client._links.values())
     client.close()
 
 

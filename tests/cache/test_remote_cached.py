@@ -106,7 +106,7 @@ def test_rename_invalidates_cached_subtree(server, clock):
 
 def test_disconnect_revokes_lease(server, clock):
     client = make_client(server, clock)
-    session = client._session
+    session = client._link.conn
     leases = server.leases
     assert leases.subscribed(session)
     before = leases.stats.lease_revocations
@@ -123,7 +123,7 @@ def test_revoked_session_stops_serving(server, clock):
     client.p_close(fd)
     client.p_stat("/f")
     # The server forcibly expires the lease (crash-recovery path).
-    server.leases.revoke(client._session)
+    server.leases.revoke(client._link.conn)
     att = client.p_stat("/f")               # goes to the server again
     assert att.size == 100
     assert client._cache.revoked

@@ -132,7 +132,7 @@ def test_disconnect_mid_transaction_releases_locks(fs, clock):
     dying.p_write(fd, b"buffered, never shipped")
     # The process dies: the server tears the session down without the
     # client-side flush a graceful close would do.
-    server.disconnect(dying._session)
+    server.disconnect(dying._link.conn)
     assert not fs.exists("/contested")  # the transaction aborted
 
     survivor = RemoteInversionClient(
@@ -149,13 +149,12 @@ def test_disconnect_releases_locks_even_if_abort_hook_raises(fs, clock):
     dying.p_begin()
     fd = dying.p_creat("/hooked")
     dying.p_write(fd, b"x")
-    session = server._sessions[dying._session]
 
     def bad_hook():
         raise RuntimeError("cache invalidation failed")
 
-    session._tx.abort_hooks.append(bad_hook)
-    server.disconnect(dying._session)  # must not raise, must not leak
+    server.session_tx(dying._link.conn).abort_hooks.append(bad_hook)
+    server.disconnect(dying._link.conn)  # must not raise, must not leak
 
     survivor = RemoteInversionClient(
         server, NetworkModel(clock=clock, params=ETHERNET_10MBIT))
@@ -174,7 +173,7 @@ def test_disconnect_reconciles_pending_attributes(fs, clock):
     server, dying = make_remote(fs, clock)
     fd = dying.p_creat("/orphan")
     dying.p_write(fd, b"z" * 1000)  # auto-commit: chunk durable, att lags
-    server.disconnect(dying._session)
+    server.disconnect(dying._link.conn)
 
     assert fs.stat("/orphan").size == 1000
     assert fs.read_file("/orphan") == b"z" * 1000

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.checker import ConsistencyChecker
-from repro.errors import ReplicaError, ReplicaReadOnlyError
+from repro.core.protocol import VERBS, WRITE
+from repro.errors import (InversionError, ReplicaError, ReplicaReadOnlyError,
+                          ReproError)
 from repro.testkit.oracle import harvest_state
 
 from tests.replica.conftest import make_replica, write_file
@@ -46,6 +48,21 @@ def test_replica_rejects_mutations(tmp_path, primary, writer):
         replica.dispatch(sid, "p_unlink", "/a")
     with pytest.raises(ReplicaReadOnlyError):
         replica.dispatch(sid, "p_query", "retrieve (f.all)")
+    # The guard is the verb table's ``kind`` column, nothing kept by
+    # hand: exactly the write verbs are refused (the guard runs before
+    # arity validation, so no arguments are needed to ask).
+    refused = set()
+    for name in VERBS:
+        try:
+            replica.dispatch(sid, name)
+        except ReplicaReadOnlyError:
+            refused.add(name)
+        except ReproError:
+            pass
+    assert refused == {v.name for v in VERBS.values() if v.kind == WRITE}
+    assert {"p_query", "p_prepare", "p_resolve"} <= refused
+    with pytest.raises(InversionError, match="unknown RPC method"):
+        replica.dispatch(sid, "p_format")
     replica.disconnect(sid)
     replica.close()
 

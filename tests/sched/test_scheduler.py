@@ -94,8 +94,8 @@ class TestAdmission:
             a = sched.add_session(programs[0], name="a")
             b = sched.add_session(programs[1], name="b")
             queued = sched.add_session(programs[2], name="q")
-            assert a.conn is not None and b.conn is not None
-            assert queued.conn is None          # waiting in the queue
+            assert a.link is not None and b.link is not None
+            assert queued.link is None          # waiting in the queue
             assert sched.stats.admission_waits == 1
             with pytest.raises(SchedAdmissionError):
                 sched.add_session(programs[3], name="refused")

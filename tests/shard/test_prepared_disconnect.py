@@ -41,7 +41,7 @@ def test_prepared_transaction_survives_disconnect(tmp_path):
     fd = server.dispatch(conn, "p_creat", "/f")
     server.dispatch(conn, "p_write", fd, b"promised")
     server.dispatch(conn, "p_close", fd)
-    tx = server._sessions[conn]._tx
+    tx = server.session_tx(conn)
     xid = tx.xid
     server.dispatch(conn, "p_prepare", "0.99")
     assert tx.state == PREPARED
@@ -67,7 +67,7 @@ def test_prepared_survives_disconnect_then_crash_and_commits(tmp_path):
     fd = server.dispatch(conn, "p_creat", "/f")
     server.dispatch(conn, "p_write", fd, b"promised")
     server.dispatch(conn, "p_close", fd)
-    xid = server._sessions[conn]._tx.xid
+    xid = server.session_tx(conn).xid
     server.dispatch(conn, "p_prepare", "0.42")
     server.disconnect(conn)
     db.simulate_crash()
@@ -90,12 +90,12 @@ def test_scheduler_teardown_keeps_prepared_transaction(tmp_path):
     db, fs, server = _server(tmp_path)
     sched = MultiUserScheduler(server, seed=1)
     session = sched.add_session([], name="party")  # admitted, no work
-    conn = session.conn
+    conn = session.link.conn
     server.dispatch(conn, "p_begin")
     fd = server.dispatch(conn, "p_creat", "/g")
     server.dispatch(conn, "p_write", fd, b"vote")
     server.dispatch(conn, "p_close", fd)
-    xid = server._sessions[conn]._tx.xid
+    xid = server.session_tx(conn).xid
     server.dispatch(conn, "p_prepare", "1.7")
     sched.close()
     assert db.tm.in_doubt() == {xid: "1.7"}

@@ -5,7 +5,12 @@ An application speaking the sharded client must not be able to tell
 sequence applied to a cluster and to the single-namespace
 :class:`~repro.testkit.oracle.ModelFS` must converge to the same
 state — including cross-shard renames, which the client implements as
-a copied move under 2PC."""
+a copied move under 2PC.
+
+The auto-commit, one-op-per-transaction form of that statement is the
+``sharded1``/``sharded3`` rows of the stack-conformance suite
+(``tests/integration/test_stack_conformance.py``); what stays here is
+what only a cluster has: multi-op transactions that span shards."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -45,27 +50,6 @@ def _mkcluster(workdir, nshards):
     # hash policy: the four top-level names spread by SHA-256, so the
     # model sees one namespace while ops land on different shards.
     return ShardedCluster.create(str(workdir / "cluster"), nshards)
-
-
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(op_list=st.lists(ops(), min_size=1, max_size=20),
-       nshards=st.sampled_from([1, 2, 3]))
-def test_cluster_matches_model(tmp_path_factory, op_list, nshards):
-    workdir = tmp_path_factory.mktemp("sharddiff")
-    cluster = _mkcluster(workdir, nshards)
-    try:
-        client = cluster.client()
-        model = ModelFS()
-        for op in op_list:
-            if model.why_invalid(op) is not None:
-                continue
-            apply_client_op(client, op)       # auto-commit per op
-            model.apply(op)
-        client.close()
-        assert harvest_cluster(cluster) == model.state()
-    finally:
-        cluster.close()
 
 
 @settings(max_examples=10, deadline=None,

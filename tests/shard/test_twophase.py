@@ -120,7 +120,7 @@ def test_prepared_is_invisible_until_resolved(cluster2):
     # drive phase 1 by hand; stop before the decision.
     gid = f"0.{mover.xid_on(0)}"
     for shard in (0, 1):
-        cluster2.dispatch(shard, mover._conns[shard], "p_prepare", gid)
+        cluster2.dispatch(shard, mover._links[shard].conn, "p_prepare", gid)
 
     observer = cluster2.client()
     assert _exists(observer, "/a/src")      # unlink not committed
@@ -128,7 +128,7 @@ def test_prepared_is_invisible_until_resolved(cluster2):
 
     cluster2.log_decision(0, gid)
     for shard in (0, 1):
-        cluster2.dispatch(shard, mover._conns[shard], "p_resolve", True)
+        cluster2.dispatch(shard, mover._links[shard].conn, "p_resolve", True)
     assert not _exists(observer, "/a/src")
     assert _exists(observer, "/b/dst")
     observer.close()
@@ -137,7 +137,7 @@ def test_prepared_is_invisible_until_resolved(cluster2):
 
 def test_prepare_requires_transaction(cluster2):
     client = cluster2.client()
-    conn = client._conn(0)
+    conn = client._link(0).conn
     with pytest.raises(TransactionError):
         cluster2.dispatch(0, conn, "p_prepare", "0.1")
     client.close()
@@ -154,7 +154,7 @@ def test_crash_before_decision_presumes_abort(tmp_path):
     _write(client, "/b/g", b"B")
     gid = f"0.{client.xid_on(0)}"
     for shard in (0, 1):
-        cluster.dispatch(shard, client._conns[shard], "p_prepare", gid)
+        cluster.dispatch(shard, client._links[shard].conn, "p_prepare", gid)
     # prepared on both shards, decision never forced: power fails.
     cluster.simulate_crash()
     recovered = ShardedCluster.open(str(tmp_path / "c"))
@@ -175,7 +175,7 @@ def test_crash_after_decision_commits_in_doubt(tmp_path):
     _write(client, "/b/g", b"B")
     gid = f"0.{client.xid_on(0)}"
     for shard in (0, 1):
-        cluster.dispatch(shard, client._conns[shard], "p_prepare", gid)
+        cluster.dispatch(shard, client._links[shard].conn, "p_prepare", gid)
     cluster.log_decision(0, gid)
     # decision durable, phase 2 never ran: power fails.
     cluster.simulate_crash()
@@ -202,9 +202,9 @@ def test_partial_phase_two_crash_recovers_the_rest(tmp_path):
     _write(client, "/b/g", b"B")
     gid = f"0.{client.xid_on(0)}"
     for shard in (0, 1):
-        cluster.dispatch(shard, client._conns[shard], "p_prepare", gid)
+        cluster.dispatch(shard, client._links[shard].conn, "p_prepare", gid)
     cluster.log_decision(0, gid)
-    cluster.dispatch(0, client._conns[0], "p_resolve", True)
+    cluster.dispatch(0, client._links[0].conn, "p_resolve", True)
     cluster.simulate_crash()
     recovered = ShardedCluster.open(str(tmp_path / "c"))
     assert recovered.stats.in_doubt_commits == 1   # only shard 1 in doubt
@@ -223,7 +223,7 @@ def test_recovery_is_idempotent(tmp_path):
     _write(client, "/b/g", b"B")
     gid = f"0.{client.xid_on(0)}"
     for shard in (0, 1):
-        cluster.dispatch(shard, client._conns[shard], "p_prepare", gid)
+        cluster.dispatch(shard, client._links[shard].conn, "p_prepare", gid)
     cluster.log_decision(0, gid)
     cluster.simulate_crash()
     once = ShardedCluster.open(str(tmp_path / "c"))

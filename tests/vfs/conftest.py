@@ -1,56 +1,27 @@
 """Fixtures for the transactional-VFS suite: the same VFS surface
-constructed over every client stack — in-process, remote, remote with
-the lease-coherent cache, and sharded."""
+constructed over every kind of client stack — in-process, remote,
+remote with the lease-coherent cache, and sharded (built by the shared
+:func:`tests.stacks.open_stack`)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.client import RemoteInversionClient
-from repro.core.filesystem import InversionFS
-from repro.core.library import InversionClient
-from repro.core.server import InversionServer
-from repro.db.database import Database
-from repro.shard import ShardedCluster
-from repro.sim.clock import SimClock
-from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.vfs import VFS
+
+from tests.stacks import open_stack
 
 STACKS = ("local", "remote", "cached", "sharded")
 
 
 @pytest.fixture(params=STACKS)
 def stack(request, tmp_path):
-    """(vfs, prefix, teardown-managed internals) over one client stack.
+    """(vfs, prefix) over one client stack.
 
     ``prefix`` is the directory tests should work under — ``"/a"`` on
     the sharded stack (one subtree, one shard, so the semantics under
     test are identical to the single-server stacks; cross-shard
     behaviour has its own tests) and ``""`` elsewhere."""
-    kind = request.param
-    if kind == "sharded":
-        cluster = ShardedCluster.create(str(tmp_path / "cluster"), 2,
-                                        policy="subtree",
-                                        assignments={"a": 0, "b": 1})
-        client = cluster.client()
-        client.p_mkdir("/a")
-        client.p_mkdir("/b")
-        yield VFS(client), "/a"
-        client.close()
-        cluster.close()
-        return
-    clock = SimClock()
-    db = Database.create(str(tmp_path / "db"), clock=clock)
-    fs = InversionFS.mkfs(db)
-    if kind == "local":
-        yield VFS(InversionClient(fs)), ""
-        db.close()
-        return
-    server = InversionServer(fs)
-    network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
-    caching = {"cache_paths": 64, "cache_chunks": 32} if kind == "cached" \
-        else {}
-    client = RemoteInversionClient(server, network, **caching)
-    yield VFS(client), ""
-    client.close()
-    db.close()
+    built = open_stack(request.param, str(tmp_path / "stack"))
+    yield VFS(built.client), built.prefix
+    built.close()

@@ -46,7 +46,7 @@ def test_disconnect_aborts_open_vfs_transaction(tmp_path, caching):
     vfs.rename("/build.tmp", "/build")
 
     # The session dies with the group open and writes buffered.
-    server.disconnect(client._session)
+    server.disconnect(client._link.conn)
 
     # A fresh session sees no trace of the half-built tree.
     observer = InversionClient(fs)
@@ -74,7 +74,7 @@ def test_disconnect_aborts_structural_ops_in_group(tmp_path):
     vfs.begin()
     vfs.reflink("/base", "/snap")
     vfs.truncate("/base", 100)
-    server.disconnect(client._session)
+    server.disconnect(client._link.conn)
 
     with pytest.raises(FileNotFoundError_):
         fs.stat("/snap")
