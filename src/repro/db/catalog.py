@@ -157,8 +157,10 @@ class Catalog:
 
     def _heap(self, catname: str) -> HeapFile:
         oid, schema = _CATALOGS[catname]
-        return HeapFile(self.buffers, self.root_device, catname, schema,
+        heap = HeapFile(self.buffers, self.root_device, catname, schema,
                         cpu=self.cpu)
+        heap.cache_rows = True
+        return heap
 
     # -- table metadata -------------------------------------------------------
 

@@ -15,6 +15,9 @@ sequential reads stay fast (Table 3).
 Pages are persisted in one real file per relation, so databases survive
 process restarts; simulated I/O cost is charged against a
 :class:`~repro.sim.disk.DiskModel` at the allocated block addresses.
+The allocation map (which extents each relation owns) is persisted as a
+checkpoint plus a journal of the mutations since, so creating a relation
+costs the host one appended line however many relations exist.
 
 Block address 0 up to ``meta_region_blocks`` is reserved for small
 metadata blobs — the transaction status file lives there, which is why
@@ -30,18 +33,42 @@ from dataclasses import dataclass
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import DeviceManager
 from repro.errors import DeviceError, DeviceFullError
+from repro.obs.registry import MetricSpec
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskGeometry, DiskModel, RZ58
+
+METRICS = (
+    MetricSpec("device.allocmap_checkpoints", "counter", "checkpoints",
+               "Whole allocation maps written to `_alloc.json` (on "
+               "flush/close with changes pending, and when the journal "
+               "outgrows the map).",
+               "repro.devices.magnetic", ("device",)),
+    MetricSpec("device.allocmap_journal_records", "counter", "records",
+               "Allocation-map mutations (create / drop / rename / new "
+               "extent) appended to `_alloc.log` as one line each.",
+               "repro.devices.magnetic", ("device",)),
+)
 
 EXTENT_PAGES = 64
 """Pages per allocation extent — the contiguity unit (an FFS-style
 cylinder-group chunk)."""
+
+JOURNAL_MIN_BYTES = 64 * 1024
+"""The journal is never checkpointed for its size below this, so a small
+map is not rewritten every few records; above it the journal may grow
+as large as the map it amends."""
 
 
 @dataclass
 class _RelState:
     npages: int
     extents: list[int]  # starting block address of each extent
+
+
+@dataclass
+class AllocMapStats:
+    allocmap_checkpoints: int = 0
+    allocmap_journal_records: int = 0
 
 
 class MagneticDisk(DeviceManager):
@@ -57,71 +84,204 @@ class MagneticDisk(DeviceManager):
         self.directory = directory
         self.disk = DiskModel(clock=clock, geometry=geometry)
         self.meta_region_blocks = meta_region_blocks
+        self.stats = AllocMapStats()
         os.makedirs(directory, exist_ok=True)
         self._files: dict[str, object] = {}
         self._rels: dict[str, _RelState] = {}
         self._next_block = meta_region_blocks
         self._meta_slots: dict[str, int] = {}
+        # Journal state: the last sequence number issued, the open
+        # journal, its size and the size of the checkpoint it amends.
+        self._seq = 0
+        self._journal_file = None
+        self._journal_bytes = 0
+        self._map_bytes = 0
+        # What the files do not hold yet: relations grown and meta slots
+        # assigned since the last record, and whether the loaded state
+        # itself was repaired (then the next record is a checkpoint).
+        self._grown: set[str] = set()
+        self._new_slots: dict[str, int] = {}
+        self._repaired = False
         self._load_allocmap()
 
     # -- allocation map persistence -------------------------------------
+    #
+    # ``_alloc.json`` is a checkpoint of the whole map; ``_alloc.log``
+    # holds one line per mutation since.  Every record carries a
+    # sequence number and the checkpoint names the last one it
+    # includes, so replaying a journal the checkpoint already covers (a
+    # crash between the checkpoint's rename and the journal's removal)
+    # applies nothing twice.  DESIGN.md, "Allocation-map persistence".
 
     def _allocmap_path(self) -> str:
         return os.path.join(self.directory, "_alloc.json")
 
+    def _journal_path(self) -> str:
+        return os.path.join(self.directory, "_alloc.log")
+
     def _load_allocmap(self) -> None:
         path = self._allocmap_path()
-        if os.path.exists(path):
+        if os.path.exists(path + ".tmp"):
+            # A checkpoint that crashed before its rename.
+            os.remove(path + ".tmp")
+        have_map = os.path.exists(path)
+        if have_map:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
             self._next_block = data["next_block"]
             self._meta_slots = data.get("meta_slots", {})
+            self._seq = data.get("seq", 0)
             for relname, info in data["relations"].items():
-                st = _RelState(info["npages"], info["extents"])
-                # The map is written lazily; after a crash the backing
-                # file is the truth about how far the relation grew.
-                relpath = self._relpath(relname)
-                if not os.path.exists(relpath):
-                    # create_relation makes the backing file before the
-                    # map entry, so a mapped relation with no file means
-                    # a drop/rename crashed mid-way: forget the entry.
-                    continue
-                on_disk = os.path.getsize(relpath) // PAGE_SIZE
-                while on_disk > st.npages:
-                    if len(st.extents) <= st.npages // EXTENT_PAGES:
-                        st.extents.append(self._next_block)
-                        self._next_block += EXTENT_PAGES
-                    st.npages += 1
-                self._rels[relname] = st
+                self._rels[relname] = _RelState(info["npages"],
+                                                info["extents"])
+            self._map_bytes = os.path.getsize(path)
+        if self._replay_journal() or have_map:
+            self._reconcile_with_files()
         else:
-            # Rebuild from .rel files if the map is missing (stale-map
-            # crash path): assign fresh sequential extents; only the
-            # cost model is affected, never the data.
-            for fname in sorted(os.listdir(self.directory)):
-                if not fname.endswith(".rel"):
-                    continue
-                relname = fname[:-4]
-                size = os.path.getsize(os.path.join(self.directory, fname))
-                npages = size // PAGE_SIZE
-                extents = []
-                for _ in range(0, max(npages, 1), EXTENT_PAGES):
-                    extents.append(self._next_block)
+            self._rebuild_from_files()
+
+    def _replay_journal(self) -> bool:
+        """Apply the journal records the checkpoint does not include;
+        True if the journal held any complete record at all."""
+        path = self._journal_path()
+        if not os.path.exists(path):
+            return False
+        with open(path, "rb") as f:
+            raw = f.read()
+        self._journal_bytes = len(raw)
+        lines = raw.split(b"\n")
+        if lines.pop():
+            # No newline after the last record: the append was torn.
+            # Nothing may be appended behind the fragment.
+            self._repaired = True
+        for line in lines:
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                raise DeviceError(
+                    f"corrupt allocation journal on {self.name}") from None
+            if rec["seq"] > self._seq:
+                self._apply(rec)
+        return bool(lines)
+
+    def _apply(self, rec: dict) -> None:
+        rels = self._rels
+        self._seq = rec["seq"]
+        for relname, npages in rec.get("npages", {}).items():
+            rels[relname].npages = npages
+        self._meta_slots.update(rec.get("slots", {}))
+        op, relname = rec["op"], rec["rel"]
+        if op == "create":
+            rels[relname] = _RelState(0, [])
+        elif op == "drop":
+            rels.pop(relname, None)
+        elif op == "rename":
+            # The destination takes over the source's whole state: its
+            # extents and its page count, whatever the name held before.
+            st = rels.pop(relname)
+            st.npages = rec["n"]
+            rels[rec["dst"]] = st
+        elif op == "extent":
+            rels[relname].extents.append(rec["block"])
+            self._next_block = rec["block"] + EXTENT_PAGES
+        else:
+            raise DeviceError(
+                f"unknown allocation journal record {op!r} on {self.name}")
+
+    def _reconcile_with_files(self) -> None:
+        for relname, st in list(self._rels.items()):
+            relpath = self._relpath(relname)
+            if not os.path.exists(relpath):
+                # create_relation makes the backing file before the map
+                # entry, so a mapped relation with no file means a
+                # drop/rename crashed mid-way: forget the entry.
+                del self._rels[relname]
+                self._repaired = True
+                continue
+            # npages reach the map with the next record; after a crash
+            # the backing file is the truth about how far the relation
+            # grew.
+            on_disk = os.path.getsize(relpath) // PAGE_SIZE
+            while on_disk > st.npages:
+                if len(st.extents) <= st.npages // EXTENT_PAGES:
+                    st.extents.append(self._next_block)
                     self._next_block += EXTENT_PAGES
-                self._rels[relname] = _RelState(npages, extents)
+                st.npages += 1
+                self._repaired = True
+
+    def _rebuild_from_files(self) -> None:
+        # No map at all (stale-map crash path): assign fresh sequential
+        # extents; only the cost model is affected, never the data.
+        for fname in sorted(os.listdir(self.directory)):
+            if not fname.endswith(".rel"):
+                continue
+            relname = fname[:-4]
+            size = os.path.getsize(os.path.join(self.directory, fname))
+            npages = size // PAGE_SIZE
+            extents = []
+            for _ in range(0, max(npages, 1), EXTENT_PAGES):
+                extents.append(self._next_block)
+                self._next_block += EXTENT_PAGES
+            self._rels[relname] = _RelState(npages, extents)
+            self._repaired = True
+
+    def _journal(self, op: str, relname: str, **fields) -> None:
+        """Persist one map mutation (already made in memory) as one
+        flushed journal line.  The line also carries what moved without
+        a record since the last one — page counts of relations that
+        grew, meta slots assigned — so a reopen reads exactly the map a
+        whole rewrite at this point would have stored."""
+        if self._repaired:
+            self._save_allocmap()
+            return
+        self._seq += 1
+        rec = {"seq": self._seq, "op": op, "rel": relname, **fields}
+        if self._grown:
+            rels = self._rels
+            rec["npages"] = {r: rels[r].npages for r in self._grown
+                             if r in rels}
+            self._grown.clear()
+        if self._new_slots:
+            rec["slots"] = self._new_slots
+            self._new_slots = {}
+        line = json.dumps(rec, separators=(",", ":")) + "\n"
+        f = self._journal_file
+        if f is None:
+            f = self._journal_file = open(self._journal_path(), "a",
+                                          encoding="utf-8")
+        f.write(line)
+        f.flush()
+        self.stats.allocmap_journal_records += 1
+        self._journal_bytes += len(line)
+        if self._journal_bytes > max(self._map_bytes, JOURNAL_MIN_BYTES):
+            self._save_allocmap()
 
     def _save_allocmap(self) -> None:
-        data = {
+        """Checkpoint: write the whole map, then empty the journal."""
+        text = json.dumps({
+            "seq": self._seq,
             "next_block": self._next_block,
             "meta_slots": self._meta_slots,
             "relations": {
                 name: {"npages": st.npages, "extents": st.extents}
                 for name, st in self._rels.items()
             },
-        }
-        tmp = self._allocmap_path() + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(data, f)
-        os.replace(tmp, self._allocmap_path())
+        })
+        path = self._allocmap_path()
+        with open(path + ".tmp", "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(path + ".tmp", path)
+        # A crash here leaves records the checkpoint includes; their
+        # sequence numbers say so.
+        self._close_journal()
+        if self._journal_bytes:
+            os.remove(self._journal_path())
+        self._journal_bytes = 0
+        self._map_bytes = len(text)
+        self._grown.clear()
+        self._new_slots = {}
+        self._repaired = False
+        self.stats.allocmap_checkpoints += 1
 
     # -- relation files ---------------------------------------------------
 
@@ -154,7 +314,7 @@ class MagneticDisk(DeviceManager):
             raise DeviceError(f"relation {relname!r} already exists on {self.name}")
         self._rels[relname] = _RelState(0, [])
         self._file(relname)  # create the backing file now
-        self._save_allocmap()
+        self._journal("create", relname)
 
     def drop_relation(self, relname: str) -> None:
         st = self._rels.pop(relname, None)
@@ -166,7 +326,7 @@ class MagneticDisk(DeviceManager):
         path = self._relpath(relname)
         if os.path.exists(path):
             os.remove(path)
-        self._save_allocmap()
+        self._journal("drop", relname)
 
     def rename_relation(self, src: str, dst: str) -> None:
         """Atomic swap via ``os.replace`` on the backing files.  After a
@@ -177,7 +337,7 @@ class MagneticDisk(DeviceManager):
         if st is None or not os.path.exists(self._relpath(src)):
             if dst in self._rels or os.path.exists(self._relpath(dst)):
                 self._rels.pop(src, None)
-                self._save_allocmap()
+                self._journal("drop", src)
                 return
             raise DeviceError(f"no relation {src!r} on {self.name}")
         for name in (src, dst):
@@ -187,7 +347,10 @@ class MagneticDisk(DeviceManager):
         os.replace(self._relpath(src), self._relpath(dst))
         del self._rels[src]
         self._rels[dst] = st
-        self._save_allocmap()
+        # The record carries the page count with the extents: by name,
+        # the destination would keep what it held before the swap.
+        self._grown -= {src, dst}
+        self._journal("rename", src, dst=dst, n=st.npages)
 
     def relation_exists(self, relname: str) -> bool:
         return relname in self._rels
@@ -204,11 +367,13 @@ class MagneticDisk(DeviceManager):
             # Need a new extent.
             if self._next_block + EXTENT_PAGES > self.disk.geometry.total_blocks:
                 raise DeviceFullError(f"device {self.name} is full")
-            st.extents.append(self._next_block)
-            self._next_block += EXTENT_PAGES
-            self._save_allocmap()
+            block = self._next_block
+            st.extents.append(block)
+            self._next_block = block + EXTENT_PAGES
+            self._journal("extent", relname, block=block)
         pageno = st.npages
         st.npages += 1
+        self._grown.add(relname)
         return pageno
 
     def read_page(self, relname: str, pageno: int) -> bytes:
@@ -303,16 +468,25 @@ class MagneticDisk(DeviceManager):
         self.disk.flush()
         for f in self._files.values():
             f.flush()
-        self._save_allocmap()
+        if (self._journal_bytes or self._grown or self._new_slots
+                or self._repaired):
+            self._save_allocmap()
 
     def _meta_path(self, tag: str) -> str:
         return os.path.join(self.directory, tag + ".meta")
+
+    def _meta_slot(self, tag: str) -> int:
+        slot = self._meta_slots.get(tag)
+        if slot is None:
+            slot = len(self._meta_slots) % self.meta_region_blocks
+            self._meta_slots[tag] = self._new_slots[tag] = slot
+        return slot
 
     def sync_write_meta(self, tag: str, data: bytes) -> None:
         # Small metadata blobs live in the reserved region at the front
         # of the disk; writing one seeks the head there and forces the
         # write — this is the per-commit cost of the status file.
-        slot = self._meta_slots.setdefault(tag, len(self._meta_slots) % self.meta_region_blocks)
+        slot = self._meta_slot(tag)
         nbytes = max(512, min(len(data), PAGE_SIZE))
         self.disk.write_block(slot, nbytes)
         self.disk.flush()
@@ -323,7 +497,7 @@ class MagneticDisk(DeviceManager):
 
     def sync_append_meta(self, tag: str, data: bytes) -> None:
         # A true append: one forced block write in the metadata region.
-        slot = self._meta_slots.setdefault(tag, len(self._meta_slots) % self.meta_region_blocks)
+        slot = self._meta_slot(tag)
         self.disk.write_block(slot, max(512, min(len(data), PAGE_SIZE)))
         self.disk.flush()
         with open(self._meta_path(tag), "ab") as f:
@@ -352,6 +526,7 @@ class MagneticDisk(DeviceManager):
         for f in self._files.values():
             f.close()
         self._files.clear()
+        self._close_journal()
 
     def simulate_crash(self) -> None:
         """Writes already issued through write_page are on the medium;
@@ -360,3 +535,9 @@ class MagneticDisk(DeviceManager):
             f.flush()  # the bytes were "on disk" the moment we charged them
             f.close()
         self._files.clear()
+        self._close_journal()  # every record was flushed as it was written
+
+    def _close_journal(self) -> None:
+        if self._journal_file is not None:
+            self._journal_file.close()
+            self._journal_file = None

@@ -36,6 +36,7 @@ OWNING_MODULES = (
     "repro.sim.disk",
     "repro.sim.network",
     "repro.sim.nvram",
+    "repro.devices.magnetic",
     "repro.devices.memdisk",
     "repro.devices.jukebox",
     "repro.devices.tape",

@@ -107,3 +107,39 @@ def test_list_tables_excludes_indexes(db):
     names = [t.name for t in db.catalog.list_tables(BootstrapSnapshot(db.tm))]
     assert "withidx" in names
     assert "withidx_x_idx" not in names
+
+
+def test_lookup_misses_decode_mutated_pages_only(db, monkeypatch):
+    """Counts, not clocks.  A catalog-cache miss scans pg_class and
+    pg_index; it must not decode their rows again unless a page
+    changed.  200 misses over a 400-row pg_class with a DDL every 20th
+    decode about (rows on a pg_class page + rows on a pg_index page)
+    per DDL — the parent decoded every scanned row on every miss,
+    over 100x more."""
+    tx = db.begin()
+    for i in range(396):
+        db.create_table(tx, f"t{i:03d}", SCHEMA, indexes=[["x"]])
+    db.commit(tx)
+    tx = db.begin()
+    snap = db.snapshot(tx)
+    assert len(db.catalog.list_tables(snap, relkind=None)) == 400
+    per_page = sum(
+        max(db.buffers.get_page("magnetic0", cat, p).nslots
+            for p in range(db.switch.get("magnetic0").nblocks(cat)))
+        for cat in ("pg_class", "pg_index"))
+
+    unpacks = []
+    real = Schema.unpack
+    monkeypatch.setattr(Schema, "unpack",
+                        lambda self, *a: unpacks.append(1) or real(self, *a))
+    ddls = 0
+    for i in range(200):
+        if i % 20 == 0:
+            db.create_table(tx, f"late{i}", SCHEMA)
+            ddls += 1
+        db.catalog.invalidate_cache()
+        assert db.catalog.lookup_table(f"t{i:03d}", snap).name
+    # The changed page is decoded again by the DDL's exists-check, by
+    # its own lookup after the insert, and by the next miss.
+    assert len(unpacks) <= 3 * ddls * per_page
+    db.commit(tx)

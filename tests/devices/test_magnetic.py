@@ -186,3 +186,34 @@ def test_drop_relation_removes_backing_file(tmp_path):
     assert os.path.exists(os.path.join(path, "r.rel"))
     dev.drop_relation("r")
     assert not os.path.exists(os.path.join(path, "r.rel"))
+
+
+@pytest.mark.parametrize("src_pages, dst_pages", [(2, 5), (5, 2)])
+def test_rename_carries_page_count_and_extents_across_crash(
+        tmp_path, src_pages, dst_pages):
+    """Vacuum swaps a rebuilt heap over the old one.  After a crash the
+    destination must have the *source's* page count and extents, not
+    what the name held before — a stale index entry pointing past the
+    rebuilt heap has to fail, not read a zero page."""
+    path = str(tmp_path / "m0")
+    dev = MagneticDisk("m0", SimClock(), path)
+    for rel, pages in (("dst", dst_pages), ("src", src_pages)):
+        dev.create_relation(rel)
+        for i in range(pages):
+            pageno = dev.extend(rel)
+            if i < pages - 1:   # the last page is allocated, not written:
+                dev.write_page(rel, pageno, page_of(i + 1))   # no file length
+    extents = list(dev._rels["src"].extents)                  # vouches for it
+    dev.rename_relation("src", "dst")
+    dev.simulate_crash()
+    dev2 = MagneticDisk("m0", SimClock(), path)
+    assert not dev2.relation_exists("src")
+    assert dev2.nblocks("dst") == src_pages
+    assert dev2._rels["dst"].extents == extents
+    assert dev2.read_page("dst", src_pages - 2) == page_of(src_pages - 1)
+    assert dev2.read_page("dst", src_pages - 1) == bytes(PAGE_SIZE)
+    with pytest.raises(DeviceError):
+        dev2.read_page("dst", max(src_pages, dst_pages))
+    if dst_pages > src_pages:
+        with pytest.raises(DeviceError):
+            dev2.read_page("dst", dst_pages - 1)
