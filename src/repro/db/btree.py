@@ -44,6 +44,17 @@ implementation):
   re-searching.  Every level still issues its ``get_page`` in the same
   order, so buffer-cache hits, LRU order, and per-xid accounting are
   byte-identical; only redundant Python work is skipped.
+- A range scan hands out one *run* per leaf, not one entry per Python
+  step.  A leaf's TIDs ride beside its keys in the ``cache`` slot, each
+  decoded when a scan first covers its slot
+  (``btree.leaf_entries_decoded``); an in-place insert patches both
+  lists, any other mutation drops them with the page's cache.  A scan
+  is the charged ``_bisect`` for its start in the first leaf, a plain
+  ``bisect_right`` for its end, two slices, and the sibling pointer
+  when the run reached the end of the leaf: the ``get_page`` calls and
+  charges of the per-slot loop in the same order (no simulated cost
+  was ever per entry), for host work that no longer grows with the
+  superseded versions an index carries until vacuum.
 """
 
 from __future__ import annotations
@@ -83,6 +94,12 @@ METRICS = (
                "Page reads and simulated-CPU charges are identical "
                "either way; only redundant Python work is skipped.",
                "repro.db.btree"),
+    MetricSpec("btree.leaf_entries_decoded", "counter", "entries",
+               "Leaf TIDs decoded into the per-page node cache: each "
+               "slot once per cached view, when a scan first covers it. "
+               "Host work only (no simulated charge); it should track "
+               "entries written, not entries scanned.",
+               "repro.db.btree"),
 )
 
 _KLEN_FMT = "<H"
@@ -121,11 +138,13 @@ def _internal_child(record) -> int:
     return child
 
 
-def _page_keys(page: Page) -> list[bytes]:
-    """The node's entry keys as a sorted list, decoded once and kept in
-    the page's ``cache`` slot until the next mutation."""
-    keys = page.cache
-    if keys is None:
+def _page_node(page: Page) -> tuple[list[bytes], list[TID | None]]:
+    """The node's decoded view, kept in the page's ``cache`` slot until
+    the next mutation: its entry keys as a sorted list, decoded once,
+    and a parallel list of leaf TIDs, ``None`` until a scan first covers
+    the slot (:func:`_leaf_tids`)."""
+    node = page.cache
+    if node is None:
         mv = page.mv
         unpack_klen = _KLEN.unpack_from
         keys = []
@@ -133,8 +152,25 @@ def _page_keys(page: Page) -> list[bytes]:
         for offset, length in page._slots_all():
             (klen,) = unpack_klen(mv, offset)
             append(bytes(mv[offset + 2:offset + 2 + klen]))
-        page.cache = keys
-    return keys
+        node = page.cache = (keys, [None] * len(keys))
+    return node
+
+
+def _leaf_tids(page: Page, idx: int, end: int) -> list[TID]:
+    """TIDs of leaf slots ``idx..end-1``, decoding those no scan has
+    covered since the page's cache was last dropped."""
+    keys, tids = _page_node(page)
+    run = tids[idx:end]
+    # ``all`` tests truth in C (a TID is always true); ``None in run``
+    # would call the dataclass's Python ``__eq__`` once per entry.
+    if not all(run):
+        mv, slots = page.mv, page._slots_all()
+        BTree.leaf_entries_decoded += run.count(None)
+        for i in range(idx, end):
+            if tids[i] is None:
+                tids[i] = TID.unpack(mv, slots[i][0] + 2 + len(keys[i]))
+        run = tids[idx:end]
+    return run
 
 
 def _replay_ncmp(n: int, p: int) -> int:
@@ -173,6 +209,9 @@ class BTree:
     descents_by_rel: dict[str, int] = {}
     #: descents fully served by revalidating the cached previous walk.
     descent_fastpath_hits = 0
+    #: leaf TIDs decoded into node caches (bumped once per fill, by the
+    #: number of slots filled).
+    leaf_entries_decoded = 0
 
     def __init__(self, buffers: BufferCache, dev_name: str, relname: str,
                  cpu: CpuModel | None = None) -> None:
@@ -226,7 +265,7 @@ class BTree:
     def _bisect(self, page: Page, key: bytes, right: bool) -> int:
         """Slot index where ``key`` would be inserted to keep order.
         ``right=True`` → after equal keys."""
-        keys = _page_keys(page)
+        keys = _page_node(page)[0]
         p = bisect_right(keys, key) if right else bisect_left(keys, key)
         if self.cpu is not None and keys:
             self.cpu.btree_compare(_replay_ncmp(len(keys), p))
@@ -270,7 +309,7 @@ class BTree:
                 if fast and level < len(hint):
                     hpage, hver, hidx, hchild = hint[level]
                     if hpage is page and hver == page.version:
-                        keys = _page_keys(page)
+                        keys = _page_node(page)[0]
                         n = len(keys)
                         if keys[hidx] <= key and (hidx + 1 >= n
                                                   or keys[hidx + 1] > key):
@@ -305,29 +344,29 @@ class BTree:
                      key: bytes, entry: bytes, is_leaf: bool) -> None:
         page = self._page(pageno)
         if page.fits(len(entry)):
-            keys = _page_keys(page)
-            idx = self._bisect(page, key, right=True)
-            page.insert_record(idx, entry)
-            # The insert dropped the page's key cache; the new entry's
-            # key is exactly ``key``, so patch the list back in rather
-            # than re-decoding the whole node next descent.
-            keys.insert(idx, key)
-            page.cache = keys
-            self._dirty(pageno)
+            self._place(pageno, page, key, entry)
             return
         # Split.
         sep_key, right_pageno = self._split(pageno, is_leaf)
         # Re-fetch and insert into the correct half.
         target = pageno if key < sep_key else right_pageno
-        tpage = self._page(target)
-        keys = _page_keys(tpage)
-        idx = self._bisect(tpage, key, right=True)
-        tpage.insert_record(idx, entry)
-        keys.insert(idx, key)
-        tpage.cache = keys
-        self._dirty(target)
+        self._place(target, self._page(target), key, entry)
         # Propagate the separator upward.
         self._insert_separator(path, sep_key, right_pageno)
+
+    def _place(self, pageno: int, page: Page, key: bytes, entry: bytes) -> None:
+        """Put ``entry`` into a node that has room for it."""
+        keys, tids = node = _page_node(page)
+        idx = self._bisect(page, key, right=True)
+        page.insert_record(idx, entry)
+        # The insert dropped the page's node cache; the new entry's key
+        # is exactly ``key``, so patch both lists and put them back
+        # rather than re-decoding the whole node next descent (a warm
+        # leaf stays warm: only the new slot's TID is still to decode).
+        keys.insert(idx, key)
+        tids.insert(idx, None)
+        page.cache = node
+        self._dirty(pageno)
 
     def _split(self, pageno: int, is_leaf: bool) -> tuple[bytes, int]:
         """Split a full node; returns (separator key, right pageno).
@@ -387,27 +426,42 @@ class BTree:
     def search(self, key_values: Sequence[object] | object) -> list[TID]:
         """All TIDs filed under exactly this user key (every version)."""
         key = encode_key(key_values)
-        return [tid for _k, tid in self.scan_range(key, key + _HI_SUFFIX)]
+        return [tid for _keys, tids in self._leaf_runs(key, key + _HI_SUFFIX)
+                for tid in tids]
 
     def scan_range(self, lo: bytes | None, hi: bytes | None
                    ) -> Iterator[tuple[bytes, TID]]:
         """Yield (encoded key, TID) for lo ≤ key ≤ hi over leaf chains.
-        ``lo``/``hi`` are encoded byte keys; None means unbounded."""
-        start_key = lo if lo is not None else b""
-        leafno, _path = self._descend(start_key)
-        unpack_klen = _KLEN.unpack_from
+        ``lo``/``hi`` are encoded byte keys; None means unbounded.
+
+        Cursor contract, for a consumer that changes the index while
+        the scan is suspended: an entry that exists from the moment the
+        scan enters its leaf until the scan passes it is yielded exactly
+        once, in key order; nothing is ever yielded twice; entries added
+        or removed meanwhile may or may not be seen."""
+        for keys, tids in self._leaf_runs(lo, hi):
+            yield from zip(keys, tids)
+
+    def _leaf_runs(self, lo: bytes | None, hi: bytes | None
+                   ) -> Iterator[tuple[list[bytes], list[TID]]]:
+        """The scan itself, one leaf per step: descend, then hand out
+        each leaf's keys and TIDs in [lo, hi] as a pair of slices.
+
+        A run is a copy taken together with the leaf's sibling pointer,
+        which is what keeps the cursor contract: a split only ever moves
+        entries right, into a new sibling linked directly after their
+        old leaf, so the pointer read with the run leads past every
+        entry already handed out and to every other one."""
+        leafno, _path = self._descend(lo if lo is not None else b"")
         while leafno:
             page = self._page(leafno)
-            idx = self._bisect(page, start_key, right=False) if lo is not None else 0
-            for slot in range(idx, page.nslots):
-                rec = page.record_view(slot)
-                (klen,) = unpack_klen(rec, 0)
-                key = bytes(rec[2:2 + klen])
-                if hi is not None and key > hi:
-                    return
-                yield key, TID.unpack(rec, 2 + klen)
+            idx = self._bisect(page, lo, right=False) if lo is not None else 0
             lo = None  # only bisect in the first leaf
-            leafno = page.special
+            keys = _page_node(page)[0]
+            end = len(keys) if hi is None else bisect_right(keys, hi, idx)
+            # Past ``hi`` inside this leaf ends the scan.
+            leafno = page.special if end == len(keys) else 0
+            yield keys[idx:end], _leaf_tids(page, idx, end)
 
     def scan_values_range(self, lo_values, hi_values) -> Iterator[tuple[bytes, TID]]:
         """Range scan by user key values (inclusive bounds; None =

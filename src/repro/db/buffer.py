@@ -475,8 +475,13 @@ class BufferCache:
 
     def drop_relation(self, dev_name: str, relname: str) -> None:
         """Discard frames of a dropped relation without writeback."""
+        # The hint goes even when eviction already took every frame: it
+        # holds the walk's Page objects, buffers and decoded nodes.
+        self.descent_hints.pop((dev_name, relname), None)
         pages = self._rel_keys.pop((dev_name, relname), None)
         if not pages:
+            # ``_last`` / ``_streaks`` stay, as they always have here:
+            # they gate read-ahead, which is a simulated cost.
             return
         for pageno in pages:
             key = (dev_name, relname, pageno)
@@ -484,7 +489,6 @@ class BufferCache:
             self._dirty_keys.discard(key)
         self._last.pop((dev_name, relname), None)
         self._streaks.pop((dev_name, relname), None)
-        self.descent_hints.pop((dev_name, relname), None)
 
     # -- introspection -------------------------------------------------------------
 

@@ -173,11 +173,13 @@ class Table:
             raise TableError(
                 f"no index on {self.name}({', '.join(keycols)})")
         _index, btree = found
-        # Newest versions first: entries are keyed (key, TID) and TIDs
-        # grow with insertion order, so the reversed scan finds the
-        # live version without paying heap fetches for every superseded
-        # one.  All versions of a key have distinct visibility windows,
-        # so yield order does not change which rows qualify.
+        # Best-effort newest-first: entries are keyed (key, TID) and
+        # the TID suffix is little-endian, so the reversed scan meets
+        # the live version early only while the heap is under 256 pages
+        # (TID(256, 0) sorts before TID(255, 0)).  Visibility, not
+        # order, decides: all versions of a key have distinct
+        # visibility windows, so yield order does not change which rows
+        # qualify, only how many superseded ones are fetched first.
         for tid in reversed(btree.search(tuple(key_values))):
             row = self.heap.fetch(tid, snapshot)
             if row is not None:
@@ -245,9 +247,9 @@ class Table:
         _index, btree = found
         lo_t = tuple(lo) if lo is not None else None
         hi_t = tuple(hi) if hi is not None else None
-        # Entries are keyed (user key, TID); TIDs grow with insertion
-        # order, so within one user key the last entry is the newest
-        # version — group and resolve newest-first, as index_eq does.
+        # Entries are keyed (user key, TID): group by user key and
+        # resolve best-effort newest-first, as index_eq does —
+        # visibility, not order, decides which version is yielded.
         live: dict[bytes, list[TID]] = {}
         for key, tid in btree.scan_values_range(lo_t, hi_t):
             live.setdefault(key[:-TID_SIZE], []).append(tid)

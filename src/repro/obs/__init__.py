@@ -172,6 +172,9 @@ class Observability:
         base_fast = cls.descent_fastpath_hits
         fast = self.metrics.register(btree_mod.METRICS[2])
         fast.mirror(lambda: cls.descent_fastpath_hits - base_fast)
+        base_decoded = cls.leaf_entries_decoded
+        decoded = self.metrics.register(btree_mod.METRICS[3])
+        decoded.mirror(lambda: cls.leaf_entries_decoded - base_decoded)
         page_cls = page_mod.Page
         base_inval = page_cls.header_cache_invalidations
         inval = self.metrics.register(page_mod.METRICS[0])
