@@ -9,17 +9,14 @@ against page-at-a-time flushing, and (3) the client/server multi-chunk
 write RPC against the paper's one-RPC-per-``p_write`` protocol.
 
 All numbers come from the simulated clock and operation counters, so
-CI asserts on them exactly.
+:func:`verdict` asserts on them exactly.
 
-Run directly::
-
-    PYTHONPATH=src python -m repro.bench.commitio [output.json]
+Regenerate with ``python -m repro.bench run commitio``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
+import math
 
 from repro.bench.harness import build_inversion_cs, build_inversion_sp
 from repro.core.constants import CHUNK_SIZE
@@ -196,17 +193,49 @@ def run_commitio() -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    out = argv[0] if argv else "BENCH_commitio.json"
-    results = run_commitio()
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    print(f"wrote {out}: group commit {results['group_commit']['speedup']:.2f}x "
-          f"commits/sec, write-back {results['writeback']['write_op_ratio']:.2f}x "
-          f"fewer device writes, cs write {results['cs_write']['speedup']:.2f}x")
-    return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+def verdict(doc: dict) -> list[str]:
+    """The claims a ``BENCH_commitio`` document must support: an extra
+    forced status append, a flush that stops coalescing, or an RPC per
+    chunk sneaking back in fails here."""
+    group, wb, cs = doc["group_commit"], doc["writeback"], doc["cs_write"]
+    claims = {
+        "a zero window pays exactly one forced status append per "
+        "writing commit (the paper's behaviour)":
+            group["before"]["status_forces"] == GROUP_TXNS
+            and group["before"]["commits_recorded"] == GROUP_TXNS
+            and group["before"]["commits_per_force"] == 1.0
+            and group["before"]["group_batches"] == 0,
+        "an open window lands the whole batch as one forced append":
+            group["after"]["status_forces"] == 1
+            and group["after"]["commits_recorded"] == GROUP_TXNS
+            and group["after"]["commits_per_force"] == GROUP_TXNS
+            and group["after"]["max_group"] == GROUP_TXNS,
+        "group commit at least doubles commit throughput":
+            group["speedup"] >= 2.0,
+        "amortizing the force removes its device write per commit":
+            group["before"]["device_writes"]
+            - group["after"]["device_writes"] == GROUP_TXNS - 1,
+        "coalesced write-back at least halves device write operations":
+            wb["write_op_ratio"] >= 2.0,
+        "coalescing changes the operation count, never the pages written":
+            wb["after"]["forced_writes"] == wb["before"]["forced_writes"],
+        "the coalesced flush arrives in contiguous multi-page runs":
+            wb["after"]["batched_writes"] >= 1
+            and wb["after"]["write_coalesce_hits"] >= WRITE_CHUNKS // 2,
+        "page-at-a-time write-back coalesces nothing":
+            wb["before"]["batched_writes"] == 0
+            and wb["before"]["write_coalesce_hits"] == 0,
+        "the batched write RPC at least halves sequential-write time":
+            cs["speedup"] >= 2.0
+            and cs["after"]["net_messages"] * 4
+            < cs["before"]["net_messages"],
+        "one write RPC per batch, every chunk buffered":
+            cs["after"]["batched_writes"]
+            == math.ceil(WRITE_CHUNKS / RPC_BATCH_CHUNKS)
+            and cs["after"]["buffered_writes"] == WRITE_CHUNKS,
+        "the unbatched client buffers nothing":
+            cs["before"]["batched_writes"] == 0
+            and cs["before"]["buffered_writes"] == 0,
+    }
+    return [claim for claim, holds in claims.items() if not holds]

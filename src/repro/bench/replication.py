@@ -19,21 +19,17 @@ Three questions about the log-shipping subsystem (:mod:`repro.replica`):
   replica's clock.
 
 Everything runs on seeded simulated clocks with SHA-256-derived
-payloads, so the JSON is byte-identical across runs; CI double-runs it
-and compares.
+payloads, so the JSON is byte-identical across runs; :func:`verdict`
+holds the scaling floor and the drain-everything claims.
 
-Run directly::
-
-    PYTHONPATH=src python -m repro.bench.replication [output.json]
+Regenerate with ``python -m repro.bench run replication``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
-import sys
 import tempfile
 
 from repro.core.library import InversionClient
@@ -274,23 +270,21 @@ def run_replication() -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    out = argv[0] if argv else "BENCH_replication.json"
-    results = run_replication()
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    s = results["scaling"]
-    lag = results["lag"]
-    promo = results["promotion"]
-    print(f"wrote {out}: read throughput 1->4 replicas "
-          f"{s['speedup_4_over_1']:.2f}x, max replica lag "
-          f"{lag['max_lag_xids']} xids "
-          f"({lag['bytes_shipped']} bytes shipped in {lag['rounds']} "
-          f"rounds), promotion {promo['promotion_s']:.4f}s sim "
-          f"({promo['drained_entries']} entries drained)")
-    return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+def verdict(doc: dict) -> list[str]:
+    """The claims a full-size ``BENCH_replication`` document must
+    support: reads scale out, a synced replica has no lag left, and
+    promotion drains the whole backlog."""
+    rates = [r["reads_per_sec"] for r in doc["read_scaling"]]
+    claims = {
+        "read throughput never falls as replicas are added":
+            rates == sorted(rates),
+        "4 replicas serve at least 3x the reads of 1":
+            doc["scaling"]["speedup_4_over_1"] >= 3.0,
+        "a final sync leaves the replica zero xids behind":
+            doc["lag"]["final_lag_xids"] == 0,
+        "promotion drains every backlog entry":
+            doc["promotion"]["drained_entries"]
+            == doc["promotion"]["backlog_entries"] > 0,
+    }
+    return [claim for claim, holds in claims.items() if not holds]

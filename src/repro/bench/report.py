@@ -129,6 +129,37 @@ def format_table3(results: dict[str, dict[str, float]],
     return "\n".join(lines)
 
 
+def format_all(results: dict[str, dict[str, float]],
+               scale_note: str = "") -> str:
+    """Table 3 and every figure — what ``python -m repro.bench all``
+    prints and, at full size, the bytes of ``bench_table3_full.txt``."""
+    blocks = [format_table3(results, scale_note)] + [
+        format_figure(fig, results, scale_note) for fig in FIGURES]
+    return "".join(block + "\n\n" for block in blocks)
+
+
+def table3_verdict(results: dict[str, dict[str, float]]) -> list[str]:
+    """The paper's three headline comparisons, held at full size:
+    single-process Inversion "is faster than either of the network
+    benchmarks in virtually all categories", with "the important
+    exception … random write time, for which ULTRIX NFS using
+    PRESTOserve is fastest"."""
+    cs, nfs, sp = (results[c] for c in ("inversion_cs", "nfs",
+                                        "inversion_sp"))
+    claims = {
+        "single-process Inversion is never slower than client/server "
+        "(no wire to cross)":
+            all(sp[op] <= cs[op] * 1.05 for op in Benchmark.ALL_OPS),
+        "single-process Inversion beats NFS on every 1 MB read": all(
+            sp[op] < nfs[op] for op in ("read_single", "read_seq_pages",
+                                        "read_random_pages")),
+        "NFS with PRESTOserve wins random writes against "
+        "single-process Inversion":
+            nfs["write_random_pages"] < sp["write_random_pages"],
+    }
+    return [claim for claim, holds in claims.items() if not holds]
+
+
 # -- per-transaction cost breakdown (repro.obs accounting) ---------------
 
 #: column headers for :data:`repro.obs.FIELDS`, in the same order.
@@ -223,56 +254,6 @@ def tx_smoke_breakdown():
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-# -- cProfile helper -----------------------------------------------------
-
-#: benchmark entry points runnable under ``--profile``; each is a
-#: zero-argument callable importing lazily so the profiler never
-#: charges module import time to the workload.
-PROFILE_TARGETS = {
-    "seqio": lambda: __import__("repro.bench.seqio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "commitio": lambda: __import__("repro.bench.commitio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "multiuser": lambda: __import__("repro.bench.multiuser", fromlist=["main"])
-    .main(["/dev/null"]),
-    "multishard": lambda: __import__(
-        "repro.bench.multishard", fromlist=["main"]).main(["/dev/null"]),
-    "cachedio": lambda: __import__("repro.bench.cachedio", fromlist=["main"])
-    .main(["/dev/null"]),
-    "hotpath": lambda: __import__("repro.bench.hotpath", fromlist=["main"])
-    .main(["/dev/null", "--smoke"]),
-}
-
-
-def profile_bench(name: str, sort: str = "cumulative", limit: int = 40,
-                  out: str | None = None) -> int:
-    """Run one benchmark under :mod:`cProfile` and print the hottest
-    functions — the profiling workflow behind the hot-path work: find
-    where the wall-clock goes *before* deciding what to flatten (see
-    EXPERIMENTS.md, "Wall-clock methodology")."""
-    import cProfile
-    import pstats
-
-    if name not in PROFILE_TARGETS:
-        print(f"unknown benchmark {name!r}; choose from "
-              f"{', '.join(sorted(PROFILE_TARGETS))}")
-        return 2
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        PROFILE_TARGETS[name]()
-    finally:
-        profiler.disable()
-    if out:
-        profiler.dump_stats(out)
-        print(f"wrote raw profile to {out} "
-              f"(inspect with python -m pstats {out})")
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(sort)
-    stats.print_stats(limit)
-    return 0
-
-
 def main(argv=None) -> int:
     import argparse
 
@@ -282,21 +263,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tx-smoke", action="store_true",
                         help="run a tiny workload and print its "
                              "per-transaction cost breakdown")
-    parser.add_argument("--profile", metavar="BENCH",
-                        choices=sorted(PROFILE_TARGETS),
-                        help="run one benchmark under cProfile and print "
-                             "the hottest functions")
-    parser.add_argument("--sort", default="cumulative",
-                        help="pstats sort key for --profile "
-                             "(default: cumulative; try tottime)")
-    parser.add_argument("--limit", type=int, default=40,
-                        help="rows of profile output to print")
-    parser.add_argument("--out", default=None,
-                        help="also dump the raw profile to this file")
     args = parser.parse_args(argv)
-    if args.profile:
-        return profile_bench(args.profile, sort=args.sort,
-                             limit=args.limit, out=args.out)
     if args.tx_smoke:
         breakdown = tx_smoke_breakdown()
         if not breakdown:

@@ -5,18 +5,15 @@ in 8 KB chunks over the client/server protocol — before and after the
 multi-chunk read RPC, plus the single-process read with full counter
 instrumentation (B-tree descents, device read operations, buffer
 prefetching).  The numbers are deterministic: they come from the
-simulated clock and operation counters, never from wall time, so CI can
-assert on them exactly.
+simulated clock and operation counters, never from wall time, so
+:func:`verdict` asserts on them exactly.
 
-Run directly::
-
-    PYTHONPATH=src python -m repro.bench.seqio [output.json]
+Regenerate with ``python -m repro.bench run seqio``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
+import math
 
 from repro.bench.harness import build_inversion_cs, build_inversion_sp
 from repro.core.constants import CHUNK_SIZE
@@ -168,17 +165,38 @@ def run_seqio() -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    out = argv[0] if argv else "BENCH_seqio.json"
-    results = run_seqio()
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    print(f"wrote {out}: speedup {results['speedup']:.2f}x "
-          f"({results['cs_before']['elapsed_s']:.3f}s -> "
-          f"{results['cs_after']['elapsed_s']:.3f}s)")
-    return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+def verdict(doc: dict) -> list[str]:
+    """The claims a ``BENCH_seqio`` document must support, each named
+    for what regressed if it fails: extra index descents in the
+    range-read path, extra device read operations, extra wire
+    messages."""
+    sp, single = doc["sp"], doc["sp"]["single_transfer"]
+    before, after = doc["cs_before"], doc["cs_after"]
+    claims = {
+        # two would mean an archive index was consulted; per-chunk
+        # probing would be 128.
+        "a single 1 MB transfer resolves its chunk map in one index "
+        "descent": single["chunk_index_descents"] <= 2,
+        "its heap reads arrive in read-ahead-window batches":
+            single["device_reads"]
+            <= math.ceil(SEQIO_CHUNKS / single["readahead_window"]),
+        "chunk-at-a-time reads batch their device I/O by read-ahead":
+            sp["device_reads"] <= SEQIO_CHUNKS // 2
+            and sp["prefetches"] >= SEQIO_CHUNKS // 2,
+        "every prefetched page is used":
+            sp["prefetch_hits"] == sp["prefetches"],
+        "chunk-at-a-time reads pay one descent per 8 KB call":
+            sp["chunk_index_descents"] == SEQIO_CHUNKS,
+        "the batched read RPC is at least twice as fast":
+            doc["speedup"] >= 2.0
+            and after["elapsed_s"] < before["elapsed_s"],
+        "batching shrinks the message count by about the batch size":
+            after["net_messages"] * 4 < before["net_messages"],
+        "one read RPC per batch, the rest served from its buffer":
+            after["batched_reads"]
+            == math.ceil(SEQIO_CHUNKS / RPC_BATCH_CHUNKS)
+            and after["buffered_reads"]
+            >= SEQIO_CHUNKS - 2 * after["batched_reads"],
+    }
+    return [claim for claim, holds in claims.items() if not holds]

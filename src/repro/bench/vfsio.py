@@ -18,17 +18,12 @@ Two workloads over the :class:`repro.vfs.api.VFS` surface:
   makes a million-file directory listable at all.
 
 The numbers are deterministic — simulated clock, message and page
-counters, never wall time — so CI asserts byte-identical double runs.
+counters, never wall time — so :func:`verdict` asserts on them exactly.
 
-Run directly::
-
-    PYTHONPATH=src python -m repro.bench.vfsio [output.json]
+Regenerate with ``python -m repro.bench run vfsio``.
 """
 
 from __future__ import annotations
-
-import json
-import sys
 
 from repro.bench.harness import build_inversion_cs, build_inversion_sp
 from repro.core.constants import CHUNK_SIZE
@@ -45,7 +40,7 @@ NAMESPACE_FILES = 512
 NAMESPACE_PAGE = 128
 
 #: by-reference copies must beat the physical path by at least this
-#: factor in simulated time (the CI gate).
+#: factor in simulated time.
 MIN_SPEEDUP = 10.0
 
 #: buffer pool sized to the structural working set (source + physical
@@ -86,15 +81,6 @@ def run_structural() -> dict:
                "chunks_referenced": referenced,
                "chunks_materialized": materialized}
 
-        if materialized != 0 or referenced != STRUCT_CHUNKS:
-            raise AssertionError(
-                f"reflink moved data: {referenced} referenced, "
-                f"{materialized} materialized")
-        if ref["pages_written"] > phys["pages_written"] / 20:
-            raise AssertionError(
-                f"reflink wrote {ref['pages_written']} pages against the "
-                f"physical copy's {phys['pages_written']} — that is data "
-                f"movement, not metadata")
         if vfs.read_file("/copy.ref") != data:
             raise AssertionError("reflink copy reads back wrong bytes")
 
@@ -113,11 +99,6 @@ def run_structural() -> dict:
                   "chunks_referenced": sl_ref,
                   "chunks_materialized": sl_mat}
 
-        speedup = phys["elapsed_s"] / ref["elapsed_s"]
-        if speedup < MIN_SPEEDUP:
-            raise AssertionError(
-                f"reflink speedup {speedup:.1f}x below the {MIN_SPEEDUP}x "
-                f"gate")
         return {
             "file_size": STRUCT_SIZE,
             "chunks": STRUCT_CHUNKS,
@@ -125,7 +106,7 @@ def run_structural() -> dict:
             "reflink": ref,
             "concat": concat,
             "slice": sliced,
-            "speedup": speedup,
+            "speedup": phys["elapsed_s"] / ref["elapsed_s"],
         }
     finally:
         built.close()
@@ -168,10 +149,6 @@ def run_namespace() -> dict:
 
         if paged != full:
             raise AssertionError("paged listing diverges from full listing")
-        if biggest > NAMESPACE_PAGE:
-            raise AssertionError(
-                f"a page carried {biggest} names, over the "
-                f"{NAMESPACE_PAGE} bound")
         return {
             "files": NAMESPACE_FILES,
             "full": full_stats,
@@ -193,22 +170,32 @@ def run_vfsio() -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    out = argv[0] if argv else "BENCH_vfsio.json"
-    results = run_vfsio()
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    s = results["structural"]
-    n = results["namespace"]
-    print(f"wrote {out}: reflink speedup {s['speedup']:.1f}x "
-          f"({s['physical_copy']['elapsed_s']:.3f}s -> "
-          f"{s['reflink']['elapsed_s']:.4f}s, "
-          f"{s['reflink']['chunks_materialized']} chunks materialized); "
-          f"paged listing {n['paged']['pages']} pages of "
-          f"<= {n['paged']['page_size']} names")
-    return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+def verdict(doc: dict) -> list[str]:
+    """The claims a ``BENCH_vfsio`` document must support: by-reference
+    copies move pointer rows, not data, and a paged listing is the full
+    listing in bounded replies."""
+    s, n = doc["structural"], doc["namespace"]
+    claims = {
+        "a reflink references every chunk and materializes none":
+            s["reflink"]["chunks_referenced"] == STRUCT_CHUNKS
+            and s["reflink"]["chunks_materialized"] == 0,
+        "it writes a sliver of the physical copy's pages":
+            s["reflink"]["pages_written"]
+            <= s["physical_copy"]["pages_written"] / 20,
+        f"it beats the physical copy at least {MIN_SPEEDUP:g}x":
+            s["speedup"] >= MIN_SPEEDUP,
+        "concat stays by reference":
+            s["concat"]["chunks_referenced"] == 2 * STRUCT_CHUNKS
+            and s["concat"]["chunks_materialized"] == 0,
+        "slice materializes only its partial tail chunk":
+            s["slice"]["chunks_referenced"] == STRUCT_CHUNKS // 2
+            and s["slice"]["chunks_materialized"] == 1,
+        "full and paged listings both return every name":
+            n["full"]["names"] == NAMESPACE_FILES
+            and n["paged"]["names"] == NAMESPACE_FILES,
+        "every page of the listing stays within the page size":
+            n["paged"]["max_reply_names"] <= NAMESPACE_PAGE
+            and n["paged"]["pages"] == -(-NAMESPACE_FILES // NAMESPACE_PAGE),
+    }
+    return [claim for claim, holds in claims.items() if not holds]

@@ -37,13 +37,6 @@ implementation):
   point)`` and is reproduced exactly without touching any key bytes.
 - The meta page memoizes its decoded root page number in its ``cache``
   slot (invalidated by the same write that changes it).
-- Repeated descents revalidate the previous root-to-leaf walk: if each
-  cached internal node is still the identical resident page object at
-  the same mutation version and the key still falls in the remembered
-  separator window, the walk reuses the remembered child without
-  re-searching.  Every level still issues its ``get_page`` in the same
-  order, so buffer-cache hits, LRU order, and per-xid accounting are
-  byte-identical; only redundant Python work is skipped.
 - A range scan hands out one *run* per leaf, not one entry per Python
   step.  A leaf's TIDs ride beside its keys in the ``cache`` slot, each
   decoded when a scan first covers its slot
@@ -87,13 +80,6 @@ METRICS = (
     MetricSpec("btree.descents", "counter", "descents",
                "Root-to-leaf descents per index relation this session.",
                "repro.db.btree", ("relation",)),
-    MetricSpec("btree.descent_fastpath_hits", "counter", "descents",
-               "Descents whose full root-to-leaf walk was revalidated "
-               "from the previous descent's cached path (same resident "
-               "pages, same separator windows) instead of re-searched. "
-               "Page reads and simulated-CPU charges are identical "
-               "either way; only redundant Python work is skipped.",
-               "repro.db.btree"),
     MetricSpec("btree.leaf_entries_decoded", "counter", "entries",
                "Leaf TIDs decoded into the per-page node cache: each "
                "slot once per cached view, when a scan first covers it. "
@@ -207,8 +193,6 @@ class BTree:
     #: sequential-read benchmark assert on chunk-index descents alone,
     #: separate from naming/fileatt bookkeeping probes.
     descents_by_rel: dict[str, int] = {}
-    #: descents fully served by revalidating the cached previous walk.
-    descent_fastpath_hits = 0
     #: leaf TIDs decoded into node caches (bumped once per fill, by the
     #: number of slots filled).
     leaf_entries_decoded = 0
@@ -219,7 +203,6 @@ class BTree:
         self.dev_name = dev_name
         self.relname = relname
         self.cpu = cpu
-        self._hkey = (dev_name, relname)
 
     # -- creation -------------------------------------------------------
 
@@ -289,43 +272,16 @@ class BTree:
         span = obs.span("btree.descend", relation=self.relname) \
             if obs is not None and obs.tracer.enabled else NO_SPAN
         with span as sp:
-            hints = self.buffers.descent_hints
-            hint = hints.get(self._hkey)
-            fast = hint is not None
-            cpu = self.cpu
             pageno = self._root()
             path: list[tuple[int, int]] = []
-            walk: list[tuple[Page, int, int, int]] = []
-            level = 0
             while True:
                 page = self._page(pageno)
                 if page.flags & PAGE_BTREE_LEAF:
                     sp.set(depth=len(path) + 1)
-                    if fast and level and level == len(hint):
-                        BTree.descent_fastpath_hits += 1
-                    hints[self._hkey] = walk
                     return pageno, path
-                taken = False
-                if fast and level < len(hint):
-                    hpage, hver, hidx, hchild = hint[level]
-                    if hpage is page and hver == page.version:
-                        keys = _page_node(page)[0]
-                        n = len(keys)
-                        if keys[hidx] <= key and (hidx + 1 >= n
-                                                  or keys[hidx + 1] > key):
-                            # Same separator window as last time: the
-                            # full search would land at p = hidx + 1.
-                            if cpu is not None and n:
-                                cpu.btree_compare(_replay_ncmp(n, hidx + 1))
-                            idx, child = hidx, hchild
-                            taken = True
-                if not taken:
-                    fast = False
-                    idx, child = self._child_for(page, key)
+                idx, child = self._child_for(page, key)
                 path.append((pageno, idx))
-                walk.append((page, page.version, idx, child))
                 pageno = child
-                level += 1
 
     # -- insertion -----------------------------------------------------------------
 

@@ -162,10 +162,6 @@ class BufferCache:
     #: sequential steps), so an access pattern that merely brushes two
     #: adjacent pages never over-fetches.
     _streaks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    #: (device, relation) -> the B-tree layer's cached previous descent
-    #: path (kept here so every BTree handle over one cache shares it
-    #: and relation drop/invalidate clears it).
-    descent_hints: dict = field(default_factory=dict, repr=False)
 
     # -- core operations ---------------------------------------------------
 
@@ -471,13 +467,9 @@ class BufferCache:
         self._dirty_keys.clear()
         self._last.clear()
         self._streaks.clear()
-        self.descent_hints.clear()
 
     def drop_relation(self, dev_name: str, relname: str) -> None:
         """Discard frames of a dropped relation without writeback."""
-        # The hint goes even when eviction already took every frame: it
-        # holds the walk's Page objects, buffers and decoded nodes.
-        self.descent_hints.pop((dev_name, relname), None)
         pages = self._rel_keys.pop((dev_name, relname), None)
         if not pages:
             # ``_last`` / ``_streaks`` stay, as they always have here:

@@ -169,11 +169,8 @@ class Observability:
             return out
 
         per_rel.mirror_series(_series)
-        base_fast = cls.descent_fastpath_hits
-        fast = self.metrics.register(btree_mod.METRICS[2])
-        fast.mirror(lambda: cls.descent_fastpath_hits - base_fast)
         base_decoded = cls.leaf_entries_decoded
-        decoded = self.metrics.register(btree_mod.METRICS[3])
+        decoded = self.metrics.register(btree_mod.METRICS[2])
         decoded.mirror(lambda: cls.leaf_entries_decoded - base_decoded)
         page_cls = page_mod.Page
         base_inval = page_cls.header_cache_invalidations

@@ -272,18 +272,21 @@ class ReplicaServer(InversionServer):
         if self.feed is not None:
             self.sync()
             self.feed = None
-        # Complete any vacuum relation swap the shipped journal left
-        # half-done — the same replay Database.open performs.
-        from repro.db.vacuum import replay_rename_journal
-        root = self.db.switch.get(self.db.switch.default_name)
-        replayed = replay_rename_journal(self.db.switch, root)
-        if replayed:
-            self._post_apply()
         self.read_only = False
         self.stats.promotions += 1
-        return PrimaryFeed.attach(self.db, stats=self.stats,
-                                  base_seq=self._retain_base,
-                                  log=list(self._retained))
+        new_feed = PrimaryFeed.attach(self.db, stats=self.stats,
+                                      base_seq=self._retain_base,
+                                      log=list(self._retained))
+        # Complete any vacuum relation swap the shipped journal left
+        # half-done — the same replay Database.open performs — and only
+        # now, through the tapped devices: the media is the log, so
+        # what recovery writes here must reach the followers too, or
+        # they keep the old relations and an armed journal.
+        from repro.db.vacuum import replay_rename_journal
+        root = self.db.switch.get(self.db.switch.default_name)
+        if replay_rename_journal(self.db.switch, root):
+            self._post_apply()
+        return new_feed
 
     # -- lifecycle --------------------------------------------------------
 

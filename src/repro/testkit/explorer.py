@@ -434,6 +434,8 @@ class CrashExplorer:
                     f"{who} diverges from the oracle even without a "
                     f"crash: {_diff(state, expected)}")
         deployment.close()
+        #: what each boundary wrote, by index: (kind, device, detail).
+        self.write_log = controller.write_log
         return controller.writes
 
     def run_crash_point(self, point: int) -> CrashPointResult:

@@ -25,8 +25,10 @@ periodic sync rounds interleaved, crashes the primary in place of write
    state to be **identical** — zero lost committed transactions, since
    local recovery preserves every durable commit by construction;
 4. re-points the surviving replicas at the new primary's feed, syncs
-   them, and requires them to match too (no re-seed: the promoted feed
-   was seeded with the entries the victim had applied);
+   them, and requires them to match too — visible state, relations on
+   every device and rename journal, so each is itself promotable (no
+   re-seed: the promoted feed was seeded with the entries the victim
+   had applied);
 5. runs :class:`~repro.core.checker.ConsistencyChecker` on the
    promoted mount.
 """
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
+from repro.db.vacuum import RENAME_JOURNAL_TAG
 from repro.replica.feed import PrimaryFeed, ReplStats
 from repro.replica.server import ReplicaServer
 from repro.testkit.explorer import (CrashExplorer, CrashPointResult,
@@ -133,7 +136,11 @@ class PrimaryWithReplicas(OneServer):
             try:
                 follower.rebind_feed(self.new_feed)
                 follower.sync()
-                if harvest_state(follower.fs) != state:
+                # A promotable copy, not merely one that reads the
+                # same: the same relations on every device and the
+                # same rename journal as the node it now follows.
+                if (harvest_state(follower.fs) != state
+                        or _media(follower.db) != _media(self.victim.db)):
                     followers_ok = False
                     detail = detail or (f"{follower.replica_id} diverged "
                                         f"after failover")
@@ -149,6 +156,16 @@ class PrimaryWithReplicas(OneServer):
         super().close()
         for replica in self.replicas:
             replica.close()
+
+
+def _media(db) -> tuple:
+    """What a later promotion of this node would start from, beyond
+    file contents: every device's relations and the rename journal."""
+    switch = db.switch
+    root = switch.get(switch.default_name)
+    return ({name: sorted(switch.get(name).list_relations())
+             for name in switch.names()},
+            root.read_meta(RENAME_JOURNAL_TAG) or b"")
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.bench.replication as bench
+from repro.bench.__main__ import main
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +51,8 @@ def test_main_writes_deterministic_json(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "REPLICA_COUNTS", (1, 4))
     out1 = tmp_path / "one.json"
     out2 = tmp_path / "two.json"
-    assert bench.main([str(out1)]) == 0
-    assert bench.main([str(out2)]) == 0
+    assert main(["run", "replication", str(out1)]) == 0
+    assert main(["run", "replication", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["scaling"]["speedup_4_over_1"] > 1.0

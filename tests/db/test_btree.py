@@ -135,6 +135,18 @@ def test_insert_with_none_transaction():
     assert bt.search((1,)) == [TID(0, 0)]
 
 
+def test_repeated_point_lookups_descend_once_each_and_find_their_key():
+    """3 000 keys (two levels), 2 000 lookups of 16 hot keys: one
+    root-to-leaf descent per lookup, every result right."""
+    bt = make_btree(capacity=512)
+    for i in range(3000):
+        bt.insert(tx(), (i,), TID(i, 0))
+    assert bt.depth() == 2
+    before = BTree.total_descents
+    assert all(bt.search((i % 16,)) == [TID(i % 16, 0)] for i in range(2000))
+    assert BTree.total_descents - before == 2000
+
+
 def test_survives_small_buffer_cache():
     """Splits under heavy eviction pressure must not lose updates."""
     bt = make_btree(capacity=8)

@@ -307,28 +307,6 @@ def test_in_place_insert_patches_keys_and_tids():
 # -- bounds ------------------------------------------------------------------------
 
 
-def test_dropping_an_evicted_relation_forgets_its_descent_hint():
-    """A descent hint holds the Page objects of the walk; it must go
-    with the relation even when eviction got to the frames first."""
-    clock = SimClock()
-    switch = DeviceSwitch()
-    disk = MemDisk("mem0", clock)
-    switch.register(disk)
-    buffers = BufferCache(switch, capacity=4)
-    names = [f"idx{i}" for i in range(200)]
-    for name in names:
-        disk.create_relation(name)
-        bt = BTree.create(buffers, "mem0", name)
-        bt.insert(None, (1,), TID(1, 0))
-        assert bt.search((1,)) == [TID(1, 0)]
-    resident = [name for name in names if buffers.resident("mem0", name, 0)]
-    assert len(resident) <= 2 and len(buffers.descent_hints) == 200
-    for name in names:
-        buffers.drop_relation("mem0", name)
-        disk.drop_relation(name)
-    assert not buffers.descent_hints
-
-
 @pytest.mark.parametrize("how", ["evict", "invalidate_all"])
 def test_node_cache_dies_with_its_frame(how):
     """The decoded keys and TIDs hang off the Page and nowhere else, so

@@ -38,6 +38,16 @@ def test_hit_does_not_touch_device(setup):
     assert cache.stats.hits == 1
 
 
+def test_cycling_over_resident_pages_only_hits(setup):
+    _switch, dev, cache = setup
+    pages = [cache.new_page("mem0", "r")[0] for _ in range(4)]  # = capacity
+    hits, misses, reads = cache.stats.hits, cache.stats.misses, dev.stats.reads
+    for i in range(200):
+        cache.get_page("mem0", "r", pages[i % 4])
+    assert cache.stats.hits - hits == 200
+    assert (cache.stats.misses, dev.stats.reads) == (misses, reads)
+
+
 def test_miss_reads_from_device(setup):
     _switch, dev, cache = setup
     pageno, _ = cache.new_page("mem0", "r")

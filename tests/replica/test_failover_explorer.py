@@ -8,6 +8,7 @@ of every boundary."""
 
 import pytest
 
+from repro.db.vacuum import RENAME_JOURNAL_TAG
 from repro.testkit.failover import FailoverCrashExplorer
 from repro.testkit.workload import commit_workload, vacuum_workload
 
@@ -49,6 +50,28 @@ def test_vacuum_failover_replays_rename_journal(tmp_path):
     explorer = FailoverCrashExplorer(str(tmp_path), vacuum_workload(),
                                      nreplicas=1)
     _assert_clean(explorer.explore(max_points=4))
+
+
+def test_swap_window_failover_leaves_promotable_followers(tmp_path):
+    """Every boundary of every heap+index swap, from the write that
+    arms the rename journal to the one that clears it: the half of the
+    swap that promotion completes must reach the followers through the
+    new feed — the same relations, the same (cleared) journal — or a
+    later promotion of a follower replays a stale swap over newer
+    data.  The windows are found by what the workload writes there."""
+    explorer = FailoverCrashExplorer(str(tmp_path), vacuum_workload(),
+                                     nreplicas=2)
+    explorer.count_write_boundaries()
+    journal = [i for i, (_kind, _dev, detail) in enumerate(explorer.write_log)
+               if detail == f"meta:{RENAME_JOURNAL_TAG}"]
+    assert len(journal) >= 2 and len(journal) % 2 == 0
+    points = [point for arm, clear in zip(journal[::2], journal[1::2])
+              for point in range(arm, clear + 1)]
+    assert any(explorer.write_log[p][0] == "rename" for p in points)
+    for point in points:
+        result = explorer.run_crash_point(point)
+        assert not result.completed
+        assert result.ok, f"point {point}: {result.detail}"
 
 
 @pytest.mark.torture

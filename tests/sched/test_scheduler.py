@@ -205,6 +205,37 @@ class TestLockWaits:
             assert row["slices"] > 0
 
 
+class TestStarvationVerdict:
+    """``starved`` is read from how often an overdue session was passed
+    over — counted beside the choice, not by it.  A zero bound makes
+    every ready session overdue at every pick."""
+
+    @staticmethod
+    def _report(fs, sched_class) -> dict:
+        _seed_files(fs, 4)
+        sched = sched_class(InversionServer(fs), seed=0, fairness_bound=0.0)
+        try:
+            for i, program in enumerate(_disjoint_programs(4)):
+                sched.add_session(program, name=f"s{i}")
+            return sched.run()
+        finally:
+            sched.close()
+
+    def test_oldest_first_never_passes_a_session_over_n_times(self, fs):
+        report = self._report(fs, MultiUserScheduler)
+        assert 0 < report["max_passed_over"] < 4
+        assert report["starved"] is False
+
+    def test_a_pick_that_ignores_the_overdue_list_starves(self, fs):
+        class Lottery(MultiUserScheduler):
+            def _choose(self, ready, overdue, now):
+                return super()._choose(ready, [], now)
+
+        report = self._report(fs, Lottery)
+        assert report["max_passed_over"] >= 4
+        assert report["starved"] is True
+
+
 class TestCommitClustering:
     def test_commits_batch_under_group_window(self, fs):
         """With clustering on and a group-commit window open, each
