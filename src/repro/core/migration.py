@@ -192,5 +192,7 @@ class MigrationEngine:
         db = self.fs.db
         db.execute(tx, f'replace c (devname = "{devname}") '
                        f'from c in pg_class where c.relname = "{relname}"')
+        # The query engine wrote a pg_class row version the catalog's
+        # maps have never seen.
         db.catalog.invalidate_cache()
         tx.abort_hooks.append(db.catalog.invalidate_cache)

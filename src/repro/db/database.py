@@ -102,8 +102,8 @@ class Database:
         db.tm = TransactionManager(root, clock,
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
-        db.obs.bind_database(db)
         db.catalog = Catalog(db.switch, db.buffers, "magnetic0", cpu=db.cpu)
+        db.obs.bind_database(db)
         tx = db.begin()
         db.catalog.bootstrap_create(tx)
         db.commit(tx)
@@ -136,13 +136,13 @@ class Database:
         db.tm = TransactionManager(root, clock,
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
+        db.catalog = Catalog(db.switch, db.buffers, config["root"], cpu=db.cpu)
         db.obs.bind_database(db)
         # Resume simulated time beyond all recorded history, so that
         # post-reopen commits never sort before pre-crash ones.
         resume_at = db.tm.max_recorded_time()
         if clock.now() < resume_at:
             clock.advance(resume_at - clock.now() + 1e-9)
-        db.catalog = Catalog(db.switch, db.buffers, config["root"], cpu=db.cpu)
         db.catalog._load_oid_hwm()
         return db
 

@@ -63,12 +63,6 @@ class TID:
 class HeapFile:
     """A schema-carrying no-overwrite heap."""
 
-    #: Keep each page's decoded rows in ``Page.cache`` between scans.
-    #: On for the catalog heaps, which are scanned whole on every
-    #: catalog-cache miss and rarely change; off elsewhere, where the
-    #: decoded rows of every page ever scanned would outweigh the pages.
-    cache_rows = False
-
     def __init__(self, buffers: BufferCache, dev_name: str, relname: str,
                  schema: Schema, cpu: CpuModel | None = None) -> None:
         self.buffers = buffers
@@ -220,34 +214,7 @@ class HeapFile:
         return xmin, xmax, self.schema.unpack(record, TUPLE_HEADER_SIZE)
 
     def scan(self, snapshot: Snapshot) -> Iterator[tuple[TID, tuple]]:
-        """Yield every visible record in physical order.
-
-        With :attr:`cache_rows` the rows of a page are decoded once per
-        page version: the same pages pinned, the same visibility checks
-        and ``tuple_unpack`` charges in the same order, without
-        re-running the decode.  The consumer may mutate the page between
-        rows (DDL stamps ``xmax`` on the row it was looking for): every
-        mutation clears ``page.cache``, so after each resume a cache
-        that is no longer the list in hand is decoded again — slot
-        ``i`` then reads what the per-slot scan would have read."""
-        if self.cache_rows:
-            is_visible = snapshot.is_visible
-            cpu = self.cpu
-            for pageno in range(self.npages()):
-                page = self._page(pageno)
-                rows = page.cache or self._decode_rows(pageno, page)
-                # Rows appended while the scan is parked are past the
-                # slot count read on entering the page: not scanned.
-                for i in range(len(rows)):
-                    tid, xmin, xmax, values = rows[i]
-                    if is_visible(xmin, xmax):
-                        if cpu is not None:
-                            cpu.tuple_unpack()
-                        yield tid, values
-                        if page.cache is not rows:
-                            rows = (page.cache
-                                    or self._decode_rows(pageno, page))
-            return
+        """Yield every visible record in physical order."""
         for pageno in range(self.npages()):
             page = self._page(pageno)
             for slot in range(page.nslots):
@@ -258,19 +225,6 @@ class HeapFile:
                         self.cpu.tuple_unpack()
                     yield TID(pageno, slot), self.schema.unpack(
                         record, TUPLE_HEADER_SIZE)
-
-    def _decode_rows(self, pageno: int, page) -> list:
-        """Decode every record on ``page`` into its ``cache`` slot as
-        ``(tid, xmin, xmax, values)``."""
-        unpack = self.schema.unpack
-        rows = []
-        for slot in range(page.nslots):
-            record = page.record_view(slot)
-            xmin, xmax = unpack_header(record)
-            rows.append((TID(pageno, slot), xmin, xmax,
-                         unpack(record, TUPLE_HEADER_SIZE)))
-        page.cache = rows
-        return rows
 
     def scan_all_versions(self) -> Iterator[tuple[TID, int, int, tuple]]:
         """Yield every record version: (tid, xmin, xmax, values)."""

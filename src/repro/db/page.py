@@ -30,10 +30,9 @@ that mutators patch in place where the change is local (insert/delete
 shift entries; record data never moves), and record access goes
 through one long-lived ``memoryview`` so ``get_record`` copies once
 instead of twice.  ``Page.cache`` is a scratch slot for higher layers
-(the B-tree keeps its decoded key array there, the catalog heaps their
-decoded rows); any mutation that can change record bytes clears it, and
-:attr:`header_cache_invalidations` counts the clears that dropped a
-materialized view.
+(the B-tree keeps its decoded keys and TIDs there); any mutation that
+can change record bytes clears it, and :attr:`header_cache_invalidations`
+counts the clears that dropped a materialized view.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from repro.obs.registry import MetricSpec
 
 METRICS = (
     MetricSpec("page.header_cache_invalidations", "counter", "events",
-               "Cached page views (decoded slot directory, or a higher "
-               "layer's cache: a B-tree node's decoded keys, a catalog "
-               "heap page's decoded rows) dropped by a mutation that "
+               "Cached page views (decoded slot directory, or a B-tree "
+               "node's decoded keys and TIDs) dropped by a mutation that "
                "could not patch them in place.  Session-relative delta "
                "of the process-global class counter.",
                "repro.db.page"),

@@ -299,3 +299,4 @@ class VacuumCleaner:
             buffers.drop_relation(info.devname, side)
             dev.rename_relation(side, live)
         root.sync_write_meta(RENAME_JOURNAL_TAG, b"")
+        self.db.catalog.heap_rewritten(info.name)

@@ -90,14 +90,16 @@ class Observability:
         """Adopt a Database session: mirror every existing stats object
         onto the registry and create the pushed per-relation device
         families.  Called from ``Database.create``/``open`` once the
-        transaction manager exists; idempotent, so ``add_device`` can
-        re-invoke it."""
+        transaction manager and the catalog exist; idempotent, so
+        ``add_device`` can re-invoke it."""
         from repro.db import buffer as buffer_mod
+        from repro.db import catalog as catalog_mod
         from repro.db import locks as locks_mod
         from repro.db import transactions as tx_mod
 
         _mirror_all(self.metrics, buffer_mod.METRICS, db.buffers.stats)
         _mirror_all(self.metrics, tx_mod.METRICS, db.tm.stats)
+        _mirror_all(self.metrics, catalog_mod.METRICS, db.catalog)
         for spec in buffer_mod.DEVICE_METRICS:
             self.metrics.register(spec)
         self._m_dev_reads = self.metrics.get("device.reads")

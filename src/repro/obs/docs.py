@@ -22,6 +22,7 @@ OWNING_MODULES = (
     "repro.db.buffer",
     "repro.db.btree",
     "repro.db.heap",
+    "repro.db.catalog",
     "repro.db.locks",
     "repro.db.transactions",
     "repro.core.chunks",

@@ -166,7 +166,8 @@ class ReplicaServer(InversionServer):
 
     def _post_apply(self) -> None:
         """Advance visibility after a round: drop every cached page and
-        catalog row, re-read the shipped status file, and resume the
+        both catalog caches (shipped pages changed pg_class and pg_index
+        underneath them), re-read the shipped status file, and resume the
         local clock past the newly visible history so local reads and a
         future promotion sort after it."""
         db = self.db

@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.snapshot import BootstrapSnapshot
 from repro.db.tuples import Column, Schema
-from repro.errors import CatalogError
+from repro.errors import CatalogError, TableError
 
 SCHEMA = Schema([Column("x", "int4")])
 
@@ -109,37 +109,132 @@ def test_list_tables_excludes_indexes(db):
     assert "withidx_x_idx" not in names
 
 
-def test_lookup_misses_decode_mutated_pages_only(db, monkeypatch):
-    """Counts, not clocks.  A catalog-cache miss scans pg_class and
-    pg_index; it must not decode their rows again unless a page
-    changed.  200 misses over a 400-row pg_class with a DDL every 20th
-    decode about (rows on a pg_class page + rows on a pg_index page)
-    per DDL — the parent decoded every scanned row on every miss,
-    over 100x more."""
-    tx = db.begin()
-    for i in range(396):
-        db.create_table(tx, f"t{i:03d}", SCHEMA, indexes=[["x"]])
-    db.commit(tx)
-    tx = db.begin()
-    snap = db.snapshot(tx)
-    assert len(db.catalog.list_tables(snap, relkind=None)) == 400
-    per_page = sum(
-        max(db.buffers.get_page("magnetic0", cat, p).nslots
-            for p in range(db.switch.get("magnetic0").nblocks(cat)))
-        for cat in ("pg_class", "pg_index"))
+# -- the relcache serves nobody an uncommitted or a dead relation -------------
 
-    unpacks = []
-    real = Schema.unpack
-    monkeypatch.setattr(Schema, "unpack",
-                        lambda self, *a: unpacks.append(1) or real(self, *a))
-    ddls = 0
-    for i in range(200):
-        if i % 20 == 0:
-            db.create_table(tx, f"late{i}", SCHEMA)
-            ddls += 1
-        db.catalog.invalidate_cache()
-        assert db.catalog.lookup_table(f"t{i:03d}", snap).name
-    # The changed page is decoded again by the DDL's exists-check, by
-    # its own lookup after the insert, and by the next miss.
-    assert len(unpacks) <= 3 * ddls * per_page
+def test_a_dropped_table_does_not_come_back(db):
+    """B looks while A's drop is uncommitted and must not pin the row
+    A is deleting: after A commits, nobody sees the table."""
+    tx = db.begin()
+    db.create_table(tx, "t", SCHEMA)
     db.commit(tx)
+    a, b = db.begin(), db.begin()
+    db.drop_table(a, "t")
+    assert db.table_exists("t", b)
+    assert not db.table_exists("t", a)
+    db.commit(a)
+    c = db.begin()
+    assert not db.table_exists("t", c)
+    assert not db.table_exists("t", b)
+    assert not db.table_exists("t")
+    with pytest.raises(TableError):
+        db.table("t", c)
+
+
+def test_an_aborted_drop_leaves_the_table_cacheable(db):
+    tx = db.begin()
+    db.create_table(tx, "t", SCHEMA, indexes=[["x"]])
+    db.commit(tx)
+    a, b = db.begin(), db.begin()
+    db.drop_table(a, "t")
+    assert db.table_exists("t", b)
+    db.abort(a)
+    info = db.table("t", b).info
+    assert [ix.name for ix in info.indexes] == ["t_x_idx"]
+    hits = db.catalog.relcache_hits
+    assert db.table("t", db.begin()).info is info
+    assert db.catalog.relcache_hits == hits + 1
+
+
+def test_no_dirty_catalog_read(db):
+    """X's uncommitted create is X's alone, however often X looks."""
+    x, y = db.begin(), db.begin()
+    db.create_table(x, "u", SCHEMA)
+    assert db.table("u", x).info.name == "u"
+    assert not db.table_exists("u", y)
+    assert not db.table_exists("u")
+    probes = db.catalog.probes
+    assert db.table_exists("u", x)          # answered by a probe each time
+    assert db.catalog.probes > probes
+    db.commit(x)
+    assert db.table_exists("u", y) and db.table_exists("u")
+
+
+def test_an_aborted_create_is_gone_and_its_storage_reclaimed(db):
+    x = db.begin()
+    db.create_table(x, "u", SCHEMA, indexes=[["x"]])
+    db.table("u", x).insert(x, (1,))
+    db.abort(x)
+    dev = db.switch.get("magnetic0")
+    assert not db.table_exists("u") and dev.relation_exists("u")
+    y = db.begin()
+    assert not db.table_exists("u", y)
+    db.create_table(y, "u", SCHEMA, indexes=[["x"]])   # reclaims the orphans
+    db.commit(y)
+    assert list(db.iter_table_rows("u")) == []
+
+
+@pytest.mark.parametrize("look_first", [False, True])
+@pytest.mark.parametrize("outcome", ["commit", "abort"])
+def test_an_uncommitted_index_is_its_creators_alone(db, look_first, outcome):
+    tx = db.begin()
+    db.create_table(tx, "t", SCHEMA)
+    db.commit(tx)
+    a, b = db.begin(), db.begin()
+    if look_first:
+        assert db.table("t", b).info.indexes == ()
+    db.create_index(a, "t", ["x"])
+    assert [ix.name for ix in db.table("t", a).info.indexes] == ["t_x_idx"]
+    assert db.table("t", b).info.indexes == ()
+    assert db.table("t").info.indexes == ()
+    getattr(db, outcome)(a)
+    want = ["t_x_idx"] if outcome == "commit" else []
+    assert [ix.name for ix in db.table("t", b).info.indexes] == want
+    assert [ix.name for ix in db.table("t").info.indexes] == want
+
+
+def test_vacuuming_a_catalog_rebuilds_the_syscache(db):
+    """Vacuum rewrites the heap: every TID the maps held is stale."""
+    tx = db.begin()
+    for i in range(6):
+        db.create_table(tx, f"t{i}", SCHEMA, indexes=[["x"]])
+    db.commit(tx)
+    tx = db.begin()
+    db.drop_table(tx, "t0")
+    db.drop_table(tx, "t3")
+    db.commit(tx)
+    want = db.list_tables()
+    for cat in ("pg_class", "pg_index"):
+        assert db.vacuum(cat, keep_history=False).expunged == 2
+        assert db.list_tables() == want
+        assert db.table("t5").info.indexes[0].name == "t5_x_idx"
+    tx = db.begin()
+    db.create_table(tx, "t0", SCHEMA, indexes=[["x"]])
+    db.commit(tx)
+    assert db.list_tables() == want + ["t0"]
+
+
+def test_scans_per_lookup_is_answerable_from_the_registry(db):
+    """``catalog.*`` on the database's registry say how lookups were
+    answered; a reopened database starts them at zero."""
+    value = db.obs.metrics.value
+    tx = db.begin()
+    db.create_table(tx, "t", SCHEMA, indexes=[["x"]])
+    db.commit(tx)
+    assert value("catalog.rebuilds") == 1
+    probes = value("catalog.probes")
+    assert probes == db.catalog.probes > 0
+    assert db.table_exists("t") and value("catalog.probes") > probes
+    probes, hits = value("catalog.probes"), value("catalog.relcache_hits")
+    for _ in range(5):
+        assert db.table("t").info.name == "t"
+    assert value("catalog.relcache_hits") == hits + 5
+    assert value("catalog.probes") == probes
+    db.flush_caches()
+    assert db.table_exists("t") and value("catalog.rebuilds") == 2
+    from repro.db.database import Database
+    db.close()
+    reopened = Database.open(db.path)
+    assert reopened.obs.metrics.value("catalog.probes") == 0
+    assert reopened.table_exists("t")
+    assert reopened.obs.metrics.value("catalog.rebuilds") == 1
+    reopened.close()

@@ -194,3 +194,28 @@ def test_repl_metrics_are_registered_on_every_member(tmp_path, primary,
     assert registry.value("repl.bytes_shipped") == replica.stats.bytes_shipped
     assert registry.value("repl.cursor_saves") >= 1
     replica.close()
+
+
+def test_a_table_created_at_the_primary_appears_with_the_next_round(
+        tmp_path, primary, writer):
+    """Shipped pages change pg_class behind the follower's catalog: a
+    syscache and relcache warmed before the round must not outlive it,
+    nor show the relation any sooner."""
+    db, fs, feed = primary
+    write_file(writer, "/a", b"old")
+    replica = make_replica(tmp_path, feed)
+    rdb = replica.db
+    assert _read(replica, "/a") == b"old"          # warms both caches
+    assert rdb.catalog.rebuilds == 1
+    write_file(writer, "/b", b"new file, new chunk table")
+    db.tm.flush_commits()
+    table = fs.chunk_table_of("/b")
+    assert db.table_exists(table) and not rdb.table_exists(table)
+    reader = rdb.begin()
+    assert not rdb.table_exists(table, reader)
+    assert replica.sync() > 0
+    assert rdb.table_exists(table, reader) and rdb.table_exists(table)
+    assert rdb.table(table).info == db.table(table).info
+    assert _read(replica, "/b") == b"new file, new chunk table"
+    assert rdb.catalog.rebuilds == 2
+    replica.close()

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the standing end-to-end benchmark.
 
-A change that claims a host-time gain has to show it pair by pair
-against its parent commit (choosing-metrics §8): the same benchmark
-code and settings on both sides, which side runs first alternating, the
-change winning at least nine pairs in ten, the medians further apart
-than the parent's own quartiles — and every simulated metric an *equal
-float* for equal seeds.  This runs the pairs and prints that table in
-the form EXPERIMENTS.md keeps.
+A change that claims a gain has to show it pair by pair against its
+parent commit (choosing-metrics §8): the same benchmark code and
+settings on both sides, which side runs first alternating, the change
+winning at least nine pairs in ten, the medians further apart than the
+parent's own quartiles.  A simulated metric repeats exactly for a seed,
+so it is one number per side: `equal`, or `parent → change (±x %)`
+judged by the `better` / `bound` BENCHMARK.json gives that metric —
+`better`, `within bound` or `worse`.  This runs the pairs and prints
+that table in the form EXPERIMENTS.md keeps.
 
 The parent is materialised from ``git archive REV`` in a temporary
 directory (no worktree is registered, nothing under ``.git`` changes);
 the change is the working tree the tool sits in.  Each run is one
 ``benchmarks/e2e/run.py --workload W --seed S --seconds N --trace 0``
 process; its last line is the result.  Exits non-zero if a run was not
-correct or a simulated metric differs between the two sides.
+correct, or a simulated metric did not repeat on one side or reads
+`worse`.  (A host-only change must move no simulated number: there,
+every simulated row has to read `equal`.)
 
 Run:  python tools/bench_pairs.py --parent REV --workload W [--workload …]
                                   [--pairs 10] [--seed 0] [--seconds 12]
@@ -71,23 +75,36 @@ def _median_iqr(values: list[float]) -> str:
     return f"{_fmt(statistics.median(values))} [{_fmt(q1)}, {_fmt(q3)}]"
 
 
+def judge_simulated(spec: dict, a: list[float], b: list[float]) -> str:
+    """The verdict on one simulated metric, each side's runs given."""
+    if len(set(a)) > 1 or len(set(b)) > 1:
+        return "NOT REPEATABLE"
+    if a[0] == b[0]:
+        return "equal"
+    moved = (b[0] - a[0]) / a[0] if a[0] else float("inf")
+    gain = moved if spec["better"] == "higher" else -moved
+    verdict = ("better" if gain > 0 else
+               "within bound" if -gain <= spec["bound"] else "worse")
+    return f"{moved:+.1%} {verdict}"
+
+
 def report(workload: str, metrics: list[dict], parent: list[dict],
            change: list[dict]) -> bool:
-    """Print one workload's rows; True when every simulated metric and
-    every verdict is the same on both sides."""
-    same = True
+    """Print one workload's rows; True when every run was correct and
+    no simulated metric is worse than its bound or failed to repeat."""
+    ok = True
     for side, runs in (("parent", parent), ("change", change)):
         bad = [i for i, r in enumerate(runs) if not r["correct"] or r["failed"]]
         if bad:
             print(f"{workload}: {side} runs {bad} were not correct")
-            same = False
+            ok = False
     for spec in metrics:
         name = spec["name"]
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
         if name in SIMULATED:
-            verdict = "equal" if a == b else "DIFFER"
-            same = same and a == b
+            verdict = judge_simulated(spec, a, b)
+            ok = ok and not verdict.endswith(("worse", "NOT REPEATABLE"))
             print(f"| {workload} | {name} | {a[0]!r} | {b[0]!r} | "
                   f"{verdict} | |")
             continue
@@ -99,7 +116,7 @@ def report(workload: str, metrics: list[dict], parent: list[dict],
         shown = f"{ratio:.2f}×" if higher else f"{ratio:.3f}"
         print(f"| {workload} | {name} ({spec['unit']}) | {_median_iqr(a)} | "
               f"{_median_iqr(b)} | {shown} | {wins}/{len(a)} |")
-    return same
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,12 +153,12 @@ def main(argv: list[str] | None = None) -> int:
           f"which the change read better\n")
     print("| workload | metric | parent | change | change / parent | wins |")
     print("|---|---|---|---|---|---|")
-    same = True
+    ok = True
     for workload in args.workload:
-        same = report(workload, manifest["end_to_end"],
-                      runs[workload]["parent"], runs[workload]["change"]) \
-            and same
-    return 0 if same else 1
+        ok = report(workload, manifest["end_to_end"],
+                    runs[workload]["parent"], runs[workload]["change"]) \
+            and ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
