@@ -12,6 +12,13 @@ and the device managers.  All simulated I/O cost is charged by the
 devices, so a cache hit is (nearly) free and a miss pays real disk
 time — exactly the performance structure the benchmark measures.
 
+Dirty pages leave the cache at eviction, one at a time, and at a flush
+(commit forces every dirty page), which sorts them first by device and
+by the address the device manager reports for the page, whichever
+relations they belong to: a magnetic disk is swept in ascending block
+order over the heap pages and back in descending order over the index
+pages (``BufferCache._sweep`` says why heap pages go first).
+
 Sequential scans additionally get a read-ahead window: when a miss
 lands on the page directly after the previous access to the same
 relation, the cache fetches up to ``readahead_window`` pages in one
@@ -27,7 +34,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.db.page import Page
+from repro.db.page import PAGE_HEAP, Page
 from repro.devices.switch import DeviceSwitch
 from repro.obs.registry import MetricSpec
 from repro.obs.tracing import NO_SPAN
@@ -399,60 +406,72 @@ class BufferCache:
         self.stats.dirty_writebacks += len(frames)
         self.stats.forced_writes += len(frames)
 
-    def _flush_sorted(self, keys: list[BufferKey]) -> int:
-        """Write back the dirty frames among ``keys`` (which must be in
-        elevator order), coalescing physically adjacent pages of one
-        (device, relation) into single batched device writes."""
-        written = 0
-        run_dev = run_rel = None
-        run_start = 0
-        run_frames: list[_Frame] = []
-        for key in keys:
-            frame = self._frames.get(key)
-            if frame is None or not frame.dirty:
-                continue
+    def _sweep(self, keys) -> int:
+        """Write back the dirty frames among ``keys`` as an elevator
+        would: out over the heap pages in ascending order of where the
+        device says they sit (``DeviceManager.page_address`` — the block
+        address on a magnetic disk, (relation, page) on a manager with
+        no geometry), and back over the index pages in descending
+        order, towards the front of the disk where the commit record is
+        forced next.  Consecutive pages of one relation that sort next
+        to each other form a run: one batched device write, issued
+        forwards in either direction.
+
+        Heap pages go first because index entries are not versioned: a
+        B-tree leaf that reached the medium ahead of the heap page its
+        entries point at would, after a crash in between, hold TIDs of
+        records that do not exist — out of range, or worse, slots the
+        next insert hands to another record."""
+        frames = self._frames
+        device = self.switch.get
+
+        def position(key: BufferKey):
             dev_name, relname, pageno = key
-            if (run_frames and dev_name == run_dev and relname == run_rel
-                    and pageno == run_start + len(run_frames)):
-                run_frames.append(frame)
+            return dev_name, device(dev_name).page_address(relname, pageno)
+
+        dirty = [key for key in keys if key in frames and frames[key].dirty]
+        out: list[tuple] = []       # runs of heap pages
+        back: list[tuple] = []      # runs of index pages
+        run = None
+        for key in sorted(dirty, key=position):
+            dev_name, relname, pageno = key
+            frame = frames[key]
+            if run is not None and (dev_name, relname, pageno) == (
+                    run[0], run[1], run[2] + len(run[3])):
+                run[3].append(frame)
                 continue
-            if run_frames:
-                self._flush_run(run_dev, run_rel, run_start, run_frames)
-                written += len(run_frames)
-            run_dev, run_rel, run_start = dev_name, relname, pageno
-            run_frames = [frame]
-        if run_frames:
-            self._flush_run(run_dev, run_rel, run_start, run_frames)
-            written += len(run_frames)
-        return written
+            run = (dev_name, relname, pageno, [frame])
+            (out if frame.page.flags & PAGE_HEAP else back).append(run)
+        for run in out + back[::-1]:
+            self._flush_run(*run)
+        return len(dirty)
 
     def flush_all(self) -> int:
         """Write back every dirty page (transaction commit forces its
         writes this way — the no-overwrite manager has no WAL, so data
         pages themselves must be durable before the commit record).
         Returns the number of pages written."""
-        # Elevator order: sorting by (device, relation, page) turns a
-        # scatter of dirty pages into ascending sweeps per relation, as
-        # the disk driver's elevator would — and makes adjacent dirty
-        # pages coalesce into single batched device writes.
+        # One elevator trip: the scatter of dirty pages goes out in the
+        # order the medium holds them, whichever relations they belong
+        # to, as the disk driver's elevator would send it.
         obs = self.obs
         span = obs.span("buffer.flush_all") \
             if obs is not None and obs.tracer.enabled else NO_SPAN
         with span as sp:
-            written = self._flush_sorted(sorted(self._dirty_keys))
+            written = self._sweep(self._dirty_keys)
             sp.set(pages=written)
         return written
 
     def flush_relation(self, dev_name: str, relname: str) -> int:
-        """Force one relation's dirty pages (same elevator order,
+        """Force one relation's dirty pages (same sweep order,
         coalescing, and ``forced_writes`` accounting as
         :meth:`flush_all`, so write counting is consistent whichever
         flush path a caller takes)."""
         resident = self._rel_keys.get((dev_name, relname))
         if not resident:
             return 0
-        return self._flush_sorted(
-            [(dev_name, relname, pageno) for pageno in sorted(resident)])
+        return self._sweep(
+            [(dev_name, relname, pageno) for pageno in resident])
 
     # -- invalidation -----------------------------------------------------------
 

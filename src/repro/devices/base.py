@@ -95,6 +95,15 @@ class DeviceManager(ABC):
         for i, data in enumerate(datas):
             self.write_page(relname, start + i, data)
 
+    def page_address(self, relname: str, pageno: int):
+        """Where the page sits on the medium, as a value that orders the
+        pages of this device the way one pass over the medium meets
+        them — the buffer cache's commit sweep writes in this order.
+        Managers with a geometry (magnetic disk) return the block
+        address; the default, for managers with none, orders by
+        relation and page number."""
+        return (relname, pageno)
+
     def rename_relation(self, src: str, dst: str) -> None:
         """Atomically-as-possible replace relation ``dst`` with ``src``
         (the vacuum cleaner's compacted-rewrite swap).  If ``src`` is

@@ -3,21 +3,27 @@
 "In the current system, the magnetic disk device manager uses the
 underlying UNIX file system to store data" — and therefore inherits the
 FFS cylinder-group layout policy, under which "data for a single file
-are kept close together".  The manager reproduces that policy in its
-cost model: each relation's pages are allocated in contiguous
-*extents* carved from a device-wide cursor, so pages within one
-relation are (mostly) physically sequential while two relations growing
-at the same time land in alternating regions of the disk.  That is
-exactly the layout that makes Inversion's file creation slow (B-tree
-and heap writes bounce the head between regions — Figure 3) while its
-sequential reads stay fast (Table 3).
+are kept close together" and a small file takes a few blocks beside its
+neighbours.  The manager reproduces that policy in its cost model: each
+relation's pages are allocated in contiguous *extents* carved from a
+device-wide cursor, the first of ``FIRST_EXTENT_PAGES`` and each later
+one ``EXTENT_GROWTH`` times the previous up to ``EXTENT_PAGES`` (1, 2,
+4, … 64, 64, …).  A relation of a page or two therefore sits next to
+the relations created around it, while the pages of a large one are
+(mostly) physically sequential in cylinder-sized runs and two large
+relations growing at the same time land in alternating regions of the
+disk.  That is exactly the layout that makes Inversion's file creation
+slow (B-tree and heap writes bounce the head between regions —
+Figure 3) while its sequential reads stay fast (Table 3).
 
 Pages are persisted in one real file per relation, so databases survive
 process restarts; simulated I/O cost is charged against a
 :class:`~repro.sim.disk.DiskModel` at the allocated block addresses.
-The allocation map (which extents each relation owns) is persisted as a
-checkpoint plus a journal of the mutations since, so creating a relation
-costs the host one appended line however many relations exist.
+The allocation map (which extents each relation owns: starting block
+and length of each, in page order) is persisted as a checkpoint plus a
+journal of the mutations since, so creating a relation costs the host
+one appended line however many relations exist.  At most
+``MAX_OPEN_FILES`` of the backing files are held open at a time.
 
 Block address 0 up to ``meta_region_blocks`` is reserved for small
 metadata blobs — the transaction status file lives there, which is why
@@ -28,7 +34,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import DeviceManager
@@ -50,8 +59,18 @@ METRICS = (
 )
 
 EXTENT_PAGES = 64
-"""Pages per allocation extent — the contiguity unit (an FFS-style
-cylinder-group chunk)."""
+"""Pages in the largest allocation extent — the contiguity unit of a
+large relation (an FFS-style cylinder-group chunk), and the length of
+every extent in a map written before extents carried one."""
+
+FIRST_EXTENT_PAGES = 1
+EXTENT_GROWTH = 2
+"""A relation's first extent, and how many times the previous one each
+later extent is, up to ``EXTENT_PAGES``."""
+
+MAX_OPEN_FILES = 128
+"""Backing files held open per device; the least recently used handle
+is closed to admit another."""
 
 JOURNAL_MIN_BYTES = 64 * 1024
 """The journal is never checkpointed for its size below this, so a small
@@ -59,10 +78,27 @@ map is not rewritten every few records; above it the journal may grow
 as large as the map it amends."""
 
 
-@dataclass
 class _RelState:
-    npages: int
-    extents: list[int]  # starting block address of each extent
+    __slots__ = ("npages", "extents", "bounds")
+
+    def __init__(self, npages: int, extents: list[int],
+                 lengths: list[int]) -> None:
+        self.npages = npages
+        self.extents = extents  # starting block address of each extent
+        #: page number at which each extent starts, then the page count
+        #: all of them hold — the extents' lengths, in the form the
+        #: page lookup bisects.
+        self.bounds = list(accumulate(lengths, initial=0))
+
+    @property
+    def lengths(self) -> list[int]:
+        """Pages in each extent."""
+        bounds = self.bounds
+        return [end - start for start, end in zip(bounds, bounds[1:])]
+
+    def add_extent(self, block: int, length: int) -> None:
+        self.extents.append(block)
+        self.bounds.append(self.bounds[-1] + length)
 
 
 @dataclass
@@ -86,7 +122,7 @@ class MagneticDisk(DeviceManager):
         self.meta_region_blocks = meta_region_blocks
         self.stats = AllocMapStats()
         os.makedirs(directory, exist_ok=True)
-        self._files: dict[str, object] = {}
+        self._files: OrderedDict[str, object] = OrderedDict()  # LRU
         self._rels: dict[str, _RelState] = {}
         self._next_block = meta_region_blocks
         self._meta_slots: dict[str, int] = {}
@@ -132,8 +168,10 @@ class MagneticDisk(DeviceManager):
             self._meta_slots = data.get("meta_slots", {})
             self._seq = data.get("seq", 0)
             for relname, info in data["relations"].items():
-                self._rels[relname] = _RelState(info["npages"],
-                                                info["extents"])
+                extents = info["extents"]
+                self._rels[relname] = _RelState(
+                    info["npages"], extents,
+                    info.get("lengths") or [EXTENT_PAGES] * len(extents))
             self._map_bytes = os.path.getsize(path)
         if self._replay_journal() or have_map:
             self._reconcile_with_files()
@@ -172,7 +210,7 @@ class MagneticDisk(DeviceManager):
         self._meta_slots.update(rec.get("slots", {}))
         op, relname = rec["op"], rec["rel"]
         if op == "create":
-            rels[relname] = _RelState(0, [])
+            rels[relname] = _RelState(0, [], [])
         elif op == "drop":
             rels.pop(relname, None)
         elif op == "rename":
@@ -182,8 +220,9 @@ class MagneticDisk(DeviceManager):
             st.npages = rec["n"]
             rels[rec["dst"]] = st
         elif op == "extent":
-            rels[relname].extents.append(rec["block"])
-            self._next_block = rec["block"] + EXTENT_PAGES
+            length = rec.get("len", EXTENT_PAGES)
+            rels[relname].add_extent(rec["block"], length)
+            self._next_block = rec["block"] + length
         else:
             raise DeviceError(
                 f"unknown allocation journal record {op!r} on {self.name}")
@@ -202,11 +241,10 @@ class MagneticDisk(DeviceManager):
             # the backing file is the truth about how far the relation
             # grew.
             on_disk = os.path.getsize(relpath) // PAGE_SIZE
-            while on_disk > st.npages:
-                if len(st.extents) <= st.npages // EXTENT_PAGES:
-                    st.extents.append(self._next_block)
-                    self._next_block += EXTENT_PAGES
-                st.npages += 1
+            if on_disk > st.npages:
+                while st.bounds[-1] < on_disk:
+                    self._new_extent(st)
+                st.npages = on_disk
                 self._repaired = True
 
     def _rebuild_from_files(self) -> None:
@@ -217,12 +255,9 @@ class MagneticDisk(DeviceManager):
                 continue
             relname = fname[:-4]
             size = os.path.getsize(os.path.join(self.directory, fname))
-            npages = size // PAGE_SIZE
-            extents = []
-            for _ in range(0, max(npages, 1), EXTENT_PAGES):
-                extents.append(self._next_block)
-                self._next_block += EXTENT_PAGES
-            self._rels[relname] = _RelState(npages, extents)
+            st = self._rels[relname] = _RelState(size // PAGE_SIZE, [], [])
+            while st.bounds[-1] < max(st.npages, 1):
+                self._new_extent(st)
             self._repaired = True
 
     def _journal(self, op: str, relname: str, **fields) -> None:
@@ -263,7 +298,8 @@ class MagneticDisk(DeviceManager):
             "next_block": self._next_block,
             "meta_slots": self._meta_slots,
             "relations": {
-                name: {"npages": st.npages, "extents": st.extents}
+                name: {"npages": st.npages, "extents": st.extents,
+                       "lengths": st.lengths}
                 for name, st in self._rels.items()
             },
         })
@@ -289,12 +325,18 @@ class MagneticDisk(DeviceManager):
         return os.path.join(self.directory, relname + ".rel")
 
     def _file(self, relname: str):
-        f = self._files.get(relname)
-        if f is None:
-            path = self._relpath(relname)
-            mode = "r+b" if os.path.exists(path) else "w+b"
-            f = open(path, mode)
-            self._files[relname] = f
+        files = self._files
+        f = files.get(relname)
+        if f is not None:
+            files.move_to_end(relname)
+            return f
+        if len(files) >= MAX_OPEN_FILES:
+            # close() flushes: what was written through the handle is
+            # in the backing file before the handle is gone.
+            files.popitem(last=False)[1].close()
+        path = self._relpath(relname)
+        mode = "r+b" if os.path.exists(path) else "w+b"
+        f = files[relname] = open(path, mode)
         return f
 
     def _state(self, relname: str) -> _RelState:
@@ -304,7 +346,40 @@ class MagneticDisk(DeviceManager):
             raise DeviceError(f"no relation {relname!r} on {self.name}") from None
 
     def _block_of(self, st: _RelState, pageno: int) -> int:
-        return st.extents[pageno // EXTENT_PAGES] + (pageno % EXTENT_PAGES)
+        i = bisect_right(st.bounds, pageno) - 1
+        return st.extents[i] + pageno - st.bounds[i]
+
+    def _runs(self, st: _RelState, start: int, count: int):
+        """The physically contiguous block runs, as (first block,
+        blocks), that hold pages [start, start + count): one per extent
+        touched, adjacent extents joined."""
+        bounds, extents = st.bounds, st.extents
+        end = start + count
+        i = bisect_right(bounds, start) - 1
+        run_blk = extents[i] + start - bounds[i]
+        run_len = min(end, bounds[i + 1]) - start
+        while bounds[i + 1] < end:
+            i += 1
+            length = min(end, bounds[i + 1]) - bounds[i]
+            if extents[i] == run_blk + run_len:
+                run_len += length
+            else:
+                yield run_blk, run_len
+                run_blk, run_len = extents[i], length
+        yield run_blk, run_len
+
+    def _new_extent(self, st: _RelState) -> tuple[int, int]:
+        """Carve the relation's next extent from the device-wide cursor;
+        returns (first block, pages)."""
+        bounds = st.bounds
+        length = min((bounds[-1] - bounds[-2]) * EXTENT_GROWTH, EXTENT_PAGES) \
+            if st.extents else FIRST_EXTENT_PAGES
+        block = self._next_block
+        if block + length > self.disk.geometry.total_blocks:
+            raise DeviceFullError(f"device {self.name} is full")
+        st.add_extent(block, length)
+        self._next_block = block + length
+        return block, length
 
     # -- DeviceManager interface -----------------------------------------
 
@@ -312,7 +387,7 @@ class MagneticDisk(DeviceManager):
         self._validate_relname(relname)
         if relname in self._rels:
             raise DeviceError(f"relation {relname!r} already exists on {self.name}")
-        self._rels[relname] = _RelState(0, [])
+        self._rels[relname] = _RelState(0, [], [])
         self._file(relname)  # create the backing file now
         self._journal("create", relname)
 
@@ -363,18 +438,16 @@ class MagneticDisk(DeviceManager):
 
     def extend(self, relname: str) -> int:
         st = self._state(relname)
-        if st.npages % EXTENT_PAGES == 0:
-            # Need a new extent.
-            if self._next_block + EXTENT_PAGES > self.disk.geometry.total_blocks:
-                raise DeviceFullError(f"device {self.name} is full")
-            block = self._next_block
-            st.extents.append(block)
-            self._next_block = block + EXTENT_PAGES
-            self._journal("extent", relname, block=block)
+        if st.npages == st.bounds[-1]:
+            block, length = self._new_extent(st)
+            self._journal("extent", relname, block=block, len=length)
         pageno = st.npages
         st.npages += 1
         self._grown.add(relname)
         return pageno
+
+    def page_address(self, relname: str, pageno: int) -> int:
+        return self._block_of(self._state(relname), pageno)
 
     def read_page(self, relname: str, pageno: int) -> bytes:
         st = self._state(relname)
@@ -403,17 +476,8 @@ class MagneticDisk(DeviceManager):
         if not (0 <= start and start + count <= st.npages):
             raise DeviceError(
                 f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
-        # Group the page run into physically contiguous block runs.
-        run_blk = self._block_of(st, start)
-        run_len = 1
-        for i in range(1, count):
-            blk = self._block_of(st, start + i)
-            if blk == run_blk + run_len:
-                run_len += 1
-            else:
-                self.disk.read_blocks(run_blk, run_len)
-                run_blk, run_len = blk, 1
-        self.disk.read_blocks(run_blk, run_len)
+        for run_blk, run_len in self._runs(st, start, count):
+            self.disk.read_blocks(run_blk, run_len)
         f = self._file(relname)
         f.seek(start * PAGE_SIZE)
         raw = f.read(count * PAGE_SIZE)
@@ -448,16 +512,8 @@ class MagneticDisk(DeviceManager):
         if not (0 <= start and start + count <= st.npages):
             raise DeviceError(
                 f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
-        run_blk = self._block_of(st, start)
-        run_len = 1
-        for i in range(1, count):
-            blk = self._block_of(st, start + i)
-            if blk == run_blk + run_len:
-                run_len += 1
-            else:
-                self.disk.write_blocks(run_blk, run_len)
-                run_blk, run_len = blk, 1
-        self.disk.write_blocks(run_blk, run_len)
+        for run_blk, run_len in self._runs(st, start, count):
+            self.disk.write_blocks(run_blk, run_len)
         f = self._file(relname)
         f.seek(start * PAGE_SIZE)
         f.write(b"".join(datas))

@@ -299,6 +299,10 @@ class FeedTapDevice(DeviceManager):
     def nblocks(self, relname: str) -> int:
         return self.inner.nblocks(relname)
 
+    def page_address(self, relname: str, pageno: int):
+        # Defined by the ABC, so ``__getattr__`` below never sees it.
+        return self.inner.page_address(relname, pageno)
+
     def read_page(self, relname: str, pageno: int) -> bytes:
         return self.inner.read_page(relname, pageno)
 

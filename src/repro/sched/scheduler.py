@@ -599,8 +599,10 @@ class MultiUserScheduler:
 
         With ``cluster_commits`` (the default), sessions whose next
         request is ``p_commit`` are held back while any other ready
-        session still has writing work — the classic group-commit
-        delay, expressed as scheduling policy.  Writes from every
+        session is not at its own commit gate, readers included — the
+        classic group-commit delay, expressed as scheduling policy (a
+        commit goes when every ready session is waiting to commit, or
+        when the starvation guard says so).  Writes from every
         session accumulate in the buffer cache, then the commits run
         back-to-back: the first committer's flush sweeps all of them in
         one sorted pass, the rest find their pages already clean, and

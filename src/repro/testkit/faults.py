@@ -193,6 +193,10 @@ class FaultyDevice(DeviceManager):
         self.ctrl._check_down()
         return self.inner.extend(relname)
 
+    def page_address(self, relname: str, pageno: int):
+        # Defined by the ABC, so ``__getattr__`` below never sees it.
+        return self.inner.page_address(relname, pageno)
+
     # -- gated page I/O ---------------------------------------------------
 
     def read_page(self, relname: str, pageno: int) -> bytes:

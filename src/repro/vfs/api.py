@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.core.constants import O_CREAT, O_RDONLY, SEEK_SET
+from repro.core.constants import O_CREAT, O_RDONLY, O_RDWR, SEEK_SET
 from repro.errors import FileNotFoundError_
 from repro.obs.registry import MetricSpec
 
@@ -57,7 +57,15 @@ class VFS:
     The client supplies the wire (and the sharding/caching behaviour);
     the VFS supplies the application surface and the multi-file
     transaction discipline.  One VFS = one session = at most one open
-    transaction."""
+    transaction.
+
+    The VFS owns its session's transaction boundary: groups are opened
+    with :meth:`begin` / :meth:`transaction`, and a call that is several
+    ``p_*`` calls underneath (:meth:`write_file`) opens its own
+    transaction when no group is open.  A caller who opened a
+    transaction on ``client`` behind the VFS's back gets the library's
+    "only one transaction may be active" error from such a call, not a
+    silent second path."""
 
     def __init__(self, client, obs=None) -> None:
         self.client = client
@@ -249,9 +257,23 @@ class VFS:
 
     def write_file(self, path: str, data: bytes,
                    device: str | None = None) -> int:
-        from repro.core.constants import O_RDWR
-        fd = self.open(path, O_RDWR | O_CREAT, device=device)
+        """Create ``path`` if need be and write ``data`` at its start,
+        atomically: inside a group as part of it, outside one as a
+        transaction of its own — after a crash or an exception the path
+        is as it was, never created and empty."""
+        own = not self._in_group
+        if own:
+            self.client.p_begin()
         try:
-            return self.write(fd, data) if data else 0
-        finally:
-            self.close(fd)
+            fd = self.open(path, O_RDWR | O_CREAT, device=device)
+            try:
+                written = self.write(fd, data) if data else 0
+            finally:
+                self.close(fd)
+        except BaseException:
+            if own:
+                self.client.p_abort()
+            raise
+        if own:
+            self.client.p_commit()
+        return written

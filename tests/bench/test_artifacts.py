@@ -61,7 +61,7 @@ SABOTAGE = [
     ("seqio", ("sp", "single_transfer", "chunk_index_descents"), 128),
     ("commitio", ("group_commit", "after", "status_forces"), 2),
     ("commitio", ("writeback", "write_op_ratio"), 1.5),
-    ("multiuser", ("scaling", "speedup_8_over_1"), 1.99),
+    ("multiuser", ("scaling", "speedup_8_over_1"), 1.84),
     ("multiuser", ("hot", 3, "fairness", "starved"), True),
     ("multishard", ("disjoint", 0, "sched", "starved"), True),
     ("multishard", ("scaling", "speedups_over_one_shard", "8"), 6.4),

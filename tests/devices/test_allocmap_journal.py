@@ -7,8 +7,14 @@ writer and reader are kept here as the reference implementation: at
 every point where the old code would have rewritten the map, a fresh
 ``MagneticDisk`` opened on the directory must reconstruct exactly what
 the old reader would have reconstructed from the old writer's output —
-relation names in order, page counts, extents, the allocation cursor
-and the metadata slots.
+relation names in order, page counts, extents with their lengths, the
+allocation cursor and the metadata slots.
+
+Since PR 20 an extent carries its length (1, 2, 4, … ``EXTENT_PAGES``)
+and the whole-map reference carries it too.  What the code *before*
+that wrote — fixed 64-page extents, no lengths — is kept as
+``write_parent_directory`` / ``parent_block_of``: the fixed-extent
+arithmetic, which now lives only here.
 """
 
 import json
@@ -32,9 +38,20 @@ def parent_dump(disk: MagneticDisk) -> dict:
     return json.loads(json.dumps({
         "next_block": disk._next_block,
         "meta_slots": disk._meta_slots,
-        "relations": {name: {"npages": st.npages, "extents": st.extents}
+        "relations": {name: {"npages": st.npages, "extents": st.extents,
+                             "lengths": st.lengths}
                       for name, st in disk._rels.items()},
     }))
+
+
+def grow(extents: list, lengths: list, next_block: int) -> int:
+    """The allocation rule, restated: the first extent is one page, each
+    later one twice the previous up to EXTENT_PAGES; returns the cursor
+    after it."""
+    length = min(2 * lengths[-1], EXTENT_PAGES) if lengths else 1
+    extents.append(next_block)
+    lengths.append(length)
+    return next_block + length
 
 
 def parent_load(directory: str, data: dict | None):
@@ -49,32 +66,33 @@ def parent_load(directory: str, data: dict | None):
         meta_slots = data.get("meta_slots", {})
         for relname, info in data["relations"].items():
             npages, extents = info["npages"], list(info["extents"])
+            # a map written before extents carried a length
+            lengths = list(info.get("lengths",
+                                    [EXTENT_PAGES] * len(extents)))
             relpath = os.path.join(directory, relname + ".rel")
             if not os.path.exists(relpath):
                 continue
             on_disk = os.path.getsize(relpath) // PAGE_SIZE
             while on_disk > npages:
-                if len(extents) <= npages // EXTENT_PAGES:
-                    extents.append(next_block)
-                    next_block += EXTENT_PAGES
+                if npages == sum(lengths):
+                    next_block = grow(extents, lengths, next_block)
                 npages += 1
-            rels[relname] = (npages, extents)
+            rels[relname] = (npages, extents, lengths)
     else:
         for fname in sorted(os.listdir(directory)):
             if not fname.endswith(".rel"):
                 continue
             size = os.path.getsize(os.path.join(directory, fname))
             npages = size // PAGE_SIZE
-            extents = []
-            for _ in range(0, max(npages, 1), EXTENT_PAGES):
-                extents.append(next_block)
-                next_block += EXTENT_PAGES
-            rels[fname[:-4]] = (npages, extents)
+            extents, lengths = [], []
+            while sum(lengths) < max(npages, 1):
+                next_block = grow(extents, lengths, next_block)
+            rels[fname[:-4]] = (npages, extents, lengths)
     return list(rels.items()), next_block, meta_slots
 
 
 def state_of(disk: MagneticDisk):
-    return ([(name, (st.npages, list(st.extents)))
+    return ([(name, (st.npages, list(st.extents), list(st.lengths)))
              for name, st in disk._rels.items()],
             disk._next_block, dict(disk._meta_slots))
 
@@ -236,31 +254,107 @@ def test_reopen_equals_whole_map_rewrite_with_size_checkpoints(
     assert drv.checkpoints > plain.checkpoints
 
 
-def test_directory_written_by_the_parent_opens_unchanged(tmp_path):
-    """Only ``_alloc.json``, in the old format (no sequence number)."""
-    directory = str(tmp_path / "m0")
-    disk = MagneticDisk("m0", SimClock(), directory)
-    for rel, pages in (("a", 3), ("b", EXTENT_PAGES + 2), ("c", 0)):
-        disk.create_relation(rel)
-        for _ in range(pages):
-            disk.write_page(rel, disk.extend(rel), bytes(PAGE_SIZE))
-    disk.sync_write_meta("pg_status", b"s")
-    old = parent_dump(disk)
-    disk.simulate_crash()
-    for leftover in ("_alloc.json", "_alloc.log"):
-        path = os.path.join(directory, leftover)
-        if os.path.exists(path):
-            os.remove(path)
+# -- the code before PR 20: fixed 64-page extents --------------------------
+
+def parent_block_of(extents: list, pageno: int) -> int:
+    """The fixed-extent arithmetic ``MagneticDisk._block_of`` was."""
+    return extents[pageno // EXTENT_PAGES] + pageno % EXTENT_PAGES
+
+
+def page_bytes(rel: str, pageno: int) -> bytes:
+    return bytes([(len(rel) * 31 + ord(rel[0]) + pageno) % 251]) * PAGE_SIZE
+
+
+def write_parent_directory(directory: str, checkpointed: dict,
+                           journalled: dict) -> dict:
+    """A device directory as that code left it after a crash: a
+    checkpoint without lengths, a journal whose ``extent`` records carry
+    none, every extent EXTENT_PAGES long.  Returns {relation: (pages,
+    extents)}."""
+    os.makedirs(directory)
+    cursor = META_REGION_BLOCKS
+    layout: dict = {}
+    records = []
+    for rels, in_journal in ((checkpointed, False), (journalled, True)):
+        for rel, pages in rels.items():
+            if in_journal:
+                records.append({"op": "create", "rel": rel})
+            extents = []
+            for _ in range(0, pages, EXTENT_PAGES):
+                if in_journal:
+                    records.append({"op": "extent", "rel": rel,
+                                    "block": cursor})
+                extents.append(cursor)
+                cursor += EXTENT_PAGES
+            layout[rel] = (pages, extents)
+            with open(os.path.join(directory, rel + ".rel"), "wb") as f:
+                for pageno in range(pages):
+                    f.write(page_bytes(rel, pageno))
     with open(os.path.join(directory, "_alloc.json"), "w") as f:
-        json.dump(old, f)
-    reopened = MagneticDisk("m0", SimClock(), directory)
-    assert state_of(reopened) == parent_load(directory, old)
-    # ... and carries on: the next mutation is journalled after it.
-    reopened.create_relation("d")
-    reopened.simulate_crash()
+        json.dump({
+            "seq": 7,
+            "next_block": META_REGION_BLOCKS + EXTENT_PAGES * sum(
+                len(layout[rel][1]) for rel in checkpointed),
+            "meta_slots": {"pg_status": 1},
+            "relations": {rel: {"npages": layout[rel][0],
+                                "extents": layout[rel][1]}
+                          for rel in checkpointed},
+        }, f)
+    with open(os.path.join(directory, "_alloc.log"), "w") as f:
+        for seq, rec in enumerate(records, start=8):
+            f.write(json.dumps({"seq": seq, **rec},
+                               separators=(",", ":")) + "\n")
+    return layout
+
+
+def test_directory_written_by_the_parent_opens_unchanged(tmp_path):
+    """Every page at the block it had, relations that have extents keep
+    growing by EXTENT_PAGES, and the first checkpoint — in the new
+    format — changes neither."""
+    directory = str(tmp_path / "m0")
+    layout = write_parent_directory(
+        directory, {"a": 3, "b": EXTENT_PAGES + 2, "c": 0},
+        {"d": 5, "e": 2 * EXTENT_PAGES})
+
+    def addresses(disk) -> dict:
+        return {(rel, p): disk.page_address(rel, p)
+                for rel in disk.list_relations()
+                for p in range(disk.nblocks(rel))}
+
+    disk = MagneticDisk("m0", SimClock(), directory)
+    assert disk.list_relations() == list(layout)
+    assert disk._meta_slots == {"pg_status": 1}
+    assert addresses(disk) == {
+        (rel, p): parent_block_of(extents, p)
+        for rel, (pages, extents) in layout.items() for p in range(pages)}
+    for rel, (pages, _extents) in layout.items():
+        for p in range(pages):
+            assert disk.read_page(rel, p) == page_bytes(rel, p)
+    # "b" fills its second 64-page extent, then takes a third one
+    cursor = disk._next_block
+    assert cursor == META_REGION_BLOCKS + 6 * EXTENT_PAGES
+    while disk.nblocks("b") < 2 * EXTENT_PAGES:
+        disk.extend("b")
+    assert disk._next_block == cursor
+    assert disk.page_address("b", disk.extend("b")) == cursor
+    assert disk._next_block == cursor + EXTENT_PAGES
+    # a relation that never had an extent starts small, like a new one
+    assert disk.page_address("c", disk.extend("c")) == cursor + EXTENT_PAGES
+    assert disk._next_block == cursor + EXTENT_PAGES + 1
+    disk.create_relation("f")
+    before = addresses(disk)
+    disk.simulate_crash()
+    journalled = MagneticDisk("m0", SimClock(), directory)
+    assert addresses(journalled) == before
+    journalled.flush()                       # a checkpoint, lengths and all
+    with open(os.path.join(directory, "_alloc.json")) as f:
+        relations = json.load(f)["relations"]
+    assert relations["b"]["lengths"] == [EXTENT_PAGES] * 3
+    assert relations["c"]["lengths"] == [1]
+    journalled.simulate_crash()
     again = MagneticDisk("m0", SimClock(), directory)
-    assert again.list_relations() == ["a", "b", "c", "d"]
-    assert again.nblocks("b") == EXTENT_PAGES + 2
+    assert addresses(again) == before
+    assert again.list_relations() == list(layout) + ["f"]
 
 
 def test_stale_checkpoint_tmp_removed_on_load(tmp_path):

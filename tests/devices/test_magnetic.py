@@ -93,14 +93,27 @@ def test_npages_reconciled_from_file_after_crash(tmp_path):
 def test_extents_are_contiguous_within_relation(dev):
     dev.create_relation("a")
     dev.create_relation("b")
-    # Interleave extends: each relation's pages must still be
-    # physically contiguous inside an extent.
-    for _ in range(EXTENT_PAGES // 2):
+    # Interleave extends: each relation's extents double from one page
+    # up to EXTENT_PAGES, and its pages are physically contiguous inside
+    # each of them however the two relations alternate.
+    for _ in range(3 * EXTENT_PAGES):
         dev.extend("a")
         dev.extend("b")
-    st_a = dev._rels["a"]
-    blocks = [dev._block_of(st_a, p) for p in range(st_a.npages)]
-    assert blocks == list(range(blocks[0], blocks[0] + len(blocks)))
+    for rel in ("a", "b"):
+        st = dev._rels[rel]
+        assert st.lengths == [1, 2, 4, 8, 16, 32, 64, 64, 64]
+        pageno = 0
+        for block, length in zip(st.extents, st.lengths):
+            run = [dev.page_address(rel, p)
+                   for p in range(pageno, min(pageno + length, st.npages))]
+            assert run == list(range(block, block + len(run)))
+            pageno += length
+    # ... and a relation of a page or two sits right beside its
+    # neighbours, not on a cylinder of its own.
+    for rel in ("c", "d"):
+        dev.create_relation(rel)
+        dev.extend(rel)
+    assert dev.page_address("d", 0) == dev.page_address("c", 0) + 1
 
 
 def test_two_growing_relations_use_disjoint_extents(dev):

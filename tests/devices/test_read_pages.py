@@ -108,15 +108,14 @@ def test_run_breaks_at_non_adjacent_extents(tmp_path):
     dev = MagneticDisk("m0", SimClock(), str(tmp_path / "m0"))
     dev.create_relation("r")
     dev.create_relation("s")
-    fill(dev, "r", EXTENT_PAGES)  # r extent 0
+    fill(dev, "r", 3)             # r extents of 1 and 2 pages, adjacent
     fill(dev, "s", 1)             # s extent interleaves
-    fill(dev, "r", 2)             # r extent 1, not adjacent to extent 0
+    fill(dev, "r", 2)             # r extent of 4, not adjacent to the others
     stats = dev.disk.stats
     r0 = stats.reads
-    pages = dev.read_pages("r", EXTENT_PAGES - 2, 4)
+    pages = dev.read_pages("r", 0, 5)
     assert stats.reads == r0 + 2
-    assert pages == [page_of(EXTENT_PAGES - 2), page_of(EXTENT_PAGES - 1),
-                     page_of(EXTENT_PAGES), page_of(EXTENT_PAGES + 1)]
+    assert pages == [page_of(i) for i in range(5)]
 
 
 def test_adjacent_extents_stay_one_run(tmp_path):

@@ -17,6 +17,9 @@ run the same assertions over all of them:
     assert the stack shows exactly ``model.state()`` — through its own
     read path (so a stale cache, a lost buffered write or a lagging
     replica is a failure) and in the committed state underneath.
+``node``
+    the :class:`Database` or cluster underneath — anything with
+    ``wrap_devices`` and ``simulate_crash`` — for tests that arm faults.
 """
 
 from __future__ import annotations
@@ -80,10 +83,11 @@ class Stack:
 
     prefix = ""
 
-    def __init__(self, client, ground_truth, closers) -> None:
+    def __init__(self, client, ground_truth, closers, node=None) -> None:
         self.client = client
         self._ground_truth = ground_truth
         self._closers = closers
+        self.node = node
 
     def apply(self, op: tuple, model) -> None:
         apply_client_op(self.client, op)
@@ -209,7 +213,7 @@ def open_stack(kind: str, workdir: str) -> Stack:
         cluster = ShardedCluster.create(workdir, nshards, **partitioning)
         client = cluster.client()
         stack = Stack(client, lambda: harvest_cluster(cluster),
-                      [client.close, cluster.close])
+                      [client.close, cluster.close], node=cluster)
         if kind == "sharded":
             client.p_mkdir("/a")
             client.p_mkdir("/b")
@@ -220,8 +224,9 @@ def open_stack(kind: str, workdir: str) -> Stack:
     fs = InversionFS.mkfs(db)
     if kind == "local":
         return Stack(InversionClient(fs), lambda: harvest_state(fs),
-                     [db.close])
+                     [db.close], node=db)
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
     client = RemoteInversionClient(InversionServer(fs), network,
                                    **_REMOTE[kind])
-    return Stack(client, lambda: harvest_state(fs), [client.close, db.close])
+    return Stack(client, lambda: harvest_state(fs), [client.close, db.close],
+                 node=db)

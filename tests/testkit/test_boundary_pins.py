@@ -26,7 +26,11 @@ SINGLE_SERVER = {
     "migration": (migration_workload, 65),
     "write_heavy": (write_heavy_workload, 71),
     "group_commit": (group_commit_workload, 67),
-    "concurrent": (concurrent_workload, 72),
+    # The one count that depends on simulated time: three scheduler
+    # sessions under a 0.25 s group-commit window.  PR 20's faster
+    # sweeps change which commits share a force (72 -> 71); every other
+    # count is the same page writes, reordered.
+    "concurrent": (concurrent_workload, 71),
 }
 
 
