@@ -19,7 +19,7 @@ from repro.core.client import RemoteInversionClient
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
-from repro.db.buffer import DEFAULT_BUFFERS, DEFAULT_READAHEAD
+from repro.db.buffer import DEFAULT_BUFFERS
 from repro.db.database import Database
 from repro.nfs.client import NFSClient, UDP_RPC_10MBIT
 from repro.nfs.ffs import FastFileSystem
@@ -48,7 +48,6 @@ def _fresh_dir() -> str:
 
 def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
                        chunk_index: bool = True,
-                       readahead_window: int = DEFAULT_READAHEAD,
                        group_commit_window: float = 0.0,
                        coalesce_writes: bool = True) -> BuiltConfig:
     """Single-process Inversion: the benchmark dynamically loaded into
@@ -58,7 +57,6 @@ def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
     clock = SimClock()
     db = Database.create(os.path.join(workdir, "db"), clock=clock,
                          buffer_pages=buffer_pages)
-    db.buffers.readahead_window = readahead_window
     db.buffers.coalesce_writes = coalesce_writes
     fs = InversionFS.mkfs(db)
     db.tm.group_commit_window = group_commit_window
@@ -72,11 +70,8 @@ def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
     return BuiltConfig("inversion_sp", adapter, cleanup)
 
 
-def build_inversion_cs(buffer_pages: int = DEFAULT_BUFFERS,
-                       readahead_window: int = DEFAULT_READAHEAD,
-                       read_batch_chunks: int = 1,
+def build_inversion_cs(read_batch_chunks: int = 1,
                        write_batch_chunks: int = 1,
-                       group_commit_window: float = 0.0,
                        cache_paths: int = 0,
                        cache_chunks: int = 0) -> BuiltConfig:
     """Client/server Inversion: every p_* call crosses the simulated
@@ -87,11 +82,8 @@ def build_inversion_cs(buffer_pages: int = DEFAULT_BUFFERS,
     protocol)."""
     workdir = _fresh_dir()
     clock = SimClock()
-    db = Database.create(os.path.join(workdir, "db"), clock=clock,
-                         buffer_pages=buffer_pages)
-    db.buffers.readahead_window = readahead_window
+    db = Database.create(os.path.join(workdir, "db"), clock=clock)
     fs = InversionFS.mkfs(db)
-    db.tm.group_commit_window = group_commit_window
     server = InversionServer(fs)
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
     client = RemoteInversionClient(server, network,
@@ -108,17 +100,16 @@ def build_inversion_cs(buffer_pages: int = DEFAULT_BUFFERS,
     return BuiltConfig("inversion_cs", adapter, cleanup)
 
 
-def build_nfs(prestoserve: bool = True, pipeline: bool = True,
-              cache_blocks: int = DEFAULT_BUFFERS) -> BuiltConfig:
+def build_nfs(prestoserve: bool = True) -> BuiltConfig:
     """ULTRIX NFS on the same drive model, UDP RPC, optional
     PRESTOserve board."""
     clock = SimClock()
     disk = DiskModel(clock=clock, geometry=RZ58)
-    ffs = FastFileSystem(clock, disk, cache_blocks=cache_blocks)
+    ffs = FastFileSystem(clock, disk, cache_blocks=DEFAULT_BUFFERS)
     board = PrestoServe.attach(ffs) if prestoserve else None
     server = NFSServer(ffs, board)
     network = NetworkModel(clock=clock, params=UDP_RPC_10MBIT)
-    client = NFSClient(server, network, pipeline=pipeline)
+    client = NFSClient(server, network)
     adapter = NfsAdapter(client, ffs, board)
     return BuiltConfig("nfs" if prestoserve else "nfs_nopresto", adapter,
                        lambda: None)
@@ -137,42 +128,14 @@ BUILDERS = {
 TABLE3_CONFIGS = ("inversion_cs", "nfs", "inversion_sp")
 
 
-def run_config(name: str, sizes: BenchmarkSizes | None = None,
-               ops: tuple[str, ...] | None = None, **builder_kwargs
+def run_config(name: str, sizes: BenchmarkSizes | None = None
                ) -> dict[str, float]:
-    """Run the workload (or a subset of ops) on one configuration."""
-    built = BUILDERS[name](**builder_kwargs)
+    """Run the workload on one configuration."""
+    built = BUILDERS[name]()
     try:
-        bench = Benchmark(built.adapter, sizes or BenchmarkSizes())
-        if ops is None:
-            return bench.run_all()
-        bench.op_create()  # every test needs the file
-        results = {"create": bench.results["create"]}
-        for op in ops:
-            if op == "create":
-                continue
-            getattr(bench, f"op_{_op_method(op)}")()
-            results[op] = bench.results[op]
-        return results
+        return Benchmark(built.adapter, sizes or BenchmarkSizes()).run_all()
     finally:
         built.close()
-
-
-_OP_METHODS = {
-    "create": "create",
-    "read_byte": "read_single_byte",
-    "write_byte": "write_single_byte",
-    "read_single": "read_single",
-    "read_seq_pages": "read_seq_pages",
-    "read_random_pages": "read_random_pages",
-    "write_single": "write_single",
-    "write_seq_pages": "write_seq_pages",
-    "write_random_pages": "write_random_pages",
-}
-
-
-def _op_method(op: str) -> str:
-    return _OP_METHODS[op]
 
 
 def run_all_configs(sizes: BenchmarkSizes | None = None,

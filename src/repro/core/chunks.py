@@ -73,17 +73,6 @@ def encode_ref(src_fileid: int, src_chunkno: int, src_xmin: int) -> bytes:
     return REF_PAYLOAD.pack(src_fileid, src_chunkno, src_xmin)
 
 
-def decode_ref(payload: bytes) -> tuple[int, int, int]:
-    """Unpack a by-reference payload → (fileid, chunkno, xmin)."""
-    return REF_PAYLOAD.unpack(payload)
-
-
-def is_reference_row(row) -> bool:
-    """True when a chunk-table row is a by-reference pointer rather
-    than a literal chunk."""
-    return row[1] < 0
-
-
 def chunk_table_name(fileid: int) -> str:
     """File identifier → data table name (``inv23114`` for 23114)."""
     return f"inv{fileid}"

@@ -27,7 +27,6 @@ from repro.db.tuples import (
     pack_xmax_patch,
     unpack_header,
 )
-from repro.errors import TableError
 from repro.obs.registry import MetricSpec
 from repro.obs.tracing import NO_SPAN
 from repro.sim.cpu import CpuModel
@@ -239,7 +238,3 @@ class HeapFile:
     def record_count_physical(self) -> int:
         """Total stored record versions (visible or not)."""
         return sum(self._page(p).nslots for p in range(self.npages()))
-
-    def verify_same_schema(self, other: Schema) -> None:
-        if self.schema != other:
-            raise TableError(f"schema mismatch on {self.relname}")

@@ -21,11 +21,9 @@ victim.
 *How* a transaction waits is pluggable (:attr:`LockManager.
 wait_strategy`): the default parks the calling thread on a condition
 variable and measures wall seconds (lock waits are thread scheduling,
-not simulated I/O); :class:`SimClockWaitStrategy` instead advances the
-simulated clock in quanta, so waits and timeouts happen in simulated
-time; and the multi-session scheduler (:mod:`repro.sched`) installs a
-strategy that parks the waiting session and runs other sessions'
-requests until the lock frees — which is what finally lets lock waits
+not simulated I/O); the multi-session scheduler (:mod:`repro.sched`)
+installs a strategy that parks the waiting session and runs other
+sessions' requests until the lock frees — which is what lets lock waits
 advance simulated time and land in per-xid accounting.
 """
 
@@ -101,10 +99,6 @@ class LockHandle:
     mode: str
 
 
-def _compatible(held: str, requested: str) -> bool:
-    return held == SHARED and requested == SHARED
-
-
 class ThreadWaitStrategy:
     """The default wait path: park the calling thread on the lock
     manager's condition variable, timeout in wall-clock seconds."""
@@ -126,33 +120,6 @@ class ThreadWaitStrategy:
     def finish(self, lm: "LockManager", ctx: dict, xid: int) -> float:
         """Wait is over (granted or failed); returns elapsed seconds."""
         return _time.monotonic() - ctx["start"]
-
-
-class SimClockWaitStrategy:
-    """Sim-clock wait path for single-threaded deterministic runs: each
-    wait round advances the simulated clock by ``quantum``, and the
-    timeout is measured in simulated seconds.  With no other thread to
-    release the lock this alone can only time out deterministically;
-    the multi-session scheduler subclasses the idea and runs *other
-    sessions* during each round instead of merely burning quanta."""
-
-    def __init__(self, clock, quantum: float = 1e-4) -> None:
-        self.clock = clock
-        self.quantum = quantum
-
-    def start(self, lm: "LockManager", xid: int, resource: Hashable,
-              mode: str) -> dict:
-        now = self.clock.now()
-        return {"start": now, "deadline": now + lm.timeout_s}
-
-    def wait_round(self, lm: "LockManager", ctx: dict) -> bool:
-        if self.clock.now() >= ctx["deadline"]:
-            return False
-        self.clock.advance(self.quantum)
-        return self.clock.now() < ctx["deadline"]
-
-    def finish(self, lm: "LockManager", ctx: dict, xid: int) -> float:
-        return self.clock.now() - ctx["start"]
 
 
 class LockManager:

@@ -103,11 +103,6 @@ class Page:
 
     # -- header access ------------------------------------------------
 
-    def _read_header(self) -> tuple[int, int, int, int, int]:
-        """Decode the header straight from the buffer (the cached
-        attributes mirror it; tests use this to check the mirror)."""
-        return _HEADER.unpack_from(self.buf, 0)
-
     def _load_header(self) -> tuple[int, int, int, int, int]:
         header = _HEADER.unpack_from(self.buf, 0)
         (self._nslots, self._lower, self._upper, self._flags,
@@ -183,11 +178,6 @@ class Page:
         if sd is None:
             sd = self._slots_all()
         return sd[idx]
-
-    def _set_slot(self, idx: int, offset: int, length: int) -> None:
-        _SLOT.pack_into(self.buf, HEADER_SIZE + idx * SLOT_SIZE, offset, length)
-        if self._slotdir is not None:
-            self._slotdir[idx] = (offset, length)
 
     # -- record operations ----------------------------------------------
 

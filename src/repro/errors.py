@@ -67,13 +67,6 @@ class CatalogError(DbError):
     """System-catalog inconsistency or unknown catalog object."""
 
 
-class TypeError_(DbError):
-    """Database type-system error (unknown type, bad coercion).
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """
-
-
 class FunctionError(DbError):
     """User-defined function registration or invocation failure."""
 
@@ -240,10 +233,6 @@ class SessionFailedError(SchedError):
 # ---------------------------------------------------------------------------
 # Simulation / baseline errors
 # ---------------------------------------------------------------------------
-
-
-class SimError(ReproError):
-    """Base class for simulated-hardware errors."""
 
 
 class NfsError(ReproError):

@@ -209,9 +209,6 @@ class MetricsRegistry:
         self._metrics[spec.name] = metric
         return metric
 
-    def register_all(self, specs) -> list[Metric]:
-        return [self.register(spec) for spec in specs]
-
     def get(self, name: str) -> Metric:
         return self._metrics[name]
 

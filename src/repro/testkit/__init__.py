@@ -25,9 +25,10 @@ are bit-for-bit reproducible.
 """
 
 from repro.testkit.explorer import (
+    CrashExplorer,
     CrashPointResult,
-    CrashScheduleExplorer,
     ExplorationReport,
+    OneServer,
     WorkloadRunner,
 )
 from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
@@ -45,13 +46,14 @@ from repro.testkit.workload import (
 
 __all__ = [
     "CrashController",
+    "CrashExplorer",
     "CrashPointResult",
-    "CrashScheduleExplorer",
     "ExplorationReport",
     "FaultPlan",
     "FaultyDevice",
     "MigrateStep",
     "ModelFS",
+    "OneServer",
     "TxStep",
     "VacuumStep",
     "Workload",

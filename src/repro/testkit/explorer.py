@@ -23,7 +23,8 @@ a fresh instance over crashed media is the whole interface.
 :class:`OneServer` and :class:`ShardedServers` live here,
 :class:`~repro.testkit.failover.PrimaryWithReplicas` beside the
 replication code it drives.  A new deployment is a new ``Topology``
-subclass and a constructor that binds it — no pass logic.
+subclass, passed to the explorer (its options bound with
+``functools.partial``) — no pass logic.
 
 Everything is seeded and simulated-clock-driven; the same (workload,
 seed, k) always reproduces the same crash byte-for-byte.
@@ -224,11 +225,16 @@ class Topology:
     #: True when the in-flight step may land on the committed side
     #: even without a torn append (its fate was in doubt).
     in_doubt = False
+    #: what a report's summary line says about the deployment.
+    labels: dict = {}
 
     def __init__(self, run_dir: str, workload: Workload,
                  cached: bool = False) -> None:
         self.run_dir = run_dir
         self.workload = workload
+        #: drive the workload through caching clients — leases keep
+        #: them coherent and the bookkeeping does no device I/O, so
+        #: crash points and oracle outcomes are identical either way.
         self.cached = cached
         #: the live :class:`Database` / cluster; None while crashed.
         self.node = None
@@ -263,8 +269,9 @@ class Topology:
         raise NotImplementedError
 
     def extra_verdicts(self, state: dict) -> tuple[dict, str]:
-        """Deployment-specific checks on the recovered ``state``:
-        extra result fields, and a detail line when one failed."""
+        """Deployment-specific checks on the recovered ``state``: the
+        result's ``extra`` (a ``False`` in it fails the point), and a
+        detail line when one failed."""
         return {}, ""
 
     def close(self) -> None:
@@ -325,6 +332,10 @@ class ShardedServers(Topology):
     def __init__(self, run_dir: str, workload: Workload,
                  cached: bool = False) -> None:
         from repro.shard.cluster import ShardedCluster
+        if not workload.shards:
+            raise ValueError(
+                f"workload {workload.name!r} is not sharded "
+                f"(shards={workload.shards})")
         super().__init__(run_dir, workload, cached)
         self.node = ShardedCluster.create(
             run_dir, workload.shards, policy="subtree",
@@ -369,16 +380,20 @@ class CrashPointResult:
     ambiguous: bool          # recovered to a state past the durable base
     recovery: dict = field(default_factory=dict)
     detail: str = ""
+    #: the topology's own verdicts and counts (``extra_verdicts``).
+    extra: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.state_ok and self.checker_clean
+        return (self.state_ok and self.checker_clean
+                and all(value is not False for value in self.extra.values()))
 
 
 @dataclass
 class ExplorationReport:
     workload: str
     total_writes: int
+    labels: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
 
     @property
@@ -390,16 +405,16 @@ class ExplorationReport:
         return [r for r in self.results if not r.ok]
 
     def summary(self) -> str:
-        return (f"workload={self.workload} boundaries={self.total_writes} "
+        labels = "".join(f"{k}={v} " for k, v in self.labels.items())
+        return (f"workload={self.workload} {labels}"
+                f"boundaries={self.total_writes} "
                 f"tested={len(self.points_tested)} "
                 f"violations={len(self.violations)}")
 
 
 class CrashExplorer:
     """Enumerates a workload's write boundaries and crash-tests each,
-    on the deployment ``topology(run_dir)`` builds."""
-
-    result_class = CrashPointResult
+    on the deployment ``topology(run_dir, workload)`` builds."""
 
     def __init__(self, base_dir: str, workload: Workload, topology,
                  torn_append: bool = False, seed: int = 0) -> None:
@@ -413,7 +428,8 @@ class CrashExplorer:
         """A pristine deployment, armed to crash in place of write
         ``crash_after`` (None: count writes, never crash), and its
         runner."""
-        deployment = self.topology(os.path.join(self.base_dir, run_name))
+        deployment = self.topology(os.path.join(self.base_dir, run_name),
+                                   self.workload)
         plan = FaultPlan(crash_after=crash_after,
                          torn_append=self.torn_append, seed=self.seed)
         controller = CrashController(plan)
@@ -434,6 +450,7 @@ class CrashExplorer:
                     f"{who} diverges from the oracle even without a "
                     f"crash: {_diff(state, expected)}")
         deployment.close()
+        self.labels = deployment.labels
         #: what each boundary wrote, by index: (kind, device, detail).
         self.write_log = controller.write_log
         return controller.writes
@@ -447,8 +464,8 @@ class CrashExplorer:
         controller.disarm()
         try:
             if not controller.crashed:
-                return self.result_class(point, completed=True, state_ok=True,
-                                         checker_clean=True, ambiguous=False)
+                return CrashPointResult(point, completed=True, state_ok=True,
+                                        checker_clean=True, ambiguous=False)
             deployment.crash()
             return self._judge(point, deployment, runner)
         finally:
@@ -458,7 +475,7 @@ class CrashExplorer:
         """Recover the crashed deployment and hold it to the oracle,
         the checker and the topology's own verdicts."""
         # a failed verdict unless the checks below say otherwise.
-        verdict = functools.partial(self.result_class, point, completed=False,
+        verdict = functools.partial(CrashPointResult, point, completed=False,
                                     state_ok=False, checker_clean=False,
                                     ambiguous=False)
         try:
@@ -499,7 +516,7 @@ class CrashExplorer:
                                 for c in check.corruptions]
         except ReproError as exc:
             return verdict(state_ok=state_ok, ambiguous=ambiguous,
-                           detail=f"checker raised: {exc!r}", **extra)
+                           detail=f"checker raised: {exc!r}", extra=extra)
         detail = extra_detail
         if not state_ok:
             detail = _diff(state, allowed[0])
@@ -508,56 +525,17 @@ class CrashExplorer:
                       f"first: {corruptions[0]}")
         return verdict(state_ok=state_ok, checker_clean=not corruptions,
                        ambiguous=ambiguous, detail=detail,
-                       recovery=deployment.recovery_report(), **extra)
-
-    def _new_report(self, total: int) -> ExplorationReport:
-        return ExplorationReport(self.workload.name, total)
+                       recovery=deployment.recovery_report(), extra=extra)
 
     def explore(self, max_points: int | None = None) -> ExplorationReport:
         """Crash-test the workload at every write boundary (or, with
         ``max_points``, an evenly spaced deterministic sample that
         always includes the first and last boundaries)."""
         total = self.count_write_boundaries()
-        report = self._new_report(total)
+        report = ExplorationReport(self.workload.name, total, self.labels)
         for point in select_points(total, max_points):
             report.results.append(self.run_crash_point(point))
         return report
-
-
-class CrashScheduleExplorer(CrashExplorer):
-    """The explorer bound to :class:`OneServer`."""
-
-    def __init__(self, base_dir: str, workload: Workload,
-                 torn_append: bool = False, seed: int = 0,
-                 cached: bool = False) -> None:
-        #: run concurrent workloads with client caches enabled —
-        #: crash points and oracle outcomes must be identical either
-        #: way (lease bookkeeping does no device I/O).
-        self.cached = cached
-        super().__init__(
-            base_dir, workload,
-            lambda run_dir: OneServer(run_dir, workload, cached),
-            torn_append, seed)
-
-
-class ShardedCrashExplorer(CrashExplorer):
-    """The explorer bound to :class:`ShardedServers`."""
-
-    def __init__(self, base_dir: str, workload: Workload,
-                 torn_append: bool = False, seed: int = 0,
-                 cached: bool = False) -> None:
-        if not workload.shards:
-            raise ValueError(
-                f"workload {workload.name!r} is not sharded "
-                f"(shards={workload.shards})")
-        #: drive the workload through a caching cluster client — leases
-        #: keep it coherent and the bookkeeping does no device I/O, so
-        #: the global write ordering is identical either way.
-        self.cached = cached
-        super().__init__(
-            base_dir, workload,
-            lambda run_dir: ShardedServers(run_dir, workload, cached),
-            torn_append, seed)
 
 
 def select_points(total: int, max_points: int | None) -> list[int]:

@@ -13,7 +13,8 @@ the crashed primary would, and the whole single-server oracle argument
 carries over unchanged.
 
 The pass logic is :class:`~repro.testkit.explorer.CrashExplorer`'s; this
-module adds the :class:`PrimaryWithReplicas` topology.  For each sampled
+module adds the :class:`PrimaryWithReplicas` topology
+(``CrashExplorer(dir, workload, PrimaryWithReplicas)``).  For each sampled
 write boundary ``k`` the explorer rebuilds a pristine primary, seeds
 ``nreplicas`` replicas, arms the fault proxies, runs the workload with
 periodic sync rounds interleaved, crashes the primary in place of write
@@ -36,16 +37,12 @@ periodic sync rounds interleaved, crashes the primary in place of write
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
 from repro.db.vacuum import RENAME_JOURNAL_TAG
 from repro.replica.feed import PrimaryFeed, ReplStats
 from repro.replica.server import ReplicaServer
-from repro.testkit.explorer import (CrashExplorer, CrashPointResult,
-                                    ExplorationReport, OneServer,
-                                    WorkloadRunner, _diff)
+from repro.testkit.explorer import OneServer, WorkloadRunner, _diff
 from repro.testkit.oracle import harvest_state
 from repro.testkit.workload import TxStep, Workload
 
@@ -78,10 +75,11 @@ class PrimaryWithReplicas(OneServer):
     interposes over the current top), so a suppressed write never
     reaches the feed — the feed is exactly the media."""
 
-    def __init__(self, run_dir: str, workload: Workload, nreplicas: int,
-                 sync_every: int) -> None:
+    def __init__(self, run_dir: str, workload: Workload, nreplicas: int = 2,
+                 sync_every: int = 3) -> None:
         super().__init__(os.path.join(run_dir, "primary"), workload)
         self.sync_every = sync_every
+        self.labels = {"replicas": nreplicas}
         feed = PrimaryFeed.attach(self.node, stats=ReplStats())
         self.replicas = [
             ReplicaServer.seed(feed, os.path.join(run_dir, f"replica{i}"),
@@ -111,6 +109,11 @@ class PrimaryWithReplicas(OneServer):
         return self.victim.db.tm.recovery_report()
 
     def extra_verdicts(self, state: dict) -> tuple[dict, str]:
+        """``matches_local_recovery``: promoted state == locally
+        recovered primary state; ``followers_converged``: every
+        surviving follower resumed from its cursor and converged;
+        ``drained_entries``: feed entries the victim drained during
+        promotion."""
         detail = ""
         # Zero lost committed transactions: local recovery of the dead
         # primary's media is the ground truth — it preserves every
@@ -166,56 +169,3 @@ def _media(db) -> tuple:
     return ({name: sorted(switch.get(name).list_relations())
              for name in switch.names()},
             root.read_meta(RENAME_JOURNAL_TAG) or b"")
-
-
-@dataclass
-class FailoverPointResult(CrashPointResult):
-    """Per-boundary verdict, extended with the failover-only checks."""
-
-    #: promoted state == locally recovered primary state (the zero-
-    #: lost-committed-transactions check).
-    matches_local_recovery: bool = True
-    #: every surviving follower resumed from its cursor and converged.
-    followers_converged: bool = True
-    #: feed entries the victim drained during promotion.
-    drained_entries: int = 0
-
-    @property
-    def ok(self) -> bool:  # type: ignore[override]
-        return (self.state_ok and self.checker_clean
-                and self.matches_local_recovery
-                and self.followers_converged)
-
-
-@dataclass
-class FailoverReport(ExplorationReport):
-    nreplicas: int = 0
-    results: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"workload={self.workload} replicas={self.nreplicas} "
-                f"boundaries={self.total_writes} "
-                f"tested={len(self.points_tested)} "
-                f"violations={len(self.violations)}")
-
-
-class FailoverCrashExplorer(CrashExplorer):
-    """The explorer bound to :class:`PrimaryWithReplicas`: crash the
-    primary at every sampled write boundary; promote."""
-
-    result_class = FailoverPointResult
-
-    def __init__(self, base_dir: str, workload: Workload,
-                 nreplicas: int = 2, sync_every: int = 3,
-                 torn_append: bool = False, seed: int = 0) -> None:
-        self.nreplicas = nreplicas
-        self.sync_every = sync_every
-        super().__init__(
-            base_dir, workload,
-            lambda run_dir: PrimaryWithReplicas(run_dir, workload, nreplicas,
-                                                sync_every),
-            torn_append, seed)
-
-    def _new_report(self, total: int) -> FailoverReport:
-        return FailoverReport(self.workload.name, total,
-                              nreplicas=self.nreplicas)

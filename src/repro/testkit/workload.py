@@ -69,9 +69,9 @@ class Workload:
     sessions: tuple = ()
     #: seed for the scheduler's interleaving lottery.
     sched_seed: int = 0
-    #: shard count; non-zero makes this a *sharded* workload, run by
-    #: :class:`~repro.testkit.explorer.ShardedCrashExplorer` against a
-    #: cluster instead of one server.
+    #: shard count; non-zero makes this a *sharded* workload, run on
+    #: :class:`~repro.testkit.explorer.ShardedServers` — a cluster
+    #: instead of one server.
     shards: int = 0
     #: subtree placement for sharded workloads, as (component, shard)
     #: pairs — explicit so the cross-shard steps are cross-shard by
@@ -245,7 +245,7 @@ ALL_WORKLOADS = {
     "concurrent": concurrent_workload,
 }
 
-#: sharded workloads are explored by ShardedCrashExplorer; they are
+#: sharded workloads are explored on ShardedServers; they are
 #: kept out of ALL_WORKLOADS so single-server tooling never sees them.
 SHARDED_WORKLOADS = {
     "cross_shard": cross_shard_workload,

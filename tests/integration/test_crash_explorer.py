@@ -10,7 +10,7 @@ boundary in both clean and torn-append modes.
 
 import pytest
 
-from repro.testkit import CrashScheduleExplorer
+from repro.testkit import CrashExplorer, OneServer
 from repro.testkit.explorer import select_points
 from repro.testkit.workload import ALL_WORKLOADS, commit_workload, vacuum_workload
 
@@ -32,7 +32,7 @@ def test_select_points_sampling():
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_bounded_exploration_finds_no_violations(tmp_path, name):
-    explorer = CrashScheduleExplorer(str(tmp_path), ALL_WORKLOADS[name]())
+    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), OneServer)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.total_writes >= CI_POINTS, (
         f"workload {name!r} got shorter; not enough crash points to sample")
@@ -42,8 +42,8 @@ def test_bounded_exploration_finds_no_violations(tmp_path, name):
 
 
 def test_recovery_reports_are_collected(tmp_path):
-    report = CrashScheduleExplorer(
-        str(tmp_path), commit_workload()).explore(max_points=10)
+    report = CrashExplorer(str(tmp_path), commit_workload(),
+                           OneServer).explore(max_points=10)
     assert report.violations == []
     crashed = [r for r in report.results if not r.completed]
     assert crashed, "no crash point actually fired"
@@ -55,8 +55,8 @@ def test_recovery_reports_are_collected(tmp_path):
 def test_torn_append_exploration_allows_both_outcomes(tmp_path):
     """With torn status appends the in-flight transaction may land on
     either side of the crash; anything else is still a violation."""
-    explorer = CrashScheduleExplorer(
-        str(tmp_path), commit_workload(), torn_append=True)
+    explorer = CrashExplorer(str(tmp_path), commit_workload(), OneServer,
+                             torn_append=True)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)
@@ -71,7 +71,8 @@ def test_explorer_detects_unsafe_vacuum_swap(tmp_path, monkeypatch):
     import repro.db.vacuum as vacuum_mod
     monkeypatch.setattr(vacuum_mod, "replay_rename_journal",
                         lambda switch, root: 0)
-    report = CrashScheduleExplorer(str(tmp_path), vacuum_workload()).explore()
+    report = CrashExplorer(str(tmp_path), vacuum_workload(),
+                           OneServer).explore()
     assert report.violations, (
         "sabotaged recovery went undetected — the explorer has no teeth")
 
@@ -81,8 +82,8 @@ def test_explorer_detects_unsafe_vacuum_swap(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_full_enumeration(tmp_path, name, torn):
     """Every single write boundary of every workload, both append modes."""
-    explorer = CrashScheduleExplorer(
-        str(tmp_path), ALL_WORKLOADS[name](), torn_append=torn)
+    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), OneServer,
+                             torn_append=torn)
     report = explorer.explore()
     assert len(report.points_tested) == report.total_writes
     assert report.violations == [], "\n".join(

@@ -13,7 +13,7 @@ import pytest
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
 from repro.sim.clock import SimClock
-from repro.testkit import CrashScheduleExplorer
+from repro.testkit import CrashExplorer, OneServer
 from repro.testkit.workload import (Workload, group_commit_workload,
                                     payload, write_heavy_workload)
 
@@ -35,13 +35,13 @@ def traced(workload: Workload) -> TracedWorkload:
                                      group_commit_workload],
                          ids=["write_heavy", "group_commit"])
 def test_explorer_schedule_identical_with_tracing(tmp_path, factory):
-    plain = CrashScheduleExplorer(
-        str(tmp_path / "plain"), factory()).explore(max_points=15)
+    plain = CrashExplorer(str(tmp_path / "plain"), factory(),
+                          OneServer).explore(max_points=15)
     assert plain.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in plain.violations)
 
-    with_tracing = CrashScheduleExplorer(
-        str(tmp_path / "traced"), traced(factory())).explore(max_points=15)
+    with_tracing = CrashExplorer(str(tmp_path / "traced"), traced(factory()),
+                                 OneServer).explore(max_points=15)
     assert with_tracing.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in with_tracing.violations)
 

@@ -7,15 +7,16 @@ is ``-m torture``."""
 
 import pytest
 
-from repro.testkit.explorer import (ShardedCrashExplorer,
+from repro.testkit.explorer import (CrashExplorer, ShardedServers,
                                     ShardedWorkloadRunner, harvest_cluster)
 from repro.testkit.workload import SHARDED_WORKLOADS, cross_shard_workload
 
 
 def test_sharded_explorer_rejects_unsharded_workloads(tmp_path):
     from repro.testkit.workload import commit_workload
-    with pytest.raises(ValueError):
-        ShardedCrashExplorer(str(tmp_path), commit_workload())
+    explorer = CrashExplorer(str(tmp_path), commit_workload(), ShardedServers)
+    with pytest.raises(ValueError, match="not sharded"):
+        explorer.count_write_boundaries()
 
 
 def test_cross_shard_workload_registered():
@@ -25,15 +26,16 @@ def test_cross_shard_workload_registered():
 
 
 def test_profile_pass_matches_oracle(tmp_path):
-    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload())
+    explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
+                             ShardedServers)
     total = explorer.count_write_boundaries()
     # data forces + 4 prepares + 2 decisions + phase-2 records + ...
     assert total > 40
 
 
 def test_bounded_cross_shard_sweep_no_violations(tmp_path):
-    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload(),
-                                    torn_append=True, seed=3)
+    explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
+                             ShardedServers, torn_append=True, seed=3)
     report = explorer.explore(max_points=14)
     assert report.total_writes > 0
     assert len(report.points_tested) > 0
@@ -47,8 +49,8 @@ def test_full_cross_shard_sweep_every_boundary(tmp_path):
     point; zero violations, and recovery must have exercised *both*
     in-doubt verdicts (some crashes land between prepare and decision,
     some between decision and phase two)."""
-    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload(),
-                                    torn_append=True, seed=3)
+    explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
+                             ShardedServers, torn_append=True, seed=3)
     report = explorer.explore()
     assert report.total_writes > 100
     assert len(report.points_tested) == report.total_writes
@@ -68,8 +70,8 @@ def test_full_cross_shard_sweep_every_boundary(tmp_path):
 def test_full_cross_shard_sweep_clean_appends(tmp_path):
     """The same enumeration without torn appends (whole-write crashes
     only) — the protocol must hold in both failure models."""
-    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload(),
-                                    torn_append=False, seed=0)
+    explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
+                             ShardedServers, torn_append=False, seed=0)
     report = explorer.explore()
     assert report.violations == [], \
         "; ".join(f"@{r.point}: {r.detail}" for r in report.violations)

@@ -11,10 +11,12 @@ tier-1, rather than in a ``-m torture`` sweep nobody ran.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.testkit.explorer import CrashScheduleExplorer, ShardedCrashExplorer
-from repro.testkit.failover import FailoverCrashExplorer
+from repro.testkit.explorer import CrashExplorer, OneServer, ShardedServers
+from repro.testkit.failover import PrimaryWithReplicas
 from repro.testkit.workload import (commit_workload, concurrent_workload,
                                     cross_shard_workload,
                                     group_commit_workload, migration_workload,
@@ -38,13 +40,14 @@ SINGLE_SERVER = {
 @pytest.mark.parametrize("name", SINGLE_SERVER)
 def test_single_server_boundaries(tmp_path, name, torn):
     factory, expected = SINGLE_SERVER[name]
-    explorer = CrashScheduleExplorer(str(tmp_path), factory(),
-                                     torn_append=torn)
+    explorer = CrashExplorer(str(tmp_path), factory(), OneServer,
+                             torn_append=torn)
     assert explorer.count_write_boundaries() == expected
 
 
 def test_cross_shard_boundaries(tmp_path):
-    explorer = ShardedCrashExplorer(str(tmp_path), cross_shard_workload())
+    explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
+                             ShardedServers)
     assert explorer.count_write_boundaries() == 113
 
 
@@ -55,6 +58,6 @@ def test_cross_shard_boundaries(tmp_path):
 def test_failover_boundaries(tmp_path, factory, expected, nreplicas):
     """Replicas only read the feed: the primary's write count is the
     single-server count, whatever the replica count."""
-    explorer = FailoverCrashExplorer(str(tmp_path), factory(),
-                                     nreplicas=nreplicas)
+    explorer = CrashExplorer(str(tmp_path), factory(),
+                             partial(PrimaryWithReplicas, nreplicas=nreplicas))
     assert explorer.count_write_boundaries() == expected

@@ -11,7 +11,7 @@ import pytest
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.db.database import Database
-from repro.testkit.explorer import CrashScheduleExplorer
+from repro.testkit.explorer import CrashExplorer, OneServer
 from repro.vfs import VFS
 from repro.vfs.extents import raise_if_shared_extents_broken
 from repro.vfs.scenarios import (VFS_WORKLOADS, build_and_publish,
@@ -23,7 +23,7 @@ CI_POINTS = 8
 
 @pytest.mark.parametrize("name", sorted(VFS_WORKLOADS))
 def test_bounded_exploration_zero_violations(tmp_path, name):
-    explorer = CrashScheduleExplorer(str(tmp_path), VFS_WORKLOADS[name]())
+    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), OneServer)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.total_writes >= CI_POINTS, (
         f"workload {name!r} too short to sample {CI_POINTS} crash points")
@@ -35,9 +35,9 @@ def test_reflink_churn_torn_append_bounded(tmp_path):
     """The structural-op workload with torn status appends — the
     in-flight group may land on either side of the crash, nothing
     in between."""
-    explorer = CrashScheduleExplorer(
-        str(tmp_path), VFS_WORKLOADS["vfs_reflink_churn"](),
-        torn_append=True)
+    explorer = CrashExplorer(str(tmp_path),
+                             VFS_WORKLOADS["vfs_reflink_churn"](), OneServer,
+                             torn_append=True)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)
@@ -66,8 +66,8 @@ def test_drivers_roundtrip(tmp_path):
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 @pytest.mark.parametrize("name", sorted(VFS_WORKLOADS))
 def test_full_enumeration(tmp_path, name, torn):
-    explorer = CrashScheduleExplorer(str(tmp_path), VFS_WORKLOADS[name](),
-                                     torn_append=torn)
+    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), OneServer,
+                             torn_append=torn)
     report = explorer.explore()
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)

@@ -8,13 +8,17 @@ links (http/https/mailto) are ignored.  Anchor fragments are validated
 too: ``#section`` must name a heading in the same file and
 ``path.md#section`` a heading in the target file, using GitHub's
 slugification (lowercase, spaces to dashes, punctuation dropped,
-``-1``/``-2`` suffixes for duplicates).
+``-1``/``-2`` suffixes for duplicates).  In README.md and DESIGN.md —
+the documents that say where each claim is checked — a backticked
+``tests/…py``, ``benchmarks/…py``, ``src/…py`` or ``tools/…py`` path
+(``*`` globs, a ``::test`` suffix is ignored) must exist too.
 
 Run:  python tools/check_doc_links.py [files...]
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import re
 import subprocess
@@ -31,6 +35,13 @@ FENCE = re.compile(r"^(```|~~~)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+
+#: `tests/x/test_y.py` or `tests/x/test_y.py::test_z`, in backticks.
+CODE_PATH = re.compile(r"`((?:tests|benchmarks|src|tools)/[^`\s:]*\.py)"
+                       r"(?:::[^`]*)?`")
+
+#: the documents whose backticked code paths are held to the checkout.
+CODE_PATH_DOCS = ("README.md", "DESIGN.md")
 
 
 def tracked_markdown() -> list[str]:
@@ -56,39 +67,44 @@ def anchors_in(path: str) -> set[str]:
     ``-1``, ``-2``, … suffixes, like GitHub renders them)."""
     anchors: set[str] = set()
     counts: dict[str, int] = {}
+    for _lineno, line in prose_lines(path):
+        match = HEADING.match(line)
+        if not match:
+            continue
+        slug = _slugify(match.group(2))
+        n = counts.get(slug, 0)
+        counts[slug] = n + 1
+        anchors.add(slug if n == 0 else f"{slug}-{n}")
+    return anchors
+
+
+def prose_lines(path: str):
+    """Yield (lineno, line) for every line outside a code fence."""
     in_fence = False
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if FENCE.match(line.strip()):
                 in_fence = not in_fence
-                continue
-            if in_fence:
-                continue
-            match = HEADING.match(line)
-            if not match:
-                continue
-            slug = _slugify(match.group(2))
-            n = counts.get(slug, 0)
-            counts[slug] = n + 1
-            anchors.add(slug if n == 0 else f"{slug}-{n}")
-    return anchors
+            elif not in_fence:
+                yield lineno, line
 
 
 def targets_in(path: str):
     """Yield (lineno, raw_target) for every intra-repo link."""
-    in_fence = False
-    with open(os.path.join(REPO, path), encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if FENCE.match(line.strip()):
-                in_fence = not in_fence
-                continue
-            if in_fence:
-                continue
-            for match in LINK.finditer(line):
-                target = match.group(1)
-                if target.startswith(EXTERNAL):
-                    continue
+    for lineno, line in prose_lines(os.path.join(REPO, path)):
+        for match in LINK.finditer(line):
+            target = match.group(1)
+            if not target.startswith(EXTERNAL):
                 yield lineno, target
+
+
+def dead_code_paths(path: str):
+    """Yield (lineno, code_path) for every backticked source path in
+    ``path`` that names no file in the checkout."""
+    for lineno, line in prose_lines(os.path.join(REPO, path)):
+        for match in CODE_PATH.finditer(line):
+            if not glob.glob(os.path.join(REPO, match.group(1))):
+                yield lineno, match.group(1)
 
 
 def main(argv: list[str]) -> int:
@@ -113,6 +129,9 @@ def main(argv: list[str]) -> int:
             if fragment and resolved.endswith(".md"):
                 if fragment.lower() not in anchors_of(resolved):
                     dead.append(f"{md}:{lineno}: dead anchor -> {target}")
+        if md in CODE_PATH_DOCS:
+            dead += [f"{md}:{lineno}: no such file -> {code_path}"
+                     for lineno, code_path in dead_code_paths(md)]
     if dead:
         print("\n".join(dead))
         print(f"\n{len(dead)} dead intra-repo link(s)", file=sys.stderr)
