@@ -9,15 +9,14 @@ on one simulated clock:
 
 - **disjoint-file scaling** — N clients each committing small writes
   to their own pre-created file.  The locks never conflict; what
-  scales is the *commit machinery*: the scheduler's commit clustering
-  (writes run first, then the gated commits drain back-to-back) means
-  the burst's first ``flush_all`` sweeps every session's dirty pages
-  in one sorted pass — the later committers find their pages already
-  clean, the shared file-attribute heap and index pages are written
-  once per burst instead of once per transaction, the batched commit
-  records share one status force, and the disk head stops
-  ping-ponging between the data region and the status area once per
-  transaction;
+  scales is the *commit machinery*: a commit queues its record on the
+  open commit group and releases its locks, and the group closes with
+  one ``flush_all`` that sweeps every session's dirty pages in one
+  sorted pass — the shared file-attribute heap and index pages are
+  written once per group instead of once per transaction — and one
+  status force for all its records.  The scheduler's commit
+  clustering (writes run first, then the gated commits drain
+  back-to-back) puts a whole round of commits into one group;
 - **hot-file contention** — the same shape plus every transaction
   also rewriting one shared file, serializing on its exclusive
   chunk-table lock.  This exercises the scheduler's park/unpark path
@@ -29,7 +28,7 @@ Every number is read from the simulated clock and the metrics
 registry, and the scheduler is seeded, so the JSON is byte-identical
 across runs — the event-trace hashes are part of it, so the byte
 compare with the committed file is the determinism gate, and
-:func:`verdict` holds the scaling floor.
+:func:`verdict` holds the throughput floors.
 
 Regenerate with ``python -m repro.bench run multiuser``.
 """
@@ -60,19 +59,19 @@ WRITE_BYTES = 8000
 #: bytes written per transaction to the shared hot file.
 HOT_BYTES = 2000
 
-#: group-commit window (simulated seconds).  Chosen between the
-#: commit-cluster spacing and a single client's inter-commit time: one
-#: client's next commit arrives after the window has expired (≈ one
-#: force per commit, the paper's behaviour), while interleaved clients
-#: commit close enough together that their records batch into shared
-#: forces.  Measured edges (PR 20, when small relations stopped taking
-#: a cylinder each and every commit got faster): the eight-client
-#: bursts split into two forces at 0.005 and below, one client's
-#: commits start sharing forces at 0.042 and above; 0.02 sits in the
-#: middle of that range on a log scale.
+#: group-commit window (simulated seconds): how long a commit group
+#: stays open.  A round of overwrites is a few simulated milliseconds
+#: of CPU, so 0.02 lets several rounds share one sweep and one force
+#: (one client's eight commits ride a single group); it was chosen in
+#: PR 20, when a commit still swept before queueing its record, and is
+#: kept so the rows stay comparable with the committed history.
 GROUP_WINDOW = 0.02
 
 SCHED_SEED = 0
+
+#: disjoint txn/s by client count in the file PR 21 committed — when
+#: every commit still paid its own sweep with its locks held.
+PR21_RATES = {1: 15.54, 2: 21.85, 4: 27.29, 8: 30.59}
 
 
 def _payload(tag: str, size: int) -> bytes:
@@ -220,26 +219,26 @@ def run_multiuser() -> dict:
 
 def verdict(doc: dict) -> list[str]:
     """The claims a ``BENCH_multiuser`` document must support: the
-    disjoint-file scaling floor, exact commit clustering, and a hot
-    file whose waits stay bounded with nobody starved."""
+    disjoint-file throughput floors, commit clustering, and a hot file
+    that costs a bounded share, with waits bounded and nobody starved."""
     disjoint, hot = doc["disjoint"], doc["hot"]
-    rates = [r["txns_per_sec"] for r in disjoint]
     hot_waits = [r["contention"]["lock_waits"] for r in hot]
     claims = {
-        # A ratio against the one-client run, and what batching
-        # amortizes is a commit's fixed cost (the sweep's positioning,
-        # the status force).  That cost shrank when a small relation
-        # stopped taking a cylinder of its own: absolute rates rose at
-        # every client count (1: 13.06 -> 15.55, 8: 26.49 -> 30.60
-        # txn/s) and the ratio fell 2.03 -> 1.97.
-        "8 disjoint clients push at least 1.85x one client's rate":
-            doc["scaling"]["speedup_8_over_1"] >= 1.85,
-        "disjoint throughput rises monotonically with clients":
-            rates == sorted(rates),
-        "each commit burst shares one status force (commits per force "
-        "== clients, exactly)": all(
-            r["commits_per_force"] == float(r["clients"])
-            and r["status_forces"] == TXNS_PER_CLIENT for r in disjoint),
+        # Floors, not ratios against the one-client run: since a commit
+        # became an enqueue one client rides its own group (8 commits,
+        # 1 force) and is no longer the slow baseline batching is
+        # measured against.
+        "no disjoint row is slower than PR 21's committed rate for its "
+        "client count": all(
+            r["txns_per_sec"] >= PR21_RATES[r["clients"]] for r in disjoint),
+        "a hot file costs at most half of disjoint throughput at the "
+        "same client count": all(
+            h["txns_per_sec"] >= 0.5 * d["txns_per_sec"]
+            for h, d in zip(hot, disjoint)),
+        "a status force carries at least one commit per client, and "
+        "there is at most one force per round": all(
+            r["commits_per_force"] >= r["clients"]
+            and r["status_forces"] <= TXNS_PER_CLIENT for r in disjoint),
         "disjoint files never conflict": all(
             r["contention"][k] == 0 for r in disjoint
             for k in ("lock_waits", "lock_deadlocks", "lock_timeouts")),

@@ -102,6 +102,7 @@ class Database:
         db.tm = TransactionManager(root, clock,
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
+        db.tm.sweep = db.buffers.flush_all
         db.catalog = Catalog(db.switch, db.buffers, "magnetic0", cpu=db.cpu)
         db.obs.bind_database(db)
         tx = db.begin()
@@ -136,6 +137,7 @@ class Database:
         db.tm = TransactionManager(root, clock,
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
+        db.tm.sweep = db.buffers.flush_all
         db.catalog = Catalog(db.switch, db.buffers, config["root"], cpu=db.cpu)
         db.obs.bind_database(db)
         # Resume simulated time beyond all recorded history, so that
@@ -237,21 +239,22 @@ class Database:
         return tx
 
     def commit(self, tx: Transaction) -> None:
-        """Force the transaction's data, then its commit record.  The
-        no-overwrite manager has no WAL: durability of a commit is
-        'dirty pages on stable storage, then one status-file append'."""
+        """Pre-commit, then release.  With no WAL, durability is 'dirty
+        pages on stable storage, then one status-file append', paid when
+        the commit group closes (in this call when there is no window).
+        Physical drops wait for that force: a crash before it undoes them."""
         tx.require_active()
         try:
-            if tx.wrote:
-                self.buffers.flush_all()
-            self.tm.commit(tx)
+            self.tm.commit(tx, lambda: self._drop_relations(tx))
             self._notify_outcome(tx.xid, True)
-            for dev_name, relname in getattr(tx, "_pending_drops", []):
-                self.buffers.drop_relation(dev_name, relname)
-                self.switch.get(dev_name).drop_relation(relname)
             self.locks.release_all(tx)
         finally:
             self.obs.tx.end(tx.xid)
+
+    def _drop_relations(self, tx: Transaction) -> None:
+        for dev_name, relname in getattr(tx, "_pending_drops", []):
+            self.buffers.drop_relation(dev_name, relname)
+            self.switch.get(dev_name).drop_relation(relname)
 
     def abort(self, tx: Transaction) -> None:
         """Abort: one status append; the transaction's records are
@@ -279,9 +282,7 @@ class Database:
             self.tm.resolve_prepared(tx, commit)
             self._notify_outcome(tx.xid, commit)
             if commit:
-                for dev_name, relname in getattr(tx, "_pending_drops", []):
-                    self.buffers.drop_relation(dev_name, relname)
-                    self.switch.get(dev_name).drop_relation(relname)
+                self._drop_relations(tx)
             self.locks.release_all(tx)
         finally:
             self.obs.tx.end(tx.xid)
@@ -335,6 +336,9 @@ class Database:
         """Drop a physical relation left behind by an aborted DDL
         transaction (the catalog row never committed, but the file
         exists).  Only safe when no committed catalog row names it."""
+        if dev.relation_exists(relname):
+            # maybe a drop still waiting for its commit group's force
+            self.tm.flush_commits()
         if not dev.relation_exists(relname):
             return
         from repro.db.snapshot import BootstrapSnapshot

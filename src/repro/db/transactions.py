@@ -29,7 +29,7 @@ from typing import Callable
 
 from repro.devices.base import DeviceManager
 from repro.errors import RecoveryError, TransactionError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import HistogramValue, MetricSpec
 from repro.obs.tracing import NO_SPAN
 from repro.sim.clock import SimClock
 
@@ -57,6 +57,19 @@ METRICS = (
                "repro.db.transactions"),
     MetricSpec("txn.max_group", "gauge", "txns",
                "Largest number of commit records carried by one force.",
+               "repro.db.transactions"),
+    MetricSpec("txn.group_closes", "counter", "ops",
+               "Commit groups closed: one commit sweep and one status "
+               "force each (with no window, one per writing commit).",
+               "repro.db.transactions"),
+    MetricSpec("txn.group_sweep_pages", "counter", "pages",
+               "Dirty pages written by group-closing sweeps.  TxAccountant "
+               "books a close's sweep and force to the transaction current "
+               "on the thread that closed the group (a committer, a "
+               "preparer), and to nobody when none is (begin, close).",
+               "repro.db.transactions"),
+    MetricSpec("txn.group_size", "histogram", "txns",
+               "Commit records per closed group.",
                "repro.db.transactions"),
 )
 
@@ -111,6 +124,10 @@ class TxStats:
     group_batches: int = 0
     #: largest number of commit records carried by one force.
     max_group: int = 0
+    #: groups closed, the pages their sweeps wrote, records per group.
+    group_closes: int = 0
+    group_sweep_pages: int = 0
+    group_size: HistogramValue = field(default_factory=HistogramValue)
 
     def commits_per_force(self) -> float:
         """Average commit records per forced status append — 1.0 is the
@@ -143,17 +160,19 @@ class Transaction:
 class TransactionManager:
     """Allocates xids, records commit state, answers visibility calls.
 
-    ``group_commit_window`` (simulated seconds) enables group commit:
-    with the default 0.0 every writing commit forces its own status
-    append (the paper's behaviour); with a positive window a committing
-    transaction instead queues its ``C`` record, and the queue is forced
-    as *one* multi-record append once the window has elapsed (checked at
-    the next begin/commit), on an explicit :meth:`flush_commits`, or at
-    close.  A queued commit is visible in memory immediately but not yet
-    durable; a crash loses the queue, and because dirty pages were
-    forced *before* the record was queued (data-then-status), the lost
-    transactions are simply presumed aborted on recovery — no torn
-    state is possible."""
+    A writing commit is *enqueue, then release* (DESIGN.md, "Commit
+    protocol"): :meth:`commit` queues the ``C`` record — the transaction
+    is now visible in memory and may drop its locks — and the record
+    becomes durable when its *group closes*: one commit sweep
+    (:attr:`sweep`), one forced append of every queued record, then the
+    work that waited for the force.  Data-then-status holds per group,
+    and records reach the file in lock-release order, so none precedes
+    one it depends on.  ``group_commit_window`` (simulated seconds) is
+    how long a group stays open: with the default 0.0 it closes inside
+    :meth:`commit` (the paper's protocol); otherwise once the window
+    has elapsed (checked at the next begin/commit), on
+    :meth:`flush_commits`, and before any ``P`` or ``C`` forced outside
+    the queue, never for an ``A``.  A crash loses the open group."""
 
     def __init__(self, device: DeviceManager, clock: SimClock,
                  group_commit_window: float = 0.0) -> None:
@@ -172,9 +191,14 @@ class TransactionManager:
         self._recovered_in_progress = 0
         self._recovered_in_doubt = 0
         self._torn_tail = 0
-        #: queued (xid, record-text) pairs not yet durably appended.
+        #: the open group: queued (xid, record-text) pairs, in
+        #: lock-release order, and what waits for their force.
         self._pending: list[tuple[int, str]] = []
         self._batch_deadline: float | None = None
+        self._after_force: list[Callable[[], None]] = []
+        #: the commit sweep, ``fn() -> pages written``: the database
+        #: binds ``BufferCache.flush_all``.
+        self.sweep: Callable[[], int] | None = None
         #: highest committed xid whose C record is durable on the status
         #: file — the horizon replication lag is measured against (a
         #: queued group-commit record is visible but not yet durable, so
@@ -362,26 +386,55 @@ class TransactionManager:
         if self._durable_hwm - self._next_xid < XID_HWM_STRIDE // 4:
             self._force_hwm()
 
-    def _flush_pending(self) -> int:
-        """Force every queued commit record in one append (caller holds
-        the lock).  Returns the number of records forced."""
-        pending, self._pending = self._pending, []
-        self._batch_deadline = None
-        if pending:
+    def _precommit(self, tx: Transaction, after_force) -> None:
+        """Stamp ``tx`` committed (visible in memory); queue its record."""
+        rec = self._records[tx.xid]
+        rec.state = COMMITTED
+        rec.commit_time = self._clock.now()
+        if tx.wrote:
+            if not self._pending:
+                self._batch_deadline = (rec.commit_time
+                                        + self.group_commit_window)
+            self._pending.append((
+                tx.xid, f"C {tx.xid} {rec.start_time!r} {rec.commit_time!r}"))
+            if after_force is not None:
+                self._after_force.append(after_force)
+
+    def _close_group(self, last: Transaction | None = None,
+                     after_force=None) -> int:
+        """Close the open group (caller holds the lock): sweep, force
+        every queued record in one append, run what waited for it.
+        ``last`` is a committer with no window: it joins between sweep
+        and force, so it is stamped once its pages are out, as the
+        paper's protocol has it.  Returns the records forced."""
+        if last is None and not self._pending:
+            return 0
+        with self.obs.span("txn.group_close") if self.obs else NO_SPAN:
+            if self.sweep is not None:
+                self.stats.group_sweep_pages += self.sweep()
+            if last is not None:
+                self._precommit(last, after_force)
+            pending, self._pending = self._pending, []
+            after, self._after_force = self._after_force, []
+            self._batch_deadline = None
             self._append_status(pending, len(pending))
+        self.stats.group_closes += 1
+        self.stats.group_size.observe(len(pending))
+        for fn in after:
+            fn()
         return len(pending)
 
-    def _maybe_flush_pending(self) -> None:
+    def _maybe_close_group(self) -> None:
         if (self._batch_deadline is not None
                 and self._clock.now() >= self._batch_deadline):
-            self._flush_pending()
+            self._close_group()
 
     def flush_commits(self) -> int:
-        """Force any queued group-commit records now (close and
-        checkpoint call this; benchmarks call it to end a batch).
-        Returns the number of commit records forced."""
+        """Close the open group now (close and checkpoint call this;
+        benchmarks call it to end a batch).  Returns the number of
+        commit records forced."""
         with self._lock:
-            return self._flush_pending()
+            return self._close_group()
 
     def pending_commit_xids(self) -> list[int]:
         """xids committed in memory whose status records are still
@@ -394,7 +447,7 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         with self._lock:
-            self._maybe_flush_pending()
+            self._maybe_close_group()
             if self._next_xid >= self._durable_hwm:
                 # Hard floor: never hand out an xid at or above the
                 # durable high-water mark — after a crash it could be
@@ -407,25 +460,18 @@ class TransactionManager:
             self._records[xid] = _TxRecord(IN_PROGRESS, start)
             return Transaction(xid=xid, start_time=start)
 
-    def commit(self, tx: Transaction) -> None:
-        """Record the commit durably.  The caller (the database) must
-        have forced the transaction's dirty pages first — commit order
-        is data-then-status."""
+    def commit(self, tx: Transaction,
+               after_force: Callable[[], None] | None = None) -> None:
+        """Pre-commit ``tx`` onto the open group; ``after_force`` runs
+        once that group's force has returned (physical drops).  The caller
+        may now release the locks; with no window the group has closed."""
         tx.require_active()
         with self._lock:
-            self._maybe_flush_pending()
-            rec = self._records[tx.xid]
-            rec.state = COMMITTED
-            rec.commit_time = self._clock.now()
-            if tx.wrote:
-                text = f"C {tx.xid} {rec.start_time!r} {rec.commit_time!r}"
-                if self.group_commit_window > 0.0:
-                    if not self._pending:
-                        self._batch_deadline = (self._clock.now()
-                                                + self.group_commit_window)
-                    self._pending.append((tx.xid, text))
-                else:
-                    self._append_status([(tx.xid, text)], 1)
+            self._maybe_close_group()
+            if tx.wrote and self.group_commit_window <= 0.0:
+                self._close_group(tx, after_force)
+            else:
+                self._precommit(tx, after_force)
             tx.state = COMMITTED
 
     def abort(self, tx: Transaction) -> None:
@@ -449,13 +495,13 @@ class TransactionManager:
         pages first (data-then-status, exactly like :meth:`commit`).
         The ``P`` record is forced immediately — never queued behind
         the group-commit window — because the coordinator's decision
-        depends on it being durable; any queued batch is flushed first
-        so the status file stays in append order."""
+        depends on it being durable; the open group is closed first
+        so the status file stays in lock-release order."""
         tx.require_active()
         if " " in gid or "\n" in gid:
             raise TransactionError(f"malformed gid {gid!r}")
         with self._lock:
-            self._flush_pending()
+            self._close_group()
             rec = self._records[tx.xid]
             rec.state = PREPARED
             rec.gid = gid
@@ -467,9 +513,10 @@ class TransactionManager:
     def resolve_prepared(self, tx: Transaction, commit: bool) -> None:
         """2PC phase two for a live prepared transaction: force the
         final ``C``/``A`` record per the coordinator's decision.  The
-        commit record bypasses the group-commit queue — the decision is
-        already durable on the coordinator, so delaying the local
-        record would only widen the in-doubt window."""
+        commit record bypasses the group-commit queue (closing the open
+        group first) — the decision is already durable on the
+        coordinator, so delaying the local record would only widen the
+        in-doubt window."""
         if tx.state != PREPARED:
             raise TransactionError(
                 f"transaction {tx.xid} is {tx.state}, not prepared")
@@ -477,6 +524,7 @@ class TransactionManager:
             rec = self._records[tx.xid]
             rec.gid = None
             if commit:
+                self._close_group()
                 rec.state = COMMITTED
                 rec.commit_time = self._clock.now()
                 if tx.wrote:

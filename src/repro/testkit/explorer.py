@@ -43,7 +43,8 @@ from repro.errors import ReproError, SimulatedCrashError
 from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
 from repro.testkit.oracle import (ModelFS, apply_client_op, apply_fs_op,
                                   harvest_state)
-from repro.testkit.workload import MigrateStep, TxStep, VacuumStep, Workload
+from repro.testkit.workload import (FlushStep, MigrateStep, TxStep,
+                                    VacuumStep, Workload)
 
 
 class WorkloadRunner:
@@ -77,6 +78,8 @@ class WorkloadRunner:
                 self._run_vacuum(step)
             elif isinstance(step, MigrateStep):
                 self._run_migrate(step)
+            elif isinstance(step, FlushStep):
+                self.db.tm.flush_commits()
             else:
                 raise TypeError(f"unknown step {step!r}")
         self.pending = None

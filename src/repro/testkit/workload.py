@@ -2,11 +2,12 @@
 
 A workload is data, not code: a list of steps, each either a
 transaction (:class:`TxStep` — a tuple of model ops committed or
-aborted together), a vacuum pass (:class:`VacuumStep`), or a
-rule-driven migration (:class:`MigrateStep`).  Payload bytes are
-derived from SHA-256, so two runs of the same workload issue an
-identical sequence of durable writes — which is what makes "crash at
-write #k" a meaningful, replayable coordinate.
+aborted together), a vacuum pass (:class:`VacuumStep`), a
+rule-driven migration (:class:`MigrateStep`), or a request that
+everything committed so far be durable (:class:`FlushStep`).  Payload
+bytes are derived from SHA-256, so two runs of the same workload issue
+an identical sequence of durable writes — which is what makes "crash
+at write #k" a meaningful, replayable coordinate.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class MigrateStep:
     rule_name: str
     qualification: str
     target: str
+
+
+@dataclass(frozen=True)
+class FlushStep:
+    """Close the open commit group now (``flush_commits``)."""
 
 
 @dataclass
@@ -165,9 +171,16 @@ def write_heavy_workload(seed: int = 0) -> Workload:
     ])
 
 
+#: Group-commit window of the crash workloads that have one.  Their
+#: transactions take a simulated millisecond and a commit pays no sweep:
+#: a longer window closes every group in ``close()``, past the last crash.
+CRASH_GROUP_WINDOW = 0.002
+
+
 def group_commit_workload(seed: int = 0) -> Workload:
     """Small committing transactions under a positive group-commit
-    window: commit records queue and land as multi-record appends, so a
+    window: records queue, and groups close (sweep, then multi-record
+    append) at a later begin or commit, at the flush, and at close.  A
     crash can lose the floating suffix (or tear mid-batch) — exactly the
     states the explorer's prefix oracle must accept and bound."""
     p = lambda tag, size: payload(seed, tag, size)  # noqa: E731
@@ -178,34 +191,45 @@ def group_commit_workload(seed: int = 0) -> Workload:
         TxStep((("write", "/g/a", p("a1", 500)),)),       # shrink
         TxStep((("unlink", "/g/b"), ("write", "/g/d", p("d0", 12000)))),
         TxStep((("write", "/g/e", p("e0", 2000)),)),
-    ], group_commit_window=0.25)
+        FlushStep(),
+        TxStep((("write", "/g/a", p("a2", 4000)),)),      # over a flushed one
+        TxStep((("write", "/g/a", p("a3", 700)),)),       # and again, same group
+        TxStep((("write", "/g/x", p("x0", 800)),), abort=True),
+        TxStep((("rename", "/g/c", "/g/f"),)),
+        TxStep((("unlink", "/g/e"), ("write", "/g/h", p("h0", 10000)))),
+    ], group_commit_window=CRASH_GROUP_WINDOW)
 
 
 def concurrent_workload(seed: int = 0) -> Workload:
     """Three interleaved client sessions under a group-commit window:
     each owns a private subtree (disjoint chunk-table locks) and all
     three overwrite one pre-created hot file (serialized by its
-    exclusive lock, superseding each other in commit order).  Every
-    interleaving is semantically valid, so the differential oracle —
-    fed at commit order by the scheduler's commit hook — must match at
-    every crash point."""
+    exclusive lock, superseding each other in commit order, often on
+    a version whose record is still queued).  Every interleaving is
+    semantically valid, so the differential oracle — fed at commit
+    order by the scheduler's commit hook — must match at every crash
+    point."""
     p = lambda tag, size: payload(seed, tag, size)  # noqa: E731
     return Workload("concurrent", [], sessions=(
         (TxStep((("mkdir", "/c0"),
                  ("write", "/c0/a", p("0a", 3000)))),
          TxStep((("write", "/hot", p("0h", 1800)),)),
-         TxStep((("write", "/c0/b", p("0b", 9000)),))),
+         TxStep((("write", "/c0/b", p("0b", 9000)),)),
+         TxStep((("write", "/hot", p("0i", 900)),))),
         (TxStep((("mkdir", "/c1"),
                  ("write", "/c1/a", p("1a", 500)))),
          TxStep((("write", "/hot", p("1h", 2600)),)),
          TxStep((("write", "/c1/a", p("1b", 4000)),), abort=True),
-         TxStep((("write", "/c1/b", p("1c", 1200)),))),
+         TxStep((("write", "/c1/b", p("1c", 1200)),)),
+         TxStep((("write", "/c1/c", p("1d", 7000)),))),
         (TxStep((("write", "/hot", p("2h", 700)),)),
          TxStep((("mkdir", "/c2"),
                  ("write", "/c2/a", p("2a", 14000)))),
-         TxStep((("write", "/hot", p("2i", 2100)),))),
+         TxStep((("write", "/hot", p("2i", 2100)),)),
+         TxStep((("unlink", "/c2/a"),
+                 ("write", "/c2/b", p("2b", 6000))))),
     ), setup_ops=(("write", "/hot", p("seed", 1000)),),
-        group_commit_window=0.25, sched_seed=seed)
+        group_commit_window=CRASH_GROUP_WINDOW, sched_seed=seed)
 
 
 def cross_shard_workload(seed: int = 0) -> Workload:

@@ -34,7 +34,8 @@ The families, after the paper's workloads plus WTF's (PAPERS.md):
 from __future__ import annotations
 
 from repro.core.constants import CHUNK_SIZE
-from repro.testkit.workload import TxStep, VacuumStep, Workload, payload
+from repro.testkit.workload import (CRASH_GROUP_WINDOW, TxStep, VacuumStep,
+                                    Workload, payload)
 
 
 # -- explorer workloads ---------------------------------------------------
@@ -110,7 +111,7 @@ def hotspot_workload(seed: int = 0) -> Workload:
          TxStep((("write", "/hot", p("2h", 800)),)),
          TxStep((("write", "/h2/a", p("2b", 300)),))),
     ), setup_ops=(("write", "/hot", p("seedh", 1200)),),
-        group_commit_window=0.25, sched_seed=seed)
+        group_commit_window=CRASH_GROUP_WINDOW, sched_seed=seed)
 
 
 def reflink_churn_workload(seed: int = 0) -> Workload:

@@ -91,7 +91,16 @@ SABOTAGE = [
      "one forced append"),
     ("commitio", ("writeback", "write_op_ratio"), 1.5,
      "halves device write operations"),
-    ("multiuser", ("scaling", "speedup_8_over_1"), 1.84, "at least 1.85x"),
+    ("commitio", ("group_commit", "after", "device_writes"), 3,
+     "one sweep and one force"),
+    ("multiuser", ("disjoint", 3, "txns_per_sec"), 30.0,
+     "slower than PR 21's committed rate"),
+    ("multiuser", ("hot", 3, "txns_per_sec"), 20.0,
+     "at most half of disjoint throughput"),
+    ("multiuser", ("disjoint", 2, "commits_per_force"), 3.5,
+     "at least one commit per client"),
+    ("multiuser", ("disjoint", 1, "status_forces"), 9,
+     "at most one force per round"),
     ("multiuser", ("hot", 3, "fairness", "starved"), True,
      "nobody starves"),
     ("multishard", ("disjoint", 0, "sched", "starved"), True,

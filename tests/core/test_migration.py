@@ -154,3 +154,32 @@ def test_directories_never_migrate(tiered):
     reports = engine.run(tx)
     fs.commit(tx)
     assert "/dir" not in reports[0].moved
+
+
+def test_migrated_source_copy_waits_for_its_groups_force(tmp_path):
+    """The move releases the source relations at commit — which, under
+    a group-commit window, means once the group's force returned.  A
+    crash before it recovers the catalog rows naming the source device,
+    so the source copies must still be there."""
+    from repro.core.filesystem import InversionFS
+    from repro.core.library import InversionClient
+    from repro.db.database import Database
+    path = str(tmp_path / "d")
+    db = Database.create(path)
+    db.add_device("magnetic1", "magnetic")
+    fs = InversionFS.mkfs(db)
+    engine = MigrationEngine(fs)
+    engine.add_rule("spill", "size(file) > 100", "magnetic1")
+    _put(InversionClient(fs), "/big", b"z" * 20_000)
+    db.tm.group_commit_window = 60.0
+    tx = fs.begin()
+    assert engine.run(tx)[0].moved == ["/big"]
+    fs.commit(tx)
+    assert engine.device_of(fs.resolve("/big")) == "magnetic1"
+    db.simulate_crash()                   # before the group's force
+
+    db2 = Database.open(path)
+    fs2 = InversionFS.attach(db2)
+    assert MigrationEngine(fs2).device_of(fs2.resolve("/big")) == "magnetic0"
+    assert fs2.read_file("/big") == b"z" * 20_000
+    db2.close()

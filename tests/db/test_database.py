@@ -190,3 +190,53 @@ def test_table_on_secondary_device(db):
     assert [r for _t, r in db.table("fast", tx2).scan(db.snapshot(tx2), tx2)] \
         == [(1, "quick")]
     db.commit(tx2)
+
+
+# -- physical drops ride the commit group -------------------------------------
+
+
+def test_drop_waits_for_its_groups_force(tmp_path):
+    """Under a group-commit window a drop is only queued when its
+    commit returns: a crash before the group's force brings the table
+    back, so its relation must still be on the device."""
+    path = str(tmp_path / "d")
+    db = Database.create(path, group_commit_window=60.0)
+    tx = db.begin()
+    table = db.create_table(tx, "t", SCHEMA, indexes=[["k"]])
+    table.insert(tx, (1, "kept"))
+    db.commit(tx)
+    db.tm.flush_commits()
+    tx2 = db.begin()
+    db.drop_table(tx2, "t")
+    db.commit(tx2)
+    assert not db.table_exists("t")       # pre-committed: gone in memory
+    assert db.switch.get("magnetic0").relation_exists("t")
+    db.simulate_crash()                   # before the force
+
+    db2 = Database.open(path)
+    assert db2.table_exists("t")
+    assert list(db2.iter_table_rows("t")) == [(1, "kept")]
+    tx3 = db2.begin()
+    db2.drop_table(tx3, "t")
+    db2.commit(tx3)                       # no window: the group closes here
+    assert not db2.switch.get("magnetic0").relation_exists("t")
+    assert not db2.switch.get("magnetic0").relation_exists("t_k_idx")
+    db2.close()
+
+
+def test_recreate_after_a_queued_drop(tmp_path):
+    """A table dropped and created again inside one commit group: the
+    first transaction's queued release must not take the new relation."""
+    db = Database.create(str(tmp_path / "d"), group_commit_window=60.0)
+    tx = db.begin()
+    db.create_table(tx, "t", SCHEMA).insert(tx, (1, "old"))
+    db.commit(tx)
+    tx2 = db.begin()
+    db.drop_table(tx2, "t")
+    db.commit(tx2)
+    tx3 = db.begin()
+    db.create_table(tx3, "t", SCHEMA).insert(tx3, (2, "new"))
+    db.commit(tx3)
+    db.tm.flush_commits()
+    assert list(db.iter_table_rows("t")) == [(2, "new")]
+    db.close()

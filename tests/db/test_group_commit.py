@@ -2,12 +2,13 @@
 recovery parser that reads them back.
 
 With ``group_commit_window=0`` (the default) every writing commit pays
-its own forced status append — the paper's behaviour, asserted exactly.
-With a positive window, commit records queue and one forced append
-carries the whole batch as a multi-record line; a crash before the
-force loses the queue, which is safe because data pages were forced
-first (data-then-status), so the lost transactions are presumed
-aborted.
+its own sweep and its own forced status append — the paper's behaviour,
+asserted exactly.  With a positive window, commit records queue and the
+group closes with one sweep and one forced append carrying the whole
+batch as a multi-record line; a crash before the force loses the queue,
+which is safe because nothing of the group is committed on the medium
+until that append (data-then-status, per group), so the lost
+transactions are presumed aborted.
 """
 
 import pytest
@@ -131,6 +132,105 @@ def test_abort_is_recorded_immediately_while_batch_pends(device):
     tm.flush_commits()
     tm3 = TransactionManager(device, clock)
     assert tm3.is_committed(pending.xid)
+
+
+# -- the commit group: one sweep, one force, lock-release order ---------------
+
+
+class Recorder:
+    """A manager whose sweep and forces log what happened, in order."""
+
+    def __init__(self, device, window):
+        self.clock = SimClock()
+        self.events = []
+        self.tm = TransactionManager(device, self.clock,
+                                     group_commit_window=window)
+        self.tm.sweep = self.sweep
+        force = device.sync_append_meta
+
+        def logged_force(tag, data):
+            # the kinds of the records one force carried, e.g. "CCC"
+            self.events.append("".join(
+                tok for tok in data.decode().split() if tok in "CAP"))
+            force(tag, data)
+        device.sync_append_meta = logged_force
+
+    def sweep(self):
+        self.events.append("sweep")
+        self.clock.advance(0.125)     # the sweep takes simulated time
+        return 3
+
+    def commit(self, **kw):
+        tx = self.tm.begin()
+        tx.wrote = True
+        self.tm.commit(tx, **kw)
+        return tx
+
+
+def status_lines(device):
+    return device.read_meta(STATUS_TAG).decode().splitlines()
+
+
+def test_closing_a_group_is_one_sweep_then_one_force_then_the_waiters(device):
+    r = Recorder(device, window=1.0)
+    txs = [r.commit(after_force=lambda i=i: r.events.append(f"drop{i}"))
+           for i in range(3)]
+    assert r.events == []             # a commit is an enqueue
+    assert r.tm.flush_commits() == 3
+    assert r.events == ["sweep", "CCC", "drop0", "drop1", "drop2"]
+    assert status_lines(device)[-1].split()[1::4] == [
+        str(tx.xid) for tx in txs]    # commit order == file order
+    stats = r.tm.stats
+    assert (stats.group_closes, stats.group_sweep_pages) == (1, 3)
+    assert (stats.group_size.count, stats.group_size.max) == (1, 3)
+    assert r.tm.flush_commits() == 0  # nothing open: no sweep, no force
+    assert r.events.count("sweep") == 1
+
+
+def test_window_zero_closes_the_group_inside_commit(device):
+    """The paper's protocol: sweep, stamp, force, before commit returns
+    — the stamp is taken once the pages are out."""
+    r = Recorder(device, window=0.0)
+    tx = r.commit(after_force=lambda: r.events.append("drop"))
+    assert r.events == ["sweep", "C", "drop"]
+    assert r.tm.commit_time(tx.xid) == pytest.approx(0.125)
+    assert r.tm.stats.group_closes == 1
+    assert r.tm.stats.group_size.max == 1
+
+
+def test_an_abort_does_not_close_the_group(device):
+    r = Recorder(device, window=5.0)
+    r.commit()
+    victim = r.tm.begin()
+    victim.wrote = True
+    r.tm.abort(victim)
+    assert r.events == ["A"]            # forced at once, no sweep
+    assert len(r.tm.pending_commit_xids()) == 1
+
+
+def test_records_forced_outside_the_queue_close_the_group_first(device):
+    """A ``P``, a resolved ``C`` and a window-less ``C`` all land after
+    the records of transactions that released their locks earlier."""
+    r = Recorder(device, window=5.0)
+    first = r.commit()
+    prepared = r.tm.begin()
+    prepared.wrote = True
+    r.tm.prepare(prepared, "g.1")
+    assert r.events == ["sweep", "C", "P"]
+    second = r.commit()
+    r.tm.resolve_prepared(prepared, commit=True)
+    third = r.commit()
+    r.tm.group_commit_window = 0.0    # the window closes under an open group
+    fourth = r.commit()
+    kinds_and_xids = [(line.split()[0], line.split()[1::4])
+                      for line in status_lines(device)]
+    assert kinds_and_xids == [
+        ("C", [str(first.xid)]),
+        ("P", [str(prepared.xid)]),
+        ("C", [str(second.xid)]),
+        ("C", [str(prepared.xid)]),
+        ("C", [str(third.xid), str(fourth.xid)]),
+    ]
 
 
 # -- torn multi-record appends ------------------------------------------------

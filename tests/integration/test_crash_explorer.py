@@ -8,11 +8,17 @@ workloads.  ``-m torture`` opts into full enumeration of every
 boundary in both clean and torn-append modes.
 """
 
+from functools import partial
+
 import pytest
 
+from repro.db.transactions import TransactionManager
 from repro.testkit import CrashExplorer, OneServer
-from repro.testkit.explorer import select_points
-from repro.testkit.workload import ALL_WORKLOADS, commit_workload, vacuum_workload
+from repro.testkit.explorer import ShardedServers, select_points
+from repro.testkit.failover import PrimaryWithReplicas
+from repro.testkit.workload import (ALL_WORKLOADS, commit_workload,
+                                    cross_shard_workload,
+                                    group_commit_workload, vacuum_workload)
 
 #: per-workload bound for the CI run: 3 workloads × 40 + the torn run
 #: below ≈ 150 crash points, each a full build/crash/recover/verify cycle.
@@ -75,6 +81,37 @@ def test_explorer_detects_unsafe_vacuum_swap(tmp_path, monkeypatch):
                            OneServer).explore()
     assert report.violations, (
         "sabotaged recovery went undetected — the explorer has no teeth")
+
+
+@pytest.mark.parametrize("topology, workload", [
+    (OneServer, group_commit_workload),
+    (ShardedServers, cross_shard_workload),
+    (partial(PrimaryWithReplicas, nreplicas=1), commit_workload),
+], ids=["one_server", "sharded", "failover"])
+def test_explorer_detects_a_status_line_ahead_of_its_sweep(
+        tmp_path, monkeypatch, topology, workload):
+    """Teeth check for the group close: append the group's status line
+    first and sweep afterwards, and every crash in between recovers
+    commits whose pages never reached the medium.  On all three
+    topologies, with a window (groups close at deadlines and flushes)
+    and without (each commit closes its own)."""
+    close_group = TransactionManager._close_group
+
+    def force_then_sweep(self, last=None, after_force=None):
+        sweep, self.sweep = self.sweep, None
+        try:
+            forced = close_group(self, last, after_force)
+        finally:
+            self.sweep = sweep
+        if forced:
+            sweep()
+        return forced
+
+    monkeypatch.setattr(TransactionManager, "_close_group", force_then_sweep)
+    report = CrashExplorer(str(tmp_path), workload(), topology).explore()
+    assert report.violations, (
+        "a force ahead of the sweep went undetected — the explorer "
+        "does not cross the group close")
 
 
 @pytest.mark.torture

@@ -10,6 +10,7 @@ crash + reopen, which by the no-overwrite design must preserve exactly
 the committed state.
 """
 
+import os
 import tempfile
 
 import pytest
@@ -196,6 +197,49 @@ def test_flushed_group_commits_all_survive(script):
                     == model.state())
         finally:
             recovered.close()
+
+
+@given(script=write_scripts)
+@WRITE_SETTINGS
+def test_a_torn_group_line_keeps_a_commit_prefix(script):
+    """A group is one status line, its records in the order their
+    transactions released their locks.  The script ends with T1 and T2
+    writing one file in one group — T2 supersedes a chunk version whose
+    record is still queued — so T1's record must precede T2's, and
+    wherever a tear cuts the line recovery must keep a prefix of the
+    commits: never T2 without T1."""
+    script = script + [([("write", "/hot", b"one" * 400)], False),
+                       ([("write", "/hot", b"TWO" * 300)], False)]
+    with tempfile.TemporaryDirectory() as root:
+        db = Database.create(root + "/db")
+        fs = InversionFS.mkfs(db)
+        db.tm.group_commit_window = 60.0
+        _model, history = run_script_with_history(fs, script)
+        db.tm.flush_commits()
+        db.simulate_crash()
+        status = os.path.join(root, "db", "magnetic0", "pg_status.meta")
+        with open(status, "rb") as f:
+            raw = f.read()
+        start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        line = raw[start:]
+        in_line = [int(tok) for tok in line.split()[1::4]]
+        assert in_line == [xid for xid, _ in history if xid in in_line]
+        assert in_line[-2:] == [xid for xid, _ in history[-2:]]
+        prefixes = [ModelFS().state()] + [m.state() for _, m in history]
+        ends = [i + 1 for i, byte in enumerate(line) if byte in b" \n"][3::4]
+        kept = 0
+        for cut in sorted({end - 2 for end in ends} | set(ends)):
+            with open(status, "wb") as f:
+                f.write(raw[:start] + line[:cut])
+            recovered = Database.open(root + "/db")
+            try:
+                state = harvest_state(InversionFS.attach(recovered))
+            finally:
+                recovered.simulate_crash()
+            # a prefix of the commits, and a longer tail loses no more
+            kept = next(i for i in range(kept, len(prefixes))
+                        if prefixes[i] == state)
+        assert state == prefixes[-1]               # the whole line: everything
 
 
 @given(data=payloads, shorter=payloads)

@@ -105,3 +105,31 @@ def test_live_database_attributes_commit_costs(tmp_path):
     assert row["device_pages_written"] >= row["device_write_ops"]
     assert row["status_forces"] >= 1
     assert row["buffer_hits"] + row["buffer_misses"] > 0
+
+
+def test_a_group_close_is_booked_to_the_transaction_that_closed_it(tmp_path):
+    """Under a group-commit window a commit is an enqueue: the sweep and
+    the force land on whichever transaction's call closed the group."""
+    from repro.core.filesystem import InversionFS
+    from repro.db.database import Database
+    from repro.sim.clock import SimClock
+
+    clock = SimClock()
+    db = Database.create(str(tmp_path / "d"), clock=clock)
+    fs = InversionFS.mkfs(db)
+    db.tm.group_commit_window = 0.05
+    first = fs.begin()
+    fs.write_file(first, "/a", b"x" * 10_000)
+    fs.commit(first)                      # queued: nothing written yet
+    second = fs.begin()
+    fs.write_file(second, "/b", b"y" * 10_000)
+    clock.advance(1.0)                    # the window elapses
+    swept0 = db.tm.stats.group_sweep_pages
+    fs.commit(second)                     # closes first's group on the way in
+    rows = db.obs.tx.breakdown()
+    swept = db.tm.stats.group_sweep_pages - swept0
+    db.close()
+    assert rows[first.xid]["device_pages_written"] == 0
+    assert rows[first.xid]["status_forces"] == 0
+    assert rows[second.xid]["device_pages_written"] == swept > 0
+    assert rows[second.xid]["status_forces"] == 1

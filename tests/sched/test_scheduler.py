@@ -236,31 +236,44 @@ class TestStarvationVerdict:
         assert report["starved"] is True
 
 
+def _longest_commit_burst(sched) -> int:
+    """Most ``p_commit`` slices the trace shows back-to-back."""
+    best = run = 0
+    for _t, _kind, _name, detail in sched.trace:
+        run = run + 1 if detail == "p_commit" else 0
+        best = max(best, run)
+    return best
+
+
 class TestCommitClustering:
     def test_commits_batch_under_group_window(self, fs):
         """With clustering on and a group-commit window open, each
-        round's commits drain back-to-back and share one status
-        force."""
+        round's commits drain back-to-back into the open group: a force
+        carries at least one commit per client, and there is at most
+        one force per round."""
         _seed_files(fs, 4)
         fs.db.tm.group_commit_window = 0.05
         forces0 = fs.db.tm.stats.status_forces
-        _run(fs, _disjoint_programs(4, ntxns=3), seed=0)
+        sched, _ = _run(fs, _disjoint_programs(4, ntxns=3), seed=0)
         fs.db.tm.flush_commits()
         fs.db.tm.group_commit_window = 0.0
         forces = fs.db.tm.stats.status_forces - forces0
-        assert forces < 12              # 12 commits in fewer forces
-        assert fs.db.tm.stats.max_group == 4
+        assert 1 <= forces <= 3         # 12 commits, 3 rounds
+        assert fs.db.tm.stats.max_group >= 4
+        assert _longest_commit_burst(sched) == 4
 
     def test_clustering_can_be_disabled(self, fs):
+        """Without the commit gate the commits trickle out between
+        other sessions' slices.  (How many share a force no longer
+        tells the two apart: a commit is an enqueue, so a round fits
+        the window either way.)"""
         _seed_files(fs, 4)
         fs.db.tm.group_commit_window = 0.05
-        forces0 = fs.db.tm.stats.status_forces
-        _run(fs, _disjoint_programs(4, ntxns=3), seed=0,
-             cluster_commits=False)
+        sched, _ = _run(fs, _disjoint_programs(4, ntxns=3), seed=0,
+                        cluster_commits=False)
         fs.db.tm.flush_commits()
         fs.db.tm.group_commit_window = 0.0
-        forces = fs.db.tm.stats.status_forces - forces0
-        assert fs.db.tm.stats.max_group < 4 or forces > 3
+        assert _longest_commit_burst(sched) < 4
 
 
 class TestPrograms:

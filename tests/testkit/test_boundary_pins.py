@@ -27,12 +27,13 @@ SINGLE_SERVER = {
     "vacuum": (vacuum_workload, 94),
     "migration": (migration_workload, 65),
     "write_heavy": (write_heavy_workload, 71),
-    "group_commit": (group_commit_workload, 67),
-    # The one count that depends on simulated time: three scheduler
-    # sessions under a 0.25 s group-commit window.  PR 20's faster
-    # sweeps change which commits share a force (72 -> 71); every other
-    # count is the same page writes, reordered.
-    "concurrent": (concurrent_workload, 71),
+    # The two counts that depend on simulated time: which commits share
+    # a group — one sweep and one force — is decided by a 2 ms window's
+    # deadline.  PR 22 moved the sweep from the commit to the group
+    # close; both workloads were lengthened so the sweeps inside the
+    # armed run stay at least as many boundaries as before (67, 71).
+    "group_commit": (group_commit_workload, 72),
+    "concurrent": (concurrent_workload, 87),
 }
 
 
