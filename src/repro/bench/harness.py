@@ -48,8 +48,7 @@ def _fresh_dir() -> str:
 
 def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
                        chunk_index: bool = True,
-                       group_commit_window: float = 0.0,
-                       coalesce_writes: bool = True) -> BuiltConfig:
+                       group_commit_window: float = 0.0) -> BuiltConfig:
     """Single-process Inversion: the benchmark dynamically loaded into
     the data manager — "no data must be copied between them", and no
     network."""
@@ -57,7 +56,6 @@ def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
     clock = SimClock()
     db = Database.create(os.path.join(workdir, "db"), clock=clock,
                          buffer_pages=buffer_pages)
-    db.buffers.coalesce_writes = coalesce_writes
     fs = InversionFS.mkfs(db)
     db.tm.group_commit_window = group_commit_window
     fs.chunk_index = chunk_index

@@ -173,14 +173,6 @@ class RemoteInversionClient:
 
     # -- read-batching bookkeeping ----------------------------------------
 
-    @property
-    def _batching(self) -> bool:
-        return self.read_batch_chunks > 1
-
-    @property
-    def _wbatching(self) -> bool:
-        return self.write_batch_chunks > 1
-
     def _track_fd(self, fd) -> None:
         if isinstance(fd, int):
             self._pos[fd] = self._srv_pos[fd] = 0
@@ -292,24 +284,9 @@ class RemoteInversionClient:
     def p_read(self, fd, length):
         self._flush_writes()
         pos = self._pos.get(fd)
+        if pos is None or length <= 0:
+            return self._call("p_read", fd, length)
         oid = self._fdpath.get(fd)
-        if not self._batching or length <= 0 or pos is None:
-            if self._cache is not None and pos is not None:
-                if oid is not None and isinstance(length, int) and length > 0:
-                    served = self._link.read_hit(oid, pos, length)
-                    if served is not None:
-                        self._pos[fd] = pos + len(served)
-                        return served
-                # Cached serves and absorbed seeks advance only the
-                # client position; realign the server before it reads.
-                self._resync(fd)
-            result = self._call("p_read", fd, length)
-            if pos is not None and isinstance(result, (bytes, bytearray)):
-                if oid is not None:
-                    self._link.read_fill(oid, pos, result)
-                self._pos[fd] = pos + len(result)
-                self._srv_pos[fd] = self._pos[fd]
-            return result
         buf = self._rdbuf.get(fd)
         if buf is not None:
             start, data = buf
@@ -348,7 +325,8 @@ class RemoteInversionClient:
         return piece
 
     def p_write(self, fd, buf):
-        if self._wbatching and isinstance(fd, int) and fd in self._pos:
+        if (self.write_batch_chunks > 1 and isinstance(fd, int)
+                and fd in self._pos):
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
             pos = self._pos[fd]
@@ -373,7 +351,7 @@ class RemoteInversionClient:
             if len(buf) >= limit:
                 self._flush_fd_writes(fd)
             return len(buf)
-        if (self._batching or self._cache is not None) and fd in self._pos:
+        if fd in self._pos:
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
             self._resync(fd)
@@ -397,8 +375,7 @@ class RemoteInversionClient:
             self._streak[fd] = 0
             self._pos[fd] = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
             return self._pos[fd]
-        if (self._batching or self._wbatching
-                or self._cache is not None) and fd in self._pos:
+        if fd in self._pos:
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
             if whence == 1:  # SEEK_CUR is relative to the *server* pos

@@ -67,12 +67,12 @@ METRICS = (
                "relation flush).",
                "repro.db.buffer"),
     MetricSpec("buffer.batched_writes", "counter", "ops",
-               "Multi-page write_pages device calls issued by flushes.",
+               "write_pages device calls that carried more than one page.",
                "repro.db.buffer"),
     MetricSpec("buffer.write_coalesce_hits", "counter", "pages",
                "Pages that rode along in a batched write beyond the "
-               "first — positioning charges the page-at-a-time path "
-               "would have paid.",
+               "first — each one a positioning charge a write of its "
+               "own would have paid.",
                "repro.db.buffer"),
     MetricSpec("buffer.prefetches", "counter", "pages",
                "Pages fetched ahead of an explicit request by the "
@@ -95,8 +95,8 @@ DEVICE_METRICS = (
                "Pages transferred by those reads.",
                "repro.db.buffer", ("device", "relation")),
     MetricSpec("device.writes", "counter", "ops",
-               "Device write calls issued by the buffer cache (a "
-               "coalesced flush run counts once).",
+               "Device write calls issued by the buffer cache (a run "
+               "counts once).",
                "repro.db.buffer", ("device", "relation")),
     MetricSpec("device.pages_written", "counter", "pages",
                "Pages transferred by those writes.",
@@ -111,10 +111,10 @@ class BufferStats:
     evictions: int = 0
     dirty_writebacks: int = 0
     forced_writes: int = 0
-    #: multi-page ``write_pages`` device calls issued by flushes.
+    #: ``write_pages`` device calls that carried more than one page.
     batched_writes: int = 0
     #: pages that rode along in a batched write beyond the first — each
-    #: one is a device positioning the page-at-a-time path would have paid.
+    #: one a device positioning a write of its own would have paid.
     write_coalesce_hits: int = 0
     #: pages fetched ahead of an explicit request (beyond the missed page).
     prefetches: int = 0
@@ -145,10 +145,6 @@ class BufferCache:
     capacity: int = DEFAULT_BUFFERS
     cpu: CpuModel | None = None
     readahead_window: int = DEFAULT_READAHEAD
-    #: coalesce adjacent dirty pages into batched device writes at
-    #: flush time; False restores page-at-a-time write-back (the
-    #: ablation baseline the commit-I/O bench measures against).
-    coalesce_writes: bool = True
     #: the session's Observability bundle (set by Database); None for
     #: standalone caches in unit tests.
     obs: object | None = field(default=None, repr=False)
@@ -192,30 +188,36 @@ class BufferCache:
                 stats.prefetch_hits += 1
             frames.move_to_end(key)
             return frame.page
-        self.stats.misses += 1
         dev = self.switch.get(dev_name)
         count = self._readahead_count(dev, relname, dev_name, pageno, streak)
+        return self._fill(dev, dev_name, relname, pageno, count, 1)[0]
+
+    def _fill(self, dev, dev_name: str, relname: str, start: int,
+              count: int, demanded: int) -> list[Page]:
+        """The one place bytes arrive from a device: read the run
+        [start, start + count) in one device call and admit a frame per
+        page.  The first ``demanded`` pages were asked for and count as
+        misses; the rest are read-ahead, admitted ``prefetched``."""
+        stats = self.stats
+        stats.misses += demanded
+        stats.prefetches += count - demanded
+        obs = self.obs
         span = obs.span("device.read", device=dev_name, relation=relname,
-                        page=pageno, pages=count) \
+                        page=start, pages=count) \
             if obs is not None and obs.tracer.enabled else NO_SPAN
         with span:
-            if count > 1:
-                datas = dev.read_pages(relname, pageno, count)
-                self.stats.prefetches += count - 1
-            else:
-                datas = [dev.read_page(relname, pageno)]
+            datas = dev.read_pages(relname, start, count)
         if obs is not None:
-            obs.tx.charge("buffer_misses")
+            obs.tx.charge("buffer_misses", demanded)
             obs.device_read(dev_name, relname, count)
         if self.cpu is not None:
             for _ in datas:
                 self.cpu.buffer_copy()
-        page = Page(datas[0])
-        self._admit(key, _Frame(page))
-        for i, data in enumerate(datas[1:], start=1):
-            pkey = (dev_name, relname, pageno + i)
-            self._admit(pkey, _Frame(Page(data), prefetched=True))
-        return page
+        pages = list(map(Page, datas))
+        for i, page in enumerate(pages):
+            self._admit((dev_name, relname, start + i),
+                        _Frame(page, False, i >= demanded))
+        return pages
 
     def _note_access(self, lk: tuple[str, str], pageno: int) -> int:
         """Record one page access for the sequential detector; returns
@@ -295,22 +297,7 @@ class BufferCache:
                 pages.append(self.get_page(dev_name, relname, start + i))
                 i += 1
                 continue
-            span = obs.span("device.read", device=dev_name, relation=relname,
-                            page=start + i, pages=run) \
-                if obs is not None and obs.tracer.enabled else NO_SPAN
-            with span:
-                datas = dev.read_pages(relname, start + i, run)
-            self.stats.misses += run
-            if obs is not None:
-                obs.tx.charge("buffer_misses", run)
-                obs.device_read(dev_name, relname, run)
-            if self.cpu is not None:
-                for _ in datas:
-                    self.cpu.buffer_copy()
-            for j, data in enumerate(datas):
-                page = Page(data)
-                self._admit((dev_name, relname, start + i + j), _Frame(page))
-                pages.append(page)
+            pages += self._fill(dev, dev_name, relname, start + i, run, run)
             i += run
         if count:
             self._last[lk] = start + count - 1
@@ -348,7 +335,7 @@ class BufferCache:
         self.stats.evictions += 1
         self._forget(key)
         if frame.dirty:
-            self._writeback(key, frame)
+            self._write_run(*key, [frame], "eviction")
 
     def _forget(self, key: BufferKey) -> None:
         """Drop a key from the secondary indexes (frame already gone)."""
@@ -358,53 +345,32 @@ class BufferCache:
             if not pages:
                 del self._rel_keys[key[:2]]
 
-    def _writeback(self, key: BufferKey, frame: _Frame) -> None:
-        dev_name, relname, pageno = key
+    def _write_run(self, dev_name: str, relname: str, start: int,
+                   frames: list[_Frame], cause: str) -> None:
+        """The one place bytes leave for a device: write a run of
+        consecutive dirty pages back in a single device call — an
+        evicted victim is a run of one.  ``dirty_writebacks`` counts
+        pages; ``batched_writes`` and ``write_coalesce_hits`` count the
+        runs longer than one and the pages that rode along in them."""
         obs = self.obs
+        npages = len(frames)
         span = obs.span("device.write", device=dev_name, relation=relname,
-                        page=pageno, pages=1, cause="eviction") \
+                        page=start, pages=npages, cause=cause) \
             if obs is not None and obs.tracer.enabled else NO_SPAN
         with span:
-            self.switch.get(dev_name).write_page(relname, pageno,
-                                                 frame.page.to_bytes())
+            self.switch.get(dev_name).write_pages(
+                relname, start, [f.page.to_bytes() for f in frames])
         if obs is not None:
-            obs.device_write(dev_name, relname, 1)
-        frame.dirty = False
-        self._dirty_keys.discard(key)
-        self.stats.dirty_writebacks += 1
-
-    # -- flushing ------------------------------------------------------------
-
-    def _flush_run(self, dev_name: str, relname: str, start: int,
-                   frames: list[_Frame]) -> None:
-        """Write one run of consecutive dirty pages back in a single
-        device call (singletons keep the ``write_page`` path).  Counter
-        accounting stays per page — ``dirty_writebacks``/``forced_writes``
-        are unchanged by coalescing — while ``batched_writes`` and
-        ``write_coalesce_hits`` expose the batching itself."""
-        dev = self.switch.get(dev_name)
-        obs = self.obs
-        span = obs.span("device.write", device=dev_name, relation=relname,
-                        page=start, pages=len(frames), cause="flush") \
-            if obs is not None and obs.tracer.enabled else NO_SPAN
-        with span:
-            if len(frames) == 1 or not self.coalesce_writes:
-                for i, frame in enumerate(frames):
-                    dev.write_page(relname, start + i, frame.page.to_bytes())
-            else:
-                dev.write_pages(relname, start,
-                                [f.page.to_bytes() for f in frames])
-                self.stats.batched_writes += 1
-                self.stats.write_coalesce_hits += len(frames) - 1
-        if obs is not None:
-            ops = len(frames) if (len(frames) > 1
-                                  and not self.coalesce_writes) else 1
-            obs.device_write(dev_name, relname, len(frames), ops=ops)
+            obs.device_write(dev_name, relname, npages)
         for i, frame in enumerate(frames):
             frame.dirty = False
             self._dirty_keys.discard((dev_name, relname, start + i))
-        self.stats.dirty_writebacks += len(frames)
-        self.stats.forced_writes += len(frames)
+        stats = self.stats
+        stats.dirty_writebacks += npages
+        stats.batched_writes += npages > 1
+        stats.write_coalesce_hits += npages - 1
+
+    # -- flushing ------------------------------------------------------------
 
     def _sweep(self, keys) -> int:
         """Write back the dirty frames among ``keys`` as an elevator
@@ -443,7 +409,8 @@ class BufferCache:
             run = (dev_name, relname, pageno, [frame])
             (out if frame.page.flags & PAGE_HEAP else back).append(run)
         for run in out + back[::-1]:
-            self._flush_run(*run)
+            self._write_run(*run, "flush")
+            self.stats.forced_writes += len(run[3])
         return len(dirty)
 
     def flush_all(self) -> int:

@@ -17,7 +17,7 @@ too):
 - :class:`TapeJukebox` — a Metrum VHS-form-factor tape jukebox.
 """
 
-from repro.devices.base import DeviceManager
+from repro.devices.base import DeviceManager, DeviceProxy
 from repro.devices.switch import DeviceSwitch
 from repro.devices.memdisk import MemDisk
 from repro.devices.magnetic import MagneticDisk
@@ -26,6 +26,7 @@ from repro.devices.tape import TapeJukebox
 
 __all__ = [
     "DeviceManager",
+    "DeviceProxy",
     "DeviceSwitch",
     "MemDisk",
     "MagneticDisk",

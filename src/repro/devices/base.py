@@ -5,18 +5,22 @@ with the switch.
 routines are specific to the database system, and include, for example,
 code to create new tables and to commit transactions."  Our interface
 is page-oriented: relations (tables, indexes) are named sequences of
-8 KB pages; the buffer cache above calls ``read_page``/``write_page``,
-and the transaction manager calls ``sync_write_meta`` to force its
-status file to stable storage at commit.
+8 KB pages; the buffer cache above calls ``read_pages``/``write_pages``
+— a run of consecutive pages, and a single page is a run of one — and
+the transaction manager calls ``sync_append_meta`` to force its status
+file to stable storage at commit.
 
 Simulated I/O costs are charged inside the device managers, so the
 layers above stay cost-model-free.
+
+To interpose on a device (inject faults, tap writes, cache them),
+subclass :class:`DeviceProxy` and override the calls of interest.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable
+from abc import ABC, abstractmethod, update_abstractmethods
+from inspect import isfunction
 
 
 class DeviceManager(ABC):
@@ -65,35 +69,28 @@ class DeviceManager(ABC):
         data transfer is charged until the page is written."""
 
     @abstractmethod
-    def read_page(self, relname: str, pageno: int) -> bytes:
-        """Read one page, charging simulated I/O cost."""
-
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
         """Read ``count`` consecutive pages starting at ``start`` in one
-        device operation — the sequential-I/O fast path used by the
-        buffer cache's read-ahead.  Managers whose cost model rewards
-        contiguity (magnetic disk) override this to charge one
-        positioning plus a contiguous transfer; the default simply loops
-        ``read_page``, so every manager supports the interface."""
-        if count < 0:
-            raise ValueError(f"negative page count {count}")
-        return [self.read_page(relname, start + i) for i in range(count)]
+        device operation, charging simulated I/O cost.  Managers whose
+        cost model rewards contiguity (magnetic disk) charge one
+        positioning plus a contiguous transfer per physical run; the
+        others loop over their per-page routine.  A negative ``count``
+        is a ``ValueError``."""
 
     @abstractmethod
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
-        """Write one page durably-on-medium, charging simulated cost."""
-
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
         """Write ``len(datas)`` consecutive pages starting at ``start``
-        in one device operation — the write-side twin of ``read_pages``,
-        used by the buffer cache's coalesced commit-time flush.  Managers
-        whose cost model rewards contiguity (magnetic disk) override this
-        to charge one positioning plus a contiguous transfer; the default
-        simply loops ``write_page``, so every manager supports the
-        interface."""
-        for i, data in enumerate(datas):
-            self.write_page(relname, start + i, data)
+        durably-on-medium in one device operation — the write-side twin
+        of ``read_pages``."""
+
+    def read_page(self, relname: str, pageno: int) -> bytes:
+        """Convenience: a run of one."""
+        return self.read_pages(relname, pageno, 1)[0]
+
+    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
+        """Convenience: a run of one."""
+        self.write_pages(relname, pageno, [data])
 
     def page_address(self, relname: str, pageno: int):
         """Where the page sits on the medium, as a value that orders the
@@ -140,13 +137,11 @@ class DeviceManager(ABC):
     def read_meta(self, tag: str) -> bytes | None:
         """Read back a metadata blob, or None if absent."""
 
+    @abstractmethod
     def meta_tags(self) -> list[str]:
         """Every metadata tag with a stored blob, sorted.  Replication's
         base backup (:mod:`repro.replica`) copies a device relation by
-        relation and meta by meta; managers that support being cloned
-        override this."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not enumerate metadata tags")
+        relation and meta by meta."""
 
     def sync_append_meta(self, tag: str, data: bytes) -> None:
         """Durably append to a metadata blob (the transaction status
@@ -205,6 +200,36 @@ class DeviceManager(ABC):
             raise ValueError(f"bad relation name {relname!r}")
 
 
-def total_pages(dev: DeviceManager, relnames: Iterable[str]) -> int:
-    """Sum of allocated pages across ``relnames`` (admin helper)."""
-    return sum(dev.nblocks(r) for r in relnames)
+class DeviceProxy(DeviceManager):
+    """A device manager that hands every interface routine to ``inner``.
+
+    This is how to interpose on a device: subclass, override the
+    routines of interest, and register the instance with
+    :meth:`~repro.devices.switch.DeviceSwitch.wrap`.  Proxies stack.
+    The forwarding routines are made from the ABC's own list below, so
+    one added there is forwarded too; ``read_page`` / ``write_page``
+    stay the ABC's runs of one, so a subclass that overrides
+    ``read_pages`` / ``write_pages`` sees all page I/O."""
+
+    def __init__(self, inner: DeviceManager) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.nonvolatile = inner.nonvolatile
+
+    def __getattr__(self, attr):
+        # Device-specific extras (``disk``, ``stats``, ...).
+        return getattr(self.inner, attr)
+
+
+def _forward(name: str):
+    def routine(self, *args, **kwargs):
+        return getattr(self.inner, name)(*args, **kwargs)
+    routine.__name__ = name
+    return routine
+
+
+for _name, _routine in vars(DeviceManager).items():
+    if (isfunction(_routine) and not _name.startswith("_")
+            and _name not in ("read_page", "write_page")):
+        setattr(DeviceProxy, _name, _forward(_name))
+update_abstractmethods(DeviceProxy)

@@ -267,7 +267,7 @@ class SonyJukebox(DeviceManager):
         self._stage(relname, pageno, bytes(PAGE_SIZE), dirty=False)
         return pageno
 
-    def read_page(self, relname: str, pageno: int) -> bytes:
+    def _read_one(self, relname: str, pageno: int) -> bytes:
         st = self._state(relname)
         if not (0 <= pageno < st.npages):
             raise DeviceError(f"{relname!r} page {pageno} out of range")
@@ -292,13 +292,23 @@ class SonyJukebox(DeviceManager):
         self._stage(relname, pageno, data, dirty=False)
         return data
 
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
+    def _write_one(self, relname: str, pageno: int, data: bytes) -> None:
         self._check_page(data)
         st = self._state(relname)
         if not (0 <= pageno < st.npages):
             raise DeviceError(f"{relname!r} page {pageno} out of range")
         self._staging_io()
         self._stage(relname, pageno, data, dirty=True)
+
+    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
+        if count < 0:
+            raise ValueError(f"negative page count {count}")
+        return [self._read_one(relname, start + i) for i in range(count)]
+
+    def write_pages(self, relname: str, start: int,
+                    datas: list[bytes]) -> None:
+        for i, data in enumerate(datas):
+            self._write_one(relname, start + i, data)
 
     def flush(self) -> None:
         """Destage every dirty staged page to the platters."""

@@ -349,7 +349,7 @@ class MagneticDisk(DeviceManager):
         i = bisect_right(st.bounds, pageno) - 1
         return st.extents[i] + pageno - st.bounds[i]
 
-    def _runs(self, st: _RelState, start: int, count: int):
+    def _runs(self, st: _RelState, start: int, count: int) -> list:
         """The physically contiguous block runs, as (first block,
         blocks), that hold pages [start, start + count): one per extent
         touched, adjacent extents joined."""
@@ -357,16 +357,20 @@ class MagneticDisk(DeviceManager):
         end = start + count
         i = bisect_right(bounds, start) - 1
         run_blk = extents[i] + start - bounds[i]
-        run_len = min(end, bounds[i + 1]) - start
-        while bounds[i + 1] < end:
+        bound = bounds[i + 1]
+        run_len = (end if end < bound else bound) - start
+        runs = []
+        while bound < end:
             i += 1
-            length = min(end, bounds[i + 1]) - bounds[i]
+            bound = bounds[i + 1]
+            length = (end if end < bound else bound) - bounds[i]
             if extents[i] == run_blk + run_len:
                 run_len += length
             else:
-                yield run_blk, run_len
+                runs.append((run_blk, run_len))
                 run_blk, run_len = extents[i], length
-        yield run_blk, run_len
+        runs.append((run_blk, run_len))
+        return runs
 
     def _new_extent(self, st: _RelState) -> tuple[int, int]:
         """Carve the relation's next extent from the device-wide cursor;
@@ -449,73 +453,41 @@ class MagneticDisk(DeviceManager):
     def page_address(self, relname: str, pageno: int) -> int:
         return self._block_of(self._state(relname), pageno)
 
-    def read_page(self, relname: str, pageno: int) -> bytes:
+    def _seek_run(self, relname: str, start: int, count: int, charge):
+        """Charge pages [start, start + count) — one ``charge(block,
+        nbytes)`` per physically contiguous run (within one extent, or
+        across adjacent extents): a single positioning plus one
+        contiguous transfer each — and return the backing file
+        positioned at ``start``."""
         st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range ({st.npages})")
-        self.disk.read_block(self._block_of(st, pageno))
+        if not (0 <= start and start + count <= st.npages):
+            raise DeviceError(
+                f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
+        for run_blk, run_len in self._runs(st, start, count):
+            charge(run_blk, run_len * PAGE_SIZE)
         f = self._file(relname)
-        f.seek(pageno * PAGE_SIZE)
-        data = f.read(PAGE_SIZE)
-        if len(data) < PAGE_SIZE:
-            # Allocated but never written: zero page.
-            data = data + bytes(PAGE_SIZE - len(data))
-        return data
+        f.seek(start * PAGE_SIZE)
+        return f
 
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        """Batched sequential read: pages that are physically contiguous
-        on the simulated medium (within one extent, or across adjacent
-        extents) are charged as a single positioning plus one contiguous
-        transfer — the fast path that makes read-ahead cheaper than
-        ``count`` independent ``read_page`` calls."""
         if count < 0:
             raise ValueError(f"negative page count {count}")
         if count == 0:
             return []
-        st = self._state(relname)
-        if not (0 <= start and start + count <= st.npages):
-            raise DeviceError(
-                f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
-        for run_blk, run_len in self._runs(st, start, count):
-            self.disk.read_blocks(run_blk, run_len)
-        f = self._file(relname)
-        f.seek(start * PAGE_SIZE)
+        f = self._seek_run(relname, start, count, self.disk.read_block)
         raw = f.read(count * PAGE_SIZE)
         if len(raw) < count * PAGE_SIZE:
             # Tail pages allocated but never written: zero-fill.
             raw = raw + bytes(count * PAGE_SIZE - len(raw))
-        return [raw[i * PAGE_SIZE:(i + 1) * PAGE_SIZE] for i in range(count)]
-
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
-        self._check_page(data)
-        st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range ({st.npages})")
-        self.disk.write_block(self._block_of(st, pageno))
-        f = self._file(relname)
-        f.seek(pageno * PAGE_SIZE)
-        f.write(data)
+        return [raw[i:i + PAGE_SIZE] for i in range(0, len(raw), PAGE_SIZE)]
 
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
-        """Batched sequential write: pages that are physically contiguous
-        on the simulated medium are charged as a single positioning plus
-        one contiguous transfer — the gathered write-behind that makes a
-        coalesced commit-time flush cheaper than ``len(datas)``
-        independent ``write_page`` calls."""
-        count = len(datas)
-        if count == 0:
+        if not datas:
             return
         for data in datas:
             self._check_page(data)
-        st = self._state(relname)
-        if not (0 <= start and start + count <= st.npages):
-            raise DeviceError(
-                f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
-        for run_blk, run_len in self._runs(st, start, count):
-            self.disk.write_blocks(run_blk, run_len)
-        f = self._file(relname)
-        f.seek(start * PAGE_SIZE)
+        f = self._seek_run(relname, start, len(datas), self.disk.write_block)
         f.write(b"".join(datas))
 
     # -- durability --------------------------------------------------------
@@ -585,7 +557,7 @@ class MagneticDisk(DeviceManager):
         self._close_journal()
 
     def simulate_crash(self) -> None:
-        """Writes already issued through write_page are on the medium;
+        """Writes already issued through write_pages are on the medium;
         only OS-level file handles are volatile."""
         for f in self._files.values():
             f.flush()  # the bytes were "on disk" the moment we charged them

@@ -104,17 +104,6 @@ class MemDisk(DeviceManager):
         self._used += PAGE_SIZE
         return len(pages) - 1
 
-    def _charge(self) -> None:
-        self.clock.advance(PAGE_SIZE / self.dma_rate_bps)
-
-    def read_page(self, relname: str, pageno: int) -> bytes:
-        pages = self._pages(relname)
-        if not (0 <= pageno < len(pages)):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
-        self._charge()
-        self.stats.reads += 1
-        return pages[pageno]
-
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
         """One DMA burst for the whole run — same bytes, one charge call."""
         if count < 0:
@@ -125,15 +114,6 @@ class MemDisk(DeviceManager):
         self.clock.advance(count * PAGE_SIZE / self.dma_rate_bps)
         self.stats.reads += count
         return list(pages[start:start + count])
-
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
-        self._check_page(data)
-        pages = self._pages(relname)
-        if not (0 <= pageno < len(pages)):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
-        self._charge()
-        self.stats.writes += 1
-        pages[pageno] = bytes(data)
 
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.devices.base import DeviceManager
+from repro.devices.base import DeviceManager, DeviceProxy
 from repro.errors import UnknownDeviceError
 
 
@@ -59,10 +59,8 @@ class DeviceSwitch:
         """Undo :meth:`wrap`: restore the proxied device's ``inner``
         manager.  A no-op for devices that are not proxies."""
         device = self.get(name)
-        inner = getattr(device, "inner", None)
-        if isinstance(inner, DeviceManager):
-            self._devices[name] = inner
-            return inner
+        if isinstance(device, DeviceProxy):
+            device = self._devices[name] = device.inner
         return device
 
     @property

@@ -153,7 +153,7 @@ class TapeJukebox(DeviceManager):
         st.npages += 1
         return pageno
 
-    def read_page(self, relname: str, pageno: int) -> bytes:
+    def _read_one(self, relname: str, pageno: int) -> bytes:
         st = self._state(relname)
         if not (0 <= pageno < st.npages):
             raise DeviceError(f"{relname!r} page {pageno} out of range")
@@ -166,7 +166,7 @@ class TapeJukebox(DeviceManager):
         self.stats.reads += 1
         return self._cartridges[cartridge][block]
 
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
+    def _write_one(self, relname: str, pageno: int, data: bytes) -> None:
         self._check_page(data)
         st = self._state(relname)
         if not (0 <= pageno < st.npages):
@@ -180,6 +180,16 @@ class TapeJukebox(DeviceManager):
         self._transfer(PAGE_SIZE)
         self.stats.writes += 1
         self._cartridges[cartridge][block] = bytes(data)
+
+    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
+        if count < 0:
+            raise ValueError(f"negative page count {count}")
+        return [self._read_one(relname, start + i) for i in range(count)]
+
+    def write_pages(self, relname: str, start: int,
+                    datas: list[bytes]) -> None:
+        for i, data in enumerate(datas):
+            self._write_one(relname, start + i, data)
 
     def flush(self) -> None:
         """Streaming writes land on medium immediately."""

@@ -208,13 +208,13 @@ class Observability:
             self._m_dev_pages_read.inc(pages, device=device, relation=relation)
         self.tx.charge_io("device_read_ops", 1, "device_pages_read", pages)
 
-    def device_write(self, device: str, relation: str, pages: int,
-                     ops: int = 1) -> None:
+    def device_write(self, device: str, relation: str, pages: int) -> None:
+        """One device write call moving ``pages`` pages."""
         if self._m_dev_writes is not None:
-            self._m_dev_writes.inc(ops, device=device, relation=relation)
+            self._m_dev_writes.inc(1, device=device, relation=relation)
             self._m_dev_pages_written.inc(pages, device=device,
                                           relation=relation)
-        self.tx.charge_io("device_write_ops", ops,
+        self.tx.charge_io("device_write_ops", 1,
                           "device_pages_written", pages)
 
     def heap_inserted(self, relation: str, n: int = 1) -> None:

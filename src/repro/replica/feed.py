@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.devices.base import DeviceManager
+from repro.devices.base import DeviceManager, DeviceProxy
 from repro.errors import FeedGapError
 from repro.obs.registry import MetricSpec
 
@@ -234,9 +234,10 @@ class PrimaryFeed:
         self.db.switch.flush_all()
 
 
-class FeedTapDevice(DeviceManager):
+class FeedTapDevice(DeviceProxy):
     """Interposing proxy recording every successful durable mutation
-    into the feed log, payload included.
+    into the feed log, payload included; reads and everything else are
+    :class:`DeviceProxy`'s delegation.
 
     Ordering note for the failover testkit: the fault-injecting
     :class:`~repro.testkit.faults.FaultyDevice` wraps *outside* this tap
@@ -245,12 +246,8 @@ class FeedTapDevice(DeviceManager):
     writes that reached the media, exactly like a physical log."""
 
     def __init__(self, inner: DeviceManager, feed: PrimaryFeed) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.feed = feed
-        self.name = inner.name
-        self.nonvolatile = inner.nonvolatile
-
-    # -- recorded mutations ------------------------------------------------
 
     def create_relation(self, relname: str) -> None:
         self.inner.create_relation(relname)
@@ -269,15 +266,11 @@ class FeedTapDevice(DeviceManager):
         self.feed._record(self.name, "extend", relname, pageno)
         return pageno
 
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
-        self.inner.write_page(relname, pageno, data)
-        self.feed._record(self.name, "page", relname, pageno, bytes(data))
-
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
         self.inner.write_pages(relname, start, datas)
-        for i, data in enumerate(datas):
-            self.feed._record(self.name, "page", relname, start + i,
+        for pageno, data in enumerate(datas, start):
+            self.feed._record(self.name, "page", relname, pageno,
                               bytes(data))
 
     def sync_write_meta(self, tag: str, data: bytes) -> None:
@@ -288,50 +281,7 @@ class FeedTapDevice(DeviceManager):
         self.inner.sync_append_meta(tag, data)
         self.feed._record(self.name, "append", tag, payload=bytes(data))
 
-    # -- pass-through ---------------------------------------------------
-
-    def relation_exists(self, relname: str) -> bool:
-        return self.inner.relation_exists(relname)
-
-    def list_relations(self) -> list[str]:
-        return self.inner.list_relations()
-
-    def nblocks(self, relname: str) -> int:
-        return self.inner.nblocks(relname)
-
-    def page_address(self, relname: str, pageno: int):
-        # Defined by the ABC, so ``__getattr__`` below never sees it.
-        return self.inner.page_address(relname, pageno)
-
-    def read_page(self, relname: str, pageno: int) -> bytes:
-        return self.inner.read_page(relname, pageno)
-
-    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        return self.inner.read_pages(relname, start, count)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def read_meta(self, tag: str) -> bytes | None:
-        return self.inner.read_meta(tag)
-
-    def meta_tags(self) -> list[str]:
-        return self.inner.meta_tags()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def simulate_crash(self) -> None:
-        self.inner.simulate_crash()
-
-    def rebind_clock(self, clock) -> None:
-        self.inner.rebind_clock(clock)
-
     def describe(self) -> dict[str, object]:
         row = self.inner.describe()
         row["feed_tap"] = True
         return row
-
-    def __getattr__(self, attr):
-        # Device-specific extras (``disk``, ``stats``, ...).
-        return getattr(self.inner, attr)

@@ -366,9 +366,14 @@ class MultiUserScheduler:
     ITEMS: tuple = (Call, Apply)
     session_class = Session
 
+    #: simulated seconds: a parked waiter's idle step, and the first and
+    #: the longest sleep of a retried unit (doubling in between).
+    wait_quantum = 1e-4
+    backoff_base = 0.005
+    backoff_cap = 0.08
+
     def __init__(self, server, seed: int = 0, max_inflight: int = 8,
-                 admission_queue: int = 16, wait_quantum: float = 1e-4,
-                 backoff_base: float = 0.005, backoff_cap: float = 0.08,
+                 admission_queue: int = 16,
                  max_retries: int = 10, fairness_bound: float = 0.5,
                  cluster_commits: bool = True, cache_factory=None) -> None:
         self.server = server
@@ -384,9 +389,6 @@ class MultiUserScheduler:
         self.rng = random.Random(seed)
         self.max_inflight = max_inflight
         self.admission_queue = admission_queue
-        self.wait_quantum = wait_quantum
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.max_retries = max_retries
         self.fairness_bound = fairness_bound
         self.cluster_commits = cluster_commits

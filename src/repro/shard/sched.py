@@ -54,16 +54,13 @@ class ShardedScheduler(MultiUserScheduler):
     ITEMS = (Call, ClientOp)
     session_class = ShardSession
 
-    def __init__(self, cluster, seed: int = 0, wait_quantum: float = 1e-4,
-                 backoff_base: float = 0.005, backoff_cap: float = 0.08,
+    def __init__(self, cluster, seed: int = 0,
                  max_retries: int = 10, fairness_bound: float = 0.5) -> None:
         self.cluster = cluster
         # No one server and no session cache; everyone is admitted at
         # once and commits are not clustered.
         super().__init__(None, seed, max_inflight=float("inf"),
-                         admission_queue=0, wait_quantum=wait_quantum,
-                         backoff_base=backoff_base, backoff_cap=backoff_cap,
-                         max_retries=max_retries,
+                         admission_queue=0, max_retries=max_retries,
                          fairness_bound=fairness_bound, cluster_commits=False)
 
     def add_session(self, program, name: str | None = None,

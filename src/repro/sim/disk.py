@@ -165,38 +165,18 @@ class DiskModel:
         return cost
 
     def read_block(self, block: int, nbytes: int = BLOCK_SIZE) -> float:
-        """Charge for reading ``nbytes`` starting at ``block``."""
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        return self._charge(block, nbytes)
-
-    def read_blocks(self, block: int, nblocks: int) -> float:
-        """Charge for one contiguous multi-block read: a single
-        positioning (seek + rotation unless the head is already there)
-        followed by ``nblocks`` of pure media transfer.  This is the
-        device-level batch a track-buffered controller performs for
-        read-ahead; it counts as one read operation."""
-        if nblocks <= 0:
-            return 0.0
-        nbytes = nblocks * BLOCK_SIZE
+        """Charge for one read of ``nbytes`` starting at ``block``: a
+        single positioning (seek + rotation unless the head is already
+        there) followed by pure media transfer, however many blocks the
+        bytes span.  A run is one read operation."""
         self.stats.reads += 1
         self.stats.bytes_read += nbytes
         return self._charge(block, nbytes)
 
     def write_block(self, block: int, nbytes: int = BLOCK_SIZE) -> float:
-        """Charge for writing ``nbytes`` starting at ``block``."""
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        return self._charge(block, nbytes)
-
-    def write_blocks(self, block: int, nblocks: int) -> float:
-        """Charge for one contiguous multi-block write: a single
-        positioning followed by ``nblocks`` of pure media transfer — the
-        write-side twin of ``read_blocks``, what a controller does for a
-        gathered write-behind sweep.  Counts as one write operation."""
-        if nblocks <= 0:
-            return 0.0
-        nbytes = nblocks * BLOCK_SIZE
+        """Charge for one write of ``nbytes`` starting at ``block`` —
+        the write-side twin of ``read_block``: one positioning, one
+        write operation, whatever the run length."""
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
         return self._charge(block, nbytes)

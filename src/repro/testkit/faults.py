@@ -10,7 +10,7 @@ forces are intercepted too).
 Injectable faults:
 
 - **counted crash** — the shared :class:`CrashController` counts every
-  durable write (``write_page``, ``sync_write_meta``,
+  durable write (each page of a ``write_pages``, ``sync_write_meta``,
   ``sync_append_meta``) across all proxied devices; at write index
   ``crash_after`` it raises :class:`~repro.errors.SimulatedCrashError`
   *instead of* performing the write, so exactly ``crash_after`` writes
@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.devices.base import DeviceManager
+from repro.devices.base import DeviceManager, DeviceProxy
 from repro.errors import InjectedFaultError, SimulatedCrashError
 
 
@@ -151,15 +151,13 @@ class CrashController:
         return None
 
 
-class FaultyDevice(DeviceManager):
-    """Interposing proxy: every call is delegated to ``inner``, with
-    the controller's gates in front of the I/O paths."""
+class FaultyDevice(DeviceProxy):
+    """Interposing proxy: the controller's gates in front of the I/O
+    paths; everything else is :class:`DeviceProxy`'s delegation."""
 
     def __init__(self, inner: DeviceManager, controller: CrashController) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.ctrl = controller
-        self.name = inner.name
-        self.nonvolatile = inner.nonvolatile
 
     # -- relation lifecycle.  create/drop/rename mutate durable device
     # metadata, so each is a counted crash boundary — that is what lets
@@ -180,52 +178,29 @@ class FaultyDevice(DeviceManager):
         self.ctrl.write_gate("rename", self.name, f"{src}->{dst}")
         self.inner.rename_relation(src, dst)
 
-    def relation_exists(self, relname: str) -> bool:
-        return self.inner.relation_exists(relname)
-
-    def list_relations(self) -> list[str]:
-        return self.inner.list_relations()
-
-    def nblocks(self, relname: str) -> int:
-        return self.inner.nblocks(relname)
-
     def extend(self, relname: str) -> int:
         self.ctrl._check_down()
         return self.inner.extend(relname)
 
-    def page_address(self, relname: str, pageno: int):
-        # Defined by the ABC, so ``__getattr__`` below never sees it.
-        return self.inner.page_address(relname, pageno)
-
     # -- gated page I/O ---------------------------------------------------
 
-    def read_page(self, relname: str, pageno: int) -> bytes:
-        self.ctrl.read_gate(self.name, f"{relname}:{pageno}", relname)
-        return self.inner.read_page(relname, pageno)
-
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        # Each page of the batch passes the read gate individually, so
-        # injected read errors and broken-relation faults hit batched
-        # reads exactly as they would the page-at-a-time path.
+        # Each page of the run passes the read gate individually, so an
+        # injected read error or a broken relation hits the page it
+        # names wherever the run around it starts.
         for pageno in range(start, start + count):
             self.ctrl.read_gate(self.name, f"{relname}:{pageno}", relname)
         return self.inner.read_pages(relname, start, count)
 
-    def write_page(self, relname: str, pageno: int, data: bytes) -> None:
-        self.ctrl.write_gate("page", self.name, f"{relname}:{pageno}", relname)
-        self.inner.write_page(relname, pageno, data)
-
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
-        # Every page of the batch is its own counted crash boundary and
-        # is written through individually: a coalesced flush crashed at
-        # write k leaves exactly the first pages of the run durable —
-        # the same prefix semantics a page-at-a-time flush would have.
-        for i, data in enumerate(datas):
-            pageno = start + i
+        # Every page of the run is its own counted crash boundary and
+        # is written through individually: a flush crashed at write k
+        # leaves exactly the first pages of the run durable.
+        for pageno, data in enumerate(datas, start):
             self.ctrl.write_gate("page", self.name,
                                  f"{relname}:{pageno}", relname)
-            self.inner.write_page(relname, pageno, data)
+            self.inner.write_pages(relname, pageno, [data])
 
     # -- gated durability -------------------------------------------------
 
@@ -251,22 +226,7 @@ class FaultyDevice(DeviceManager):
         self.ctrl._check_down()
         return self.inner.read_meta(tag)
 
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def simulate_crash(self) -> None:
-        self.inner.simulate_crash()
-
-    def rebind_clock(self, clock) -> None:
-        self.inner.rebind_clock(clock)
-
     def describe(self) -> dict[str, object]:
         row = self.inner.describe()
         row["fault_proxy"] = True
         return row
-
-    def __getattr__(self, attr):
-        # Delegate device-specific extras (``disk``, ``stats``, ...).
-        return getattr(self.inner, attr)

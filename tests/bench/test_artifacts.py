@@ -89,8 +89,8 @@ SABOTAGE = [
      "one index descent"),
     ("commitio", ("group_commit", "after", "status_forces"), 2,
      "one forced append"),
-    ("commitio", ("writeback", "write_op_ratio"), 1.5,
-     "halves device write operations"),
+    ("commitio", ("writeback", "after", "device_writes"), 9,
+     "in ≤ 8 device writes"),
     ("commitio", ("group_commit", "after", "device_writes"), 3,
      "one sweep and one force"),
     ("multiuser", ("disjoint", 3, "txns_per_sec"), 30.0,

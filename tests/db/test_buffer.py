@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db.buffer import BufferCache
+from repro.db.page import PAGE_HEAP
 from repro.devices.memdisk import MemDisk
 from repro.devices.switch import DeviceSwitch
 from repro.sim.clock import SimClock
@@ -120,20 +121,31 @@ def test_flush_relation_counts_forced_writes(setup):
     assert cache.stats.forced_writes == before + 4
 
 
-def test_flush_relation_elevator_order(setup):
-    _switch, dev, cache = setup
-    order = []
-    original = dev.write_page
+def scattered_dirty_heap_pages(switch, dev):
+    """A cache whose dirty heap pages are 1-2, 4 and 6 of ``r``, dirtied
+    in no useful order, and the ``(start, len)`` of every device write
+    from here on."""
+    runs = []
+    original = dev.write_pages
 
-    def spy(relname, pageno, data):
-        order.append(pageno)
-        original(relname, pageno, data)
-    dev.write_page = spy
-    big = BufferCache(cache.switch, capacity=16)
-    for _ in range(5):
-        big.new_page("mem0", "r")
-    big.flush_relation("mem0", "r")
-    assert order == sorted(order)
+    def spy(relname, start, datas):
+        runs.append((start, len(datas)))
+        original(relname, start, datas)
+    big = BufferCache(switch, capacity=16)
+    for _ in range(8):
+        big.new_page("mem0", "r", flags=PAGE_HEAP)
+    big.flush_all()
+    dev.write_pages = spy
+    for pageno in (6, 1, 4, 2):
+        big.mark_dirty("mem0", "r", pageno)
+    return big, runs
+
+
+def test_flush_relation_elevator_order(setup):
+    switch, dev, _cache = setup
+    big, runs = scattered_dirty_heap_pages(switch, dev)
+    assert big.flush_relation("mem0", "r") == 4
+    assert runs == [(1, 2), (4, 1), (6, 1)]
 
 
 def test_invalidate_without_writeback_performs_no_device_io(setup):
@@ -193,19 +205,8 @@ def test_mark_dirty_requires_residency(setup):
 
 def test_flush_all_elevator_order(setup):
     """Dirty pages are written in sorted page order (one ascending
-    sweep), not insertion order."""
-    _switch, dev, cache = setup
-    order = []
-    original = dev.write_page
-
-    def spy(relname, pageno, data):
-        order.append(pageno)
-        original(relname, pageno, data)
-    dev.write_page = spy
-    big = BufferCache(cache.switch, capacity=16)
-    nums = []
-    for _ in range(6):
-        pageno, _pg = big.new_page("mem0", "r")
-        nums.append(pageno)
-    big.flush_all()
-    assert order == sorted(order)
+    sweep), not the order they were dirtied in."""
+    switch, dev, _cache = setup
+    big, runs = scattered_dirty_heap_pages(switch, dev)
+    assert big.flush_all() == 4
+    assert runs == [(1, 2), (4, 1), (6, 1)]

@@ -37,17 +37,12 @@ class ReadCalls:
 
     def __init__(self, dev):
         self.calls: list[tuple[int, int]] = []
-        orig_one, orig_many = dev.read_page, dev.read_pages
-
-        def read_page(relname, pageno):
-            self.calls.append((pageno, 1))
-            return orig_one(relname, pageno)
+        orig = dev.read_pages
 
         def read_pages(relname, start, count):
             self.calls.append((start, count))
-            return orig_many(relname, start, count)
+            return orig(relname, start, count)
 
-        dev.read_page = read_page
         dev.read_pages = read_pages
 
 

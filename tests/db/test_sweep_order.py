@@ -15,7 +15,7 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.db.buffer import BufferCache
 from repro.db.database import Database
-from repro.db.page import PAGE_BTREE_LEAF, PAGE_HEAP
+from repro.db.page import PAGE_BTREE_LEAF, PAGE_HEAP, PAGE_SIZE
 from repro.devices.memdisk import MemDisk
 from repro.devices.switch import DeviceSwitch
 from repro.replica.feed import PrimaryFeed
@@ -66,13 +66,12 @@ def test_flush_all_sweeps_a_magnetic_disk_in_block_order(tmp_path, interpose):
 
     model = dev.disk                         # proxies pass ``disk`` through
     written: list[int] = []
-    write_block, write_blocks = model.write_block, model.write_blocks
-    model.write_block = lambda block, *a: (
-        written.append(block), write_block(block, *a))[1]
-    model.write_blocks = lambda block, n: (
-        written.extend(range(block, block + n)), write_blocks(block, n))[1]
+    write_block = model.write_block
+    model.write_block = lambda block, nbytes: (
+        written.extend(range(block, block + nbytes // PAGE_SIZE)),
+        write_block(block, nbytes))[1]
     assert buffers.flush_all() == len(dirty)
-    del model.write_block, model.write_blocks
+    del model.write_block
     client.p_commit()
 
     heap = [block for block in written if dirty[block]]
@@ -158,9 +157,7 @@ def test_flush_all_on_a_manager_without_geometry_goes_by_relation_and_page():
         cache.get_page("nvram", rel, pageno)
         cache.mark_dirty("nvram", rel, pageno)
     order: list[tuple[str, int]] = []
-    write_page, write_pages = dev.write_page, dev.write_pages
-    dev.write_page = lambda rel, p, data: (
-        order.append((rel, p)), write_page(rel, p, data))[1]
+    write_pages = dev.write_pages
     dev.write_pages = lambda rel, start, datas: (
         order.extend((rel, start + i) for i in range(len(datas))),
         write_pages(rel, start, datas))[1]

@@ -1,18 +1,8 @@
 """Device manager base-class helpers."""
 
-from repro.devices.base import DeviceManager, total_pages
+from repro.devices.base import DeviceManager
 from repro.devices.memdisk import MemDisk
 from repro.sim.clock import SimClock
-
-
-def test_total_pages_helper():
-    dev = MemDisk("m", SimClock())
-    for rel, pages in (("a", 3), ("b", 2)):
-        dev.create_relation(rel)
-        for _ in range(pages):
-            dev.extend(rel)
-    assert total_pages(dev, ["a", "b"]) == 5
-    assert total_pages(dev, []) == 0
 
 
 def test_describe_reports_identity():

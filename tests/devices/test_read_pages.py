@@ -1,8 +1,10 @@
-"""Batched page reads across the device managers.
+"""Page runs across the device managers.
 
-``read_pages`` is the device half of the sequential fast path: one call
-per contiguous run, one positioning charge per physically contiguous
-block run, identical bytes to page-at-a-time reads.
+``read_pages`` / ``write_pages`` are the two I/O verbs of the device
+interface: one call per run of consecutive pages, one positioning
+charge per physically contiguous block run.  A single page is a run of
+one — ``read_page`` / ``write_page`` are the ABC's conveniences for it
+— and that is pinned here, manager by manager and proxy by proxy.
 """
 
 import pytest
@@ -11,8 +13,11 @@ from repro.db.page import PAGE_SIZE
 from repro.devices.jukebox import SonyJukebox
 from repro.devices.magnetic import EXTENT_PAGES, MagneticDisk
 from repro.devices.memdisk import MemDisk
-from repro.errors import DeviceError
+from repro.devices.tape import TapeJukebox
+from repro.errors import DeviceError, SimulatedCrashError
+from repro.replica.feed import FeedTapDevice, PrimaryFeed
 from repro.sim.clock import SimClock
+from repro.testkit import CrashController, FaultPlan, FaultyDevice
 
 
 def page_of(byte: int) -> bytes:
@@ -130,18 +135,113 @@ def test_adjacent_extents_stay_one_run(tmp_path):
     assert stats.reads == r0 + 1
 
 
-# -- default implementation (ABC) ------------------------------------------
+# -- a page is a run of one (every manager, both proxies) -------------------
 
 
-def test_jukebox_inherits_page_at_a_time_default(tmp_path):
-    """Managers without a batched fast path fall back to the ABC's
-    read_page loop — same bytes, page-at-a-time cost."""
+def _magnetic(tmp_path):
+    return MagneticDisk("d", SimClock(), str(tmp_path))
+
+
+MANAGERS = {
+    "magnetic": _magnetic,
+    "memdisk": lambda tmp_path: MemDisk("d", SimClock()),
+    "jukebox": lambda tmp_path: SonyJukebox("d", SimClock()),
+    "tape": lambda tmp_path: TapeJukebox("d", SimClock()),
+    "faulty": lambda tmp_path: FaultyDevice(_magnetic(tmp_path),
+                                            CrashController()),
+    "feed_tap": lambda tmp_path: FeedTapDevice(_magnetic(tmp_path),
+                                               PrimaryFeed(None)),
+}
+
+
+@pytest.fixture(params=list(MANAGERS))
+def twins(request, tmp_path):
+    """Two devices of one kind with the same five pages written the
+    same way: whatever one call costs on the first, its twin call must
+    cost on the second."""
+    pair = []
+    for side in ("a", "b"):
+        dev = MANAGERS[request.param](tmp_path / side)
+        dev.create_relation("r")
+        fill(dev, "r", 5)
+        pair.append(dev)
+    return pair
+
+
+def observed(dev) -> dict:
+    """The clock and every counter the device (and what it wraps)
+    keeps."""
+    seen = {"clock": dev.clock.now(), "stats": vars(dev.stats).copy()}
+    for model in ("disk", "staging_disk"):
+        if hasattr(dev, model):
+            seen[model] = vars(getattr(dev, model).stats).copy()
+    if isinstance(dev, FaultyDevice):
+        seen["gates"] = (dev.ctrl.reads, dev.ctrl.writes, dev.ctrl.write_log[:])
+    if isinstance(dev, FeedTapDevice):
+        seen["feed"] = dev.feed.log[:]
+    return seen
+
+
+def test_reading_a_run_of_one_is_reading_a_page(twins):
+    a, b = twins
+    assert a.read_pages("r", 3, 1) == [b.read_page("r", 3)] == [page_of(3)]
+    assert observed(a) == observed(b)
+
+
+def test_writing_a_run_of_one_is_writing_a_page(twins):
+    a, b = twins
+    a.write_pages("r", 2, [page_of(9)])
+    b.write_page("r", 2, page_of(9))
+    assert observed(a) == observed(b)
+    assert a.read_page("r", 2) == b.read_page("r", 2) == page_of(9)
+
+
+def test_a_magnetic_run_of_one_is_one_block_operation(magnetic):
+    fill(magnetic, "r", 3)
+    stats = magnetic.disk.stats
+    before = stats.snapshot()
+    magnetic.read_page("r", 1)
+    magnetic.write_page("r", 1, page_of(7))
+    assert (stats.reads, stats.bytes_read) == (
+        before.reads + 1, before.bytes_read + PAGE_SIZE)
+    assert (stats.writes, stats.bytes_written) == (
+        before.writes + 1, before.bytes_written + PAGE_SIZE)
+
+
+def test_a_negative_count_is_refused_by_every_manager(twins):
+    dev, _ = twins
+    assert dev.read_pages("r", 0, 0) == []
+    with pytest.raises(ValueError):
+        dev.read_pages("r", 0, -2)
+
+
+def test_jukebox_reads_a_run_page_by_page():
+    """Managers whose medium has no contiguity to reward loop over
+    their per-page routine — same bytes, page-at-a-time cost."""
     dev = SonyJukebox("j0", SimClock())
     dev.create_relation("r")
     fill(dev, "r", 5)
+    hits = dev.stats.staging_hits
     assert dev.read_pages("r", 1, 3) == [page_of(1), page_of(2), page_of(3)]
-    with pytest.raises(ValueError):
-        dev.read_pages("r", 0, -2)
+    assert dev.stats.staging_hits == hits + 3
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_faulted_run_leaves_exactly_a_prefix_durable(tmp_path, k):
+    """``FaultyDevice.write_pages`` gates and writes page by page: power
+    failing in place of write ``k`` of a run leaves pages ``< k`` new
+    and the rest old."""
+    inner = _magnetic(tmp_path)
+    inner.create_relation("r")
+    fill(inner, "r", 4)
+    ctrl = CrashController(FaultPlan(crash_after=k))
+    dev = FaultyDevice(inner, ctrl)
+    with pytest.raises(SimulatedCrashError):
+        dev.write_pages("r", 0, [page_of(100 + i) for i in range(4)])
+    assert ctrl.write_log == [("page", "d", f"r:{i}") for i in range(k)]
+    assert inner.read_pages("r", 0, 4) == (
+        [page_of(100 + i) for i in range(k)]
+        + [page_of(i) for i in range(k, 4)])
 
 
 # -- memdisk ---------------------------------------------------------------

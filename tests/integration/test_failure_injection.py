@@ -88,21 +88,21 @@ def test_data_flush_failure_aborts_cleanly(tmp_path):
     client.p_close(fd)
 
     dev = db.switch.get("magnetic0")
-    original = dev.write_page
+    original = dev.write_pages
     calls = {"n": 0}
 
-    def flaky(relname, pageno, data):
+    def flaky(relname, start, datas):
         calls["n"] += 1
         if calls["n"] == 1:
             raise DeviceError("injected write failure")
-        original(relname, pageno, data)
-    dev.write_page = flaky
+        original(relname, start, datas)
+    dev.write_pages = flaky
 
     tx = db.begin()
     fs.write_file(tx, "/doomed", b"x" * 10_000)
     with pytest.raises(DeviceError):
         db.commit(tx)
-    dev.write_page = original
+    dev.write_pages = original
     db.abort(tx)
 
     # The system is still usable afterwards.

@@ -219,3 +219,19 @@ def test_a_table_created_at_the_primary_appears_with_the_next_round(
     assert _read(replica, "/b") == b"new file, new chunk table"
     assert rdb.catalog.rebuilds == 2
     replica.close()
+
+
+def test_seed_from_a_fault_wrapped_primary(tmp_path, primary, writer):
+    """The failover topology's stacking order — the fault proxy outside
+    the feed tap: a base backup reads relations *and* metadata tags
+    through both."""
+    from repro.testkit import CrashController, FaultyDevice
+    db, fs, feed = primary
+    write_file(writer, "/a", b"seeded through two proxies")
+    ctrl = CrashController()
+    db.wrap_devices(lambda dev: FaultyDevice(dev, ctrl))
+    replica = make_replica(tmp_path, feed)
+    assert _read(replica, "/a") == b"seeded through two proxies"
+    assert harvest_state(replica.fs) == harvest_state(fs)
+    assert ctrl.reads > 0                    # the copy went through the gates
+    replica.close()
