@@ -99,8 +99,7 @@ def bind_cache_stats(registry, stats: CacheStats) -> None:
     misses = registry.register(METRICS[1])
     for tier in ("att", "chunk"):
         misses.mirror(lambda s=stats, t=tier: s.misses.get(t, 0), tier=tier)
-    registry.register(METRICS[2]).mirror(lambda s=stats: s.invalidations)
-    registry.register(METRICS[3]).mirror(lambda s=stats: s.evictions)
+    registry.mirror_all(METRICS[2:], stats)
 
 
 class ClientCache:

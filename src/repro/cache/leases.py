@@ -99,9 +99,7 @@ class LeaseStats:
 def bind_lease_stats(registry, stats: LeaseStats) -> None:
     """Mirror ``stats`` onto ``registry`` (idempotent — re-registering
     an identical spec returns the existing family)."""
-    for spec in METRICS:
-        attr = spec.name.rsplit(".", 1)[-1]
-        registry.register(spec).mirror(lambda s=stats, a=attr: getattr(s, a))
+    registry.mirror_all(METRICS, stats)
 
 
 class _Channel:

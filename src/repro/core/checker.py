@@ -12,16 +12,28 @@ Our chunk records *do* fill the reserved field (``selfid`` = file
 identifier), so this module implements the checker the paper sketches.
 Unlike fsck, it is **not** needed for crash recovery — it exists to
 detect media corruption and misdirected writes, and runs on demand.
+
+A by-reference clone (``repro.vfs``) leaves rows that *point* at exact
+chunk versions of another file, so the same walk proves the
+shared-extents invariant: **every committed reference stored anywhere —
+current, superseded, or archived — still resolves** (the version it
+pins exists in the source's live heap or its archive) and is covered
+by a ``vfsref`` registry row.  Vacuum is the only thing that destroys
+versions, and its history-pin guard
+(:meth:`repro.db.vacuum.VacuumCleaner.vacuum_table`) consults that
+registry; an unregistered reference is one vacuum would not protect.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from repro.core.chunks import REF_PAYLOAD, chunk_table_name
+from repro.core.chunks import REF_PAYLOAD, ChunkStore
 from repro.core.constants import CHUNK_SIZE
+from repro.core.filesystem import VFSREF_TABLE
 from repro.db.snapshot import BootstrapSnapshot
-from repro.errors import InversionError
+from repro.errors import InversionError, TableError
 
 
 @dataclass
@@ -49,124 +61,125 @@ class CheckReport:
 
 
 class ConsistencyChecker:
-    """Validates chunk tables against their self-identification tags."""
+    """Validates chunk tables against their self-identification tags
+    and every chunk reference against the version it pins."""
 
     def __init__(self, fs) -> None:
         self.fs = fs
 
+    @staticmethod
+    def _flag(report: CheckReport, fileid: int, chunkno: int | None,
+              kind: str, detail: str) -> None:
+        report.corruptions.append(Corruption(fileid, chunkno, kind, detail))
+
     def check_file(self, fileid: int, report: CheckReport | None = None
                    ) -> CheckReport:
-        """Validate every stored version of every chunk of one file."""
+        """Validate every stored version of every chunk of one file,
+        live heap and archive alike (time travel can reach any of
+        them)."""
         report = report or CheckReport()
         db = self.fs.db
-        snapshot = BootstrapSnapshot(db.tm)
-        info = db.catalog.lookup_table(chunk_table_name(fileid), snapshot,
-                                       use_cache=False)
-        if info is None:
-            report.corruptions.append(Corruption(
-                fileid, None, "unreadable", "no chunk table in the catalog"))
+        flag = functools.partial(self._flag, report, fileid)
+        try:
+            store = ChunkStore(db, fileid, None)
+        except TableError:
+            flag(None, "unreadable", "no chunk table in the catalog")
             return report
-        from repro.db.heap import HeapFile
-        heap = HeapFile(db.buffers, info.devname, info.name, info.schema,
-                        cpu=db.cpu)
         report.files_checked += 1
         try:
-            versions = list(heap.scan_all_versions())
+            heaps = [store.table.heap, db.archive_heap_for(store.table.name)]
+            versions = [(xmin, values) for heap in filter(None, heaps)
+                        for _tid, xmin, _xmax, values
+                        in heap.scan_all_versions()]
         except Exception as exc:
-            report.corruptions.append(Corruption(
-                fileid, None, "unreadable", f"heap scan failed: {exc}"))
+            flag(None, "unreadable", f"heap scan failed: {exc}")
             return report
-        for _tid, _xmin, _xmax, values in versions:
-            chunkno, selfid, data = values
+        for xmin, (chunkno, selfid, data) in versions:
             report.chunks_checked += 1
+            if chunkno < 0:
+                flag(chunkno, "negative-chunkno", "chunk number below zero")
             if selfid < 0:
                 # A by-reference row: its self-identification is the
                 # pointer payload itself (source fileid + chunkno +
-                # version xmin).  Validate the encoding here; whether
-                # the pinned version still exists is the job of
-                # :func:`repro.vfs.extents.shared_extents`.
-                self._check_reference(fileid, chunkno, selfid, data, report)
+                # version xmin).
+                self._check_reference(store, chunkno, selfid, data,
+                                      db.tm.is_committed(xmin), flag)
                 continue
             if selfid != fileid:
-                report.corruptions.append(Corruption(
-                    fileid, chunkno, "misdirected",
-                    f"chunk tagged for file {selfid}, found in file "
-                    f"{fileid}'s table"))
-            if chunkno < 0:
-                report.corruptions.append(Corruption(
-                    fileid, chunkno, "negative-chunkno",
-                    "chunk number below zero"))
+                flag(chunkno, "misdirected",
+                     f"chunk tagged for file {selfid}, found in file "
+                     f"{fileid}'s table")
             if len(data) > CHUNK_SIZE:
-                report.corruptions.append(Corruption(
-                    fileid, chunkno, "oversize",
-                    f"chunk holds {len(data)} bytes > {CHUNK_SIZE}"))
+                flag(chunkno, "oversize",
+                     f"chunk holds {len(data)} bytes > {CHUNK_SIZE}")
         # Exactly one visible version per chunk number: coalescing
         # dirty runs into batched writes must neither drop a chunk's
         # current version nor leave two versions visible at once.
+        snapshot = BootstrapSnapshot(db.tm)
         visible_counts: dict[int, int] = {}
-        for _t, row in heap.scan(snapshot):
+        for _t, row in store.table.scan(snapshot):
             visible_counts[row[0]] = visible_counts.get(row[0], 0) + 1
         for chunkno, count in sorted(visible_counts.items()):
             if count > 1:
-                report.corruptions.append(Corruption(
-                    fileid, chunkno, "duplicate-chunk",
-                    f"{count} visible versions of one chunk"))
+                flag(chunkno, "duplicate-chunk",
+                     f"{count} visible versions of one chunk")
         # The recorded size must be coverable by the visible chunks.
         # (Only the last chunk is required: interior holes are legal —
         # absent chunk numbers read back as zeros.)
         att_entry = self.fs.fileatt.get_entry(fileid, snapshot)
         if att_entry is not None:
-            att = att_entry[1]
-            needed = (att.size + CHUNK_SIZE - 1) // CHUNK_SIZE
-            last = needed - 1
-            if att.size > 0 and last not in visible_counts:
-                report.corruptions.append(Corruption(
-                    fileid, last, "size-mismatch",
-                    f"size {att.size} implies chunk {last}, which has no "
-                    f"visible version"))
+            size = att_entry[1].size
+            last = (size + CHUNK_SIZE - 1) // CHUNK_SIZE - 1
+            if size > 0 and last not in visible_counts:
+                flag(last, "size-mismatch",
+                     f"size {size} implies chunk {last}, which has no "
+                     f"visible version")
         return report
 
-    def _check_reference(self, fileid: int, chunkno: int, selfid: int,
-                         data: bytes, report: CheckReport) -> None:
-        """Structural validation of one by-reference row."""
-        if chunkno < 0:
-            report.corruptions.append(Corruption(
-                fileid, chunkno, "negative-chunkno",
-                "chunk number below zero"))
+    def _check_reference(self, store: ChunkStore, chunkno: int, selfid: int,
+                         data: bytes, committed: bool, flag) -> None:
+        """One by-reference row: the encoding, then — for a committed
+        row; an aborted clone's rows are unreachable garbage that
+        vacuum expunges — that the pinned version still exists and
+        that the registry the vacuum guard reads covers it."""
         if len(data) != REF_PAYLOAD.size:
-            report.corruptions.append(Corruption(
-                fileid, chunkno, "bad-reference",
-                f"reference payload is {len(data)} bytes, "
-                f"expected {REF_PAYLOAD.size}"))
+            faults = [f"reference payload is {len(data)} bytes, "
+                      f"expected {REF_PAYLOAD.size}"]
+        else:
+            src_fid, src_chunkno, _src_xmin = REF_PAYLOAD.unpack(data)
+            faults = [detail for wrong, detail in (
+                (src_fid != -selfid,
+                 f"selfid names source {-selfid}, payload names {src_fid}"),
+                (src_fid == store.fileid, "self-referential chunk pointer"),
+                (src_chunkno < 0,
+                 f"negative source chunk number {src_chunkno}")) if wrong]
+        for detail in faults:
+            flag(chunkno, "bad-reference", detail)
+        if faults or not committed:
             return
-        src_fid, src_chunkno, _src_xmin = REF_PAYLOAD.unpack(data)
-        if src_fid != -selfid:
-            report.corruptions.append(Corruption(
-                fileid, chunkno, "bad-reference",
-                f"selfid names source {-selfid}, payload names "
-                f"{src_fid}"))
-        if src_fid == fileid:
-            report.corruptions.append(Corruption(
-                fileid, chunkno, "bad-reference",
-                "self-referential chunk pointer"))
-        if src_chunkno < 0:
-            report.corruptions.append(Corruption(
-                fileid, chunkno, "bad-reference",
-                f"negative source chunk number {src_chunkno}"))
+        try:
+            store._resolve_ref(data, None)
+        except TableError as exc:
+            flag(chunkno, "dangling-reference", str(exc))
+            return
+        if not self._registered(src_fid, src_chunkno):
+            flag(chunkno, "unregistered-reference",
+                 f"reference to inv{src_fid} chunk {src_chunkno} has no "
+                 f"vfsref registry row — vacuum would not protect it")
 
-    def visible_chunk_count(self, fileid: int) -> int:
-        """Number of distinct chunk numbers with a visible version —
-        the invariant quantity batched flushes must preserve."""
+    def _registered(self, src_fid: int, chunkno: int) -> bool:
+        """True when some ``vfsref`` row pins this source chunk.  The
+        vacuum guard checks source coverage only (any registered claim
+        pins the whole range for every reader), and registry rows are
+        never deleted, so a flattened nested clone is covered by the
+        original clone's registration even after the intermediate file
+        is unlinked."""
         db = self.fs.db
-        snapshot = BootstrapSnapshot(db.tm)
-        info = db.catalog.lookup_table(chunk_table_name(fileid), snapshot,
-                                       use_cache=False)
-        if info is None:
-            return 0
-        from repro.db.heap import HeapFile
-        heap = HeapFile(db.buffers, info.devname, info.name, info.schema,
-                        cpu=db.cpu)
-        return len({row[0] for _t, row in heap.scan(snapshot)})
+        if not db.table_exists(VFSREF_TABLE):
+            return False
+        rows = db.table(VFSREF_TABLE).index_eq(
+            ("src",), (src_fid,), BootstrapSnapshot(db.tm))
+        return any(row[2] <= chunkno <= row[3] for _tid, row in rows)
 
     def check_all(self) -> CheckReport:
         """Validate every file reachable from the namespace."""
@@ -178,9 +191,8 @@ class ConsistencyChecker:
                 continue
             att = self.fs.fileatt.get_entry(fileid, snapshot)
             if att is None:
-                report.corruptions.append(Corruption(
-                    fileid, None, "unreadable",
-                    f"naming entry {name!r} has no attribute row"))
+                self._flag(report, fileid, None, "unreadable",
+                           f"naming entry {name!r} has no attribute row")
                 continue
             if att[1].type == "directory":
                 continue
@@ -193,4 +205,5 @@ class ConsistencyChecker:
             first = report.corruptions[0]
             raise InversionError(
                 f"{len(report.corruptions)} corruptions; first: "
-                f"file {first.fileid} chunk {first.chunkno}: {first.detail}")
+                f"file {first.fileid} chunk {first.chunkno} [{first.kind}]: "
+                f"{first.detail}")

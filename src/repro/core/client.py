@@ -391,6 +391,9 @@ class RemoteInversionClient:
         return self._link.stat(path, timestamp)
 
     def p_readdir(self, path, timestamp=None, cookie=None, limit=None):
+        # Hand-written, not generated: a generated stub would always
+        # send cookie= and limit=, 16 request bytes more per unpaged
+        # listing, which moves BENCH_vfsio.json.
         self._flush_writes()
         if cookie is None and limit is None:
             return self._call("p_readdir", path, timestamp)

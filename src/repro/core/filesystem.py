@@ -642,10 +642,7 @@ class InversionFS:
 
     def readdir(self, path: str, tx: Transaction | None = None,
                 timestamp: float | None = None) -> list[str]:
-        snapshot = self._snap(tx, timestamp)
-        fileid = self._resolve_dir(path, snapshot, tx)
-        return sorted(name for name, __ in
-                      self.namespace.children(fileid, snapshot, tx))
+        return self.readdir_page(path, tx, timestamp)[0]
 
     def readdir_page(self, path: str, tx: Transaction | None = None,
                      timestamp: float | None = None,
@@ -661,8 +658,8 @@ class InversionFS:
         snapshot = self._snap(tx, timestamp)
         fileid = self._resolve_dir(path, snapshot, tx)
         names: list[str] = []
-        for name, _fid in self.namespace.children_page(fileid, snapshot,
-                                                       tx, cookie):
+        for name, _fid in self.namespace.children(fileid, snapshot, tx,
+                                                  cookie):
             names.append(name)
             if limit is not None and len(names) > limit:
                 break

@@ -273,9 +273,7 @@ class InversionClient:
         for desc in self._fds.values():
             if desc.path == path and desc.pending_size is not None:
                 self._reconcile_att(desc)
-        if self._tx is not None:
-            return self.fs.stat(path, tx=self._tx, timestamp=timestamp)
-        return self.fs.stat(path, timestamp=timestamp)
+        return self.fs.stat(path, tx=self._tx, timestamp=timestamp)
 
     def p_readdir(self, path: str, timestamp: float | None = None,
                   cookie: str | None = None, limit: int | None = None):
@@ -285,14 +283,8 @@ class InversionClient:
         ``next_cookie`` is None once the listing is exhausted — the
         server never materializes more than one page."""
         if cookie is None and limit is None:
-            if self._tx is not None:
-                return self.fs.readdir(path, tx=self._tx, timestamp=timestamp)
-            return self.fs.readdir(path, timestamp=timestamp)
-        if self._tx is not None:
-            return self.fs.readdir_page(path, tx=self._tx,
-                                        timestamp=timestamp,
-                                        cookie=cookie, limit=limit)
-        return self.fs.readdir_page(path, timestamp=timestamp,
+            return self.fs.readdir(path, tx=self._tx, timestamp=timestamp)
+        return self.fs.readdir_page(path, tx=self._tx, timestamp=timestamp,
                                     cookie=cookie, limit=limit)
 
     # -- structural ops (the WTF-style by-reference surface) --------------------------

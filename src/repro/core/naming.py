@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.core.constants import ROOT_PARENT
 from repro.db.heap import TID
-from repro.db.snapshot import Snapshot
+from repro.db.snapshot import AsOfSnapshot, IntervalSnapshot, Snapshot
 from repro.db.transactions import Transaction
 from repro.db.tuples import Column, Schema
 from repro.errors import FileExistsError_, FileNotFoundError_
@@ -151,29 +151,24 @@ class Namespace:
         return "/" + "/".join(reversed(parts))
 
     def children(self, parentid: int, snapshot: Snapshot,
-                 tx: Transaction | None = None) -> Iterator[tuple[str, int]]:
-        """(name, fileid) of directory entries, in name order."""
-        table = self._table(tx)
-        for _tid, row in table.index_range(("parentid", "filename"),
-                                           (parentid,), (parentid,),
-                                           snapshot, tx):
-            if row[0] == "" and parentid == ROOT_PARENT:
-                continue  # the root's own entry
-            yield row[0], row[2]
-
-    def children_page(self, parentid: int, snapshot: Snapshot,
-                      tx: Transaction | None = None,
-                      cookie: str | None = None) -> Iterator[tuple[str, int]]:
-        """Directory entries strictly after ``cookie`` (a name), in
-        name order — the server side of paged readdir.  ``"\\0"`` is
-        rejected in file names, so ``cookie + "\\0"`` is the smallest
-        key greater than the cookie: the scan restarts exactly where
-        the previous page stopped, in one index descent, without
-        materializing the part of the directory already listed."""
+                 tx: Transaction | None = None,
+                 cookie: str | None = None) -> Iterator[tuple[str, int]]:
+        """(name, fileid) of directory entries in name order — all of
+        them, or those strictly after ``cookie`` (a name), the server
+        side of paged readdir.  ``"\\0"`` is rejected in file names,
+        so ``cookie + "\\0"`` is the smallest key greater than the
+        cookie: the scan restarts exactly where the previous page
+        stopped, in one index descent, without materializing the part
+        of the directory already listed."""
         table = self._table(tx)
         lo = (parentid,) if cookie is None else (parentid, cookie + "\0")
-        for _tid, row in table.index_range(("parentid", "filename"),
-                                           lo, (parentid,), snapshot, tx):
+        rows = table.index_range(("parentid", "filename"),
+                                 lo, (parentid,), snapshot, tx)
+        if isinstance(snapshot, (AsOfSnapshot, IntervalSnapshot)):
+            # A time-travel scan yields archived versions after the
+            # live ones: two sorted runs, not one.
+            rows = sorted(rows, key=lambda pair: pair[1][0])
+        for _tid, row in rows:
             if row[0] == "" and parentid == ROOT_PARENT:
                 continue  # the root's own entry
             yield row[0], row[2]

@@ -145,21 +145,11 @@ def cmd_history(args) -> int:
     """List the committed instants at which the file changed."""
     db, fs = _open(args.dbdir)
     try:
-        fileid = fs.resolve(args.path)
-        from repro.db.heap import HeapFile
-        from repro.db.snapshot import BootstrapSnapshot
-        info = db.catalog.lookup_table(chunk_table_name(fileid),
-                                       BootstrapSnapshot(db.tm),
-                                       use_cache=False)
-        heap = HeapFile(db.buffers, info.devname, info.name, info.schema)
+        name = chunk_table_name(fs.resolve(args.path))
+        heaps = [db.table(name).heap, db.archive_heap_for(name)]
         instants = set()
-        for _tid, xmin, _xmax, _values in heap.scan_all_versions():
-            when = db.tm.commit_time(xmin)
-            if when is not None:
-                instants.add(when)
-        archive = db.archive_heap_for(info.name)
-        if archive is not None:
-            for _tid, xmin, _xmax, _values in archive.scan_all_versions():
+        for heap in filter(None, heaps):
+            for _tid, xmin, _xmax, _values in heap.scan_all_versions():
                 when = db.tm.commit_time(xmin)
                 if when is not None:
                     instants.add(when)

@@ -130,10 +130,7 @@ class FastFileSystem:
         """Mirror this file system's stats onto a metrics registry.
         The NFS baseline has no Database session, so binding is the
         harness's (or a test's) call."""
-        for spec in METRICS:
-            attr = spec.name.rsplit(".", 1)[-1]
-            registry.register(spec).mirror(
-                lambda s=self.stats, a=attr: getattr(s, a))
+        registry.mirror_all(METRICS, self.stats)
 
     def _read_block(self, block: int) -> bytes:
         if block in self._cache:

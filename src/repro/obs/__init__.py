@@ -35,18 +35,6 @@ __all__ = [
 ]
 
 
-def _mirror_all(registry: MetricsRegistry, specs, obj, **labels) -> None:
-    """Register ``specs`` and mirror each from the attribute named by
-    the spec's last dotted component (``buffer.hits`` reads
-    ``obj.hits``).  The migration convention: family names end in the
-    legacy attribute name, so the hot paths keep their plain integer
-    bumps."""
-    for spec in specs:
-        attr = spec.name.rsplit(".", 1)[-1]
-        registry.register(spec).mirror(
-            lambda o=obj, a=attr: getattr(o, a), **labels)
-
-
 class Observability:
     """The per-session bundle: registry + tracer + accountant, plus the
     hot-path charge helpers the instrumented layers call."""
@@ -97,9 +85,9 @@ class Observability:
         from repro.db import locks as locks_mod
         from repro.db import transactions as tx_mod
 
-        _mirror_all(self.metrics, buffer_mod.METRICS, db.buffers.stats)
-        _mirror_all(self.metrics, tx_mod.METRICS, db.tm.stats)
-        _mirror_all(self.metrics, catalog_mod.METRICS, db.catalog)
+        self.metrics.mirror_all(buffer_mod.METRICS, db.buffers.stats)
+        self.metrics.mirror_all(tx_mod.METRICS, db.tm.stats)
+        self.metrics.mirror_all(catalog_mod.METRICS, db.catalog)
         for spec in buffer_mod.DEVICE_METRICS:
             self.metrics.register(spec)
         self._m_dev_reads = self.metrics.get("device.reads")
@@ -132,19 +120,19 @@ class Observability:
 
         inner = getattr(dev, "inner", dev)   # FaultyDevice proxies stats
         if hasattr(inner, "disk"):
-            _mirror_all(self.metrics, disk_mod.METRICS, inner.disk.stats,
-                        device=dev.name)
+            self.metrics.mirror_all(disk_mod.METRICS, inner.disk.stats,
+                                    device=dev.name)
         if hasattr(inner, "staging_disk"):
-            _mirror_all(self.metrics, disk_mod.METRICS,
-                        inner.staging_disk.stats,
-                        device=f"{dev.name}.staging")
+            self.metrics.mirror_all(disk_mod.METRICS,
+                                    inner.staging_disk.stats,
+                                    device=f"{dev.name}.staging")
         stats = getattr(inner, "stats", None)
         if stats is None:
             return
         module = __import__(type(inner).__module__, fromlist=["METRICS"])
         specs = getattr(module, "METRICS", ())
         if specs:
-            _mirror_all(self.metrics, specs, stats, device=dev.name)
+            self.metrics.mirror_all(specs, stats, device=dev.name)
 
     def bind_btree(self) -> None:
         """Expose B-tree descent counts and the page-layer cache
@@ -186,8 +174,8 @@ class Observability:
         from repro.core import client as client_mod
         from repro.sim import network as network_mod
 
-        _mirror_all(self.metrics, client_mod.METRICS, client)
-        _mirror_all(self.metrics, network_mod.METRICS, client.network.stats)
+        self.metrics.mirror_all(client_mod.METRICS, client)
+        self.metrics.mirror_all(network_mod.METRICS, client.network.stats)
 
     def bind_vfs(self, vfs) -> None:
         """Mirror a transactional-VFS session's counters (the VFS sits
@@ -195,7 +183,7 @@ class Observability:
         clients do)."""
         from repro.vfs import api as vfs_mod
 
-        _mirror_all(self.metrics, vfs_mod.METRICS, vfs)
+        self.metrics.mirror_all(vfs_mod.METRICS, vfs)
 
     # -- hot-path charge helpers ----------------------------------------
 

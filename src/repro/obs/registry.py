@@ -209,6 +209,17 @@ class MetricsRegistry:
         self._metrics[spec.name] = metric
         return metric
 
+    def mirror_all(self, specs, obj, **labels: str) -> None:
+        """Register ``specs`` and mirror each from the attribute named
+        by the spec's last dotted component (``buffer.hits`` reads
+        ``obj.hits``).  The migration convention: family names end in
+        the legacy attribute name, so the hot paths keep their plain
+        integer bumps."""
+        for spec in specs:
+            attr = spec.name.rsplit(".", 1)[-1]
+            self.register(spec).mirror(
+                lambda o=obj, a=attr: getattr(o, a), **labels)
+
     def get(self, name: str) -> Metric:
         return self._metrics[name]
 

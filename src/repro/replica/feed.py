@@ -98,9 +98,7 @@ class ReplStats:
 def bind_repl_stats(registry, stats: ReplStats) -> None:
     """Mirror one :class:`ReplStats` onto a metrics registry (called
     for the primary's and every replica's Database session)."""
-    for spec in METRICS:
-        attr = spec.name.split(".", 1)[1]
-        registry.register(spec).mirror(lambda a=attr: getattr(stats, a))
+    registry.mirror_all(METRICS, stats)
 
 
 #: per-entry bookkeeping overhead charged on the wire (seq + kind +

@@ -417,12 +417,8 @@ class MultiUserScheduler:
     # -- wiring ----------------------------------------------------------
 
     def _bind_metrics(self) -> None:
-        stats = self.stats
         for db in self.dbs:
-            for spec in METRICS:
-                attr = spec.name.rsplit(".", 1)[-1]
-                db.obs.metrics.register(spec).mirror(
-                    lambda s=stats, a=attr: getattr(s, a))
+            db.obs.metrics.mirror_all(METRICS, self.stats)
 
     def close(self) -> None:
         """Restore the lock managers' previous wait strategies and tear

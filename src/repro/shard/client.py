@@ -268,19 +268,7 @@ class ShardedInversionClient:
         if src == dst:
             self._call(src, "p_rename", old, new)
             return
-        if self._in_tx:
-            self._rename_across(old, new, src, dst)
-            return
-        # Auto-commit: the move happens in its own cluster transaction
-        # (two writers → 2PC), mirroring the library's per-call
-        # transaction for single-shard requests.
-        self.p_begin()
-        try:
-            self._rename_across(old, new, src, dst)
-        except BaseException:
-            self.p_abort()
-            raise
-        self.p_commit()
+        self._own_tx(lambda: self._rename_across(old, new, src, dst))
 
     def _rename_across(self, old: str, new: str, src: int, dst: int) -> None:
         if not old.strip("/"):
@@ -295,20 +283,11 @@ class ShardedInversionClient:
         if st.type == _DIRECTORY:
             self._move_dir(old, new, src, dst)
         else:
-            self._move_file(old, new, src, dst, size=st.size)
+            self._move_file(old, new, st.size)
 
-    def _move_file(self, old: str, new: str, src: int, dst: int,
-                   size: int | None = None) -> None:
-        if size is None:
-            size = self._call(src, "p_stat", old).size
-        fd = self._call(src, "p_open", old, O_RDONLY)
-        data = self._call(src, "p_read", fd, size) if size else b""
-        self._call(src, "p_close", fd)
-        nfd = self._call(dst, "p_creat", new)
-        if data:
-            self._call(dst, "p_write", nfd, data)
-        self._call(dst, "p_close", nfd)
-        self._call(src, "p_unlink", old)
+    def _move_file(self, old: str, new: str, size: int) -> None:
+        self._write_new(new, self._read_whole(old, size), None)
+        self._call(self._route(old), "p_unlink", old)
 
     # -- structural ops ----------------------------------------------------
 
@@ -359,7 +338,8 @@ class ShardedInversionClient:
 
     def _own_tx(self, fn):
         """Run a multi-shard composite in the open cluster transaction,
-        or in its own one (mirroring p_rename's auto-commit path)."""
+        or in its own one (two writers → 2PC), mirroring the library's
+        per-call transaction for single-shard requests."""
         if self._in_tx:
             return fn()
         self.p_begin()
@@ -371,9 +351,10 @@ class ShardedInversionClient:
         self.p_commit()
         return result
 
-    def _read_whole(self, path: str) -> bytes:
+    def _read_whole(self, path: str, size: int | None = None) -> bytes:
         shard = self._route(path)
-        size = self._call(shard, "p_stat", path).size
+        if size is None:
+            size = self._call(shard, "p_stat", path).size
         fd = self._call(shard, "p_open", path, O_RDONLY)
         data = self._call(shard, "p_read", fd, size) if size else b""
         self._call(shard, "p_close", fd)
@@ -405,6 +386,5 @@ class ShardedInversionClient:
             if child_st.type == _DIRECTORY:
                 self._move_dir(child_old, child_new, src, dst)
             else:
-                self._move_file(child_old, child_new, src, dst,
-                                size=child_st.size)
+                self._move_file(child_old, child_new, child_st.size)
         self._call(src, "p_rmdir", old)

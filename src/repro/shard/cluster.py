@@ -173,12 +173,8 @@ class ShardedCluster:
         return cluster
 
     def _bind_metrics(self) -> None:
-        stats = self.stats
         for db in self.dbs:
-            for spec in METRICS:
-                attr = spec.name.rsplit(".", 1)[-1]
-                db.obs.metrics.register(spec).mirror(
-                    lambda s=stats, a=attr: getattr(s, a))
+            db.obs.metrics.mirror_all(METRICS, self.stats)
 
     # -- lifecycle -------------------------------------------------------
 

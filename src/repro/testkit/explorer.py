@@ -14,7 +14,8 @@ volatile state, recovers, and checks the recovered mounts three ways:
    queue, plus the one in-flight transaction where its record may have
    survived a torn append or its fate was in doubt under 2PC;
 2. **storage invariants** — ``core.checker.ConsistencyChecker`` must
-   report zero corruptions on every recovered mount;
+   report zero corruptions on every recovered mount (self-identifying
+   chunks, and every chunk reference resolving and registered);
 3. **recovery accounting** — the recovery report must load without
    error (its numbers are recorded per crash point).
 

@@ -16,9 +16,10 @@ The headline structural ops — :meth:`~repro.vfs.api.VFS.reflink`,
 copy chunk-table *rows* (pointer remaps) instead of data:
 O(chunks-touched) metadata writes, zero payload movement, with
 copy-on-write preserved for free by the no-overwrite storage manager.
-:func:`~repro.vfs.extents.shared_extents` is the matching checker
-invariant: referenced chunk versions are never vacuumed while
-reachable.
+:class:`~repro.core.checker.ConsistencyChecker` holds the matching
+invariant — referenced chunk versions are never vacuumed while
+reachable — so every crash sweep, ``python -m repro.fs check`` and the
+benchmark's end-state verify judge it.
 """
 
 from repro.vfs.api import VFS

@@ -1,11 +1,16 @@
-"""Self-identifying-block consistency checking with injected corruption."""
+"""Self-identifying-block consistency checking with injected
+corruption: misdirected and garbage chunk rows, and every way a
+by-reference row can go wrong — unregistered, outside its registered
+range, dangling, malformed."""
 
 import pytest
 
 from repro.core.checker import ConsistencyChecker
-from repro.core.chunks import ChunkStore, chunk_table_name
+from repro.core.chunks import ChunkStore, chunk_table_name, encode_ref
 from repro.core.constants import CHUNK_SIZE
+from repro.db.snapshot import BootstrapSnapshot
 from repro.errors import InversionError
+from repro.testkit.workload import payload
 
 
 @pytest.fixture
@@ -84,21 +89,24 @@ def test_batched_flush_preserves_visible_chunk_count(populated):
     lose nor duplicate a chunk version: the per-file visible chunk
     count is invariant across a flush, and the checker stays clean."""
     fs, client = populated
-    checker = ConsistencyChecker(fs)
+
+    def visible_chunk_count(fileid):
+        return ChunkStore(fs.db, fileid, None).visible_chunk_count(
+            BootstrapSnapshot(fs.db.tm))
     # Dirty a long dense run: a fresh multi-chunk file plus an overwrite.
     fd = client.p_creat("/data/run")
     client.p_write(fd, b"r" * (5 * CHUNK_SIZE + 11))
     client.p_close(fd)
     fileids = {name: fs.resolve(f"/data/{name}") for name in ("a", "b", "run")}
-    before = {name: checker.visible_chunk_count(fid)
+    before = {name: visible_chunk_count(fid)
               for name, fid in fileids.items()}
     assert before["run"] == 6
     fs.db.flush_caches()
     assert fs.db.buffers.stats.batched_writes > 0  # runs really coalesced
-    after = {name: checker.visible_chunk_count(fid)
+    after = {name: visible_chunk_count(fid)
              for name, fid in fileids.items()}
     assert after == before
-    assert checker.check_all().clean
+    assert ConsistencyChecker(fs).check_all().clean
 
 
 def test_orphan_naming_entry_detected(populated):
@@ -128,3 +136,65 @@ def test_checker_sees_historical_versions_too(populated):
     client.p_close(fd)
     report = ConsistencyChecker(fs).check_file(fileid)
     assert any(c.kind == "misdirected" for c in report.corruptions)
+
+
+# -- by-reference rows ------------------------------------------------------
+
+def _source_xmin(fs, src_id, chunkno):
+    """The committing transaction of the newest version of one chunk —
+    what a legitimate clone would have pinned."""
+    store = ChunkStore(fs.db, src_id, None)
+    pairs = list(store.table.index_range_newest(
+        ("chunkno",), (chunkno,), (chunkno,), BootstrapSnapshot(fs.db.tm),
+        None))
+    assert pairs, f"chunk {chunkno} has no visible version"
+    return store.table.heap.fetch_raw(pairs[0][0])[0]
+
+
+def _pin(src_chunkno, src_xmin=None):
+    """A well-formed reference to one chunk of ``/src`` (its current
+    version unless ``src_xmin`` says otherwise)."""
+    def row(fs, src_id):
+        xmin = src_xmin or _source_xmin(fs, src_id, src_chunkno)
+        return -src_id, encode_ref(src_id, src_chunkno, xmin)
+    return row
+
+
+#: planted row → the one corruption it must produce.  ``/src`` is three
+#: chunks; a slice of chunk 0 registers ``vfsref`` coverage for chunk 0
+#: only (coverage is per chunk range, not per source file).
+PLANTED_REFERENCES = {
+    # Exactly what the vacuum guard cannot protect.
+    "unregistered": (False, _pin(1), "unregistered-reference"),
+    "outside-registered-range": (True, _pin(2), "unregistered-reference"),
+    # A version that exists nowhere, live heap or archive.
+    "dangling": (True, _pin(0, 999_999_999), "dangling-reference"),
+    # Not the 24-byte pin triple.
+    "malformed": (True, lambda fs, src_id: (-src_id, b"short"),
+                  "bad-reference"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_REFERENCES))
+def test_planted_reference_detected(fs, client, case):
+    """A reference row planted at the storage level, bypassing the
+    registration the file-system layer always performs."""
+    sliced, row, kind = PLANTED_REFERENCES[case]
+    tx = fs.begin()
+    fs.write_file(tx, "/src", payload(1, "src", 3 * CHUNK_SIZE))
+    fs.write_file(tx, "/fake", b"")
+    fs.commit(tx)
+    if sliced:
+        tx = fs.begin()
+        fs.slice(tx, "/src", 0, CHUNK_SIZE, "/head")
+        fs.commit(tx)
+    assert ConsistencyChecker(fs).check_all().clean
+    tx = fs.begin()
+    store = ChunkStore(fs.db, fs.resolve("/fake"), tx)
+    store.table.lock_exclusive(tx)
+    store.table.insert_many(tx, [(0, *row(fs, fs.resolve("/src")))])
+    fs.commit(tx)
+    report = ConsistencyChecker(fs).check_all()
+    assert [c.kind for c in report.corruptions] == [kind]
+    with pytest.raises(InversionError, match=kind):
+        ConsistencyChecker(fs).raise_if_corrupt()

@@ -89,6 +89,36 @@ def test_check_command(dbdir, tmp_path, capsys):
     assert "checked 1 files" in capsys.readouterr().out
 
 
+def test_check_command_reports_planted_references(dbdir, capsys):
+    """fsck inherits reference integrity: one pointer row whose pinned
+    version exists nowhere, one that resolves but that no ``vfsref``
+    row registers."""
+    from repro.core.chunks import ChunkStore, encode_ref
+    from repro.core.filesystem import InversionFS
+    from repro.db.database import Database
+    db = Database.open(dbdir)
+    fs = InversionFS.attach(db)
+    tx = fs.begin()
+    fs.write_file(tx, "/src", b"s" * 100)
+    fs.write_file(tx, "/dst", b"")
+    fs.commit(tx)
+    src = fs.resolve("/src")
+    (_tid, src_xmin, _xmax, _values), = ChunkStore(
+        db, src, None).table.heap.scan_all_versions()
+    tx = fs.begin()
+    store = ChunkStore(db, fs.resolve("/dst"), tx)
+    store.table.lock_exclusive(tx)
+    store.table.insert_many(tx, [
+        (0, -src, encode_ref(src, 0, 999_999_999)),
+        (1, -src, encode_ref(src, 0, src_xmin))])
+    fs.commit(tx)
+    db.close()
+    assert run(dbdir, "check") == 1
+    out = capsys.readouterr().out
+    assert "chunk 0: dangling-reference" in out
+    assert "chunk 1: unregistered-reference" in out
+
+
 def test_vacuum_command(dbdir, tmp_path, capsys):
     local = tmp_path / "v"
     for generation in (b"g0", b"g1"):

@@ -12,13 +12,16 @@ from functools import partial
 
 import pytest
 
+from repro.core.constants import CHUNK_SIZE
+from repro.core.filesystem import InversionFS
 from repro.db.transactions import TransactionManager
 from repro.testkit import CrashExplorer, OneServer
 from repro.testkit.explorer import ShardedServers, select_points
 from repro.testkit.failover import PrimaryWithReplicas
-from repro.testkit.workload import (ALL_WORKLOADS, commit_workload,
-                                    cross_shard_workload,
-                                    group_commit_workload, vacuum_workload)
+from repro.testkit.workload import (ALL_WORKLOADS, TxStep, Workload,
+                                    commit_workload, cross_shard_workload,
+                                    group_commit_workload, payload,
+                                    vacuum_workload)
 
 #: per-workload bound for the CI run: 3 workloads × 40 + the torn run
 #: below ≈ 150 crash points, each a full build/crash/recover/verify cycle.
@@ -125,3 +128,34 @@ def test_full_enumeration(tmp_path, name, torn):
     assert len(report.points_tested) == report.total_writes
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)
+
+
+def _aligned_reflinks() -> Workload:
+    """Chunk-aligned reflinks and no vacuum: every cloned chunk is a
+    pointer row, the second clone copies the first one's pointers, and
+    nothing ever tests whether the pinned versions are protected."""
+    two = payload(0, "al", 2 * CHUNK_SIZE)
+    return Workload("aligned_reflinks", [
+        TxStep((("write", "/al", two),)),
+        TxStep((("reflink", "/al", "/c1"),)),
+        TxStep((("write", "/al", payload(0, "al2", 900)),)),
+        TxStep((("reflink", "/c1", "/c2"),)),
+    ])
+
+
+def test_explorer_detects_an_unregistered_clone(tmp_path, monkeypatch):
+    """Teeth check for reference integrity: a reflink that skips the
+    ``vfsref`` registration reads back the right bytes at every crash
+    point — only the checker knows vacuum would not protect it."""
+    report = CrashExplorer(str(tmp_path / "intact"), _aligned_reflinks(),
+                           OneServer).explore()
+    assert report.violations == [], "\n".join(
+        f"point {v.point}: {v.detail}" for v in report.violations)
+    monkeypatch.setattr(InversionFS, "_register_clone",
+                        lambda self, tx, *claim: None)
+    report = CrashExplorer(str(tmp_path / "sabotaged"), _aligned_reflinks(),
+                           OneServer).explore()
+    assert any("unregistered-reference" in v.detail
+               for v in report.violations), (
+        "an unregistered clone went undetected — the judge does not "
+        "resolve references")

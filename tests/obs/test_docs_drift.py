@@ -1,4 +1,10 @@
-"""METRICS.md generation and drift checking (`python -m repro.obs`)."""
+"""METRICS.md generation and drift checking (`python -m repro.obs`),
+and the link checker CI runs beside it."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +79,28 @@ def test_cli_write_then_check(tmp_path, capsys):
 def test_cli_requires_a_mode():
     with pytest.raises(SystemExit):
         obs_cli.main([])
+
+
+def test_link_checker_lists_a_deleted_tracked_file(tmp_path):
+    """``tools/check_doc_links.py`` over a checkout whose index names a
+    markdown file the working tree no longer has: the file is listed
+    as dead and the tool exits 1 — it used to die in ``open``."""
+    tool = Path(__file__).parents[2] / "tools" / "check_doc_links.py"
+    (tmp_path / "tools").mkdir()
+    shutil.copy(tool, tmp_path / "tools")
+    (tmp_path / "KEPT.md").write_text("see [gone](GONE.md)\n")
+    (tmp_path / "GONE.md").write_text("# gone\n")
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *argv], cwd=tmp_path, check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "docs")
+    (tmp_path / "GONE.md").unlink()
+    run = subprocess.run([sys.executable, "tools/check_doc_links.py"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "GONE.md: tracked, but missing" in run.stdout
+    assert "KEPT.md:1: dead link -> GONE.md" in run.stdout

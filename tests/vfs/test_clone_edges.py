@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import InversionClient, InversionFS
+from repro.core.checker import ConsistencyChecker
 from repro.core.chunks import ChunkStore
 from repro.core.constants import CHUNK_SIZE
 from repro.db.database import Database
 from repro.testkit.oracle import ModelFS, apply_fs_op, harvest_state
 from repro.testkit.workload import payload
-from repro.vfs.extents import raise_if_shared_extents_broken, shared_extents
 
 
 def _fileid(fs, path):
@@ -57,7 +57,7 @@ def test_clone_unindexed_ablation(tmp_path):
         fs.write_file(tx, "/src", payload(7, "new", 100))
         fs.commit(tx)
         assert fs.read_file("/dst") == data
-        raise_if_shared_extents_broken(fs)
+        ConsistencyChecker(fs).raise_if_corrupt()
     finally:
         db.close()
 
@@ -82,7 +82,7 @@ def test_clone_resolves_across_live_and_archive(fs, client):
     assert stats.history_pinned
     assert fs.db.archive_heap_for(table) is not None
     assert fs.read_file("/clone") == data
-    raise_if_shared_extents_broken(fs)
+    ConsistencyChecker(fs).raise_if_corrupt()
 
 
 def test_unpinned_purge_still_expunges(fs, client):
@@ -118,8 +118,7 @@ def test_nested_clone_flattens(fs, client):
     fs.unlink(tx, "/b")
     fs.commit(tx)
     assert fs.read_file("/c") == data
-    report = shared_extents(fs)
-    assert report.clean, report.corruptions
+    ConsistencyChecker(fs).raise_if_corrupt()
 
 
 _PATHS = ("/f0", "/f1", "/f2")
@@ -159,7 +158,6 @@ def test_reflink_then_overwrite_matches_model(tmp_path_factory, ops):
             apply_fs_op(fs, tx, op)
             fs.commit(tx)
         assert harvest_state(fs) == model.state()
-        report = shared_extents(fs)
-        assert report.clean, report.corruptions
+        ConsistencyChecker(fs).raise_if_corrupt()
     finally:
         db.close()

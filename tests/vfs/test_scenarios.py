@@ -1,19 +1,20 @@
 """The VFS scenario workloads under the crash-schedule explorer: every
 sampled crash point recovers to a state the differential oracle
 accepts, the build tree is never half-published, and the structural
-ops never strand a shared extent.  ``-m torture`` opts into the full
-boundary enumeration in clean and torn-append modes."""
+ops never strand a shared extent (the explorer's checker resolves
+every committed reference at every point).  ``-m torture`` opts into
+the full boundary enumeration in clean and torn-append modes."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.checker import ConsistencyChecker
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.db.database import Database
 from repro.testkit.explorer import CrashExplorer, OneServer
 from repro.vfs import VFS
-from repro.vfs.extents import raise_if_shared_extents_broken
 from repro.vfs.scenarios import (VFS_WORKLOADS, build_and_publish,
                                  populate_flat_dir, scan_flat_dir)
 
@@ -57,7 +58,7 @@ def test_drivers_roundtrip(tmp_path):
         assert not vfs.exists("/build.tmp")
         assert vfs.readdir("/build") == ["m0", "m1", "prog"]
         assert vfs.readdir("/build/m1") == ["o0.o", "o1.o"]
-        raise_if_shared_extents_broken(fs)
+        ConsistencyChecker(fs).raise_if_corrupt()
     finally:
         db.close()
 

@@ -1,43 +1,16 @@
-"""The shared-extents checker: clean after structural churn and
-vacuum, and able to detect every corruption class it exists for —
-unregistered, out-of-range, dangling, and malformed references."""
+"""The shared-extents invariant as the structural ops keep it: every
+stored reference resolves and is registered after churn and a
+history-discarding vacuum, and an aborted clone leaves nothing the
+checker minds.  (What the checker *detects* is
+``tests/core/test_checker.py::test_planted_reference_detected``.)"""
 
 from __future__ import annotations
 
-from repro.core.chunks import ChunkStore, encode_ref
+from repro.core.checker import ConsistencyChecker
 from repro.core.constants import CHUNK_SIZE
-from repro.db.snapshot import BootstrapSnapshot
 from repro.testkit.workload import payload
 from repro.vfs import VFS
-from repro.vfs.extents import raise_if_shared_extents_broken, shared_extents
 from repro.vfs.scenarios import reflink_churn
-
-
-def _fileid(fs, path):
-    return fs.namespace.resolve(path, BootstrapSnapshot(fs.db.tm), None)
-
-
-def _inject_ref_row(fs, dst_path, chunkno, src_id, src_chunkno, src_xmin):
-    """Plant a reference row directly at the storage level, bypassing
-    the registration the file-system layer always performs."""
-    tx = fs.begin()
-    store = ChunkStore(fs.db, _fileid(fs, dst_path), tx)
-    store.table.lock_exclusive(tx)
-    store.table.insert_many(
-        tx, [(chunkno, -src_id, encode_ref(src_id, src_chunkno, src_xmin))])
-    fs.commit(tx)
-
-
-def _source_xmin(fs, src_id, chunkno):
-    """The committing transaction of the newest version of one chunk —
-    what a legitimate clone would have pinned."""
-    store = ChunkStore(fs.db, src_id, None)
-    snapshot = BootstrapSnapshot(fs.db.tm)
-    pairs = list(store.table.index_range_newest(
-        ("chunkno",), (chunkno,), (chunkno,), snapshot, None))
-    assert pairs, f"chunk {chunkno} has no visible version"
-    tid = pairs[0][0]
-    return store.table.heap.fetch_raw(tid)[0]
 
 
 def test_churn_and_vacuum_stay_clean(fs, client):
@@ -46,69 +19,10 @@ def test_churn_and_vacuum_stay_clean(fs, client):
     leave every stored reference resolvable and registered."""
     vfs = VFS(client)
     reflink_churn(vfs, rounds=3, chunks=3)
-    raise_if_shared_extents_broken(fs)
-    stats = fs.db.vacuum(f"inv{_fileid(fs, '/base')}", keep_history=False)
+    ConsistencyChecker(fs).raise_if_corrupt()
+    stats = fs.db.vacuum(f"inv{fs.resolve('/base')}", keep_history=False)
     assert stats.history_pinned  # the guard archived instead of purging
-    raise_if_shared_extents_broken(fs)
-
-
-def test_detects_unregistered_reference(fs, client):
-    """A reference whose source has no vfsref row at all is exactly
-    what the vacuum guard cannot protect — the checker must say so."""
-    tx = fs.begin()
-    fs.write_file(tx, "/lone", payload(1, "lone", 2 * CHUNK_SIZE))
-    fs.write_file(tx, "/fake", b"")
-    fs.commit(tx)
-    src_id = _fileid(fs, "/lone")
-    _inject_ref_row(fs, "/fake", 0, src_id, 0, _source_xmin(fs, src_id, 0))
-    report = shared_extents(fs)
-    assert [c.kind for c in report.corruptions] == ["unregistered-reference"]
-
-
-def test_detects_reference_outside_registered_range(fs, client):
-    """Coverage is per chunk range, not per source file: a registered
-    slice of chunk 0 does not license a stray reference to chunk 2."""
-    tx = fs.begin()
-    fs.write_file(tx, "/src", payload(2, "rng", 3 * CHUNK_SIZE))
-    fs.write_file(tx, "/fake", b"")
-    fs.commit(tx)
-    tx = fs.begin()
-    fs.slice(tx, "/src", 0, CHUNK_SIZE, "/head")  # registers chunks 0..0
-    fs.commit(tx)
-    raise_if_shared_extents_broken(fs)
-    src_id = _fileid(fs, "/src")
-    _inject_ref_row(fs, "/fake", 0, src_id, 2, _source_xmin(fs, src_id, 2))
-    report = shared_extents(fs)
-    assert [c.kind for c in report.corruptions] == ["unregistered-reference"]
-
-
-def test_detects_dangling_reference(fs, client):
-    """A reference pinning a version that does not exist anywhere —
-    live heap or archive — is a dangling pointer."""
-    tx = fs.begin()
-    fs.write_file(tx, "/src", payload(3, "dang", CHUNK_SIZE))
-    fs.write_file(tx, "/fake", b"")
-    fs.commit(tx)
-    _inject_ref_row(fs, "/fake", 0, _fileid(fs, "/src"), 0, 999_999_999)
-    report = shared_extents(fs)
-    assert [c.kind for c in report.corruptions] == ["dangling-reference"]
-
-
-def test_detects_malformed_payload(fs, client):
-    """A reference row whose payload is not the 24-byte pin triple is
-    storage corruption, reported as such."""
-    tx = fs.begin()
-    fs.write_file(tx, "/src", payload(4, "mal", CHUNK_SIZE))
-    fs.write_file(tx, "/fake", b"")
-    fs.commit(tx)
-    src_id = _fileid(fs, "/src")
-    tx = fs.begin()
-    store = ChunkStore(fs.db, _fileid(fs, "/fake"), tx)
-    store.table.lock_exclusive(tx)
-    store.table.insert_many(tx, [(0, -src_id, b"short")])
-    fs.commit(tx)
-    report = shared_extents(fs)
-    assert [c.kind for c in report.corruptions] == ["bad-reference"]
+    ConsistencyChecker(fs).raise_if_corrupt()
 
 
 def test_aborted_clone_rows_are_not_violations(fs, client):
@@ -121,4 +35,4 @@ def test_aborted_clone_rows_are_not_violations(fs, client):
     tx = fs.begin()
     fs.reflink(tx, "/src", "/ghost")
     fs.abort(tx)
-    raise_if_shared_extents_broken(fs)
+    ConsistencyChecker(fs).raise_if_corrupt()

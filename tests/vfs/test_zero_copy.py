@@ -4,10 +4,10 @@ row, and the device write counter confirms no payload migrated."""
 
 from __future__ import annotations
 
+from repro.core.checker import ConsistencyChecker
 from repro.core.constants import CHUNK_SIZE
 from repro.testkit.workload import payload
 from repro.vfs import VFS
-from repro.vfs.extents import raise_if_shared_extents_broken
 
 #: 8 000 chunks of 8 064 bytes = 64 512 000 bytes — "64 MB" on a chunk
 #: boundary, so the whole file clones by reference (no materialized
@@ -56,4 +56,4 @@ def test_reflink_and_concat_64mb_move_no_data(fs, client):
     vfs.lseek(fd, SIZE - 100)
     assert vfs.read(fd, 200) == data[-100:] + data[:100]
     vfs.close(fd)
-    raise_if_shared_extents_broken(fs)
+    ConsistencyChecker(fs).raise_if_corrupt()

@@ -3,7 +3,8 @@
 
 Scans every tracked ``*.md`` file (or the paths given on the command
 line) for inline markdown links, resolves the repo-relative targets,
-and exits non-zero listing every target that does not exist.  External
+and exits non-zero listing every target that does not exist (a tracked
+file deleted from the working tree is listed the same way).  External
 links (http/https/mailto) are ignored.  Anchor fragments are validated
 too: ``#section`` must name a heading in the same file and
 ``path.md#section`` a heading in the target file, using GitHub's
@@ -118,6 +119,9 @@ def main(argv: list[str]) -> int:
         return anchor_cache[resolved]
 
     for md in files:
+        if not os.path.exists(os.path.join(REPO, md)):
+            dead.append(f"{md}: tracked, but missing from the working tree")
+            continue
         base = os.path.dirname(os.path.join(REPO, md))
         for lineno, target in targets_in(md):
             rel, _, fragment = target.partition("#")
