@@ -177,6 +177,9 @@ class MigrationEngine:
         for rel in relations:
             db.buffers.flush_relation(info.devname, rel)
             db.buffers.drop_relation(info.devname, rel)
+            # An earlier copy may still be there: a move away whose drop
+            # waits for its group's force, or an aborted move.
+            db._reclaim_orphan(dst, rel, relname)
             dst.create_relation(rel)
             for pageno in range(src.nblocks(rel)):
                 dst.extend(rel)

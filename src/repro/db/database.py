@@ -332,10 +332,14 @@ class Database:
         self._create_index_on(tx, info.oid, info.name, info.devname,
                               info.schema, list(keycols), name)
 
-    def _reclaim_orphan(self, dev, relname: str) -> None:
-        """Drop a physical relation left behind by an aborted DDL
-        transaction (the catalog row never committed, but the file
-        exists).  Only safe when no committed catalog row names it."""
+    def _reclaim_orphan(self, dev, relname: str,
+                        table: str | None = None) -> None:
+        """Drop a physical relation on ``dev`` left behind by an aborted
+        DDL transaction or migration (the file exists, but no committed
+        catalog row places it on ``dev``).  ``table`` is the heap
+        ``relname`` belongs to — itself unless it is that heap's index;
+        a committed row placing ``table`` on another device does not
+        protect the copy here."""
         if dev.relation_exists(relname):
             # maybe a drop still waiting for its commit group's force
             self.tm.flush_commits()
@@ -343,10 +347,14 @@ class Database:
             return
         from repro.db.snapshot import BootstrapSnapshot
         snapshot = BootstrapSnapshot(self.tm)
-        info = self.catalog.lookup_table(relname, snapshot, use_cache=False)
-        if info is None and not self.catalog.index_exists(relname, snapshot):
-            self.buffers.drop_relation(dev.name, relname)
-            dev.drop_relation(relname)
+        info = self.catalog.lookup_table(table or relname, snapshot,
+                                         use_cache=False)
+        if info is not None and info.devname == dev.name:
+            return
+        if table is None and self.catalog.index_exists(relname, snapshot):
+            return          # some table's index, whose device is not known
+        self.buffers.drop_relation(dev.name, relname)
+        dev.drop_relation(relname)
 
     def _create_index_on(self, tx: Transaction, tableoid: int, table_name: str,
                          devname: str, schema: Schema, keycols: list[str],

@@ -4,9 +4,12 @@
 concurrent access to files while preventing simultaneous changes from
 interfering with one another."  Locks are table-granularity (POSTGRES
 4.0.1 locked relations), shared or exclusive, held until commit or
-abort.  Waiters are tracked in a waits-for graph; when acquiring a lock
-would close a cycle, the requester is chosen as the deadlock victim and
-its transaction raises :class:`DeadlockError`.
+abort.  When waiting would close a cycle in the waits-for graph, the
+requester is chosen as the deadlock victim and its transaction raises
+:class:`DeadlockError`.  The graph is read off the lock table at each
+check — every queued waiter waits on the incompatible holders and the
+incompatible waiters ahead of it — and is never stored, so an edge
+cannot outlive the hold it names.
 
 Queueing is FIFO without barging: a new request conflicts not only
 with incompatible *holders* but with incompatible waiters queued ahead
@@ -17,6 +20,14 @@ waiting on the upgrader's S hold would be a queueing-induced deadlock,
 not a data one.  Two upgraders still deadlock honestly (each waits on
 the other's S hold) and the waits-for cycle check picks exactly one
 victim.
+
+A wait times out on a stall, not on its length: ``timeout_s`` is how
+long the set of transactions a request waits for may stay the same.
+A holder releasing, or a waiter ahead being granted or leaving,
+restarts the clock, so a waiter keeps its place in a queue that moves
+however long the queue is.  A request whose blockers never change
+fails at ``timeout_s`` — the only way out of a deadlock no one lock
+manager can see (a cross-shard cycle).
 
 *How* a transaction waits is pluggable (:attr:`LockManager.
 wait_strategy`): the default parks the calling thread on a condition
@@ -57,8 +68,9 @@ METRICS = (
                "graph closed a cycle through them).",
                "repro.db.locks"),
     MetricSpec("lock.timeouts", "counter", "txns",
-               "Lock acquisitions abandoned because the configured "
-               "timeout elapsed before the lock was granted.",
+               "Lock acquisitions abandoned after no progress for "
+               "`timeout_s`: the transactions the request waited for "
+               "stayed the same that long.",
                "repro.db.locks"),
 )
 
@@ -101,16 +113,22 @@ class LockHandle:
 
 class ThreadWaitStrategy:
     """The default wait path: park the calling thread on the lock
-    manager's condition variable, timeout in wall-clock seconds."""
+    manager's condition variable, timeout in wall-clock seconds.
+
+    A strategy's clock is :meth:`now`; the lock manager keeps
+    ``ctx["deadline"]`` on it, moving it whenever the queue ahead
+    moves."""
+
+    def now(self) -> float:
+        return _time.monotonic()
 
     def start(self, lm: "LockManager", xid: int, resource: Hashable,
               mode: str) -> dict:
-        now = _time.monotonic()
-        return {"start": now, "deadline": now + lm.timeout_s}
+        return {"start": self.now()}
 
     def wait_round(self, lm: "LockManager", ctx: dict) -> bool:
-        """One bounded wait; True → re-check blockers, False → timed
-        out.  Called (and returns) holding ``lm._cond``."""
+        """One bounded wait; True → re-check blockers, False → the
+        deadline passed.  Called (and returns) holding ``lm._cond``."""
         remaining = ctx["deadline"] - _time.monotonic()
         if remaining <= 0:
             return False
@@ -130,8 +148,7 @@ class LockManager:
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self._locks: dict[Hashable, _LockState] = {}
-        # waits-for edges: xid -> set of xids it waits on
-        self._waits_for: dict[int, set[int]] = {}
+        #: seconds a request may wait with the queue ahead not moving.
         self.timeout_s = timeout_s
         self.stats = LockStats()
         #: how blocked acquisitions wait (see module docstring).
@@ -156,13 +173,16 @@ class LockManager:
             entry = _Waiter(tx.xid, mode)
             queued = False
             ctx = None
+            strategy = self.wait_strategy
             # Waiters whose sessions are suspended beneath the caller on
             # the cooperative scheduler's stack cannot acquire until
             # control unwinds *through* the caller — queueing behind
             # them would be a stack-induced false dependency, so the
             # strategy may exempt them from the no-barge rule (empty
             # under real threads, where every waiter can always run).
-            suspended = getattr(self.wait_strategy, "suspended_xids", None)
+            suspended = getattr(strategy, "suspended_xids", None)
+            waiting_on = None
+            stalled = False
             try:
                 while True:
                     exempt = suspended() if suspended is not None else ()
@@ -170,61 +190,59 @@ class LockManager:
                                               upgrading, entry, exempt)
                     if not blockers:
                         break
-                    # Would waiting close a cycle in the waits-for graph?
-                    self._waits_for[tx.xid] = blockers
-                    if self._cycle_from(tx.xid):
-                        self.stats.deadlocks += 1
-                        if self.obs is not None:
-                            self.obs.lock_deadlock(tx.xid)
-                        raise DeadlockError(
-                            f"transaction {tx.xid} chosen as deadlock "
-                            f"victim requesting {mode} on {resource!r} "
-                            f"held by {self._holders_text(state)}; "
-                            f"waiting for {sorted(blockers)}")
-                    if not queued:
-                        state.waiters.append(entry)
-                        queued = True
-                    if ctx is None:
-                        ctx = self.wait_strategy.start(self, tx.xid,
-                                                       resource, mode)
-                    if not self.wait_strategy.wait_round(self, ctx):
-                        # Last look before giving up: a sim-clock
-                        # strategy may have advanced straight to the
-                        # deadline while the release that frees us
-                        # happened on the way.
-                        exempt = (suspended() if suspended is not None
-                                  else ())
-                        if not self._blockers(state, tx.xid, mode,
-                                              upgrading, entry, exempt):
-                            break
+                    if blockers != waiting_on:
+                        # The first look, or the queue ahead moved.  A
+                        # cycle can only close as a transaction starts
+                        # waiting on someone new, so this is where one
+                        # is looked for; and the stall clock restarts.
+                        if self._cycle_from(tx.xid, blockers):
+                            self.stats.deadlocks += 1
+                            if self.obs is not None:
+                                self.obs.lock_deadlock(tx.xid)
+                            raise DeadlockError(
+                                f"transaction {tx.xid} chosen as deadlock "
+                                f"victim requesting {mode} on {resource!r} "
+                                f"held by {self._holders_text(state)}; "
+                                f"waiting for {sorted(blockers)}")
+                        waiting_on = blockers
+                        if not queued:
+                            state.waiters.append(entry)
+                            queued = True
+                        if ctx is None:
+                            ctx = strategy.start(self, tx.xid, resource, mode)
+                        ctx["deadline"] = strategy.now() + self.timeout_s
+                    elif stalled:
                         self.stats.timeouts += 1
                         if self.obs is not None:
                             self.obs.lock_timeout(tx.xid)
                         raise LockTimeoutError(
                             f"transaction {tx.xid} timed out waiting for "
                             f"{mode} on {resource!r} held by "
-                            f"{self._holders_text(state)} after "
-                            f"{self.timeout_s}s")
+                            f"{self._holders_text(state)}: the queue "
+                            f"ahead did not move for {self.timeout_s}s")
+                    stalled = not strategy.wait_round(self, ctx)
+                if mode == EXCLUSIVE:
+                    state.holders[tx.xid] = EXCLUSIVE
+                else:
+                    state.holders.setdefault(tx.xid, SHARED)
+                tx.held_locks.append(LockHandle(resource,
+                                                state.holders[tx.xid]))
             finally:
                 if queued:
                     try:
                         state.waiters.remove(entry)
                     except ValueError:
                         pass
-                self._waits_for.pop(tx.xid, None)
+                if not state.holders and not state.waiters:
+                    del self._locks[resource]   # a victim leaves no entry
                 if ctx is not None:
-                    elapsed = self.wait_strategy.finish(self, ctx, tx.xid)
+                    elapsed = strategy.finish(self, ctx, tx.xid)
                     self.stats.waits += 1
                     if self.obs is not None:
                         self.obs.lock_wait(tx.xid, elapsed)
                     # Our departure may unblock queued requests that
                     # were ordered behind this entry.
                     self._cond.notify_all()
-            if mode == EXCLUSIVE:
-                state.holders[tx.xid] = EXCLUSIVE
-            else:
-                state.holders.setdefault(tx.xid, SHARED)
-            tx.held_locks.append(LockHandle(resource, state.holders[tx.xid]))
 
     def _holders_text(self, state: _LockState) -> str:
         """Current holders as ``{xid: mode}`` for actionable error
@@ -257,10 +275,19 @@ class LockManager:
                     blockers.add(waiter.xid)
         return blockers
 
-    def _cycle_from(self, start: int) -> bool:
-        """DFS over the waits-for graph looking for a cycle through
-        ``start``."""
-        stack = list(self._waits_for.get(start, ()))
+    def _cycle_from(self, start: int, blockers: set[int]) -> bool:
+        """Would ``start`` waiting on ``blockers`` close a cycle?  DFS
+        over the waits-for graph as the lock table has it now: every
+        other queued waiter waits on what :meth:`_blockers` says it
+        must, exemptions aside (an upgrader on holders only)."""
+        edges: dict[int, set[int]] = {}
+        for state in self._locks.values():
+            for entry in state.waiters:
+                if entry.xid != start:
+                    edges.setdefault(entry.xid, set()).update(self._blockers(
+                        state, entry.xid, entry.mode,
+                        state.holders.get(entry.xid) == SHARED, entry))
+        stack = list(blockers)
         seen = set()
         while stack:
             node = stack.pop()
@@ -269,7 +296,7 @@ class LockManager:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(self._waits_for.get(node, ()))
+            stack.extend(edges.get(node, ()))
         return False
 
     # -- release -------------------------------------------------------------
@@ -285,7 +312,6 @@ class LockManager:
                     if not state.holders and not state.waiters:
                         del self._locks[handle.resource]
             tx.held_locks.clear()
-            self._waits_for.pop(tx.xid, None)
             self._cond.notify_all()
 
     # -- introspection ----------------------------------------------------------

@@ -283,7 +283,7 @@ class SchedulerWaitStrategy:
     waiting session parks and the event loop runs *other* sessions'
     requests — which is how a lock wait spends simulated time doing the
     system's other work instead of wall time doing nothing.  Timeouts
-    are in simulated seconds on this database's clock."""
+    are in simulated seconds on this database's clock (:meth:`now`)."""
 
     def __init__(self, sched: "MultiUserScheduler", index: int) -> None:
         self.sched = sched
@@ -301,6 +301,9 @@ class SchedulerWaitStrategy:
         xids.discard(None)
         return xids
 
+    def now(self) -> float:
+        return self.sched.dbs[self.index].clock.now()
+
     def start(self, lm, xid: int, resource, mode: str) -> dict:
         sched = self.sched
         db = sched.dbs[self.index]
@@ -313,8 +316,7 @@ class SchedulerWaitStrategy:
         span = db.obs.tracer.span("sched.park", resource=repr(resource),
                                   mode=mode)
         span.__enter__()
-        return {"start": now, "deadline": now + lm.timeout_s,
-                "session": session, "span": span}
+        return {"start": now, "session": session, "span": span}
 
     def wait_round(self, lm, ctx: dict) -> bool:
         sched = self.sched

@@ -19,8 +19,10 @@ Each shard keeps its own simulated clock, so a lock wait's deadline is
 measured on the clock of the shard it parked on.  Cross-shard
 deadlocks never appear in any single shard's waits-for graph, so they
 resolve by lock timeout — the timeout path here is load-bearing, not a
-safety net.  The cluster admits every session at once and does not
-cluster commits (2PC forces bypass the group-commit queue).
+safety net.  A lock wait times out on a stall, and a cycle's blockers
+never change, so it still fires at ``timeout_s``.  The cluster admits
+every session at once and does not cluster commits (2PC forces bypass
+the group-commit queue).
 """
 
 from __future__ import annotations

@@ -183,3 +183,46 @@ def test_migrated_source_copy_waits_for_its_groups_force(tmp_path):
     assert MigrationEngine(fs2).device_of(fs2.resolve("/big")) == "magnetic0"
     assert fs2.read_file("/big") == b"z" * 20_000
     db2.close()
+
+
+@pytest.fixture
+def two_disks(fs, client):
+    fs.db.add_device("magnetic1", "magnetic")
+    return fs, client, MigrationEngine(fs)
+
+
+def test_file_migrated_away_and_back_inside_one_group(two_disks):
+    """The second move finds the first one's source copy still on
+    magnetic0, its drop queued behind the open group's force: the move
+    closes the group (releasing it) before copying back."""
+    from repro.core.chunks import chunk_table_name
+    fs, client, engine = two_disks
+    _put(client, "/f", b"r" * 20_000)
+    fileid = fs.resolve("/f")
+    fs.db.tm.group_commit_window = 60.0
+    for device in ("magnetic1", "magnetic0"):
+        tx = fs.begin()
+        engine.move_file(tx, fileid, device)
+        fs.commit(tx)
+    assert engine.device_of(fileid) == "magnetic0"
+    assert fs.read_file("/f") == b"r" * 20_000
+    fs.db.tm.flush_commits()
+    assert not fs.db.switch.get("magnetic1").relation_exists(
+        chunk_table_name(fileid))
+
+
+def test_migration_retried_after_an_abort(two_disks):
+    """An aborted move leaves its copies on magnetic1.  The committed
+    catalog row names the relation, but places it on magnetic0, so it
+    must not protect those copies: the retry reclaims them."""
+    fs, client, engine = two_disks
+    _put(client, "/f", b"a" * 20_000)
+    fileid = fs.resolve("/f")
+    tx = fs.begin()
+    engine.move_file(tx, fileid, "magnetic1")
+    fs.abort(tx)
+    tx = fs.begin()
+    engine.move_file(tx, fileid, "magnetic1")
+    fs.commit(tx)
+    assert engine.device_of(fileid) == "magnetic1"
+    assert fs.read_file("/f") == b"a" * 20_000

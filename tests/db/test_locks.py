@@ -221,3 +221,70 @@ def test_error_messages_name_resource_and_holders():
     thread.join(timeout=5)
     message = str(excinfo2.value)
     assert "r1" in message and "{7:X}" in message
+
+
+class NestedParking:
+    """A stub wait strategy shaped like the scheduler's: a waiter parked
+    here is exempt from the no-barge rule (it is "suspended beneath"
+    the caller), and its wait runs ``on_park`` in place of looping — the
+    way a session parked beneath others never re-checks until they
+    unwind.  Any other wait times out at once."""
+
+    def __init__(self, parker: int, on_park) -> None:
+        self.parker = parker
+        self.on_park = on_park
+        self.parked: set[int] = set()
+
+    def suspended_xids(self) -> set[int]:
+        return set(self.parked)
+
+    def now(self) -> float:
+        return 0.0
+
+    def start(self, lm, xid, resource, mode) -> dict:
+        return {"xid": xid}
+
+    def wait_round(self, lm, ctx) -> bool:
+        if ctx["xid"] != self.parker or self.parked:
+            return False
+        self.parked.add(ctx["xid"])
+        lm._cond.release()
+        try:
+            self.on_park()
+        finally:
+            lm._cond.acquire()
+            self.parked.clear()
+        return True
+
+    def finish(self, lm, ctx, xid) -> float:
+        return 0.0
+
+
+def test_cycle_through_a_waiter_that_never_relooked_is_found():
+    """T1 parks on R1 behind T0.  While it is parked, T0 commits, T2
+    barges onto R1 (T1 is suspended, so exempt) and asks for R2, which
+    T1 holds.  T1 never looked again, so whatever it last recorded names
+    T0; read off the lock table, T1 waits on T2 — a cycle, found at
+    T2's request rather than by waiting out a timeout."""
+    lm = LockManager(timeout_s=10.0)
+    t0, t1, t2 = tx(0), tx(1), tx(2)
+    lm.acquire(t0, "R1", EXCLUSIVE)
+    lm.acquire(t1, "R2", EXCLUSIVE)
+    outcome = {}
+
+    def meanwhile():
+        lm.release_all(t0)
+        lm.acquire(t2, "R1", EXCLUSIVE)
+        try:
+            lm.acquire(t2, "R2", EXCLUSIVE)
+        except (DeadlockError, LockTimeoutError) as exc:
+            outcome["t2"] = type(exc)
+        lm.release_all(t2)
+
+    lm.wait_strategy = NestedParking(t1.xid, meanwhile)
+    lm.acquire(t1, "R1", EXCLUSIVE)
+    assert outcome["t2"] is DeadlockError
+    assert lm.stats.deadlocks == 1 and lm.stats.timeouts == 0
+    assert lm.holders("R1") == {1: EXCLUSIVE}
+    lm.release_all(t1)
+    assert lm._locks == {}

@@ -22,6 +22,13 @@ def _write(path: str, data: bytes) -> Apply:
                  fs.write_file(tx, path, data))
 
 
+def _hold(seconds: float) -> Apply:
+    """One slice that keeps the session's locks while ``seconds`` of
+    simulated time pass."""
+    return Apply(f"hold {seconds}",
+                 lambda fs, tx: fs.db.clock.advance(seconds))
+
+
 def _disjoint_programs(nclients: int, ntxns: int = 3) -> list[list[Txn]]:
     return [[Txn([_write(f"/f{c}", b"%d:%d" % (c, t) * 50)],
                  tag=f"c{c}t{t}") for t in range(ntxns)]
@@ -193,6 +200,39 @@ class TestLockWaits:
         waited_xids = [xid for xid, row in db.obs.tx.breakdown().items()
                        if row.get("lock_wait_seconds")]
         assert waited_xids, "no per-xid lock wait recorded"
+
+    def test_a_waiter_keeps_its_place_while_the_queue_moves(self, fs):
+        """Three writers share one file and each holds it 0.4 s.  Seed 3
+        queues s0 behind s2, and s1 (parked above s0 on the stack) goes
+        between them: s0 is granted third, after 0.9 s — longer than the
+        0.5 s timeout, but the holder ahead of it changed every 0.4 s,
+        so nobody times out or retries."""
+        _seed_files(fs, 0, extra=("/hot",))
+        fs.db.locks.timeout_s = 0.5
+        programs = [[Txn([_write("/hot", bytes([65 + c]) * 64), _hold(0.4)])]
+                    for c in range(3)]
+        sched, report = _run(fs, programs, seed=3)
+        assert report["max_park_s"] > fs.db.locks.timeout_s + 0.3
+        assert fs.db.locks.stats.timeouts == 0
+        assert report["retries"] == 0
+
+    def test_a_waiter_whose_blocker_never_changes_times_out(self, fs):
+        """Seed 1 parks s1 behind s0, which keeps running — 64 slices of
+        1/64 s each — but never releases: the queue ahead of s1 never
+        moves, so its wait ends at exactly ``timeout_s`` however busy
+        the holder is.  The retry gets the file once s0 commits."""
+        _seed_files(fs, 0, extra=("/hot",))
+        fs.db.locks.timeout_s = 0.5
+        holder = [Txn([_write("/hot", b"h" * 64)]
+                      + [_hold(1 / 64) for _ in range(64)])]
+        waiter = [Txn([_write("/hot", b"w" * 64)])]
+        sched, report = _run(fs, [holder, waiter], seed=1)
+        assert fs.db.locks.stats.timeouts == 1
+        assert report["retries"] == 1
+        unparks = [float(detail) for _t, kind, name, detail in sched.trace
+                   if kind == "unpark" and name == "s1"]
+        assert unparks[0] == pytest.approx(fs.db.locks.timeout_s, abs=1e-9)
+        assert fs.read_file("/hot") == b"w" * 64
 
     def test_fairness_report_shape(self, fs):
         _seed_files(fs, 3)
