@@ -440,6 +440,20 @@ class BufferCache:
         return self._sweep(
             [(dev_name, relname, pageno) for pageno in resident])
 
+    def install(self, dev_name: str, relname: str, pageno: int,
+                data: bytes) -> None:
+        """Give a resident frame the page image ``data`` that was
+        written to the device behind the cache's back (a replica's
+        shipped page).  A no-op when the page is not resident;
+        otherwise the frame keeps its LRU place and pays one
+        ``buffer_copy``, since the bytes are already in memory."""
+        frame = self._frames.get((dev_name, relname, pageno))
+        if frame is None:
+            return
+        frame.page = Page(data)
+        if self.cpu is not None:
+            self.cpu.buffer_copy()
+
     # -- invalidation -----------------------------------------------------------
 
     def invalidate_all(self, write_dirty: bool = True) -> None:
@@ -473,8 +487,8 @@ class BufferCache:
     def resident(self, dev_name: str, relname: str, pageno: int) -> bool:
         return (dev_name, relname, pageno) in self._frames
 
-    def dirty_count(self) -> int:
-        return sum(1 for f in self._frames.values() if f.dirty)
+    def dirty_pages(self) -> list[BufferKey]:
+        return sorted(self._dirty_keys)
 
     def __len__(self) -> int:
         return len(self._frames)

@@ -143,11 +143,13 @@ class FeedEntry:
 class PrimaryFeed:
     """The committed-delta feed of one primary database.
 
-    The log keeps every entry since ``base_seq`` (a promoted replica
-    seeds it with the entries it applied, so surviving followers resume
-    from their cursors without a re-seed).  ``pull`` is read-only and
-    side-effect-free on the primary: entries carry their payloads, so a
-    round never races vacuum's relation swaps or drops."""
+    The log keeps every entry since ``base_seq``, the slowest acked
+    replica cursor: each :meth:`ack` trims below it (a promoted replica
+    seeds the log with the entries it applied and the followers'
+    cursors, so surviving followers resume without a re-seed).
+    ``pull`` is read-only and side-effect-free on the primary: entries
+    carry their payloads, so a round never races vacuum's relation
+    swaps or drops."""
 
     def __init__(self, db, stats: ReplStats | None = None,
                  base_seq: int = 0, log: list | None = None) -> None:
@@ -201,7 +203,11 @@ class PrimaryFeed:
         return entries, next_cursor, next_cursor < self.next_seq
 
     def ack(self, replica_id: str, cursor: int) -> None:
+        """Record a replica's durable cursor and trim the log to the
+        slowest acked one, so the log holds only what some replica has
+        yet to apply."""
         self.acked[replica_id] = cursor
+        self.trim()
 
     def trim(self) -> int:
         """Drop entries every known replica has acked.  Returns the

@@ -10,9 +10,17 @@ Sync protocol (one *round*)::
 
     entries, next_cursor, more = feed.pull(cursor, batch)   # ship
     apply each entry to the local devices                    # replay
-    invalidate caches, re-read the status file               # advance
+    refresh the frames the round touched, drop the catalog
+    caches, re-read the status file                          # advance
     durably save next_cursor on the local root device        # restart
     feed.ack(replica_id, next_cursor)                        # ack
+
+The buffer cache survives a round: a shipped page image replaces a
+resident frame's bytes in place, a created, dropped or renamed relation
+loses its frames, and every other frame stays warm — the round's
+entries name every page it rewrote.  The ack lets the primary trim its
+log to the slowest replica's cursor, and the replica forgets the
+entries it retained for a promotion below the feed's new base.
 
 The cursor is saved only *after* the whole round applied, so a replica
 that dies mid-round re-pulls the same round on reconnect.  That is safe
@@ -76,7 +84,8 @@ class ReplicaServer(InversionServer):
         self.stats: ReplStats = feed.stats if feed is not None else ReplStats()
         #: entries applied since this replica was seeded/reopened,
         #: retained so a promotion can seed its own feed with them and
-        #: surviving followers resume from their cursors un-reseeded.
+        #: surviving followers resume from their cursors un-reseeded;
+        #: those below the feed's base are dropped after each ack.
         self._retained: list[FeedEntry] = []
         self._retain_base = cursor
 
@@ -164,14 +173,41 @@ class ReplicaServer(InversionServer):
         else:
             raise ReplicaError(f"unknown feed entry kind {kind!r}")
 
-    def _post_apply(self) -> None:
-        """Advance visibility after a round: drop every cached page and
-        both catalog caches (shipped pages changed pg_class and pg_index
-        underneath them), re-read the shipped status file, and resume the
-        local clock past the newly visible history so local reads and a
-        future promotion sort after it."""
+    def _post_apply(self, entries: list[FeedEntry]) -> None:
+        """Advance visibility after a round.  The buffer cache follows
+        the round's own entries: a shipped page image replaces a
+        resident frame's bytes in place (a page not resident stays
+        out), a created, dropped or renamed relation loses the frames
+        under every name the entry mentions, and extend / meta / append
+        entries touch no frame.  A read-only replica never dirties a
+        frame; one that is dirty anyway could later be written back
+        over a shipped page, so the round refuses it rather than
+        discard it."""
+        buffers = self.db.buffers
+        dirty = buffers.dirty_pages()
+        if dirty:
+            dev, rel, pageno = dirty[0]
+            raise ReplicaError(
+                f"replica {self.replica_id} holds a dirty frame "
+                f"({dev!r}, {rel!r}, {pageno}): a read-only replica "
+                f"never writes a page")
+        for entry in entries:
+            kind = entry.kind
+            if kind == "page":
+                buffers.install(entry.dev, entry.a, entry.b, entry.payload)
+            elif kind in ("create", "drop", "rename"):
+                buffers.drop_relation(entry.dev, entry.a)
+                if kind == "rename":
+                    buffers.drop_relation(entry.dev, entry.b)
+        self._advance()
+
+    def _advance(self) -> None:
+        """Drop both catalog caches (shipped pages changed pg_class and
+        pg_index underneath them, and a round's entries do not say
+        which rows moved), re-read the shipped status file, and resume
+        the local clock past the newly visible history so local reads
+        and a future promotion sort after it."""
         db = self.db
-        db.buffers.invalidate_all(write_dirty=False)
         db.catalog.invalidate_cache()
         db.tm.refresh()
         resume_at = db.tm.max_recorded_time()
@@ -194,7 +230,7 @@ class ReplicaServer(InversionServer):
         if entries:
             for entry in entries:
                 self._apply_entry(entry)
-            self._post_apply()
+            self._post_apply(entries)
             self._retained.extend(entries)
             self.cursor = next_cursor
             self._save_cursor()
@@ -204,6 +240,12 @@ class ReplicaServer(InversionServer):
                 1 for e in entries if e.kind == "page")
             self.stats.bytes_shipped += sum(e.nbytes for e in entries)
         self.feed.ack(self.replica_id, self.cursor)
+        # No follower can ask a promoted self for an entry below the
+        # feed's base: every follower acked at least that far.
+        drop = self.feed.base_seq - self._retain_base
+        if drop > 0:
+            del self._retained[:drop]
+            self._retain_base = self.feed.base_seq
         self._sample_lag()
         return len(entries), more
 
@@ -270,14 +312,21 @@ class ReplicaServer(InversionServer):
         their cursors."""
         if not self.read_only:
             raise ReplicaError(f"{self.replica_id} is already a primary")
+        followers: dict[str, int] = {}
         if self.feed is not None:
             self.sync()
+            # The new feed trims to the slowest follower, so it must
+            # know every follower's cursor before the first one acks.
+            followers = {rid: cursor for rid, cursor
+                         in self.feed.acked.items()
+                         if rid != self.replica_id}
             self.feed = None
         self.read_only = False
         self.stats.promotions += 1
         new_feed = PrimaryFeed.attach(self.db, stats=self.stats,
                                       base_seq=self._retain_base,
                                       log=list(self._retained))
+        new_feed.acked.update(followers)
         # Complete any vacuum relation swap the shipped journal left
         # half-done — the same replay Database.open performs — and only
         # now, through the tapped devices: the media is the log, so
@@ -286,7 +335,8 @@ class ReplicaServer(InversionServer):
         from repro.db.vacuum import replay_rename_journal
         root = self.db.switch.get(self.db.switch.default_name)
         if replay_rename_journal(self.db.switch, root):
-            self._post_apply()
+            self.db.buffers.invalidate_all(write_dirty=False)
+            self._advance()
         return new_feed
 
     # -- lifecycle --------------------------------------------------------

@@ -24,9 +24,9 @@ def test_new_page_is_dirty_until_flushed(setup):
     pageno, page = cache.new_page("mem0", "r")
     page.add_record(b"data")
     cache.mark_dirty("mem0", "r", pageno)
-    assert cache.dirty_count() == 1
+    assert len(cache.dirty_pages()) == 1
     assert cache.flush_all() == 1
-    assert cache.dirty_count() == 0
+    assert len(cache.dirty_pages()) == 0
 
 
 def test_hit_does_not_touch_device(setup):
@@ -103,7 +103,7 @@ def test_flush_relation_only_touches_named_relation(setup):
     p1, pg1 = cache.new_page("mem0", "r")
     p2, pg2 = cache.new_page("mem0", "other")
     assert cache.flush_relation("mem0", "r") == 1
-    assert cache.dirty_count() == 1
+    assert len(cache.dirty_pages()) == 1
 
 
 def test_flush_relation_counts_forced_writes(setup):
@@ -158,7 +158,7 @@ def test_invalidate_without_writeback_performs_no_device_io(setup):
     writes_before = dev.stats.writes
     cache.invalidate_all(write_dirty=False)
     assert dev.stats.writes == writes_before
-    assert cache.dirty_count() == 0
+    assert len(cache.dirty_pages()) == 0
     assert len(cache) == 0
 
 
@@ -192,7 +192,7 @@ def test_drop_relation_discards_dirty_frames_without_writeback(setup):
     writes_before = dev.stats.writes
     cache.drop_relation("mem0", "r")
     assert dev.stats.writes == writes_before
-    assert cache.dirty_count() == 0
+    assert len(cache.dirty_pages()) == 0
     # The on-media page is untouched by the dropped dirty frame.
     assert cache.get_page("mem0", "r", pageno).nslots == 0
 

@@ -215,7 +215,7 @@ def test_flush_relation_only_touches_that_relation(setup):
     _pageno, spage = cache.new_page("mem0", "s")
     spage.add_record(b"s0")
     assert cache.flush_relation("mem0", "r") == 1
-    assert cache.dirty_count() == 1  # s's page still dirty
+    assert len(cache.dirty_pages()) == 1  # s's page still dirty
 
 
 def test_drop_relation_forgets_frames_and_detector(setup):

@@ -12,9 +12,9 @@ from repro.testkit.oracle import harvest_state
 from tests.replica.conftest import make_replica, write_file
 
 
-def _backlog(db, writer, n=5):
+def _backlog(db, writer, n=5, prefix="/f"):
     for i in range(n):
-        write_file(writer, f"/f{i}", f"payload {i}".encode() * 100)
+        write_file(writer, f"{prefix}{i}", f"payload {i}".encode() * 100)
     db.tm.flush_commits()
 
 
@@ -115,3 +115,80 @@ def test_cursor_below_trimmed_base_demands_reseed(tmp_path, primary, writer):
         stale.sync()
     stale.close()
     fast.close()
+
+
+# -- bounded retention ---------------------------------------------------
+
+
+def test_live_followers_keep_the_log_within_one_sync_interval(
+        tmp_path, primary, writer):
+    """Every ack trims the primary's log to the slowest cursor and each
+    replica drops what it retained below the feed's base: with every
+    follower syncing, neither grows past one interval's entries."""
+    db, fs, feed = primary
+    write_file(writer, "/seeded", b"base")
+    replicas = [make_replica(tmp_path, feed, f"r{i}") for i in range(2)]
+    for interval in range(4):
+        before = feed.next_seq
+        _backlog(db, writer, n=2, prefix=f"/i{interval}_")
+        assert len(feed.log) == feed.next_seq - before
+        for replica in replicas:
+            replica.sync()
+        assert feed.base_seq == feed.next_seq and feed.log == []
+        # A replica trims at its own ack, so the first to sync still
+        # holds the interval the others had not yet acked.
+        for replica in replicas:
+            assert replica._retain_base >= before
+            assert len(replica._retained) == replica.cursor - replica._retain_base
+    assert replicas[-1]._retained == []
+    for replica in replicas:
+        assert harvest_state(replica.fs) == harvest_state(fs)
+        replica.close()
+
+
+def test_a_stalled_follower_pins_its_lag_and_resumes(tmp_path, primary,
+                                                     writer):
+    db, fs, feed = primary
+    write_file(writer, "/seeded", b"base")
+    stalled = make_replica(tmp_path, feed, "stalled")
+    live = make_replica(tmp_path, feed, "live")
+    for interval in range(3):
+        _backlog(db, writer, n=2, prefix=f"/i{interval}_")
+        live.sync()
+        assert feed.base_seq == stalled.cursor
+        assert len(feed.log) == feed.next_seq - stalled.cursor
+    assert stalled.sync() > 0                   # no FeedGapError: no re-seed
+    assert feed.base_seq == stalled.cursor == live.cursor
+    assert harvest_state(stalled.fs) == harvest_state(fs)
+    stalled.close()
+    live.close()
+
+
+def test_promotion_after_trims_lets_followers_resume(tmp_path, primary,
+                                                     writer):
+    """The promoted replica retains only from the old feed's trimmed
+    base, which is every follower's cursor or below, and its new feed
+    starts out knowing those cursors."""
+    db, fs, feed = primary
+    write_file(writer, "/seeded", b"base")
+    r0, r1, r2 = (make_replica(tmp_path, feed, f"r{i}") for i in range(3))
+    for interval in range(3):
+        _backlog(db, writer, n=2, prefix=f"/i{interval}_")
+        for replica in (r0, r1, r2):
+            replica.sync()
+    trimmed = feed.base_seq
+    assert 0 < r0._retain_base <= trimmed
+    _backlog(db, writer, n=2, prefix="/last")
+    r1.sync()                                   # r2 lags, r0 is behind r1
+    expected = harvest_state(fs)
+    db.simulate_crash()
+    new_feed = r0.promote()
+    assert new_feed.base_seq == r0._retain_base
+    assert new_feed.acked == {"r1": r1.cursor, "r2": trimmed}
+    for follower in (r1, r2):
+        follower.rebind_feed(new_feed)
+        follower.sync()
+        assert harvest_state(follower.fs) == expected
+    assert new_feed.base_seq == new_feed.next_seq
+    for replica in (r0, r1, r2):
+        replica.close()

@@ -65,14 +65,22 @@ def test_ack_and_trim_drop_to_slowest_replica(primary, writer):
     db.tm.flush_commits()
     end = feed.next_seq
     assert feed.trim() == 0  # nobody acked yet: keep everything
-    feed.ack("r1", end)
-    feed.ack("r2", 2)
-    dropped = feed.trim()
-    assert dropped == 2 and feed.base_seq == 2
+    feed.ack("r2", 2)        # an ack trims to the slowest cursor
+    assert feed.base_seq == 2 and len(feed.log) == end - 2
+    feed.ack("r1", end)      # r2 still pins its lag
+    assert feed.base_seq == 2 and feed.trim() == 0
     # The fast replica still pulls fine; below-base cursors must re-seed.
     feed.pull(end, 10)
     with pytest.raises(FeedGapError):
         feed.pull(0, 10)
+    feed.ack("r2", end)
+    assert feed.base_seq == end and feed.log == []
+    # An ack below a base the others already trimmed cannot bring the
+    # entries back: that replica re-seeds.
+    feed.ack("r3", 1)
+    assert feed.base_seq == end
+    with pytest.raises(FeedGapError):
+        feed.pull(1, 10)
 
 
 def test_durable_horizon_tracks_flushed_commits(primary, writer):

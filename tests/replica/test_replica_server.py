@@ -1,8 +1,11 @@
 """Replica behaviour: seed, sync, read-only RPC, staleness, promotion."""
 
+import re
+
 import pytest
 
 from repro.core.checker import ConsistencyChecker
+from repro.core.constants import CHUNK_SIZE, O_RDWR
 from repro.core.protocol import VERBS, WRITE
 from repro.errors import (InversionError, ReplicaError, ReplicaReadOnlyError,
                           ReproError)
@@ -234,4 +237,103 @@ def test_seed_from_a_fault_wrapped_primary(tmp_path, primary, writer):
     assert _read(replica, "/a") == b"seeded through two proxies"
     assert harvest_state(replica.fs) == harvest_state(fs)
     assert ctrl.reads > 0                    # the copy went through the gates
+    replica.close()
+
+
+# -- the buffer cache across sync rounds ---------------------------------
+
+
+def _overwrite(writer, path, data, offset=0):
+    writer.p_begin()
+    fd = writer.p_open(path, O_RDWR)
+    writer.p_lseek(fd, 0, offset)
+    writer.p_write(fd, data)
+    writer.p_close(fd)
+    writer.p_commit()
+
+
+def test_a_round_keeps_the_frames_it_did_not_touch(tmp_path, primary, writer):
+    """A round that writes a different file leaves the pages of the one
+    just read resident: reading it again costs no buffer miss."""
+    db, fs, feed = primary
+    write_file(writer, "/a", b"stays warm" * 300)
+    replica = make_replica(tmp_path, feed)
+    stats = replica.db.buffers.stats
+    assert _read(replica, "/a") == b"stays warm" * 300
+    write_file(writer, "/b", b"another file")
+    db.tm.flush_commits()
+    assert replica.sync() > 0
+    misses = stats.misses
+    assert _read(replica, "/a") == b"stays warm" * 300
+    assert stats.misses == misses
+    replica.close()
+
+
+def test_a_rewritten_resident_page_serves_the_shipped_bytes(tmp_path, primary,
+                                                            writer):
+    """A page the round rewrote takes the shipped image in place: the
+    next read sees the new bytes without reading the device."""
+    db, fs, feed = primary
+    write_file(writer, "/a", b"old bytes")
+    replica = make_replica(tmp_path, feed)
+    stats = replica.db.buffers.stats
+    assert _read(replica, "/a") == b"old bytes"
+    _overwrite(writer, "/a", b"NEW")
+    db.tm.flush_commits()
+    assert replica.sync() > 0
+    misses = stats.misses
+    assert _read(replica, "/a") == b"NEW bytes"
+    assert stats.misses == misses
+    replica.close()
+
+
+def test_vacuum_swap_and_recreate_reach_a_warm_replica(tmp_path, primary,
+                                                       writer):
+    """Vacuum renames rebuilt relations over the live names, and an
+    unlinked file's relation is dropped: frames cached under those
+    names before the round must not serve reads after it.  The
+    compacted heap puts other chunks on the pages the replica holds,
+    and only the pages written after the swap ship under the live
+    name, so a stale frame would serve the wrong chunk."""
+    db, fs, feed = primary
+    model = {"/v": b"v0" * CHUNK_SIZE, "/w": b"w0" * 500}   # /v: 2 chunks
+    for path, data in model.items():
+        write_file(writer, path, data)
+    _overwrite(writer, "/v", b"v1" * 150)         # a new chunk 0 version
+    model["/v"] = b"v1" * 150 + model["/v"][300:]
+    replica = make_replica(tmp_path, feed)
+    for path, data in model.items():           # warm every frame
+        assert _read(replica, path) == data
+    db.vacuum(fs.chunk_table_of("/v"), keep_history=False)
+    writer.p_unlink("/w")
+    model["/w"] = b"w1, a new file under the old name"
+    write_file(writer, "/w", model["/w"])
+    db.vacuum("naming")
+    _overwrite(writer, "/v", b"v2" * 1000, offset=2 * CHUNK_SIZE)
+    model["/v"] += b"v2" * 1000
+    db.tm.flush_commits()
+    assert replica.sync() > 0
+    for path, data in model.items():
+        assert _read(replica, path) == data
+    assert harvest_state(replica.fs) == harvest_state(fs)
+    assert ConsistencyChecker(replica.fs).check_all().clean
+    replica.close()
+
+
+def test_a_dirty_frame_on_a_replica_is_refused(tmp_path, primary, writer):
+    """A read-only replica never dirties a frame; one that is dirty
+    anyway would later be written back over a shipped page, so the
+    round refuses it by name rather than discard it."""
+    db, fs, feed = primary
+    write_file(writer, "/a", b"x")
+    replica = make_replica(tmp_path, feed)
+    assert _read(replica, "/a") == b"x"
+    buffers = replica.db.buffers
+    dev, rel, pageno = key = next(iter(buffers._frames))
+    buffers.mark_dirty(dev, rel, pageno)
+    write_file(writer, "/b", b"y")
+    db.tm.flush_commits()
+    with pytest.raises(ReplicaError, match=re.escape(repr(key))):
+        replica.sync()
+    assert buffers.dirty_pages() == [key]
     replica.close()
