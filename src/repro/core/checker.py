@@ -22,6 +22,11 @@ by a ``vfsref`` registry row.  Vacuum is the only thing that destroys
 versions, and its history-pin guard
 (:meth:`repro.db.vacuum.VacuumCleaner.vacuum_table`) consults that
 registry; an unregistered reference is one vacuum would not protect.
+
+The walk also holds the chunkno index to its coverage: once a table has
+one, every committed version — live or archived — is reached through
+it, and until it has one the table stays within a heap page (the index
+is born before a row goes further; see :mod:`repro.core.chunks`).
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.core.chunks import REF_PAYLOAD, ChunkStore
+from repro.core.chunks import CHUNKNO, REF_PAYLOAD, ChunkStore
 from repro.core.constants import CHUNK_SIZE
 from repro.core.filesystem import VFSREF_TABLE
+from repro.db.heap import TID_SIZE
+from repro.db.keycodec import encode_key
 from repro.db.snapshot import BootstrapSnapshot
 from repro.errors import InversionError, TableError
 
@@ -45,7 +52,8 @@ class Corruption:
     kind: str       # 'misdirected', 'oversize', 'negative-chunkno',
                     # 'unreadable', 'size-mismatch', 'duplicate-chunk',
                     # 'bad-reference', 'dangling-reference',
-                    # 'unregistered-reference'
+                    # 'unregistered-reference', 'unindexed-version',
+                    # 'unindexed-table'
     detail: str
 
 
@@ -88,13 +96,15 @@ class ConsistencyChecker:
         report.files_checked += 1
         try:
             heaps = [store.table.heap, db.archive_heap_for(store.table.name)]
-            versions = [(xmin, values) for heap in filter(None, heaps)
-                        for _tid, xmin, _xmax, values
-                        in heap.scan_all_versions()]
+            versions = [(heap, list(heap.scan_all_versions()))
+                        for heap in filter(None, heaps)]
         except Exception as exc:
             flag(None, "unreadable", f"heap scan failed: {exc}")
             return report
-        for xmin, (chunkno, selfid, data) in versions:
+        self._check_index(store, versions, flag)
+        for xmin, (chunkno, selfid, data) in (
+                (xmin, values) for _heap, rows in versions
+                for _tid, xmin, _xmax, values in rows):
             report.chunks_checked += 1
             if chunkno < 0:
                 flag(chunkno, "negative-chunkno", "chunk number below zero")
@@ -135,6 +145,46 @@ class ConsistencyChecker:
                      f"size {size} implies chunk {last}, which has no "
                      f"visible version")
         return report
+
+    def _check_index(self, store: ChunkStore, versions: list, flag) -> None:
+        """The chunkno index covers what it must.  A table that has one
+        reaches every committed version, live and archived alike, through
+        the live index or the archive's (time travel reads the archive
+        only through its index).  A version is its ``(chunkno, xmin,
+        xmax)``: a crash inside a vacuum pass can leave archive copies of
+        versions still live, and those are reached as the originals.  A
+        table that has no index keeps its committed versions on heap
+        page 0 — its index is born before a row goes further — unless
+        the ablation is on.  Uncommitted versions are exempt: a crash
+        can leave a heap page on the medium without the index pages of
+        its transaction."""
+        committed = self.fs.db.tm.is_committed
+        name = store.table.name
+        found = store.table._find_index(CHUNKNO)
+        if found is None:
+            (_live, rows), *_archive = versions
+            spilled = sum(1 for tid, xmin, _xmax, _values in rows
+                          if tid.pageno > 0 and committed(xmin))
+            if spilled and self.fs.chunk_index:
+                flag(None, "unindexed-table",
+                     f"{name} has no chunkno index but {spilled} "
+                     f"committed versions past heap page 0")
+            return
+        archive = self.fs.db.archive_index_for(name, CHUNKNO)
+        btrees = [found[1], archive[1] if archive is not None else None]
+        reached = set()
+        for (_heap, rows), btree in zip(versions, btrees):
+            indexed = set() if btree is None else {
+                (key[:-TID_SIZE], tid) for key, tid in btree.scan_all()}
+            reached.update((values[0], xmin, xmax)
+                           for tid, xmin, xmax, values in rows
+                           if (encode_key((values[0],)), tid) in indexed)
+        for heap, rows in versions:
+            for tid, xmin, xmax, values in rows:
+                if committed(xmin) and (values[0], xmin, xmax) not in reached:
+                    flag(values[0], "unindexed-version",
+                         f"{heap.relname} {tid} is reached by no chunkno "
+                         f"index")
 
     def _check_reference(self, store: ChunkStore, chunkno: int, selfid: int,
                          data: bytes, committed: bool, flag) -> None:

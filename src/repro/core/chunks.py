@@ -7,7 +7,9 @@ name of the table storing data for a particular file is computed from
 the file identifier in the naming table" — for file 23114 the table is
 ``inv23114``.  A B-tree on the chunk number speeds seeks, and because
 the index covers *all* versions of every chunk, historical file reads
-go through the same index.
+go through the same index.  A file that fits one heap page has nothing
+to seek over, so the index is born only when the table outgrows page 0
+(:meth:`ChunkStore._bear_index`); until then reads scan that page.
 
 The reserved ``selfid`` column is the paper's "space has been reserved
 in the tables storing file data" for self-identifying blocks (it holds
@@ -54,7 +56,7 @@ CHUNK_SCHEMA = Schema([
     Column("selfid", "int8"),
     Column("data", "bytea"),
 ])
-CHUNK_INDEXES = (("chunkno",),)
+CHUNKNO = ("chunkno",)
 
 #: by-reference chunk payload: (source fileid, source chunkno, source
 #: version xmin).  A reference row stores ``-src_fileid`` in the selfid
@@ -85,7 +87,14 @@ class ChunkStore:
         self.db = db
         self.fileid = fileid
         self.table = db.table(chunk_table_name(fileid), tx)
-        self._indexed = self.table.has_index(("chunkno",))
+        self._indexed = self.table.has_index(CHUNKNO)
+        #: False while an index-less handle may predate an index another
+        #: transaction bore: one built before its transaction held the
+        #: table's X lock.  Two-phase locking makes that lock the point
+        #: after which any such birth is committed, so the handle
+        #: re-reads the catalog there, once (:meth:`_lock`).
+        self._current = self._indexed or (
+            tx is not None and self.table.holds_exclusive(tx))
         self._dirty: dict[int, bytes] = {}
         #: chunkno → merged, sorted [start, end) byte ranges the owner
         #: explicitly wrote (as opposed to bytes carried over by the
@@ -106,10 +115,10 @@ class ChunkStore:
     def _find_chunk(self, chunkno: int, snapshot: Snapshot,
                     tx: Transaction | None):
         """(tid, row) of the visible version of one chunk, via the
-        chunkno B-tree when present (a sequential scan otherwise — the
-        ablation configuration)."""
+        chunkno B-tree when present (a sequential scan otherwise — a
+        file within one page, or the ablation configuration)."""
         if self._indexed:
-            for tid, row in self.table.index_eq(("chunkno",), (chunkno,),
+            for tid, row in self.table.index_eq(CHUNKNO, (chunkno,),
                                                 snapshot, tx):
                 return tid, row
             return None
@@ -156,7 +165,7 @@ class ChunkStore:
                 f"malformed chunk reference in inv{self.fileid}") from None
         src = self._src_table(sfid, tx)
         if src is not None:
-            found = src._find_index(("chunkno",))
+            found = src._find_index(CHUNKNO)
             if found is not None:
                 _info, btree = found
                 for tid in btree.search((schunk,)):
@@ -167,7 +176,7 @@ class ChunkStore:
                 for _tid, xmin, _xmax, values in src.heap.scan_all_versions():
                     if values[0] == schunk and xmin == sxmin:
                         return self._ref_value(values, tx, depth)
-        pair = self.db.archive_index_for(chunk_table_name(sfid), ("chunkno",))
+        pair = self.db.archive_index_for(chunk_table_name(sfid), CHUNKNO)
         if pair is not None:
             aheap, abtree = pair
             for tid in abtree.search((schunk,)):
@@ -197,16 +206,60 @@ class ChunkStore:
 
     @classmethod
     def create_table(cls, db, tx: Transaction, fileid: int,
-                     device: str | None = None,
-                     with_index: bool = True) -> None:
-        """Create the per-file chunk table (+ chunkno index) on the
-        requested device — "a file is located on [a] particular device
-        manager at creation.  From that point on, accesses are
-        device-transparent".  ``with_index=False`` exists only for the
-        ablation study of the paper's Figure 3 explanation."""
+                     device: str | None = None) -> None:
+        """Create the per-file chunk table on the requested device — "a
+        file is located on [a] particular device manager at creation.
+        From that point on, accesses are device-transparent".  The table
+        is born without its chunkno index (see :meth:`_bear_index`) and
+        X-locked by its creator, so handles the creator opens on it are
+        current from the start."""
         db.create_table(tx, chunk_table_name(fileid), CHUNK_SCHEMA,
-                        device=device,
-                        indexes=CHUNK_INDEXES if with_index else ())
+                        device=device).lock_exclusive(tx)
+
+    def _lock(self, tx: Transaction) -> None:
+        """Take the table's X lock (write intent — see
+        Table.lock_exclusive), and on the first one re-read the catalog
+        if this handle may predate an index born under it."""
+        self.table.lock_exclusive(tx)
+        if not self._current:
+            self._current = True
+            self._refresh(tx)
+
+    def _refresh(self, tx: Transaction) -> None:
+        self.table = self.db.table(self.table.name, tx)
+        self._indexed = self.table.has_index(CHUNKNO)
+
+    def _before_append(self, tx: Transaction, rows: list) -> None:
+        """Bear the chunkno index just before ``rows`` would put a
+        record past heap page 0 — unless the Figure 3 ablation
+        (``InversionFS.chunk_index = False``) says never.  A file whose
+        first flush spans pages gets its index before any heap page is
+        allocated, so its layout is what an index made at creation
+        gives."""
+        if self._indexed or not getattr(self.db, "chunk_index", True):
+            return
+        if self.table.heap.appends_past_page_0(rows):
+            self._bear_index(tx)
+
+    def _insert(self, tx: Transaction, rows: list) -> None:
+        self._before_append(tx, rows)
+        self.table.insert_many(tx, rows)
+
+    def _bear_index(self, tx: Transaction) -> None:
+        """Create the chunkno index inside ``tx``, under the X lock the
+        writer holds, populated with every stored version.  An archive
+        a vacuum made while the table had no index gets one too: time
+        travel through an indexed table reads the archive only through
+        its index."""
+        self._refresh(tx)   # another handle of this transaction may have
+        if self._indexed:   # borne it already
+            return
+        name = self.table.name
+        self.table = self.db.create_index(tx, name, CHUNKNO)
+        self._indexed = True
+        if (self.db.archive_heap_for(name) is not None
+                and self.db.archive_index_for(name, CHUNKNO) is None):
+            self.db.create_index(tx, f"a_{name}", CHUNKNO)
 
     # -- reads -----------------------------------------------------------------
 
@@ -239,7 +292,7 @@ class ChunkStore:
             chunks: dict[int, bytes] = {}
             if self._indexed:
                 for _tid, row in self.table.index_range_newest(
-                        ("chunkno",), (lo,), (hi,), snapshot, tx):
+                        CHUNKNO, (lo,), (hi,), snapshot, tx):
                     chunks[row[0]] = self._row_bytes(row, tx)
             else:
                 for _tid, row in self.table.scan(snapshot, tx):
@@ -267,7 +320,7 @@ class ChunkStore:
         if len(data) > CHUNK_SIZE:
             raise TableError(f"chunk of {len(data)} bytes exceeds CHUNK_SIZE")
         # Write intent: take X now, not at flush — see Table.lock_exclusive.
-        self.table.lock_exclusive(tx)
+        self._lock(tx)
         self._dirty[chunkno] = bytes(data)
         self._add_span(chunkno, *(span if span is not None
                                   else (0, CHUNK_SIZE)))
@@ -365,12 +418,13 @@ class ChunkStore:
                 batch.append(row)
             else:
                 if batch:
-                    self.table.insert_many(tx, batch)
+                    self._insert(tx, batch)
                     batch = []
+                self._before_append(tx, [row])
                 self.table.update(tx, tid, row)
             written += 1
         if batch:
-            self.table.insert_many(tx, batch)
+            self._insert(tx, batch)
         self._dirty.clear()
         self._spans.clear()
         if obs is not None:
@@ -390,17 +444,18 @@ class ChunkStore:
             return {c: found[0] for c in chunknos
                     if (found := self._find_chunk(c, snap, tx)) is not None}
         existing: dict[int, TID] = {}
+        wanted = set(chunknos)
         if self._indexed:
-            wanted = set(chunknos)
             for tid, row in self.table.index_range_newest(
-                    ("chunkno",), (lo,), (hi,), snapshot, tx):
+                    CHUNKNO, (lo,), (hi,), snapshot, tx):
                 if row[0] in wanted:
                     existing[row[0]] = tid
         else:
-            for c in chunknos:
-                found = self._find_chunk(c, snapshot, tx)
-                if found is not None:
-                    existing[c] = found[0]
+            # One scan for the whole set, keeping the first visible
+            # version per chunk as _find_chunk does.
+            for tid, row in self.table.scan(snapshot, tx):
+                if row[0] in wanted:
+                    existing.setdefault(row[0], tid)
         return existing
 
     def discard(self) -> None:
@@ -430,13 +485,13 @@ class ChunkStore:
         if dst_lo + (src_hi - src_lo) > MAX_CHUNKNO:
             raise FileTooLargeError(
                 "clone target range exceeds the maximum file size")
-        self.table.lock_exclusive(tx)
+        self._lock(tx)
         snapshot = self.db.snapshot(tx)
         src = src_store
         pairs: list[tuple] = []
         if src._indexed:
             pairs = list(src.table.index_range_newest(
-                ("chunkno",), (src_lo,), (src_hi,), snapshot, tx))
+                CHUNKNO, (src_lo,), (src_hi,), snapshot, tx))
         else:
             seen: dict[int, tuple] = {}
             for tid, row in src.table.scan(snapshot, tx):
@@ -455,7 +510,7 @@ class ChunkStore:
         if not batch:
             return 0
         batch.sort(key=lambda r: r[0])
-        self.table.insert_many(tx, batch)
+        self._insert(tx, batch)
         obs = self.db.obs
         if obs is not None:
             obs.chunk_flush(len(batch))
@@ -466,12 +521,12 @@ class ChunkStore:
         higher (the truncate tail).  History is kept — the deleted
         versions remain readable through time travel, exactly like
         unlink."""
-        self.table.lock_exclusive(tx)
+        self._lock(tx)
         snapshot = self.db.snapshot(tx)
         victims: list[TID] = []
         if self._indexed:
             for tid, _row in self.table.index_range_newest(
-                    ("chunkno",), (first_chunkno,), None, snapshot, tx):
+                    CHUNKNO, (first_chunkno,), None, snapshot, tx):
                 victims.append(tid)
         else:
             for tid, row in self.table.scan(snapshot, tx):
@@ -494,7 +549,7 @@ class ChunkStore:
         configuration."""
         if self._indexed:
             return sum(1 for __ in self.table.index_range_newest(
-                ("chunkno",), None, None, snapshot, tx))
+                CHUNKNO, None, None, snapshot, tx))
         return sum(1 for __ in self.table.scan(snapshot, tx))
 
     def version_count(self) -> int:

@@ -68,10 +68,6 @@ class InversionFS:
         self.namespace = namespace
         self.fileatt = fileatt
         self._handles: list[FileHandle] = []
-        #: ablation hook: create chunk tables without the chunkno B-tree
-        #: (see the Figure 3 discussion — index maintenance is the
-        #: stated cause of Inversion's creation slowdown).
-        self.chunk_index = True
         #: when True, the first read through a writable handle stamps
         #: the file's atime.  Off by default: it turns every reading
         #: transaction into a writing one (a status-file append and a
@@ -99,6 +95,18 @@ class InversionFS:
         # to older layouts).  Covers reattached databases whose clones
         # were registered in an earlier session.
         self._install_pin_check()
+
+    @property
+    def chunk_index(self) -> bool:
+        """Ablation hook: False means no chunk table ever gets its
+        chunkno B-tree (see the Figure 3 discussion — index maintenance
+        is the stated cause of Inversion's creation slowdown).  Kept on
+        the database, where every :class:`ChunkStore` reads it."""
+        return getattr(self.db, "chunk_index", True)
+
+    @chunk_index.setter
+    def chunk_index(self, on: bool) -> None:
+        self.db.chunk_index = on
 
     def note_data_write(self, fileid: int, tx: Transaction) -> None:
         """Queue a data-version bump for ``fileid`` under ``tx`` (every
@@ -251,8 +259,7 @@ class InversionFS:
         fileid = self.db.catalog.allocate_oid()
         self.namespace.add_entry(tx, parentid, name, fileid)
         self.fileatt.create(tx, fileid, owner, ftype)
-        ChunkStore.create_table(self.db, tx, fileid, device,
-                                with_index=self.chunk_index)
+        ChunkStore.create_table(self.db, tx, fileid, device)
         if self.lease_manager is not None:
             self.lease_manager.bump_name(path, tx)
         return fileid

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Iterator, Sequence
 
 from repro.db.buffer import DEFAULT_BUFFERS, BufferCache
 from repro.db.btree import BTree
-from repro.db.catalog import Catalog, TableInfo
+from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.heap import HeapFile
 from repro.db.locks import LockManager
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, CurrentSnapshot, Snapshot
@@ -324,13 +325,15 @@ class Database:
         return Table(self, info)
 
     def create_index(self, tx: Transaction, table_name: str,
-                     keycols: Sequence[str], name: str | None = None) -> None:
+                     keycols: Sequence[str], name: str | None = None) -> Table:
         """Add a B-tree index — "indices may be defined to make file
-        system operations run faster, at the user's discretion"."""
+        system operations run faster, at the user's discretion".
+        Returns a handle on the table that maintains the new index."""
         snapshot = self.snapshot(tx)
         info = self._require_table(table_name, snapshot)
-        self._create_index_on(tx, info.oid, info.name, info.devname,
-                              info.schema, list(keycols), name)
+        index = self._create_index_on(tx, info.oid, info.name, info.devname,
+                                      info.schema, list(keycols), name)
+        return Table(self, replace(info, indexes=info.indexes + (index,)))
 
     def _reclaim_orphan(self, dev, relname: str,
                         table: str | None = None) -> None:
@@ -358,7 +361,7 @@ class Database:
 
     def _create_index_on(self, tx: Transaction, tableoid: int, table_name: str,
                          devname: str, schema: Schema, keycols: list[str],
-                         name: str | None = None) -> None:
+                         name: str | None = None) -> IndexInfo:
         for col in keycols:
             schema.column_index(col)  # validates
         idxname = name or f"{table_name}_{'_'.join(keycols)}_idx"
@@ -373,6 +376,7 @@ class Database:
         col_idx = [schema.column_index(c) for c in keycols]
         for tid, _xmin, _xmax, values in heap.scan_all_versions():
             btree.insert(tx, tuple(values[i] for i in col_idx), tid)
+        return IndexInfo(oid, idxname, tableoid, tuple(keycols))
 
     def drop_table(self, tx: Transaction, name: str) -> None:
         """Drop a table and its indexes.  Physical storage is released

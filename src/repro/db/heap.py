@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.db.buffer import BufferCache
-from repro.db.page import PAGE_HEAP
+from repro.db.page import HEADER_SIZE, PAGE_HEAP, PAGE_SIZE, SLOT_SIZE
 from repro.db.snapshot import Snapshot
 from repro.db.transactions import Transaction
 from repro.db.tuples import (
@@ -142,6 +142,20 @@ class HeapFile:
         if tids:
             tx.wrote = True
         return tids
+
+    def appends_past_page_0(self, rows: list) -> bool:
+        """True when appending ``rows`` (as :meth:`insert_many` would)
+        places a record past page 0.  Nothing is written; only page 0
+        is read."""
+        npages = self.npages()
+        if npages > 1:
+            return True
+        free = self._page(0).free_space if npages else PAGE_SIZE - HEADER_SIZE
+        for values in rows:
+            free -= TUPLE_HEADER_SIZE + len(self.schema.pack(values)) + SLOT_SIZE
+            if free < 0:
+                return True
+        return False
 
     def delete(self, tx: Transaction, tid: TID) -> None:
         """Mark the record at ``tid`` deleted by ``tx`` (stamp xmax).

@@ -70,6 +70,11 @@ class Table:
         transactions."""
         self._write_lock(tx, lock_key)
 
+    def holds_exclusive(self, tx: Transaction) -> bool:
+        """True when ``tx`` already holds this relation's X lock."""
+        return self.db.locks.holders(
+            ("rel", self.info.oid)).get(tx.xid) == EXCLUSIVE
+
     # -- key extraction ---------------------------------------------------------
 
     def _key_for(self, index: IndexInfo, values: Sequence[object]) -> tuple:

@@ -179,9 +179,14 @@ class VacuumCleaner:
             raise TableError(f"cannot vacuum relation of kind {info.relkind!r}")
 
         tx = self.db.begin()
-        self.db.locks.acquire(tx, ("rel", info.oid), EXCLUSIVE)
         stats = VacuumStats(table=table_name)
         try:
+            self.db.locks.acquire(tx, ("rel", info.oid), EXCLUSIVE)
+            # A writer holding the lock may have given the table an
+            # index (a chunk table's is born when it outgrows a page):
+            # the rewrite must rebuild what is there once it is ours.
+            info = self.db.catalog.lookup_table(
+                table_name, BootstrapSnapshot(self.db.tm), use_cache=False)
             heap = HeapFile(self.db.buffers, info.devname, info.name,
                             info.schema, cpu=self.db.cpu)
             stats.pages_before = heap.npages()

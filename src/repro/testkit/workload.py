@@ -126,10 +126,14 @@ def commit_workload(seed: int = 0) -> Workload:
 def vacuum_workload(seed: int = 0) -> Workload:
     """Builds version history, then vacuums a chunk table (twice, once
     discarding history) and the shared naming table — the compacted
-    heap+index rewrite is the riskiest crash window in the system."""
+    heap+index rewrite is the riskiest crash window in the system.  On
+    the way ``/w`` grows from one heap page to three, so crashes land
+    between its chunkno index's birth and the commit that makes it
+    visible."""
     p = lambda tag, size: payload(seed, tag, size)  # noqa: E731
     return Workload("vacuum", [
         TxStep((("write", "/v", p("v0", 6000)), ("write", "/w", p("w0", 1000)))),
+        TxStep((("write", "/w", p("w1", 9000)),)),
         TxStep((("write", "/v", p("v1", 6500)),)),
         TxStep((("write", "/v", p("v2", 300)),)),
         VacuumStep(path="/v"),

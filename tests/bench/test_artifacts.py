@@ -95,7 +95,7 @@ SABOTAGE = [
      "one sweep and one force"),
     ("multiuser", ("disjoint", 3, "txns_per_sec"), 30.0,
      "slower than PR 21's committed rate"),
-    ("multiuser", ("hot", 3, "txns_per_sec"), 20.0,
+    ("multiuser", ("hot", 3, "txns_per_sec"), 15.0,
      "at most half of disjoint throughput"),
     ("multiuser", ("disjoint", 2, "commits_per_force"), 3.5,
      "at least one commit per client"),

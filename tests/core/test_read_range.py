@@ -67,8 +67,10 @@ def test_dirty_buffer_shadows_range(store):
 
 
 def test_range_is_one_descent(store):
+    """Past one heap page, where the file has its chunkno index."""
     fs, tx, s = store
-    write_chunks(tx, s, {c: bytes([c]) * 16 for c in range(20)})
+    write_chunks(tx, s, {c: bytes([c]) * 1000 for c in range(20)})
+    assert s.table.heap.npages() > 1 and s._indexed
     d0 = BTree.total_descents
     got = s.read_range(0, 19, fs.db.snapshot(tx), tx)
     assert len(got) == 20

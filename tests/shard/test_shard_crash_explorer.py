@@ -52,7 +52,7 @@ def test_full_cross_shard_sweep_every_boundary(tmp_path):
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
                              ShardedServers, torn_append=True, seed=3)
     report = explorer.explore()
-    assert report.total_writes > 100
+    assert report.total_writes > 80
     assert len(report.points_tested) == report.total_writes
     assert report.violations == [], \
         "; ".join(f"@{r.point}: {r.detail}" for r in report.violations)

@@ -22,18 +22,25 @@ from repro.testkit.workload import (commit_workload, concurrent_workload,
                                     group_commit_workload, migration_workload,
                                     vacuum_workload, write_heavy_workload)
 
+#: Since a file that fits a page has no chunkno index (PR 27), a commit
+#: that writes one forces no index pages: commit 63 → 51, vacuum 94 → 90
+#: (100 with the step that grows ``/w`` past a page), migration 65 → 57,
+#: write_heavy 71 → 68, group_commit 72 → 53, concurrent 87 → 68,
+#: cross-shard 113 → 83.
 SINGLE_SERVER = {
-    "commit": (commit_workload, 63),
-    "vacuum": (vacuum_workload, 94),
-    "migration": (migration_workload, 65),
-    "write_heavy": (write_heavy_workload, 71),
+    "commit": (commit_workload, 51),
+    "vacuum": (vacuum_workload, 100),
+    "migration": (migration_workload, 57),
+    "write_heavy": (write_heavy_workload, 68),
     # The two counts that depend on simulated time: which commits share
     # a group — one sweep and one force — is decided by a 2 ms window's
     # deadline.  PR 22 moved the sweep from the commit to the group
     # close; both workloads were lengthened so the sweeps inside the
     # armed run stay at least as many boundaries as before (67, 71).
-    "group_commit": (group_commit_workload, 72),
-    "concurrent": (concurrent_workload, 87),
+    # Since PR 27 a small file's commit is also shorter, so more of
+    # them share a group.
+    "group_commit": (group_commit_workload, 53),
+    "concurrent": (concurrent_workload, 68),
 }
 
 
@@ -49,12 +56,12 @@ def test_single_server_boundaries(tmp_path, name, torn):
 def test_cross_shard_boundaries(tmp_path):
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
                              ShardedServers)
-    assert explorer.count_write_boundaries() == 113
+    assert explorer.count_write_boundaries() == 83
 
 
 @pytest.mark.parametrize("nreplicas", [1, 2])
 @pytest.mark.parametrize("factory, expected",
-                         [(commit_workload, 63), (vacuum_workload, 94)],
+                         [(commit_workload, 51), (vacuum_workload, 100)],
                          ids=["commit", "vacuum"])
 def test_failover_boundaries(tmp_path, factory, expected, nreplicas):
     """Replicas only read the feed: the primary's write count is the
