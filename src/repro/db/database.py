@@ -233,9 +233,9 @@ class Database:
         tx = self.tm.begin()
         tx._tm = self.tm  # lets catalog helpers build snapshots
         tx._pending_drops = []
-        # The xid becomes this thread's current transaction for cost
-        # attribution; it stays current through commit so the
-        # commit-time page force and status append land on it.
+        # The xid becomes the current transaction for cost attribution;
+        # it stays current through commit so the commit-time page force
+        # and status append land on it.
         self.obs.tx.begin(tx.xid)
         return tx
 

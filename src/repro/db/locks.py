@@ -29,19 +29,19 @@ however long the queue is.  A request whose blockers never change
 fails at ``timeout_s`` — the only way out of a deadlock no one lock
 manager can see (a cross-shard cycle).
 
-*How* a transaction waits is pluggable (:attr:`LockManager.
-wait_strategy`): the default parks the calling thread on a condition
-variable and measures wall seconds (lock waits are thread scheduling,
-not simulated I/O); the multi-session scheduler (:mod:`repro.sched`)
-installs a strategy that parks the waiting session and runs other
-sessions' requests until the lock frees — which is what lets lock waits
-advance simulated time and land in per-xid accounting.
+The process is single-threaded, so a request that must wait can only
+wait if something else runs while it does.  That something is the
+multi-session scheduler (:mod:`repro.sched`): it installs a
+:attr:`LockManager.wait_strategy` that parks the waiting session and
+runs other sessions' requests until the lock frees, so a lock wait
+spends simulated seconds and lands in per-xid accounting.  With no
+strategy installed nobody could release the holders, and a request
+that would wait raises :class:`LockTimeoutError` at once (after the
+deadlock check), leaving no queue entry behind.
 """
 
 from __future__ import annotations
 
-import threading
-import time as _time
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -58,10 +58,9 @@ METRICS = (
                "that had to wait, however many wait rounds it took).",
                "repro.db.locks"),
     MetricSpec("lock.wait_seconds", "histogram", "seconds",
-               "Seconds per blocking lock acquisition — wall seconds "
-               "under the default thread wait strategy, simulated "
-               "seconds under a sim-clock strategy (the multi-session "
-               "scheduler's parked waits).",
+               "Simulated seconds per blocking lock acquisition (a "
+               "session parked in the multi-session scheduler while "
+               "others ran).",
                "repro.db.locks"),
     MetricSpec("lock.deadlocks", "counter", "txns",
                "Transactions chosen as deadlock victims (the waits-for "
@@ -70,7 +69,8 @@ METRICS = (
     MetricSpec("lock.timeouts", "counter", "txns",
                "Lock acquisitions abandoned after no progress for "
                "`timeout_s`: the transactions the request waited for "
-               "stayed the same that long.",
+               "stayed the same that long (at once when no scheduler "
+               "could run them).",
                "repro.db.locks"),
 )
 
@@ -111,48 +111,19 @@ class LockHandle:
     mode: str
 
 
-class ThreadWaitStrategy:
-    """The default wait path: park the calling thread on the lock
-    manager's condition variable, timeout in wall-clock seconds.
-
-    A strategy's clock is :meth:`now`; the lock manager keeps
-    ``ctx["deadline"]`` on it, moving it whenever the queue ahead
-    moves."""
-
-    def now(self) -> float:
-        return _time.monotonic()
-
-    def start(self, lm: "LockManager", xid: int, resource: Hashable,
-              mode: str) -> dict:
-        return {"start": self.now()}
-
-    def wait_round(self, lm: "LockManager", ctx: dict) -> bool:
-        """One bounded wait; True → re-check blockers, False → the
-        deadline passed.  Called (and returns) holding ``lm._cond``."""
-        remaining = ctx["deadline"] - _time.monotonic()
-        if remaining <= 0:
-            return False
-        lm._cond.wait(timeout=remaining)
-        return _time.monotonic() < ctx["deadline"]
-
-    def finish(self, lm: "LockManager", ctx: dict, xid: int) -> float:
-        """Wait is over (granted or failed); returns elapsed seconds."""
-        return _time.monotonic() - ctx["start"]
-
-
 class LockManager:
     """Table-level S/X lock manager with waits-for deadlock detection
     and FIFO (no-barging) queueing."""
 
     def __init__(self, timeout_s: float = 10.0) -> None:
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
         self._locks: dict[Hashable, _LockState] = {}
         #: seconds a request may wait with the queue ahead not moving.
         self.timeout_s = timeout_s
         self.stats = LockStats()
-        #: how blocked acquisitions wait (see module docstring).
-        self.wait_strategy = ThreadWaitStrategy()
+        #: how blocked acquisitions wait — ``now``, ``start``,
+        #: ``wait_round``, ``finish``, optionally ``suspended_xids`` —
+        #: installed by a scheduler; None fails them at once.
+        self.wait_strategy = None
         #: the session's Observability bundle (set by Database).
         self.obs = None
 
@@ -160,89 +131,92 @@ class LockManager:
 
     def acquire(self, tx: Transaction, resource: Hashable,
                 mode: str = SHARED) -> None:
-        """Acquire ``mode`` on ``resource`` for ``tx``, blocking as
-        needed.  Re-acquisition and S→X upgrade are supported."""
+        """Acquire ``mode`` on ``resource`` for ``tx``, waiting through
+        the installed strategy as needed.  Re-acquisition and S→X
+        upgrade are supported."""
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"bad lock mode {mode!r}")
-        with self._cond:
-            state = self._locks.setdefault(resource, _LockState())
-            held = state.holders.get(tx.xid)
-            if held == EXCLUSIVE or held == mode:
-                return  # already strong enough
-            upgrading = held == SHARED
-            entry = _Waiter(tx.xid, mode)
-            queued = False
-            ctx = None
-            strategy = self.wait_strategy
-            # Waiters whose sessions are suspended beneath the caller on
-            # the cooperative scheduler's stack cannot acquire until
-            # control unwinds *through* the caller — queueing behind
-            # them would be a stack-induced false dependency, so the
-            # strategy may exempt them from the no-barge rule (empty
-            # under real threads, where every waiter can always run).
-            suspended = getattr(strategy, "suspended_xids", None)
-            waiting_on = None
-            stalled = False
-            try:
-                while True:
-                    exempt = suspended() if suspended is not None else ()
-                    blockers = self._blockers(state, tx.xid, mode,
-                                              upgrading, entry, exempt)
-                    if not blockers:
-                        break
-                    if blockers != waiting_on:
-                        # The first look, or the queue ahead moved.  A
-                        # cycle can only close as a transaction starts
-                        # waiting on someone new, so this is where one
-                        # is looked for; and the stall clock restarts.
-                        if self._cycle_from(tx.xid, blockers):
-                            self.stats.deadlocks += 1
-                            if self.obs is not None:
-                                self.obs.lock_deadlock(tx.xid)
-                            raise DeadlockError(
-                                f"transaction {tx.xid} chosen as deadlock "
-                                f"victim requesting {mode} on {resource!r} "
-                                f"held by {self._holders_text(state)}; "
-                                f"waiting for {sorted(blockers)}")
-                        waiting_on = blockers
-                        if not queued:
-                            state.waiters.append(entry)
-                            queued = True
-                        if ctx is None:
-                            ctx = strategy.start(self, tx.xid, resource, mode)
-                        ctx["deadline"] = strategy.now() + self.timeout_s
-                    elif stalled:
-                        self.stats.timeouts += 1
+        state = self._locks.setdefault(resource, _LockState())
+        held = state.holders.get(tx.xid)
+        if held == EXCLUSIVE or held == mode:
+            return  # already strong enough
+        upgrading = held == SHARED
+        entry = _Waiter(tx.xid, mode)
+        queued = False
+        ctx = None
+        strategy = self.wait_strategy
+        # Waiters whose sessions are suspended beneath the caller on the
+        # scheduler's stack cannot acquire until control unwinds
+        # *through* the caller — queueing behind them would be a
+        # stack-induced false dependency, so the strategy may exempt
+        # them from the no-barge rule.
+        suspended = getattr(strategy, "suspended_xids", None)
+        waiting_on = None
+        stalled = False
+        try:
+            while True:
+                exempt = suspended() if suspended is not None else ()
+                blockers = self._blockers(state, tx.xid, mode, upgrading,
+                                          entry, exempt)
+                if not blockers:
+                    break
+                if blockers != waiting_on:
+                    # The first look, or the queue ahead moved.  A cycle
+                    # can only close as a transaction starts waiting on
+                    # someone new, so this is where one is looked for;
+                    # and the stall clock restarts.
+                    if self._cycle_from(tx.xid, blockers):
+                        self.stats.deadlocks += 1
                         if self.obs is not None:
-                            self.obs.lock_timeout(tx.xid)
-                        raise LockTimeoutError(
-                            f"transaction {tx.xid} timed out waiting for "
-                            f"{mode} on {resource!r} held by "
-                            f"{self._holders_text(state)}: the queue "
-                            f"ahead did not move for {self.timeout_s}s")
-                    stalled = not strategy.wait_round(self, ctx)
-                if mode == EXCLUSIVE:
-                    state.holders[tx.xid] = EXCLUSIVE
-                else:
-                    state.holders.setdefault(tx.xid, SHARED)
-                tx.held_locks.append(LockHandle(resource,
-                                                state.holders[tx.xid]))
-            finally:
-                if queued:
-                    try:
-                        state.waiters.remove(entry)
-                    except ValueError:
-                        pass
-                if not state.holders and not state.waiters:
-                    del self._locks[resource]   # a victim leaves no entry
-                if ctx is not None:
-                    elapsed = strategy.finish(self, ctx, tx.xid)
-                    self.stats.waits += 1
-                    if self.obs is not None:
-                        self.obs.lock_wait(tx.xid, elapsed)
-                    # Our departure may unblock queued requests that
-                    # were ordered behind this entry.
-                    self._cond.notify_all()
+                            self.obs.lock_deadlock(tx.xid)
+                        raise DeadlockError(
+                            f"transaction {tx.xid} chosen as deadlock "
+                            f"victim requesting {mode} on {resource!r} "
+                            f"held by {self._holders_text(state)}; "
+                            f"waiting for {sorted(blockers)}")
+                    if strategy is None:
+                        raise self._timed_out(
+                            tx.xid, f"cannot wait for {mode} on "
+                            f"{resource!r}", state,
+                            "no scheduler is installed to run them")
+                    waiting_on = blockers
+                    if not queued:
+                        state.waiters.append(entry)
+                        queued = True
+                    if ctx is None:
+                        ctx = strategy.start(self, tx.xid, resource, mode)
+                    ctx["deadline"] = strategy.now() + self.timeout_s
+                elif stalled:
+                    raise self._timed_out(
+                        tx.xid, f"timed out waiting for {mode} on "
+                        f"{resource!r}", state,
+                        f"the queue ahead did not move for {self.timeout_s}s")
+                stalled = not strategy.wait_round(self, ctx)
+            if mode == EXCLUSIVE:
+                state.holders[tx.xid] = EXCLUSIVE
+            else:
+                state.holders.setdefault(tx.xid, SHARED)
+            tx.held_locks.append(LockHandle(resource, state.holders[tx.xid]))
+        finally:
+            if queued:
+                state.waiters.remove(entry)
+            if not state.holders and not state.waiters:
+                del self._locks[resource]   # a victim leaves no entry
+            if ctx is not None:
+                elapsed = strategy.finish(self, ctx, tx.xid)
+                self.stats.waits += 1
+                if self.obs is not None:
+                    self.obs.lock_wait(tx.xid, elapsed)
+
+    def _timed_out(self, xid: int, what: str, state: _LockState,
+                   why: str) -> LockTimeoutError:
+        """Count one lock timeout of ``xid``; the error names the
+        holders."""
+        self.stats.timeouts += 1
+        if self.obs is not None:
+            self.obs.lock_timeout(xid)
+        return LockTimeoutError(f"transaction {xid} {what} held by "
+                                f"{self._holders_text(state)}: {why}")
 
     def _holders_text(self, state: _LockState) -> str:
         """Current holders as ``{xid: mode}`` for actionable error
@@ -304,26 +278,22 @@ class LockManager:
     def release_all(self, tx: Transaction) -> None:
         """Release every lock ``tx`` holds — the shrink phase of 2PL,
         run only at commit/abort."""
-        with self._cond:
-            for handle in tx.held_locks:
-                state = self._locks.get(handle.resource)
-                if state is not None:
-                    state.holders.pop(tx.xid, None)
-                    if not state.holders and not state.waiters:
-                        del self._locks[handle.resource]
-            tx.held_locks.clear()
-            self._cond.notify_all()
+        for handle in tx.held_locks:
+            state = self._locks.get(handle.resource)
+            if state is not None:
+                state.holders.pop(tx.xid, None)
+                if not state.holders and not state.waiters:
+                    del self._locks[handle.resource]
+        tx.held_locks.clear()
 
     # -- introspection ----------------------------------------------------------
 
     def holders(self, resource: Hashable) -> dict[int, str]:
-        with self._mutex:
-            state = self._locks.get(resource)
-            return dict(state.holders) if state else {}
+        state = self._locks.get(resource)
+        return dict(state.holders) if state else {}
 
     def waiter_xids(self, resource: Hashable) -> list[int]:
         """Queued waiter xids in FIFO order (introspection for tests
         and the scheduler's fairness report)."""
-        with self._mutex:
-            state = self._locks.get(resource)
-            return [w.xid for w in state.waiters] if state else []
+        state = self._locks.get(resource)
+        return [w.xid for w in state.waiters] if state else []

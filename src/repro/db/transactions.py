@@ -23,7 +23,6 @@ exactly the paper's ``p_begin``/``p_commit``/``p_abort``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,8 +64,8 @@ METRICS = (
     MetricSpec("txn.group_sweep_pages", "counter", "pages",
                "Dirty pages written by group-closing sweeps.  TxAccountant "
                "books a close's sweep and force to the transaction current "
-               "on the thread that closed the group (a committer, a "
-               "preparer), and to nobody when none is (begin, close).",
+               "when the group closed (a committer, a preparer), and to "
+               "nobody when none is (begin, close).",
                "repro.db.transactions"),
     MetricSpec("txn.group_size", "histogram", "txns",
                "Commit records per closed group.",
@@ -178,7 +177,6 @@ class TransactionManager:
                  group_commit_window: float = 0.0) -> None:
         self._device = device
         self._clock = clock
-        self._lock = threading.Lock()
         self.group_commit_window = group_commit_window
         self.stats = TxStats()
         #: the session's Observability bundle (set by Database).
@@ -333,9 +331,9 @@ class TransactionManager:
         # cluster-level recovery must resolve them before serving reads.
         self._recovered_in_doubt = sum(
             1 for rec in self._records.values() if rec.state == PREPARED)
-        # Force the high-water mark ahead of need, while nobody is
-        # waiting on the lock — begin() then allocates from headroom
-        # instead of stalling on a stride boundary.
+        # Force the high-water mark ahead of need — begin() then
+        # allocates from headroom instead of stalling on a stride
+        # boundary.
         if self._durable_hwm - self._next_xid < XID_HWM_STRIDE:
             self._force_hwm()
 
@@ -402,11 +400,11 @@ class TransactionManager:
 
     def _close_group(self, last: Transaction | None = None,
                      after_force=None) -> int:
-        """Close the open group (caller holds the lock): sweep, force
-        every queued record in one append, run what waited for it.
-        ``last`` is a committer with no window: it joins between sweep
-        and force, so it is stamped once its pages are out, as the
-        paper's protocol has it.  Returns the records forced."""
+        """Close the open group: sweep, force every queued record in
+        one append, run what waited for it.  ``last`` is a committer
+        with no window: it joins between sweep and force, so it is
+        stamped once its pages are out, as the paper's protocol has it.
+        Returns the records forced."""
         if last is None and not self._pending:
             return 0
         with self.obs.span("txn.group_close") if self.obs else NO_SPAN:
@@ -433,32 +431,29 @@ class TransactionManager:
         """Close the open group now (close and checkpoint call this;
         benchmarks call it to end a batch).  Returns the number of
         commit records forced."""
-        with self._lock:
-            return self._close_group()
+        return self._close_group()
 
     def pending_commit_xids(self) -> list[int]:
         """xids committed in memory whose status records are still
         queued (not yet durable) — the crash explorer uses this to
         compute which commits a crash may legitimately lose."""
-        with self._lock:
-            return [xid for xid, _ in self._pending]
+        return [xid for xid, _ in self._pending]
 
     # -- transaction lifecycle --------------------------------------------
 
     def begin(self) -> Transaction:
-        with self._lock:
-            self._maybe_close_group()
-            if self._next_xid >= self._durable_hwm:
-                # Hard floor: never hand out an xid at or above the
-                # durable high-water mark — after a crash it could be
-                # reissued and resurrect invisible records.  The
-                # ahead-of-need forcing keeps this branch cold.
-                self._force_hwm()
-            xid = self._next_xid
-            self._next_xid += 1
-            start = self._clock.now()
-            self._records[xid] = _TxRecord(IN_PROGRESS, start)
-            return Transaction(xid=xid, start_time=start)
+        self._maybe_close_group()
+        if self._next_xid >= self._durable_hwm:
+            # Hard floor: never hand out an xid at or above the
+            # durable high-water mark — after a crash it could be
+            # reissued and resurrect invisible records.  The
+            # ahead-of-need forcing keeps this branch cold.
+            self._force_hwm()
+        xid = self._next_xid
+        self._next_xid += 1
+        start = self._clock.now()
+        self._records[xid] = _TxRecord(IN_PROGRESS, start)
+        return Transaction(xid=xid, start_time=start)
 
     def commit(self, tx: Transaction,
                after_force: Callable[[], None] | None = None) -> None:
@@ -466,23 +461,21 @@ class TransactionManager:
         once that group's force has returned (physical drops).  The caller
         may now release the locks; with no window the group has closed."""
         tx.require_active()
-        with self._lock:
-            self._maybe_close_group()
-            if tx.wrote and self.group_commit_window <= 0.0:
-                self._close_group(tx, after_force)
-            else:
-                self._precommit(tx, after_force)
-            tx.state = COMMITTED
+        self._maybe_close_group()
+        if tx.wrote and self.group_commit_window <= 0.0:
+            self._close_group(tx, after_force)
+        else:
+            self._precommit(tx, after_force)
+        tx.state = COMMITTED
 
     def abort(self, tx: Transaction) -> None:
         tx.require_active()
-        with self._lock:
-            rec = self._records[tx.xid]
-            rec.state = ABORTED
-            if tx.wrote:
-                text = f"A {tx.xid} {rec.start_time!r}"
-                self._append_status([(tx.xid, text)], 0)
-            tx.state = ABORTED
+        rec = self._records[tx.xid]
+        rec.state = ABORTED
+        if tx.wrote:
+            text = f"A {tx.xid} {rec.start_time!r}"
+            self._append_status([(tx.xid, text)], 0)
+        tx.state = ABORTED
         for hook in tx.abort_hooks:
             hook()
 
@@ -500,15 +493,14 @@ class TransactionManager:
         tx.require_active()
         if " " in gid or "\n" in gid:
             raise TransactionError(f"malformed gid {gid!r}")
-        with self._lock:
-            self._close_group()
-            rec = self._records[tx.xid]
-            rec.state = PREPARED
-            rec.gid = gid
-            if tx.wrote:
-                text = f"P {tx.xid} {gid} {rec.start_time!r}"
-                self._append_status([(tx.xid, text)], 0, 0)
-            tx.state = PREPARED
+        self._close_group()
+        rec = self._records[tx.xid]
+        rec.state = PREPARED
+        rec.gid = gid
+        if tx.wrote:
+            text = f"P {tx.xid} {gid} {rec.start_time!r}"
+            self._append_status([(tx.xid, text)], 0, 0)
+        tx.state = PREPARED
 
     def resolve_prepared(self, tx: Transaction, commit: bool) -> None:
         """2PC phase two for a live prepared transaction: force the
@@ -520,25 +512,23 @@ class TransactionManager:
         if tx.state != PREPARED:
             raise TransactionError(
                 f"transaction {tx.xid} is {tx.state}, not prepared")
-        with self._lock:
-            rec = self._records[tx.xid]
-            rec.gid = None
-            if commit:
-                self._close_group()
-                rec.state = COMMITTED
-                rec.commit_time = self._clock.now()
-                if tx.wrote:
-                    text = (f"C {tx.xid} {rec.start_time!r} "
-                            f"{rec.commit_time!r}")
-                    self._append_status([(tx.xid, text)], 1)
-                tx.state = COMMITTED
-            else:
-                rec.state = ABORTED
-                if tx.wrote:
-                    self._append_status(
-                        [(tx.xid, f"A {tx.xid} {rec.start_time!r}")], 0)
-                tx.state = ABORTED
-        if not commit:
+        rec = self._records[tx.xid]
+        rec.gid = None
+        if commit:
+            self._close_group()
+            rec.state = COMMITTED
+            rec.commit_time = self._clock.now()
+            if tx.wrote:
+                text = (f"C {tx.xid} {rec.start_time!r} "
+                        f"{rec.commit_time!r}")
+                self._append_status([(tx.xid, text)], 1)
+            tx.state = COMMITTED
+        else:
+            rec.state = ABORTED
+            if tx.wrote:
+                self._append_status(
+                    [(tx.xid, f"A {tx.xid} {rec.start_time!r}")], 0)
+            tx.state = ABORTED
             for hook in tx.abort_hooks:
                 hook()
 
@@ -547,31 +537,29 @@ class TransactionManager:
         whose ``P`` record survived a crash with no final record).  The
         cluster recovery consults the coordinator's decision log and
         calls this; there is no live :class:`Transaction` object."""
-        with self._lock:
-            rec = self._records.get(xid)
-            if rec is None or rec.state != PREPARED:
-                state = "unknown" if rec is None else rec.state
-                raise TransactionError(
-                    f"transaction {xid} is {state}, not in doubt")
-            rec.gid = None
-            if commit:
-                rec.state = COMMITTED
-                rec.commit_time = self._clock.now()
-                self._append_status(
-                    [(xid, f"C {xid} {rec.start_time!r} "
-                           f"{rec.commit_time!r}")], 1)
-            else:
-                rec.state = ABORTED
-                self._append_status(
-                    [(xid, f"A {xid} {rec.start_time!r}")], 0)
+        rec = self._records.get(xid)
+        if rec is None or rec.state != PREPARED:
+            state = "unknown" if rec is None else rec.state
+            raise TransactionError(
+                f"transaction {xid} is {state}, not in doubt")
+        rec.gid = None
+        if commit:
+            rec.state = COMMITTED
+            rec.commit_time = self._clock.now()
+            self._append_status(
+                [(xid, f"C {xid} {rec.start_time!r} "
+                       f"{rec.commit_time!r}")], 1)
+        else:
+            rec.state = ABORTED
+            self._append_status(
+                [(xid, f"A {xid} {rec.start_time!r}")], 0)
 
     def in_doubt(self) -> dict[int, str]:
         """xid → gid for every prepared transaction awaiting its
         coordinator's decision (in-memory or recovered from a ``P``
         record)."""
-        with self._lock:
-            return {xid: rec.gid for xid, rec in self._records.items()
-                    if rec.state == PREPARED and rec.gid is not None}
+        return {xid: rec.gid for xid, rec in self._records.items()
+                if rec.state == PREPARED and rec.gid is not None}
 
     # -- visibility queries ---------------------------------------------------
 
@@ -623,8 +611,7 @@ class TransactionManager:
         to; on a replica (whose status file is byte-shipped from the
         primary) it is the published read horizon.  Local read-only
         transactions never touch it — they append no record."""
-        with self._lock:
-            return self._max_durable_committed
+        return self._max_durable_committed
 
     def refresh(self) -> None:
         """Re-read the status file from the device, replacing the
@@ -635,30 +622,29 @@ class TransactionManager:
         re-appends its status lines) collapse because records land in a
         dict keyed by xid, which is what makes re-applying a feed round
         idempotent."""
-        with self._lock:
-            if self._pending:
-                raise TransactionError(
-                    "refresh() with queued group-commit records — a "
-                    "replica never commits writers, so nothing should "
-                    "be pending")
-            live = {xid: rec for xid, rec in self._records.items()
-                    if rec.state == IN_PROGRESS}
-            old_next = self._next_xid
-            self._records = {BOOTSTRAP_XID: _TxRecord(COMMITTED, 0.0, 0.0)}
-            self._recovered_in_progress = 0
-            self._recovered_in_doubt = 0
-            self._torn_tail = 0
-            self._batch_deadline = None
-            self._max_durable_committed = 0
-            self._load()
-            # Local in-progress (read-only) transactions survive the
-            # reload; a shipped record for the same xid wins — it is the
-            # primary's, and a colliding local transaction wrote nothing
-            # so its visibility outcome is unchanged either way.
-            for xid, rec in live.items():
-                self._records.setdefault(xid, rec)
-            if old_next > self._next_xid:
-                self._next_xid = old_next
+        if self._pending:
+            raise TransactionError(
+                "refresh() with queued group-commit records — a "
+                "replica never commits writers, so nothing should "
+                "be pending")
+        live = {xid: rec for xid, rec in self._records.items()
+                if rec.state == IN_PROGRESS}
+        old_next = self._next_xid
+        self._records = {BOOTSTRAP_XID: _TxRecord(COMMITTED, 0.0, 0.0)}
+        self._recovered_in_progress = 0
+        self._recovered_in_doubt = 0
+        self._torn_tail = 0
+        self._batch_deadline = None
+        self._max_durable_committed = 0
+        self._load()
+        # Local in-progress (read-only) transactions survive the
+        # reload; a shipped record for the same xid wins — it is the
+        # primary's, and a colliding local transaction wrote nothing
+        # so its visibility outcome is unchanged either way.
+        for xid, rec in live.items():
+            self._records.setdefault(xid, rec)
+        if old_next > self._next_xid:
+            self._next_xid = old_next
 
     def recovery_report(self) -> dict[str, int]:
         """Statistics from the last load — how many transactions in the

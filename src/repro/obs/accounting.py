@@ -8,13 +8,14 @@ the transaction that incurred them, so ``repro.bench.report`` can
 print where each xid's time went.
 
 Attribution is by *current transaction*: :meth:`begin` (called from
-``Database.begin``) marks the xid current for the calling thread, and
-every charge site (buffer cache, lock manager, transaction manager)
-calls :meth:`charge`, which books to that thread's current xid — or
-drops the charge on the floor when no transaction is open (bootstrap
-reads, benchmark cache flushes).  ``Database.commit`` keeps the xid
-current through the commit-time page force and status append, so a
-transaction's durability cost lands on it, not on the next one.
+``Database.begin``) marks the xid current, and every charge site
+(buffer cache, lock manager, transaction manager) calls :meth:`charge`,
+which books to the current xid — or drops the charge on the floor when
+no transaction is open (bootstrap reads, benchmark cache flushes).
+Sessions interleaved by the scheduler take turns being current
+(:meth:`activate`).  ``Database.commit`` keeps the xid current through
+the commit-time page force and status append, so a transaction's
+durability cost lands on it, not on the next one.
 
 Charges are plain dict increments against the simulated counters —
 they never advance the simulated clock, so accounting is always on and
@@ -22,8 +23,6 @@ benchmark numbers are unchanged by it.
 """
 
 from __future__ import annotations
-
-import threading
 
 #: every per-transaction cost field, in report column order.
 FIELDS = (
@@ -34,7 +33,7 @@ FIELDS = (
     "device_write_ops",   # device write operations (batched run = 1 op)
     "device_pages_written",  # pages transferred by those writes
     "lock_waits",         # times the transaction blocked on a lock
-    "lock_wait_seconds",  # wall (real) seconds spent blocked
+    "lock_wait_seconds",  # simulated seconds spent parked on a lock
     "status_forces",      # forced status-file appends this xid triggered
     "client_cache_hits",  # chunks later served from a client cache that
                           # this xid's device reads originally filled
@@ -42,44 +41,43 @@ FIELDS = (
 
 
 class TxAccountant:
-    """Books per-xid cost rows; thread-safe via a thread-local current
-    xid (concurrent sessions on one Database attribute independently)."""
+    """Books per-xid cost rows to the current xid."""
 
     def __init__(self) -> None:
-        self._local = threading.local()
+        #: the transaction charges book to (None: nobody pays).
+        self._xid: int | None = None
         #: xid -> {field: value}; insertion order = begin order.
         self._rows: dict[int, dict[str, float]] = {}
 
     # -- transaction lifecycle ------------------------------------------
 
     def begin(self, xid: int) -> None:
-        self._local.xid = xid
+        self._xid = xid
         self._rows.setdefault(xid, dict.fromkeys(FIELDS, 0))
 
     def end(self, xid: int) -> None:
-        if getattr(self._local, "xid", None) == xid:
-            self._local.xid = None
+        if self._xid == xid:
+            self._xid = None
 
     def activate(self, xid: int | None) -> None:
-        """Make ``xid`` the calling thread's current transaction without
-        creating a row (``None`` deactivates).  The cooperative
-        scheduler calls this at every context switch so charges land on
-        the session being advanced, not on whichever session last
-        called :meth:`begin` — on one thread the begin/end protocol
-        alone cannot tell interleaved sessions apart."""
-        self._local.xid = xid
+        """Make ``xid`` the current transaction (``None`` deactivates).
+        The scheduler calls this at every context switch so charges land
+        on the session being advanced, not on whichever session last
+        called :meth:`begin` — the begin/end protocol alone cannot tell
+        interleaved sessions apart."""
+        self._xid = xid
         if xid is not None:
             self._rows.setdefault(xid, dict.fromkeys(FIELDS, 0))
 
     def current_xid(self) -> int | None:
-        return getattr(self._local, "xid", None)
+        return self._xid
 
     # -- charging --------------------------------------------------------
 
     def charge(self, field: str, amount: float = 1) -> None:
-        """Book ``amount`` to the calling thread's current transaction
-        (no-op outside a transaction)."""
-        xid = getattr(self._local, "xid", None)
+        """Book ``amount`` to the current transaction (no-op outside a
+        transaction)."""
+        xid = self._xid
         if xid is None:
             return
         self._rows[xid][field] += amount
@@ -88,8 +86,8 @@ class TxAccountant:
                   pages_field: str, pages: float) -> None:
         """Book one I/O op-count/page-count pair in a single call — the
         device hot path charges two fields per operation, and fusing
-        them halves the thread-local and row lookups."""
-        xid = getattr(self._local, "xid", None)
+        them halves the row lookups."""
+        xid = self._xid
         if xid is None:
             return
         row = self._rows[xid]

@@ -21,7 +21,6 @@ Events are dicts; sinks are either an in-memory list or a JSONL file
 from __future__ import annotations
 
 import json
-import threading
 from typing import IO
 
 from repro.obs.registry import MetricSpec
@@ -69,7 +68,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tr = self.tracer
-        stack = tr._stack()
+        stack = tr._open
         self.parent_id = stack[-1] if stack else None
         self.span_id = tr._next_id()
         stack.append(self.span_id)
@@ -78,7 +77,7 @@ class _Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tr = self.tracer
-        stack = tr._stack()
+        stack = tr._open
         if stack and stack[-1] == self.span_id:
             stack.pop()
         end = tr.clock.now() if tr.clock is not None else 0.0
@@ -113,7 +112,8 @@ class Tracer:
         self._file: IO[str] | None = None
         self._path: str | None = None
         self._id = 0
-        self._local = threading.local()
+        #: ids of the open spans, innermost last.
+        self._open: list[int] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -151,21 +151,13 @@ class Tracer:
 
     # -- internals -------------------------------------------------------
 
-    def _stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def swap_stack(self, stack: list[int]) -> list[int]:
-        """Replace the calling thread's open-span stack, returning the
-        previous one.  The cooperative multi-session scheduler switches
-        sessions on a single thread; swapping stacks at each context
-        switch keeps every session's spans parented within its own
+        """Replace the open-span stack, returning the previous one.
+        The multi-session scheduler swaps stacks at each context switch,
+        which keeps every session's spans parented within its own
         request tree instead of under whatever span the previous
         session left open."""
-        old = self._stack()
-        self._local.stack = stack
+        old, self._open = self._open, stack
         return old
 
     def _next_id(self) -> int:

@@ -40,11 +40,11 @@ unbounded queue.  A fairness guard forces any runnable session whose
 wait exceeds ``fairness_bound`` simulated seconds to run next, so no
 session starves behind an unlucky RNG streak.
 
-Context switches on one thread need two swaps the threaded world gets
-for free, once per database: the per-xid accountant's "current
-transaction" is re-pointed at the incoming session's open xid there,
-and the tracer's open-span stack is swapped to the session's own (each
-session's spans form their own request trees).
+A context switch is two swaps, once per database: the per-xid
+accountant's "current transaction" is re-pointed at the incoming
+session's open xid there, and the tracer's open-span stack is swapped
+to the session's own (each session's spans form their own request
+trees).
 """
 
 from __future__ import annotations
@@ -325,15 +325,12 @@ class SchedulerWaitStrategy:
             return False
         acct = db.obs.tx
         waiter_xid = acct.current_xid()
-        # The lock manager's mutex is held here; release it so the
-        # sessions we are about to run can take locks themselves, then
-        # restore both the mutex and the waiter's accounting identity.
-        lm._cond.release()
+        # Run other sessions, then restore the waiter's accounting
+        # identity (their slices re-pointed it).
         try:
             sched._step_while_parked(self.index, ctx["deadline"])
         finally:
             acct.activate(waiter_xid)
-            lm._cond.acquire()
         return db.clock.now() < ctx["deadline"]
 
     def finish(self, lm, ctx: dict, xid: int) -> float:
@@ -410,8 +407,6 @@ class MultiUserScheduler:
         #: crash testkit's oracle seam; see :meth:`_call_commit_hook`).
         self.commit_hook = None
         self._closed = False
-        self._old_wait_strategies = [db.locks.wait_strategy
-                                     for db in self.dbs]
         for index, db in enumerate(self.dbs):
             db.locks.wait_strategy = SchedulerWaitStrategy(self, index)
         self._bind_metrics()
@@ -423,13 +418,14 @@ class MultiUserScheduler:
             db.obs.metrics.mirror_all(METRICS, self.stats)
 
     def close(self) -> None:
-        """Restore the lock managers' previous wait strategies and tear
-        down any sessions still connected."""
+        """Uninstall the lock managers' wait strategies (a lock wait
+        outside the scheduler fails at once) and tear down any sessions
+        still connected."""
         if self._closed:
             return
         self._closed = True
-        for db, old in zip(self.dbs, self._old_wait_strategies):
-            db.locks.wait_strategy = old
+        for db in self.dbs:
+            db.locks.wait_strategy = None
         for session in self.sessions:
             self._close(session)
 

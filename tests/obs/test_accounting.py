@@ -1,8 +1,6 @@
 """TxAccountant: attribution by current transaction, explicit-xid
 charges, and the report rendering CI smokes."""
 
-import threading
-
 from repro.bench.report import format_tx_breakdown
 from repro.obs.accounting import FIELDS, TxAccountant
 
@@ -45,21 +43,21 @@ def test_breakdown_in_begin_order():
     assert list(acct.breakdown()) == [4, 2, 9]
 
 
-def test_threads_attribute_independently():
+def test_activate_switches_attribution_between_xids():
+    """Two sessions interleaved on one thread, as the scheduler runs
+    them: each context switch activates the incoming session's xid, and
+    charges land on it alone."""
     acct = TxAccountant()
     acct.begin(1)
-
-    def other():
-        acct.begin(2)
-        acct.charge("buffer_misses")
-        acct.end(2)
-
-    t = threading.Thread(target=other)
-    t.start()
-    t.join()
+    acct.activate(2)                    # switch to the other session
+    acct.charge("buffer_misses")
+    acct.activate(1)                    # and back
     acct.charge("buffer_hits")
     assert acct.row(1) == {**dict.fromkeys(FIELDS, 0), "buffer_hits": 1}
-    assert acct.row(2)["buffer_misses"] == 1
+    assert acct.row(2) == {**dict.fromkeys(FIELDS, 0), "buffer_misses": 1}
+    acct.activate(None)                 # a session with no transaction
+    acct.charge("buffer_hits")
+    assert acct.row(1)["buffer_hits"] == 1
 
 
 def test_end_only_clears_matching_xid():

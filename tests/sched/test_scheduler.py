@@ -372,6 +372,5 @@ class TestMetrics:
                 sched.stats.context_switches
         finally:
             sched.close()
-        # the wait strategy is restored on close
-        from repro.db.locks import ThreadWaitStrategy
-        assert isinstance(fs.db.locks.wait_strategy, ThreadWaitStrategy)
+        # the wait strategy is uninstalled on close
+        assert fs.db.locks.wait_strategy is None
