@@ -163,36 +163,35 @@ class ChunkStore:
         except struct.error:
             raise TableError(
                 f"malformed chunk reference in inv{self.fileid}") from None
-        src = self._src_table(sfid, tx)
-        if src is not None:
-            found = src._find_index(CHUNKNO)
-            if found is not None:
-                _info, btree = found
-                for tid in btree.search((schunk,)):
-                    xmin, _xmax, values = src.heap.fetch_raw(tid)
-                    if xmin == sxmin:
-                        return self._ref_value(values, tx, depth)
-            else:
-                for _tid, xmin, _xmax, values in src.heap.scan_all_versions():
-                    if values[0] == schunk and xmin == sxmin:
-                        return self._ref_value(values, tx, depth)
-        pair = self.db.archive_index_for(chunk_table_name(sfid), CHUNKNO)
-        if pair is not None:
-            aheap, abtree = pair
-            for tid in abtree.search((schunk,)):
-                xmin, _xmax, values = aheap.fetch_raw(tid)
-                if xmin == sxmin:
+        for heap, btree in self._version_sources(sfid, tx):
+            rows = ((heap.fetch_raw(tid) for tid in btree.search((schunk,)))
+                    if btree is not None else
+                    (raw[1:] for raw in heap.scan_all_versions()))
+            for xmin, xmax, values in rows:
+                # A transaction that wrote the chunk more than once
+                # superseded all but its last version itself; a pin,
+                # taken by a later transaction, names that last one.
+                if values[0] == schunk and xmin == sxmin != xmax:
                     return self._ref_value(values, tx, depth)
-        else:
-            aheap = self.db.archive_heap_for(chunk_table_name(sfid))
-            if aheap is not None:
-                for _tid, xmin, _xmax, values in aheap.scan_all_versions():
-                    if values[0] == schunk and xmin == sxmin:
-                        return self._ref_value(values, tx, depth)
         raise TableError(
             f"dangling chunk reference: inv{self.fileid} points at "
             f"inv{sfid} chunk {schunk} xmin {sxmin}, which no longer "
             f"exists in the live table or its archive")
+
+    def _version_sources(self, sfid: int, tx: Transaction | None):
+        """``(heap, chunkno B-tree or None)`` of file ``sfid``'s live
+        table, then of its archive — each looked up only when asked."""
+        src = self._src_table(sfid, tx)
+        if src is not None:
+            found = src._find_index(CHUNKNO)
+            yield src.heap, found and found[1]
+        pair = self.db.archive_index_for(chunk_table_name(sfid), CHUNKNO)
+        if pair is not None:
+            yield pair
+        else:
+            aheap = self.db.archive_heap_for(chunk_table_name(sfid))
+            if aheap is not None:
+                yield aheap, None
 
     def _ref_value(self, values, tx: Transaction | None, depth: int) -> bytes:
         # Chains are flattened at clone time, so a reference resolving
@@ -472,7 +471,7 @@ class ChunkStore:
         reference.  Each cloned chunk costs one pointer row (a 24-byte
         payload naming the exact source version); no chunk data moves.
         Holes in the source stay holes.  Returns the number of chunks
-        referenced.
+        referenced (a version this transaction wrote is copied instead).
 
         Cloning a row that is itself a reference copies the pointer
         verbatim (chunkno remapped), so chains never grow: every
@@ -505,8 +504,13 @@ class ChunkStore:
                 batch.append((dst_chunkno, row[1], row[2]))
             else:
                 xmin = src.table.heap.fetch_raw(tid)[0]
-                batch.append((dst_chunkno, -src.fileid,
-                              encode_ref(src.fileid, row[0], xmin)))
+                if tx is not None and xmin == tx.xid:
+                    # This transaction may yet supersede the version,
+                    # and a pin names a version by its xmin: copy it.
+                    batch.append((dst_chunkno, self.fileid, row[2]))
+                else:
+                    batch.append((dst_chunkno, -src.fileid,
+                                  encode_ref(src.fileid, row[0], xmin)))
         if not batch:
             return 0
         batch.sort(key=lambda r: r[0])
@@ -514,7 +518,7 @@ class ChunkStore:
         obs = self.db.obs
         if obs is not None:
             obs.chunk_flush(len(batch))
-        return len(batch)
+        return sum(1 for row in batch if row[1] < 0)
 
     def delete_from(self, tx: Transaction, first_chunkno: int) -> int:
         """Delete every visible chunk row numbered ``first_chunkno`` or

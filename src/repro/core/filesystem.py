@@ -25,7 +25,7 @@ from repro.core.constants import (
 )
 from repro.core.fileatt import FileAtt, FileAttributes
 from repro.core.files import FileHandle
-from repro.core.naming import Namespace, basename_dirname
+from repro.core.naming import Namespace, basename_dirname, split_path
 from repro.db.database import Database
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, Snapshot
 from repro.db.locks import EXCLUSIVE, SHARED
@@ -35,10 +35,12 @@ from repro.errors import (
     DirectoryNotEmptyError,
     FileExistsError_,
     FileNotFoundError_,
+    InversionError,
     IsADirectoryError_,
     NotADirectoryError_,
     ReadOnlyFileError,
     StructuralOpError,
+    TableError,
 )
 
 
@@ -396,6 +398,11 @@ class InversionFS:
         snapshot = self.db.snapshot(tx)
         old_dir, old_name = basename_dirname(old_path)
         new_dir, new_name = basename_dirname(new_path)
+        old_parts = split_path(old_path)
+        if split_path(new_dir)[:len(old_parts)] == old_parts:
+            # POSIX EINVAL: the subtree would hang from nowhere.
+            raise InversionError(f"cannot move {old_path!r} into its own "
+                                 f"subtree {new_path!r}")
         old_parent = self._resolve_dir(old_dir, snapshot, tx)
         new_parent = self._resolve_dir(new_dir, snapshot, tx)
         self.namespace.rename_entry(tx, old_parent, old_name,
@@ -513,7 +520,13 @@ class InversionFS:
         so they describe the locked state."""
         fileid = self.namespace.resolve(path, snapshot, tx)
         if lock is not None and tx is not None:
-            table = ChunkStore(self.db, fileid, tx).table
+            try:
+                table = ChunkStore(self.db, fileid, tx).table
+            except TableError:      # only a plain file has a chunk table
+                att = self.fileatt.get(fileid, snapshot, tx)
+                if att.type != TYPE_DIRECTORY:
+                    raise
+                raise IsADirectoryError_(f"{path!r} is a directory") from None
             self.db.locks.acquire(tx, ("rel", table.info.oid), lock)
         att = self.fileatt.get(fileid, snapshot, tx)
         if att.type == TYPE_DIRECTORY:
@@ -621,6 +634,8 @@ class InversionFS:
                 store.flush(tx)
             else:
                 store.delete_from(tx, boundary)
+                # The new last chunk may be a hole; a trailing one is not.
+                self._ensure_tail_chunk(tx, store, size)
         elif size > att.size:
             # Growing leaves a hole, except the new final chunk, which
             # is materialized (zero-extended from whatever the old tail

@@ -39,11 +39,15 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuModel, CpuParams, DECSYSTEM_5900
 
 _DEVICES_FILE = "devices.json"
-_DEVICE_TYPES = {
-    "magnetic": "magnetic",
-    "memdisk": "memdisk",
-    "jukebox": "jukebox",
-    "tape": "tape",
+#: the device-manager switch's kinds: kind → ``make(name, clock,
+#: dbpath)``.  Only a magnetic disk keeps its medium under the
+#: database's directory; the others model theirs in memory.
+DEVICE_KINDS = {
+    "magnetic": lambda name, clock, dbpath: MagneticDisk(
+        name, clock, os.path.join(dbpath, name)),
+    "memdisk": lambda name, clock, _dbpath: MemDisk(name, clock),
+    "jukebox": lambda name, clock, _dbpath: SonyJukebox(name, clock),
+    "tape": lambda name, clock, _dbpath: TapeJukebox(name, clock),
 }
 
 #: process-level registry of non-file-backed device instances, keyed by
@@ -150,24 +154,18 @@ class Database:
         return db
 
     def _instantiate_device(self, name: str, kind: str, default: bool) -> None:
-        if kind == "magnetic":
-            # Backed by real files: always safe to rebuild from disk.
-            dev = MagneticDisk(name, self.clock, os.path.join(self.path, name))
-        else:
-            key = (os.path.abspath(self.path), name)
-            dev = _DEVICE_REGISTRY.get(key)
-            if dev is None:
-                if kind == "memdisk":
-                    dev = MemDisk(name, self.clock)
-                elif kind == "jukebox":
-                    dev = SonyJukebox(name, self.clock)
-                elif kind == "tape":
-                    dev = TapeJukebox(name, self.clock)
-                else:
-                    raise CatalogError(f"unknown device type {kind!r}")
+        if kind not in DEVICE_KINDS:
+            raise CatalogError(f"unknown device type {kind!r}")
+        key = (os.path.abspath(self.path), name)
+        # A magnetic disk is backed by real files: always safe to
+        # rebuild from disk.
+        dev = None if kind == "magnetic" else _DEVICE_REGISTRY.get(key)
+        if dev is None:
+            dev = DEVICE_KINDS[kind](name, self.clock, self.path)
+            if kind != "magnetic":
                 _DEVICE_REGISTRY[key] = dev
-            else:
-                dev.rebind_clock(self.clock)
+        else:
+            dev.rebind_clock(self.clock)
         self.switch.register(dev, default=default)
 
     def _save_device_config(self, devices: list[tuple[str, str]]) -> None:
@@ -195,7 +193,7 @@ class Database:
         """Register a new storage device (the administrator writing a
         device-manager-switch entry).  ``device`` may be a pre-built
         manager; otherwise one is constructed with default parameters."""
-        if kind not in _DEVICE_TYPES:
+        if kind not in DEVICE_KINDS:
             raise CatalogError(f"unknown device type {kind!r}")
         if device is not None:
             self.switch.register(device)

@@ -101,6 +101,40 @@ class _TxRecord:
     gid: str | None = None
 
 
+#: tokens per status record, its kind letter and xid included.
+_ARITY = {"C": 4, "A": 3, "P": 4}
+
+
+def _format_record(xid: int, rec: _TxRecord) -> str:
+    """The status-record grammar, written: ``C xid start commit``,
+    ``A xid start`` or ``P xid gid start``, by ``rec``'s state."""
+    if rec.state == COMMITTED:
+        return f"C {xid} {rec.start_time!r} {rec.commit_time!r}"
+    if rec.state == PREPARED:
+        return f"P {xid} {rec.gid} {rec.start_time!r}"
+    return f"A {xid} {rec.start_time!r}"
+
+
+def _parse_record(tokens: list[str], i: int) -> tuple[int, _TxRecord, int]:
+    """The same grammar, read: the record starting at ``tokens[i]``, as
+    ``(xid, record, index past it)``.  Raises IndexError when the
+    tokens end inside the record, ValueError on anything else."""
+    kind = tokens[i]
+    if kind not in _ARITY:
+        raise ValueError(f"unknown record kind {kind!r}")
+    end = i + _ARITY[kind]
+    if end > len(tokens):
+        raise IndexError(f"{kind} record cut short")
+    xid = int(tokens[i + 1])
+    if kind == "C":
+        rec = _TxRecord(COMMITTED, float(tokens[i + 2]), float(tokens[i + 3]))
+    elif kind == "A":
+        rec = _TxRecord(ABORTED, float(tokens[i + 2]))
+    else:
+        rec = _TxRecord(PREPARED, float(tokens[i + 3]), gid=tokens[i + 2])
+    return xid, rec, end
+
+
 @dataclass
 class TxStats:
     """Force accounting for the write-path bench: how many synchronous
@@ -210,35 +244,20 @@ class TransactionManager:
     def _parse_line(line: str) -> list[tuple[int, _TxRecord]]:
         """Parse one status-file line, which may carry several records
         (a group-commit force appends all its ``C`` records as one
-        line).  ``C`` and ``P`` consume 4 tokens, ``A`` consumes 3;
-        raises on anything left over or malformed.  A later ``C``/``A``
-        for the same xid supersedes its ``P`` (the coordinator's
-        decision resolved the in-doubt transaction)."""
+        line); raises on anything left over or malformed.  A later
+        ``C``/``A`` for the same xid supersedes its ``P`` (the
+        coordinator's decision resolved the in-doubt transaction)."""
         tokens = line.split()
         out: list[tuple[int, _TxRecord]] = []
         i = 0
         while i < len(tokens):
-            kind = tokens[i]
-            if kind == "C":
-                xid = int(tokens[i + 1])
-                out.append((xid, _TxRecord(COMMITTED, float(tokens[i + 2]),
-                                           float(tokens[i + 3]))))
-                i += 4
-            elif kind == "A":
-                xid = int(tokens[i + 1])
-                out.append((xid, _TxRecord(ABORTED, float(tokens[i + 2]))))
-                i += 3
-            elif kind == "P":
-                xid = int(tokens[i + 1])
-                out.append((xid, _TxRecord(PREPARED, float(tokens[i + 3]),
-                                           gid=tokens[i + 2])))
-                i += 4
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
+            xid, rec, i = _parse_record(tokens, i)
+            out.append((xid, rec))
         return out
 
-    def _parse_torn_tail(self, line: str) -> tuple[
-            list[tuple[int, _TxRecord]], int]:
+    @staticmethod
+    def _parse_torn_tail(line: str) -> tuple[list[tuple[int, _TxRecord]],
+                                             int]:
         """Parse the final, newline-less line left by a crash mid-append.
         Records wholly before the tear are durable and kept; the last
         record is always discarded — without the terminating newline its
@@ -246,7 +265,9 @@ class TransactionManager:
         still parses), so it cannot be trusted.  Discarding is safe:
         the transaction's data pages were forced before the append, and
         a commit record that never became durable means the transaction
-        is presumed aborted.
+        is presumed aborted.  That holds for a ``P`` record too: the
+        2PC coordinator only records its commit decision *after* every
+        prepare force returned.
 
         Returns (kept records, highest xid glimpsed) — the glimpsed xid
         includes the discarded record, so even a torn tail keeps its
@@ -256,40 +277,22 @@ class TransactionManager:
         max_glimpsed = 0
         i = 0
         while i < len(tokens):
-            kind = tokens[i]
             try:
-                if kind == "C" and i + 4 <= len(tokens):
-                    xid = int(tokens[i + 1])
-                    out.append((xid, _TxRecord(COMMITTED,
-                                               float(tokens[i + 2]),
-                                               float(tokens[i + 3]))))
-                    i += 4
-                elif kind == "A" and i + 3 <= len(tokens):
-                    xid = int(tokens[i + 1])
-                    out.append((xid, _TxRecord(ABORTED,
-                                               float(tokens[i + 2]))))
-                    i += 3
-                elif kind == "P" and i + 4 <= len(tokens):
-                    # A torn P record is discarded like any torn tail
-                    # record (it is the last record of the file), which
-                    # presumes the transaction aborted — safe, because
-                    # the 2PC coordinator only records its commit
-                    # decision *after* every prepare force returned.
-                    xid = int(tokens[i + 1])
-                    out.append((xid, _TxRecord(PREPARED,
-                                               float(tokens[i + 3]),
-                                               gid=tokens[i + 2])))
-                    i += 4
-                else:
-                    # The torn record: salvage its xid if readable.
-                    if kind in ("C", "A", "P") and i + 2 <= len(tokens):
-                        max_glimpsed = max(max_glimpsed, int(tokens[i + 1]))
-                    break
+                xid, rec, i = _parse_record(tokens, i)
+            except IndexError:
+                # The record the tear cut short: salvage its xid if
+                # readable.
+                try:
+                    max_glimpsed = max(max_glimpsed, int(tokens[i + 1]))
+                except (IndexError, ValueError):
+                    pass
+                break
             except ValueError:
                 break
+            out.append((xid, rec))
         if out:
             max_glimpsed = max(max_glimpsed, out[-1][0])
-        return (out[:-1] if out else []), max_glimpsed
+        return out[:-1], max_glimpsed
 
     def _load(self) -> None:
         raw = self._device.read_meta(STATUS_TAG)
@@ -393,8 +396,7 @@ class TransactionManager:
             if not self._pending:
                 self._batch_deadline = (rec.commit_time
                                         + self.group_commit_window)
-            self._pending.append((
-                tx.xid, f"C {tx.xid} {rec.start_time!r} {rec.commit_time!r}"))
+            self._pending.append((tx.xid, _format_record(tx.xid, rec)))
             if after_force is not None:
                 self._after_force.append(after_force)
 
@@ -470,14 +472,24 @@ class TransactionManager:
 
     def abort(self, tx: Transaction) -> None:
         tx.require_active()
+        self._decide(tx, commit=False)
+
+    def _decide(self, tx: Transaction, commit: bool) -> None:
+        """Stamp ``tx`` and force its final record at once, past the
+        queue: an abort, or the decision on a prepared transaction."""
         rec = self._records[tx.xid]
-        rec.state = ABORTED
+        rec.gid = None
+        if commit:
+            self._close_group()
+            rec.commit_time = self._clock.now()
+        rec.state = COMMITTED if commit else ABORTED
         if tx.wrote:
-            text = f"A {tx.xid} {rec.start_time!r}"
-            self._append_status([(tx.xid, text)], 0)
-        tx.state = ABORTED
-        for hook in tx.abort_hooks:
-            hook()
+            self._append_status([(tx.xid, _format_record(tx.xid, rec))],
+                                int(commit))
+        tx.state = rec.state
+        if not commit:
+            for hook in tx.abort_hooks:
+                hook()
 
     # -- two-phase commit -------------------------------------------------
 
@@ -498,8 +510,8 @@ class TransactionManager:
         rec.state = PREPARED
         rec.gid = gid
         if tx.wrote:
-            text = f"P {tx.xid} {gid} {rec.start_time!r}"
-            self._append_status([(tx.xid, text)], 0, 0)
+            self._append_status([(tx.xid, _format_record(tx.xid, rec))],
+                                0, 0)
         tx.state = PREPARED
 
     def resolve_prepared(self, tx: Transaction, commit: bool) -> None:
@@ -512,25 +524,7 @@ class TransactionManager:
         if tx.state != PREPARED:
             raise TransactionError(
                 f"transaction {tx.xid} is {tx.state}, not prepared")
-        rec = self._records[tx.xid]
-        rec.gid = None
-        if commit:
-            self._close_group()
-            rec.state = COMMITTED
-            rec.commit_time = self._clock.now()
-            if tx.wrote:
-                text = (f"C {tx.xid} {rec.start_time!r} "
-                        f"{rec.commit_time!r}")
-                self._append_status([(tx.xid, text)], 1)
-            tx.state = COMMITTED
-        else:
-            rec.state = ABORTED
-            if tx.wrote:
-                self._append_status(
-                    [(tx.xid, f"A {tx.xid} {rec.start_time!r}")], 0)
-            tx.state = ABORTED
-            for hook in tx.abort_hooks:
-                hook()
+        self._decide(tx, commit)
 
     def resolve_in_doubt(self, xid: int, commit: bool) -> None:
         """Recovery-time resolution of an in-doubt transaction (one
@@ -542,17 +536,7 @@ class TransactionManager:
             state = "unknown" if rec is None else rec.state
             raise TransactionError(
                 f"transaction {xid} is {state}, not in doubt")
-        rec.gid = None
-        if commit:
-            rec.state = COMMITTED
-            rec.commit_time = self._clock.now()
-            self._append_status(
-                [(xid, f"C {xid} {rec.start_time!r} "
-                       f"{rec.commit_time!r}")], 1)
-        else:
-            rec.state = ABORTED
-            self._append_status(
-                [(xid, f"A {xid} {rec.start_time!r}")], 0)
+        self._decide(Transaction(xid, rec.start_time, wrote=True), commit)
 
     def in_doubt(self) -> dict[int, str]:
         """xid → gid for every prepared transaction awaiting its

@@ -20,29 +20,14 @@ from __future__ import annotations
 import json
 import os
 
-from repro.db.database import _DEVICE_REGISTRY, _DEVICES_FILE, Database
-from repro.devices.jukebox import SonyJukebox
-from repro.devices.magnetic import MagneticDisk
-from repro.devices.memdisk import MemDisk
-from repro.devices.tape import TapeJukebox
+from repro.db.database import (DEVICE_KINDS, _DEVICE_REGISTRY, _DEVICES_FILE,
+                               Database)
 from repro.errors import ReplicaError
 from repro.sim.clock import SimClock
 
 #: pages copied per device read — sequential runs keep the primary's
 #: disk model on its fast contiguous-transfer path during the backup.
 COPY_BATCH_PAGES = 64
-
-
-def _make_target(kind: str, name: str, clock: SimClock, replica_path: str):
-    if kind == "magnetic":
-        return MagneticDisk(name, clock, os.path.join(replica_path, name))
-    if kind == "memdisk":
-        return MemDisk(name, clock)
-    if kind == "jukebox":
-        return SonyJukebox(name, clock)
-    if kind == "tape":
-        return TapeJukebox(name, clock)
-    raise ReplicaError(f"cannot clone device type {kind!r}")
 
 
 def copy_device(src, dst, batch: int = COPY_BATCH_PAGES) -> tuple[int, int]:
@@ -88,8 +73,10 @@ def clone_database(db: Database, replica_path: str,
     os.makedirs(replica_path, exist_ok=True)
     for entry in config["devices"]:
         name, kind = entry["name"], entry["type"]
+        if kind not in DEVICE_KINDS:
+            raise ReplicaError(f"cannot clone device type {kind!r}")
         src = db.switch.get(name)
-        dst = _make_target(kind, name, clock, replica_path)
+        dst = DEVICE_KINDS[kind](name, clock, replica_path)
         copy_device(src, dst)
         if kind == "magnetic":
             # Database.open rebuilds magnetic managers from the backing

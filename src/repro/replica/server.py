@@ -45,6 +45,7 @@ import os
 from repro.core.filesystem import InversionFS
 from repro.core.protocol import VERBS, WRITE
 from repro.core.server import InversionServer
+from repro.db.catalog import OID_HWM_TAG
 from repro.db.database import Database
 from repro.errors import ReplicaError, ReplicaReadOnlyError
 from repro.replica.backup import clone_database
@@ -165,6 +166,9 @@ class ReplicaServer(InversionServer):
             dev.write_page(entry.a, entry.b, entry.payload)
         elif kind == "meta":
             dev.sync_write_meta(entry.a, entry.payload)
+            if entry.a == OID_HWM_TAG:      # promoted, allocate past it
+                catalog = self.db.catalog
+                catalog._next_oid = max(catalog._next_oid, int(entry.payload))
         elif kind == "append":
             # Re-appending a status line on replay leaves duplicate
             # records in the file; they collapse at refresh() because

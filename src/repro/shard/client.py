@@ -38,6 +38,7 @@ from repro.errors import (
     BadFileDescriptorError,
     FileExistsError_,
     FileNotFoundError_,
+    IsADirectoryError_,
     StructuralOpError,
     TransactionError,
 )
@@ -354,7 +355,10 @@ class ShardedInversionClient:
     def _read_whole(self, path: str, size: int | None = None) -> bytes:
         shard = self._route(path)
         if size is None:
-            size = self._call(shard, "p_stat", path).size
+            st = self._call(shard, "p_stat", path)
+            if st.type == _DIRECTORY:
+                raise IsADirectoryError_(f"{path!r} is a directory")
+            size = st.size
         fd = self._call(shard, "p_open", path, O_RDONLY)
         data = self._call(shard, "p_read", fd, size) if size else b""
         self._call(shard, "p_close", fd)

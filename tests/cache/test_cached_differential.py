@@ -1,24 +1,10 @@
-"""Property-based differential testing with client caches enabled.
-
-Two concurrent cached sessions run random transaction scripts through
-the deterministic scheduler; the final file-system state must equal
-the commit-order ModelFS oracle — i.e. the cache never serves a stale
-byte the oracle would not.  Each session owns a private subtree and
-both contend on a shared hot file, so every interleaving is
-semantically valid and the lease invalidation path (one session's
-commit dropping the other's cached state) is exercised constantly.
-
-Contended hot-file overwrites use *variable* lengths, including
-zero-length ``write(b"")``: concurrent different-length overwrites of
-one file are exactly the open-time-size lost update of ROADMAP open
-item 4 (fixed by reconciling size under the write lock at flush), so
-the suite generates them again instead of sidestepping them with one
-fixed length.
-
-The scheduler-level test at the bottom drives cache-served reads
-directly (top-level ``Call`` requests are what the scheduler cache
-intercepts) and checks no read ever returns a torn mix of two
-committed versions.
+"""Client caches against the commit-order oracle, where one stack and
+one session cannot reach: two cached sessions interleaved by the
+scheduler on one hot file (variable-length overwrites, ``write(b"")``
+included — the open-time-size lost update), reads racing a writer that
+must never see two versions at once, and a guard that the cache serves
+at all.  One session per stack is the ``scheduled`` and ``cached`` ids
+of the executable spec (``tests/integration/test_spec_machine.py``).
 """
 
 from __future__ import annotations
@@ -26,20 +12,17 @@ from __future__ import annotations
 import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.cache import session_cache_factory  # noqa: E402
-from repro.core.filesystem import InversionFS  # noqa: E402
-from repro.core.server import InversionServer  # noqa: E402
-from repro.db.database import Database  # noqa: E402
-from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn  # noqa: E402
-from repro.sim.clock import SimClock  # noqa: E402
-from repro.testkit.concurrent import ConcurrentWorkloadRunner  # noqa: E402
-from repro.testkit.oracle import harvest_state  # noqa: E402
-from repro.testkit.workload import TxStep, Workload  # noqa: E402
+from repro.cache import session_cache_factory
+from repro.core.filesystem import InversionFS
+from repro.core.server import InversionServer
+from repro.db.database import Database
+from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
+from repro.sim.clock import SimClock
+from repro.testkit.concurrent import ConcurrentWorkloadRunner
+from repro.testkit.oracle import harvest_state
+from repro.testkit.workload import TxStep, Workload
 
 HOT_SIZE = 1000
 
@@ -98,6 +81,19 @@ def test_cached_concurrent_sessions_match_oracle(sessions, seed):
             db.close()
 
 
+@pytest.fixture
+def hot_fs(tmp_path):
+    """A mount whose ``/hot`` holds HOT_SIZE committed, forced bytes."""
+    db = Database.create(str(tmp_path / "db"), clock=SimClock())
+    fs = InversionFS.mkfs(db)
+    tx = fs.begin()
+    fs.write_file(tx, "/hot", b"0" * HOT_SIZE)
+    fs.commit(tx)
+    db.tm.flush_commits()
+    yield fs
+    db.close()
+
+
 def _reader_program(rounds: int) -> list:
     """Top-level Calls (the requests the scheduler cache serves):
     stat, open, read the whole hot file, close — ``rounds`` times."""
@@ -120,97 +116,65 @@ def _writer_program(versions) -> list:
                 tag=f"v{v}") for v in versions]
 
 
+def _run(fs, factory, seed: int, **programs) -> dict:
+    """Run one session per named program to completion; the sessions."""
+    sched = MultiUserScheduler(InversionServer(fs), seed=seed,
+                               cache_factory=factory)
+    try:
+        sessions = {name: sched.add_session(program, name=name)
+                    for name, program in programs.items()}
+        sched.run(strict=True)
+    finally:
+        sched.close()
+    return sessions
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5])
-def test_scheduler_cached_reads_are_never_torn(tmp_path, seed):
+def test_scheduler_cached_reads_are_never_torn(hot_fs, seed):
     """A cached reader racing a writer must only ever observe whole
     committed versions of the hot file — a mix of two versions in one
     read means a stale chunk survived an invalidation."""
-    db = Database.create(str(tmp_path / "db"), clock=SimClock())
-    try:
-        fs = InversionFS.mkfs(db)
-        tx = fs.begin()
-        fs.write_file(tx, "/hot", b"0" * HOT_SIZE)
-        fs.commit(tx)
-        db.tm.flush_commits()
-        server = InversionServer(fs)
-        factory = session_cache_factory()
-        sched = MultiUserScheduler(server, seed=seed, cache_factory=factory)
-        try:
-            reader = sched.add_session(_reader_program(rounds=6), name="r")
-            sched.add_session(_writer_program(range(1, 6)), name="w")
-            sched.run(strict=True)
-        finally:
-            sched.close()
-        legal = {bytes([48 + v]) * HOT_SIZE for v in range(0, 6)}
-        reads = [v for v in reader.values.values() if isinstance(v, bytes)]
-        assert len(reads) == 6
-        for data in reads:
-            assert data in legal, f"torn read: {data[:8]}...{data[-8:]}"
-    finally:
-        db.close()
+    reader = _run(hot_fs, session_cache_factory(), seed,
+                  r=_reader_program(rounds=6),
+                  w=_writer_program(range(1, 6)))["r"]
+    legal = {bytes([48 + v]) * HOT_SIZE for v in range(0, 6)}
+    reads = [v for v in reader.values.values() if isinstance(v, bytes)]
+    assert len(reads) == 6
+    for data in reads:
+        assert data in legal, f"torn read: {data[:8]}...{data[-8:]}"
 
 
-def test_scheduler_cache_actually_serves(tmp_path):
+def test_scheduler_cache_actually_serves(hot_fs):
     """A quiet re-read workload must land in the cache (guards against
     the factory wiring silently degrading to a no-op)."""
-    db = Database.create(str(tmp_path / "db"), clock=SimClock())
-    try:
-        fs = InversionFS.mkfs(db)
-        tx = fs.begin()
-        fs.write_file(tx, "/hot", b"0" * HOT_SIZE)
-        fs.commit(tx)
-        db.tm.flush_commits()
-        server = InversionServer(fs)
-        factory = session_cache_factory()
-        sched = MultiUserScheduler(server, seed=0, cache_factory=factory)
-        try:
-            sched.add_session(_reader_program(rounds=4), name="r")
-            sched.run(strict=True)
-        finally:
-            sched.close()
-        assert factory.stats.hits.get("att", 0) > 0
-        assert factory.stats.hits.get("chunk", 0) > 0
-    finally:
-        db.close()
+    factory = session_cache_factory()
+    _run(hot_fs, factory, 0, r=_reader_program(rounds=4))
+    assert factory.stats.hits.get("att", 0) > 0
+    assert factory.stats.hits.get("chunk", 0) > 0
 
 
 @pytest.mark.parametrize("cached", [False, True])
-def test_keyword_arguments_are_the_same_request(tmp_path, cached):
+def test_keyword_arguments_are_the_same_request(hot_fs, cached):
     """A program may pass verb arguments by keyword.  The cache-serving
     path used to index them positionally (``args[0]``) and died with
     IndexError as soon as a cache was configured; arguments are now
     bound to the verb's parameters once, so the cached run is the
     uncached run."""
-    db = Database.create(str(tmp_path / "db"), clock=SimClock())
-    try:
-        fs = InversionFS.mkfs(db)
-        tx = fs.begin()
-        fs.write_file(tx, "/hot", b"0" * HOT_SIZE)
-        fs.commit(tx)
-        db.tm.flush_commits()
-        factory = session_cache_factory() if cached else None
-        sched = MultiUserScheduler(InversionServer(fs), seed=0,
-                                   cache_factory=factory)
-        program = []
-        for _ in range(2):                  # second round: cache-served
-            first = len(program)
-            program += [Call("p_stat", path="/hot"),
-                        Call("p_open", fname="/hot", mode=0),
-                        Call("p_read", Ref(first + 1), length=HOT_SIZE),
-                        Call("p_read", length=10, fd=Ref(first + 1)),
-                        Call("p_close", fd=Ref(first + 1))]
-        try:
-            session = sched.add_session(program, name="kw")
-            sched.run(strict=True)
-        finally:
-            sched.close()
-        assert session.state == "done"
-        values = session.values
-        assert values[0].size == values[5].size == HOT_SIZE
-        assert values[2] == values[7] == b"0" * HOT_SIZE
-        assert values[3] == values[8] == b""          # at end of file
-        if cached:
-            assert factory.stats.hits.get("att", 0) > 0
-            assert factory.stats.hits.get("chunk", 0) > 0
-    finally:
-        db.close()
+    factory = session_cache_factory() if cached else None
+    program = []
+    for _ in range(2):                  # second round: cache-served
+        first = len(program)
+        program += [Call("p_stat", path="/hot"),
+                    Call("p_open", fname="/hot", mode=0),
+                    Call("p_read", Ref(first + 1), length=HOT_SIZE),
+                    Call("p_read", length=10, fd=Ref(first + 1)),
+                    Call("p_close", fd=Ref(first + 1))]
+    session = _run(hot_fs, factory, 0, kw=program)["kw"]
+    assert session.state == "done"
+    values = session.values
+    assert values[0].size == values[5].size == HOT_SIZE
+    assert values[2] == values[7] == b"0" * HOT_SIZE
+    assert values[3] == values[8] == b""          # at end of file
+    if cached:
+        assert factory.stats.hits.get("att", 0) > 0
+        assert factory.stats.hits.get("chunk", 0) > 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.constants import O_CREAT, O_RDWR, TYPE_DIRECTORY
+from repro.core.checker import ConsistencyChecker
+from repro.core.constants import CHUNK_SIZE, O_CREAT, O_RDWR, TYPE_DIRECTORY
 from repro.core.filesystem import InversionFS
 from repro.errors import (
     DirectoryNotEmptyError,
@@ -73,6 +74,35 @@ def test_open_directory_rejected(fs):
     fs.commit(tx)
     with pytest.raises(IsADirectoryError_):
         fs.open("/d")
+
+
+@pytest.mark.parametrize("op", [
+    lambda c: c.p_reflink("/d", "/copy"),
+    lambda c: c.p_concat(["/d"], "/copy"),
+    lambda c: c.p_slice("/d", 0, 0, "/copy"),
+    lambda c: c.p_truncate("/d", 0),
+], ids=["reflink", "concat", "slice", "truncate"])
+def test_structural_op_on_a_directory_is_refused_as_one(client, op):
+    """Only a plain file has a chunk table.  A directory source used to
+    fail the lookup of its table with a TableError — a DbError, which a
+    client cannot tell from corruption."""
+    client.p_mkdir("/d")
+    with pytest.raises(IsADirectoryError_):
+        op(client)
+    assert client.p_readdir("/") == ["d"]
+
+
+def test_an_aligned_shrink_keeps_the_last_chunk(fs):
+    """Shrinking to a chunk boundary deletes every chunk past it.  When
+    the new last chunk is a hole it is written as zeros, as growing
+    does: a trailing hole is what the checker calls a size mismatch."""
+    tx = fs.begin()
+    fs.write_file(tx, "/f", b"x" * CHUNK_SIZE)
+    fs.truncate(tx, "/f", 3 * CHUNK_SIZE)           # chunk 1 is a hole
+    fs.truncate(tx, "/f", 2 * CHUNK_SIZE)
+    fs.commit(tx)
+    assert fs.read_file("/f") == b"x" * CHUNK_SIZE + bytes(CHUNK_SIZE)
+    ConsistencyChecker(fs).raise_if_corrupt()
 
 
 def test_unlink_directory_rejected(fs):

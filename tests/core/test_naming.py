@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.constants import ROOT_PARENT
 from repro.core.naming import basename_dirname, split_path
-from repro.errors import FileExistsError_, FileNotFoundError_
+from repro.errors import FileExistsError_, FileNotFoundError_, InversionError
 
 
 def test_split_path():
@@ -139,6 +139,17 @@ def test_rename_over_existing_rejected(fs, client):
     fd = client.p_creat("/b"); client.p_close(fd)
     with pytest.raises(FileExistsError_):
         client.p_rename("/a", "/b")
+
+
+def test_rename_into_own_subtree_rejected(fs, client):
+    """POSIX EINVAL: a directory moved below itself would hang from
+    nowhere — ``/`` would stop listing it and its subtree would be
+    unreachable, with every row still in place."""
+    client.p_mkdir("/a")
+    client.p_mkdir("/a/b")
+    with pytest.raises(InversionError, match="'/a'.*'/a/b/c'"):
+        client.p_rename("/a", "/a/b/c")
+    assert fs.readdir("/") == ["a"] and fs.readdir("/a") == ["b"]
 
 
 def test_overlong_name_rejected_cleanly(fs, client):

@@ -11,8 +11,14 @@ until that append (data-then-status, per group), so the lost
 transactions are presumed aborted.
 """
 
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.filesystem import InversionFS
+from repro.db.database import Database
 from repro.db.transactions import (
     ABORTED,
     COMMITTED,
@@ -21,6 +27,7 @@ from repro.db.transactions import (
 )
 from repro.devices.memdisk import MemDisk
 from repro.sim.clock import SimClock
+from repro.testkit.oracle import ModelFS, harvest_state
 
 
 @pytest.fixture
@@ -315,3 +322,57 @@ def test_commit_state_values_unchanged(device):
     tm = TransactionManager(device, SimClock())
     tx = commit_writer(tm)
     assert tm.state(tx.xid) == COMMITTED
+
+
+@given(script=st.lists(st.tuples(st.lists(st.tuples(
+    st.sampled_from(["/a", "/b", "/c"]), st.binary(max_size=20000)),
+    min_size=1, max_size=3), st.booleans()), max_size=5))
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_torn_group_line_keeps_a_commit_prefix(script):
+    """A group is one status line, its records in the order their
+    transactions released their locks.  The script ends with T1 and T2
+    writing one file in one group — T2 supersedes a chunk version whose
+    record is still queued — so T1's record must precede T2's, and
+    wherever a tear cuts the line recovery must keep a prefix of the
+    commits: never T2 without T1."""
+    script = script + [([("/hot", b"one" * 400)], False),
+                       ([("/hot", b"TWO" * 300)], False)]
+    with tempfile.TemporaryDirectory() as root:
+        db = Database.create(root + "/db")
+        fs = InversionFS.mkfs(db)
+        db.tm.group_commit_window = 60.0
+        model, history = ModelFS(), []
+        for writes, abort in script:
+            tx = fs.begin()
+            for path, data in writes:
+                fs.write_file(tx, path, data)
+            (fs.abort if abort else fs.commit)(tx)
+            if not abort:
+                model.apply_many(("write", *write) for write in writes)
+                history.append((tx.xid, model.copy()))
+        db.tm.flush_commits()
+        db.simulate_crash()
+        status = os.path.join(root, "db", "magnetic0", "pg_status.meta")
+        with open(status, "rb") as f:
+            raw = f.read()
+        start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        line = raw[start:]
+        in_line = [int(tok) for tok in line.split()[1::4]]
+        assert in_line == [xid for xid, _ in history if xid in in_line]
+        assert in_line[-2:] == [xid for xid, _ in history[-2:]]
+        prefixes = [ModelFS().state()] + [m.state() for _, m in history]
+        ends = [i + 1 for i, byte in enumerate(line) if byte in b" \n"][3::4]
+        kept = 0
+        for cut in sorted({end - 2 for end in ends} | set(ends)):
+            with open(status, "wb") as f:
+                f.write(raw[:start] + line[:cut])
+            recovered = Database.open(root + "/db")
+            try:
+                state = harvest_state(InversionFS.attach(recovered))
+            finally:
+                recovered.simulate_crash()
+            # a prefix of the commits, and a longer tail loses no more
+            kept = next(i for i in range(kept, len(prefixes))
+                        if prefixes[i] == state)
+        assert state == prefixes[-1]               # the whole line: everything

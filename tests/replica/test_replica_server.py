@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.checker import ConsistencyChecker
 from repro.core.constants import CHUNK_SIZE, O_RDWR
+from repro.core.library import InversionClient
 from repro.core.protocol import VERBS, WRITE
 from repro.errors import (InversionError, ReplicaError, ReplicaReadOnlyError,
                           ReproError)
@@ -181,6 +182,26 @@ def test_promotion_lifts_read_only_and_followers_rebind(tmp_path, primary,
     assert _read(r1, "/after") == b"new history"
     assert harvest_state(r1.fs) == harvest_state(r0.fs)
     r0.close()
+    r1.close()
+
+
+def test_a_promoted_replica_allocates_past_the_shipped_oids(tmp_path,
+                                                            primary):
+    """The oid high-water mark reaches a replica as a shipped meta
+    write, and a promoted replica must allocate past it as a reopen of
+    the media would.  A replica seeded from a promoted one, then
+    promoted in turn, used to reissue the oid of the first file written
+    in between — which then read back as the new directory."""
+    db, _, feed = primary
+    r0 = make_replica(tmp_path, feed, "replica0")
+    db.simulate_crash()
+    r1 = make_replica(tmp_path, r0.promote(), "replica1")
+    write_file(InversionClient(r0.fs), "/f", b"shipped")
+    r1.sync()
+    r0.db.simulate_crash()
+    r1.promote()
+    InversionClient(r1.fs).p_mkdir("/d")
+    assert harvest_state(r1.fs) == {"/f": b"shipped", "/d": None}
     r1.close()
 
 

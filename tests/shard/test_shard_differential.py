@@ -7,91 +7,19 @@ sequence applied to a cluster and to the single-namespace
 state — including cross-shard renames, which the client implements as
 a copied move under 2PC.
 
-The auto-commit, one-op-per-transaction form of that statement is the
-``sharded1``/``sharded3`` rows of the stack-conformance suite
-(``tests/integration/test_stack_conformance.py``); what stays here is
-what only a cluster has: multi-op transactions that span shards."""
+Random op sequences, alone and in multi-op transactions that span
+shards, are the ``sharded*`` ids of the executable spec
+(``tests/integration/test_spec_machine.py``); what stays here is one
+fixed mixed workload at every shard count, and the refusals a copy
+across shards must share with a copy on one."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import IsADirectoryError_
 from repro.shard import ShardedCluster
 from repro.testkit.explorer import harvest_cluster
 from repro.testkit.oracle import ModelFS, apply_client_op
 from repro.testkit.workload import payload
-
-TOPS = ["a", "b", "c", "d"]
-NAMES = st.sampled_from(["x", "y", "z", "sub"])
-TOP = st.sampled_from(TOPS)
-SIZES = st.integers(min_value=0, max_value=3000)
-
-
-@st.composite
-def paths(draw, max_depth=2):
-    parts = [draw(TOP)] + draw(st.lists(NAMES, min_size=0,
-                                        max_size=max_depth))
-    return "/" + "/".join(parts)
-
-
-@st.composite
-def ops(draw):
-    kind = draw(st.sampled_from(
-        ["mkdir", "write", "unlink", "rmdir", "rename"]))
-    if kind == "write":
-        path = draw(paths())
-        return ("write", path,
-                payload(draw(st.integers(0, 7)), path, draw(SIZES)))
-    if kind == "rename":
-        return ("rename", draw(paths()), draw(paths()))
-    return (kind, draw(paths()))
-
-
-def _mkcluster(workdir, nshards):
-    # hash policy: the four top-level names spread by SHA-256, so the
-    # model sees one namespace while ops land on different shards.
-    return ShardedCluster.create(str(workdir / "cluster"), nshards)
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(op_list=st.lists(ops(), min_size=2, max_size=14),
-       seed=st.integers(0, 3))
-def test_cluster_transactional_batches_match_model(tmp_path_factory,
-                                                  op_list, seed):
-    """Ops grouped into multi-op cluster transactions (committing or
-    aborting whole batches) still converge to the model: committed
-    batches apply atomically, aborted batches leave no trace on any
-    shard — even when a batch spans shards and commits through 2PC."""
-    import random
-    rng = random.Random(seed)
-    workdir = tmp_path_factory.mktemp("shardtxdiff")
-    cluster = _mkcluster(workdir, 2)
-    try:
-        client = cluster.client()
-        model = ModelFS()
-        idx = 0
-        while idx < len(op_list):
-            batch_len = rng.randint(1, 3)
-            abort = rng.random() < 0.3
-            client.p_begin()
-            scratch = model.copy()
-            applied = []
-            for op in op_list[idx:idx + batch_len]:
-                if scratch.why_invalid(op) is not None:
-                    continue
-                apply_client_op(client, op)
-                scratch.apply(op)
-                applied.append(op)
-            idx += batch_len
-            if abort:
-                client.p_abort()
-            else:
-                client.p_commit()
-                model = scratch
-        client.close()
-        assert harvest_cluster(cluster) == model.state()
-    finally:
-        cluster.close()
 
 
 @pytest.mark.parametrize("nshards", [1, 2, 4])
@@ -120,3 +48,19 @@ def test_mixed_workload_any_shard_count(tmp_path, nshards):
     client.close()
     assert harvest_cluster(cluster) == model.state()
     cluster.close()
+
+
+@pytest.mark.parametrize("copy", [
+    lambda c: c.p_reflink("/a/d", "/b/copy"),
+    lambda c: c.p_concat(["/a/d"], "/b/copy"),
+    lambda c: c.p_slice("/a/d", 0, 0, "/b/copy"),
+], ids=["reflink", "concat", "slice"])
+def test_a_directory_is_no_source_across_shards(cluster2, copy):
+    """A copy across shards reads its source whole; a directory used to
+    read as an empty file, and the copy created one."""
+    client = cluster2.client()
+    client.p_mkdir("/a/d")
+    with pytest.raises(IsADirectoryError_):
+        copy(client)
+    assert client.p_readdir("/b") == []
+    client.close()

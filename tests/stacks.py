@@ -3,16 +3,16 @@
 The ``p_*`` protocol is declared once (:mod:`repro.core.protocol`) and
 carried by several deployments.  :func:`open_stack` builds any of them
 behind one small interface, so the VFS suite (``tests/vfs``) and the
-conformance suite (``tests/integration/test_stack_conformance.py``)
-run the same assertions over all of them:
+executable spec (``tests/integration/test_spec_machine.py``) run the
+same assertions over all of them:
 
 ``client``
     the ``p_*`` surface operations are applied through.
 ``prefix``
     the directory a test that wants one subtree should work under.
-``apply(op, model)``
+``apply(op, model, atomic=False)``
     apply one :class:`~repro.testkit.oracle.ModelFS` op; ``model`` is
-    the state *before* it.
+    the state *before* it; ``atomic``: as one transaction of its own.
 ``check(model)``
     assert the stack shows exactly ``model.state()`` — through its own
     read path (so a stale cache, a lost buffered write or a lagging
@@ -20,9 +20,17 @@ run the same assertions over all of them:
 ``node``
     the :class:`Database` or cluster underneath — anything with
     ``wrap_devices`` and ``simulate_crash`` — for tests that arm faults.
+``mounts`` / ``dbs()``
+    every file system the stack serves, and the databases under them.
+``crash()``
+    power fails under ``node``; returns a fresh stack of the same kind
+    over the media it left: reopened, or on ``replica`` the replica
+    promoted (and a new one seeded from it).
 """
 
 from __future__ import annotations
+
+import os
 
 from repro.cache import session_cache_factory
 from repro.core.client import RemoteInversionClient
@@ -31,12 +39,12 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
-from repro.replica import ReplicatedCluster
-from repro.sched import Call, MultiUserScheduler, Ref
+from repro.errors import InversionError
+from repro.replica import ReplicatedCluster, ReplicaServer
+from repro.sched import Call, MultiUserScheduler, Ref, Txn
 from repro.shard import ShardedCluster
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
-from repro.testkit.explorer import harvest_cluster
 from repro.testkit.oracle import apply_client_op, harvest_state
 
 #: remote-client options per single-server stack.
@@ -54,7 +62,9 @@ _SHARDED = {
     "sharded3": (3, {}),
 }
 
-STACKS = ("local", *_REMOTE, *_SHARDED, "scheduled", "replica")
+#: ``grouped`` is ``local`` under a 0.5 s group-commit window: commits
+#: float, and groups close at deadlines mid-run.
+STACKS = ("local", "grouped", *_REMOTE, *_SHARDED, "scheduled", "replica")
 
 
 def observe(client) -> dict:
@@ -65,6 +75,7 @@ def observe(client) -> dict:
     def walk(directory: str) -> None:
         for name in client.p_readdir(directory):
             path = directory.rstrip("/") + "/" + name
+            assert path.count("/") < 32, f"a directory cycle at {path}"
             att = client.p_stat(path)
             if att.type == "directory":
                 state[path] = None
@@ -82,23 +93,54 @@ class Stack:
     """A stack whose operations take effect as they are applied."""
 
     prefix = ""
+    #: run every op as one transaction even outside ``p_begin``.  A
+    #: write is up to three auto-commits (create, write, close); under a
+    #: window a group may close between them, and a crash would keep a
+    #: state no sequence of whole ops reaches.
+    atomic = False
 
-    def __init__(self, client, ground_truth, closers, node=None) -> None:
-        self.client = client
-        self._ground_truth = ground_truth
-        self._closers = closers
-        self.node = node
+    def __init__(self, kind: str, workdir: str, client, mounts: list,
+                 node, closers: list) -> None:
+        self.kind, self.workdir, self.client = kind, workdir, client
+        self.mounts, self.node, self._closers = mounts, node, closers
 
-    def apply(self, op: tuple, model) -> None:
-        apply_client_op(self.client, op)
+    def apply(self, op: tuple, model, atomic: bool = False) -> None:
+        if not atomic:
+            apply_client_op(self.client, op)
+            return
+        self.client.p_begin()
+        try:
+            apply_client_op(self.client, op)
+        except InversionError:
+            self.client.p_abort()
+            raise
+        self.client.p_commit()
 
     def reader(self):
         """The client the state is observed through."""
         return self.client
 
+    def ground_truth(self) -> dict:
+        """The committed state, read off the mounts themselves."""
+        state: dict = {}
+        for fs in self.mounts:
+            state.update(harvest_state(fs))
+        return state
+
     def check(self, model) -> None:
         assert observe(self.reader()) == model.state()
-        assert self._ground_truth() == model.state()
+        assert self.ground_truth() == model.state()
+
+    def dbs(self) -> list:
+        return [fs.db for fs in self.mounts]
+
+    def pending(self) -> list[int]:
+        """xids committed in memory whose records still wait in a group."""
+        return [x for db in self.dbs() for x in db.tm.pending_commit_xids()]
+
+    def crash(self) -> "Stack":
+        self.node.simulate_crash()
+        return open_stack(self.kind, self.workdir, recover=True)
 
     def close(self) -> None:
         for close in self._closers:
@@ -107,14 +149,17 @@ class Stack:
 
 class ReplicaStack(Stack):
     """Writes go to the primary; the state is read back on a replica
-    that has been synced since."""
+    that has been synced since.  A crash takes the primary: the replica
+    is promoted, and a new one is seeded from it."""
 
-    def __init__(self, workdir: str) -> None:
-        self.cluster = ReplicatedCluster.create(workdir, 1)
+    def __init__(self, kind: str, workdir: str, cluster=None) -> None:
+        self.cluster = cluster or ReplicatedCluster.create(workdir, 1)
         writer = self.cluster.writer_client()
         self._reader = self.cluster.reader_client()
-        super().__init__(writer,
-                         lambda: harvest_state(self.cluster.primary_fs),
+        super().__init__(kind, workdir, writer,
+                         [self.cluster.primary_fs,
+                          *(r.fs for r in self.cluster.replicas)],
+                         self.cluster.primary_db,
                          [writer.close, self._reader.close,
                           self.cluster.close])
 
@@ -122,30 +167,39 @@ class ReplicaStack(Stack):
         self.cluster.sync_all()
         return self._reader
 
+    def ground_truth(self) -> dict:
+        return harvest_state(self.cluster.primary_fs)
+
+    def crash(self) -> "Stack":
+        self.node.simulate_crash()
+        self.cluster.promote()
+        rid = f"replica{len(os.listdir(self.workdir))}"
+        self.cluster.replicas.append(ReplicaServer.seed(
+            self.cluster.feed, os.path.join(self.workdir, rid), rid))
+        return ReplicaStack(self.kind, self.workdir, self.cluster)
+
 
 class ScheduledStack(Stack):
-    """One scheduler session with a lease cache in front of it.  A
-    session is a program, not a live client, so ops are compiled into
-    ``Call`` items (the model says whether a write opens or creates)
-    and every op is followed by a probe of the path it touched; the
-    program runs at :meth:`check`, which also probes the whole model
-    twice over (the second pass is what the cache serves)."""
+    """One scheduler session per call, with a lease cache in front of
+    it.  A session is a program, not a live client, so an op is compiled
+    into ``Call`` items (the model says whether a write opens or
+    creates) between probes of the paths it touches, before and after —
+    the later ones read what its own write left in the session's cache
+    — and runs at once.  :meth:`check` probes the whole model twice
+    over (the second pass is what the cache serves)."""
 
-    client = None
-
-    def __init__(self, workdir: str) -> None:
-        self.db = Database.create(workdir, clock=SimClock())
-        self.fs = InversionFS.mkfs(self.db)
-        self.server = InversionServer(self.fs)
+    def __init__(self, kind: str, workdir: str, fs: InversionFS) -> None:
+        super().__init__(kind, workdir, None, [fs], fs.db, [fs.db.close])
+        self.server = InversionServer(fs)
         self.factory = session_cache_factory()
         self.program: list = []
         self.expect: dict[int, object] = {}
-        self._ground_truth = lambda: harvest_state(self.fs)
-        self._closers = [self.db.close]
 
     def _call(self, method: str, *args, expect=None, **kwargs) -> Ref:
+        # A Txn's items take one ordinal each, like top-level Calls.
+        ordinal = sum(len(item.items) if isinstance(item, Txn) else 1
+                      for item in self.program)
         self.program.append(Call(method, *args, **kwargs))
-        ordinal = len(self.program) - 1
         if expect is not None:
             self.expect[ordinal] = expect
         return Ref(ordinal)
@@ -158,7 +212,14 @@ class ScheduledStack(Stack):
         self._call("p_read", fd, len(content) + 1, expect=content)
         self._call("p_close", fd)
 
-    def apply(self, op: tuple, model) -> None:
+    def _probe_paths(self, op: tuple, model) -> None:
+        for path in op[1:]:
+            if isinstance(path, str) and model.exists(path):
+                self._probe(path, model.entries[path])
+
+    def apply(self, op: tuple, model, atomic: bool = False) -> None:
+        self._probe_paths(op, model)
+        start = len(self.program)
         if op[0] != "write":
             # One request each: drive the recorder like a client.
             apply_client_op(self, op)
@@ -168,15 +229,29 @@ class ScheduledStack(Stack):
                   else self._call("p_creat", path))
             self._call("p_write", fd, data)
             self._call("p_close", fd)
-        after = model.preview([op])
-        for path in op[1:]:
-            if isinstance(path, str) and after.exists(path):
-                self._probe(path, after.entries[path])
+        if atomic:
+            self.program[start:] = [Txn(self.program[start:])]
+        if model.why_invalid(op) is None:
+            self._probe_paths(op, model.preview([op]))
+        self._run()
 
     def __getattr__(self, verb: str):
         if not verb.startswith("p_"):
             raise AttributeError(verb)
         return lambda *args: self._call(verb, *args)
+
+    def _run(self) -> None:
+        program, expect, self.program, self.expect = (
+            self.program, self.expect, [], {})
+        sched = MultiUserScheduler(self.server, seed=0,
+                                   cache_factory=self.factory)
+        try:
+            session = sched.add_session(program)
+            sched.run(strict=True)
+        finally:
+            sched.close()
+        assert session.state == "done"
+        assert {n: session.values[n] for n in expect} == expect
 
     def check(self, model) -> None:
         for directory in ["/"] + [p for p in model.entries
@@ -187,46 +262,46 @@ class ScheduledStack(Stack):
         for _ in range(2):
             for path, content in model.entries.items():
                 self._probe(path, content)
-        sched = MultiUserScheduler(self.server, seed=0,
-                                   cache_factory=self.factory)
-        try:
-            session = sched.add_session(self.program)
-            sched.run(strict=True)
-        finally:
-            sched.close()
-        assert session.state == "done"
-        got = {n: session.values[n] for n in self.expect}
-        assert got == self.expect
-        self.program, self.expect = [], {}
-        assert self._ground_truth() == model.state()
+        self._run()
+        assert self.ground_truth() == model.state()
 
 
-def open_stack(kind: str, workdir: str) -> Stack:
+def open_stack(kind: str, workdir: str, recover: bool = False) -> Stack:
     """Build the stack named ``kind`` (one of :data:`STACKS`) under
-    ``workdir``; the caller closes it."""
+    ``workdir`` — or, with ``recover``, bring it up again over the media
+    a crash left there.  The caller closes it."""
     if kind == "replica":
-        return ReplicaStack(workdir)
-    if kind == "scheduled":
-        return ScheduledStack(workdir)
+        return ReplicaStack(kind, workdir)
     if kind in _SHARDED:
         nshards, partitioning = _SHARDED[kind]
-        cluster = ShardedCluster.create(workdir, nshards, **partitioning)
+        cluster = (ShardedCluster.open(workdir) if recover else
+                   ShardedCluster.create(workdir, nshards, **partitioning))
         client = cluster.client()
-        stack = Stack(client, lambda: harvest_cluster(cluster),
-                      [client.close, cluster.close], node=cluster)
+        stack = Stack(kind, workdir, client, cluster.fss, cluster,
+                      [client.close, cluster.close])
         if kind == "sharded":
-            client.p_mkdir("/a")
-            client.p_mkdir("/b")
             stack.prefix = "/a"
+            if not recover:
+                client.p_mkdir("/a")
+                client.p_mkdir("/b")
         return stack
     clock = SimClock()
-    db = Database.create(workdir, clock=clock)
-    fs = InversionFS.mkfs(db)
-    if kind == "local":
-        return Stack(InversionClient(fs), lambda: harvest_state(fs),
-                     [db.close], node=db)
+    window = 0.5 if kind == "grouped" else 0.0
+    if recover:
+        db = Database.open(workdir, clock=clock, group_commit_window=window)
+        fs = InversionFS.attach(db)
+    else:
+        db = Database.create(workdir, clock=clock)
+        fs = InversionFS.mkfs(db)
+        db.tm.group_commit_window = window   # after mkfs: its commits forced
+    if kind == "scheduled":
+        return ScheduledStack(kind, workdir, fs)
+    if kind in ("local", "grouped"):
+        stack = Stack(kind, workdir, InversionClient(fs), [fs], db,
+                      [db.close])
+        stack.atomic = kind == "grouped"
+        return stack
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
     client = RemoteInversionClient(InversionServer(fs), network,
                                    **_REMOTE[kind])
-    return Stack(client, lambda: harvest_state(fs), [client.close, db.close],
-                 node=db)
+    return Stack(kind, workdir, client, [fs], db, [client.close, db.close])

@@ -6,13 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.filesystem import InversionFS
-from repro.db.database import Database
 from repro.errors import SimulatedCrashError, TransactionError
-from repro.shard import ShardedCluster
 from repro.testkit import CrashController, FaultPlan, FaultyDevice
-from repro.testkit.explorer import harvest_cluster
-from repro.testkit.oracle import harvest_state
 from repro.vfs import VFS
 
 from tests.stacks import open_stack
@@ -21,20 +16,8 @@ from tests.vfs.conftest import STACKS
 DATA = bytes(range(256)) * 3
 
 
-def recovered_state(kind: str, workdir: str) -> dict:
-    """What a restart of the crashed machine(s) shows."""
-    sharded = kind == "sharded"
-    node = ShardedCluster.open(workdir) if sharded else Database.open(workdir)
-    try:
-        return (harvest_cluster(node) if sharded
-                else harvest_state(InversionFS.attach(node)))
-    finally:
-        node.close()
-
-
-def status_forces(node) -> int:
-    return sum(db.tm.stats.status_forces
-               for db in getattr(node, "dbs", [node]))
+def status_forces(stack) -> int:
+    return sum(db.tm.stats.status_forces for db in stack.dbs())
 
 
 @pytest.mark.parametrize("kind", STACKS)
@@ -53,8 +36,9 @@ def test_crash_at_every_write_boundary_leaves_the_path_absent_or_whole(
             pass
         finished = not ctrl.crashed
         ctrl.disarm()
-        built.node.simulate_crash()
-        state = recovered_state(kind, workdir)
+        recovered = built.crash()
+        state = recovered.ground_truth()
+        recovered.close()
         assert state.get(path) in (None, DATA), (
             f"crash in place of write #{boundary}: {path} holds "
             f"{len(state[path])} of {len(DATA)} bytes")
@@ -107,9 +91,9 @@ def test_one_call_is_one_status_force(tmp_path, kind):
     built = open_stack(kind, str(tmp_path / "stack"))
     try:
         vfs = VFS(built.client)
-        forces, ops = status_forces(built.node), vfs.ops
+        forces, ops = status_forces(built), vfs.ops
         vfs.write_file(built.prefix + "/new", DATA)
-        assert status_forces(built.node) == forces + 1
+        assert status_forces(built) == forces + 1
         # counted as before: the open, the write and the close it makes,
         # and not as an explicit group
         assert vfs.ops == ops + 3
