@@ -1,18 +1,13 @@
-"""One conformance suite: every client stack against the executable
+"""A whole operation script on the local stack against the ModelFS
 spec.
 
 :class:`~repro.testkit.oracle.ModelFS` is the specification of what an
-Inversion mount shows.  The ``p_*`` protocol is declared once and
-carried by many deployments; whichever one an application speaks to,
-the same operation script must leave the same visible state — read
-back *through that stack*, so a cache that serves a stale byte, a
-write buffer that loses one, a shard that keeps a moved file or a
-replica that misses a commit all fail here — and the same committed
-state underneath.
-
-The script is checked twice, half way and at the end: whatever the
-first look left in a client's cache or buffers has to survive (or be
-invalidated by) the second half.
+Inversion mount shows.  Here a script drawn up front is applied op by
+op, each its own transaction, and read back through the stack twice,
+half way and at the end: what the first look left in the stack has to
+survive (or be invalidated by) the second half.  Every client
+stack, with invalid ops, transactions and crashes, is held to the same
+spec by ``tests/integration/test_spec_machine.py``.
 """
 
 import pytest
@@ -22,7 +17,7 @@ from repro.core.constants import CHUNK_SIZE
 from repro.testkit.oracle import ModelFS
 from repro.testkit.workload import payload
 
-from tests.stacks import STACKS, open_stack
+from tests.stacks import open_stack
 
 TOP = st.sampled_from(["a", "b", "c", "d"])
 NAMES = st.sampled_from(["x", "y", "z", "sub"])
@@ -55,7 +50,7 @@ def ops(draw):
     return (kind, draw(paths()))
 
 
-@pytest.mark.parametrize("kind", [k for k in STACKS if k != "sharded"])
+@pytest.mark.parametrize("kind", ["local"])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])

@@ -1,18 +1,19 @@
 """clone_range edge cases (satellite): empty ranges, the unindexed
-ablation, clones resolving across the live heap and the archive, and
-which version a pin names.  Random structural ops and overwrites
-against the model's physical copies are the executable spec's
-(``tests/integration/test_spec_machine.py``)."""
+ablation, clones resolving across the live heap and the archive,
+which version a pin names, and a Hypothesis differential of
+reflink-then-overwrite against the model's physical copies."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import InversionClient, InversionFS
 from repro.core.checker import ConsistencyChecker
 from repro.core.chunks import ChunkStore
 from repro.core.constants import CHUNK_SIZE
 from repro.db.database import Database
+from repro.testkit.oracle import ModelFS, apply_fs_op, harvest_state
 from repro.testkit.workload import payload
 
 
@@ -136,3 +137,45 @@ def test_nested_clone_flattens(fs, client):
     fs.commit(tx)
     assert fs.read_file("/c") == data
     ConsistencyChecker(fs).raise_if_corrupt()
+
+
+_PATHS = ("/f0", "/f1", "/f2")
+
+_op = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(_PATHS),
+              st.binary(min_size=1, max_size=CHUNK_SIZE + 200)),
+    st.tuples(st.just("reflink"), st.sampled_from(_PATHS),
+              st.sampled_from(("/r0", "/r1", "/r2"))),
+    st.tuples(st.just("slice"), st.sampled_from(_PATHS),
+              st.sampled_from((0, CHUNK_SIZE)),
+              st.integers(min_value=0, max_value=2 * CHUNK_SIZE),
+              st.sampled_from(("/s0", "/s1"))),
+    st.tuples(st.just("truncate"), st.sampled_from(_PATHS),
+              st.integers(min_value=0, max_value=2 * CHUNK_SIZE)),
+    st.tuples(st.just("unlink"), st.sampled_from(("/r0", "/r1", "/s0"))),
+)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=st.lists(_op, min_size=1, max_size=14))
+def test_reflink_then_overwrite_matches_model(tmp_path_factory, ops):
+    """Differential: random structural ops + overwrites against the
+    ModelFS oracle, which implements them as physical copies.  Any
+    divergence means a reference resolved to the wrong version."""
+    workdir = tmp_path_factory.mktemp("clonediff")
+    db = Database.create(str(workdir / "db"))
+    try:
+        fs = InversionFS.mkfs(db)
+        model = ModelFS()
+        for op in ops:
+            if model.why_invalid(op) is not None:
+                continue
+            model.apply(op)
+            tx = fs.begin()
+            apply_fs_op(fs, tx, op)
+            fs.commit(tx)
+        assert harvest_state(fs) == model.state()
+        ConsistencyChecker(fs).raise_if_corrupt()
+    finally:
+        db.close()
