@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.bench.harness import build_inversion_cs, build_inversion_sp
+from repro.core.client import RPC_BATCH_CHUNKS
 from repro.core.constants import CHUNK_SIZE
 from repro.db.tuples import Column, Schema
 
@@ -33,9 +34,6 @@ GROUP_WINDOW = 1.0e9
 #: the 1 MB sequential-write shape (Figure 6 / Table 3 write columns).
 WRITE_CHUNKS = 128
 WRITE_FILE_SIZE = WRITE_CHUNKS * CHUNK_SIZE
-
-#: chunks shipped per write RPC in the batched client configuration.
-RPC_BATCH_CHUNKS = 16
 
 FILE_NAME = "/commitio"
 

@@ -16,15 +16,13 @@ from __future__ import annotations
 import math
 
 from repro.bench.harness import build_inversion_cs, build_inversion_sp
+from repro.core.client import RPC_BATCH_CHUNKS
 from repro.core.constants import CHUNK_SIZE
 from repro.db.btree import BTree
 
 #: the Figure 5 shape at CI scale: 1 MB of chunks, read sequentially.
 SEQIO_CHUNKS = 128
 SEQIO_FILE_SIZE = SEQIO_CHUNKS * CHUNK_SIZE
-
-#: chunks fetched per read RPC in the batched configuration.
-RPC_BATCH_CHUNKS = 16
 
 FILE_NAME = "/seqio1mb"
 

@@ -4,11 +4,11 @@
 Ethernet" and the paper's evaluation concludes that this protocol "is
 much too heavy-weight": each 1 MB test pays 3–5 seconds of remote
 overhead.  :class:`RemoteInversionClient` reproduces that cost
-structure: every ``p_*`` call is one synchronous request/response
-exchange through a :class:`~repro.sim.network.NetworkModel`, with
-payload sizes derived from the arguments (so big reads ship big
-responses, and page-sized loops pay per-message overhead 128 times per
-megabyte).
+structure: every ``p_*`` call (but a read-only close) is one
+synchronous request/response exchange through a
+:class:`~repro.sim.network.NetworkModel`, with payload sizes derived
+from the arguments (so big reads ship big responses, and page-sized
+loops pay per-message overhead 128 times per megabyte).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.link import SessionLink
-from repro.core.constants import CHUNK_SIZE
-from repro.core.protocol import CLOSES, OPENS, REMOTE, exposes
+from repro.core.constants import CHUNK_SIZE, O_RDWR, O_WRONLY
+from repro.core.protocol import OPENS, REMOTE, exposes
 from repro.core.server import InversionServer
 from repro.obs.registry import MetricSpec
 from repro.sim.network import NetworkModel
@@ -29,7 +29,8 @@ METRICS = (
                "repro.core.client"),
     MetricSpec("rpc.client.buffered_reads", "counter", "ops",
                "p_read calls answered from the client buffer, no RPC "
-               "at all.",
+               "at all (EOF included, once a short batched reply "
+               "recorded it).",
                "repro.core.client"),
     MetricSpec("rpc.client.batched_writes", "counter", "ops",
                "p_write RPCs that shipped more than one buffered "
@@ -39,10 +40,20 @@ METRICS = (
                "p_write calls absorbed into the write buffer, no RPC "
                "at all.",
                "repro.core.client"),
+    MetricSpec("rpc.client.deferred_closes", "counter", "ops",
+               "p_close calls of read-only descriptors that sent no "
+               "message: the close rode the session's next request.",
+               "repro.core.client"),
 )
+
+#: chunks a batching client fetches per read RPC and ships per write
+#: RPC: the replica readers, and the batched rows of the seqio and
+#: commitio experiments.
+RPC_BATCH_CHUNKS = 16
 
 _REQ_BASE = 64    # RPC header + method + fixed args
 _RESP_BASE = 32   # status + fixed return
+_CLOSE_BYTES = 8  # a queued close riding another request
 
 
 def _arg_bytes(args: tuple, kwargs: dict) -> int:
@@ -73,7 +84,7 @@ class RemoteInversionClient:
     """The p_* API, executed over the simulated network.
 
     Verbs with no client-side logic of their own (transaction control,
-    creat/close, the namespace and structural ops, ``p_query``) are not
+    ``p_creat``, the namespace and structural ops, ``p_query``) are not
     written out here: :func:`repro.core.protocol.exposes` generates
     them from the verb table, each one :meth:`_forward`.
 
@@ -86,15 +97,28 @@ class RemoteInversionClient:
     complains about.
 
     ``read_batch_chunks`` is the sequential-read counterpart (off by
-    default to preserve the paper's measured protocol): once a
-    descriptor issues its second consecutive sequential ``p_read``, the
-    client fetches up to that many request-lengths in a single RPC and
-    serves the following reads from the returned buffer — the NFS biod
-    read-ahead trick, paying the per-message stack overhead once per
-    window instead of once per chunk.  Like NFS client caching, a
-    buffered byte can be stale with respect to *another* client's
+    default to preserve the paper's measured protocol; replica readers
+    use :data:`RPC_BATCH_CHUNKS`).  With it on, once a descriptor issues
+    its second consecutive sequential ``p_read`` — or its first, on a
+    descriptor opened ``O_RDONLY``: the usual start-of-file read-ahead
+    — the client fetches up to that many request-lengths in a single
+    RPC and serves the following reads from the returned buffer, the
+    NFS biod read-ahead trick, paying the per-message stack overhead
+    once per window instead of once per chunk.  A batched reply shorter
+    than it asked for also records EOF, so the read that finds it is
+    answered from the buffer too.  Like NFS client caching, a buffered
+    byte or EOF can be stale with respect to *another* client's
     concurrent writes; buffers are dropped at every transaction
-    boundary, write, seek, and namespace operation of this client.
+    boundary, write, seek, and namespace operation of this client, and
+    at a ``p_close`` or ``p_stat`` that may publish a size its own
+    writes left pending.
+
+    A ``p_close`` of a read-only descriptor with no buffered writes
+    sends no message, whatever the batching: there is nothing for the
+    server to reconcile, so the close queues and rides the session's
+    next request (8 bytes; the server runs it first), or goes with the
+    session, whose disconnect closes every descriptor.  NFS has no
+    close RPC at all.
 
     ``write_batch_chunks`` is the symmetric write-path tunable (also
     off by default): consecutive sequential ``p_write`` calls accumulate
@@ -136,7 +160,12 @@ class RemoteInversionClient:
         self._pos: dict[int, int] = {}      # client-visible file position
         self._srv_pos: dict[int, int] = {}  # where the server's descriptor is
         self._streak: dict[int, int] = {}   # consecutive sequential reads
-        self._rdbuf: dict[int, tuple[int, bytes]] = {}  # fd -> (offset, bytes)
+        #: fd -> (offset, bytes, EOF right after them)
+        self._rdbuf: dict[int, tuple[int, bytes, bool]] = {}
+        #: descriptors opened O_RDONLY
+        self._readonly: set[int] = set()
+        #: read-only closes waiting to ride the next request
+        self._closing: list[int] = []
         #: fd -> (start offset, buffered bytes, absorbed call count)
         self._wrbuf: dict[int, tuple[int, bytearray, int]] = {}
         #: RPCs that fetched more than the caller asked for.
@@ -147,6 +176,8 @@ class RemoteInversionClient:
         self.batched_writes = 0
         #: p_write calls absorbed into the write buffer, no RPC at all.
         self.buffered_writes = 0
+        #: read-only p_close calls that sent no message of their own.
+        self.deferred_closes = 0
         # Mirror the counters onto the server database's registry — the
         # client lives outside the Database, so it binds itself.
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
@@ -169,19 +200,26 @@ class RemoteInversionClient:
 
     def close(self) -> None:
         self._flush_writes()
+        self._closing.clear()   # the disconnect closes them
         self._link.close()
 
     # -- read-batching bookkeeping ----------------------------------------
 
-    def _track_fd(self, fd) -> None:
+    def _track_fd(self, fd, readonly: bool = False) -> None:
         if isinstance(fd, int):
             self._pos[fd] = self._srv_pos[fd] = 0
             self._streak[fd] = 0
+            if readonly:
+                # A read-only file is read from the top: its first read
+                # counts as sequential.
+                self._readonly.add(fd)
+                self._streak[fd] = 1
 
     def _forget_fd(self, fd) -> None:
         for store in (self._pos, self._srv_pos, self._streak, self._rdbuf,
                       self._wrbuf, self._fdpath):
             store.pop(fd, None)
+        self._readonly.discard(fd)
 
     def _drop_buffers(self) -> None:
         """Invalidate all read-ahead state (transaction boundaries and
@@ -235,21 +273,27 @@ class RemoteInversionClient:
         return self._round_trip(conn, method, *args, **kwargs)
 
     def _round_trip(self, conn: int, method: str, *args, **kwargs):
-        request = _REQ_BASE + _arg_bytes(args, kwargs)
+        closes, self._closing = self._closing, []
+        request = (_REQ_BASE + _arg_bytes(args, kwargs)
+                   + _CLOSE_BYTES * len(closes))
         pipelined = (self.write_behind and method == "p_write"
                      and self._last_was_write)
         self._last_was_write = method in ("p_write", "p_lseek")
-        if not pipelined:
+        clock = self.network.clock
+        if pipelined:
+            before = clock.now()
+        else:
             # The request travels, the server works, the response returns.
             self.network.send(request)
-            result = self.server.dispatch(conn, method, *args, **kwargs)
+        for fd in closes:    # the queued closes ride ahead of the request
+            self.server.dispatch(conn, "p_close", fd)
+        result = self.server.dispatch(conn, method, *args, **kwargs)
+        if not pipelined:
             self.network.send(_RESP_BASE + _result_bytes(result))
             return result
         response = _RESP_BASE + 8
         net_cost = self.network.cost_round_trip(request, response)
-        before = self.network.clock.now()
-        result = self.server.dispatch(conn, method, *args, **kwargs)
-        server_elapsed = self.network.clock.now() - before
+        server_elapsed = clock.now() - before
         self.network.charge_seconds(max(0.0, net_cost - server_elapsed),
                                     messages=2, payload=request + response)
         return result
@@ -261,22 +305,19 @@ class RemoteInversionClient:
         this client's operations observe its writes in program order),
         drop read-ahead state if the verb can change what any position
         holds, then one exchange carrying every parameter; a descriptor
-        the verb opens or closes enters or leaves the position
-        tables."""
+        the verb opens (``p_creat``) enters the position tables."""
         self._flush_writes()
         if verb.drops_buffers:
             self._drop_buffers()
         result = self._call(verb.name, *args)
         if verb.fd == OPENS:
             self._track_fd(result)
-        elif verb.fd == CLOSES:
-            self._forget_fd(args[0])
         return result
 
     def p_open(self, fname, mode=0, timestamp=None):
         self._flush_writes()
         fd, oid = self._link.open(fname, mode, timestamp)
-        self._track_fd(fd)
+        self._track_fd(fd, readonly=not mode & (O_WRONLY | O_RDWR))
         if oid is not None and isinstance(fd, int):
             self._fdpath[fd] = oid
         return fd
@@ -289,12 +330,12 @@ class RemoteInversionClient:
         oid = self._fdpath.get(fd)
         buf = self._rdbuf.get(fd)
         if buf is not None:
-            start, data = buf
-            if start == pos and len(data) >= length:
+            start, data, at_eof = buf
+            if start == pos and (at_eof or len(data) >= length):
                 piece, rest = data[:length], data[length:]
-                self._pos[fd] = pos + length
-                if rest:
-                    self._rdbuf[fd] = (pos + length, rest)
+                self._pos[fd] = pos = pos + len(piece)
+                if rest or at_eof:
+                    self._rdbuf[fd] = (pos, rest, at_eof)
                 else:
                     del self._rdbuf[fd]
                 self.buffered_reads += 1
@@ -318,8 +359,11 @@ class RemoteInversionClient:
             self._link.read_fill(oid, pos, result)
         piece = result[:length]
         self._pos[fd] = pos + len(piece)
+        # A batched reply shorter than it asked for ends at EOF.
+        at_eof = length < want and len(result) < want
+        if len(result) > length or at_eof:
+            self._rdbuf[fd] = (self._pos[fd], result[length:], at_eof)
         if len(result) > length:
-            self._rdbuf[fd] = (self._pos[fd], result[length:])
             self.batched_reads += 1
         self._streak[fd] = streak + 1
         return piece
@@ -327,7 +371,8 @@ class RemoteInversionClient:
     def p_write(self, fd, buf):
         if (self.write_batch_chunks > 1 and isinstance(fd, int)
                 and fd in self._pos):
-            self._rdbuf.pop(fd, None)
+            # Another descriptor may hold this file's bytes read ahead.
+            self._rdbuf.clear()
             self._streak[fd] = 0
             pos = self._pos[fd]
             limit = self.write_batch_chunks * CHUNK_SIZE
@@ -352,7 +397,7 @@ class RemoteInversionClient:
                 self._flush_fd_writes(fd)
             return len(buf)
         if fd in self._pos:
-            self._rdbuf.pop(fd, None)
+            self._rdbuf.clear()
             self._streak[fd] = 0
             self._resync(fd)
             result = self._call("p_write", fd, buf)
@@ -386,8 +431,23 @@ class RemoteInversionClient:
             return result
         return self._call("p_lseek", fd, offset_high, offset_low, whence)
 
+    def p_close(self, fd):
+        if fd in self._readonly and fd not in self._wrbuf:
+            # Nothing to reconcile: the close rides the next request.
+            self._forget_fd(fd)
+            self._closing.append(fd)
+            self.deferred_closes += 1
+            return None
+        self._flush_writes()
+        # Closing a written descriptor publishes its pending size.
+        self._rdbuf.clear()
+        result = self._call("p_close", fd)
+        self._forget_fd(fd)
+        return result
+
     def p_stat(self, path, timestamp=None):
         self._flush_writes()
+        self._rdbuf.clear()     # a stat publishes pending sizes too
         return self._link.stat(path, timestamp)
 
     def p_readdir(self, path, timestamp=None, cookie=None, limit=None):

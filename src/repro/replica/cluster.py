@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.client import RemoteInversionClient
+from repro.core.client import RPC_BATCH_CHUNKS, RemoteInversionClient
 from repro.core.filesystem import InversionFS
 from repro.core.server import InversionServer
 from repro.db.database import Database
@@ -83,9 +83,13 @@ class ReplicatedCluster:
 
     def reader_client(self, **kwargs) -> RemoteInversionClient:
         """A read-only session, routed round-robin across the replicas
-        (or to the primary when there are none)."""
+        (or to the primary when there are none).  A replica session
+        reads ahead :data:`~repro.core.client.RPC_BATCH_CHUNKS` chunks
+        unless told otherwise, so a small file is one open and one
+        read."""
         if not self.replicas:
             return self.writer_client(**kwargs)
+        kwargs.setdefault("read_batch_chunks", RPC_BATCH_CHUNKS)
         server = self.replicas[self._next_reader % len(self.replicas)]
         self._next_reader += 1
         return RemoteInversionClient(server, self._network_for(server),

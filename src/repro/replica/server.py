@@ -210,10 +210,14 @@ class ReplicaServer(InversionServer):
         pg_index underneath them, and a round's entries do not say
         which rows moved), re-read the shipped status file, and resume
         the local clock past the newly visible history so local reads
-        and a future promotion sort after it."""
+        and a future promotion sort after it.  Client caches holding
+        leases here drop everything: a round does not say which files
+        it changed."""
         db = self.db
         db.catalog.invalidate_cache()
         db.tm.refresh()
+        if self.leases is not None:
+            self.leases.bump_all()
         resume_at = db.tm.max_recorded_time()
         if db.clock.now() < resume_at:
             db.clock.advance(resume_at - db.clock.now() + 1e-9)

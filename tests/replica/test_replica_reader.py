@@ -1,0 +1,73 @@
+"""Replica reader sessions: what a whole-file read costs on the wire,
+and what a cached reader sees after a sync round."""
+
+from repro.core.constants import CHUNK_SIZE, O_RDONLY, O_RDWR
+from repro.replica import ReplicatedCluster
+
+OLD = b"o" * (3 * CHUNK_SIZE)
+
+
+def _read_file(client, path: str) -> bytes:
+    fd = client.p_open(path, O_RDONLY)
+    data = b"".join(iter(lambda: client.p_read(fd, CHUNK_SIZE), b""))
+    client.p_close(fd)
+    return data
+
+
+def _cluster(tmp_path, **kwargs) -> ReplicatedCluster:
+    cluster = ReplicatedCluster.create(str(tmp_path), 1, **kwargs)
+    writer = cluster.writer_client()
+    for path in ("/f", "/g"):
+        fd = writer.p_creat(path)
+        writer.p_write(fd, OLD)
+        writer.p_close(fd)
+    writer.close()
+    cluster.sync_all()
+    return cluster
+
+
+def test_a_whole_file_read_is_two_round_trips(tmp_path):
+    """``p_open`` and one read: three chunks and EOF come back in one
+    reply, and the close rides the next file's ``p_open``."""
+    cluster = _cluster(tmp_path)
+    reader = cluster.reader_client()
+    assert reader.server is cluster.replicas[0]
+    stats = reader.network.stats
+    try:
+        for path in ("/f", "/g"):
+            before = stats.messages
+            assert _read_file(reader, path) == OLD
+            # sim.network.round_trips_per_op counts messages / 2.
+            assert (stats.messages - before) / 2 == 2
+        assert reader.deferred_closes == 2
+    finally:
+        reader.close()
+        cluster.close()
+
+
+def test_cached_reader_sees_a_shipped_commit(tmp_path):
+    """A sync round that applied anything invalidates the replica's
+    client caches, so a cached reader at a level horizon reads what an
+    uncached one does."""
+    cluster = _cluster(tmp_path, staleness_xids=0)
+    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    plain = cluster.reader_client()
+    writer = cluster.writer_client()
+    try:
+        cached.p_stat("/f")         # the chunk tier fills under an att
+        assert _read_file(cached, "/f") == OLD
+        assert _read_file(cached, "/f") == OLD
+        assert cached._cache.stats.hits["chunk"] == 3
+        new = b"n" * len(OLD)
+        fd = writer.p_open("/f", O_RDWR)
+        writer.p_write(fd, new)
+        writer.p_close(fd)
+        cluster.sync_all()
+        assert cluster.replicas[0].horizon() == cluster.feed.durable_horizon()
+        assert _read_file(plain, "/f") == new
+        cached.p_stat("/f")
+        assert _read_file(cached, "/f") == new
+    finally:
+        for client in (cached, plain, writer):
+            client.close()
+        cluster.close()
