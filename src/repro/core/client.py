@@ -4,11 +4,15 @@
 Ethernet" and the paper's evaluation concludes that this protocol "is
 much too heavy-weight": each 1 MB test pays 3–5 seconds of remote
 overhead.  :class:`RemoteInversionClient` reproduces that cost
-structure: every ``p_*`` call (but a read-only close) is one
+structure: with ``read_batch_chunks == write_batch_chunks == 1`` — the
+paper's protocol — every ``p_*`` call (but a read-only close) is one
 synchronous request/response exchange through a
 :class:`~repro.sim.network.NetworkModel`, with payload sizes derived
 from the arguments (so big reads ship big responses, and page-sized
-loops pay per-message overhead 128 times per megabyte).
+loops pay per-message overhead 128 times per megabyte).  With either
+batch size above one the client speaks the light protocol the paper
+asked for: calls whose reply it already knows ride the next exchange,
+and a small file opens with its bytes.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.link import SessionLink
-from repro.core.constants import CHUNK_SIZE, O_RDWR, O_WRONLY
-from repro.core.protocol import OPENS, REMOTE, exposes
+from repro.core.constants import CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR, O_WRONLY
+from repro.core.protocol import OPENS, REMOTE, TX, exposes
 from repro.core.server import InversionServer
 from repro.obs.registry import MetricSpec
+from repro.obs.tracing import NO_SPAN
 from repro.sim.network import NetworkModel
 
 METRICS = (
@@ -40,9 +45,15 @@ METRICS = (
                "p_write calls absorbed into the write buffer, no RPC "
                "at all.",
                "repro.core.client"),
-    MetricSpec("rpc.client.deferred_closes", "counter", "ops",
-               "p_close calls of read-only descriptors that sent no "
-               "message: the close rode the session's next request.",
+    MetricSpec("rpc.client.riders", "counter", "ops",
+               "Calls that sent no message of their own: each rode the "
+               "session's next request, ahead of it (read-only closes; "
+               "on a batching client also p_begin, SEEK_SET seeks and "
+               "in-transaction closes).",
+               "repro.core.client"),
+    MetricSpec("rpc.client.filled_opens", "counter", "ops",
+               "Read-only p_open exchanges whose reply carried the whole "
+               "file and EOF into the read-ahead buffer.",
                "repro.core.client"),
 )
 
@@ -53,7 +64,6 @@ RPC_BATCH_CHUNKS = 16
 
 _REQ_BASE = 64    # RPC header + method + fixed args
 _RESP_BASE = 32   # status + fixed return
-_CLOSE_BYTES = 8  # a queued close riding another request
 
 
 def _arg_bytes(args: tuple, kwargs: dict) -> int:
@@ -97,8 +107,8 @@ class RemoteInversionClient:
     complains about.
 
     ``read_batch_chunks`` is the sequential-read counterpart (off by
-    default to preserve the paper's measured protocol; replica readers
-    use :data:`RPC_BATCH_CHUNKS`).  With it on, once a descriptor issues
+    default to preserve the paper's measured protocol; the replicated
+    cluster's clients use :data:`RPC_BATCH_CHUNKS`).  With it on, once a descriptor issues
     its second consecutive sequential ``p_read`` — or its first, on a
     descriptor opened ``O_RDONLY``: the usual start-of-file read-ahead
     — the client fetches up to that many request-lengths in a single
@@ -113,12 +123,41 @@ class RemoteInversionClient:
     at a ``p_close`` or ``p_stat`` that may publish a size its own
     writes left pending.
 
-    A ``p_close`` of a read-only descriptor with no buffered writes
-    sends no message, whatever the batching: there is nothing for the
-    server to reconcile, so the close queues and rides the session's
-    next request (8 bytes; the server runs it first), or goes with the
-    session, whose disconnect closes every descriptor.  NFS has no
-    close RPC at all.
+    A read-only ``p_open`` on a read-ahead client, outside a
+    transaction and with no client cache, is one exchange that also
+    reads the file when the server finds it no longer than one
+    read-ahead window: the reply carries the whole file and EOF into
+    the descriptor's buffer, as a first read-ahead would fill it, so a
+    small file is read with one message each way.  A longer file gets
+    no data with its open.
+
+    **Riders.**  A call whose reply the client already knows, and
+    whose effect no other session can see before the session's next
+    exchange, sends no message: it queues and rides that exchange,
+    ahead of its request, adding its argument bytes to it and costing
+    the server its dispatch as before.  If a rider fails on the server,
+    the call it rode raises that error, and neither that call nor the
+    riders behind it run.  :meth:`close` sends none of them: the
+    disconnect aborts the transaction and closes every descriptor.
+    These ride:
+
+    - ``p_close`` of a read-only descriptor with no buffered writes,
+      on every client: there is nothing to reconcile.  NFS has no close
+      RPC at all.
+    - On a client with either batch size above one (the paper's
+      protocol keeps one exchange per call):
+
+      - ``p_begin``, when this client's own begin/commit/abort
+        bookkeeping says no transaction is open and it has no client
+        cache (which would serve reads until the begin arrived).
+        Otherwise it goes alone, and fails at the call if one is open.
+      - A ``SEEK_SET`` ``p_lseek`` on a descriptor the client tracks:
+        it is absorbed, and the seek the server then needs (as after a
+        partly consumed buffer) rides the next request that uses the
+        descriptor.
+      - ``p_close`` of a written descriptor *inside* a transaction,
+        whose attribute reconcile is seen at commit.  Outside one that
+        close stays synchronous: its auto-commit publishes the size.
 
     ``write_batch_chunks`` is the symmetric write-path tunable (also
     off by default): consecutive sequential ``p_write`` calls accumulate
@@ -127,7 +166,8 @@ class RemoteInversionClient:
     of this client (reads, seeks, transaction boundaries, namespace
     operations), so this client's own operations always observe its
     writes in program order; only the per-message overhead is
-    amortized.
+    amortized.  A write through a read-only descriptor is not
+    buffered: it fails at the call.
 
     ``cache_paths`` / ``cache_chunks`` (both off by default) enable the
     lease-coherent client cache (:mod:`repro.cache`): name→oid and
@@ -164,8 +204,11 @@ class RemoteInversionClient:
         self._rdbuf: dict[int, tuple[int, bytes, bool]] = {}
         #: descriptors opened O_RDONLY
         self._readonly: set[int] = set()
-        #: read-only closes waiting to ride the next request
-        self._closing: list[int] = []
+        #: (method, args) of the calls waiting to ride the next request
+        self._riders: list[tuple[str, tuple]] = []
+        #: is a transaction open, by this client's own begin / commit /
+        #: abort bookkeeping?  None once a reply left it unknown.
+        self._in_tx: bool | None = False
         #: fd -> (start offset, buffered bytes, absorbed call count)
         self._wrbuf: dict[int, tuple[int, bytearray, int]] = {}
         #: RPCs that fetched more than the caller asked for.
@@ -176,8 +219,10 @@ class RemoteInversionClient:
         self.batched_writes = 0
         #: p_write calls absorbed into the write buffer, no RPC at all.
         self.buffered_writes = 0
-        #: read-only p_close calls that sent no message of their own.
-        self.deferred_closes = 0
+        #: calls that sent no message of their own (riders).
+        self.riders = 0
+        #: read-only opens whose reply carried the whole file.
+        self.filled_opens = 0
         # Mirror the counters onto the server database's registry — the
         # client lives outside the Database, so it binds itself.
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
@@ -200,8 +245,27 @@ class RemoteInversionClient:
 
     def close(self) -> None:
         self._flush_writes()
-        self._closing.clear()   # the disconnect closes them
+        self._riders.clear()    # the disconnect aborts and closes
         self._link.close()
+
+    @property
+    def _batching(self) -> bool:
+        """Either batch size above one: the light protocol's riders."""
+        return self.read_batch_chunks > 1 or self.write_batch_chunks > 1
+
+    def _ride(self, method: str, *args) -> None:
+        """Queue a call whose reply is known to ride the next request."""
+        self._riders.append((method, args))
+        self.riders += 1
+
+    def _seek_server(self, fd: int, pos: int) -> None:
+        """Move the server's descriptor to ``pos``: a rider on a
+        batching client, an exchange of its own on the paper's."""
+        if self._batching:
+            self._ride("p_lseek", fd, pos >> 32, pos & 0xFFFFFFFF, 0)
+        else:
+            self._call("p_lseek", fd, pos >> 32, pos & 0xFFFFFFFF, 0)
+        self._srv_pos[fd] = pos
 
     # -- read-batching bookkeeping ----------------------------------------
 
@@ -234,8 +298,7 @@ class RemoteInversionClient:
         pos = self._pos.get(fd)
         if pos is None or self._srv_pos.get(fd, pos) == pos:
             return
-        self._call("p_lseek", fd, pos >> 32, pos & 0xFFFFFFFF, 0)
-        self._srv_pos[fd] = pos
+        self._seek_server(fd, pos)
 
     # -- write-batching bookkeeping ---------------------------------------
 
@@ -248,7 +311,7 @@ class RemoteInversionClient:
             return
         start, data, ncalls = wb
         if self._srv_pos.get(fd, start) != start:
-            self._call("p_lseek", fd, start >> 32, start & 0xFFFFFFFF, 0)
+            self._seek_server(fd, start)
         self._call("p_write", fd, bytes(data))
         self._srv_pos[fd] = start + len(data)
         if ncalls > 1:
@@ -264,39 +327,51 @@ class RemoteInversionClient:
     # -- the wire -----------------------------------------------------------
 
     def _exchange(self, conn: int, method: str, *args, **kwargs):
-        """The link's transport: one synchronous request/response over
-        the simulated network."""
-        obs = self._obs
-        if obs is not None and obs.tracer.enabled:
-            with obs.tracer.span("rpc.call", method=method):
-                return self._round_trip(conn, method, *args, **kwargs)
-        return self._round_trip(conn, method, *args, **kwargs)
+        """The link's transport: one exchange carrying ``method``."""
+        return self._round_trip(
+            method, _arg_bytes(args, kwargs),
+            lambda: self.server.dispatch(conn, method, *args, **kwargs))
 
-    def _round_trip(self, conn: int, method: str, *args, **kwargs):
-        closes, self._closing = self._closing, []
-        request = (_REQ_BASE + _arg_bytes(args, kwargs)
-                   + _CLOSE_BYTES * len(closes))
+    def _round_trip(self, method: str, arg_bytes: int, serve):
+        """One synchronous request/response over the simulated network:
+        the request travels with every queued rider ahead of it, the
+        server runs the riders and then ``serve()``, and the response
+        returns."""
+        riders, self._riders = self._riders, []
+        request = _REQ_BASE + arg_bytes + sum(_arg_bytes(args, {})
+                                              for _, args in riders)
         pipelined = (self.write_behind and method == "p_write"
                      and self._last_was_write)
         self._last_was_write = method in ("p_write", "p_lseek")
+        self.network.stats.round_trips += 1
+        obs = self._obs
+        span = obs.tracer.span("rpc.call", method=method) \
+            if obs is not None and obs.tracer.enabled else NO_SPAN
         clock = self.network.clock
-        if pipelined:
-            before = clock.now()
-        else:
-            # The request travels, the server works, the response returns.
-            self.network.send(request)
-        for fd in closes:    # the queued closes ride ahead of the request
-            self.server.dispatch(conn, "p_close", fd)
-        result = self.server.dispatch(conn, method, *args, **kwargs)
-        if not pipelined:
-            self.network.send(_RESP_BASE + _result_bytes(result))
+        with span:
+            if pipelined:
+                before = clock.now()
+            else:
+                # The request travels, the server works, the response
+                # returns.
+                self.network.send(request)
+            try:
+                for rider, args in riders:
+                    self.server.dispatch(self._link.conn, rider, *args)
+            except Exception:
+                self._in_tx = None      # a begin behind it did not run
+                raise
+            result = serve()
+            if not pipelined:
+                self.network.send(_RESP_BASE + _result_bytes(result))
+                return result
+            response = _RESP_BASE + 8
+            net_cost = self.network.cost_round_trip(request, response)
+            server_elapsed = clock.now() - before
+            self.network.charge_seconds(max(0.0, net_cost - server_elapsed),
+                                        messages=2,
+                                        payload=request + response)
             return result
-        response = _RESP_BASE + 8
-        net_cost = self.network.cost_round_trip(request, response)
-        server_elapsed = clock.now() - before
-        self.network.charge_seconds(max(0.0, net_cost - server_elapsed),
-                                    messages=2, payload=request + response)
-        return result
 
     # -- the client API ----------------------------------------------------
 
@@ -309,17 +384,67 @@ class RemoteInversionClient:
         self._flush_writes()
         if verb.drops_buffers:
             self._drop_buffers()
+        if verb.kind == TX:
+            return self._transaction(verb.name)
         result = self._call(verb.name, *args)
         if verb.fd == OPENS:
             self._track_fd(result)
         return result
 
+    def _transaction(self, method: str) -> None:
+        """``p_begin`` / ``p_commit`` / ``p_abort``, keeping the
+        client's own account of whether a transaction is open.  A
+        ``p_begin`` that account says will succeed rides."""
+        # Not with a lease cache: until the begin reached the server,
+        # the cache would serve this transaction's reads.
+        if (method == "p_begin" and self._in_tx is False and self._batching
+                and self._cache is None):
+            self._ride(method)
+            self._in_tx = True
+            return None
+        self._in_tx = None      # unknown, should the call raise
+        result = self._call(method)
+        self._in_tx = method == "p_begin"
+        return result
+
     def p_open(self, fname, mode=0, timestamp=None):
         self._flush_writes()
+        readonly = not mode & (O_WRONLY | O_RDWR)
+        if (readonly and self.read_batch_chunks > 1 and self._cache is None
+                and self._in_tx is False):
+            return self._open_filled(fname, mode, timestamp)
         fd, oid = self._link.open(fname, mode, timestamp)
-        self._track_fd(fd, readonly=not mode & (O_WRONLY | O_RDWR))
+        self._track_fd(fd, readonly=readonly)
         if oid is not None and isinstance(fd, int):
             self._fdpath[fd] = oid
+        return fd
+
+    def _open_filled(self, fname, mode, timestamp):
+        """A read-only open that brings a small file along: one exchange
+        runs ``p_open`` and, when the server finds the file no longer
+        than one read-ahead window, a read of that window on the
+        descriptor it returned.  The bytes and EOF fill the read-ahead
+        buffer; ``p_open``'s errors are still ``p_open``'s.  Not inside
+        a transaction: there the read would open the descriptor's
+        server-side handle at the open, and the handle keeps the size
+        it saw, which a later close of another descriptor can grow."""
+        window = self.read_batch_chunks * CHUNK_SIZE
+        server, conn = self.server, self._link.conn
+
+        def serve():
+            fd = server.dispatch(conn, "p_open", fname, mode, timestamp)
+            size = server.readable_size(conn, fd)
+            if size is None or size > window:
+                return fd, None
+            return fd, server.dispatch(conn, "p_read", fd, window)
+
+        fd, data = self._round_trip(
+            "p_open", _arg_bytes((fname, mode, timestamp, window), {}), serve)
+        self._track_fd(fd, readonly=True)
+        if data is not None:
+            self._rdbuf[fd] = (0, data, True)
+            self._srv_pos[fd] = len(data)
+            self.filled_opens += 1
         return fd
 
     def p_read(self, fd, length):
@@ -370,7 +495,7 @@ class RemoteInversionClient:
 
     def p_write(self, fd, buf):
         if (self.write_batch_chunks > 1 and isinstance(fd, int)
-                and fd in self._pos):
+                and fd in self._pos and fd not in self._readonly):
             # Another descriptor may hold this file's bytes read ahead.
             self._rdbuf.clear()
             self._streak[fd] = 0
@@ -409,17 +534,19 @@ class RemoteInversionClient:
 
     def p_lseek(self, fd, offset_high, offset_low, whence=0):
         self._flush_writes()
-        if (whence == 0 and fd in self._pos and fd in self._fdpath
-                and self._link.seek_hit()):
+        offset = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
+        if whence == 0 and fd in self._pos and (
+                fd in self._fdpath and self._link.seek_hit()
+                or self._batching and offset <= MAX_FILE_SIZE):
             # Absorb the SEEK_SET: record the position client-side and
             # repay it with one corrective seek only if the server is
-            # consulted again for this descriptor (_resync).  Matches
-            # the library's own handle-less SEEK_SET, which validates
-            # nothing and just stores the offset.
+            # consulted again for this descriptor (_resync) — a rider on
+            # a batching client.  Its reply is the offset: the server's
+            # seek refuses only a negative one or one past the limit.
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
-            self._pos[fd] = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
-            return self._pos[fd]
+            self._pos[fd] = offset
+            return offset
         if fd in self._pos:
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
@@ -435,12 +562,16 @@ class RemoteInversionClient:
         if fd in self._readonly and fd not in self._wrbuf:
             # Nothing to reconcile: the close rides the next request.
             self._forget_fd(fd)
-            self._closing.append(fd)
-            self.deferred_closes += 1
+            self._ride("p_close", fd)
             return None
         self._flush_writes()
         # Closing a written descriptor publishes its pending size.
         self._rdbuf.clear()
+        if self._in_tx is True and self._batching and fd in self._pos:
+            # Inside a transaction the reconcile is seen at commit.
+            self._forget_fd(fd)
+            self._ride("p_close", fd)
+            return None
         result = self._call("p_close", fd)
         self._forget_fd(fd)
         return result

@@ -15,6 +15,7 @@ charges per-request dispatch CPU.  The network is *not* modelled here —
 
 from __future__ import annotations
 
+from repro.core.constants import TYPE_DIRECTORY
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.protocol import OPENS, VERBS
@@ -77,6 +78,20 @@ class InversionServer:
         dispatched read would have."""
         session = self._sessions.get(session_id)
         return None if session is None else session._fds.get(fd)
+
+    def readable_size(self, session_id: int, fd) -> int | None:
+        """The size a read through the session's descriptor ``fd``
+        would find, or None when no read through it returns bytes (a
+        directory).  Lets a read-only open check, in the same exchange,
+        whether the file fits the client's read-ahead window."""
+        session = self._sessions[session_id]
+        desc = session._fds[fd]
+        tx = session._tx
+        att = self.fs.fileatt.get(
+            desc.fileid, self.fs._snap(tx, desc.timestamp), tx)
+        if att.type == TYPE_DIRECTORY:
+            return None
+        return att.size
 
     def session_last_xid(self, session_id: int) -> int | None:
         """xid of the session's most recent transaction (cache fills

@@ -17,7 +17,7 @@ Dirty pages leave the cache at eviction, one at a time, and at a flush
 by the address the device manager reports for the page, whichever
 relations they belong to: a magnetic disk is swept in ascending block
 order over the heap pages and back in descending order over the index
-pages (``BufferCache._sweep`` says why heap pages go first).
+pages (:func:`sweep_runs` says why heap pages go first).
 
 Sequential scans additionally get a read-ahead window: when a miss
 lands on the page directly after the previous access to the same
@@ -120,6 +120,45 @@ class BufferStats:
     prefetches: int = 0
     #: hits that were served from a prefetched (not yet requested) frame.
     prefetch_hits: int = 0
+
+
+def sweep_runs(switch: DeviceSwitch, pages) -> list[tuple]:
+    """The order a commit sweep writes ``pages`` in, as an elevator
+    would: out over the heap pages in ascending order of where the
+    device says they sit (``DeviceManager.page_address`` — the block
+    address on a magnetic disk, (relation, page) on a manager with no
+    geometry), and back over the index pages in descending order,
+    towards the front of the disk where the commit record is forced
+    next.  ``pages`` holds ``(key, item, is_heap)`` triples; the result
+    is ``(device, relation, first page, [item, ...])`` runs of
+    consecutive pages of one relation that sort next to each other —
+    each one batched device write, issued forwards in either direction.
+
+    Heap pages go first because index entries are not versioned: a
+    B-tree leaf that reached the medium ahead of the heap page its
+    entries point at would, after a crash in between, hold TIDs of
+    records that do not exist — out of range, or worse, slots the next
+    insert hands to another record.  A replica applying a shipped round
+    (:mod:`repro.replica.server`) writes its pages in this order for
+    the same reason."""
+    device = switch.get
+
+    def position(page):
+        dev_name, relname, pageno = page[0]
+        return dev_name, device(dev_name).page_address(relname, pageno)
+
+    out: list[tuple] = []       # runs of heap pages
+    back: list[tuple] = []      # runs of index pages
+    run = None
+    for (dev_name, relname, pageno), item, heap in sorted(pages,
+                                                          key=position):
+        if run is not None and (dev_name, relname, pageno) == (
+                run[0], run[1], run[2] + len(run[3])):
+            run[3].append(item)
+            continue
+        run = (dev_name, relname, pageno, [item])
+        (out if heap else back).append(run)
+    return out + back[::-1]
 
 
 class _Frame:
@@ -373,42 +412,12 @@ class BufferCache:
     # -- flushing ------------------------------------------------------------
 
     def _sweep(self, keys) -> int:
-        """Write back the dirty frames among ``keys`` as an elevator
-        would: out over the heap pages in ascending order of where the
-        device says they sit (``DeviceManager.page_address`` — the block
-        address on a magnetic disk, (relation, page) on a manager with
-        no geometry), and back over the index pages in descending
-        order, towards the front of the disk where the commit record is
-        forced next.  Consecutive pages of one relation that sort next
-        to each other form a run: one batched device write, issued
-        forwards in either direction.
-
-        Heap pages go first because index entries are not versioned: a
-        B-tree leaf that reached the medium ahead of the heap page its
-        entries point at would, after a crash in between, hold TIDs of
-        records that do not exist — out of range, or worse, slots the
-        next insert hands to another record."""
+        """Write back the dirty frames among ``keys`` in
+        :func:`sweep_runs` order, one batched device write per run."""
         frames = self._frames
-        device = self.switch.get
-
-        def position(key: BufferKey):
-            dev_name, relname, pageno = key
-            return dev_name, device(dev_name).page_address(relname, pageno)
-
-        dirty = [key for key in keys if key in frames and frames[key].dirty]
-        out: list[tuple] = []       # runs of heap pages
-        back: list[tuple] = []      # runs of index pages
-        run = None
-        for key in sorted(dirty, key=position):
-            dev_name, relname, pageno = key
-            frame = frames[key]
-            if run is not None and (dev_name, relname, pageno) == (
-                    run[0], run[1], run[2] + len(run[3])):
-                run[3].append(frame)
-                continue
-            run = (dev_name, relname, pageno, [frame])
-            (out if frame.page.flags & PAGE_HEAP else back).append(run)
-        for run in out + back[::-1]:
+        dirty = [(key, frames[key], frames[key].page.flags & PAGE_HEAP)
+                 for key in keys if key in frames and frames[key].dirty]
+        for run in sweep_runs(self.switch, dirty):
             self._write_run(*run, "flush")
             self.stats.forced_writes += len(run[3])
         return len(dirty)

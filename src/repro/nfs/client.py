@@ -45,6 +45,7 @@ class NFSClient:
 
     def _rpc(self, method, request_bytes: int, response_bytes: int,
              *args):
+        self.network.stats.round_trips += 1
         self.network.send(request_bytes)
         result = method(*args)
         self.network.send(response_bytes)
@@ -75,6 +76,7 @@ class NFSClient:
         clock = self.network.clock
         for i, piece in enumerate(pieces):
             req_bytes, resp_bytes = piece[0], piece[1]
+            self.network.stats.round_trips += 1
             if not self.pipeline or i == 0:
                 self.network.send(req_bytes)
                 total += do_one(piece)

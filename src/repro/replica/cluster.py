@@ -76,22 +76,26 @@ class ReplicatedCluster:
         return net
 
     def writer_client(self, **kwargs) -> RemoteInversionClient:
-        """A session on the primary — the only place mutations go."""
-        return RemoteInversionClient(self.primary_server,
-                                     self._network_for(self.primary_server),
-                                     **kwargs)
+        """A session on the primary — the only place mutations go.  It
+        speaks the light protocol (both batch sizes
+        :data:`~repro.core.client.RPC_BATCH_CHUNKS` unless told
+        otherwise), so a begin/open/seek/write/close/commit transaction
+        is three exchanges."""
+        return self._client(self.primary_server, kwargs)
 
     def reader_client(self, **kwargs) -> RemoteInversionClient:
         """A read-only session, routed round-robin across the replicas
-        (or to the primary when there are none).  A replica session
-        reads ahead :data:`~repro.core.client.RPC_BATCH_CHUNKS` chunks
-        unless told otherwise, so a small file is one open and one
-        read."""
+        (or to the primary when there are none), on the light protocol
+        too: a small file is one open that carries its bytes."""
         if not self.replicas:
             return self.writer_client(**kwargs)
-        kwargs.setdefault("read_batch_chunks", RPC_BATCH_CHUNKS)
         server = self.replicas[self._next_reader % len(self.replicas)]
         self._next_reader += 1
+        return self._client(server, kwargs)
+
+    def _client(self, server, kwargs: dict) -> RemoteInversionClient:
+        kwargs.setdefault("read_batch_chunks", RPC_BATCH_CHUNKS)
+        kwargs.setdefault("write_batch_chunks", RPC_BATCH_CHUNKS)
         return RemoteInversionClient(server, self._network_for(server),
                                      **kwargs)
 

@@ -9,7 +9,8 @@ committed transaction whose status record it has applied.
 Sync protocol (one *round*)::
 
     entries, next_cursor, more = feed.pull(cursor, batch)   # ship
-    apply each entry to the local devices                    # replay
+    apply the entries to the local devices, one sweep        # replay
+    per segment between drop / rename / meta entries
     refresh the frames the round touched, drop the catalog
     caches, re-read the status file                          # advance
     durably save next_cursor on the local root device        # restart
@@ -45,8 +46,10 @@ import os
 from repro.core.filesystem import InversionFS
 from repro.core.protocol import VERBS, WRITE
 from repro.core.server import InversionServer
+from repro.db.buffer import sweep_runs
 from repro.db.catalog import OID_HWM_TAG
 from repro.db.database import Database
+from repro.db.page import PAGE_HEAP, Page
 from repro.errors import ReplicaError, ReplicaReadOnlyError
 from repro.replica.backup import clone_database
 from repro.replica.feed import FeedEntry, PrimaryFeed, ReplStats, bind_repl_stats
@@ -142,6 +145,55 @@ class ReplicaServer(InversionServer):
 
     # -- the apply loop ---------------------------------------------------
 
+    def _apply_round(self, entries: list[FeedEntry]) -> None:
+        """Replay a round as segments split at ``drop``, ``rename`` and
+        ``meta`` entries, each of which applies alone, in feed order."""
+        segment: list[FeedEntry] = []
+        for entry in entries:
+            if entry.kind in ("drop", "rename", "meta"):
+                self._apply_segment(segment)
+                segment = []
+                self._apply_entry(entry)
+            else:
+                segment.append(entry)
+        self._apply_segment(segment)
+
+    def _apply_segment(self, entries: list[FeedEntry]) -> None:
+        """One sweep over a run of ``create`` / ``extend`` / ``page`` /
+        ``append`` entries: the creates and extends in feed order, then
+        each page's last image once — heap pages before index pages, in
+        the commit sweep's own order and runs
+        (:func:`~repro.db.buffer.sweep_runs` says why) — then one forced
+        append per status tag, holding the segment's records in feed
+        order.  No record reaches the medium before every page it could
+        make visible, and a page image of a transaction whose record
+        has not is invisible, as on the primary between its sweep and
+        its force."""
+        switch = self.db.switch
+        pages: dict[tuple, bytes] = {}
+        appends: dict[tuple, list[bytes]] = {}
+        for entry in entries:
+            if entry.kind == "page":
+                pages[(entry.dev, entry.a, entry.b)] = entry.payload
+            elif entry.kind == "append":
+                appends.setdefault((entry.dev, entry.a), []).append(
+                    entry.payload)
+            else:
+                self._apply_entry(entry)
+        for dev_name, relname, pageno in pages:
+            dev = switch.get(dev_name)
+            while dev.nblocks(relname) <= pageno:
+                dev.extend(relname)
+        images = [(key, data, Page(data).flags & PAGE_HEAP)
+                  for key, data in pages.items()]
+        for dev_name, relname, start, datas in sweep_runs(switch, images):
+            switch.get(dev_name).write_pages(relname, start, datas)
+        for (dev_name, tag), records in appends.items():
+            # Re-appending on replay leaves duplicate records in the
+            # file; they collapse at refresh() because records land in
+            # a dict keyed by xid.
+            switch.get(dev_name).sync_append_meta(tag, b"".join(records))
+
     def _apply_entry(self, entry: FeedEntry) -> None:
         """Replay one durable mutation.  Every branch is *ensure*
         semantics, so re-executing a half-applied round converges."""
@@ -160,20 +212,11 @@ class ReplicaServer(InversionServer):
         elif kind == "extend":
             while dev.nblocks(entry.a) <= entry.b:
                 dev.extend(entry.a)
-        elif kind == "page":
-            while dev.nblocks(entry.a) <= entry.b:
-                dev.extend(entry.a)
-            dev.write_page(entry.a, entry.b, entry.payload)
         elif kind == "meta":
             dev.sync_write_meta(entry.a, entry.payload)
             if entry.a == OID_HWM_TAG:      # promoted, allocate past it
                 catalog = self.db.catalog
                 catalog._next_oid = max(catalog._next_oid, int(entry.payload))
-        elif kind == "append":
-            # Re-appending a status line on replay leaves duplicate
-            # records in the file; they collapse at refresh() because
-            # records land in a dict keyed by xid.
-            dev.sync_append_meta(entry.a, entry.payload)
         else:
             raise ReplicaError(f"unknown feed entry kind {kind!r}")
 
@@ -236,8 +279,7 @@ class ReplicaServer(InversionServer):
         entries, next_cursor, more = self.feed.pull(self.cursor,
                                                     self.batch_entries)
         if entries:
-            for entry in entries:
-                self._apply_entry(entry)
+            self._apply_round(entries)
             self._post_apply(entries)
             self._retained.extend(entries)
             self.cursor = next_cursor

@@ -1,12 +1,15 @@
-"""Read-ahead on the remote client (``read_batch_chunks``): EOF is a
-buffered fact, a read-only descriptor reads ahead from its first read,
-and a read-only ``p_close`` rides the session's next request.
+"""The light protocol on the remote client (``read_batch_chunks`` and
+``write_batch_chunks`` above one, as the replicated cluster's clients
+speak it): EOF is a buffered fact, a small file opens with its bytes, a
+read-only descriptor of a longer one reads ahead from its first read,
+and calls whose reply the client knows ride the session's next request.
 
-Each is a message saved, never an answer changed: a read-ahead client
-must answer every call exactly as a client without read-ahead and as
+Each is a message saved, never an answer changed: a light client must
+answer every call exactly as a client of the paper's protocol and as
 the server's own dispatch do.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.client import RPC_BATCH_CHUNKS, RemoteInversionClient
@@ -15,11 +18,14 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
+from repro.errors import BadFileDescriptorError
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.testkit.oracle import harvest_state
 
-FILES = {"/f0": 3 * CHUNK_SIZE + 100, "/f1": 100}
+#: two files that fit one read-ahead window, and one just past it.
+FILES = {"/f0": 3 * CHUNK_SIZE + 100, "/f1": 100,
+         "/f2": RPC_BATCH_CHUNKS * CHUNK_SIZE + 1}
 
 
 def _contents(path: str, size: int) -> bytes:
@@ -68,6 +74,32 @@ WRITE_UNDER_READ_AHEAD = [
     ("p_write", 1, 100), ("p_read", 0, CHUNK_SIZE)]
 
 
+#: a begin the client's bookkeeping knows must fail goes alone.
+BEGIN_IN_TRANSACTION = [("p_begin",), ("p_begin",), ("p_commit",)]
+
+#: the open carried the bytes, so the server's descriptor is at EOF.
+SEEK_BACK_AFTER_A_FILLED_OPEN = [
+    ("p_open", "/f1", O_RDONLY), ("p_lseek", 0, 0, 0), ("p_read", 0, 100)]
+
+#: inside a transaction a read-only open carries no bytes: the read
+#: would open its server-side handle early, at the size it saw then.
+GROWN_UNDER_AN_OPEN_IN_TRANSACTION = [
+    ("p_begin",), ("p_open", "/f1", O_RDONLY), ("p_open", "/f1", O_RDWR),
+    ("p_lseek", 1, 100, 0), ("p_write", 1, 50), ("p_close", 1),
+    ("p_read", 0, CHUNK_SIZE), ("p_commit",)]
+
+#: a write through a read-only descriptor fails at the call, not at
+#: the flush of a write buffer.
+WRITE_TO_A_READ_ONLY_DESCRIPTOR = [
+    ("p_open", "/f0", O_RDONLY), ("p_write", 0, 1), ("p_stat", "/f0")]
+
+#: a written descriptor's close rides the commit.
+WRITTEN_CLOSE_IN_TRANSACTION = [
+    ("p_begin",), ("p_open", "/f1", O_RDWR), ("p_write", 0, 10),
+    ("p_close", 0), ("p_open", "/f1", O_RDONLY), ("p_read", 1, 100),
+    ("p_commit",)]
+
+
 def _grown_under_eof(publish: tuple) -> list:
     """An auto-commit write past EOF leaves the size pending, EOF is
     read ahead at the old size, and then ``publish`` makes the new size
@@ -99,7 +131,9 @@ def _apply(call, op: tuple, fds: list, step: int):
 
 
 def _read_ahead_client(fs):
-    return _remote(fs, read_batch_chunks=RPC_BATCH_CHUNKS)
+    """The light protocol, as the replicated cluster's clients speak it."""
+    return _remote(fs, read_batch_chunks=RPC_BATCH_CHUNKS,
+                   write_batch_chunks=RPC_BATCH_CHUNKS)
 
 
 def _calls(client):
@@ -112,11 +146,16 @@ def _calls(client):
 @example(ops=WRITE_UNDER_READ_AHEAD)
 @example(ops=_grown_under_eof(("p_close", 1)))
 @example(ops=_grown_under_eof(("p_stat", "/f1")))
+@example(ops=BEGIN_IN_TRANSACTION)
+@example(ops=SEEK_BACK_AFTER_A_FILLED_OPEN)
+@example(ops=GROWN_UNDER_AN_OPEN_IN_TRANSACTION)
+@example(ops=WRITTEN_CLOSE_IN_TRANSACTION)
+@example(ops=WRITE_TO_A_READ_ONLY_DESCRIPTOR)
 def test_read_ahead_answers_as_the_protocol_does(tmp_path_factory, ops):
-    """The same seeded calls through a read-ahead client, a client
-    without read-ahead and the server's bare dispatch, each over its
-    own fresh server: the same value or the same exception, call by
-    call, and the same files at the end."""
+    """The same seeded calls through a light client, a client of the
+    paper's protocol and the server's bare dispatch, each over its own
+    fresh server: the same value or the same exception, call by call,
+    and the same files at the end."""
     workdir = tmp_path_factory.mktemp("readahead")
     mounts = [_mount(str(workdir / name))
               for name in ("ahead", "plain", "bare")]
@@ -143,11 +182,13 @@ def test_read_ahead_answers_as_the_protocol_does(tmp_path_factory, ops):
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=st.lists(OP, min_size=1, max_size=30))
+@example(ops=WRITTEN_CLOSE_IN_TRANSACTION)
 def test_server_descriptors_are_bounded_by_the_client(tmp_path_factory,
                                                       ops):
-    """Queued closes never let the server's descriptor table outgrow
-    what the client holds open plus what it has queued, and closing
-    the client empties it."""
+    """Queued closes — read-only ones, and written ones inside a
+    transaction — never let the server's descriptor table outgrow what
+    the client holds open plus what it has queued, and closing the
+    client empties it."""
     fs = _mount(str(tmp_path_factory.mktemp("bound") / "db"))
     server, client = _read_ahead_client(fs)
     conn = client._link.conn
@@ -159,10 +200,36 @@ def test_server_descriptors_are_bounded_by_the_client(tmp_path_factory,
     try:
         for step, op in enumerate(ops):
             _apply(_calls(client), op, fds, step)
-            assert held() <= len(client._pos) + len(client._closing)
+            closing = sum(method == "p_close"
+                          for method, _args in client._riders)
+            assert held() <= len(client._pos) + closing
         client.close()
         assert held() == 0
     finally:
+        fs.db.close()
+
+
+def test_a_failing_rider_fails_the_call_it_rode(tmp_path):
+    fs = _mount(str(tmp_path / "db"))
+    server, client = _read_ahead_client(fs)
+    conn = client._link.conn
+    try:
+        fd = client.p_open("/f1", O_RDONLY)
+        client.p_close(fd)
+        client.p_begin()
+        assert [method for method, _args in client._riders] == [
+            "p_close", "p_begin"]
+        server.dispatch(conn, "p_close", fd)    # the close cannot run now
+        with pytest.raises(BadFileDescriptorError):
+            client.p_open("/f0", O_RDONLY)
+        # Neither the open nor the begin behind the close ran, and the
+        # client no longer presumes a transaction: its begin goes alone.
+        assert server.session_tx(conn) is None
+        assert not server._sessions[conn]._fds
+        client.p_begin()
+        assert client._riders == [] and server.session_tx(conn) is not None
+    finally:
+        client.close()
         fs.db.close()
 
 
@@ -181,20 +248,44 @@ def _spy_reads(server) -> list:
 
 
 def test_only_a_read_only_first_read_reads_ahead(tmp_path):
+    """On a file longer than one window the open carries no bytes, and
+    the first read of a read-only descriptor reads ahead."""
     fs = _mount(str(tmp_path / "db"))
     server, client = _read_ahead_client(fs)
     asked = _spy_reads(server)
     try:
-        top = client.p_open("/f0", O_RDONLY)
-        assert client.p_read(top, CHUNK_SIZE) == _contents("/f0", CHUNK_SIZE)
-        after_seek = client.p_open("/f0", O_RDONLY)
+        top = client.p_open("/f2", O_RDONLY)
+        assert asked == []
+        assert client.p_read(top, CHUNK_SIZE) == _contents("/f2", CHUNK_SIZE)
+        after_seek = client.p_open("/f2", O_RDONLY)
         client.p_lseek(after_seek, 0, CHUNK_SIZE, 0)
         client.p_read(after_seek, 100)
-        writable = client.p_open("/f0", O_RDWR)
+        writable = client.p_open("/f2", O_RDWR)
         client.p_read(writable, 100)
         # Read-ahead from the top; a lone read after a seek, and the
         # first read of a writable descriptor, fetch exactly their length.
         assert asked == [RPC_BATCH_CHUNKS * CHUNK_SIZE, 100, 100]
+        assert client.filled_opens == 0
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def test_a_small_file_opens_with_its_bytes_and_eof(tmp_path):
+    fs = _mount(str(tmp_path / "db"))
+    server, client = _read_ahead_client(fs)
+    asked = _spy_reads(server)
+    stats = client.network.stats
+    try:
+        fd = client.p_open("/f1", O_RDONLY)
+        assert asked == [RPC_BATCH_CHUNKS * CHUNK_SIZE]
+        assert (stats.round_trips, client.filled_opens) == (1, 1)
+        assert client.p_read(fd, CHUNK_SIZE) == _contents("/f1", 100)
+        assert client.p_read(fd, CHUNK_SIZE) == b""
+        assert stats.round_trips == 1       # bytes and EOF came with it
+        writable = client.p_open("/f1", O_RDWR)
+        assert asked == [RPC_BATCH_CHUNKS * CHUNK_SIZE]
+        client.p_close(writable)
     finally:
         client.close()
         fs.db.close()
@@ -210,13 +301,13 @@ def test_eof_and_read_only_close_cost_no_message(tmp_path):
         pieces = iter(lambda: client.p_read(fd, CHUNK_SIZE), b"")
         assert b"".join(pieces) == _contents("/f0", FILES["/f0"])
         client.p_close(fd)
-        assert messages.messages - before == 4      # p_open, one p_read
-        assert client.buffered_reads == 4           # 3 pieces and EOF
-        assert client.deferred_closes == 1
+        assert messages.messages - before == 2      # p_open, with the file
+        assert client.buffered_reads == 5           # 4 pieces and EOF
+        assert client.riders == 1
         assert server.descriptor(client._link.conn, fd) is not None
         client.p_stat("/f1")                        # the close rides it
         assert server.descriptor(client._link.conn, fd) is None
-        assert messages.messages - before == 6
+        assert messages.messages - before == 4
     finally:
         client.close()
         fs.db.close()

@@ -47,8 +47,7 @@ def test_crash_mid_round_resumes_without_rescan_or_double_apply(
     # to its devices, cursor NOT yet saved.
     entries, _next, _more = feed.pull(replica.cursor, 10_000)
     assert len(entries) >= 4
-    for entry in entries[: len(entries) // 2]:
-        replica._apply_entry(entry)
+    replica._apply_round(entries[: len(entries) // 2])
     path = replica.path
     replica.db.simulate_crash()
 
@@ -77,8 +76,7 @@ def test_full_round_replayed_twice_converges(tmp_path, primary, writer):
     seeded_cursor = replica.cursor
     _backlog(db, writer)
     entries, _next, _more = feed.pull(replica.cursor, 10_000)
-    for entry in entries:
-        replica._apply_entry(entry)  # full round, no cursor save
+    replica._apply_round(entries)  # full round, no cursor save
     path = replica.path
     replica.db.simulate_crash()
 

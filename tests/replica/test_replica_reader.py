@@ -26,22 +26,46 @@ def _cluster(tmp_path, **kwargs) -> ReplicatedCluster:
     return cluster
 
 
-def test_a_whole_file_read_is_two_round_trips(tmp_path):
-    """``p_open`` and one read: three chunks and EOF come back in one
-    reply, and the close rides the next file's ``p_open``."""
+def test_a_whole_file_read_is_one_round_trip(tmp_path):
+    """One ``p_open`` whose reply carries three chunks and EOF; the
+    close rides the next file's open."""
     cluster = _cluster(tmp_path)
     reader = cluster.reader_client()
     assert reader.server is cluster.replicas[0]
     stats = reader.network.stats
     try:
         for path in ("/f", "/g"):
-            before = stats.messages
+            before = stats.round_trips
             assert _read_file(reader, path) == OLD
-            # sim.network.round_trips_per_op counts messages / 2.
-            assert (stats.messages - before) / 2 == 2
-        assert reader.deferred_closes == 2
+            assert stats.round_trips - before == 1
+        assert (reader.riders, reader.filled_opens) == (2, 2)
     finally:
         reader.close()
+        cluster.close()
+
+
+def test_a_write_transaction_is_three_round_trips(tmp_path):
+    """begin, open, seek, write, close, commit: the begin rides the
+    open, the seek rides the write, and the close rides the commit."""
+    cluster = _cluster(tmp_path)
+    writer = cluster.writer_client()
+    stats = writer.network.stats
+    before = stats.round_trips
+    try:
+        writer.p_begin()
+        fd = writer.p_open("/f", O_RDWR)
+        writer.p_lseek(fd, 0, CHUNK_SIZE, 0)
+        assert writer.p_write(fd, b"n" * 100) == 100
+        writer.p_close(fd)
+        writer.p_commit()
+        assert (stats.round_trips - before, writer.riders) == (3, 3)
+        cluster.sync_all()
+        reader = cluster.reader_client()
+        expected = OLD[:CHUNK_SIZE] + b"n" * 100 + OLD[CHUNK_SIZE + 100:]
+        assert _read_file(reader, "/f") == expected
+        reader.close()
+    finally:
+        writer.close()
         cluster.close()
 
 
