@@ -23,11 +23,11 @@ from repro.db.buffer import DEFAULT_BUFFERS
 from repro.db.database import Database
 from repro.nfs.client import NFSClient, UDP_RPC_10MBIT
 from repro.nfs.ffs import FastFileSystem
-from repro.nfs.prestoserve import PrestoServe
 from repro.nfs.server import NFSServer
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskModel, RZ58
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
+from repro.sim.nvram import NvramCache
 
 
 @dataclass
@@ -104,7 +104,7 @@ def build_nfs(prestoserve: bool = True) -> BuiltConfig:
     clock = SimClock()
     disk = DiskModel(clock=clock, geometry=RZ58)
     ffs = FastFileSystem(clock, disk, cache_blocks=DEFAULT_BUFFERS)
-    board = PrestoServe.attach(ffs) if prestoserve else None
+    board = NvramCache(clock=clock, disk=disk) if prestoserve else None
     server = NFSServer(ffs, board)
     network = NetworkModel(clock=clock, params=UDP_RPC_10MBIT)
     client = NFSClient(server, network)

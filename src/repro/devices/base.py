@@ -22,6 +22,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod, update_abstractmethods
 from inspect import isfunction
 
+from repro.errors import DeviceError
+
 
 class DeviceManager(ABC):
     """Abstract device manager.
@@ -73,16 +75,20 @@ class DeviceManager(ABC):
         """Read ``count`` consecutive pages starting at ``start`` in one
         device operation, charging simulated I/O cost.  Managers whose
         cost model rewards contiguity (magnetic disk) charge one
-        positioning plus a contiguous transfer per physical run; the
-        others loop over their per-page routine.  A negative ``count``
-        is a ``ValueError``."""
+        positioning plus a contiguous transfer per physical run, NVRAM
+        one DMA burst, and the jukeboxes page by page
+        (:class:`RelationTable`).  A negative ``count`` is a
+        ``ValueError``; a run that does not lie inside the relation is a
+        ``DeviceError`` raised before anything is charged."""
 
     @abstractmethod
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
         """Write ``len(datas)`` consecutive pages starting at ``start``
         durably-on-medium in one device operation — the write-side twin
-        of ``read_pages``."""
+        of ``read_pages``.  A run that is refused (out of range, or a
+        page of the wrong size) is refused whole: no page is written and
+        nothing is charged."""
 
     def read_page(self, relname: str, pageno: int) -> bytes:
         """Convenience: a run of one."""
@@ -112,7 +118,6 @@ class DeviceManager(ABC):
         if not self.relation_exists(src):
             if self.relation_exists(dst):
                 return  # a crashed rename that already completed
-            from repro.errors import DeviceError
             raise DeviceError(f"no relation {src!r} on {self.name}")
         if self.relation_exists(dst):
             self.drop_relation(dst)
@@ -198,6 +203,128 @@ class DeviceManager(ABC):
     def _validate_relname(relname: str) -> None:
         if not relname or any(c in relname for c in "/\\\0"):
             raise ValueError(f"bad relation name {relname!r}")
+
+
+class RelState:
+    """One relation on a device: how many pages it has, and where each
+    page written so far lives on the medium (the manager's own value)."""
+
+    __slots__ = ("npages", "where")
+
+    def __init__(self) -> None:
+        self.npages = 0
+        self.where: dict = {}
+
+
+class RelationTable(DeviceManager):
+    """What every device manager keeps the same way, whatever its medium:
+    the relations by name, the check that a run of pages lies inside
+    its relation, made before any page or clock moves, the page-by-page
+    loop behind ``read_pages`` / ``write_pages``, and metadata blobs in
+    memory.
+
+    A manager keeps only where a page lives and what touching it costs:
+    ``_read_one`` / ``_write_one`` for one page of a checked run, and
+    ``_free`` for the medium a dropped relation held.  Every simulated
+    cost is charged in the manager's own module — never here — so that
+    time booked by the module that advanced the clock lands on the
+    device.  A manager whose runs cost something other than the sum of
+    their pages overrides ``read_pages`` / ``write_pages``: around the
+    loop (``MemDisk``'s one DMA burst) or in its place after ``_run``
+    (``MagneticDisk``'s contiguous block runs).
+    """
+
+    #: Makes the state of a new relation: anything with ``npages``.
+    state_type = RelState
+
+    def __init__(self, name: str, clock) -> None:
+        self.name = name
+        self.clock = clock
+        self._rels: dict = {}
+        self._meta: dict[str, bytes] = {}
+
+    # -- the relation table ---------------------------------------------
+
+    def create_relation(self, relname: str) -> None:
+        self._validate_relname(relname)
+        if relname in self._rels:
+            raise DeviceError(f"relation {relname!r} already exists on {self.name}")
+        self._rels[relname] = self.state_type()
+
+    def drop_relation(self, relname: str) -> None:
+        st = self._rels.pop(relname, None)
+        if st is None:
+            raise DeviceError(f"no relation {relname!r} on {self.name}")
+        self._free(relname, st)
+
+    def _free(self, relname: str, st) -> None:
+        """Release what the dropped relation held on the medium."""
+
+    def relation_exists(self, relname: str) -> bool:
+        return relname in self._rels
+
+    def list_relations(self) -> list[str]:
+        return list(self._rels)
+
+    def nblocks(self, relname: str) -> int:
+        return self._state(relname).npages
+
+    def _state(self, relname: str):
+        try:
+            return self._rels[relname]
+        except KeyError:
+            raise DeviceError(f"no relation {relname!r} on {self.name}") from None
+
+    def _run(self, relname: str, start: int, count: int, datas=()):
+        """The state of ``relname``, once pages ``[start, start +
+        count)`` lie inside it and every page of ``datas`` has the page
+        size: a run is refused whole, before it touches anything."""
+        if count < 0:
+            raise ValueError(f"negative page count {count}")
+        for data in datas:
+            self._check_page(data)
+        st = self._state(relname)
+        if not (0 <= start and start + count <= st.npages):
+            raise DeviceError(f"{relname!r} pages [{start}, {start + count})"
+                              f" out of range ({st.npages})")
+        return st
+
+    # -- page I/O -------------------------------------------------------
+
+    def extend(self, relname: str) -> int:
+        st = self._state(relname)
+        st.npages += 1
+        return st.npages - 1
+
+    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
+        st = self._run(relname, start, count)
+        return [self._read_one(relname, st, pageno)
+                for pageno in range(start, start + count)]
+
+    def write_pages(self, relname: str, start: int,
+                    datas: list[bytes]) -> None:
+        st = self._run(relname, start, len(datas), datas)
+        for pageno, data in enumerate(datas, start):
+            self._write_one(relname, st, pageno, data)
+
+    def _read_one(self, relname: str, st, pageno: int) -> bytes:
+        """One page of a checked run, charging what reaching it costs."""
+        raise NotImplementedError
+
+    def _write_one(self, relname: str, st, pageno: int, data: bytes) -> None:
+        """One page of a checked run, charging what reaching it costs."""
+        raise NotImplementedError
+
+    # -- metadata --------------------------------------------------------
+
+    def sync_write_meta(self, tag: str, data: bytes) -> None:
+        self._meta[tag] = bytes(data)
+
+    def read_meta(self, tag: str) -> bytes | None:
+        return self._meta.get(tag)
+
+    def meta_tags(self) -> list[str]:
+        return sorted(self._meta)
 
 
 class DeviceProxy(DeviceManager):

@@ -25,10 +25,10 @@ Model:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.db.page import PAGE_SIZE
-from repro.devices.base import DeviceManager
+from repro.devices.base import RelationTable
 from repro.errors import DeviceError, DeviceFullError, WormViolationError
 from repro.obs.registry import MetricSpec
 from repro.sim.clock import SimClock
@@ -115,30 +115,18 @@ class _Platter:
         return start
 
 
-@dataclass
-class _RelState:
-    npages: int = 0
-    # page number -> (platter index, block) of the latest burned version;
-    # pages never destaged have no entry.
-    burned: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # page number -> number of versions burned (WORM revision chain length)
-    burn_counts: dict[int, int] = field(default_factory=dict)
-    # extents reserved on platters: list of (platter, start_block); used
-    # for contiguous burns of fresh pages.
-    extents: list[tuple[int, int]] = field(default_factory=list)
-    extent_used: int = 0  # blocks used in the last extent
+class SonyJukebox(RelationTable):
+    """WORM optical jukebox with a magnetic staging cache.
 
-
-class SonyJukebox(DeviceManager):
-    """WORM optical jukebox with a magnetic staging cache."""
+    A relation's ``where`` maps each destaged page to its revision
+    chain: the (platter, block) of every version burned, latest last."""
 
     nonvolatile = True  # burned blocks survive anything
 
     def __init__(self, name: str, clock: SimClock,
                  params: JukeboxParams | None = None,
                  staging_geometry: DiskGeometry = RZ58) -> None:
-        self.name = name
-        self.clock = clock
+        super().__init__(name, clock)
         self.params = params or JukeboxParams()
         self.stats = JukeboxStats()
         self.staging_disk = DiskModel(clock=clock, geometry=staging_geometry)
@@ -147,8 +135,9 @@ class SonyJukebox(DeviceManager):
             for i in range(self.params.n_platters)
         ]
         self._loaded: OrderedDict[int, None] = OrderedDict()  # platter LRU in drives
-        self._rels: dict[str, _RelState] = {}
-        self._meta: dict[str, bytes] = {}
+        # relname -> (platter, next block, end) of the extent it burns
+        # fresh pages into.
+        self._extents: dict[str, tuple[int, int, int]] = {}
         # Staging cache: (relname, pageno) -> [data, dirty]
         self._staging: OrderedDict[tuple[str, int], list] = OrderedDict()
         self._staging_used = 0
@@ -200,77 +189,46 @@ class SonyJukebox(DeviceManager):
 
     def _burn(self, relname: str, pageno: int, data: bytes) -> None:
         """Burn the latest version of a page to fresh WORM blocks."""
-        st = self._rels[relname]
-        platter_idx, block = self._allocate_block(st)
+        platter_idx, block = self._allocate_block(relname)
         self._load_platter(platter_idx)
         self._optical_io(PAGE_SIZE)
         self._platters[platter_idx].burn(block, data)
-        st.burned[pageno] = (platter_idx, block)
-        st.burn_counts[pageno] = st.burn_counts.get(pageno, 0) + 1
+        self._rels[relname].where.setdefault(pageno, []).append(
+            (platter_idx, block))
         self.stats.burns += 1
 
-    def _allocate_block(self, st: _RelState) -> tuple[int, int]:
-        ext = self.params.extent_pages
-        if not st.extents or st.extent_used >= ext:
+    def _allocate_block(self, relname: str) -> tuple[int, int]:
+        platter_idx, block, end = self._extents.get(relname, (0, 0, 0))
+        if block == end:
+            ext = self.params.extent_pages
             platter = self._platters[self._next_platter]
             try:
-                start = platter.allocate(ext)
+                block = platter.allocate(ext)
             except DeviceFullError:
                 self._next_platter += 1
                 if self._next_platter >= len(self._platters):
                     raise DeviceFullError(f"jukebox {self.name} is full") from None
                 platter = self._platters[self._next_platter]
-                start = platter.allocate(ext)
-            st.extents.append((platter.index, start))
-            st.extent_used = 0
-        platter_idx, start = st.extents[-1]
-        block = start + st.extent_used
-        st.extent_used += 1
+                block = platter.allocate(ext)
+            platter_idx, end = platter.index, block + ext
+        self._extents[relname] = (platter_idx, block + 1, end)
         return platter_idx, block
 
     # -- DeviceManager interface ----------------------------------------------
 
-    def create_relation(self, relname: str) -> None:
-        self._validate_relname(relname)
-        if relname in self._rels:
-            raise DeviceError(f"relation {relname!r} already exists on {self.name}")
-        self._rels[relname] = _RelState()
-
-    def drop_relation(self, relname: str) -> None:
-        st = self._rels.pop(relname, None)
-        if st is None:
-            raise DeviceError(f"no relation {relname!r} on {self.name}")
+    def _free(self, relname: str, st) -> None:
         # WORM blocks cannot be reclaimed; drop the staging entries only.
         for key in [k for k in self._staging if k[0] == relname]:
             del self._staging[key]
             self._staging_used -= PAGE_SIZE
-
-    def relation_exists(self, relname: str) -> bool:
-        return relname in self._rels
-
-    def list_relations(self) -> list[str]:
-        return list(self._rels)
-
-    def nblocks(self, relname: str) -> int:
-        return self._state(relname).npages
-
-    def _state(self, relname: str) -> _RelState:
-        try:
-            return self._rels[relname]
-        except KeyError:
-            raise DeviceError(f"no relation {relname!r} on {self.name}") from None
+        self._extents.pop(relname, None)
 
     def extend(self, relname: str) -> int:
-        st = self._state(relname)
-        pageno = st.npages
-        st.npages += 1
+        pageno = super().extend(relname)
         self._stage(relname, pageno, bytes(PAGE_SIZE), dirty=False)
         return pageno
 
-    def _read_one(self, relname: str, pageno: int) -> bytes:
-        st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
+    def _read_one(self, relname: str, st, pageno: int) -> bytes:
         key = (relname, pageno)
         entry = self._staging.get(key)
         if entry is not None:
@@ -279,12 +237,12 @@ class SonyJukebox(DeviceManager):
             self.staging_disk.read_block(self._staging_block_cursor)
             return entry[0]
         self.stats.staging_misses += 1
-        loc = st.burned.get(pageno)
-        if loc is None:
+        chain = st.where.get(pageno)
+        if chain is None:
             # Extended but never written nor destaged, and fell out of
             # staging: logically a zero page.
             return bytes(PAGE_SIZE)
-        platter_idx, block = loc
+        platter_idx, block = chain[-1]
         self._load_platter(platter_idx)
         self._optical_io(PAGE_SIZE)
         self.stats.optical_reads += 1
@@ -292,23 +250,9 @@ class SonyJukebox(DeviceManager):
         self._stage(relname, pageno, data, dirty=False)
         return data
 
-    def _write_one(self, relname: str, pageno: int, data: bytes) -> None:
-        self._check_page(data)
-        st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
+    def _write_one(self, relname: str, st, pageno: int, data: bytes) -> None:
         self._staging_io()
         self._stage(relname, pageno, data, dirty=True)
-
-    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        if count < 0:
-            raise ValueError(f"negative page count {count}")
-        return [self._read_one(relname, start + i) for i in range(count)]
-
-    def write_pages(self, relname: str, start: int,
-                    datas: list[bytes]) -> None:
-        for i, data in enumerate(datas):
-            self._write_one(relname, start + i, data)
 
     def flush(self) -> None:
         """Destage every dirty staged page to the platters."""
@@ -320,13 +264,7 @@ class SonyJukebox(DeviceManager):
 
     def sync_write_meta(self, tag: str, data: bytes) -> None:
         self._staging_io(max(512, min(len(data), PAGE_SIZE)))
-        self._meta[tag] = bytes(data)
-
-    def read_meta(self, tag: str) -> bytes | None:
-        return self._meta.get(tag)
-
-    def meta_tags(self) -> list[str]:
-        return sorted(self._meta)
+        super().sync_write_meta(tag, data)
 
     def close(self) -> None:
         self.flush()
@@ -342,4 +280,4 @@ class SonyJukebox(DeviceManager):
     def revision_count(self, relname: str, pageno: int) -> int:
         """Number of burned versions of a logical page (WORM revision
         chain length) — verifies that rewrites burn fresh blocks."""
-        return self._state(relname).burn_counts.get(pageno, 0)
+        return len(self._state(relname).where.get(pageno, ()))

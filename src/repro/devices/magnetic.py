@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.db.page import PAGE_SIZE
-from repro.devices.base import DeviceManager
+from repro.devices.base import RelationTable
 from repro.errors import DeviceError, DeviceFullError
 from repro.obs.registry import MetricSpec
 from repro.sim.clock import SimClock
@@ -81,10 +81,10 @@ as large as the map it amends."""
 class _RelState:
     __slots__ = ("npages", "extents", "bounds")
 
-    def __init__(self, npages: int, extents: list[int],
-                 lengths: list[int]) -> None:
+    def __init__(self, npages: int = 0, extents: list[int] | None = None,
+                 lengths: list[int] = ()) -> None:
         self.npages = npages
-        self.extents = extents  # starting block address of each extent
+        self.extents = extents or []  # starting block address of each extent
         #: page number at which each extent starts, then the page count
         #: all of them hold — the extents' lengths, in the form the
         #: page lookup bisects.
@@ -107,23 +107,24 @@ class AllocMapStats:
     allocmap_journal_records: int = 0
 
 
-class MagneticDisk(DeviceManager):
-    """File-backed magnetic disk with an RZ58-calibrated cost model."""
+class MagneticDisk(RelationTable):
+    """File-backed magnetic disk with an RZ58-calibrated cost model.
+    Pages live in the backing files and metadata blobs in files of
+    their own; the relation table and run check are the base's."""
 
     nonvolatile = False
+    state_type = _RelState
 
     def __init__(self, name: str, clock: SimClock, directory: str,
                  geometry: DiskGeometry = RZ58,
                  meta_region_blocks: int = 64) -> None:
-        self.name = name
-        self.clock = clock
+        super().__init__(name, clock)
         self.directory = directory
         self.disk = DiskModel(clock=clock, geometry=geometry)
         self.meta_region_blocks = meta_region_blocks
         self.stats = AllocMapStats()
         os.makedirs(directory, exist_ok=True)
         self._files: OrderedDict[str, object] = OrderedDict()  # LRU
-        self._rels: dict[str, _RelState] = {}
         self._next_block = meta_region_blocks
         self._meta_slots: dict[str, int] = {}
         # Journal state: the last sequence number issued, the open
@@ -210,7 +211,7 @@ class MagneticDisk(DeviceManager):
         self._meta_slots.update(rec.get("slots", {}))
         op, relname = rec["op"], rec["rel"]
         if op == "create":
-            rels[relname] = _RelState(0, [], [])
+            rels[relname] = _RelState()
         elif op == "drop":
             rels.pop(relname, None)
         elif op == "rename":
@@ -255,7 +256,7 @@ class MagneticDisk(DeviceManager):
                 continue
             relname = fname[:-4]
             size = os.path.getsize(os.path.join(self.directory, fname))
-            st = self._rels[relname] = _RelState(size // PAGE_SIZE, [], [])
+            st = self._rels[relname] = _RelState(size // PAGE_SIZE)
             while st.bounds[-1] < max(st.npages, 1):
                 self._new_extent(st)
             self._repaired = True
@@ -339,12 +340,6 @@ class MagneticDisk(DeviceManager):
         f = files[relname] = open(path, mode)
         return f
 
-    def _state(self, relname: str) -> _RelState:
-        try:
-            return self._rels[relname]
-        except KeyError:
-            raise DeviceError(f"no relation {relname!r} on {self.name}") from None
-
     def _block_of(self, st: _RelState, pageno: int) -> int:
         i = bisect_right(st.bounds, pageno) - 1
         return st.extents[i] + pageno - st.bounds[i]
@@ -388,17 +383,11 @@ class MagneticDisk(DeviceManager):
     # -- DeviceManager interface -----------------------------------------
 
     def create_relation(self, relname: str) -> None:
-        self._validate_relname(relname)
-        if relname in self._rels:
-            raise DeviceError(f"relation {relname!r} already exists on {self.name}")
-        self._rels[relname] = _RelState(0, [], [])
+        super().create_relation(relname)
         self._file(relname)  # create the backing file now
         self._journal("create", relname)
 
-    def drop_relation(self, relname: str) -> None:
-        st = self._rels.pop(relname, None)
-        if st is None:
-            raise DeviceError(f"no relation {relname!r} on {self.name}")
+    def _free(self, relname: str, st: _RelState) -> None:
         f = self._files.pop(relname, None)
         if f is not None:
             f.close()
@@ -431,15 +420,6 @@ class MagneticDisk(DeviceManager):
         self._grown -= {src, dst}
         self._journal("rename", src, dst=dst, n=st.npages)
 
-    def relation_exists(self, relname: str) -> bool:
-        return relname in self._rels
-
-    def list_relations(self) -> list[str]:
-        return list(self._rels)
-
-    def nblocks(self, relname: str) -> int:
-        return self._state(relname).npages
-
     def extend(self, relname: str) -> int:
         st = self._state(relname)
         if st.npages == st.bounds[-1]:
@@ -453,16 +433,13 @@ class MagneticDisk(DeviceManager):
     def page_address(self, relname: str, pageno: int) -> int:
         return self._block_of(self._state(relname), pageno)
 
-    def _seek_run(self, relname: str, start: int, count: int, charge):
-        """Charge pages [start, start + count) — one ``charge(block,
-        nbytes)`` per physically contiguous run (within one extent, or
-        across adjacent extents): a single positioning plus one
-        contiguous transfer each — and return the backing file
+    def _seek_run(self, relname: str, st: _RelState, start: int, count: int,
+                  charge):
+        """Charge pages [start, start + count) of a checked run — one
+        ``charge(block, nbytes)`` per physically contiguous run (within
+        one extent, or across adjacent extents): a single positioning
+        plus one contiguous transfer each — and return the backing file
         positioned at ``start``."""
-        st = self._state(relname)
-        if not (0 <= start and start + count <= st.npages):
-            raise DeviceError(
-                f"{relname!r} pages [{start}, {start + count}) out of range ({st.npages})")
         for run_blk, run_len in self._runs(st, start, count):
             charge(run_blk, run_len * PAGE_SIZE)
         f = self._file(relname)
@@ -470,11 +447,10 @@ class MagneticDisk(DeviceManager):
         return f
 
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        if count < 0:
-            raise ValueError(f"negative page count {count}")
+        st = self._run(relname, start, count)
         if count == 0:
             return []
-        f = self._seek_run(relname, start, count, self.disk.read_block)
+        f = self._seek_run(relname, st, start, count, self.disk.read_block)
         raw = f.read(count * PAGE_SIZE)
         if len(raw) < count * PAGE_SIZE:
             # Tail pages allocated but never written: zero-fill.
@@ -483,11 +459,11 @@ class MagneticDisk(DeviceManager):
 
     def write_pages(self, relname: str, start: int,
                     datas: list[bytes]) -> None:
+        st = self._run(relname, start, len(datas), datas)
         if not datas:
             return
-        for data in datas:
-            self._check_page(data)
-        f = self._seek_run(relname, start, len(datas), self.disk.write_block)
+        f = self._seek_run(relname, st, start, len(datas),
+                           self.disk.write_block)
         f.write(b"".join(datas))
 
     # -- durability --------------------------------------------------------

@@ -16,11 +16,11 @@ brutally slow for random access — which is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.db.page import PAGE_SIZE
-from repro.devices.base import DeviceManager
-from repro.errors import DeviceError, DeviceFullError
+from repro.devices.base import RelationTable
+from repro.errors import DeviceFullError
 from repro.obs.registry import MetricSpec
 from repro.sim.clock import SimClock
 
@@ -61,22 +61,15 @@ class TapeStats:
     wind_seconds: float = 0.0
 
 
-@dataclass
-class _RelState:
-    npages: int = 0
-    # page number -> (cartridge, block)
-    location: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-
-class TapeJukebox(DeviceManager):
-    """Sequential-media tape library."""
+class TapeJukebox(RelationTable):
+    """Sequential-media tape library.  A relation's ``where`` maps each
+    written page to its (cartridge, block)."""
 
     nonvolatile = True
 
     def __init__(self, name: str, clock: SimClock,
                  params: TapeParams | None = None) -> None:
-        self.name = name
-        self.clock = clock
+        super().__init__(name, clock)
         self.params = params or TapeParams()
         self.stats = TapeStats()
         self._cartridges: list[dict[int, bytes]] = [
@@ -84,8 +77,6 @@ class TapeJukebox(DeviceManager):
         self._next_free: list[int] = [0] * self.params.n_cartridges
         self._loaded: int | None = None
         self._head_block = 0
-        self._rels: dict[str, _RelState] = {}
-        self._meta: dict[str, bytes] = {}
         self._alloc_cartridge = 0
 
     # -- cost helpers -----------------------------------------------------
@@ -119,45 +110,12 @@ class TapeJukebox(DeviceManager):
 
     # -- DeviceManager interface ---------------------------------------------
 
-    def create_relation(self, relname: str) -> None:
-        self._validate_relname(relname)
-        if relname in self._rels:
-            raise DeviceError(f"relation {relname!r} already exists on {self.name}")
-        self._rels[relname] = _RelState()
-
-    def drop_relation(self, relname: str) -> None:
-        st = self._rels.pop(relname, None)
-        if st is None:
-            raise DeviceError(f"no relation {relname!r} on {self.name}")
-        for cartridge, block in st.location.values():
+    def _free(self, relname: str, st) -> None:
+        for cartridge, block in st.where.values():
             self._cartridges[cartridge].pop(block, None)
 
-    def relation_exists(self, relname: str) -> bool:
-        return relname in self._rels
-
-    def list_relations(self) -> list[str]:
-        return list(self._rels)
-
-    def _state(self, relname: str) -> _RelState:
-        try:
-            return self._rels[relname]
-        except KeyError:
-            raise DeviceError(f"no relation {relname!r} on {self.name}") from None
-
-    def nblocks(self, relname: str) -> int:
-        return self._state(relname).npages
-
-    def extend(self, relname: str) -> int:
-        st = self._state(relname)
-        pageno = st.npages
-        st.npages += 1
-        return pageno
-
-    def _read_one(self, relname: str, pageno: int) -> bytes:
-        st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
-        loc = st.location.get(pageno)
+    def _read_one(self, relname: str, st, pageno: int) -> bytes:
+        loc = st.where.get(pageno)
         if loc is None:
             return bytes(PAGE_SIZE)
         cartridge, block = loc
@@ -166,42 +124,18 @@ class TapeJukebox(DeviceManager):
         self.stats.reads += 1
         return self._cartridges[cartridge][block]
 
-    def _write_one(self, relname: str, pageno: int, data: bytes) -> None:
-        self._check_page(data)
-        st = self._state(relname)
-        if not (0 <= pageno < st.npages):
-            raise DeviceError(f"{relname!r} page {pageno} out of range")
-        loc = st.location.get(pageno)
+    def _write_one(self, relname: str, st, pageno: int, data: bytes) -> None:
+        loc = st.where.get(pageno)
         if loc is None:
-            loc = self._allocate()
-            st.location[pageno] = loc
+            loc = st.where[pageno] = self._allocate()
         cartridge, block = loc
         self._position(cartridge, block)
         self._transfer(PAGE_SIZE)
         self.stats.writes += 1
         self._cartridges[cartridge][block] = bytes(data)
 
-    def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
-        if count < 0:
-            raise ValueError(f"negative page count {count}")
-        return [self._read_one(relname, start + i) for i in range(count)]
-
-    def write_pages(self, relname: str, start: int,
-                    datas: list[bytes]) -> None:
-        for i, data in enumerate(datas):
-            self._write_one(relname, start + i, data)
-
     def flush(self) -> None:
         """Streaming writes land on medium immediately."""
-
-    def sync_write_meta(self, tag: str, data: bytes) -> None:
-        self._meta[tag] = bytes(data)
-
-    def read_meta(self, tag: str) -> bytes | None:
-        return self._meta.get(tag)
-
-    def meta_tags(self) -> list[str]:
-        return sorted(self._meta)
 
     def close(self) -> None:
         """Nothing to release."""

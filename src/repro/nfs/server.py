@@ -2,9 +2,12 @@
 
 "To guarantee that NFS servers remain stateless, NFS must force every
 write to stable storage synchronously" — the defining cost rule of the
-baseline.  With PRESTOserve attached, a write is stable once it lands
-on the board; without it, every write (and the inode update describing
-it) is forced to disk before the reply — which is why the paper notes
+baseline.  With the PRESTOserve board (an
+:class:`~repro.sim.nvram.NvramCache`: "1 MByte of battery-backed RAM and
+driver software to cache NFS writes in non-volatile memory"), a write is
+stable once it lands on the board, and so is the small inode update
+describing it; without it, every write (and the inode update) is forced
+to disk before the reply — which is why the paper notes
 "Inversion should have much better performance than NFS without
 non-volatile RAM".
 
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 
 from repro.errors import NfsError
 from repro.nfs.ffs import FastFileSystem, Inode
-from repro.nfs.prestoserve import PrestoServe
 from repro.sim.cpu import CpuModel
 from repro.sim.disk import BLOCK_SIZE
+from repro.sim.nvram import NvramCache
 
 NFS_MAX_TRANSFER = 8192
 """NFS v2 transfer-size ceiling — large client requests are split."""
@@ -37,10 +40,10 @@ class NFSServer:
     """The NFS protocol operations the benchmark exercises."""
 
     def __init__(self, ffs: FastFileSystem,
-                 prestoserve: PrestoServe | None = None,
+                 nvram: NvramCache | None = None,
                  cpu: CpuModel | None = None) -> None:
         self.ffs = ffs
-        self.prestoserve = prestoserve
+        self.nvram = nvram
         self.cpu = cpu
 
     def _dispatch_cost(self) -> None:
@@ -75,10 +78,10 @@ class NFSServer:
         self._dispatch_cost()
         inode = self._inode(fh)
         # Freshly written data may still be on the PRESTOserve board.
-        if self.prestoserve is not None:
+        if self.nvram is not None:
             lblock = offset // BLOCK_SIZE
             addr = inode.blocks.get(lblock)
-            if addr is not None and self.prestoserve.covers(addr):
+            if addr is not None and self.nvram.read_hit(addr):
                 data = self.ffs._data.get(addr, bytes(BLOCK_SIZE))
                 within = offset % BLOCK_SIZE
                 return data[within:within + min(nbytes,
@@ -92,14 +95,17 @@ class NFSServer:
             raise NfsError(f"write of {len(data)} exceeds the 8 KB NFS transfer")
         self._dispatch_cost()
         inode = self._inode(fh)
-        if self.prestoserve is not None:
+        if self.nvram is not None:
             # Contents enter the FFS cache clean — stability is owned by
             # the board, and the board's destage is the only disk write.
             self.ffs.write(inode, offset, data, sync=False, dirty=False)
             lblock = offset // BLOCK_SIZE
             addr = inode.blocks[lblock]
-            self.prestoserve.stable_write(addr, min(len(data), BLOCK_SIZE))
-            self.prestoserve.stable_inode_update(inode)
+            self.nvram.write(addr, min(len(data), BLOCK_SIZE))
+            # The inode update (size, block map) is small: the board
+            # absorbs it as a 512-byte write.
+            self.nvram.write(
+                self.ffs._cg_inode_block(inode.cylinder_group), 512)
         else:
             self.ffs.write(inode, offset, data, sync=True)
             self.ffs.sync_inode(inode)

@@ -111,8 +111,9 @@ def test_extent_allocation_contiguity(juke):
         p = juke.extend("r")
         juke.write_page("r", p, page_of(i % 250))
     juke.flush()
-    st = juke._rels["r"]
-    first_extent_blocks = {st.burned[p][1] for p in range(juke.params.extent_pages)}
+    chains = juke._rels["r"].where  # page -> burned (platter, block)s
+    first_extent_blocks = {chains[p][-1][1]
+                           for p in range(juke.params.extent_pages)}
     assert len(first_extent_blocks) == juke.params.extent_pages
     assert max(first_extent_blocks) - min(first_extent_blocks) \
         == juke.params.extent_pages - 1

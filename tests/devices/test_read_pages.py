@@ -30,6 +30,22 @@ def fill(dev, relname: str, npages: int) -> None:
         dev.write_page(relname, p, page_of(p))
 
 
+def _magnetic(tmp_path):
+    return MagneticDisk("d", SimClock(), str(tmp_path))
+
+
+MANAGERS = {
+    "magnetic": _magnetic,
+    "memdisk": lambda tmp_path: MemDisk("d", SimClock()),
+    "jukebox": lambda tmp_path: SonyJukebox("d", SimClock()),
+    "tape": lambda tmp_path: TapeJukebox("d", SimClock()),
+    "faulty": lambda tmp_path: FaultyDevice(_magnetic(tmp_path),
+                                            CrashController()),
+    "feed_tap": lambda tmp_path: FeedTapDevice(_magnetic(tmp_path),
+                                               PrimaryFeed(None)),
+}
+
+
 @pytest.fixture
 def magnetic(tmp_path):
     dev = MagneticDisk("m0", SimClock(), str(tmp_path / "m0"))
@@ -37,40 +53,69 @@ def magnetic(tmp_path):
     return dev
 
 
+@pytest.fixture(params=["magnetic", "memdisk", "jukebox", "tape"])
+def device(request, tmp_path):
+    """Each of the four managers, with an empty relation ``r``."""
+    dev = MANAGERS[request.param](tmp_path / "d")
+    dev.create_relation("r")
+    return dev
+
+
 # -- semantics (all managers) ----------------------------------------------
 
 
-def test_batched_bytes_match_single_reads(magnetic):
-    fill(magnetic, "r", 12)
-    batched = magnetic.read_pages("r", 3, 7)
-    singles = [magnetic.read_page("r", 3 + i) for i in range(7)]
+def test_batched_bytes_match_single_reads(device):
+    fill(device, "r", 12)
+    batched = device.read_pages("r", 3, 7)
+    singles = [device.read_page("r", 3 + i) for i in range(7)]
     assert batched == singles
 
 
-def test_empty_and_negative_counts(magnetic):
-    fill(magnetic, "r", 2)
-    assert magnetic.read_pages("r", 0, 0) == []
+def test_empty_and_negative_counts(device):
+    fill(device, "r", 2)
+    assert device.read_pages("r", 0, 0) == []
     with pytest.raises(ValueError):
-        magnetic.read_pages("r", 0, -1)
+        device.read_pages("r", 0, -1)
 
 
-def test_out_of_range_rejected(magnetic):
-    fill(magnetic, "r", 4)
+def test_out_of_range_rejected(device):
+    fill(device, "r", 4)
     with pytest.raises(DeviceError):
-        magnetic.read_pages("r", 2, 3)  # runs past page 3
+        device.read_pages("r", 2, 3)  # runs past page 3
     with pytest.raises(DeviceError):
-        magnetic.read_pages("r", -1, 2)
+        device.read_pages("r", -1, 2)
 
 
-def test_unwritten_tail_pages_read_zero(magnetic):
+def test_unwritten_tail_pages_read_zero(device):
     """Pages allocated with extend() but never written come back as
     zeroes, exactly as read_page returns them."""
-    fill(magnetic, "r", 2)
-    magnetic.extend("r")
-    magnetic.extend("r")
-    pages = magnetic.read_pages("r", 0, 4)
+    fill(device, "r", 2)
+    device.extend("r")
+    device.extend("r")
+    pages = device.read_pages("r", 0, 4)
     assert pages[:2] == [page_of(0), page_of(1)]
     assert pages[2:] == [bytes(PAGE_SIZE), bytes(PAGE_SIZE)]
+
+
+REFUSED_RUNS = {
+    "past_the_end": lambda dev: dev.write_pages("r", 1, [page_of(7)] * 2),
+    "short_second_page": lambda dev: dev.write_pages(
+        "r", 0, [page_of(7), page_of(8)[:-1]]),
+    "negative_start": lambda dev: dev.write_pages("r", -1, [page_of(7)] * 2),
+    "read_past_the_end": lambda dev: dev.read_pages("r", 1, 2),
+}
+
+
+@pytest.mark.parametrize("run", list(REFUSED_RUNS))
+def test_a_refused_run_touches_nothing(device, run):
+    """A run the medium refuses is refused whole, before any page is
+    staged or written and before the clock or a counter moves."""
+    fill(device, "r", 2)
+    before = observed(device)
+    with pytest.raises((DeviceError, ValueError)):
+        REFUSED_RUNS[run](device)
+    assert observed(device) == before
+    assert device.read_pages("r", 0, 2) == [page_of(0), page_of(1)]
 
 
 # -- cost model (magnetic) -------------------------------------------------
@@ -136,22 +181,6 @@ def test_adjacent_extents_stay_one_run(tmp_path):
 
 
 # -- a page is a run of one (every manager, both proxies) -------------------
-
-
-def _magnetic(tmp_path):
-    return MagneticDisk("d", SimClock(), str(tmp_path))
-
-
-MANAGERS = {
-    "magnetic": _magnetic,
-    "memdisk": lambda tmp_path: MemDisk("d", SimClock()),
-    "jukebox": lambda tmp_path: SonyJukebox("d", SimClock()),
-    "tape": lambda tmp_path: TapeJukebox("d", SimClock()),
-    "faulty": lambda tmp_path: FaultyDevice(_magnetic(tmp_path),
-                                            CrashController()),
-    "feed_tap": lambda tmp_path: FeedTapDevice(_magnetic(tmp_path),
-                                               PrimaryFeed(None)),
-}
 
 
 @pytest.fixture(params=list(MANAGERS))

@@ -6,18 +6,18 @@ import pytest
 from repro.errors import NfsError
 from repro.nfs.client import NFSClient, UDP_RPC_10MBIT
 from repro.nfs.ffs import BLOCK_SIZE, FastFileSystem
-from repro.nfs.prestoserve import PrestoServe
 from repro.nfs.server import NFS_MAX_TRANSFER, NFSServer
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskModel
 from repro.sim.network import NetworkModel
+from repro.sim.nvram import NvramCache
 
 
 def build(prestoserve=True, pipeline=True):
     clock = SimClock()
     disk = DiskModel(clock=clock)
     ffs = FastFileSystem(clock, disk)
-    board = PrestoServe.attach(ffs) if prestoserve else None
+    board = NvramCache(clock=clock, disk=disk) if prestoserve else None
     server = NFSServer(ffs, board)
     client = NFSClient(server, NetworkModel(clock=clock, params=UDP_RPC_10MBIT),
                        pipeline=pipeline)
@@ -81,7 +81,7 @@ def test_board_absorbs_writes():
     writes_before = ffs.disk.stats.writes
     client.write(fh, 0, bytes(BLOCK_SIZE))
     assert ffs.disk.stats.writes == writes_before
-    assert board.nvram.stats.absorbed_writes >= 1
+    assert board.stats.absorbed_writes >= 1
 
 
 def test_read_after_write_served_from_board():
