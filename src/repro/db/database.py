@@ -8,7 +8,8 @@ object.
 
 On-disk layout of a database directory::
 
-    <path>/devices.json        device switch configuration
+    <path>/devices.json        device switch configuration and the
+                               index key format the pages were written in
     <path>/<device>/...        one subdirectory per magnetic device
 """
 
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 from repro.db.buffer import DEFAULT_BUFFERS, BufferCache
 from repro.db.btree import BTree
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
-from repro.db.heap import HeapFile
+from repro.db.heap import TID_FMT, HeapFile
 from repro.db.locks import LockManager
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, CurrentSnapshot, Snapshot
 from repro.db.table import Table
@@ -39,6 +40,12 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuModel, CpuParams, DECSYSTEM_5900
 
 _DEVICES_FILE = "devices.json"
+#: how every B-tree entry is keyed: the encoded user key, then the heap
+#: TID packed as ``TID_FMT``.  Stamped into ``devices.json``; an index
+#: written in another format would decode every TID wrongly, so
+#: :meth:`Database.open` refuses it rather than read it.
+INDEX_KEY_FORMAT = f"key+tid{TID_FMT}"
+_FORMAT_FIELD = "index_key_format"
 #: the device-manager switch's kinds: kind → ``make(name, clock,
 #: dbpath)``.  Only a magnetic disk keeps its medium under the
 #: database's directory; the others model theirs in memory.
@@ -56,6 +63,14 @@ DEVICE_KINDS = {
 #: database within one process must hand back the *same* media — their
 #: contents are non-volatile by definition.
 _DEVICE_REGISTRY: dict[tuple[str, str], object] = {}
+
+
+def write_device_config(path: str, config: dict) -> None:
+    """Write ``devices.json`` under ``path``, stamped with the index
+    key format."""
+    config = dict(config, **{_FORMAT_FIELD: INDEX_KEY_FORMAT})
+    with open(os.path.join(path, _DEVICES_FILE), "w", encoding="utf-8") as f:
+        json.dump(config, f, indent=2)
 
 
 class Database:
@@ -130,6 +145,12 @@ class Database:
             raise CatalogError(f"no database at {path}")
         with open(config_path, "r", encoding="utf-8") as f:
             config = json.load(f)
+        found = config.get(_FORMAT_FIELD)
+        if found != INDEX_KEY_FORMAT:
+            raise CatalogError(
+                f"{config_path}: index key format "
+                f"{found or 'unstamped (key+tid<IH)'}, but this build "
+                f"reads {INDEX_KEY_FORMAT}")
         db = cls(path, clock, buffer_pages, cpu_params)
         for entry in config["devices"]:
             db._instantiate_device(entry["name"], entry["type"],
@@ -179,8 +200,7 @@ class Database:
             known = {d["name"] for d in existing["devices"]}
             config["devices"] = existing["devices"] + [
                 d for d in config["devices"] if d["name"] not in known]
-        with open(os.path.join(self.path, _DEVICES_FILE), "w", encoding="utf-8") as f:
-            json.dump(config, f, indent=2)
+        write_device_config(self.path, config)
 
     def _load_device_config(self) -> dict | None:
         path = os.path.join(self.path, _DEVICES_FILE)

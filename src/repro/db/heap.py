@@ -38,7 +38,11 @@ METRICS = (
                "repro.db.heap", ("relation",)),
 )
 
-TID_FMT = "<IH"
+#: page then slot, big-endian: packed TIDs sort as TIDs do, so the
+#: (user key, TID) entries of a B-tree keep a key's versions in
+#: insertion order (the heap only appends).  Stamped into every
+#: database's ``devices.json`` (``repro.db.database.INDEX_KEY_FORMAT``).
+TID_FMT = ">IH"
 _TID_STRUCT = struct.Struct(TID_FMT)
 TID_SIZE = _TID_STRUCT.size  # 6
 

@@ -178,13 +178,14 @@ class Table:
             raise TableError(
                 f"no index on {self.name}({', '.join(keycols)})")
         _index, btree = found
-        # Best-effort newest-first: entries are keyed (key, TID) and
-        # the TID suffix is little-endian, so the reversed scan meets
-        # the live version early only while the heap is under 256 pages
-        # (TID(256, 0) sorts before TID(255, 0)).  Visibility, not
-        # order, decides: all versions of a key have distinct
-        # visibility windows, so yield order does not change which rows
-        # qualify, only how many superseded ones are fetched first.
+        # Newest first: entries are keyed (key, TID), the TID suffix
+        # packs big-endian so it sorts as (page, slot), and the heap
+        # only appends, so the reversed scan meets a key's versions
+        # newest to oldest at any heap size.  Visibility, not order,
+        # decides: all versions of a key have distinct visibility
+        # windows, so yield order does not change which rows qualify,
+        # only how many superseded ones are fetched first — none, when
+        # the newest version is the visible one.
         for tid in reversed(btree.search(tuple(key_values))):
             row = self.heap.fetch(tid, snapshot)
             if row is not None:
@@ -253,8 +254,8 @@ class Table:
         lo_t = tuple(lo) if lo is not None else None
         hi_t = tuple(hi) if hi is not None else None
         # Entries are keyed (user key, TID): group by user key and
-        # resolve best-effort newest-first, as index_eq does —
-        # visibility, not order, decides which version is yielded.
+        # resolve newest-first, as index_eq does — visibility, not
+        # order, decides which version is yielded.
         live: dict[bytes, list[TID]] = {}
         for key, tid in btree.scan_values_range(lo_t, hi_t):
             live.setdefault(key[:-TID_SIZE], []).append(tid)
@@ -266,9 +267,10 @@ class Table:
                 archive_heap, archive_btree = pair
                 for key, tid in archive_btree.scan_values_range(lo_t, hi_t):
                     archived.setdefault(key[:-TID_SIZE], []).append(tid)
-        # The newest version per key is almost always the one fetched;
-        # pull those pages in with batched exact reads so the heap I/O
-        # below is one contiguous transfer per run, not a page apiece.
+        # Each key's last TID is its newest version, the one fetched
+        # whenever it is visible; pull those pages in with batched
+        # exact reads so the heap I/O below is one contiguous transfer
+        # per run, not a page apiece.
         if live:
             self.heap.prefetch_pages(tids[-1].pageno for tids in live.values())
         for ukey in sorted(set(live) | set(archived)):

@@ -17,11 +17,10 @@ does both in the right order.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.db.database import (DEVICE_KINDS, _DEVICE_REGISTRY, _DEVICES_FILE,
-                               Database)
+                               Database, write_device_config)
 from repro.errors import ReplicaError
 from repro.sim.clock import SimClock
 
@@ -84,7 +83,5 @@ def clone_database(db: Database, replica_path: str,
             dst.close()
         else:
             _DEVICE_REGISTRY[(os.path.abspath(replica_path), name)] = dst
-    with open(os.path.join(replica_path, _DEVICES_FILE), "w",
-              encoding="utf-8") as f:
-        json.dump(config, f, indent=2)
+    write_device_config(replica_path, config)
     return Database.open(replica_path, clock=clock)

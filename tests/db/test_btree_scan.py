@@ -92,7 +92,8 @@ def bound(value, which):
 KEYS = st.integers(min_value=0, max_value=9)
 BOUNDS = st.one_of(st.none(), st.integers(min_value=-1, max_value=10))
 # n versions of one user key; heap page numbers run through 255 → 256,
-# where the little-endian TID suffix stops sorting by page number
+# where the TID suffix needs its second byte (big-endian, so versions
+# still sort by page number)
 VERSIONS = st.tuples(st.just("insert"), KEYS, st.integers(1, 400),
                      st.integers(0, 300))
 REMOVE = st.tuples(st.just("remove"), st.integers(0, 10**6),

@@ -1,8 +1,11 @@
 """The assembled database: DDL, transactions, crash recovery."""
 
+import json
+import os
+
 import pytest
 
-from repro.db.database import Database
+from repro.db.database import INDEX_KEY_FORMAT, Database
 from repro.db.tuples import Column, Schema
 from repro.errors import CatalogError, TableError
 from repro.sim.clock import SimClock
@@ -29,6 +32,27 @@ def test_create_twice_rejected(tmp_path):
 def test_open_missing_rejected(tmp_path):
     with pytest.raises(CatalogError):
         Database.open(str(tmp_path / "nope"))
+
+
+@pytest.mark.parametrize("stamp", [None, "key+tid<IH"])
+def test_open_refuses_another_index_key_format(tmp_path, stamp):
+    """An index written with another TID suffix would decode every TID
+    wrongly, so open refuses it and says why."""
+    path = str(tmp_path / "d")
+    Database.create(path).close()
+    config_path = os.path.join(path, "devices.json")
+    with open(config_path, encoding="utf-8") as f:
+        config = json.load(f)
+    assert config.pop("index_key_format") == INDEX_KEY_FORMAT
+    if stamp is not None:
+        config["index_key_format"] = stamp
+    with open(config_path, "w", encoding="utf-8") as f:
+        json.dump(config, f)
+    with pytest.raises(CatalogError) as err:
+        Database.open(path)
+    message = str(err.value)
+    assert config_path in message
+    assert "key+tid<IH" in message and INDEX_KEY_FORMAT in message
 
 
 def test_table_lifecycle(db):

@@ -1,6 +1,7 @@
 """No-overwrite heap tables."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.db.buffer import BufferCache
 from repro.db.heap import TID, HeapFile
@@ -131,3 +132,15 @@ def test_fetch_out_of_range_slot():
     heap = make_heap()
     heap.insert(tx(), (1, "a"))
     assert heap.fetch(TID(0, 99), AllVisible()) is None
+
+
+TIDS = st.builds(TID, st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
+
+
+@given(TIDS, TIDS)
+def test_packed_tids_sort_as_tids(a, b):
+    """Index entries are keyed (user key, TID.pack()), and the heap only
+    appends, so a key's versions sort oldest to newest only if packing
+    keeps the order of (page, slot)."""
+    assert (a < b) == (a.pack() < b.pack())
+    assert TID.unpack(a.pack()) == a

@@ -119,18 +119,35 @@ def test_row_count(table_env):
     db.commit(tx2)
 
 
-def test_newest_version_found_first(table_env):
-    """index_eq must not pay heap fetches for superseded versions to
-    find the live one (fetch order is newest-first)."""
-    db, _ = table_env
+def test_newest_version_found_first(db, monkeypatch):
+    """index_eq and index_range_newest must not pay heap fetches for
+    superseded versions to find the live one (fetch order is
+    newest-first), also past heap page 255, where a little-endian TID
+    suffix sorted TID(256, 0) before TID(255, 0)."""
+    pad = "x" * 7000                         # one row per heap page
     tx = db.begin()
-    table = db.table("t", tx)
-    tid = table.insert(tx, (1, "v0"))
-    for i in range(1, 6):
-        tid = table.update(tx, tid, (1, f"v{i}"))
+    table = db.create_table(tx, "v", SCHEMA, indexes=[["k"]])
+    while table.heap.npages() < 250:
+        table.insert(tx, (0, pad))
+    tids = [table.insert(tx, (1, "v0" + pad))]
+    for i in range(1, 51):
+        tids.append(table.update(tx, tids[-1], (1, f"v{i}" + pad)))
     db.commit(tx)
+    assert [t.pageno for t in tids] == list(range(250, 301))
+
     tx2 = db.begin()
-    rows = list(db.table("t", tx2).index_eq(("k",), (1,),
-                                            db.snapshot(tx2), tx2))
-    assert [r for _t, r in rows] == [(1, "v5")]
+    table = db.table("v", tx2)
+    snap = db.snapshot(tx2)
+    live = (tids[-1], (1, "v50" + pad))
+    assert list(table.index_eq(("k",), (1,), snap, tx2)) == [live]
+    fetched = []
+    fetch = table.heap.fetch
+    monkeypatch.setattr(table.heap, "fetch",
+                        lambda tid, s: fetched.append(tid) or fetch(tid, s))
+    assert next(table.index_eq(("k",), (1,), snap, tx2)) == live
+    assert fetched == [tids[-1]]
+    fetched.clear()
+    assert list(table.index_range_newest(("k",), (1,), (1,), snap,
+                                         tx2)) == [live]
+    assert fetched == [tids[-1]]
     db.commit(tx2)

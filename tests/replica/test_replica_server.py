@@ -1,5 +1,7 @@
 """Replica behaviour: seed, sync, read-only RPC, staleness, promotion."""
 
+import json
+import os
 import re
 
 import pytest
@@ -8,6 +10,7 @@ from repro.core.checker import ConsistencyChecker
 from repro.core.constants import CHUNK_SIZE, O_RDWR
 from repro.core.library import InversionClient
 from repro.core.protocol import VERBS, WRITE
+from repro.db.database import INDEX_KEY_FORMAT
 from repro.errors import (InversionError, ReplicaError, ReplicaReadOnlyError,
                           ReproError)
 from repro.testkit.oracle import harvest_state
@@ -38,6 +41,17 @@ def test_seed_serves_the_backup_snapshot(tmp_path, primary, writer):
     assert replica.cursor == feed.next_seq
     assert _read(replica, "/a") == b"seeded content"
     assert harvest_state(replica.fs) == harvest_state(fs)
+    replica.close()
+
+
+def test_a_base_backup_carries_the_index_key_format(tmp_path, primary,
+                                                    writer):
+    write_file(writer, "/a", b"stamped")
+    replica = make_replica(tmp_path, primary[2])
+    with open(os.path.join(replica.db.path, "devices.json"),
+              encoding="utf-8") as f:
+        assert json.load(f)["index_key_format"] == INDEX_KEY_FORMAT
+    assert _read(replica, "/a") == b"stamped"
     replica.close()
 
 
