@@ -47,8 +47,7 @@ def _fresh_dir() -> str:
 
 
 def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
-                       chunk_index: bool = True,
-                       group_commit_window: float = 0.0) -> BuiltConfig:
+                       chunk_index: bool = True) -> BuiltConfig:
     """Single-process Inversion: the benchmark dynamically loaded into
     the data manager — "no data must be copied between them", and no
     network."""
@@ -57,7 +56,6 @@ def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
     db = Database.create(os.path.join(workdir, "db"), clock=clock,
                          buffer_pages=buffer_pages)
     fs = InversionFS.mkfs(db)
-    db.tm.group_commit_window = group_commit_window
     fs.chunk_index = chunk_index
     client = InversionClient(fs)
     adapter = InversionAdapter(client, db)
@@ -68,27 +66,16 @@ def build_inversion_sp(buffer_pages: int = DEFAULT_BUFFERS,
     return BuiltConfig("inversion_sp", adapter, cleanup)
 
 
-def build_inversion_cs(read_batch_chunks: int = 1,
-                       write_batch_chunks: int = 1,
-                       cache_paths: int = 0,
-                       cache_chunks: int = 0) -> BuiltConfig:
+def build_inversion_cs() -> BuiltConfig:
     """Client/server Inversion: every p_* call crosses the simulated
-    TCP/IP Ethernet.  ``read_batch_chunks`` > 1 turns on the client's
-    multi-chunk read RPC, ``write_batch_chunks`` > 1 the symmetric
-    multi-chunk write RPC, and ``cache_paths``/``cache_chunks`` > 0
-    the lease-coherent client cache (all off by default — the paper's
-    protocol)."""
+    TCP/IP Ethernet, one RPC per call (the paper's protocol)."""
     workdir = _fresh_dir()
     clock = SimClock()
     db = Database.create(os.path.join(workdir, "db"), clock=clock)
     fs = InversionFS.mkfs(db)
     server = InversionServer(fs)
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
-    client = RemoteInversionClient(server, network,
-                                   read_batch_chunks=read_batch_chunks,
-                                   write_batch_chunks=write_batch_chunks,
-                                   cache_paths=cache_paths,
-                                   cache_chunks=cache_chunks)
+    client = RemoteInversionClient(server, network)
     adapter = InversionAdapter(client, db)
 
     def cleanup() -> None:

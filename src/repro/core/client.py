@@ -58,8 +58,7 @@ METRICS = (
 )
 
 #: chunks a batching client fetches per read RPC and ships per write
-#: RPC: the replica readers, and the batched rows of the seqio and
-#: commitio experiments.
+#: RPC: the replicated cluster's clients use it for both.
 RPC_BATCH_CHUNKS = 16
 
 _REQ_BASE = 64    # RPC header + method + fixed args
@@ -584,7 +583,7 @@ class RemoteInversionClient:
     def p_readdir(self, path, timestamp=None, cookie=None, limit=None):
         # Hand-written, not generated: a generated stub would always
         # send cookie= and limit=, 16 request bytes more per unpaged
-        # listing, which moves BENCH_vfsio.json.
+        # listing.
         self._flush_writes()
         if cookie is None and limit is None:
             return self._call("p_readdir", path, timestamp)

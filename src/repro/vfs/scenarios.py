@@ -13,8 +13,7 @@ Two shapes live here, sharing the same four scenario families:
 - **VFS drivers** (plain functions taking a :class:`~repro.vfs.api.VFS`
   session): the same scenarios expressed as application code — atomic
   multi-file groups via ``vfs.transaction()``, directory scans via the
-  paged ``iterdir`` — sized up for the ``repro.bench.vfsio``
-  benchmark's large-namespace runs.
+  paged ``iterdir`` — sized by their callers.
 
 The families, after the paper's workloads plus WTF's (PAPERS.md):
 

@@ -1,5 +1,11 @@
 """Unit tests for the benchmark harness itself."""
 
+import json
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.report import (
@@ -86,3 +92,31 @@ def test_random_offsets_deterministic_and_aligned():
     assert a != c
     assert all(off % 8192 == 0 for off in a)
     assert all(0 <= off < 100_000 for off in a)
+
+
+def test_e2e_gates_exit_1_naming_the_breached_metric(tmp_path):
+    """``tools/e2e_gates.py`` on a synthetic run of namespace_churn:
+    every gate exactly at (or just inside) its bound passes; one status
+    force too many fails, and the line names the metric."""
+    tools = Path(__file__).parents[2] / "tools"
+    gates = runpy.run_path(str(tools / "e2e_gates.py"))["GATES"]
+    inside = {"<": -1, "<=": 0, "==": 0, ">=": 0}
+    metrics = {metric: {"value": bound + inside[compare]}
+               for workload, metric, compare, bound, _why in gates
+               if workload == "namespace_churn"}
+
+    def gate(run):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(run))
+        return subprocess.run(
+            [sys.executable, str(tools / "e2e_gates.py"), "namespace_churn",
+             str(path)], capture_output=True, text=True)
+
+    held = gate({"correct": True, "metrics": metrics})
+    assert held.returncode == 0, held.stderr
+    metrics["db.transactions.status_forces"]["value"] = 217
+    breached = gate({"correct": True, "metrics": metrics})
+    assert breached.returncode == 1
+    assert breached.stderr.startswith(
+        "db.transactions.status_forces = 217, want == 216 (")
+    assert gate({"correct": False, "metrics": metrics}).returncode == 1

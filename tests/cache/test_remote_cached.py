@@ -10,9 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.client import RemoteInversionClient
+from repro.core.constants import CHUNK_SIZE
+from repro.core.filesystem import InversionFS
 from repro.core.library import O_RDWR
 from repro.core.server import InversionServer
+from repro.db.database import Database
 from repro.errors import FileNotFoundError_
+from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 
 
@@ -29,8 +33,11 @@ def make_client(server, clock, **kwargs) -> RemoteInversionClient:
 
 
 def test_warm_reread_and_restat_cost_zero_messages(server, clock):
-    client = make_client(server, clock)
-    data = b"h" * 40_000
+    """An eight-chunk file written, statted and read once, then
+    re-statted, rewound and re-read sixteen times: not one message
+    and not one simulated second."""
+    client = make_client(server, clock, cache_chunks=8)
+    data = b"0123456789abcdef" * (8 * CHUNK_SIZE // 16)
     client.p_mkdir("/hot")
     fd = client.p_creat("/hot/f")
     client.p_write(fd, data)
@@ -38,16 +45,50 @@ def test_warm_reread_and_restat_cost_zero_messages(server, clock):
     client.p_stat("/hot/f")
     fd = client.p_open("/hot/f", 0)
     assert client.p_read(fd, len(data)) == data
-    m0 = client.network.stats.messages
-    for _ in range(4):
+    m0, t0 = client.network.stats.messages, clock.now()
+    for _ in range(16):
         att = client.p_stat("/hot/f")
         assert att.size == len(data)
         client.p_lseek(fd, 0, 0)            # absorbed client-side
         assert client.p_read(fd, len(data)) == data
     assert client.network.stats.messages == m0
-    assert client._cache.stats.hits["att"] == 4
-    assert client._cache.stats.hits["seek"] == 4
+    assert clock.now() == t0
+    hits = client._cache.stats.hits
+    assert (hits["att"], hits["seek"]) == (16, 16)
+    assert hits["chunk"] >= 16
     client.close()
+
+
+def _deep_tree_stats(workdir: str, cache_paths: int):
+    """Five stat passes over eight leaves eight directories down;
+    the simulated seconds and messages they took."""
+    db = Database.create(workdir, clock=SimClock())
+    client = make_client(InversionServer(InversionFS.mkfs(db)), db.clock,
+                         cache_paths=cache_paths, cache_chunks=0)
+    path = ""
+    for i in range(8):
+        path += f"/d{i}"
+        client.p_mkdir(path)
+    leaves = [f"{path}/leaf{j}" for j in range(8)]
+    for leaf in leaves:
+        client.p_close(client.p_creat(leaf))
+    m0, t0 = client.network.stats.messages, db.clock.now()
+    for _ in range(5):
+        for leaf in leaves:
+            assert client.p_stat(leaf).size == 0
+    cost = db.clock.now() - t0, client.network.stats.messages - m0
+    client.close()
+    db.close()
+    return cost
+
+
+def test_a_deep_tree_reaches_the_server_on_the_first_pass_only(tmp_path):
+    uncached_s, uncached_msgs = _deep_tree_stats(str(tmp_path / "u"), 0)
+    cached_s, cached_msgs = _deep_tree_stats(str(tmp_path / "c"), 256)
+    per_pass = 2 * 8                        # request + reply per stat
+    assert cached_msgs == per_pass
+    assert uncached_msgs == 5 * per_pass
+    assert uncached_s / cached_s >= 3.0
 
 
 def test_cross_client_write_invalidates_cached_chunks(server, clock):

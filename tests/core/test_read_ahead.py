@@ -311,3 +311,41 @@ def test_eof_and_read_only_close_cost_no_message(tmp_path):
     finally:
         client.close()
         fs.db.close()
+
+
+def _cold_sequential_read(workdir: str, read_batch_chunks: int):
+    """Figure 5's sequential read over the wire: a 1 MB file of 8 KB
+    chunks read back in 8 KB calls on flushed caches.  Returns the
+    simulated seconds and messages it took, and the client."""
+    data = b"0123456789abcdef" * (128 * CHUNK_SIZE // 16)
+    db = Database.create(workdir, clock=SimClock())
+    _server, client = _remote(InversionFS.mkfs(db),
+                              read_batch_chunks=read_batch_chunks)
+    try:
+        fd = client.p_creat("/seq")
+        for pos in range(0, len(data), CHUNK_SIZE):
+            client.p_write(fd, data[pos:pos + CHUNK_SIZE])
+        db.flush_caches()
+        t0, m0 = db.clock.now(), client.network.stats.messages
+        client.p_begin()
+        client.p_lseek(fd, 0, 0)
+        for pos in range(0, len(data), CHUNK_SIZE):
+            assert client.p_read(fd, CHUNK_SIZE) == data[pos:pos + CHUNK_SIZE]
+        client.p_commit()
+        return (db.clock.now() - t0, client.network.stats.messages - m0,
+                client)
+    finally:
+        client.close()
+        db.close()
+
+
+def test_batched_reads_take_under_half_the_time_of_the_paper_protocol(
+        tmp_path):
+    plain_s, plain_msgs, _ = _cold_sequential_read(str(tmp_path / "p"), 1)
+    batched_s, batched_msgs, client = _cold_sequential_read(
+        str(tmp_path / "b"), RPC_BATCH_CHUNKS)
+    assert plain_s / batched_s >= 2.0
+    assert batched_msgs * 4 < plain_msgs
+    # One read RPC per batch, the rest served from its buffer.
+    assert client.batched_reads == -(-128 // RPC_BATCH_CHUNKS)
+    assert client.buffered_reads >= 128 - 2 * client.batched_reads

@@ -176,3 +176,58 @@ def test_sparse_flush_uses_per_chunk_probes(store):
     snap = fs.db.snapshot(tx)
     assert s.read_range(0, 1000, snap, tx) == {0: b"lo2", 1000: b"hi2"}
     assert s.version_count() == 4
+
+
+# -- Figure 5's sequential read, cold, in process ----------------------------
+
+#: a 1 MB file of 8 KB chunks, read back cold.
+SEQ_CHUNKS = 128
+SEQ_DATA = b"0123456789abcdef" * (SEQ_CHUNKS * CHUNK_SIZE // 16)
+
+
+def _chunk_index_descents() -> int:
+    return sum(n for rel, n in BTree.descents_by_rel.items()
+               if rel.endswith("_chunkno_idx"))
+
+
+def _cold_read(fs, client, fd, nbytes) -> dict:
+    """Read the whole file in ``nbytes`` calls on flushed caches; what
+    it cost the chunk index, the drive and read-ahead."""
+    db = fs.db
+    db.flush_caches()
+    disk, buf = db.switch.get("magnetic0").disk.stats, db.buffers.stats
+
+    def counters():
+        return (_chunk_index_descents(), disk.reads, buf.prefetches,
+                buf.prefetch_hits)
+    before = counters()
+    client.p_begin()
+    client.p_lseek(fd, 0, 0)
+    data = b"".join(client.p_read(fd, nbytes)
+                    for _ in range(len(SEQ_DATA) // nbytes))
+    client.p_commit()
+    assert data == SEQ_DATA
+    return dict(zip(("descents", "device_reads", "prefetches",
+                     "prefetch_hits"),
+                    (b - a for a, b in zip(before, counters()))))
+
+
+def test_a_cold_1mb_read_batches_by_chunk_map_and_read_ahead(fs, client):
+    fd = client.p_creat("/seq")
+    for pos in range(0, len(SEQ_DATA), CHUNK_SIZE):
+        client.p_write(fd, SEQ_DATA[pos:pos + CHUNK_SIZE])
+    window = fs.db.buffers.readahead_window
+
+    # 8 KB calls: one descent each, the device I/O batched by read-ahead
+    # and every prefetched page used.
+    calls = _cold_read(fs, client, fd, CHUNK_SIZE)
+    assert calls["descents"] == SEQ_CHUNKS
+    assert calls["device_reads"] <= SEQ_CHUNKS // 2
+    assert calls["prefetches"] >= SEQ_CHUNKS // 2
+    assert calls["prefetch_hits"] == calls["prefetches"]
+
+    # One 1 MB transfer: the chunk map in one descent (two would mean an
+    # archive index was consulted), heap reads in read-ahead windows.
+    single = _cold_read(fs, client, fd, len(SEQ_DATA))
+    assert single["descents"] <= 2
+    assert single["device_reads"] <= -(-SEQ_CHUNKS // window)

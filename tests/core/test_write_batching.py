@@ -12,9 +12,12 @@ pending attribute updates.
 
 import pytest
 
-from repro.core.client import RemoteInversionClient
+from repro.core.client import RPC_BATCH_CHUNKS, RemoteInversionClient
 from repro.core.constants import CHUNK_SIZE
+from repro.core.filesystem import InversionFS
 from repro.core.server import InversionServer
+from repro.db.database import Database
+from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 
 
@@ -177,3 +180,37 @@ def test_disconnect_reconciles_pending_attributes(fs, clock):
 
     assert fs.stat("/orphan").size == 1000
     assert fs.read_file("/orphan") == b"z" * 1000
+
+
+def _sequential_write(workdir, write_batch_chunks):
+    """Figure 6's write over the wire: 128 chunks in one transaction.
+    Returns the simulated seconds and messages it took, and the client."""
+    clock = SimClock()
+    db = Database.create(workdir, clock=clock)
+    _server, client = make_remote(InversionFS.mkfs(db), clock,
+                                  write_batch_chunks=write_batch_chunks)
+    try:
+        fd = client.p_creat("/seq")
+        db.flush_caches()
+        t0, m0 = clock.now(), client.network.stats.messages
+        client.p_begin()
+        for piece in chunks(128):
+            client.p_write(fd, piece)
+        client.p_commit()
+        return clock.now() - t0, client.network.stats.messages - m0, client
+    finally:
+        client.close()
+        db.close()
+
+
+def test_a_batched_1mb_write_takes_under_half_the_time(tmp_path):
+    plain_s, plain_msgs, plain = _sequential_write(str(tmp_path / "p"), 1)
+    batched_s, batched_msgs, client = _sequential_write(
+        str(tmp_path / "b"), RPC_BATCH_CHUNKS)
+    assert plain_s / batched_s >= 2.0
+    assert batched_msgs * 4 < plain_msgs
+    # One write RPC per batch, every chunk buffered; the unbatched
+    # client buffers nothing.
+    assert client.batched_writes == -(-128 // RPC_BATCH_CHUNKS)
+    assert client.buffered_writes == 128
+    assert (plain.batched_writes, plain.buffered_writes) == (0, 0)

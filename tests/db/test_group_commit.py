@@ -25,6 +25,7 @@ from repro.db.transactions import (
     STATUS_TAG,
     TransactionManager,
 )
+from repro.db.tuples import Column, Schema
 from repro.devices.memdisk import MemDisk
 from repro.sim.clock import SimClock
 from repro.testkit.oracle import ModelFS, harvest_state
@@ -139,6 +140,64 @@ def test_abort_is_recorded_immediately_while_batch_pends(device):
     tm.flush_commits()
     tm3 = TransactionManager(device, clock)
     assert tm3.is_committed(pending.xid)
+
+
+# -- sixteen small commits on a disk ----------------------------------------
+
+#: the TP-style shape where the forced status append dominates: one
+#: short row inserted per commit.
+SMALL_COMMITS = 16
+SMALL_ROW = Schema([Column("seq", "int4"), Column("note", "bytea")])
+
+
+def _small_commits(workdir: str, window: float) -> dict:
+    """SMALL_COMMITS one-row transactions on a mounted database's drive,
+    measured to the same durability point (an explicit flush ends the
+    run)."""
+    db = Database.create(workdir, clock=SimClock())
+    InversionFS.mkfs(db)
+    db.tm.group_commit_window = window
+    try:
+        tx = db.begin()
+        table = db.create_table(tx, "small", SMALL_ROW)
+        db.commit(tx)
+        db.flush_caches()
+        disk, stats = db.switch.get("magnetic0").disk.stats, db.tm.stats
+        t0, writes0 = db.clock.now(), disk.writes
+        forces0, commits0 = stats.status_forces, stats.commits_recorded
+        for i in range(SMALL_COMMITS):
+            tx = db.begin()
+            table.insert(tx, (i, (b"fedcba9876543210" * 6)[i % 16:][:64]))
+            db.commit(tx)
+        db.tm.flush_commits()
+        return {"elapsed_s": db.clock.now() - t0,
+                "device_writes": disk.writes - writes0,
+                "status_forces": stats.status_forces - forces0,
+                "commits_recorded": stats.commits_recorded - commits0,
+                "group_batches": stats.group_batches,
+                "max_group": stats.max_group}
+    finally:
+        db.close()
+
+
+def test_sixteen_small_commits_force_sixteen_times_or_once_in_a_group(
+        tmp_path):
+    alone = _small_commits(str(tmp_path / "alone"), 0.0)
+    grouped = _small_commits(str(tmp_path / "grouped"), 1.0e9)
+    # Window 0: one forced status append per writing commit.
+    assert alone["status_forces"] == alone["commits_recorded"] \
+        == SMALL_COMMITS
+    assert alone["group_batches"] == 0
+    # An open window: the whole batch is one forced append ...
+    assert grouped["status_forces"] == 1
+    assert grouped["commits_recorded"] == grouped["max_group"] \
+        == SMALL_COMMITS
+    # ... after one sweep: two device writes where sixteen commits paid
+    # two each, and at least twice the commit rate.
+    assert grouped["device_writes"] == 2
+    assert alone["device_writes"] - grouped["device_writes"] \
+        >= 2 * (SMALL_COMMITS - 1)
+    assert alone["elapsed_s"] / grouped["elapsed_s"] >= 2.0
 
 
 # -- the commit group: one sweep, one force, lock-release order ---------------

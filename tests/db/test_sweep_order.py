@@ -169,3 +169,25 @@ def test_flush_all_on_a_manager_without_geometry_goes_by_relation_and_page():
     # b_heap 0-2 went as one call, a_idx 0-1 as another
     assert cache.stats.batched_writes == batched + 2
     assert cache.stats.write_coalesce_hits == hits + 3
+
+
+def test_a_1mb_sequential_write_flushes_in_a_few_multi_page_runs(tmp_path):
+    """Figure 6's write: 128 chunks in one transaction, whose commit
+    sweep sends adjacent dirty pages to the drive as one write each."""
+    db = Database.create(str(tmp_path / "db"), clock=SimClock())
+    client = InversionClient(InversionFS.mkfs(db))
+    fd = client.p_creat("/seq")
+    db.flush_caches()
+    disk, buf = db.switch.get("magnetic0").disk.stats, db.buffers.stats
+    writes0, forced0 = disk.writes, buf.forced_writes
+    batched0, coalesced0 = buf.batched_writes, buf.write_coalesce_hits
+    data = b"fedcba9876543210" * (CHUNK_SIZE // 16)
+    client.p_begin()
+    for _ in range(128):
+        client.p_write(fd, data)
+    client.p_commit()
+    assert buf.forced_writes - forced0 >= 128
+    assert disk.writes - writes0 <= 8
+    assert buf.batched_writes - batched0 >= 1
+    assert buf.write_coalesce_hits - coalesced0 >= 128 // 2
+    db.close()

@@ -104,3 +104,27 @@ def test_link_checker_lists_a_deleted_tracked_file(tmp_path):
     assert "Traceback" not in run.stderr
     assert "GONE.md: tracked, but missing" in run.stdout
     assert "KEPT.md:1: dead link -> GONE.md" in run.stdout
+
+
+def test_link_checker_holds_a_test_name_to_its_file(tmp_path):
+    """A backticked ``tests/…py::name`` in README.md must name a
+    ``def`` or ``class`` of that file; a ``[param]`` suffix and a
+    ``Class::method`` path are read as pytest prints them."""
+    tool = Path(__file__).parents[2] / "tools" / "check_doc_links.py"
+    (tmp_path / "tools").mkdir()
+    shutil.copy(tool, tmp_path / "tools")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "class TestK:\n    def test_m(self):\n        pass\n\n\n"
+        "def test_there(n):\n    pass\n")
+    (tmp_path / "README.md").write_text(
+        "`tests/test_x.py::test_there[1]` and "
+        "`tests/test_x.py::TestK::test_m` hold;\n"
+        "`tests/test_x.py::test_gone` does not.\n")
+    run = subprocess.run([sys.executable, "tools/check_doc_links.py",
+                          "README.md"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout
+    assert run.stdout.splitlines()[0] == (
+        "README.md:2: no def or class -> tests/test_x.py::test_gone")
+    assert "1 dead" in run.stderr

@@ -1,8 +1,12 @@
 """Replica reader sessions: what a whole-file read costs on the wire,
 and what a cached reader sees after a sync round."""
 
+import os
+
 from repro.core.constants import CHUNK_SIZE, O_RDONLY, O_RDWR
-from repro.replica import ReplicatedCluster
+from repro.core.library import InversionClient
+from repro.replica import ReplicaServer, ReplicatedCluster
+from repro.testkit.workload import payload
 
 OLD = b"o" * (3 * CHUNK_SIZE)
 
@@ -95,3 +99,46 @@ def test_cached_reader_sees_a_shipped_commit(tmp_path):
         for client in (cached, plain, writer):
             client.close()
         cluster.close()
+
+
+def _fleet_reads_per_second(workdir: str, nreplicas: int) -> float:
+    """Eight reader sessions each read six 24 KB files end to end in
+    8 KB calls, routed round-robin over ``nreplicas`` replicas seeded
+    once the files are committed (with none, the primary serves them).
+    The fleet's time is its slowest member's clock."""
+    cluster = ReplicatedCluster.create(workdir, 0)
+    setup = InversionClient(cluster.primary_fs)
+    setup.p_begin()
+    for i in range(6):
+        fd = setup.p_creat(f"/data{i}")
+        setup.p_write(fd, payload(0, f"file{i}", 3 * 8192))
+        setup.p_close(fd)
+    setup.p_commit()
+    cluster.primary_db.tm.flush_commits()
+    cluster.primary_db.flush_caches()
+    cluster.replicas = [
+        ReplicaServer.seed(cluster.feed, os.path.join(workdir, f"r{i}"),
+                           f"replica{i}") for i in range(nreplicas)]
+    readers = [cluster.reader_client() for _ in range(8)]
+    clocks = {id(r.server): r.network.clock for r in readers}
+    starts = {key: clock.now() for key, clock in clocks.items()}
+    reads = 0
+    for reader in readers:
+        for i in range(6):
+            fd = reader.p_open(f"/data{i}", O_RDONLY)
+            while reader.p_read(fd, 8192):
+                reads += 1
+            reader.p_close(fd)
+        reader.close()
+    elapsed = max(clock.now() - starts[key] for key, clock in clocks.items())
+    cluster.close()
+    assert reads == 8 * 6 * 3
+    return reads / elapsed
+
+
+def test_four_replicas_serve_at_least_three_times_the_reads_of_one(
+        tmp_path):
+    rates = {n: _fleet_reads_per_second(str(tmp_path / f"n{n}"), n)
+             for n in (0, 1, 2, 4)}
+    assert list(rates.values()) == sorted(rates.values())
+    assert rates[4] / rates[1] >= 3.0

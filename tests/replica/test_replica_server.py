@@ -14,6 +14,7 @@ from repro.db.database import INDEX_KEY_FORMAT
 from repro.errors import (InversionError, ReplicaError, ReplicaReadOnlyError,
                           ReproError)
 from repro.testkit.oracle import harvest_state
+from repro.testkit.workload import payload
 
 from tests.replica.conftest import make_replica, write_file
 
@@ -371,4 +372,58 @@ def test_a_dirty_frame_on_a_replica_is_refused(tmp_path, primary, writer):
     with pytest.raises(ReplicaError, match=re.escape(repr(key))):
         replica.sync()
     assert buffers.dirty_pages() == [key]
+    replica.close()
+
+
+def _seeded_after_six_files(tmp_path, primary, writer):
+    """Six 24 KB files committed on the primary, then a replica seeded
+    from it, so the base backup carries them."""
+    db, _fs, feed = primary
+    writer.p_begin()
+    for i in range(6):
+        fd = writer.p_creat(f"/data{i}")
+        writer.p_write(fd, payload(0, f"file{i}", 3 * 8192))
+        writer.p_close(fd)
+    writer.p_commit()
+    db.tm.flush_commits()
+    db.flush_caches()
+    return make_replica(tmp_path, feed)
+
+
+def _rewrite(writer, t):
+    writer.p_begin()
+    fd = writer.p_open(f"/data{t % 6}", O_RDWR)
+    writer.p_write(fd, payload(t, "rewrite", 8192))
+    writer.p_close(fd)
+    writer.p_commit()
+
+
+def test_a_final_sync_leaves_a_replica_zero_xids_behind(tmp_path, primary,
+                                                        writer):
+    """Twenty-four rewrites, shipped every sixth commit, then once more."""
+    _db, _fs, feed = primary
+    replica = _seeded_after_six_files(tmp_path, primary, writer)
+    for t in range(24):
+        _rewrite(writer, t)
+        if t % 6 == 5:
+            assert feed.durable_horizon() > replica.horizon()
+            replica.sync()
+    replica.sync()
+    assert feed.durable_horizon() - replica.horizon() == 0
+    replica.close()
+
+
+def test_promotion_drains_every_backlog_entry(tmp_path, primary, writer):
+    db, fs, feed = primary
+    replica = _seeded_after_six_files(tmp_path, primary, writer)
+    for t in range(8):
+        _rewrite(writer, t)
+    db.tm.flush_commits()
+    backlog = feed.next_seq - replica.cursor
+    expected = harvest_state(fs)
+    db.simulate_crash()
+    before = replica.cursor
+    replica.promote()
+    assert replica.cursor - before == backlog > 0
+    assert harvest_state(replica.fs) == expected
     replica.close()

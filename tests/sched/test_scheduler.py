@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.filesystem import InversionFS
+from repro.core.library import InversionClient
 from repro.core.server import InversionServer
+from repro.db.database import Database
 from repro.errors import SchedAdmissionError, SessionFailedError
 from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
 from repro.sched.scheduler import DONE, FAILED
+from repro.testkit.workload import payload
 
 
 def _write(path: str, data: bytes) -> Apply:
@@ -314,6 +318,74 @@ class TestCommitClustering:
         fs.db.tm.flush_commits()
         fs.db.tm.group_commit_window = 0.0
         assert _longest_commit_burst(sched) < 4
+
+
+#: disjoint-file txn/s by client count when every commit still paid its
+#: own sweep with its locks held: the floors commit groups must hold.
+DISJOINT_FLOORS = {1: 15.54, 2: 21.85, 4: 27.29, 8: 30.59}
+
+
+def _scale_run(workdir: str, nclients: int, hot: bool) -> dict:
+    """``nclients`` sessions of eight overwrite transactions each under
+    a 0.02 s group-commit window: each rewrites the client's own file
+    and, if ``hot``, then one shared file (one lock order, so the hot
+    lock queues and never deadlocks)."""
+    db = Database.create(workdir)
+    fs = InversionFS.mkfs(db)
+    setup = InversionClient(fs)
+    setup.p_begin()
+    for path, size in [(f"/f{c}", 8000) for c in range(nclients)] \
+            + [("/hot", 2000)]:
+        fd = setup.p_creat(path)
+        setup.p_write(fd, payload(0, f"seed{path}", size))
+        setup.p_close(fd)
+    setup.p_commit()
+    db.tm.flush_commits()
+    db.flush_caches()
+    db.tm.group_commit_window = 0.02
+    sched = MultiUserScheduler(InversionServer(fs), seed=0)
+    for c in range(nclients):
+        sched.add_session(
+            [Txn([_write(f"/f{c}", payload(0, f"c{c}t{t}", 8000))]
+                 + ([_write("/hot", payload(0, f"h{c}t{t}", 2000))]
+                    if hot else []), tag=f"c{c}t{t}") for t in range(8)],
+            name=f"c{c}")
+    stats, locks = db.tm.stats, db.locks.stats
+    t0, forces0, commits0 = db.clock.now(), stats.status_forces, \
+        stats.commits_recorded
+    try:
+        report = sched.run()
+    finally:
+        sched.close()
+    db.tm.flush_commits()
+    forces = stats.status_forces - forces0
+    row = {"txns_per_sec": 8 * nclients / (db.clock.now() - t0),
+           "commits": stats.commits_recorded - commits0, "forces": forces,
+           "waits": locks.waits, "deadlocks": locks.deadlocks,
+           "timeouts": locks.timeouts, "starved": report["starved"],
+           "max_park_s": report["max_park_s"]}
+    db.close()
+    return row
+
+
+def test_clients_scale_on_disjoint_files_and_queue_on_a_hot_one(tmp_path):
+    disjoint = {n: _scale_run(str(tmp_path / f"d{n}"), n, hot=False)
+                for n in DISJOINT_FLOORS}
+    hot = {n: _scale_run(str(tmp_path / f"h{n}"), n, hot=True)
+           for n in DISJOINT_FLOORS}
+    for n, row in disjoint.items():
+        assert row["txns_per_sec"] >= DISJOINT_FLOORS[n], n
+        # a force carries a commit per client, at most one per round
+        assert row["commits"] >= n * row["forces"] and row["forces"] <= 8
+        assert row["waits"] == row["deadlocks"] == row["timeouts"] == 0
+    for n, row in hot.items():
+        assert row["txns_per_sec"] >= 0.5 * disjoint[n]["txns_per_sec"], n
+        # the hot file serializes every run past one client
+        assert (row["waits"] > 0) == (n > 1), n
+        assert row["deadlocks"] == row["timeouts"] == 0
+        assert row["starved"] is False and row["max_park_s"] <= 1.0
+    for n in DISJOINT_FLOORS:
+        assert disjoint[n]["commits"] == hot[n]["commits"] == 8 * n
 
 
 class TestPrograms:

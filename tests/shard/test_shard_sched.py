@@ -197,3 +197,62 @@ def test_victim_retry_preserves_effects_exactly_once(tmp_path):
         check.p_close(fd)
     check.close()
     cluster.close()
+
+
+def _scale_run(workdir, nshards, twophase=False):
+    """64 sessions of four overwrite transactions, session ``c`` homed
+    on shard ``c % nshards``: each rewrites a file in its home subtree
+    and, if ``twophase``, then one on the next shard.  Throughput is
+    over the slowest shard's clock."""
+    cluster = ShardedCluster.create(
+        workdir, nshards, policy="subtree",
+        assignments={f"s{k}": k for k in range(nshards)})
+    setup = cluster.client()
+    for k in range(nshards):
+        setup.p_mkdir(f"/s{k}")
+    paths = [[f"/s{c % nshards}/f{c}"]
+             + ([f"/s{(c + 1) % nshards}/g{c}"] if twophase else [])
+             for c in range(64)]
+    for path in sum(paths, []):
+        _write(setup, path, payload(0, path, 6000))
+    setup.close()
+    cluster.flush_caches()
+    with ShardedScheduler(cluster, seed=0) as sched:
+        for c, mine in enumerate(paths):
+            program, calls = [], 0      # a Ref counts the session's calls
+            for t in range(4):
+                items = []
+                for path in mine:
+                    items += [Call("p_open", path, O_RDWR),
+                              Call("p_write", Ref(calls),
+                                   payload(t, path, 6000)),
+                              Call("p_close", Ref(calls))]
+                    calls += 3
+                program.append(Txn(items, tag=f"c{c}t{t}"))
+            sched.add_session(program, name=f"c{c}", home=c % nshards)
+        starts = [db.clock.now() for db in cluster.dbs]
+        report = sched.run()
+        elapsed = cluster.elapsed_max(starts)
+        retries = sched.stats.retries
+    stats = cluster.stats
+    cluster.close()
+    assert report["starved"] is False and retries == 0
+    return 64 * 4 / elapsed, stats
+
+
+def test_disjoint_work_scales_with_the_shard_count(tmp_path):
+    one, _ = _scale_run(str(tmp_path / "one"), 1)
+    for nshards, floor in ((2, 1.8), (4, 3.5), (8, 6.5)):
+        rate, stats = _scale_run(str(tmp_path / f"n{nshards}"), nshards)
+        assert rate / one >= floor, nshards
+        # partitioning costs nothing when the work respects it
+        assert stats.cross_shard_messages == stats.cross_shard_txns == 0
+
+
+def test_a_two_shard_transaction_costs_two_prepares_a_decision_and_nine_messages(
+        tmp_path):
+    _rate, stats = _scale_run(str(tmp_path / "c"), 2, twophase=True)
+    txns = 64 * 4
+    assert stats.cross_shard_txns == txns
+    assert (stats.prepares, stats.decisions) == (2 * txns, txns)
+    assert stats.cross_shard_messages / txns == 9.0

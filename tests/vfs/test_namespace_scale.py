@@ -7,10 +7,15 @@ import time
 
 import pytest
 
+from repro.core.client import RemoteInversionClient
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
+from repro.core.server import InversionServer
 from repro.db.database import Database
+from repro.sim.clock import SimClock
+from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.vfs import VFS
+from repro.vfs.scenarios import populate_flat_dir
 
 FILES = 1500
 
@@ -85,4 +90,27 @@ def test_ten_thousand_files(tmp_path):
         [f"f{i:05d}" for i in range(files)]
     dev = db.switch.get(db.switch.default_name)
     assert 3 * blocks_used(db) < dev.disk.geometry.total_blocks
+    db.close()
+
+
+def test_a_512_file_directory_lists_whole_or_in_bounded_pages(tmp_path):
+    """Over the wire, paged listing returns the full listing's names in
+    replies of at most a page each."""
+    db = Database.create(str(tmp_path / "db"), clock=SimClock())
+    network = NetworkModel(clock=db.clock, params=ETHERNET_10MBIT)
+    client = RemoteInversionClient(InversionServer(InversionFS.mkfs(db)),
+                                   network)
+    vfs = VFS(client)
+    populate_flat_dir(vfs, 512, per_tx=128, size=0)
+    full = vfs.readdir("/flat")
+    paged, replies, cookie = [], [], None
+    while True:
+        names, cookie = vfs.readdir_page("/flat", cookie, 128)
+        paged += names
+        replies.append(len(names))
+        if cookie is None:
+            break
+    assert len(full) == 512 and paged == full
+    assert max(replies) <= 128 and len(replies) == 512 // 128
+    client.close()
     db.close()

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 from repro.core.checker import ConsistencyChecker
 from repro.core.constants import CHUNK_SIZE
+from repro.core.filesystem import InversionFS
+from repro.core.library import InversionClient
+from repro.db.database import Database
 from repro.testkit.workload import payload
 from repro.vfs import VFS
 
@@ -57,3 +60,36 @@ def test_reflink_and_concat_64mb_move_no_data(fs, client):
     assert vfs.read(fd, 200) == data[-100:] + data[:100]
     vfs.close(fd)
     ConsistencyChecker(fs).raise_if_corrupt()
+
+
+def test_an_8mb_reflink_beats_a_physical_copy_tenfold(tmp_path):
+    """The same 1 024-chunk source copied by reading and writing every
+    byte and by reference, then concatenated and sliced by reference.
+    The buffer pool holds the source and the physical copy, so both
+    paths read warm and the comparison is what each writes."""
+    chunks = 1024
+    db = Database.create(str(tmp_path / "db"), buffer_pages=3072)
+    client = InversionClient(InversionFS.mkfs(db))
+    vfs = VFS(client, obs=db.obs)
+    clock = db.clock
+    data = payload(0, "struct", chunks * CHUNK_SIZE)
+    vfs.write_file("/data", data)
+
+    t0, p0 = clock.now(), _pages_written(db)
+    with vfs.transaction():
+        vfs.write_file("/copy.phys", vfs.read_file("/data"))
+    phys_s, phys_pages = clock.now() - t0, _pages_written(db) - p0
+
+    t0, p0 = clock.now(), _pages_written(db)
+    with vfs.transaction():
+        assert vfs.reflink("/data", "/copy.ref") == (chunks, 0)
+    ref_s, ref_pages = clock.now() - t0, _pages_written(db) - p0
+    assert vfs.read_file("/copy.ref") == data
+    assert ref_pages <= phys_pages / 20
+    assert phys_s / ref_s >= 10.0
+
+    assert vfs.concat(["/data", "/copy.ref"], "/cat") == (2 * chunks, 0)
+    # Only the partial tail chunk of a slice is materialized.
+    half = chunks // 2 * CHUNK_SIZE
+    assert vfs.slice("/data", 0, half + 200, "/slice") == (chunks // 2, 1)
+    db.close()

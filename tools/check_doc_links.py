@@ -12,7 +12,8 @@ slugification (lowercase, spaces to dashes, punctuation dropped,
 ``-1``/``-2`` suffixes for duplicates).  In README.md and DESIGN.md —
 the documents that say where each claim is checked — a backticked
 ``tests/…py``, ``benchmarks/…py``, ``src/…py`` or ``tools/…py`` path
-(``*`` globs, a ``::test`` suffix is ignored) must exist too.
+(``*`` globs) must exist too, and each part of a ``::name`` suffix
+(``[param]`` dropped) must be a ``def`` or ``class`` in that file.
 
 Run:  python tools/check_doc_links.py [files...]
 """
@@ -39,7 +40,7 @@ EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
 #: `tests/x/test_y.py` or `tests/x/test_y.py::test_z`, in backticks.
 CODE_PATH = re.compile(r"`((?:tests|benchmarks|src|tools)/[^`\s:]*\.py)"
-                       r"(?:::[^`]*)?`")
+                       r"(?:::([^`]*))?`")
 
 #: the documents whose backticked code paths are held to the checkout.
 CODE_PATH_DOCS = ("README.md", "DESIGN.md")
@@ -99,13 +100,32 @@ def targets_in(path: str):
                 yield lineno, target
 
 
+def defines(paths: list[str], name: str) -> bool:
+    """Whether one of ``paths`` has a ``def`` or ``class`` for every
+    ``::`` part of ``name``, its ``[param]`` suffix dropped."""
+    parts = re.sub(r"\[.*\]$", "", name).split("::")
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if all(re.search(rf"^\s*(?:async\s+)?(?:def|class)\s+"
+                         rf"{re.escape(part)}\b", text, re.MULTILINE)
+               for part in parts):
+            return True
+    return False
+
+
 def dead_code_paths(path: str):
-    """Yield (lineno, code_path) for every backticked source path in
-    ``path`` that names no file in the checkout."""
+    """Yield (lineno, problem) for every backticked source path in
+    ``path`` that names no file in the checkout, or a test name its
+    file does not define."""
     for lineno, line in prose_lines(os.path.join(REPO, path)):
         for match in CODE_PATH.finditer(line):
-            if not glob.glob(os.path.join(REPO, match.group(1))):
-                yield lineno, match.group(1)
+            code_path, name = match.groups()
+            found = glob.glob(os.path.join(REPO, code_path))
+            if not found:
+                yield lineno, f"no such file -> {code_path}"
+            elif name and not defines(found, name):
+                yield lineno, f"no def or class -> {code_path}::{name}"
 
 
 def main(argv: list[str]) -> int:
@@ -134,8 +154,8 @@ def main(argv: list[str]) -> int:
                 if fragment.lower() not in anchors_of(resolved):
                     dead.append(f"{md}:{lineno}: dead anchor -> {target}")
         if md in CODE_PATH_DOCS:
-            dead += [f"{md}:{lineno}: no such file -> {code_path}"
-                     for lineno, code_path in dead_code_paths(md)]
+            dead += [f"{md}:{lineno}: {problem}"
+                     for lineno, problem in dead_code_paths(md)]
     if dead:
         print("\n".join(dead))
         print(f"\n{len(dead)} dead intra-repo link(s)", file=sys.stderr)
