@@ -18,6 +18,7 @@ and a small file opens with its bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 
 from repro.cache.link import SessionLink
 from repro.core.constants import CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR, O_WRONLY
@@ -49,11 +50,16 @@ METRICS = (
                "Calls that sent no message of their own: each rode the "
                "session's next request, ahead of it (read-only closes; "
                "on a batching client also p_begin, SEEK_SET seeks and "
-               "in-transaction closes).",
+               "in-transaction closes with their buffered writes).",
                "repro.core.client"),
     MetricSpec("rpc.client.filled_opens", "counter", "ops",
                "Read-only p_open exchanges whose reply carried the whole "
                "file and EOF into the read-ahead buffer.",
+               "repro.core.client"),
+    MetricSpec("rpc.client.unchanged_chunks", "counter", "chunks",
+               "Chunks a filled open's reply marked unchanged, 8 bytes "
+               "each: the client's copy from its last open of the path "
+               "had the same SHA-256 digest at the same index.",
                "repro.core.client"),
 )
 
@@ -63,6 +69,7 @@ RPC_BATCH_CHUNKS = 16
 
 _REQ_BASE = 64    # RPC header + method + fixed args
 _RESP_BASE = 32   # status + fixed return
+_DIGEST_BYTES = 32  # one SHA-256 chunk digest sent with a filled open
 
 
 def _arg_bytes(args: tuple, kwargs: dict) -> int:
@@ -128,7 +135,14 @@ class RemoteInversionClient:
     read-ahead window: the reply carries the whole file and EOF into
     the descriptor's buffer, as a first read-ahead would fill it, so a
     small file is read with one message each way.  A longer file gets
-    no data with its open.
+    no data with its open.  The client keeps, per path, the chunks its
+    last filled open of it received (at most ``read_batch_chunks``
+    paths, the least recently opened dropped first), and the next such
+    open sends their SHA-256 digests: the server still reads the whole
+    file, and answers each chunk whose digest matches at the same
+    index with an 8-byte "unchanged" marker, the LBFS trick.  The open
+    still reaches the server, so the bytes are the server's bytes of
+    that moment.
 
     **Riders.**  A call whose reply the client already knows, and
     whose effect no other session can see before the session's next
@@ -155,8 +169,16 @@ class RemoteInversionClient:
         partly consumed buffer) rides the next request that uses the
         descriptor.
       - ``p_close`` of a written descriptor *inside* a transaction,
-        whose attribute reconcile is seen at commit.  Outside one that
-        close stays synchronous: its auto-commit publishes the size.
+        whose attribute reconcile is seen at commit, and with it the
+        buffered ``p_write`` calls (and their corrective seeks) when
+        each is to a descriptor whose write-mode open, inside the
+        transaction, learnt it names a plain file, and ends inside the
+        size limit: their reply is then the length, and their effect
+        is invisible to other sessions before the commit.  One the
+        server refuses all the same (a lock conflict) fails the request
+        it rode, usually the commit.  Outside a transaction that close
+        and its writes stay synchronous: its auto-commit publishes the
+        size.
 
     ``write_batch_chunks`` is the symmetric write-path tunable (also
     off by default): consecutive sequential ``p_write`` calls accumulate
@@ -197,12 +219,15 @@ class RemoteInversionClient:
     def __post_init__(self) -> None:
         self._last_was_write = False
         self._pos: dict[int, int] = {}      # client-visible file position
-        self._srv_pos: dict[int, int] = {}  # where the server's descriptor is
+        #: where the server's descriptor is (None: unknown)
+        self._srv_pos: dict[int, int | None] = {}
         self._streak: dict[int, int] = {}   # consecutive sequential reads
         #: fd -> (offset, bytes, EOF right after them)
         self._rdbuf: dict[int, tuple[int, bytes, bool]] = {}
         #: descriptors opened O_RDONLY
         self._readonly: set[int] = set()
+        #: write-mode descriptors known to name a plain file
+        self._files: set[int] = set()
         #: (method, args) of the calls waiting to ride the next request
         self._riders: list[tuple[str, tuple]] = []
         #: is a transaction open, by this client's own begin / commit /
@@ -222,6 +247,11 @@ class RemoteInversionClient:
         self.riders = 0
         #: read-only opens whose reply carried the whole file.
         self.filled_opens = 0
+        #: chunks a filled open's reply marked unchanged.
+        self.unchanged_chunks = 0
+        #: path -> (chunks, their SHA-256 digests) of its last filled
+        #: open, least recently opened first.
+        self._copies: dict[str, tuple[list, list]] = {}
         # Mirror the counters onto the server database's registry — the
         # client lives outside the Database, so it binds itself.
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
@@ -245,6 +275,7 @@ class RemoteInversionClient:
     def close(self) -> None:
         self._flush_writes()
         self._riders.clear()    # the disconnect aborts and closes
+        self._copies.clear()
         self._link.close()
 
     @property
@@ -283,11 +314,15 @@ class RemoteInversionClient:
                       self._wrbuf, self._fdpath):
             store.pop(fd, None)
         self._readonly.discard(fd)
+        self._files.discard(fd)
 
     def _drop_buffers(self) -> None:
         """Invalidate all read-ahead state (transaction boundaries and
-        namespace changes may change what any position holds)."""
+        namespace changes may change what any position holds), and what
+        write-mode opens learnt: the server writes through a
+        descriptor's path, which may now name another file or none."""
         self._rdbuf.clear()
+        self._files.clear()
         for fd in self._streak:
             self._streak[fd] = 0
 
@@ -301,27 +336,31 @@ class RemoteInversionClient:
 
     # -- write-batching bookkeeping ---------------------------------------
 
-    def _flush_fd_writes(self, fd: int) -> None:
+    def _flush_fd_writes(self, fd: int, ride: bool = False) -> None:
         """Ship one descriptor's buffered writes as a single ``p_write``
         RPC (with a corrective seek first if the server's descriptor
-        has drifted from the buffer's start)."""
+        has drifted from the buffer's start), or queue it to ride the
+        next request."""
         wb = self._wrbuf.pop(fd, None)
         if wb is None:
             return
         start, data, ncalls = wb
         if self._srv_pos.get(fd, start) != start:
             self._seek_server(fd, start)
-        self._call("p_write", fd, bytes(data))
+        if ride:
+            self._ride("p_write", fd, bytes(data))
+        else:
+            self._call("p_write", fd, bytes(data))
         self._srv_pos[fd] = start + len(data)
         if ncalls > 1:
             self.batched_writes += 1
 
-    def _flush_writes(self) -> None:
+    def _flush_writes(self, ride: bool = False) -> None:
         """Ship every descriptor's buffered writes — called before any
         RPC other than an absorbed sequential write, so this client's
         operations observe its writes in program order."""
         for fd in list(self._wrbuf):
-            self._flush_fd_writes(fd)
+            self._flush_fd_writes(fd, ride)
 
     # -- the wire -----------------------------------------------------------
 
@@ -380,6 +419,8 @@ class RemoteInversionClient:
         drop read-ahead state if the verb can change what any position
         holds, then one exchange carrying every parameter; a descriptor
         the verb opens (``p_creat``) enters the position tables."""
+        if verb.name == "p_abort":
+            self._drop_write_riders()
         self._flush_writes()
         if verb.drops_buffers:
             self._drop_buffers()
@@ -389,6 +430,19 @@ class RemoteInversionClient:
         if verb.fd == OPENS:
             self._track_fd(result)
         return result
+
+    def _drop_write_riders(self) -> None:
+        """Before a ``p_abort``: the queued ``p_write`` riders would
+        only be undone by it, and one the server refuses (a lock
+        conflict) would fail the abort.  Where the server's descriptor
+        then stands is unknown, so its next use re-seeks it."""
+        kept = []
+        for method, args in self._riders:
+            if method != "p_write":
+                kept.append((method, args))
+            elif args[0] in self._srv_pos:
+                self._srv_pos[args[0]] = None
+        self._riders = kept
 
     def _transaction(self, method: str) -> None:
         """``p_begin`` / ``p_commit`` / ``p_abort``, keeping the
@@ -412,38 +466,79 @@ class RemoteInversionClient:
         if (readonly and self.read_batch_chunks > 1 and self._cache is None
                 and self._in_tx is False):
             return self._open_filled(fname, mode, timestamp)
+        if (not readonly and self._batching and self._cache is None
+                and self._in_tx is True and timestamp is None):
+            return self._open_writable(fname, mode)
         fd, oid = self._link.open(fname, mode, timestamp)
         self._track_fd(fd, readonly=readonly)
         if oid is not None and isinstance(fd, int):
             self._fdpath[fd] = oid
         return fd
 
+    def _open_writable(self, fname, mode):
+        """A write-mode open inside a transaction that also learns, in
+        the same exchange, whether the file is a directory: only the
+        writes of a descriptor known to name a plain file may ride its
+        close (a write to a directory fails, and must fail at the
+        close)."""
+        server, conn = self.server, self._link.conn
+
+        def serve():
+            fd = server.dispatch(conn, "p_open", fname, mode, None)
+            return fd, server.readable_size(conn, fd) is not None
+
+        fd, plain = self._round_trip(
+            "p_open", _arg_bytes((fname, mode, None), {}), serve)
+        self._track_fd(fd)
+        if plain:
+            self._files.add(fd)
+        return fd
+
     def _open_filled(self, fname, mode, timestamp):
         """A read-only open that brings a small file along: one exchange
         runs ``p_open`` and, when the server finds the file no longer
         than one read-ahead window, a read of that window on the
-        descriptor it returned.  The bytes and EOF fill the read-ahead
-        buffer; ``p_open``'s errors are still ``p_open``'s.  Not inside
-        a transaction: there the read would open the descriptor's
+        descriptor it returned.  The request carries the digests of the
+        client's copy of the path, and the reply only the chunks that
+        differ from it.  The bytes and EOF fill the read-ahead buffer;
+        ``p_open``'s errors are still ``p_open``'s.  Not inside a
+        transaction: there the read would open the descriptor's
         server-side handle at the open, and the handle keeps the size
         it saw, which a later close of another descriptor can grow."""
         window = self.read_batch_chunks * CHUNK_SIZE
         server, conn = self.server, self._link.conn
+        held, digests = self._copies.pop(fname, ((), ()))
 
         def serve():
             fd = server.dispatch(conn, "p_open", fname, mode, timestamp)
             size = server.readable_size(conn, fd)
             if size is None or size > window:
                 return fd, None
-            return fd, server.dispatch(conn, "p_read", fd, window)
+            data = server.dispatch(conn, "p_read", fd, window)
+            return fd, server.compare_chunks(data, digests)
 
-        fd, data = self._round_trip(
-            "p_open", _arg_bytes((fname, mode, timestamp, window), {}), serve)
+        fd, reply = self._round_trip(
+            "p_open", _arg_bytes((fname, mode, timestamp, window), {})
+            + _DIGEST_BYTES * len(digests), serve)
         self._track_fd(fd, readonly=True)
-        if data is not None:
-            self._rdbuf[fd] = (0, data, True)
-            self._srv_pos[fd] = len(data)
-            self.filled_opens += 1
+        if reply is None:
+            return fd
+        chunks, sums = [], []
+        for i, piece in enumerate(reply):
+            if piece is None:
+                self.unchanged_chunks += 1
+                chunks.append(held[i])
+                sums.append(digests[i])
+            else:
+                chunks.append(piece)
+                sums.append(sha256(piece).digest())
+        self._copies[fname] = (chunks, sums)
+        if len(self._copies) > self.read_batch_chunks:
+            del self._copies[next(iter(self._copies))]
+        data = b"".join(chunks)
+        self._rdbuf[fd] = (0, data, True)
+        self._srv_pos[fd] = len(data)
+        self.filled_opens += 1
         return fd
 
     def p_read(self, fd, length):
@@ -563,14 +658,19 @@ class RemoteInversionClient:
             self._forget_fd(fd)
             self._ride("p_close", fd)
             return None
-        self._flush_writes()
         # Closing a written descriptor publishes its pending size.
         self._rdbuf.clear()
         if self._in_tx is True and self._batching and fd in self._pos:
-            # Inside a transaction the reconcile is seen at commit.
+            # Inside a transaction the reconcile is seen at commit, and
+            # so are the buffered writes, if the reply of each — its
+            # length — is known: to a plain file, inside the size limit.
+            self._flush_writes(ride=all(
+                wfd in self._files and start + len(data) <= MAX_FILE_SIZE
+                for wfd, (start, data, _n) in self._wrbuf.items()))
             self._forget_fd(fd)
             self._ride("p_close", fd)
             return None
+        self._flush_writes()
         result = self._call("p_close", fd)
         self._forget_fd(fd)
         return result

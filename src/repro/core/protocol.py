@@ -114,7 +114,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
     Verb("p_concat", WRITE, paths=(0, 1), drops_buffers=True),
     Verb("p_slice", WRITE, paths=(0, 3), drops_buffers=True),
     Verb("p_truncate", WRITE, paths=(0,), drops_buffers=True),
-    Verb("p_query", WRITE, reach=REMOTE),
+    Verb("p_query", WRITE, reach=REMOTE, drops_buffers=True),
 )}
 
 

@@ -15,7 +15,9 @@ charges per-request dispatch CPU.  The network is *not* modelled here —
 
 from __future__ import annotations
 
-from repro.core.constants import TYPE_DIRECTORY
+from hashlib import sha256
+
+from repro.core.constants import CHUNK_SIZE, TYPE_DIRECTORY
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.protocol import OPENS, VERBS
@@ -92,6 +94,22 @@ class InversionServer:
         if att.type == TYPE_DIRECTORY:
             return None
         return att.size
+
+    def compare_chunks(self, data: bytes, digests) -> list:
+        """``data`` cut into chunks, with each chunk whose SHA-256
+        digest is ``digests[i]`` — the client's copy at the same index —
+        replaced by None, the reply's 8-byte "unchanged" marker.  Lets
+        a read-only open ship only the chunks a client's copy lacks;
+        charges one buffer copy per chunk hashed."""
+        chunks = [data[i:i + CHUNK_SIZE]
+                  for i in range(0, len(data), CHUNK_SIZE)]
+        hashed = min(len(chunks), len(digests))
+        if hashed and self.fs.db.cpu is not None:
+            self.fs.db.cpu.buffer_copy(hashed)
+        for i in range(hashed):
+            if sha256(chunks[i]).digest() == digests[i]:
+                chunks[i] = None
+        return chunks
 
     def session_last_xid(self, session_id: int) -> int | None:
         """xid of the session's most recent transaction (cache fills

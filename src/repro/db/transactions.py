@@ -23,7 +23,7 @@ exactly the paper's ``p_begin``/``p_commit``/``p_abort``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.devices.base import DeviceManager
@@ -100,6 +100,11 @@ class _TxRecord:
     #: global transaction id while PREPARED (``<coordinator>.<xid>``).
     gid: str | None = None
 
+
+#: what :meth:`TransactionManager._load` keeps before anything is
+#: parsed: no bytes, the bootstrap record, no committed xid.
+_NOTHING_PARSED = (b"", {BOOTSTRAP_XID: _TxRecord(COMMITTED, 0.0, 0.0)},
+                   BOOTSTRAP_XID, 0)
 
 #: tokens per status record, its kind letter and xid included.
 _ARITY = {"C": 4, "A": 3, "P": 4}
@@ -236,6 +241,11 @@ class TransactionManager:
         #: queued group-commit record is visible but not yet durable, so
         #: it does not advance this).
         self._max_durable_committed = 0
+        #: (status file up to its last newline, the records parsed from
+        #: it, the highest xid and the highest committed xid it names)
+        #: as of the last :meth:`refresh`; a manager that never
+        #: refreshes keeps nothing.
+        self._parsed = _NOTHING_PARSED
         self._load()
 
     # -- persistence ----------------------------------------------------
@@ -294,31 +304,47 @@ class TransactionManager:
             max_glimpsed = max(max_glimpsed, out[-1][0])
         return out[:-1], max_glimpsed
 
-    def _load(self) -> None:
-        raw = self._device.read_meta(STATUS_TAG)
-        max_seen = BOOTSTRAP_XID
-        if raw:
-            lines = raw.decode("ascii", errors="replace").splitlines()
-            for lineno, line in enumerate(lines):
-                if not line:
-                    continue
-                torn = lineno == len(lines) - 1 and not raw.endswith(b"\n")
-                if torn:
-                    self._torn_tail = 1
-                    parsed, glimpsed = self._parse_torn_tail(line)
-                    max_seen = max(max_seen, glimpsed)
-                else:
-                    try:
-                        parsed = self._parse_line(line)
-                    except (IndexError, ValueError) as exc:
-                        raise RecoveryError(
-                            f"corrupt status record {line!r}") from exc
-                for xid, rec in parsed:
-                    self._records[xid] = rec
-                    max_seen = max(max_seen, xid)
-                    if (rec.state == COMMITTED
-                            and xid > self._max_durable_committed):
-                        self._max_durable_committed = xid
+    def _load(self, keep: bool = False) -> None:
+        """Read the status file into the record map.  Lines up to the
+        last newline that the previous kept load parsed are not parsed
+        again (:attr:`_parsed`), as long as the file still starts with
+        them; ``keep`` keeps this load's for the next.  A torn tail is
+        parsed every time and never kept."""
+        raw = self._device.read_meta(STATUS_TAG) or b""
+        prefix, kept, max_seen, max_committed = self._parsed
+        if not raw.startswith(prefix):
+            prefix, kept, max_seen, max_committed = _NOTHING_PARSED
+        records = dict(kept)
+        end = raw.rfind(b"\n") + 1
+        for line in raw[len(prefix):end].decode(
+                "ascii", errors="replace").split("\n"):
+            if not line:
+                continue
+            try:
+                parsed = self._parse_line(line)
+            except (IndexError, ValueError) as exc:
+                raise RecoveryError(
+                    f"corrupt status record {line!r}") from exc
+            for xid, rec in parsed:
+                records[xid] = rec
+                max_seen = max(max_seen, xid)
+                if rec.state == COMMITTED and xid > max_committed:
+                    max_committed = xid
+        if keep:
+            self._parsed = (raw[:end], records, max_seen, max_committed)
+            records = dict(records)
+        self._records = records
+        tail = raw[end:].decode("ascii", errors="replace")
+        if tail:
+            self._torn_tail = 1
+            parsed, glimpsed = self._parse_torn_tail(tail)
+            max_seen = max(max_seen, glimpsed)
+            for xid, rec in parsed:
+                self._records[xid] = rec
+                max_seen = max(max_seen, xid)
+                if rec.state == COMMITTED and xid > max_committed:
+                    max_committed = xid
+        self._max_durable_committed = max_committed
         hwm_raw = self._device.read_meta(XID_HWM_TAG)
         hwm = int(hwm_raw.decode("ascii")) if hwm_raw else FIRST_NORMAL_XID
         self._next_xid = max(max_seen + 1, hwm)
@@ -387,9 +413,19 @@ class TransactionManager:
         if self._durable_hwm - self._next_xid < XID_HWM_STRIDE // 4:
             self._force_hwm()
 
+    def _own_record(self, xid: int) -> _TxRecord:
+        """``xid``'s record, to be changed in place: one the last load
+        parsed is copied first, so what the next refresh keeps is what
+        the file says (on a replica a shipped record can share its xid
+        with a local read-only transaction)."""
+        rec = self._records[xid]
+        if self._parsed[1].get(xid) is rec:
+            rec = self._records[xid] = replace(rec)
+        return rec
+
     def _precommit(self, tx: Transaction, after_force) -> None:
         """Stamp ``tx`` committed (visible in memory); queue its record."""
-        rec = self._records[tx.xid]
+        rec = self._own_record(tx.xid)
         rec.state = COMMITTED
         rec.commit_time = self._clock.now()
         if tx.wrote:
@@ -477,7 +513,7 @@ class TransactionManager:
     def _decide(self, tx: Transaction, commit: bool) -> None:
         """Stamp ``tx`` and force its final record at once, past the
         queue: an abort, or the decision on a prepared transaction."""
-        rec = self._records[tx.xid]
+        rec = self._own_record(tx.xid)
         rec.gid = None
         if commit:
             self._close_group()
@@ -506,7 +542,7 @@ class TransactionManager:
         if " " in gid or "\n" in gid:
             raise TransactionError(f"malformed gid {gid!r}")
         self._close_group()
-        rec = self._records[tx.xid]
+        rec = self._own_record(tx.xid)
         rec.state = PREPARED
         rec.gid = gid
         if tx.wrote:
@@ -614,13 +650,11 @@ class TransactionManager:
         live = {xid: rec for xid, rec in self._records.items()
                 if rec.state == IN_PROGRESS}
         old_next = self._next_xid
-        self._records = {BOOTSTRAP_XID: _TxRecord(COMMITTED, 0.0, 0.0)}
         self._recovered_in_progress = 0
         self._recovered_in_doubt = 0
         self._torn_tail = 0
         self._batch_deadline = None
-        self._max_durable_committed = 0
-        self._load()
+        self._load(keep=True)
         # Local in-progress (read-only) transactions survive the
         # reload; a shipped record for the same xid wins — it is the
         # primary's, and a colliding local transaction wrote nothing

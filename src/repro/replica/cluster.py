@@ -80,13 +80,14 @@ class ReplicatedCluster:
         speaks the light protocol (both batch sizes
         :data:`~repro.core.client.RPC_BATCH_CHUNKS` unless told
         otherwise), so a begin/open/seek/write/close/commit transaction
-        is three exchanges."""
+        is two exchanges."""
         return self._client(self.primary_server, kwargs)
 
     def reader_client(self, **kwargs) -> RemoteInversionClient:
         """A read-only session, routed round-robin across the replicas
         (or to the primary when there are none), on the light protocol
-        too: a small file is one open that carries its bytes."""
+        too: a small file is one open that carries its bytes, or on a
+        re-read only the chunks that changed."""
         if not self.replicas:
             return self.writer_client(**kwargs)
         server = self.replicas[self._next_reader % len(self.replicas)]

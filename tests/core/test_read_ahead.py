@@ -1,8 +1,9 @@
 """The light protocol on the remote client (``read_batch_chunks`` and
 ``write_batch_chunks`` above one, as the replicated cluster's clients
-speak it): EOF is a buffered fact, a small file opens with its bytes, a
-read-only descriptor of a longer one reads ahead from its first read,
-and calls whose reply the client knows ride the session's next request.
+speak it): EOF is a buffered fact, a small file opens with its bytes
+(on a re-open, only the chunks its copy lacks), a read-only descriptor
+of a longer one reads ahead from its first read, and calls whose reply
+the client knows ride the session's next request.
 
 Each is a message saved, never an answer changed: a light client must
 answer every call exactly as a client of the paper's protocol and as
@@ -18,7 +19,8 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
-from repro.errors import BadFileDescriptorError
+from repro.errors import (BadFileDescriptorError, FileNotFoundError_,
+                          IsADirectoryError_, LockTimeoutError)
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.testkit.oracle import harvest_state
@@ -100,6 +102,40 @@ WRITTEN_CLOSE_IN_TRANSACTION = [
     ("p_commit",)]
 
 
+#: another session changes a chunk between two filled opens, to the
+#: bytes the copy holds at another index.
+CHANGED_BY_ANOTHER_SESSION = [
+    ("other_write", "/f0", 0, 120), ("p_open", "/f0", O_RDONLY),
+    ("p_close", 0), ("other_write", "/f0", 1, 120),
+    ("p_open", "/f0", O_RDONLY), ("p_read", 1, 4 * CHUNK_SIZE)]
+
+#: the file is shorter at the next filled open.
+SHRUNK_BETWEEN_FILLED_OPENS = [
+    ("p_open", "/f0", O_RDONLY), ("p_close", 0),
+    ("p_truncate", "/f0", CHUNK_SIZE + 10), ("p_open", "/f0", O_RDONLY),
+    ("p_read", 1, 4 * CHUNK_SIZE), ("p_read", 1, CHUNK_SIZE)]
+
+#: the file outgrows one window: the next open carries no bytes.
+GROWN_PAST_A_WINDOW = [
+    ("p_open", "/f1", O_RDONLY), ("p_close", 0), ("p_open", "/f1", O_RDWR),
+    ("p_lseek", 1, RPC_BATCH_CHUNKS * CHUNK_SIZE, 0), ("p_write", 1, 10),
+    ("p_close", 1), ("p_open", "/f1", O_RDONLY), ("p_read", 2, CHUNK_SIZE),
+    ("p_close", 2), ("p_open", "/f1", O_RDONLY), ("p_read", 3, CHUNK_SIZE)]
+
+#: another file now answers to the path.
+RENAMED_ONTO_THE_PATH = [
+    ("p_open", "/f1", O_RDONLY), ("p_close", 0), ("p_unlink", "/f1"),
+    ("p_rename", "/f0", "/f1"), ("p_open", "/f1", O_RDONLY),
+    ("p_read", 1, 4 * CHUNK_SIZE)]
+
+#: a time-travel open of the path, between opens of its present.
+TIME_TRAVEL_BETWEEN_FILLED_OPENS = [
+    ("p_open", "/f0", O_RDONLY), ("p_close", 0), ("mark",),
+    ("other_write", "/f0", 1, 120), ("p_open", "/f0", O_RDONLY, "mark"),
+    ("p_read", 1, 4 * CHUNK_SIZE), ("p_close", 1),
+    ("p_open", "/f0", O_RDONLY), ("p_read", 2, 4 * CHUNK_SIZE)]
+
+
 def _grown_under_eof(publish: tuple) -> list:
     """An auto-commit write past EOF leaves the size pending, EOF is
     read ahead at the old size, and then ``publish`` makes the new size
@@ -109,18 +145,51 @@ def _grown_under_eof(publish: tuple) -> list:
             ("p_read", 0, CHUNK_SIZE), publish, ("p_read", 0, CHUNK_SIZE)]
 
 
-def _apply(call, op: tuple, fds: list, step: int):
-    """Run one op through ``call(verb, *args)``: ``("ok", result)`` or
-    ``("raised", type, message)``."""
-    verb, args = op[0], list(op[1:])
+class _Side:
+    """One side of a differential: ``call(verb, *args)``, the
+    descriptors its opens returned, and — given its server and file
+    system — another session on that server and a remembered moment of
+    its clock."""
+
+    def __init__(self, call, server=None, fs=None) -> None:
+        self.call, self.fds, self.fs, self.mark = call, [], fs, None
+        if server is not None:
+            conn = server.connect()
+            self.other = lambda verb, *args: server.dispatch(conn, verb, *args)
+
+
+def _other_write(other, path: str, chunk: int, fill: int) -> None:
+    """Another session overwrites chunk ``chunk`` of ``path`` with
+    ``fill`` bytes, each call an auto-commit."""
+    fd = other("p_open", path, O_RDWR)
+    try:
+        other("p_lseek", fd, 0, chunk * CHUNK_SIZE, 0)
+        other("p_write", fd, bytes([fill]) * CHUNK_SIZE)
+    finally:
+        other("p_close", fd)
+
+
+def _apply(side: _Side, op: tuple, step: int):
+    """Run one op on ``side``: ``("ok", result)`` or ``("raised", type,
+    message)``.  ``("mark",)`` remembers the side's clock, which a
+    ``p_open`` timestamp of ``"mark"`` names; ``("other_write", path,
+    chunk, fill)`` runs in another session."""
+    verb, args, fds = op[0], list(op[1:]), side.fds
     if verb in ("p_read", "p_lseek", "p_write", "p_close"):
         args[0] = fds[args[0]] if args[0] < len(fds) else 100 + args[0]
     if verb == "p_lseek":
         args[1:1] = [0]                          # offset_high
     elif verb == "p_write":
         args[1] = bytes([65 + step % 26]) * args[1]
+    elif verb == "p_open" and args[2:] == ["mark"]:
+        args[2] = side.mark
     try:
-        result = call(verb, *args)
+        if verb == "mark":
+            side.mark = side.fs.db.clock.now()
+            return ("ok", None)
+        if verb == "other_write":
+            return ("ok", _other_write(side.other, *args))
+        result = side.call(verb, *args)
     except Exception as exc:
         return ("raised", type(exc), str(exc))
     if verb == "p_open":
@@ -151,6 +220,11 @@ def _calls(client):
 @example(ops=GROWN_UNDER_AN_OPEN_IN_TRANSACTION)
 @example(ops=WRITTEN_CLOSE_IN_TRANSACTION)
 @example(ops=WRITE_TO_A_READ_ONLY_DESCRIPTOR)
+@example(ops=CHANGED_BY_ANOTHER_SESSION)
+@example(ops=SHRUNK_BETWEEN_FILLED_OPENS)
+@example(ops=GROWN_PAST_A_WINDOW)
+@example(ops=RENAMED_ONTO_THE_PATH)
+@example(ops=TIME_TRAVEL_BETWEEN_FILLED_OPENS)
 def test_read_ahead_answers_as_the_protocol_does(tmp_path_factory, ops):
     """The same seeded calls through a light client, a client of the
     paper's protocol and the server's bare dispatch, each over its own
@@ -159,15 +233,17 @@ def test_read_ahead_answers_as_the_protocol_does(tmp_path_factory, ops):
     workdir = tmp_path_factory.mktemp("readahead")
     mounts = [_mount(str(workdir / name))
               for name in ("ahead", "plain", "bare")]
-    _, ahead = _read_ahead_client(mounts[0])
-    _, plain = _remote(mounts[1])
+    ahead_server, ahead = _read_ahead_client(mounts[0])
+    plain_server, plain = _remote(mounts[1])
     bare = InversionServer(mounts[2])
     conn = bare.connect()
-    sides = [(_calls(ahead), []), (_calls(plain), []),
-             (lambda verb, *args: bare.dispatch(conn, verb, *args), [])]
+    sides = [_Side(_calls(ahead), ahead_server, mounts[0]),
+             _Side(_calls(plain), plain_server, mounts[1]),
+             _Side(lambda verb, *args: bare.dispatch(conn, verb, *args),
+                   bare, mounts[2])]
     try:
         for step, op in enumerate(ops):
-            outcomes = [_apply(call, op, fds, step) for call, fds in sides]
+            outcomes = [_apply(side, op, step) for side in sides]
             assert outcomes[0] == outcomes[1] == outcomes[2], (step, op)
         ahead.close()
         plain.close()
@@ -192,14 +268,15 @@ def test_server_descriptors_are_bounded_by_the_client(tmp_path_factory,
     fs = _mount(str(tmp_path_factory.mktemp("bound") / "db"))
     server, client = _read_ahead_client(fs)
     conn = client._link.conn
-    fds: list = []
+    side = _Side(_calls(client))
+    fds = side.fds
 
     def held() -> int:
         return sum(server.descriptor(conn, fd) is not None for fd in fds)
 
     try:
         for step, op in enumerate(ops):
-            _apply(_calls(client), op, fds, step)
+            _apply(side, op, step)
             closing = sum(method == "p_close"
                           for method, _args in client._riders)
             assert held() <= len(client._pos) + closing
@@ -228,6 +305,93 @@ def test_a_failing_rider_fails_the_call_it_rode(tmp_path):
         assert not server._sessions[conn]._fds
         client.p_begin()
         assert client._riders == [] and server.session_tx(conn) is not None
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def test_a_failing_write_rider_fails_the_commit_it_rode(tmp_path):
+    """Inside a transaction a written close carries its buffered write.
+    When the server refuses the write after all — here another session
+    holds the file's lock — the commit it rode raises and does not run,
+    and the transaction is still open for an abort."""
+    fs = _mount(str(tmp_path / "db"))
+    server, client = _read_ahead_client(fs)
+    other = server.connect()
+    try:
+        client.p_begin()
+        fd = client.p_open("/f1", O_RDWR)
+        client.p_write(fd, b"x" * 10)
+        client.p_close(fd)
+        assert [method for method, _args in client._riders] == [
+            "p_write", "p_close"]
+        server.dispatch(other, "p_begin")
+        ofd = server.dispatch(other, "p_open", "/f1", O_RDWR)
+        server.dispatch(other, "p_write", ofd, b"y")
+        with pytest.raises(LockTimeoutError):
+            client.p_commit()
+        assert server.session_tx(client._link.conn) is not None
+        client.p_abort()
+        server.dispatch(other, "p_close", ofd)
+        server.dispatch(other, "p_commit")
+        assert fs.read_file("/f1") == b"y" + _contents("/f1", 100)[1:]
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def test_an_abort_drops_the_write_riders_it_would_undo(tmp_path):
+    """An abort right after a written close does not carry the write
+    it would undo: a lock conflict on that write cannot fail it.  The
+    descriptor still open beside the closed one reads from where its
+    client says it is."""
+    fs = _mount(str(tmp_path / "db"))
+    server, client = _read_ahead_client(fs)
+    other = server.connect()
+    try:
+        client.p_begin()
+        kept = client.p_open("/f0", O_RDWR)
+        fd = client.p_open("/f1", O_RDWR)
+        client.p_write(kept, b"z" * 10)
+        client.p_write(fd, b"x" * 10)
+        client.p_close(fd)
+        assert [method for method, _args in client._riders] == [
+            "p_write", "p_write", "p_close"]
+        server.dispatch(other, "p_begin")
+        ofd = server.dispatch(other, "p_open", "/f1", O_RDWR)
+        server.dispatch(other, "p_write", ofd, b"y")
+        client.p_abort()
+        assert server.session_tx(client._link.conn) is None
+        server.dispatch(other, "p_close", ofd)
+        server.dispatch(other, "p_commit")
+        assert fs.read_file("/f1") == b"y" + _contents("/f1", 100)[1:]
+        assert client.p_read(kept, 5) == _contents("/f0", 15)[10:]
+    finally:
+        client.close()
+        fs.db.close()
+
+
+@pytest.mark.parametrize("moves, error", [
+    ([("p_unlink", "/f1")], FileNotFoundError_),
+    ([("p_unlink", "/f1"), ("p_mkdir", "/d"), ("p_rename", "/d", "/f1")],
+     IsADirectoryError_),
+], ids=["unlinked", "directory-renamed-onto-it"])
+def test_a_write_to_a_path_changed_since_the_open_fails_at_the_close(
+        tmp_path, moves, error):
+    """The server writes through a descriptor's path, so a namespace
+    change after the write-mode open voids what it learnt: the write
+    goes with the close, and fails there, not at the commit."""
+    fs = _mount(str(tmp_path / "db"))
+    server, client = _read_ahead_client(fs)
+    try:
+        client.p_begin()
+        fd = client.p_open("/f1", O_RDWR)
+        for verb, *args in moves:
+            getattr(client, verb)(*args)
+        client.p_write(fd, b"x" * 10)
+        with pytest.raises(error):
+            client.p_close(fd)
+        client.p_abort()
     finally:
         client.close()
         fs.db.close()

@@ -1,11 +1,13 @@
 """Transaction manager and the status file."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.db.transactions import (
     ABORTED,
     COMMITTED,
     IN_PROGRESS,
+    STATUS_TAG,
     Transaction,
     TransactionManager,
 )
@@ -143,3 +145,63 @@ def test_corrupt_status_rejected(device):
     from repro.errors import RecoveryError
     with pytest.raises(RecoveryError):
         TransactionManager(device, SimClock())
+
+
+#: a fresh manager forces its xid high-water mark to 66, so a local
+#: transaction's xid is 66 or more.
+XID = st.integers(min_value=2, max_value=80)
+TIME = st.floats(min_value=0.0, max_value=1000.0)
+#: one status record, as the status file spells it.
+RECORD = st.one_of(
+    st.builds("C {} {!r} {!r}".format, XID, TIME, TIME),
+    st.builds("A {} {!r}".format, XID, TIME),
+    st.builds(lambda xid, t: f"P {xid} c.{xid} {t!r}", XID, TIME))
+#: a status file: lines of one or more records (a group's force).
+STATUS_TEXT = st.lists(st.lists(RECORD, min_size=1, max_size=3),
+                       min_size=1, max_size=12).map(
+    lambda lines: "".join(" ".join(line) + "\n" for line in lines))
+
+
+def _loaded(tm: TransactionManager) -> tuple:
+    """What a load left: every record but a local transaction's in
+    progress, the recovery report (``next_xid`` aside: a refresh keeps
+    its own when higher), and the durable horizon."""
+    records = {xid: (rec.state, rec.start_time, rec.commit_time, rec.gid)
+               for xid, rec in tm._records.items()
+               if rec.state != IN_PROGRESS}
+    report = tm.recovery_report()
+    del report["next_xid"]
+    return records, report, tm.durable_committed_xid()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=STATUS_TEXT, cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+       local=st.lists(st.booleans(), max_size=8))
+@example(text="C 2 1.0 2.0\nC 3 1.5 2.5 A 4 1.75\n", cuts=[0.3, 0.9],
+         local=[])
+@example(text="C 2 1.0 2.0\nA 66 1.5\nC 3 2.0 3.0\n", cuts=[0.2, 0.7, 1.0],
+         local=[True, True])
+def test_an_incremental_refresh_matches_a_full_reload(text, cuts, local):
+    """The status file grows by the slices between ``cuts`` (so a round
+    may end mid-record, and the last one may leave a torn tail); after
+    each round a refresh of a manager that parsed every earlier round
+    leaves what a manager loading the whole file has.  Between rounds
+    the refreshing manager begins or commits a local read-only
+    transaction, whose xid a shipped record may name by its commit."""
+    raw = text.encode("ascii")
+    device = MemDisk("mem0", SimClock())
+    tm = TransactionManager(device, SimClock())
+    ends = [int(cut * len(raw)) for cut in sorted(cuts)] or [len(raw)]
+    done, open_tx = 0, None
+    for i, end in enumerate(ends):
+        device.sync_append_meta(STATUS_TAG, raw[done:end])
+        done = end
+        tm.refresh()
+        assert _loaded(tm) == _loaded(
+            TransactionManager(device, SimClock()))
+        if i < len(local) and local[i]:
+            if open_tx is None:
+                open_tx = tm.begin()
+            else:
+                tm.commit(open_tx)
+                open_tx = None

@@ -48,9 +48,47 @@ def test_a_whole_file_read_is_one_round_trip(tmp_path):
         cluster.close()
 
 
-def test_a_write_transaction_is_three_round_trips(tmp_path):
+def test_a_re_read_ships_only_the_chunks_that_changed(tmp_path):
+    """A re-read's open sends the digests of the reader's copy: the
+    reply to an unchanged 3-chunk file carries an 8-byte marker per
+    chunk and no chunk bytes, and after a shipped commit changed one
+    chunk it carries exactly that chunk."""
+    cluster = _cluster(tmp_path)
+    reader = cluster.reader_client()
+    writer = cluster.writer_client()
+    replies = []
+    compare = reader.server.compare_chunks
+    reader.server.compare_chunks = lambda data, digests: replies.append(
+        compare(data, digests)) or replies[-1]
+    sent = []
+    send = reader.network.send
+    reader.network.send = lambda payload: sent.append(payload) or send(
+        payload)
+    try:
+        assert _read_file(reader, "/f") == OLD
+        whole = sent[-1]
+        assert _read_file(reader, "/f") == OLD
+        assert replies[-1] == [None, None, None]
+        assert sent[-1] == whole - 3 * CHUNK_SIZE + 3 * 8
+        fd = writer.p_open("/f", O_RDWR)
+        writer.p_lseek(fd, 0, CHUNK_SIZE, 0)
+        writer.p_write(fd, b"n" * 100)
+        writer.p_close(fd)
+        cluster.sync_all()
+        new = OLD[:CHUNK_SIZE] + b"n" * 100 + OLD[CHUNK_SIZE + 100:]
+        assert _read_file(reader, "/f") == new
+        assert replies[-1] == [None, new[CHUNK_SIZE:2 * CHUNK_SIZE], None]
+        assert sent[-1] == whole - 2 * CHUNK_SIZE + 2 * 8
+        assert (reader.filled_opens, reader.unchanged_chunks) == (3, 5)
+    finally:
+        for client in (reader, writer):
+            client.close()
+        cluster.close()
+
+
+def test_a_write_transaction_is_two_round_trips(tmp_path):
     """begin, open, seek, write, close, commit: the begin rides the
-    open, the seek rides the write, and the close rides the commit."""
+    open, and the seek, the write and the close ride the commit."""
     cluster = _cluster(tmp_path)
     writer = cluster.writer_client()
     stats = writer.network.stats
@@ -62,7 +100,7 @@ def test_a_write_transaction_is_three_round_trips(tmp_path):
         assert writer.p_write(fd, b"n" * 100) == 100
         writer.p_close(fd)
         writer.p_commit()
-        assert (stats.round_trips - before, writer.riders) == (3, 3)
+        assert (stats.round_trips - before, writer.riders) == (2, 4)
         cluster.sync_all()
         reader = cluster.reader_client()
         expected = OLD[:CHUNK_SIZE] + b"n" * 100 + OLD[CHUNK_SIZE + 100:]
