@@ -51,7 +51,8 @@ from repro.cache.leases import normalize_path
 METRICS = (
     MetricSpec("cache.hits", "counter", "ops",
                "Client-cache hits served without a server RPC, by tier "
-               "(att, negative, chunk, seek).",
+               "(att, negative, chunk, seek, and open: a read-only open "
+               "answered with a link-local descriptor).",
                "repro.cache.client", labels=("tier",)),
     MetricSpec("cache.misses", "counter", "ops",
                "Cache-eligible requests that still went to the server, "
@@ -94,7 +95,7 @@ def bind_cache_stats(registry, stats: CacheStats) -> None:
         return
     stats._bound.add(id(registry))
     hits = registry.register(METRICS[0])
-    for tier in ("att", "negative", "chunk", "seek"):
+    for tier in ("att", "negative", "chunk", "seek", "open"):
         hits.mirror(lambda s=stats, t=tier: s.hits.get(t, 0), tier=tier)
     misses = registry.register(METRICS[1])
     for tier in ("att", "chunk"):

@@ -193,14 +193,17 @@ class RemoteInversionClient:
     ``cache_paths`` / ``cache_chunks`` (both off by default) enable the
     lease-coherent client cache (:mod:`repro.cache`): name→oid and
     negative lookups, fileatt rows, and chunk payloads are served
-    locally with **zero** network messages, and SEEK_SET seeks on
-    cached descriptors are absorbed client-side (a corrective seek is
-    sent lazily only if the server is consulted again).  Unlike the
-    read-ahead buffer above, cached entries are *coherent* across
-    clients: the server piggybacks invalidation notices on every reply
-    (emitted at writer commit time), and a revoked lease drops the
-    whole cache.  Serving and filling happen only outside explicit
-    transactions — transactional traffic always reaches the server.
+    locally with **zero** network messages.  A read-only open whose
+    name the cache resolves is a descriptor of the client's
+    :class:`~repro.cache.link.SessionLink`: an open of a name already
+    cached, its ``SEEK_SET`` seeks and its close send nothing, and a
+    read the chunk tier cannot answer is one ``p_pread``, reading ahead
+    as a server descriptor's read would.  Unlike the read-ahead buffer above,
+    cached entries are *coherent* across clients: the server piggybacks
+    invalidation notices on every reply (emitted at writer commit
+    time), and a revoked lease drops the whole cache.  Serving and
+    filling happen only outside explicit transactions — transactional
+    traffic always reaches the server.
     """
 
     server: InversionServer
@@ -257,9 +260,6 @@ class RemoteInversionClient:
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
         if self._obs is not None:
             self._obs.bind_client(self)
-        #: fd -> oid, for descriptors whose resolution the cache knows
-        #: (set at p_open from a piggybacked grant or a cached path).
-        self._fdpath: dict[int, int] = {}
         factory = None
         if self.cache_paths > 0 or self.cache_chunks > 0:
             from repro.cache import session_cache_factory
@@ -268,7 +268,8 @@ class RemoteInversionClient:
                                             self.cache_stats)
         #: the server connection, the lease-coherent cache in front of
         #: it (if any), and every rule about when that cache may serve.
-        self._link = SessionLink(self.server, factory, self._exchange)
+        self._link = SessionLink(self.server, factory, self._exchange,
+                                 read_ahead=self.read_batch_chunks)
         self._call = self._link.call
         self._cache = self._link.cache
 
@@ -311,7 +312,7 @@ class RemoteInversionClient:
 
     def _forget_fd(self, fd) -> None:
         for store in (self._pos, self._srv_pos, self._streak, self._rdbuf,
-                      self._wrbuf, self._fdpath):
+                      self._wrbuf):
             store.pop(fd, None)
         self._readonly.discard(fd)
         self._files.discard(fd)
@@ -469,11 +470,16 @@ class RemoteInversionClient:
         if (not readonly and self._batching and self._cache is None
                 and self._in_tx is True and timestamp is None):
             return self._open_writable(fname, mode)
-        fd, oid = self._link.open(fname, mode, timestamp)
-        self._track_fd(fd, readonly=readonly)
-        if oid is not None and isinstance(fd, int):
-            self._fdpath[fd] = oid
+        fd = self._link.open(fname, mode, timestamp)
+        if not self._link.owns(fd):
+            self._track_fd(fd, readonly=readonly)
         return fd
+
+    def _on_local(self, method: str, fd, *rest):
+        """A descriptor verb on a link-local descriptor: the link's
+        business, after this client's buffered writes have shipped."""
+        self._flush_writes()
+        return self._link.request(method, fd, *rest)
 
     def _open_writable(self, fname, mode):
         """A write-mode open inside a transaction that also learns, in
@@ -542,11 +548,12 @@ class RemoteInversionClient:
         return fd
 
     def p_read(self, fd, length):
+        if self._link.owns(fd):
+            return self._on_local("p_read", fd, length)
         self._flush_writes()
         pos = self._pos.get(fd)
         if pos is None or length <= 0:
             return self._call("p_read", fd, length)
-        oid = self._fdpath.get(fd)
         buf = self._rdbuf.get(fd)
         if buf is not None:
             start, data, at_eof = buf
@@ -561,11 +568,6 @@ class RemoteInversionClient:
                 return piece
             # Unusable (seeked away, or too little left): refetch.
             del self._rdbuf[fd]
-        if oid is not None:
-            served = self._link.read_hit(oid, pos, length)
-            if served is not None:
-                self._pos[fd] = pos + len(served)
-                return served
         self._resync(fd)
         streak = self._streak.get(fd, 0)
         # The first read of a streak fetches exactly what was asked —
@@ -574,8 +576,6 @@ class RemoteInversionClient:
         want = length * self.read_batch_chunks if streak >= 1 else length
         result = self._call("p_read", fd, want)
         self._srv_pos[fd] = pos + len(result)
-        if oid is not None:
-            self._link.read_fill(oid, pos, result)
         piece = result[:length]
         self._pos[fd] = pos + len(piece)
         # A batched reply shorter than it asked for ends at EOF.
@@ -588,6 +588,8 @@ class RemoteInversionClient:
         return piece
 
     def p_write(self, fd, buf):
+        if self._link.owns(fd):
+            return self._on_local("p_write", fd, buf)
         if (self.write_batch_chunks > 1 and isinstance(fd, int)
                 and fd in self._pos and fd not in self._readonly):
             # Another descriptor may hold this file's bytes read ahead.
@@ -627,16 +629,18 @@ class RemoteInversionClient:
         return self._call("p_write", fd, buf)
 
     def p_lseek(self, fd, offset_high, offset_low, whence=0):
+        if self._link.owns(fd):
+            return self._on_local("p_lseek", fd, offset_high, offset_low,
+                                  whence)
         self._flush_writes()
         offset = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
-        if whence == 0 and fd in self._pos and (
-                fd in self._fdpath and self._link.seek_hit()
-                or self._batching and offset <= MAX_FILE_SIZE):
+        if (whence == 0 and fd in self._pos and self._batching
+                and offset <= MAX_FILE_SIZE):
             # Absorb the SEEK_SET: record the position client-side and
             # repay it with one corrective seek only if the server is
-            # consulted again for this descriptor (_resync) — a rider on
-            # a batching client.  Its reply is the offset: the server's
-            # seek refuses only a negative one or one past the limit.
+            # consulted again for this descriptor (_resync) — a rider.
+            # Its reply is the offset: the server's seek refuses only a
+            # negative one or one past the limit.
             self._rdbuf.pop(fd, None)
             self._streak[fd] = 0
             self._pos[fd] = offset
@@ -653,6 +657,12 @@ class RemoteInversionClient:
         return self._call("p_lseek", fd, offset_high, offset_low, whence)
 
     def p_close(self, fd):
+        if self._link.owns(fd):
+            fd = self._link.release(fd)
+            if fd is not None:
+                # A read-only server descriptor: its close rides.
+                self._ride("p_close", fd)
+            return None
         if fd in self._readonly and fd not in self._wrbuf:
             # Nothing to reconcile: the close rides the next request.
             self._forget_fd(fd)

@@ -145,7 +145,11 @@ class InversionClient:
     def _with_handle(self, fd: int, op):
         """Run ``op(handle)`` against the descriptor's file, keeping the
         descriptor position coherent across auto-commit boundaries."""
-        desc = self._desc(fd)
+        return self._on_handle(self._desc(fd), op)
+
+    def _on_handle(self, desc: _Descriptor, op):
+        """:meth:`_with_handle`'s body: a descriptor is its path, reopened
+        by name — in the open transaction once, or in each auto-commit."""
         if self._tx is not None:
             if desc.handle is None or not desc.handle._open:
                 desc.handle = self.fs.open(
@@ -235,6 +239,19 @@ class InversionClient:
 
     def p_write(self, fd: int, buf: bytes) -> int:
         return self._with_handle(fd, lambda h: h.write(buf))
+
+    def p_pread(self, path: str, offset: int, length: int) -> bytes:
+        """Read ``length`` bytes of ``path`` at ``offset`` with no
+        descriptor (NFS's READ): exactly the read that a descriptor
+        opened ``O_RDONLY`` on ``path``, seeked to ``offset``, runs —
+        the same open by path, seek and read, so the bytes and the
+        errors are that descriptor's."""
+        desc = _Descriptor(None, path, O_RDONLY, offset)
+        try:
+            return self._on_handle(desc, lambda h: h.read(length))
+        finally:
+            if desc.handle is not None:
+                desc.handle.close()
 
     def p_lseek(self, fd: int, offset_high: int, offset_low: int,
                 whence: int = SEEK_SET) -> int:

@@ -73,14 +73,6 @@ class InversionServer:
         caches refuse to serve or fill transactional traffic."""
         return self.session_tx(session_id) is not None
 
-    def descriptor(self, session_id: int, fd):
-        """The session's server-side descriptor for ``fd`` (file id,
-        position, time-travel timestamp), or None.  A caller living in
-        the server's address space may advance ``pos`` exactly as a
-        dispatched read would have."""
-        session = self._sessions.get(session_id)
-        return None if session is None else session._fds.get(fd)
-
     def readable_size(self, session_id: int, fd) -> int | None:
         """The size a read through the session's descriptor ``fd``
         would find, or None when no read through it returns bytes (a

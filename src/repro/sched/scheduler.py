@@ -55,7 +55,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.cache.link import SessionLink
-from repro.core.protocol import VERBS
 from repro.errors import (DeadlockError, LockTimeoutError,
                           SchedAdmissionError, SchedStalledError,
                           SessionFailedError)
@@ -377,8 +376,8 @@ class MultiUserScheduler:
                  cluster_commits: bool = True, cache_factory=None) -> None:
         self.server = server
         #: ``fn(server, conn) -> ClientCache`` — when set, every
-        #: admitted session gets a lease-coherent client cache and the
-        #: scheduler serves eligible p_stat/p_read slices from it (see
+        #: admitted session gets a lease-coherent client cache, and its
+        #: link answers the slices it may without the server (see
         #: :func:`repro.cache.session_cache_factory`).
         self.cache_factory = cache_factory
         #: the databases this loop multiplexes, each with its own
@@ -770,46 +769,15 @@ class MultiUserScheduler:
 
     def _dispatch(self, session: Session, op, args: tuple, kwargs: dict):
         """Issue one request: ``op`` is a ``p_*`` method name, or the
-        program item itself for a direct operation.  With a session
-        cache, auto-commit ``p_stat``/``p_read`` slices are served
-        through the link (their arguments bound to the verb's
-        parameters first, so positional and keyword forms are one
-        request)."""
+        program item itself for a direct operation.  A request goes
+        through the link (:meth:`~repro.cache.link.SessionLink.request`):
+        with a session cache it answers ``p_stat``, a read-only
+        ``p_open`` and its descriptor's seeks, reads and close without
+        the server when it may."""
         link = session.link
         if isinstance(op, Apply):
             return op.fn(self.server.fs, link.tx())
-        if link.cache is None:
-            return link.call(op, *args, **kwargs)
-        if op == "p_stat":
-            return link.stat(*VERBS[op].bind(*args, **kwargs))
-        if op == "p_read":
-            return self._read(link, *VERBS[op].bind(*args, **kwargs))
-        # Drain the lease channel before the request leaves: a name
-        # grant riding on the reply is trusted only if its batch holds
-        # no invalidation, so older notices must not share that batch.
-        link.ready()
-        return link.call(op, *args, **kwargs)
-
-    def _read(self, link: SessionLink, fd, length):
-        """A cached session's ``p_read``.  The server-side descriptor
-        is the authoritative position: a cache-served read advances it
-        exactly as the dispatch would have, so no corrective seek is
-        ever owed."""
-        desc = self.server.descriptor(link.conn, fd)
-        if desc is None or desc.timestamp is not None:
-            link.ready()
-            return link.call("p_read", fd, length)
-        if isinstance(length, int) and length > 0:
-            data = link.read_hit(desc.fileid, desc.pos, length)
-            if data is not None:
-                desc.pos += len(data)
-                return data
-        else:
-            link.ready()
-        result = link.call("p_read", fd, length)
-        if isinstance(result, (bytes, bytearray)):
-            link.read_fill(desc.fileid, desc.pos - len(result), result)
-        return result
+        return link.request(op, *args, **kwargs)
 
     def _advance_pc(self, session: Session, unit: _Unit) -> None:
         if unit.txn is not None and session.phase < len(unit.items):

@@ -11,7 +11,7 @@ import pytest
 from repro.bench import __main__ as cli
 from repro.bench.__main__ import COMMITTED, main
 from repro.bench.harness import run_all_configs
-from repro.bench.report import OP_LABELS, table3_verdict
+from repro.bench.report import OP_LABELS, PAPER_TABLE3, table3_verdict
 from repro.bench.workload import Benchmark
 
 ROOT = COMMITTED.parent
@@ -169,3 +169,36 @@ def test_no_test_file_lives_outside_a_gate():
     strays = [str(rel) for rel in found if rel.parts[0] != "tests"
               and rel.parts[:2] != ("benchmarks", "e2e")]
     assert strays == []
+
+
+#: EXPERIMENTS.md's Table 3 row labels, by operation.
+_DOC_ROWS = {
+    "Create 25 MB file": "create", "Read single byte": "read_byte",
+    "Write single byte": "write_byte", "Single 1 MB read": "read_single",
+    "Sequential page reads": "read_seq_pages",
+    "Random page reads": "read_random_pages",
+    "Single 1 MB write": "write_single",
+    "Sequential page writes": "write_seq_pages",
+    "Random page writes": "write_random_pages",
+}
+
+
+def test_the_experiments_table3_block_says_what_the_artifact_says():
+    """Each measured cell of EXPERIMENTS.md's Table 3 block is the
+    committed artifact's value to within half a unit of the last digit
+    shown, and each bracketed one is the paper's."""
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    block = text.split("\n## Table 3", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in block.splitlines()
+            if line.startswith("| ") and not line.startswith("| operation")]
+    committed = _committed()
+    assert sorted(label.strip() for label, *_ in rows) == sorted(_DOC_ROWS)
+    for label, *cells in rows:
+        op = _DOC_ROWS[label.strip()]
+        assert len(cells) == len(committed)
+        for config, cell in zip(committed, cells):
+            shown, paper = cell.split()
+            digits = len(shown.partition(".")[2])
+            assert (abs(float(shown) - committed[config][op])
+                    <= 0.5 * 10 ** -digits + 1e-9), (label, config, shown)
+            assert float(paper.strip("()")) == PAPER_TABLE3[config][op]

@@ -1,0 +1,365 @@
+"""Link-local descriptors against the server's: a leased session's
+read-only open, its ``SEEK_SET`` seeks and its close send nothing, and
+a read the chunk tier cannot answer is one ``p_pread``.
+
+Each script runs four ways — a local :class:`InversionClient`
+descriptor (the reference), the ``cached`` remote client, the same
+client reading ahead on a miss (``cached_read_ahead``) and a
+``scheduled`` session with a lease cache — each over a fresh file
+system holding the same two files, and all four must return the same
+values and fail at the same step with the same error.  ``other`` steps
+are another session's, made straight through the library: their
+commits reach the leased sessions as lease notices, as any writer's do.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cache import session_cache_factory
+from repro.core.client import RPC_BATCH_CHUNKS, RemoteInversionClient
+from repro.core.constants import (CHUNK_SIZE, O_RDONLY, O_RDWR, SEEK_CUR,
+                                  SEEK_END, SEEK_SET)
+from repro.core.fileatt import FileAtt
+from repro.core.filesystem import InversionFS
+from repro.core.library import InversionClient
+from repro.core.server import InversionServer
+from repro.db.database import Database
+from repro.errors import ReproError
+from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
+from repro.sim.clock import SimClock
+from repro.sim.network import ETHERNET_10MBIT, NetworkModel
+
+#: what a call may fail with (a negative seek position is a ValueError).
+FAILURES = (ReproError, ValueError)
+
+A = bytes(range(256)) * (2 * CHUNK_SIZE // 256) + b"a" * 300
+B = b"B" * (2 * CHUNK_SIZE + 700)
+
+
+class FD:
+    """The descriptor script step ``step`` returned."""
+
+    def __init__(self, step: int) -> None:
+        self.step = step
+
+
+def off(offset: int) -> tuple[int, int]:
+    """``p_lseek``'s (offset_high, offset_low) for ``offset``."""
+    return offset >> 32, offset & 0xFFFFFFFF
+
+
+def rename_b_onto_a(other) -> None:
+    other.p_rename("/a", "/gone")
+    other.p_rename("/b", "/a")
+
+
+def write_over_a(other) -> None:
+    other.p_begin()
+    fd = other.p_open("/a", O_RDWR)
+    other.p_write(fd, b"W" * 100)
+    other.p_close(fd)
+    other.p_commit()
+
+
+def write_into_a_second_chunk(other) -> None:
+    fd = other.p_open("/a", O_RDWR)
+    other.p_lseek(fd, *off(CHUNK_SIZE + 10), SEEK_SET)
+    other.p_write(fd, b"V" * 100)
+    other.p_close(fd)
+
+
+#: every script opens ``/a`` read-only at step 1, after a stat that
+#: caches its name (so a leased session opens it locally).
+SCRIPTS = {
+    "renamed_away_and_replaced": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(1), *off(CHUNK_SIZE), SEEK_SET),
+        ("p_read", FD(1), 50),
+        ("other", rename_b_onto_a),
+        ("p_read", FD(1), 50),
+        ("p_lseek", FD(1), *off(10), SEEK_SET),
+        ("p_read", FD(1), CHUNK_SIZE),
+        ("p_close", FD(1))],
+    "written_by_another_session": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), CHUNK_SIZE),
+        ("other", write_over_a),
+        ("p_lseek", FD(1), *off(0), SEEK_SET),
+        ("p_read", FD(1), CHUNK_SIZE),
+        ("p_close", FD(1))],
+    "written_inside_what_was_read_ahead": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), CHUNK_SIZE),
+        ("other", write_into_a_second_chunk),
+        ("p_read", FD(1), CHUNK_SIZE),
+        ("p_close", FD(1))],
+    "unlinked_then_read": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 10),
+        ("other", lambda other: other.p_unlink("/a")),
+        ("p_read", FD(1), 10)],
+    "written_through_a_read_only_descriptor": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(1), *off(5), SEEK_SET),
+        ("p_write", FD(1), b"x")],
+    "seek_end": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(1), *off(-10), SEEK_END),
+        ("p_read", FD(1), 100),
+        ("p_lseek", FD(1), *off(3), SEEK_SET),
+        ("p_read", FD(1), 4),
+        ("p_close", FD(1))],
+    "seek_cur": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(1), *off(100), SEEK_SET),
+        ("p_lseek", FD(1), *off(7), SEEK_CUR),
+        ("p_read", FD(1), 20),
+        ("p_close", FD(1))],
+    "negative_seek_set": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 10),
+        ("p_lseek", FD(1), *off(-5), SEEK_SET),
+        ("p_read", FD(1), 1)],
+    "opened_outside_read_inside_a_writing_transaction": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 10),
+        ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_write", FD(4), b"T" * (CHUNK_SIZE + 40)),
+        ("p_close", FD(4)),
+        ("p_lseek", FD(1), *off(0), SEEK_SET),
+        ("p_read", FD(1), CHUNK_SIZE + 100),
+        ("p_commit",),
+        ("p_lseek", FD(1), *off(CHUNK_SIZE), SEEK_SET),
+        ("p_read", FD(1), 100),
+        ("p_close", FD(1))],
+    "a_missing_name_fails_at_the_open": [
+        ("p_stat", "/a"), ("p_open", "/nope", O_RDONLY)],
+    "unlinked_in_the_session_transaction_then_opened": [
+        ("p_stat", "/a"), ("p_begin",), ("p_unlink", "/a"),
+        ("p_open", "/a", O_RDONLY)],
+}
+
+
+def _mount(workdir: str) -> InversionFS:
+    fs = InversionFS.mkfs(Database.create(workdir, clock=SimClock()))
+    tx = fs.begin()
+    fs.write_file(tx, "/a", A)
+    fs.write_file(tx, "/b", B)
+    fs.commit(tx)
+    return fs
+
+
+def _shown(result):
+    """A result as the three ways can agree on it: a descriptor is a
+    number each one chooses, and a stat's times follow its clock."""
+    if isinstance(result, FileAtt):
+        return ("att", result.size, result.type)
+    return result
+
+
+def _drive(script, send, other) -> tuple[list, object]:
+    """Run ``script`` through ``send(verb, *args)``; the values, and the
+    error it stopped at (or None)."""
+    values: list = []
+    for step in script:
+        if step[0] == "other":
+            values.append(step[1](other))
+            continue
+        args = [values[a.step] if isinstance(a, FD) else a
+                for a in step[1:]]
+        try:
+            values.append(send(step[0], *args))
+        except FAILURES as exc:
+            return values, exc
+    return values, None
+
+
+def run_local(workdir: str, script):
+    fs = _mount(workdir)
+    me, other = InversionClient(fs), InversionClient(fs)
+    try:
+        return _drive(script, lambda verb, *a: getattr(me, verb)(*a), other)
+    finally:
+        fs.db.close()
+
+
+def run_cached(workdir: str, script, **batching):
+    fs = _mount(workdir)
+    network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
+    client = RemoteInversionClient(InversionServer(fs), network,
+                                   cache_paths=64, cache_chunks=32,
+                                   **batching)
+    try:
+        return _drive(script, lambda verb, *a: getattr(client, verb)(*a),
+                      InversionClient(fs))
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def run_cached_read_ahead(workdir: str, script):
+    """The cached client whose misses read ahead, as a replica
+    reader's do."""
+    return run_cached(workdir, script, read_batch_chunks=RPC_BATCH_CHUNKS)
+
+
+def run_scheduled(workdir: str, script):
+    """One scheduler session: the script's calls are its program, each
+    ``other`` step an Apply in a transaction of its own (run by the other
+    session, whatever transaction it is handed), and ``p_begin`` …
+    ``p_commit`` a Txn."""
+    fs = _mount(workdir)
+    other = InversionClient(fs)
+    program, ordinals, block = [], {}, None
+    ordinal = 0
+    for i, step in enumerate(script):
+        if step[0] == "p_begin":
+            block = []
+            continue
+        if step[0] == "p_commit":
+            program.append(Txn(block))
+            block = None
+            continue
+        if step[0] == "other":
+            item = Txn([Apply("other", lambda fs, tx, fn=step[1]: fn(other))])
+        else:
+            args = [Ref(ordinals[a.step]) if isinstance(a, FD) else a
+                    for a in step[1:]]
+            item = Call(step[0], *args)
+        ordinals[i] = ordinal
+        ordinal += 1
+        (block if block is not None else program).append(item)
+    if block is not None:
+        program.append(Txn(block))
+    sched = MultiUserScheduler(InversionServer(fs), seed=0,
+                               cache_factory=session_cache_factory())
+    error = None
+    try:
+        session = sched.add_session(program)
+        try:
+            sched.run(strict=True)
+        except FAILURES as exc:
+            error = exc
+    finally:
+        sched.close()
+        fs.db.close()
+    values = []
+    for i, step in enumerate(script):
+        if i in ordinals:
+            if ordinals[i] not in session.values:
+                break
+            values.append(session.values[ordinals[i]])
+        else:
+            values.append(None)         # p_begin / p_commit
+    return values, error
+
+
+def _outcome(values, error) -> tuple:
+    shown = [_shown(v) for v in values]
+    return shown, None if error is None else (type(error), str(error))
+
+
+@pytest.mark.parametrize("run", [run_cached, run_cached_read_ahead,
+                                 run_scheduled],
+                         ids=["cached", "cached_read_ahead", "scheduled"])
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_a_leased_descriptor_answers_as_the_servers_does(tmp_path, run,
+                                                         name):
+    script = SCRIPTS[name]
+    want_values, want_error = run_local(str(tmp_path / "local"), script)
+    got_values, got_error = run(str(tmp_path / "leased"), script)
+    descriptors = {i for i, step in enumerate(script)
+                   if step[0] == "p_open"}
+    for i in descriptors:
+        if i < len(want_values):
+            want_values[i] = "fd"
+        if i < len(got_values):
+            got_values[i] = "fd"
+    assert _outcome(got_values, got_error) == _outcome(want_values,
+                                                       want_error)
+
+
+def test_the_scripts_reach_what_they_are_named_for(tmp_path):
+    """The reference run shows each hazard: a reader of a replaced name
+    sees the new file's bytes, and the error cases fail where named."""
+    values, error = run_local(str(tmp_path / "r"),
+                              SCRIPTS["renamed_away_and_replaced"])
+    assert error is None
+    assert values[3] == A[CHUNK_SIZE:CHUNK_SIZE + 50]
+    assert values[5] == B[CHUNK_SIZE + 50:CHUNK_SIZE + 100]
+    for name, failing_step in [("unlinked_then_read", 4),
+                               ("written_through_a_read_only_descriptor", 3),
+                               ("negative_seek_set", 4),
+                               ("a_missing_name_fails_at_the_open", 1),
+                               ("unlinked_in_the_session_transaction_"
+                                "then_opened", 3)]:
+        values, error = run_local(str(tmp_path / name), SCRIPTS[name])
+        assert error is not None and len(values) == failing_step, name
+
+
+def _dispatches(fs) -> dict[str, float]:
+    family = fs.db.obs.metrics.get("rpc.dispatches")
+    return {labels[0]: value for labels, value in family.series().items()}
+
+
+def _delta(before: dict, after: dict) -> dict:
+    return {k: v - before.get(k, 0) for k, v in after.items()
+            if v != before.get(k, 0)}
+
+
+def test_cached_client_warm_unit_sends_nothing_and_a_miss_one_pread(
+        tmp_path):
+    fs = _mount(str(tmp_path / "db"))
+    network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
+    client = RemoteInversionClient(InversionServer(fs), network,
+                                   cache_paths=64, cache_chunks=32)
+    try:
+        client.p_stat("/a")
+        d0 = _dispatches(fs)
+        fd = client.p_open("/a", O_RDONLY)
+        assert client.p_lseek(fd, *off(CHUNK_SIZE), SEEK_SET) == CHUNK_SIZE
+        assert client.p_read(fd, CHUNK_SIZE) == A[CHUNK_SIZE:2 * CHUNK_SIZE]
+        client.p_close(fd)
+        assert _delta(d0, _dispatches(fs)) == {"p_pread": 1}
+        d1, m1 = _dispatches(fs), network.stats.messages
+        fd = client.p_open("/a", O_RDONLY)
+        assert client.p_lseek(fd, *off(CHUNK_SIZE), SEEK_SET) == CHUNK_SIZE
+        assert client.p_read(fd, CHUNK_SIZE) == A[CHUNK_SIZE:2 * CHUNK_SIZE]
+        client.p_close(fd)
+        assert _delta(d1, _dispatches(fs)) == {}
+        assert network.stats.messages == m1
+        hits = client._cache.stats.hits
+        assert (hits["open"], hits["seek"], hits["chunk"]) == (2, 2, 1)
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def test_scheduled_warm_unit_sends_nothing_and_a_miss_one_pread(tmp_path):
+    fs = _mount(str(tmp_path / "db"))
+    factory = session_cache_factory()
+    program = [Call("p_stat", "/a")]
+    for unit in range(2):
+        fd = Ref(1 + 4 * unit)
+        program += [Call("p_open", "/a", O_RDONLY),
+                    Call("p_lseek", fd, *off(CHUNK_SIZE), SEEK_SET),
+                    Call("p_read", fd, CHUNK_SIZE),
+                    Call("p_close", fd)]
+    sched = MultiUserScheduler(InversionServer(fs), seed=0,
+                               cache_factory=factory)
+    try:
+        session = sched.add_session(program)
+        d0 = _dispatches(fs) if "rpc.dispatches" in fs.db.obs.metrics else {}
+        sched.run(strict=True)
+        # the stat, and one p_pread for the first unit's read: the
+        # second unit sent nothing.
+        assert _delta(d0, _dispatches(fs)) == {"p_stat": 1, "p_pread": 1}
+        chunk = A[CHUNK_SIZE:2 * CHUNK_SIZE]
+        assert session.values[3] == session.values[7] == chunk
+        hits = factory.stats.hits
+        assert (hits["open"], hits["seek"], hits["chunk"]) == (2, 2, 1)
+    finally:
+        sched.close()
+        fs.db.close()

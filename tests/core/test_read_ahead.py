@@ -209,6 +209,12 @@ def _calls(client):
     return lambda verb, *args: getattr(client, verb)(*args)
 
 
+def _holds(server, session_id: int, fd) -> bool:
+    """Does the server hold descriptor ``fd`` open for the session?"""
+    session = server._sessions.get(session_id)
+    return session is not None and fd in session._fds
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=st.lists(OP, min_size=1, max_size=30))
@@ -272,7 +278,7 @@ def test_server_descriptors_are_bounded_by_the_client(tmp_path_factory,
     fds = side.fds
 
     def held() -> int:
-        return sum(server.descriptor(conn, fd) is not None for fd in fds)
+        return sum(_holds(server, conn, fd) for fd in fds)
 
     try:
         for step, op in enumerate(ops):
@@ -468,9 +474,9 @@ def test_eof_and_read_only_close_cost_no_message(tmp_path):
         assert messages.messages - before == 2      # p_open, with the file
         assert client.buffered_reads == 5           # 4 pieces and EOF
         assert client.riders == 1
-        assert server.descriptor(client._link.conn, fd) is not None
+        assert _holds(server, client._link.conn, fd)
         client.p_stat("/f1")                        # the close rides it
-        assert server.descriptor(client._link.conn, fd) is None
+        assert not _holds(server, client._link.conn, fd)
         assert messages.messages - before == 4
     finally:
         client.close()

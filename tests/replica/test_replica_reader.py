@@ -139,6 +139,52 @@ def test_cached_reader_sees_a_shipped_commit(tmp_path):
         cluster.close()
 
 
+def test_a_bounded_replica_sees_every_cached_open(tmp_path):
+    """With ``staleness_xids=0`` a cached reader's re-open still reaches
+    the replica, which catches up on a commit no sync round shipped and
+    invalidates the cache: the re-read returns the new bytes."""
+    cluster = _cluster(tmp_path, staleness_xids=0)
+    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    writer = cluster.writer_client()
+    try:
+        cached.p_stat("/f")
+        assert _read_file(cached, "/f") == OLD
+        assert _read_file(cached, "/f") == OLD
+        new = b"n" * len(OLD)
+        fd = writer.p_open("/f", O_RDWR)
+        writer.p_write(fd, new)
+        writer.p_close(fd)
+        assert _read_file(cached, "/f") == new
+        assert cluster.replicas[0].stats.staleness_syncs >= 1
+    finally:
+        for client in (cached, writer):
+            client.close()
+        cluster.close()
+
+
+def test_a_cached_reader_reads_ahead_on_a_miss(tmp_path):
+    """A cached reader's miss fetches a read-ahead window, as its server
+    descriptor's read does: a cold read of a 3-chunk file is the open and
+    one read; a re-read (the name granted, its att not yet known) one
+    read; after a stat, one read that fills the chunk tier, then none."""
+    cluster = _cluster(tmp_path)
+    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    stats = cached.network.stats
+    trips = []
+    try:
+        for stat in (False, False, True, False):
+            if stat:
+                cached.p_stat("/f")
+            before = stats.round_trips
+            assert _read_file(cached, "/f") == OLD
+            trips.append(stats.round_trips - before)
+        assert trips == [2, 1, 1, 0]
+        assert cached._cache.stats.hits["chunk"] == 3
+    finally:
+        cached.close()
+        cluster.close()
+
+
 def _fleet_reads_per_second(workdir: str, nreplicas: int) -> float:
     """Eight reader sessions each read six 24 KB files end to end in
     8 KB calls, routed round-robin over ``nreplicas`` replicas seeded

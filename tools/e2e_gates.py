@@ -74,6 +74,12 @@ GATES = [
      "out a deadline with nothing runnable. With stall timeouts over the "
      "stored waits-for edges (a waiter parked beneath others kept naming "
      "a holder long gone) real cycles hid, and the run burned 4.99 s idle"),
+    # A leased session's read-only open, its seeks and its close send
+    # nothing; a cache miss is one positional p_pread.
+    ("multiuser_mix", "ledger.cpu_s", "<=", 12,
+     "10.18 s with link-local descriptors, 10 619 requests dispatched; "
+     "15.05 s, 16 502 requests, when every read unit's open, seek and "
+     "close was a request of its own"),
     # A replica keeps its buffer cache across sync rounds: a shipped page
     # refreshes a resident frame in place.
     ("replica_reads", "db.buffer.hit_rate", ">=", 0.98,
