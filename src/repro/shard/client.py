@@ -55,11 +55,10 @@ class ShardedInversionClient:
     Verbs addressed by one path or by a descriptor are not written out
     here: :func:`repro.core.protocol.exposes` generates them from the
     verb table, each one :meth:`_forward` (route, translate the
-    descriptor, one request).  What stays hand-written is what spans
-    shards."""
+    descriptor, enlist the shard, one request through its link).  What
+    stays hand-written is what spans shards."""
 
-    def __init__(self, cluster, cache_paths: int = 0,
-                 cache_chunks: int = 0) -> None:
+    def __init__(self, cluster, cache_factory=None) -> None:
         self.cluster = cluster
         self.coordinator = TwoPhaseCoordinator(cluster)
         #: shard → :class:`~repro.cache.link.SessionLink` (opened on
@@ -71,15 +70,10 @@ class ShardedInversionClient:
         #: cluster fd → (shard, inner fd).
         self._fds: dict[int, tuple[int, int]] = {}
         self._next_fd = 3
-        #: router-aware caching: one lease-coherent cache per shard
-        #: (each shard has its own epoch space), all sharing one stats
-        #: block.  Only p_stat is served client-side — the namespace
-        #: tiers are where a sharded tree pays repeated B-tree descents.
-        self._cache_factory = None
-        if cache_paths > 0 or cache_chunks > 0:
-            from repro.cache import session_cache_factory
-            self._cache_factory = session_cache_factory(cache_paths,
-                                                        cache_chunks)
+        #: router-aware caching: ``cache_factory(server, conn)`` builds
+        #: one lease-coherent cache per shard (each shard has its own
+        #: epoch space); every link serves from it by the same rules.
+        self._cache_factory = cache_factory
 
     # -- plumbing --------------------------------------------------------
 
@@ -97,20 +91,35 @@ class ShardedInversionClient:
     def _call(self, shard: int, method: str, *args, **kwargs):
         return self._link(shard).call(method, *args, **kwargs)
 
+    def _enlist(self, shard: int, conn: int) -> None:
+        """Enlist ``shard`` in the open cluster transaction (its
+        ``p_begin``), once."""
+        if shard not in self._tx_shards:
+            self._tx_shards.append(shard)
+            if shard != self._tx_shards[0]:
+                self.cluster.stats.cross_shard_messages += 1
+            self.cluster.dispatch(shard, conn, "p_begin")
+
     def _exchange(self, shard: int, conn: int, method: str, *args, **kwargs):
         """A shard link's transport: one request to one shard,
         enlisting it in the open cluster transaction first.  Any
         message to a shard other than the transaction's first shard
         counts as cross-shard traffic."""
         if self._in_tx:
-            if shard not in self._tx_shards:
-                self._tx_shards.append(shard)
-                if shard != self._tx_shards[0]:
-                    self.cluster.stats.cross_shard_messages += 1
-                self.cluster.dispatch(shard, conn, "p_begin")
+            self._enlist(shard, conn)
             if shard != self._tx_shards[0]:
                 self.cluster.stats.cross_shard_messages += 1
         return self.cluster.dispatch(shard, conn, method, *args, **kwargs)
+
+    def _request(self, shard: int, method: str, *args):
+        """One verb through the shard's link, its shard enlisted first:
+        the link then sees the cluster transaction as the shard's own,
+        and its rules (link-local descriptors outside one, the server's
+        inside) decide exactly as they do for any session."""
+        link = self._link(shard)
+        if self._in_tx:
+            self._enlist(shard, link.conn)
+        return link.request(method, *args)
 
     def _forward(self, verb, args: tuple):
         """Body of every generated verb: find the shard (by the verb's
@@ -119,11 +128,11 @@ class ShardedInversionClient:
         if verb.fd in (None, OPENS):
             (where,) = verb.paths   # two-path composites are hand-written
             shard = self._route(args[where])
-            result = self._call(shard, verb.name, *args)
+            result = self._request(shard, verb.name, *args)
             return self._register_fd(shard, result) if verb.fd else result
         fd = args[0]
         shard, inner = self._fd(fd)
-        result = self._call(shard, verb.name, inner, *args[1:])
+        result = self._request(shard, verb.name, inner, *args[1:])
         if verb.fd == CLOSES:
             del self._fds[fd]
         return result
@@ -214,15 +223,6 @@ class ShardedInversionClient:
         return entry
 
     # -- namespace --------------------------------------------------------
-
-    def p_stat(self, path: str, timestamp: float | None = None):
-        link = self._link(self._route(path))
-        if self._in_tx:
-            # The *cluster* transaction decides, not the shard's: a
-            # stat inside one enlists its shard even when that shard
-            # has no local transaction yet.
-            return link.call("p_stat", path, timestamp)
-        return link.stat(path, timestamp)
 
     def p_readdir(self, path: str,
                   timestamp: float | None = None,

@@ -183,9 +183,14 @@ class ShardedCluster:
         return self.router.nshards
 
     def client(self, cache_paths: int = 0, cache_chunks: int = 0):
+        """A cluster client; with either tier size above 0, leased: its
+        shard links share one cache factory of those sizes."""
         from repro.shard.client import ShardedInversionClient
-        return ShardedInversionClient(self, cache_paths=cache_paths,
-                                      cache_chunks=cache_chunks)
+        factory = None
+        if cache_paths > 0 or cache_chunks > 0:
+            from repro.cache import session_cache_factory
+            factory = session_cache_factory(cache_paths, cache_chunks)
+        return ShardedInversionClient(self, factory)
 
     def expire_leases(self) -> int:
         """Revoke every outstanding client lease on every shard —

@@ -22,13 +22,19 @@ resolve by lock timeout — the timeout path here is load-bearing, not a
 safety net.  A lock wait times out on a stall, and a cycle's blockers
 never change, so it still fires at ``timeout_s``.  The cluster admits
 every session at once and does not cluster commits (2PC forces bypass
-the group-commit queue).
+the group-commit queue).  Every session is leased, as a
+``multiuser_mix`` session is: its shard links are built by the one
+:func:`~repro.cache.session_cache_factory` all sessions share (default
+tier sizes, one :class:`~repro.cache.CacheStats`), so a warm read
+unit's open, seek and close send nothing to its shard.
 """
 
 from __future__ import annotations
 
+from repro.cache import session_cache_factory
 from repro.sched.scheduler import (Call, MultiUserScheduler, Session, Txn,
                                    DirectOp)
+from repro.shard.client import ShardedInversionClient
 
 
 class ClientOp(DirectOp):
@@ -59,11 +65,12 @@ class ShardedScheduler(MultiUserScheduler):
     def __init__(self, cluster, seed: int = 0,
                  max_retries: int = 10, fairness_bound: float = 0.5) -> None:
         self.cluster = cluster
-        # No one server and no session cache; everyone is admitted at
-        # once and commits are not clustered.
+        # No one server; everyone is admitted at once, commits are not
+        # clustered, and the sessions share one cache factory.
         super().__init__(None, seed, max_inflight=float("inf"),
                          admission_queue=0, max_retries=max_retries,
-                         fairness_bound=fairness_bound, cluster_commits=False)
+                         fairness_bound=fairness_bound, cluster_commits=False,
+                         cache_factory=session_cache_factory())
 
     def add_session(self, program, name: str | None = None,
                     home: int | None = None) -> ShardSession:
@@ -86,13 +93,14 @@ class ShardedScheduler(MultiUserScheduler):
                             return self.cluster.router.route(arg)
         return 0
 
-    # -- the deployment seam: one cluster client per session --------------
+    # -- the deployment seam: one leased cluster client per session -------
 
     def _databases(self) -> list:
         return self.cluster.dbs
 
     def _open(self, session: ShardSession) -> str:
-        session.client = self.cluster.client()
+        session.client = ShardedInversionClient(self.cluster,
+                                                self.cache_factory)
         return f"home={session.home}"
 
     def _close(self, session: ShardSession) -> None:

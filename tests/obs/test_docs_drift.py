@@ -128,3 +128,27 @@ def test_link_checker_holds_a_test_name_to_its_file(tmp_path):
     assert run.stdout.splitlines()[0] == (
         "README.md:2: no def or class -> tests/test_x.py::test_gone")
     assert "1 dead" in run.stderr
+
+
+def test_link_checker_refuses_a_deleted_experiments_bench_command(tmp_path):
+    """A backticked ``python -m repro.bench`` command that names a
+    feature experiment ``repro.bench`` no longer has is refused, even
+    broken over two lines (``run NAME`` would write a file called NAME);
+    the paper's commands and a quotation of the old text pass."""
+    tool = Path(__file__).parents[2] / "tools" / "check_doc_links.py"
+    (tmp_path / "tools").mkdir()
+    shutil.copy(tool, tmp_path / "tools")
+    (tmp_path / "NOTES.md").write_text(
+        "Run `python -m repro.bench check` or `python -m repro.bench\n"
+        "table3`.\n"
+        "It said \"regenerate with `python -m repro.bench run seqio`\".\n"
+        "Regenerate with `python -m repro.bench\n"
+        "run multishard`.\n")
+    run = subprocess.run([sys.executable, "tools/check_doc_links.py",
+                          "NOTES.md"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout
+    assert run.stdout.splitlines()[0] == (
+        "NOTES.md:4: `python -m repro.bench run multishard` names a "
+        "deleted experiment (multishard)")
+    assert "1 dead" in run.stderr

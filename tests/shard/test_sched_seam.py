@@ -6,9 +6,12 @@
 different deployment seam, so the same lock-contending programs under
 the same seed must interleave identically on one server and on a
 one-shard cluster: the same sequence of scheduling events, the same
-request in every slice, the same final file system.  Only timestamps
-may differ (the cluster client begins its shard transaction lazily, at
-the first routed request rather than at ``p_begin``).
+request in every slice, the same bytes read, the same final file
+system.  Both deployments are leased (every session has a lease cache
+in front of its link), so the comparison covers leased serving too.
+Only timestamps may differ (the cluster client begins its shard
+transaction lazily, at the first routed request rather than at
+``p_begin``).
 
 **The victim abort absorbs nothing.**  The cluster seam aborts a lock
 victim's open transaction exactly as the single-server seam does: a
@@ -17,7 +20,8 @@ leaving the shards' locks to chance."""
 
 import pytest
 
-from repro.core.constants import O_RDWR
+from repro.cache import session_cache_factory
+from repro.core.constants import O_RDONLY, O_RDWR, SEEK_SET
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
@@ -43,7 +47,9 @@ def _seed_files(client) -> None:
 def _programs() -> list[list]:
     """Each session: two transactions that overwrite its own file and
     then the shared hot file (write locks held to commit, so sessions
-    park behind one another), and an auto-commit stat in between."""
+    park behind one another), an auto-commit stat after each, and an
+    auto-commit read unit of the hot file (its name leased by the
+    stats)."""
     programs = []
     for i in range(SESSIONS):
         program, base = [], 0
@@ -58,27 +64,35 @@ def _programs() -> list[list]:
             ]))
             program.append(Call("p_stat", "/hot"))
             base += 7
+        program += [Call("p_open", "/hot", O_RDONLY),
+                    Call("p_lseek", Ref(base), 0, 0, SEEK_SET),
+                    Call("p_read", Ref(base), 1000),
+                    Call("p_close", Ref(base))]
         programs.append(program)
     return programs
 
 
-def _run(sched) -> list[tuple]:
+def _run(sched) -> tuple[list[tuple], list[bytes]]:
     with sched:
         for i, program in enumerate(_programs()):
             sched.add_session(program, name=f"s{i}")
         report = sched.run()
+        reads = [session.values[16] for session in sched.sessions]
     assert all(row["state"] == "done" for row in report["sessions"])
     assert report["lock_parks"] > 0, "the programs never contended"
+    # every read unit's open was answered by its session's link.
+    assert sched.cache_factory.stats.hits["open"] == SESSIONS
     # (kind, session, detail) whatever the deployment's time stamp.
-    return [event[-3:] for event in sched.trace]
+    return [event[-3:] for event in sched.trace], reads
 
 
 def test_same_interleaving_on_a_server_and_a_one_shard_cluster(tmp_path):
     db = Database.create(str(tmp_path / "server"))
     fs = InversionFS.mkfs(db)
     _seed_files(InversionClient(fs))
-    single = _run(MultiUserScheduler(InversionServer(fs), seed=SEED,
-                                     cluster_commits=False))
+    single, single_reads = _run(MultiUserScheduler(
+        InversionServer(fs), seed=SEED, cluster_commits=False,
+        cache_factory=session_cache_factory()))
     single_state = harvest_state(fs)
     db.close()
 
@@ -86,7 +100,7 @@ def test_same_interleaving_on_a_server_and_a_one_shard_cluster(tmp_path):
     boot = cluster.client()
     _seed_files(boot)
     boot.close()
-    sharded = _run(ShardedScheduler(cluster, seed=SEED))
+    sharded, sharded_reads = _run(ShardedScheduler(cluster, seed=SEED))
     sharded_state = harvest_state(cluster.fss[0])
     cluster.close()
 
@@ -94,6 +108,8 @@ def test_same_interleaving_on_a_server_and_a_one_shard_cluster(tmp_path):
         == [(kind, name) for kind, name, _ in sharded]
     assert [e for e in single if e[0] == "slice"] \
         == [e for e in sharded if e[0] == "slice"]
+    assert single_reads == sharded_reads
+    assert all(len(data) == 900 for data in single_reads)
     assert single_state == sharded_state
 
 

@@ -53,13 +53,16 @@ _REMOTE = {
     "cached": {"cache_paths": 64, "cache_chunks": 32},
     "batched": {"read_batch_chunks": 4, "write_batch_chunks": 4},
 }
-#: shard count and partitioning per sharded stack.  ``sharded`` pins two
-#: subtrees to two shards (work under ``/a`` stays on one); the hashed
+#: shard count, partitioning and client options per sharded stack.
+#: ``sharded`` pins two subtrees to two shards (work under ``/a`` stays on
+#: one), and ``sharded_cached`` is it with a leased client; the hashed
 #: ones spread top-level names, so a script crosses shards freely.
+_SUBTREES = {"policy": "subtree", "assignments": {"a": 0, "b": 1}}
 _SHARDED = {
-    "sharded": (2, {"policy": "subtree", "assignments": {"a": 0, "b": 1}}),
-    "sharded1": (1, {}),
-    "sharded3": (3, {}),
+    "sharded": (2, _SUBTREES, {}),
+    "sharded_cached": (2, _SUBTREES, _REMOTE["cached"]),
+    "sharded1": (1, {}, {}),
+    "sharded3": (3, {}, {}),
 }
 
 #: ``grouped`` is ``local`` under a 0.5 s group-commit window: commits
@@ -273,13 +276,13 @@ def open_stack(kind: str, workdir: str, recover: bool = False) -> Stack:
     if kind == "replica":
         return ReplicaStack(kind, workdir)
     if kind in _SHARDED:
-        nshards, partitioning = _SHARDED[kind]
+        nshards, partitioning, options = _SHARDED[kind]
         cluster = (ShardedCluster.open(workdir) if recover else
                    ShardedCluster.create(workdir, nshards, **partitioning))
-        client = cluster.client()
+        client = cluster.client(**options)
         stack = Stack(kind, workdir, client, cluster.fss, cluster,
                       [client.close, cluster.close])
-        if kind == "sharded":
+        if partitioning is _SUBTREES:
             stack.prefix = "/a"
             if not recover:
                 client.p_mkdir("/a")

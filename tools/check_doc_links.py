@@ -14,6 +14,12 @@ the documents that say where each claim is checked — a backticked
 ``tests/…py``, ``benchmarks/…py``, ``src/…py`` or ``tools/…py`` path
 (``*`` globs) must exist too, and each part of a ``::name`` suffix
 (``[param]`` dropped) must be a ``def`` or ``class`` in that file.
+In every document, a backticked ``python -m repro.bench …`` command
+(one line or several) may not name one of the seven feature
+experiments that left ``repro.bench``: ``run NAME`` now takes NAME as
+its output path, so such a command silently writes a stray file.  A
+command closed by a double quote is a quotation of what a document
+once said, not an instruction, and passes.
 
 Run:  python tools/check_doc_links.py [files...]
 """
@@ -44,6 +50,14 @@ CODE_PATH = re.compile(r"`((?:tests|benchmarks|src|tools)/[^`\s:]*\.py)"
 
 #: the documents whose backticked code paths are held to the checkout.
 CODE_PATH_DOCS = ("README.md", "DESIGN.md")
+
+#: a backticked ``repro.bench`` command, possibly broken over lines.
+BENCH_COMMAND = re.compile(r"`python -m repro\.bench\s([^`]*)`")
+
+#: the feature experiments whose claims are tier-1 tests now; their
+#: ``run`` commands no longer exist.
+DELETED_EXPERIMENTS = {"seqio", "commitio", "multiuser", "multishard",
+                       "cachedio", "replication", "vfsio"}
 
 
 def tracked_markdown() -> list[str]:
@@ -128,6 +142,22 @@ def dead_code_paths(path: str):
                 yield lineno, f"no def or class -> {code_path}::{name}"
 
 
+def deleted_bench_commands(path: str):
+    """Yield (lineno, problem) for every backticked ``repro.bench``
+    command in ``path`` that names a deleted feature experiment."""
+    lines = list(prose_lines(os.path.join(REPO, path)))
+    text = "".join(line for _lineno, line in lines)
+    for match in BENCH_COMMAND.finditer(text):
+        if text[match.end():match.end() + 1] == '"':
+            continue
+        named = DELETED_EXPERIMENTS.intersection(match.group(1).split())
+        if named:
+            lineno = lines[text.count("\n", 0, match.start())][0]
+            command = " ".join(match.group(0).split())
+            yield lineno, (f"{command} names a deleted experiment "
+                           f"({', '.join(sorted(named))})")
+
+
 def main(argv: list[str]) -> int:
     files = argv or tracked_markdown()
     dead = []
@@ -156,6 +186,8 @@ def main(argv: list[str]) -> int:
         if md in CODE_PATH_DOCS:
             dead += [f"{md}:{lineno}: {problem}"
                      for lineno, problem in dead_code_paths(md)]
+        dead += [f"{md}:{lineno}: {problem}"
+                 for lineno, problem in deleted_bench_commands(md)]
     if dead:
         print("\n".join(dead))
         print(f"\n{len(dead)} dead intra-repo link(s)", file=sys.stderr)

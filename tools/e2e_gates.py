@@ -80,6 +80,12 @@ GATES = [
      "10.18 s with link-local descriptors, 10 619 requests dispatched; "
      "15.05 s, 16 502 requests, when every read unit's open, seek and "
      "close was a request of its own"),
+    # Sharded sessions are leased too: a warm read unit sends nothing to
+    # its shard, and a miss is one p_pread.
+    ("sharded_mix", "ledger.cpu_s", "<=", 3.2,
+     "the slowest shard's dispatch time: 2.74 s with leased sessions, "
+     "10 463 requests dispatched on all shards; 3.65 s, 14 528 requests, "
+     "when every session was unleased"),
     # A replica keeps its buffer cache across sync rounds: a shipped page
     # refreshes a resident frame in place.
     ("replica_reads", "db.buffer.hit_rate", ">=", 0.98,
