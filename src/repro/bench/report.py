@@ -267,6 +267,7 @@ def tx_smoke_breakdown():
     import shutil
     import tempfile
 
+    from repro.cache import session_cache_factory
     from repro.core.client import RemoteInversionClient
     from repro.core.filesystem import InversionFS
     from repro.core.server import InversionServer
@@ -281,8 +282,8 @@ def tx_smoke_breakdown():
         fs = InversionFS.mkfs(db)
         server = InversionServer(fs)
         network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
-        client = RemoteInversionClient(server, network,
-                                       cache_paths=64, cache_chunks=32)
+        client = RemoteInversionClient(
+            server, network, cache_factory=session_cache_factory(64, 32))
         client.p_mkdir("/smoke")
         fd = client.p_creat("/smoke/a.txt")
         client.p_write(fd, b"x" * 40_000)

@@ -196,13 +196,6 @@ class ClientCache:
         self._atts.clear()
         self._chunks.clear()
 
-    def flush(self) -> None:
-        """Voluntarily drop every tier (cache stays usable)."""
-        self._paths.clear()
-        self._negative.clear()
-        self._atts.clear()
-        self._chunks.clear()
-
     # -- lookups (LRU touch on hit) ---------------------------------------
 
     def lookup_oid(self, path: str) -> int | None:

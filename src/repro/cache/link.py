@@ -22,31 +22,48 @@ What the link enforces, so that no caller has to remember it:
 - **Accounting** — hits and misses by tier, and every cache-served
   chunk charged to the transaction that paid for the device read.
 
+**The descriptor table.**  Every descriptor the session holds through
+the link is one :class:`Descriptor` in :attr:`SessionLink.fds`, keyed
+by the number the caller holds: the path (when known), the position,
+the server's descriptor and where it stands (None = unknown), the
+sequential-read streak, one read-ahead buffer, the write buffer, and
+three flags — ``readonly``, ``plain`` (a write-mode open learnt that it
+names a plain file) and ``forward`` (calls go to the server's
+descriptor).  A descriptor the remote client opened on the server is
+keyed by the server's number and forwards from the start; the link's
+own are below.  One rule governs every read-ahead buffer: it is served
+(:meth:`~SessionLink.take_ahead`, the one routine that compares a
+buffer's offset with a position) only at the position it starts at
+and under the stamp it was filled under — the drops the link's owner
+declared (:meth:`~SessionLink.drop_read_ahead`) and the invalidation
+notices its cache applied, counted when the request that fetched it
+left.  The queue of calls waiting to ride the next request
+(:attr:`~SessionLink.riders`) sits beside the table: dropping a write
+rider leaves its descriptor's server position unknown.
+
 **Link-local descriptors.**  A read-only ``p_open`` with no timestamp,
 outside a transaction, of a name the cache resolves sends nothing: the
-link hands out a descriptor of its own and records its path and
-position (NFS keeps no open state on the server either).  A server
-that bounds its staleness (a replica with ``staleness_xids``) checks
-its lag on each request, and a catch-up invalidates this cache, so
-there every read-only open is sent; the descriptor is still the link's
-when the reply leaves the name cached, with the server's behind it,
-untouched until it is closed.  For those descriptors a position *is*
-the link's business:
+link hands out a descriptor of its own, numbered -1, -2, … so it never
+meets a server's (NFS keeps no open state on the server either).  A
+server that bounds its staleness (a replica with ``staleness_xids``)
+checks its lag on each request, and a catch-up invalidates this cache,
+so there every read-only open is sent; the descriptor is still the
+link's when the reply leaves the name cached, with the server's behind
+it, untouched until it is closed.  Until it forwards:
 
 - a ``SEEK_SET`` inside ``[0, MAX_FILE_SIZE]`` and the ``p_close`` are
   answered here (the close of a server descriptor behind it is sent);
-- a ``p_read`` outside a transaction is served from the chunk tier of
-  the oid the cache resolves the path to now, or is one ``p_pread(path,
-  pos, length)`` — the open-by-path, seek and read a server descriptor's
-  read runs.  On a link with a read-ahead window (the remote client's
-  ``read_batch_chunks``) a miss after the open or a read fetches that
-  many times ``length``; the rest waits on the descriptor for the next
-  read, until any invalidation notice arrives;
+- a ``p_read`` outside a transaction is served from the read-ahead,
+  from the chunk tier of the oid the cache resolves the path to now, or
+  is one ``p_pread(path, pos, length)`` — the open-by-path, seek and
+  read a server descriptor's read runs.  On a link with a read-ahead
+  window (the remote client's ``read_batch_chunks``) a miss while the
+  streak runs fetches that many times ``length``;
 - any other use (a write, ``SEEK_CUR`` / ``SEEK_END``, an out-of-range
   seek, a read inside a transaction) first *materializes* it: the real
   ``p_open`` (unless the server's descriptor is already behind it) and
-  ``p_lseek`` are sent, and from then on every call is forwarded to
-  that server descriptor, so replies and errors are the server's.
+  ``p_lseek`` are sent, and from then on calls go to that server
+  descriptor, so replies and errors are the server's.
 
 A server descriptor is addressed by its path, not by the file it
 resolved at its open: every auto-commit read opens the path afresh.  So
@@ -61,32 +78,39 @@ from repro.core.protocol import CLOSES, USES, VERBS
 from repro.errors import FileNotFoundError_
 
 
-class _Local:
-    """A link-local descriptor: the path it names, the position, the
-    server descriptor behind it (None until the server opened one) and
-    whether calls are forwarded to it, and its read-ahead."""
+class Descriptor:
+    """One descriptor of the session (see the module docstring)."""
 
-    __slots__ = ("path", "pos", "fd", "forward", "ahead", "buf")
+    __slots__ = ("path", "pos", "fd", "srv_pos", "streak", "buf", "wbuf",
+                 "readonly", "plain", "forward")
 
-    def __init__(self, path: str, fd) -> None:
+    def __init__(self, path, fd, readonly: bool, forward: bool) -> None:
         self.path = path
         self.pos = 0
+        #: the server's descriptor (None until the server opened one)
+        #: and where it stands (None: unknown).
         self.fd = fd
-        self.forward = False
-        #: may the next miss read ahead?  After the open and a read, as
-        #: the remote client's read-only descriptors do; not after a seek.
-        self.ahead = True
-        #: (offset, bytes read ahead, EOF right after them, the cache's
-        #: ``inval_seq`` when they arrived), or None.
+        self.srv_pos = None if fd is None else 0
+        #: consecutive sequential reads: a read-only descriptor is read
+        #: from the top, so its first read already counts; a seek or a
+        #: drop ends the streak.
+        self.streak = 1 if readonly else 0
+        #: (offset, bytes read ahead, EOF right after them, stamp), or
+        #: None.
         self.buf = None
+        #: (start offset, buffered bytes, absorbed call count), or None.
+        self.wbuf = None
+        self.readonly = readonly
+        self.plain = False
+        self.forward = forward
 
 
 class SessionLink:
     """``transport(conn, method, *args, **kwargs)`` carries one request
     (default: the server's own ``dispatch``); ``cache_factory(server,
     conn)`` builds the session's cache (default: no cache);
-    ``read_ahead`` is how many times what a read asked for a miss on a
-    link-local descriptor fetches (default: exactly what was asked)."""
+    ``read_ahead`` is how many times what a read asked for a miss
+    while the streak runs fetches (default: exactly what was asked)."""
 
     def __init__(self, server, cache_factory=None, transport=None,
                  read_ahead: int = 1) -> None:
@@ -100,13 +124,18 @@ class SessionLink:
         self._acct = obs.tx if obs is not None else None
         #: the cache's ``inval_seq`` when the last request left.
         self._sent_seq = 0
-        #: link-local descriptor -> its state.  Numbered -1, -2, … so
-        #: they never meet a server descriptor.
-        self._local: dict[int, _Local] = {}
+        #: the descriptor table, and the next link-local number.
+        self.fds: dict[int, Descriptor] = {}
         self._next_local = -1
+        #: (method, args) of the calls waiting to ride the next request,
+        #: which the transport dispatches ahead of it.
+        self.riders: list[tuple[str, tuple]] = []
+        #: read-ahead drops declared so far (half of a buffer's stamp).
+        self._drops = 0
 
     def close(self) -> None:
-        self._local.clear()
+        self.fds.clear()
+        self.riders.clear()
         self.server.disconnect(self.conn)
         if self.cache is not None:
             self.cache.revoke()
@@ -149,6 +178,105 @@ class SessionLink:
         cache = self.cache
         return (not cache.revoked and cache.inval_seq == self._sent_seq
                 and self.server.session_tx(self.conn) is None)
+
+    # -- the descriptor table ----------------------------------------------
+
+    def record(self, fd) -> Descriptor | None:
+        """The table's record of ``fd``, if it has one."""
+        return self.fds.get(fd) if isinstance(fd, int) else None
+
+    def track(self, fd, path=None, readonly: bool = False):
+        """Enter the server's descriptor ``fd`` (an open's reply) in the
+        table; its record, or None when the reply is no descriptor."""
+        if not isinstance(fd, int):
+            return None
+        self.fds[fd] = Descriptor(path, fd, readonly, forward=True)
+        return self.fds[fd]
+
+    def stamp(self):
+        """What a read-ahead buffer filled now is good under: the drops
+        declared so far and the cache's invalidations."""
+        cache = self.cache
+        if cache is None:
+            return self._drops
+        return self._drops, cache.inval_seq, cache.revoked
+
+    def drop_read_ahead(self) -> None:
+        """Every descriptor's read-ahead dies: the owner knows a call of
+        its own may have changed what some position holds."""
+        self._drops += 1
+
+    def take_ahead(self, rec: Descriptor, length):
+        """The next ``length`` bytes at ``rec``'s position, from its
+        read-ahead, or None; either way the buffer is spent unless it
+        served.  It serves only at the position it starts at, under the
+        stamp it was filled under (the lease channel drained first),
+        and when it holds ``length`` bytes or ends at EOF."""
+        buf, rec.buf = rec.buf, None
+        if buf is None or not isinstance(length, int) or length <= 0:
+            return None
+        if self.cache is not None:
+            self.cache.poll()
+        start, data, at_eof, stamp = buf
+        if (start != rec.pos or stamp != self.stamp()
+                or not (at_eof or len(data) >= length)):
+            return None
+        piece = data[:length]
+        rec.pos += len(piece)
+        rec.buf = (rec.pos, data[len(piece):], at_eof, stamp)
+        return piece
+
+    def keep_ahead(self, rec: Descriptor, data, length, want, stamp):
+        """``data`` arrived for a read of ``length`` at ``rec``'s
+        position that asked ``want``, under ``stamp`` (taken before the
+        request left): the caller's piece.  What it fetched beyond the
+        piece is the read-ahead, ending at EOF if the reply fell short
+        of what it asked."""
+        piece = data if want == length else data[:length]
+        rec.pos += len(piece)
+        rec.streak += 1
+        if want != length:
+            rec.buf = (rec.pos, data[len(piece):], len(data) < want, stamp)
+        return piece
+
+    def seek_set(self, rec: Descriptor, offset: int) -> bool:
+        """Absorb a ``SEEK_SET`` to ``offset``: False (nothing done) when
+        the server must answer it, since only it refuses an offset
+        outside ``[0, MAX_FILE_SIZE]``."""
+        if not 0 <= offset <= MAX_FILE_SIZE:
+            return False
+        rec.pos = offset
+        rec.streak = 0
+        rec.buf = None
+        if not rec.forward:
+            self.cache.stats.hit("seek")
+        return True
+
+    def materialize(self, rec: Descriptor) -> None:
+        """From now on ``rec``'s calls go to a server descriptor: open
+        one (unless it is behind it already) and bring it to the
+        position."""
+        if rec.forward:
+            return
+        if rec.fd is None:
+            rec.fd = self.call("p_open", rec.path, O_RDONLY, None)
+            rec.srv_pos = 0
+        if rec.srv_pos != rec.pos:
+            self.call("p_lseek", rec.fd, rec.pos >> 32,
+                      rec.pos & 0xFFFFFFFF, SEEK_SET)
+            rec.srv_pos = rec.pos
+        rec.forward = True
+
+    def drop_write_riders(self) -> None:
+        """Take the queued ``p_write`` riders off the queue: where their
+        descriptors' server sides then stand is unknown."""
+        kept = []
+        for method, args in self.riders:
+            if method != "p_write":
+                kept.append((method, args))
+            elif args[0] in self.fds:
+                self.fds[args[0]].srv_pos = None
+        self.riders = kept
 
     # -- served verbs ------------------------------------------------------
 
@@ -203,35 +331,24 @@ class SessionLink:
         if mode != O_RDONLY or (cache.lookup_oid(fname) is None
                                 and not bounded):
             return self._call_named(cache, "p_open", fname, mode, timestamp)
-        if not bounded:
+        if bounded:
+            fd = self._call_named(cache, "p_open", fname, mode, timestamp)
+            if self.ready() is None or cache.lookup_oid(fname) is None:
+                return fd
+        else:
             cache.stats.hit("open")
-            return self._hold(fname, None)
-        fd = self._call_named(cache, "p_open", fname, mode, timestamp)
-        if self.ready() is None or cache.lookup_oid(fname) is None:
-            return fd
-        return self._hold(fname, fd)
+            fd = None
+        # A link-local descriptor, with the server's (if any) behind it.
+        local, self._next_local = self._next_local, self._next_local - 1
+        self.fds[local] = Descriptor(fname, fd, readonly=True,
+                                     forward=False)
+        return local
 
     def _bounded(self) -> bool:
         """Does the server bound its staleness?  Then every open must
         reach it: it checks its lag on each request, and a catch-up
         invalidates this cache."""
         return getattr(self.server, "staleness_xids", None) is not None
-
-    def _hold(self, fname, fd) -> int:
-        """A new link-local descriptor for ``fname``, with the server's
-        descriptor ``fd`` (or None) behind it."""
-        local, self._next_local = self._next_local, self._next_local - 1
-        self._local[local] = _Local(fname, fd)
-        return local
-
-    def owns(self, fd) -> bool:
-        """Is ``fd`` a link-local descriptor?"""
-        return isinstance(fd, int) and fd in self._local
-
-    def release(self, fd):
-        """Forget the link-local descriptor ``fd``: the server descriptor
-        behind it, if any, which the caller closes."""
-        return self._local.pop(fd).fd
 
     def request(self, method: str, *args, **kwargs):
         """One verb as a session program issues it: with no cache, one
@@ -256,81 +373,56 @@ class SessionLink:
                 return self.stat(*bound)
             if method == "p_open":
                 return self.open(*bound)
-            if verb.fd in (USES, CLOSES) and self.owns(bound[0]):
+            if (verb.fd in (USES, CLOSES)
+                    and self.record(bound[0]) is not None):
                 return self._on_local(method, *bound)
         self.ready()
         return self.call(method, *args, **kwargs)
 
     def _on_local(self, method: str, fd, *rest):
         """A descriptor verb on the link-local descriptor ``fd``."""
+        rec = self.fds[fd]
         if method == "p_close":
-            fd = self.release(fd)
-            return None if fd is None else self.call("p_close", fd)
-        local = self._local[fd]
-        if not local.forward:
+            del self.fds[fd]
+            return None if rec.fd is None else self.call("p_close", rec.fd)
+        if not rec.forward:
             if method == "p_lseek":
                 offset_high, offset_low, whence = rest
                 offset = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
-                if whence == SEEK_SET and 0 <= offset <= MAX_FILE_SIZE:
-                    self.cache.stats.hit("seek")
-                    local.pos = offset
-                    local.ahead = False
+                if whence == SEEK_SET and self.seek_set(rec, offset):
                     return offset
             elif method == "p_read" and self.tx() is None:
-                data = self._read(local, *rest)
-                local.pos += len(data)
-                local.ahead = True
-                return data
-            local.buf = None
-            if local.fd is None:
-                local.fd = self.call("p_open", local.path, O_RDONLY, None)
-            if local.pos:
-                self.call("p_lseek", local.fd, local.pos >> 32,
-                          local.pos & 0xFFFFFFFF, SEEK_SET)
-            local.forward = True
-        return self.call(method, local.fd, *rest)
+                piece = self.take_ahead(rec, *rest)
+                return piece if piece is not None else self.read(rec, *rest)
+            self.materialize(rec)
+        return self.call(method, rec.fd, *rest)
 
-    def _read(self, local: _Local, length):
-        """An auto-commit read at the descriptor's position: from its
-        read-ahead, from the chunk tier of the oid the cache resolves its
-        path to now, or one ``p_pread``, whose reply fills that tier and
-        the read-ahead if no invalidation landed while it was in
-        flight."""
+    def read(self, rec: Descriptor, length):
+        """An auto-commit read at a link-local descriptor's position
+        that its read-ahead could not answer: from the chunk tier of
+        the oid the cache resolves its path to now, or one ``p_pread``,
+        whose reply fills that tier if no invalidation landed while it
+        was in flight, and the read-ahead."""
         cache = self.ready()
         sized = isinstance(length, int) and length > 0
-        buf, local.buf = local.buf, None
-        if buf is not None and sized and cache is not None:
-            start, data, at_eof, seq = buf
-            if (start == local.pos and cache.inval_seq == seq
-                    and (at_eof or len(data) >= length)):
-                piece = data[:length]
-                local.buf = (start + len(piece), data[len(piece):], at_eof,
-                             seq)
-                return piece
-        oid = None if cache is None else cache.lookup_oid(local.path)
+        oid = None if cache is None else cache.lookup_oid(rec.path)
         att = None if oid is None else cache.lookup_att(oid)
         if att is not None and att.type == TYPE_DIRECTORY:
             oid = None      # the server refuses to read a directory
         if oid is not None and sized:
-            served = cache.serve_read(oid, local.pos, length)
+            served = cache.serve_read(oid, rec.pos, length)
             if served is not None:
                 data, owners = served
                 for owner in owners:
                     cache.stats.hit("chunk")
                     if owner is not None and self._acct is not None:
                         self._acct.charge_xid(owner, "client_cache_hits")
-                return data
+                return self.keep_ahead(rec, data, length, length, None)
             cache.stats.miss("chunk")
-        want = length * self.read_ahead if sized and local.ahead else length
-        data = self.call("p_pread", local.path, local.pos, want)
-        if not data or not self._fillable():
-            return data[:length] if sized else data
-        if oid is not None:
-            cache.fill_read(oid, local.pos, bytes(data),
+        want = length * self.read_ahead if sized and rec.streak else length
+        stamp = self.stamp()
+        data = self.call("p_pread", rec.path, rec.pos, want)
+        if data and oid is not None and self._fillable():
+            cache.fill_read(oid, rec.pos, bytes(data),
                             self.server.session_last_xid(self.conn))
-        if want == length:
-            return data
-        piece = data[:length]
-        local.buf = (local.pos + len(piece), data[len(piece):],
-                     len(data) < want, self.cache.inval_seq)
-        return piece
+        return self.keep_ahead(rec, data, length, want, stamp)

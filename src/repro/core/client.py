@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 
+from repro.cache.leases import normalize_path
 from repro.cache.link import SessionLink
-from repro.core.constants import CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR, O_WRONLY
+from repro.core.constants import (CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR,
+                                  O_WRONLY, SEEK_CUR, SEEK_SET)
 from repro.core.protocol import OPENS, REMOTE, TX, exposes
 from repro.core.server import InversionServer
 from repro.obs.registry import MetricSpec
@@ -34,9 +36,10 @@ METRICS = (
                "(read-ahead window).",
                "repro.core.client"),
     MetricSpec("rpc.client.buffered_reads", "counter", "ops",
-               "p_read calls answered from the client buffer, no RPC "
-               "at all (EOF included, once a short batched reply "
-               "recorded it).",
+               "p_read calls answered from a descriptor's read-ahead "
+               "buffer, no RPC at all (EOF included, once a short "
+               "batched reply recorded it; a link-local descriptor's "
+               "buffer included).",
                "repro.core.client"),
     MetricSpec("rpc.client.batched_writes", "counter", "ops",
                "p_write RPCs that shipped more than one buffered "
@@ -102,50 +105,48 @@ class RemoteInversionClient:
     Verbs with no client-side logic of their own (transaction control,
     ``p_creat``, the namespace and structural ops, ``p_query``) are not
     written out here: :func:`repro.core.protocol.exposes` generates
-    them from the verb table, each one :meth:`_forward`.
+    them from the verb table, each one :meth:`_forward`.  Every
+    descriptor's state — position, read-ahead, write buffer — is a
+    record in the table of the client's
+    :class:`~repro.cache.link.SessionLink`; what is written here is the
+    protocol's policy over it.
 
     ``write_behind`` models the library's streaming of consecutive
     ``p_write`` calls: while the server chews on one write, the next
     request is already on the wire, so a sustained write sequence costs
     ``max(network, server)`` per call instead of their sum.  Reads stay
-    fully synchronous — the client needs each reply before it can
-    continue, which is exactly the heavyweight behaviour the paper
+    fully synchronous, exactly the heavyweight behaviour the paper
     complains about.
 
-    ``read_batch_chunks`` is the sequential-read counterpart (off by
-    default to preserve the paper's measured protocol; the replicated
-    cluster's clients use :data:`RPC_BATCH_CHUNKS`).  With it on, once a descriptor issues
-    its second consecutive sequential ``p_read`` — or its first, on a
-    descriptor opened ``O_RDONLY``: the usual start-of-file read-ahead
-    — the client fetches up to that many request-lengths in a single
-    RPC and serves the following reads from the returned buffer, the
-    NFS biod read-ahead trick, paying the per-message stack overhead
-    once per window instead of once per chunk.  A batched reply shorter
-    than it asked for also records EOF, so the read that finds it is
-    answered from the buffer too.  Like NFS client caching, a buffered
-    byte or EOF can be stale with respect to *another* client's
-    concurrent writes; buffers are dropped at every transaction
-    boundary, write, seek, and namespace operation of this client, and
-    at a ``p_close`` or ``p_stat`` that may publish a size its own
-    writes left pending.
+    ``read_batch_chunks`` (off by default, to keep the paper's measured
+    protocol) is the NFS biod read-ahead: once a descriptor's streak
+    runs — its second consecutive sequential ``p_read``, or its first
+    on one opened ``O_RDONLY`` — a read fetches up to that many
+    request-lengths and the following reads are served from the
+    descriptor's buffer; a reply shorter than it asked also records
+    EOF.  A buffered byte can be stale with respect to *another*
+    client's writes; every buffer dies at a transaction boundary, a
+    write, a namespace operation of this client, and at a ``p_close``
+    or ``p_stat`` that may publish a size its own writes left pending.
+    A read-only ``p_open`` on such a client, outside a transaction and
+    with no client cache, is one exchange that also reads the file when
+    it fits one read-ahead window, the whole file and EOF landing in
+    the buffer; it sends the SHA-256 digests of the chunks the client's
+    last filled open of the path received (at most
+    ``read_batch_chunks`` paths kept), and the server answers each
+    chunk that still matches at its index with an 8-byte marker, the
+    LBFS trick.
 
-    A read-only ``p_open`` on a read-ahead client, outside a
-    transaction and with no client cache, is one exchange that also
-    reads the file when the server finds it no longer than one
-    read-ahead window: the reply carries the whole file and EOF into
-    the descriptor's buffer, as a first read-ahead would fill it, so a
-    small file is read with one message each way.  A longer file gets
-    no data with its open.  The client keeps, per path, the chunks its
-    last filled open of it received (at most ``read_batch_chunks``
-    paths, the least recently opened dropped first), and the next such
-    open sends their SHA-256 digests: the server still reads the whole
-    file, and answers each chunk whose digest matches at the same
-    index with an 8-byte "unchanged" marker, the LBFS trick.  The open
-    still reaches the server, so the bytes are the server's bytes of
-    that moment.
+    ``write_batch_chunks`` (off by default) gathers consecutive
+    sequential ``p_write`` calls of a descriptor into one ``p_write`` of
+    up to that many chunks, shipped before any other request of this
+    client, so its own operations observe its writes in program order;
+    a descriptor that starts gathering first ships what any descriptor
+    of the same path gathered.  A write through a read-only descriptor
+    fails at the call.
 
-    **Riders.**  A call whose reply the client already knows, and
-    whose effect no other session can see before the session's next
+    **Riders.**  A call whose reply the client already knows, and whose
+    effect no other session can see before the session's next
     exchange, sends no message: it queues and rides that exchange,
     ahead of its request, adding its argument bytes to it and costing
     the server its dispatch as before.  If a rider fails on the server,
@@ -154,56 +155,30 @@ class RemoteInversionClient:
     disconnect aborts the transaction and closes every descriptor.
     These ride:
 
-    - ``p_close`` of a read-only descriptor with no buffered writes,
-      on every client: there is nothing to reconcile.  NFS has no close
-      RPC at all.
+    - ``p_close`` of a read-only descriptor, on every client.  NFS has
+      no close RPC at all.
     - On a client with either batch size above one (the paper's
       protocol keeps one exchange per call):
 
       - ``p_begin``, when this client's own begin/commit/abort
         bookkeeping says no transaction is open and it has no client
         cache (which would serve reads until the begin arrived).
-        Otherwise it goes alone, and fails at the call if one is open.
-      - A ``SEEK_SET`` ``p_lseek`` on a descriptor the client tracks:
-        it is absorbed, and the seek the server then needs (as after a
-        partly consumed buffer) rides the next request that uses the
-        descriptor.
-      - ``p_close`` of a written descriptor *inside* a transaction,
-        whose attribute reconcile is seen at commit, and with it the
-        buffered ``p_write`` calls (and their corrective seeks) when
-        each is to a descriptor whose write-mode open, inside the
-        transaction, learnt it names a plain file, and ends inside the
-        size limit: their reply is then the length, and their effect
-        is invisible to other sessions before the commit.  One the
-        server refuses all the same (a lock conflict) fails the request
-        it rode, usually the commit.  Outside a transaction that close
-        and its writes stay synchronous: its auto-commit publishes the
-        size.
+      - The corrective seek after an absorbed ``SEEK_SET``, which the
+        server needs only when the descriptor is next used.
+      - ``p_close`` of a written descriptor *inside* a transaction, and
+        with it the buffered ``p_write`` calls when each is to a
+        descriptor whose write-mode open, inside the transaction,
+        learnt it names a plain file, and ends inside the size limit:
+        their reply is then the length, and their effect is invisible
+        to other sessions before the commit.  Outside a transaction
+        that close and its writes stay synchronous: its auto-commit
+        publishes the size.
 
-    ``write_batch_chunks`` is the symmetric write-path tunable (also
-    off by default): consecutive sequential ``p_write`` calls accumulate
-    in a per-descriptor buffer and ship as *one* ``p_write`` RPC of up
-    to that many chunks.  The buffer is flushed before any other RPC
-    of this client (reads, seeks, transaction boundaries, namespace
-    operations), so this client's own operations always observe its
-    writes in program order; only the per-message overhead is
-    amortized.  A write through a read-only descriptor is not
-    buffered: it fails at the call.
-
-    ``cache_paths`` / ``cache_chunks`` (both off by default) enable the
-    lease-coherent client cache (:mod:`repro.cache`): name→oid and
-    negative lookups, fileatt rows, and chunk payloads are served
-    locally with **zero** network messages.  A read-only open whose
-    name the cache resolves is a descriptor of the client's
-    :class:`~repro.cache.link.SessionLink`: an open of a name already
-    cached, its ``SEEK_SET`` seeks and its close send nothing, and a
-    read the chunk tier cannot answer is one ``p_pread``, reading ahead
-    as a server descriptor's read would.  Unlike the read-ahead buffer above,
-    cached entries are *coherent* across clients: the server piggybacks
-    invalidation notices on every reply (emitted at writer commit
-    time), and a revoked lease drops the whole cache.  Serving and
-    filling happen only outside explicit transactions — transactional
-    traffic always reaches the server.
+    ``cache_factory`` (off by default; see
+    :func:`repro.cache.session_cache_factory`) puts the lease-coherent
+    client cache in front of the link, whose rules decide when it
+    answers — with link-local descriptors for read-only opens of names
+    it holds.
     """
 
     server: InversionServer
@@ -211,36 +186,18 @@ class RemoteInversionClient:
     write_behind: bool = True
     read_batch_chunks: int = 1
     write_batch_chunks: int = 1
-    #: client-cache capacities (0 = caching off): max path/att/negative
-    #: entries and max cached chunks.  Enabling either wires leases.
-    cache_paths: int = 0
-    cache_chunks: int = 0
-    #: optional shared :class:`repro.cache.CacheStats` so several
-    #: clients of one database aggregate into one ``cache.*`` family.
-    cache_stats: object = None
+    #: ``cache_factory(server, conn)`` builds the session's client
+    #: cache; None = no cache.
+    cache_factory: object = None
 
     def __post_init__(self) -> None:
         self._last_was_write = False
-        self._pos: dict[int, int] = {}      # client-visible file position
-        #: where the server's descriptor is (None: unknown)
-        self._srv_pos: dict[int, int | None] = {}
-        self._streak: dict[int, int] = {}   # consecutive sequential reads
-        #: fd -> (offset, bytes, EOF right after them)
-        self._rdbuf: dict[int, tuple[int, bytes, bool]] = {}
-        #: descriptors opened O_RDONLY
-        self._readonly: set[int] = set()
-        #: write-mode descriptors known to name a plain file
-        self._files: set[int] = set()
-        #: (method, args) of the calls waiting to ride the next request
-        self._riders: list[tuple[str, tuple]] = []
         #: is a transaction open, by this client's own begin / commit /
         #: abort bookkeeping?  None once a reply left it unknown.
         self._in_tx: bool | None = False
-        #: fd -> (start offset, buffered bytes, absorbed call count)
-        self._wrbuf: dict[int, tuple[int, bytearray, int]] = {}
         #: RPCs that fetched more than the caller asked for.
         self.batched_reads = 0
-        #: p_read calls answered from the client buffer, no RPC at all.
+        #: p_read calls answered from a read-ahead buffer, no RPC at all.
         self.buffered_reads = 0
         #: p_write RPCs that shipped more than one buffered call's data.
         self.batched_writes = 0
@@ -260,24 +217,18 @@ class RemoteInversionClient:
         self._obs = getattr(getattr(self.server.fs, "db", None), "obs", None)
         if self._obs is not None:
             self._obs.bind_client(self)
-        factory = None
-        if self.cache_paths > 0 or self.cache_chunks > 0:
-            from repro.cache import session_cache_factory
-            factory = session_cache_factory(self.cache_paths,
-                                            self.cache_chunks,
-                                            self.cache_stats)
-        #: the server connection, the lease-coherent cache in front of
-        #: it (if any), and every rule about when that cache may serve.
-        self._link = SessionLink(self.server, factory, self._exchange,
+        #: the server connection, the descriptor table, the cache in
+        #: front of it (if any), and every rule about when it may serve.
+        self._link = SessionLink(self.server, self.cache_factory,
+                                 self._exchange,
                                  read_ahead=self.read_batch_chunks)
         self._call = self._link.call
         self._cache = self._link.cache
 
     def close(self) -> None:
         self._flush_writes()
-        self._riders.clear()    # the disconnect aborts and closes
         self._copies.clear()
-        self._link.close()
+        self._link.close()      # the disconnect aborts and closes
 
     @property
     def _batching(self) -> bool:
@@ -286,73 +237,51 @@ class RemoteInversionClient:
 
     def _ride(self, method: str, *args) -> None:
         """Queue a call whose reply is known to ride the next request."""
-        self._riders.append((method, args))
+        self._link.riders.append((method, args))
         self.riders += 1
 
-    def _seek_server(self, fd: int, pos: int) -> None:
+    def _seek_server(self, rec, pos: int) -> None:
         """Move the server's descriptor to ``pos``: a rider on a
         batching client, an exchange of its own on the paper's."""
         if self._batching:
-            self._ride("p_lseek", fd, pos >> 32, pos & 0xFFFFFFFF, 0)
+            self._ride("p_lseek", rec.fd, pos >> 32, pos & 0xFFFFFFFF, 0)
         else:
-            self._call("p_lseek", fd, pos >> 32, pos & 0xFFFFFFFF, 0)
-        self._srv_pos[fd] = pos
+            self._call("p_lseek", rec.fd, pos >> 32, pos & 0xFFFFFFFF, 0)
+        rec.srv_pos = pos
 
-    # -- read-batching bookkeeping ----------------------------------------
-
-    def _track_fd(self, fd, readonly: bool = False) -> None:
-        if isinstance(fd, int):
-            self._pos[fd] = self._srv_pos[fd] = 0
-            self._streak[fd] = 0
-            if readonly:
-                # A read-only file is read from the top: its first read
-                # counts as sequential.
-                self._readonly.add(fd)
-                self._streak[fd] = 1
-
-    def _forget_fd(self, fd) -> None:
-        for store in (self._pos, self._srv_pos, self._streak, self._rdbuf,
-                      self._wrbuf):
-            store.pop(fd, None)
-        self._readonly.discard(fd)
-        self._files.discard(fd)
+    def _resync(self, rec) -> None:
+        """Bring the server's descriptor to the client's position (after
+        a partly consumed read-ahead or an absorbed seek)."""
+        if rec.srv_pos != rec.pos:
+            self._seek_server(rec, rec.pos)
 
     def _drop_buffers(self) -> None:
         """Invalidate all read-ahead state (transaction boundaries and
         namespace changes may change what any position holds), and what
         write-mode opens learnt: the server writes through a
         descriptor's path, which may now name another file or none."""
-        self._rdbuf.clear()
-        self._files.clear()
-        for fd in self._streak:
-            self._streak[fd] = 0
+        self._link.drop_read_ahead()
+        for rec in self._link.fds.values():
+            rec.streak = 0
+            rec.plain = False
 
-    def _resync(self, fd: int) -> None:
-        """Bring the server's descriptor back to the client's position
-        after a partially consumed read-ahead (one corrective seek)."""
-        pos = self._pos.get(fd)
-        if pos is None or self._srv_pos.get(fd, pos) == pos:
-            return
-        self._seek_server(fd, pos)
+    # -- write batching ----------------------------------------------------
 
-    # -- write-batching bookkeeping ---------------------------------------
-
-    def _flush_fd_writes(self, fd: int, ride: bool = False) -> None:
+    def _flush_fd_writes(self, rec, ride: bool = False) -> None:
         """Ship one descriptor's buffered writes as a single ``p_write``
         RPC (with a corrective seek first if the server's descriptor
         has drifted from the buffer's start), or queue it to ride the
         next request."""
-        wb = self._wrbuf.pop(fd, None)
-        if wb is None:
+        if rec.wbuf is None:
             return
-        start, data, ncalls = wb
-        if self._srv_pos.get(fd, start) != start:
-            self._seek_server(fd, start)
+        (start, data, ncalls), rec.wbuf = rec.wbuf, None
+        if rec.srv_pos != start:
+            self._seek_server(rec, start)
         if ride:
-            self._ride("p_write", fd, bytes(data))
+            self._ride("p_write", rec.fd, bytes(data))
         else:
-            self._call("p_write", fd, bytes(data))
-        self._srv_pos[fd] = start + len(data)
+            self._call("p_write", rec.fd, bytes(data))
+        rec.srv_pos = start + len(data)
         if ncalls > 1:
             self.batched_writes += 1
 
@@ -360,8 +289,8 @@ class RemoteInversionClient:
         """Ship every descriptor's buffered writes — called before any
         RPC other than an absorbed sequential write, so this client's
         operations observe its writes in program order."""
-        for fd in list(self._wrbuf):
-            self._flush_fd_writes(fd, ride)
+        for rec in list(self._link.fds.values()):
+            self._flush_fd_writes(rec, ride)
 
     # -- the wire -----------------------------------------------------------
 
@@ -376,7 +305,7 @@ class RemoteInversionClient:
         the request travels with every queued rider ahead of it, the
         server runs the riders and then ``serve()``, and the response
         returns."""
-        riders, self._riders = self._riders, []
+        riders, self._link.riders = self._link.riders, []
         request = _REQ_BASE + arg_bytes + sum(_arg_bytes(args, {})
                                               for _, args in riders)
         pipelined = (self.write_behind and method == "p_write"
@@ -419,9 +348,11 @@ class RemoteInversionClient:
         this client's operations observe its writes in program order),
         drop read-ahead state if the verb can change what any position
         holds, then one exchange carrying every parameter; a descriptor
-        the verb opens (``p_creat``) enters the position tables."""
+        the verb opens (``p_creat``) enters the table."""
         if verb.name == "p_abort":
-            self._drop_write_riders()
+            # The queued writes would only be undone by it, and one the
+            # server refuses (a lock conflict) would fail the abort.
+            self._link.drop_write_riders()
         self._flush_writes()
         if verb.drops_buffers:
             self._drop_buffers()
@@ -429,21 +360,8 @@ class RemoteInversionClient:
             return self._transaction(verb.name)
         result = self._call(verb.name, *args)
         if verb.fd == OPENS:
-            self._track_fd(result)
+            self._link.track(result, args[0])
         return result
-
-    def _drop_write_riders(self) -> None:
-        """Before a ``p_abort``: the queued ``p_write`` riders would
-        only be undone by it, and one the server refuses (a lock
-        conflict) would fail the abort.  Where the server's descriptor
-        then stands is unknown, so its next use re-seeks it."""
-        kept = []
-        for method, args in self._riders:
-            if method != "p_write":
-                kept.append((method, args))
-            elif args[0] in self._srv_pos:
-                self._srv_pos[args[0]] = None
-        self._riders = kept
 
     def _transaction(self, method: str) -> None:
         """``p_begin`` / ``p_commit`` / ``p_abort``, keeping the
@@ -471,15 +389,10 @@ class RemoteInversionClient:
                 and self._in_tx is True and timestamp is None):
             return self._open_writable(fname, mode)
         fd = self._link.open(fname, mode, timestamp)
-        if not self._link.owns(fd):
-            self._track_fd(fd, readonly=readonly)
+        rec = self._link.record(fd)
+        if rec is None or rec.forward:      # not a link-local descriptor
+            self._link.track(fd, fname, readonly)
         return fd
-
-    def _on_local(self, method: str, fd, *rest):
-        """A descriptor verb on a link-local descriptor: the link's
-        business, after this client's buffered writes have shipped."""
-        self._flush_writes()
-        return self._link.request(method, fd, *rest)
 
     def _open_writable(self, fname, mode):
         """A write-mode open inside a transaction that also learns, in
@@ -495,9 +408,7 @@ class RemoteInversionClient:
 
         fd, plain = self._round_trip(
             "p_open", _arg_bytes((fname, mode, None), {}), serve)
-        self._track_fd(fd)
-        if plain:
-            self._files.add(fd)
+        self._link.track(fd, fname).plain = plain
         return fd
 
     def _open_filled(self, fname, mode, timestamp):
@@ -526,7 +437,7 @@ class RemoteInversionClient:
         fd, reply = self._round_trip(
             "p_open", _arg_bytes((fname, mode, timestamp, window), {})
             + _DIGEST_BYTES * len(digests), serve)
-        self._track_fd(fd, readonly=True)
+        rec = self._link.track(fd, fname, readonly=True)
         if reply is None:
             return fd
         chunks, sums = [], []
@@ -542,152 +453,132 @@ class RemoteInversionClient:
         if len(self._copies) > self.read_batch_chunks:
             del self._copies[next(iter(self._copies))]
         data = b"".join(chunks)
-        self._rdbuf[fd] = (0, data, True)
-        self._srv_pos[fd] = len(data)
+        rec.buf = (0, data, True, self._link.stamp())
+        rec.srv_pos = len(data)
         self.filled_opens += 1
         return fd
 
     def p_read(self, fd, length):
-        if self._link.owns(fd):
-            return self._on_local("p_read", fd, length)
         self._flush_writes()
-        pos = self._pos.get(fd)
-        if pos is None or length <= 0:
+        link = self._link
+        rec = link.record(fd)
+        if rec is None:
             return self._call("p_read", fd, length)
-        buf = self._rdbuf.get(fd)
-        if buf is not None:
-            start, data, at_eof = buf
-            if start == pos and (at_eof or len(data) >= length):
-                piece, rest = data[:length], data[length:]
-                self._pos[fd] = pos = pos + len(piece)
-                if rest or at_eof:
-                    self._rdbuf[fd] = (pos, rest, at_eof)
-                else:
-                    del self._rdbuf[fd]
-                self.buffered_reads += 1
-                return piece
-            # Unusable (seeked away, or too little left): refetch.
-            del self._rdbuf[fd]
-        self._resync(fd)
-        streak = self._streak.get(fd, 0)
+        piece = link.take_ahead(rec, length)
+        if piece is not None:
+            self.buffered_reads += 1
+            return piece
+        if not rec.forward and link.tx() is None:
+            return link.read(rec, length)
+        link.materialize(rec)
+        self._resync(rec)
         # The first read of a streak fetches exactly what was asked —
         # batching only kicks in once the access pattern has proven
         # sequential, so a lone random read never over-fetches.
-        want = length * self.read_batch_chunks if streak >= 1 else length
-        result = self._call("p_read", fd, want)
-        self._srv_pos[fd] = pos + len(result)
-        piece = result[:length]
-        self._pos[fd] = pos + len(piece)
-        # A batched reply shorter than it asked for ends at EOF.
-        at_eof = length < want and len(result) < want
-        if len(result) > length or at_eof:
-            self._rdbuf[fd] = (self._pos[fd], result[length:], at_eof)
-        if len(result) > length:
+        sized = isinstance(length, int) and length > 0
+        want = length * self.read_batch_chunks if sized and rec.streak \
+            else length
+        stamp = link.stamp()
+        result = self._call("p_read", rec.fd, want)
+        rec.srv_pos = rec.pos + len(result)
+        if want != length and len(result) > length:
             self.batched_reads += 1
-        self._streak[fd] = streak + 1
-        return piece
+        return link.keep_ahead(rec, result, length, want, stamp)
 
     def p_write(self, fd, buf):
-        if self._link.owns(fd):
-            return self._on_local("p_write", fd, buf)
-        if (self.write_batch_chunks > 1 and isinstance(fd, int)
-                and fd in self._pos and fd not in self._readonly):
-            # Another descriptor may hold this file's bytes read ahead.
-            self._rdbuf.clear()
-            self._streak[fd] = 0
-            pos = self._pos[fd]
-            limit = self.write_batch_chunks * CHUNK_SIZE
-            wb = self._wrbuf.get(fd)
-            if wb is not None:
-                start, data, ncalls = wb
-                if start + len(data) == pos:
-                    data.extend(buf)
-                    self._wrbuf[fd] = (start, data, ncalls + 1)
-                    self._pos[fd] = pos + len(buf)
-                    self.buffered_writes += 1
-                    if len(data) >= limit:
-                        self._flush_fd_writes(fd)
-                    return len(buf)
-                # Not contiguous with the buffer (a seek happened):
-                # ship what we have and start over at the new position.
-                self._flush_fd_writes(fd)
-            self._wrbuf[fd] = (pos, bytearray(buf), 1)
-            self._pos[fd] = pos + len(buf)
-            self.buffered_writes += 1
-            if len(buf) >= limit:
-                self._flush_fd_writes(fd)
-            return len(buf)
-        if fd in self._pos:
-            self._rdbuf.clear()
-            self._streak[fd] = 0
-            self._resync(fd)
-            result = self._call("p_write", fd, buf)
-            written = result if isinstance(result, int) else len(buf)
-            self._pos[fd] += written
-            self._srv_pos[fd] = self._pos[fd]
-            return result
-        return self._call("p_write", fd, buf)
+        link = self._link
+        rec = link.record(fd)
+        if rec is None:
+            return self._call("p_write", fd, buf)
+        # Another descriptor may hold this file's bytes read ahead.
+        link.drop_read_ahead()
+        rec.streak = 0
+        if self.write_batch_chunks > 1 and not rec.readonly:
+            return self._gather(rec, buf)
+        link.materialize(rec)
+        self._resync(rec)
+        result = self._call("p_write", rec.fd, buf)
+        rec.pos += result if isinstance(result, int) else len(buf)
+        rec.srv_pos = rec.pos
+        return result
+
+    def _gather(self, rec, buf) -> int:
+        """Absorb a ``p_write`` into the descriptor's write buffer,
+        shipping the buffer once it holds a batch."""
+        start, data, ncalls = rec.wbuf or (None, b"", 0)
+        if start is not None and start + len(data) == rec.pos:
+            data.extend(buf)
+            rec.wbuf = (start, data, ncalls + 1)
+        else:
+            # What was gathered for the same path — here before a seek,
+            # or through another descriptor — ships first, in program
+            # order; another path's writes are another file's.
+            path = normalize_path(rec.path)
+            for other in list(self._link.fds.values()):
+                if (other.wbuf is not None
+                        and normalize_path(other.path) == path):
+                    self._flush_fd_writes(other)
+            data = bytearray(buf)
+            rec.wbuf = (rec.pos, data, 1)
+        rec.pos += len(buf)
+        self.buffered_writes += 1
+        if len(data) >= self.write_batch_chunks * CHUNK_SIZE:
+            self._flush_fd_writes(rec)
+        return len(buf)
 
     def p_lseek(self, fd, offset_high, offset_low, whence=0):
-        if self._link.owns(fd):
-            return self._on_local("p_lseek", fd, offset_high, offset_low,
-                                  whence)
         self._flush_writes()
+        link = self._link
+        rec = link.record(fd)
+        if rec is None:
+            return self._call("p_lseek", fd, offset_high, offset_low, whence)
         offset = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
-        if (whence == 0 and fd in self._pos and self._batching
-                and offset <= MAX_FILE_SIZE):
-            # Absorb the SEEK_SET: record the position client-side and
-            # repay it with one corrective seek only if the server is
-            # consulted again for this descriptor (_resync) — a rider.
-            # Its reply is the offset: the server's seek refuses only a
-            # negative one or one past the limit.
-            self._rdbuf.pop(fd, None)
-            self._streak[fd] = 0
-            self._pos[fd] = offset
+        # Absorb the SEEK_SET on a batching client, or where the link
+        # answers for the descriptor: the server's descriptor is moved
+        # only when it is consulted again.
+        if (whence == SEEK_SET and (self._batching or not rec.forward)
+                and link.seek_set(rec, offset)):
             return offset
-        if fd in self._pos:
-            self._rdbuf.pop(fd, None)
-            self._streak[fd] = 0
-            if whence == 1:  # SEEK_CUR is relative to the *server* pos
-                self._resync(fd)
-            result = self._call("p_lseek", fd, offset_high, offset_low, whence)
-            if isinstance(result, int):
-                self._pos[fd] = self._srv_pos[fd] = result
-            return result
-        return self._call("p_lseek", fd, offset_high, offset_low, whence)
+        link.materialize(rec)
+        rec.buf = None
+        rec.streak = 0
+        if whence == SEEK_CUR:  # relative to the *server* position
+            self._resync(rec)
+        result = self._call("p_lseek", rec.fd, offset_high, offset_low,
+                            whence)
+        if isinstance(result, int):
+            rec.pos = rec.srv_pos = result
+        return result
 
     def p_close(self, fd):
-        if self._link.owns(fd):
-            fd = self._link.release(fd)
-            if fd is not None:
-                # A read-only server descriptor: its close rides.
-                self._ride("p_close", fd)
-            return None
-        if fd in self._readonly and fd not in self._wrbuf:
+        link = self._link
+        rec = link.record(fd)
+        if rec is not None and rec.readonly:
             # Nothing to reconcile: the close rides the next request.
-            self._forget_fd(fd)
-            self._ride("p_close", fd)
+            del link.fds[fd]
+            if rec.fd is not None:
+                self._ride("p_close", rec.fd)
             return None
         # Closing a written descriptor publishes its pending size.
-        self._rdbuf.clear()
-        if self._in_tx is True and self._batching and fd in self._pos:
+        link.drop_read_ahead()
+        if self._in_tx is True and self._batching and rec is not None:
             # Inside a transaction the reconcile is seen at commit, and
             # so are the buffered writes, if the reply of each — its
             # length — is known: to a plain file, inside the size limit.
             self._flush_writes(ride=all(
-                wfd in self._files and start + len(data) <= MAX_FILE_SIZE
-                for wfd, (start, data, _n) in self._wrbuf.items()))
-            self._forget_fd(fd)
+                r.plain and r.wbuf[0] + len(r.wbuf[1]) <= MAX_FILE_SIZE
+                for r in link.fds.values() if r.wbuf is not None))
+            del link.fds[fd]
             self._ride("p_close", fd)
             return None
         self._flush_writes()
         result = self._call("p_close", fd)
-        self._forget_fd(fd)
+        link.fds.pop(fd, None)
         return result
 
     def p_stat(self, path, timestamp=None):
         self._flush_writes()
-        self._rdbuf.clear()     # a stat publishes pending sizes too
+        self._link.drop_read_ahead()    # a stat publishes pending sizes
         return self._link.stat(path, timestamp)
 
     def p_readdir(self, path, timestamp=None, cookie=None, limit=None):
@@ -699,4 +590,3 @@ class RemoteInversionClient:
             return self._call("p_readdir", path, timestamp)
         return self._call("p_readdir", path, timestamp,
                           cookie=cookie, limit=limit)
-

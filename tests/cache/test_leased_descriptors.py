@@ -2,14 +2,18 @@
 read-only open, its ``SEEK_SET`` seeks and its close send nothing, and
 a read the chunk tier cannot answer is one ``p_pread``.
 
-Each script runs four ways — a local :class:`InversionClient`
+Each script runs five ways — a local :class:`InversionClient`
 descriptor (the reference), the ``cached`` remote client, the same
-client reading ahead on a miss (``cached_read_ahead``) and a
-``scheduled`` session with a lease cache — each over a fresh file
-system holding the same two files, and all four must return the same
-values and fail at the same step with the same error.  ``other`` steps
-are another session's, made straight through the library: their
-commits reach the leased sessions as lease notices, as any writer's do.
+client reading ahead on a miss (``cached_read_ahead``), the same client
+speaking the whole light protocol (``cached_light``: both batch sizes
+above one) and a ``scheduled`` session with a lease cache — each over a
+fresh file system holding the same two files, and all five must return
+the same values and fail at the same step with the same error.
+``other`` steps are another session's, made straight through the
+library: their commits reach the leased sessions as lease notices, as
+any writer's do.  The ``…_by_this_session`` scripts change ``/a``
+through the session itself between two reads with no seek between
+them: what the first read fetched ahead must not answer the second.
 """
 
 from __future__ import annotations
@@ -134,6 +138,30 @@ SCRIPTS = {
         ("p_lseek", FD(1), *off(CHUNK_SIZE), SEEK_SET),
         ("p_read", FD(1), 100),
         ("p_close", FD(1))],
+    "renamed_by_this_session": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 50),
+        ("p_rename", "/a", "/gone"), ("p_rename", "/b", "/a"),
+        ("p_read", FD(1), 50),
+        ("p_close", FD(1))],
+    "written_by_this_session_in_a_transaction": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 50),
+        ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_write", FD(4), b"S" * 100),
+        ("p_close", FD(4)),
+        ("p_commit",),
+        ("p_read", FD(1), 50),
+        ("p_close", FD(1))],
+    "written_by_this_session_auto_commit": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(1), 50),
+        ("p_open", "/a", O_RDWR),
+        ("p_write", FD(3), b"S" * 100),
+        ("p_close", FD(3)),
+        ("p_read", FD(1), 50),
+        ("p_close", FD(1))],
     "a_missing_name_fails_at_the_open": [
         ("p_stat", "/a"), ("p_open", "/nope", O_RDONLY)],
     "unlinked_in_the_session_transaction_then_opened": [
@@ -188,9 +216,9 @@ def run_local(workdir: str, script):
 def run_cached(workdir: str, script, **batching):
     fs = _mount(workdir)
     network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
-    client = RemoteInversionClient(InversionServer(fs), network,
-                                   cache_paths=64, cache_chunks=32,
-                                   **batching)
+    client = RemoteInversionClient(
+        InversionServer(fs), network,
+        cache_factory=session_cache_factory(64, 32), **batching)
     try:
         return _drive(script, lambda verb, *a: getattr(client, verb)(*a),
                       InversionClient(fs))
@@ -203,6 +231,13 @@ def run_cached_read_ahead(workdir: str, script):
     """The cached client whose misses read ahead, as a replica
     reader's do."""
     return run_cached(workdir, script, read_batch_chunks=RPC_BATCH_CHUNKS)
+
+
+def run_cached_light(workdir: str, script):
+    """The cached client on the whole light protocol, as the replicated
+    cluster's clients speak it."""
+    return run_cached(workdir, script, read_batch_chunks=RPC_BATCH_CHUNKS,
+                      write_batch_chunks=RPC_BATCH_CHUNKS)
 
 
 def run_scheduled(workdir: str, script):
@@ -262,8 +297,9 @@ def _outcome(values, error) -> tuple:
 
 
 @pytest.mark.parametrize("run", [run_cached, run_cached_read_ahead,
-                                 run_scheduled],
-                         ids=["cached", "cached_read_ahead", "scheduled"])
+                                 run_cached_light, run_scheduled],
+                         ids=["cached", "cached_read_ahead", "cached_light",
+                              "scheduled"])
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
 def test_a_leased_descriptor_answers_as_the_servers_does(tmp_path, run,
                                                          name):
@@ -289,6 +325,13 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
     assert error is None
     assert values[3] == A[CHUNK_SIZE:CHUNK_SIZE + 50]
     assert values[5] == B[CHUNK_SIZE + 50:CHUNK_SIZE + 100]
+    values, error = run_local(str(tmp_path / "own"),
+                              SCRIPTS["renamed_by_this_session"])
+    assert error is None and values[5] == B[50:100]
+    for name, read in [("written_by_this_session_in_a_transaction", 8),
+                       ("written_by_this_session_auto_commit", 6)]:
+        values, error = run_local(str(tmp_path / name), SCRIPTS[name])
+        assert error is None and values[read] == b"S" * 50, name
     for name, failing_step in [("unlinked_then_read", 4),
                                ("written_through_a_read_only_descriptor", 3),
                                ("negative_seek_set", 4),
@@ -313,8 +356,9 @@ def test_cached_client_warm_unit_sends_nothing_and_a_miss_one_pread(
         tmp_path):
     fs = _mount(str(tmp_path / "db"))
     network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
-    client = RemoteInversionClient(InversionServer(fs), network,
-                                   cache_paths=64, cache_chunks=32)
+    client = RemoteInversionClient(
+        InversionServer(fs), network,
+        cache_factory=session_cache_factory(64, 32))
     try:
         client.p_stat("/a")
         d0 = _dispatches(fs)

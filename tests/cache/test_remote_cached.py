@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import session_cache_factory
 from repro.core.client import RemoteInversionClient
 from repro.core.constants import CHUNK_SIZE
 from repro.core.filesystem import InversionFS
@@ -25,11 +26,12 @@ def server(fs) -> InversionServer:
     return InversionServer(fs)
 
 
-def make_client(server, clock, **kwargs) -> RemoteInversionClient:
+def make_client(server, clock, cache_paths=64,
+                cache_chunks=32) -> RemoteInversionClient:
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
-    kwargs.setdefault("cache_paths", 64)
-    kwargs.setdefault("cache_chunks", 32)
-    return RemoteInversionClient(server, network, **kwargs)
+    factory = (session_cache_factory(cache_paths, cache_chunks)
+               if cache_paths or cache_chunks else None)
+    return RemoteInversionClient(server, network, cache_factory=factory)
 
 
 def test_warm_reread_and_restat_cost_zero_messages(server, clock):

@@ -284,11 +284,27 @@ def test_server_descriptors_are_bounded_by_the_client(tmp_path_factory,
         for step, op in enumerate(ops):
             _apply(side, op, step)
             closing = sum(method == "p_close"
-                          for method, _args in client._riders)
-            assert held() <= len(client._pos) + closing
+                          for method, _args in client._link.riders)
+            assert held() <= len(client._link.fds) + closing
         client.close()
         assert held() == 0
     finally:
+        fs.db.close()
+
+
+def test_a_read_to_eof_reads_from_the_clients_position(tmp_path):
+    """A ``p_read`` of length -1 after a filled open — whose read left
+    the server's descriptor at EOF — reads the whole file, and the next
+    read finds EOF."""
+    fs = _mount(str(tmp_path / "db"))
+    _server, client = _read_ahead_client(fs)
+    try:
+        fd = client.p_open("/f1", O_RDONLY)
+        assert client.filled_opens == 1
+        assert client.p_read(fd, -1) == _contents("/f1", 100)
+        assert client.p_read(fd, 10) == b""
+    finally:
+        client.close()
         fs.db.close()
 
 
@@ -300,7 +316,7 @@ def test_a_failing_rider_fails_the_call_it_rode(tmp_path):
         fd = client.p_open("/f1", O_RDONLY)
         client.p_close(fd)
         client.p_begin()
-        assert [method for method, _args in client._riders] == [
+        assert [method for method, _args in client._link.riders] == [
             "p_close", "p_begin"]
         server.dispatch(conn, "p_close", fd)    # the close cannot run now
         with pytest.raises(BadFileDescriptorError):
@@ -310,7 +326,8 @@ def test_a_failing_rider_fails_the_call_it_rode(tmp_path):
         assert server.session_tx(conn) is None
         assert not server._sessions[conn]._fds
         client.p_begin()
-        assert client._riders == [] and server.session_tx(conn) is not None
+        assert client._link.riders == []
+        assert server.session_tx(conn) is not None
     finally:
         client.close()
         fs.db.close()
@@ -329,7 +346,7 @@ def test_a_failing_write_rider_fails_the_commit_it_rode(tmp_path):
         fd = client.p_open("/f1", O_RDWR)
         client.p_write(fd, b"x" * 10)
         client.p_close(fd)
-        assert [method for method, _args in client._riders] == [
+        assert [method for method, _args in client._link.riders] == [
             "p_write", "p_close"]
         server.dispatch(other, "p_begin")
         ofd = server.dispatch(other, "p_open", "/f1", O_RDWR)
@@ -361,7 +378,7 @@ def test_an_abort_drops_the_write_riders_it_would_undo(tmp_path):
         client.p_write(kept, b"z" * 10)
         client.p_write(fd, b"x" * 10)
         client.p_close(fd)
-        assert [method for method, _args in client._riders] == [
+        assert [method for method, _args in client._link.riders] == [
             "p_write", "p_write", "p_close"]
         server.dispatch(other, "p_begin")
         ofd = server.dispatch(other, "p_open", "/f1", O_RDWR)

@@ -13,7 +13,7 @@ pending attribute updates.
 import pytest
 
 from repro.core.client import RPC_BATCH_CHUNKS, RemoteInversionClient
-from repro.core.constants import CHUNK_SIZE
+from repro.core.constants import CHUNK_SIZE, O_RDWR
 from repro.core.filesystem import InversionFS
 from repro.core.server import InversionServer
 from repro.db.database import Database
@@ -214,3 +214,22 @@ def test_a_batched_1mb_write_takes_under_half_the_time(tmp_path):
     assert client.batched_writes == -(-128 // RPC_BATCH_CHUNKS)
     assert client.buffered_writes == 128
     assert (plain.batched_writes, plain.buffered_writes) == (0, 0)
+
+
+def test_two_descriptors_of_one_file_write_in_program_order(fs, clock):
+    """Writes gathered through two descriptors of one path land in the
+    order the program made them: the later write through the first
+    descriptor overwrites what the second wrote before it."""
+    _server, client = make_remote(fs, clock, write_batch_chunks=4)
+    fd = client.p_creat("/two")
+    client.p_write(fd, b"x" * 40)
+    client.p_close(fd)
+    first, second = (client.p_open("/two", O_RDWR),
+                     client.p_open("/two", O_RDWR))
+    client.p_write(first, b"a" * 10)
+    client.p_write(second, b"b" * 20)
+    client.p_write(first, b"c" * 10)
+    client.p_close(first)
+    client.p_close(second)
+    assert fs.read_file("/two") == b"b" * 10 + b"c" * 10 + b"x" * 20
+    client.close()

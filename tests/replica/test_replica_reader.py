@@ -3,6 +3,7 @@ and what a cached reader sees after a sync round."""
 
 import os
 
+from repro.cache import session_cache_factory
 from repro.core.constants import CHUNK_SIZE, O_RDONLY, O_RDWR
 from repro.core.library import InversionClient
 from repro.replica import ReplicaServer, ReplicatedCluster
@@ -116,7 +117,8 @@ def test_cached_reader_sees_a_shipped_commit(tmp_path):
     client caches, so a cached reader at a level horizon reads what an
     uncached one does."""
     cluster = _cluster(tmp_path, staleness_xids=0)
-    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    cached = cluster.reader_client(
+        cache_factory=session_cache_factory(16, 16))
     plain = cluster.reader_client()
     writer = cluster.writer_client()
     try:
@@ -144,7 +146,8 @@ def test_a_bounded_replica_sees_every_cached_open(tmp_path):
     the replica, which catches up on a commit no sync round shipped and
     invalidates the cache: the re-read returns the new bytes."""
     cluster = _cluster(tmp_path, staleness_xids=0)
-    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    cached = cluster.reader_client(
+        cache_factory=session_cache_factory(16, 16))
     writer = cluster.writer_client()
     try:
         cached.p_stat("/f")
@@ -168,7 +171,8 @@ def test_a_cached_reader_reads_ahead_on_a_miss(tmp_path):
     one read; a re-read (the name granted, its att not yet known) one
     read; after a stat, one read that fills the chunk tier, then none."""
     cluster = _cluster(tmp_path)
-    cached = cluster.reader_client(cache_paths=16, cache_chunks=16)
+    cached = cluster.reader_client(
+        cache_factory=session_cache_factory(16, 16))
     stats = cached.network.stats
     trips = []
     try:

@@ -47,11 +47,16 @@ from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.testkit.oracle import apply_client_op, harvest_state
 
-#: remote-client options per single-server stack.
+#: the capacities of every leased stack's client cache.
+_CACHE = {"cache_paths": 64, "cache_chunks": 32}
+#: remote-client batch sizes per single-server stack, and whether its
+#: client is leased (a cache of :data:`_CACHE`'s capacities).
 _REMOTE = {
-    "remote": {},
-    "cached": {"cache_paths": 64, "cache_chunks": 32},
-    "batched": {"read_batch_chunks": 4, "write_batch_chunks": 4},
+    "remote": ({}, False),
+    "cached": ({}, True),
+    "batched": ({"read_batch_chunks": 4, "write_batch_chunks": 4}, False),
+    "cached_batched": ({"read_batch_chunks": 4, "write_batch_chunks": 4},
+                       True),
 }
 #: shard count, partitioning and client options per sharded stack.
 #: ``sharded`` pins two subtrees to two shards (work under ``/a`` stays on
@@ -60,7 +65,7 @@ _REMOTE = {
 _SUBTREES = {"policy": "subtree", "assignments": {"a": 0, "b": 1}}
 _SHARDED = {
     "sharded": (2, _SUBTREES, {}),
-    "sharded_cached": (2, _SUBTREES, _REMOTE["cached"]),
+    "sharded_cached": (2, _SUBTREES, _CACHE),
     "sharded1": (1, {}, {}),
     "sharded3": (3, {}, {}),
 }
@@ -305,6 +310,8 @@ def open_stack(kind: str, workdir: str, recover: bool = False) -> Stack:
         stack.atomic = kind == "grouped"
         return stack
     network = NetworkModel(clock=clock, params=ETHERNET_10MBIT)
+    batching, leased = _REMOTE[kind]
+    factory = session_cache_factory(*_CACHE.values()) if leased else None
     client = RemoteInversionClient(InversionServer(fs), network,
-                                   **_REMOTE[kind])
+                                   cache_factory=factory, **batching)
     return Stack(kind, workdir, client, [fs], db, [client.close, db.close])

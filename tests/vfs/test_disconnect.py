@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import session_cache_factory
 from repro.core.client import RemoteInversionClient
 from repro.core.constants import O_CREAT, O_RDWR
 from repro.core.filesystem import InversionFS
@@ -28,8 +29,8 @@ def _stack(tmp_path, **caching):
     return db, fs, server, client
 
 
-@pytest.mark.parametrize("caching", [{}, {"cache_paths": 64,
-                                          "cache_chunks": 32}],
+@pytest.mark.parametrize("caching", [{}, {"cache_factory":
+                                          session_cache_factory(64, 32)}],
                          ids=["plain", "cached"])
 def test_disconnect_aborts_open_vfs_transaction(tmp_path, caching):
     db, fs, server, client = _stack(tmp_path, **caching)
