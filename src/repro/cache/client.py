@@ -261,7 +261,8 @@ class ClientCache:
         the file's cached size) — partial coverage would need server
         merges the protocol doesn't have.  Requires the att to already
         be cached: serve-side EOF clamping needs an authoritative
-        size."""
+        size.  A ``p_pread`` reply brings its own, which the link fills
+        first (:meth:`repro.cache.link.SessionLink.read`)."""
         if self.revoked or not data:
             return
         att = self._atts.get(oid)

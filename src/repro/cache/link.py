@@ -56,9 +56,12 @@ it, untouched until it is closed.  Until it forwards:
 - a ``p_read`` outside a transaction is served from the read-ahead,
   from the chunk tier of the oid the cache resolves the path to now, or
   is one ``p_pread(path, pos, length)`` — the open-by-path, seek and
-  read a server descriptor's read runs.  On a link with a read-ahead
-  window (the remote client's ``read_batch_chunks``) a miss while the
-  streak runs fetches that many times ``length``;
+  read a server descriptor's read runs.  Its reply brings the att the
+  read found, from the read's own snapshot (NFSv3's post-op
+  attributes), so a miss after an invalidation fills the att tier and
+  then the chunk tier, and the next ``p_stat`` is a hit.  On a link
+  with a read-ahead window (the remote client's ``read_batch_chunks``)
+  a miss while the streak runs fetches that many times ``length``;
 - any other use (a write, ``SEEK_CUR`` / ``SEEK_END``, an out-of-range
   seek, a read inside a transaction) first *materializes* it: the real
   ``p_open`` (unless the server's descriptor is already behind it) and
@@ -400,9 +403,13 @@ class SessionLink:
     def read(self, rec: Descriptor, length):
         """An auto-commit read at a link-local descriptor's position
         that its read-ahead could not answer: from the chunk tier of
-        the oid the cache resolves its path to now, or one ``p_pread``,
-        whose reply fills that tier if no invalidation landed while it
-        was in flight, and the read-ahead."""
+        the oid the cache resolves its path to now, or one ``p_pread``.
+        Its reply brings the att the read found
+        (:meth:`~repro.core.server.InversionServer.pread_att`); if no
+        invalidation landed while it was in flight and the att is of
+        the file the cache resolves the path to now, it fills the att
+        tier and then that file's chunk tier.  The reply also fills the
+        read-ahead."""
         cache = self.ready()
         sized = isinstance(length, int) and length > 0
         oid = None if cache is None else cache.lookup_oid(rec.path)
@@ -422,7 +429,12 @@ class SessionLink:
         want = length * self.read_ahead if sized and rec.streak else length
         stamp = self.stamp()
         data = self.call("p_pread", rec.path, rec.pos, want)
-        if data and oid is not None and self._fillable():
-            cache.fill_read(oid, rec.pos, bytes(data),
-                            self.server.session_last_xid(self.conn))
+        if cache is not None and self._fillable():
+            oid = cache.lookup_oid(rec.path)
+            att = self.server.pread_att(self.conn)
+            if att is not None and att.file == oid:
+                cache.fill_att(oid, att)
+            if data and oid is not None:
+                cache.fill_read(oid, rec.pos, bytes(data),
+                                self.server.session_last_xid(self.conn))
         return self.keep_ahead(rec, data, length, want, stamp)

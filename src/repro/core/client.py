@@ -295,10 +295,21 @@ class RemoteInversionClient:
     # -- the wire -----------------------------------------------------------
 
     def _exchange(self, conn: int, method: str, *args, **kwargs):
-        """The link's transport: one exchange carrying ``method``."""
-        return self._round_trip(
-            method, _arg_bytes(args, kwargs),
-            lambda: self.server.dispatch(conn, method, *args, **kwargs))
+        """The link's transport: one exchange carrying ``method``.  The
+        reply to a leased ``p_pread`` also carries the att the read
+        found, and counts its bytes."""
+        server = self.server
+        if method != "p_pread":
+            return self._round_trip(
+                method, _arg_bytes(args, kwargs),
+                lambda: server.dispatch(conn, method, *args, **kwargs))
+
+        def serve():
+            data = server.dispatch(conn, method, *args, **kwargs)
+            att = server.pread_att(conn)
+            return data, () if att is None else att.to_row()
+
+        return self._round_trip(method, _arg_bytes(args, kwargs), serve)[0]
 
     def _round_trip(self, method: str, arg_bytes: int, serve):
         """One synchronous request/response over the simulated network:

@@ -38,7 +38,7 @@ class FileHandle:
     """One open Inversion file."""
 
     def __init__(self, fs, fileid: int, tx: Transaction | None,
-                 snapshot: Snapshot, writable: bool, size: int,
+                 snapshot: Snapshot, writable: bool, att,
                  historical: bool = False) -> None:
         self.fs = fs
         self.fileid = fileid
@@ -46,7 +46,10 @@ class FileHandle:
         self.snapshot = snapshot
         self.writable = writable and not historical
         self.historical = historical
-        self._size = size
+        #: the fileatt row the open found (in ``snapshot``); the
+        #: handle's own writes do not change it.
+        self.att = att
+        self._size = att.size
         self._pos = 0
         self._open = True
         self._wrote = False

@@ -306,7 +306,7 @@ class InversionFS:
         if att.type == TYPE_DIRECTORY:
             raise IsADirectoryError_(f"{path!r} is a directory")
         handle = FileHandle(self, fileid, tx if timestamp is None else None,
-                            snapshot, wants_write, att.size,
+                            snapshot, wants_write, att,
                             historical=timestamp is not None)
         self._handles.append(handle)
         return handle
@@ -326,7 +326,7 @@ class InversionFS:
         if att.type == TYPE_DIRECTORY:
             raise IsADirectoryError_(f"file {fileid} is a directory")
         handle = FileHandle(self, fileid, tx if timestamp is None else None,
-                            snapshot, wants_write, att.size,
+                            snapshot, wants_write, att,
                             historical=timestamp is not None)
         self._handles.append(handle)
         return handle

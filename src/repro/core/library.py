@@ -57,6 +57,9 @@ class InversionClient:
     #: client caches stamp chunk fills with it so later cache hits can
     #: be accounted to the transaction that paid for the device read.
     last_xid: int | None = None
+    #: the fileatt row the last ``p_pread`` read under (its snapshot's),
+    #: or None if it failed.
+    pread_att: object = None
 
     # -- transactions (p_begin / p_commit / p_abort) -----------------------
 
@@ -247,8 +250,14 @@ class InversionClient:
         the same open by path, seek and read, so the bytes and the
         errors are that descriptor's."""
         desc = _Descriptor(None, path, O_RDONLY, offset)
+        self.pread_att = None
+
+        def read(handle):
+            data = handle.read(length)
+            self.pread_att = handle.att
+            return data
         try:
-            return self._on_handle(desc, lambda h: h.read(length))
+            return self._on_handle(desc, read)
         finally:
             if desc.handle is not None:
                 desc.handle.close()

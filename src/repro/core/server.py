@@ -103,6 +103,27 @@ class InversionServer:
                 chunks[i] = None
         return chunks
 
+    def pread_att(self, session_id: int):
+        """What the reply to a leased session's ``p_pread`` carries
+        beside its bytes: the fileatt row the read found, in the read's
+        own snapshot, so the client cache can keep the chunks it
+        fetched.  None for a session holding no lease, a read inside a
+        transaction (its snapshot may hold uncommitted writes), a read
+        that failed, and a file on which a descriptor of the session
+        holds a size its auto-commit writes left pending (the file's
+        row lags it until a ``p_stat`` or close publishes it)."""
+        session = self._sessions.get(session_id)
+        if (session is None or self.leases is None
+                or not self.leases.subscribed(session_id)
+                or session._tx is not None):
+            return None
+        att = session.pread_att
+        if att is None or any(desc.fileid == att.file
+                              and desc.pending_size is not None
+                              for desc in session._fds.values()):
+            return None
+        return att
+
     def session_last_xid(self, session_id: int) -> int | None:
         """xid of the session's most recent transaction (cache fills
         stamp chunk entries with it for per-tx hit accounting)."""

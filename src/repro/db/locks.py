@@ -38,6 +38,15 @@ spends simulated seconds and lands in per-xid accounting.  With no
 strategy installed nobody could release the holders, and a request
 that would wait raises :class:`LockTimeoutError` at once (after the
 deadlock check), leaving no queue entry behind.
+
+Under the scheduler a parked session is suspended on its call stack
+beneath every session that ran while it waited, and cannot take a lock
+it waits for, finish, or release its own holds until they all return.
+So a request that would wait, even transitively, on a transaction of a
+session suspended beneath it closes a cycle too (the session waits
+for the requester to return), and the requester is the victim at
+once — not ``timeout_s`` later, having run every other session it
+could and then waited out the rest with nothing runnable.
 """
 
 from __future__ import annotations
@@ -64,7 +73,9 @@ METRICS = (
                "repro.db.locks"),
     MetricSpec("lock.deadlocks", "counter", "txns",
                "Transactions chosen as deadlock victims (the waits-for "
-               "graph closed a cycle through them).",
+               "graph closed a cycle through them; under the scheduler "
+               "a session suspended beneath the requester waits on "
+               "it).",
                "repro.db.locks"),
     MetricSpec("lock.timeouts", "counter", "txns",
                "Lock acquisitions abandoned after no progress for "
@@ -165,7 +176,7 @@ class LockManager:
                     # can only close as a transaction starts waiting on
                     # someone new, so this is where one is looked for;
                     # and the stall clock restarts.
-                    if self._cycle_from(tx.xid, blockers):
+                    if self._cycle_from(tx.xid, blockers, exempt):
                         self.stats.deadlocks += 1
                         if self.obs is not None:
                             self.obs.lock_deadlock(tx.xid)
@@ -249,11 +260,14 @@ class LockManager:
                     blockers.add(waiter.xid)
         return blockers
 
-    def _cycle_from(self, start: int, blockers: set[int]) -> bool:
+    def _cycle_from(self, start: int, blockers: set[int],
+                    suspended) -> bool:
         """Would ``start`` waiting on ``blockers`` close a cycle?  DFS
         over the waits-for graph as the lock table has it now: every
         other queued waiter waits on what :meth:`_blockers` says it
-        must, exemptions aside (an upgrader on holders only)."""
+        must, exemptions aside (an upgrader on holders only), and each
+        ``suspended`` xid (a session beneath ``start``'s on the
+        scheduler's stack) waits on ``start``."""
         edges: dict[int, set[int]] = {}
         for state in self._locks.values():
             for entry in state.waiters:
@@ -265,7 +279,7 @@ class LockManager:
         seen = set()
         while stack:
             node = stack.pop()
-            if node == start:
+            if node == start or node in suspended:
                 return True
             if node in seen:
                 continue

@@ -14,6 +14,11 @@ library: their commits reach the leased sessions as lease notices, as
 any writer's do.  The ``…_by_this_session`` scripts change ``/a``
 through the session itself between two reads with no seek between
 them: what the first read fetched ahead must not answer the second.
+An ``in_flight`` step arms another session's commit to land while the
+session's next read request is on the server, after the read and
+before its reply; and every cache is audited against the committed
+state when the run ends (:func:`_audit`): what a reply filled must be
+true of the file it is filed under.
 """
 
 from __future__ import annotations
@@ -48,6 +53,33 @@ class FD:
         self.step = step
 
 
+class Instant(float):
+    """A moment of a run's clock: each way's clock runs its own
+    course, so the ways agree only that it is one."""
+
+
+class InFlight(InversionServer):
+    """A server on which a commit lands while a read is in flight:
+    ``during()``, once armed, runs after the next read request is
+    served and before its reply leaves.  ``audit(conn)``, if set, runs
+    as a session disconnects, its lease still held."""
+
+    during = None
+    audit = None
+
+    def disconnect(self, session_id: int) -> None:
+        if self.audit is not None:
+            self.audit(session_id)
+        super().disconnect(session_id)
+
+    def dispatch(self, session_id: int, method: str, *args, **kwargs):
+        result = super().dispatch(session_id, method, *args, **kwargs)
+        if method in ("p_read", "p_pread") and self.during is not None:
+            during, self.during = self.during, None
+            during()
+        return result
+
+
 def off(offset: int) -> tuple[int, int]:
     """``p_lseek``'s (offset_high, offset_low) for ``offset``."""
     return offset >> 32, offset & 0xFFFFFFFF
@@ -71,6 +103,19 @@ def write_into_a_second_chunk(other) -> None:
     other.p_lseek(fd, *off(CHUNK_SIZE + 10), SEEK_SET)
     other.p_write(fd, b"V" * 100)
     other.p_close(fd)
+
+
+def grow_a(other) -> None:
+    """Overwrite ``/a``'s first bytes and append a chunk to it."""
+    fd = other.p_open("/a", O_RDWR)
+    other.p_write(fd, b"G" * 100)
+    other.p_lseek(fd, *off(len(A)), SEEK_SET)
+    other.p_write(fd, b"G" * CHUNK_SIZE)
+    other.p_close(fd)
+
+
+def now(other) -> Instant:
+    return Instant(other.fs.db.clock.now())
 
 
 #: every script opens ``/a`` read-only at step 1, after a stat that
@@ -167,6 +212,51 @@ SCRIPTS = {
     "unlinked_in_the_session_transaction_then_opened": [
         ("p_stat", "/a"), ("p_begin",), ("p_unlink", "/a"),
         ("p_open", "/a", O_RDONLY)],
+    # A miss's reply brings the att: never one of another file, never
+    # one a commit overtook, never a directory's or a past one.
+    "renamed_away_and_replaced_before_the_first_read": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("other", rename_b_onto_a),
+        ("p_read", FD(1), 50),
+        ("p_open", "/gone", O_RDONLY),
+        ("p_stat", "/gone"),
+        ("p_read", FD(4), 50),
+        ("p_stat", "/a"),
+        ("p_close", FD(1)), ("p_close", FD(4))],
+    "grown_while_the_read_is_in_flight": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
+        ("in_flight", grow_a),
+        ("p_read", FD(1), 50),
+        ("p_stat", "/a"),
+        ("p_lseek", FD(1), *off(0), SEEK_SET),
+        ("p_read", FD(1), 150),
+        ("p_lseek", FD(1), *off(len(A)), SEEK_SET),
+        ("p_read", FD(1), 50),
+        ("p_close", FD(1))],
+    "read_beside_a_size_this_session_left_pending": [
+        ("p_stat", "/a"), ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(1), *off(len(A)), SEEK_SET),
+        ("p_write", FD(1), b"P" * 100),
+        ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(4), 50),
+        ("p_stat", "/a"),
+        ("p_close", FD(1)), ("p_close", FD(4))],
+    "a_directory_read_through_a_local_descriptor": [
+        ("other", lambda other: other.p_mkdir("/d")),
+        ("p_stat", "/a"),
+        ("p_open", "/d", O_RDONLY), ("p_close", FD(2)),
+        ("p_open", "/d", O_RDONLY),
+        ("p_read", FD(4), 10)],
+    "opened_in_the_past": [
+        ("other", now),
+        ("other", write_over_a),
+        ("p_stat", "/a"),
+        ("p_open", "/a", O_RDONLY, FD(0)),
+        ("p_read", FD(3), 200),
+        ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(5), 200),
+        ("p_stat", "/a"),
+        ("p_close", FD(3)), ("p_close", FD(5))],
 }
 
 
@@ -184,16 +274,50 @@ def _shown(result):
     number each one chooses, and a stat's times follow its clock."""
     if isinstance(result, FileAtt):
         return ("att", result.size, result.type)
+    if isinstance(result, Instant):
+        return "instant"
     return result
 
 
-def _drive(script, send, other) -> tuple[list, object]:
+def _audit(cache, fs) -> list[str]:
+    """What ``cache`` holds (its lease channel drained first) that the
+    committed state of ``fs`` contradicts: a name resolving elsewhere
+    or a known-absent one present, an att other than the file's row,
+    a chunk other than the file's bytes."""
+    cache.poll()
+    snap = fs._snap(None)
+    untrue = []
+    for path, oid in cache._paths.items():
+        if fs.namespace.try_resolve(path, snap) != oid:
+            untrue.append(f"name {path} -> {oid}")
+    for path in cache._negative:
+        if fs.namespace.try_resolve(path, snap) is not None:
+            untrue.append(f"absent {path}")
+    for oid, att in cache._atts.items():
+        try:
+            row = fs.fileatt.get(oid, snap)
+        except ReproError:
+            row = None
+        if att.file != oid or row is None or att.to_row() != row.to_row():
+            untrue.append(f"att of {oid}: {att}")
+    for (oid, chunkno), (payload, _owner) in cache._chunks.items():
+        data = fs.read_file_by_id(oid, snap)
+        if payload != data[chunkno * CHUNK_SIZE:(chunkno + 1) * CHUNK_SIZE]:
+            untrue.append(f"chunk {chunkno} of {oid}")
+    return untrue
+
+
+def _drive(script, send, other, arm) -> tuple[list, object]:
     """Run ``script`` through ``send(verb, *args)``; the values, and the
-    error it stopped at (or None)."""
+    error it stopped at (or None).  ``arm(fn)`` makes ``fn`` land
+    while the next read is in flight."""
     values: list = []
     for step in script:
         if step[0] == "other":
             values.append(step[1](other))
+            continue
+        if step[0] == "in_flight":
+            values.append(arm(lambda fn=step[1]: fn(other)))
             continue
         args = [values[a.step] if isinstance(a, FD) else a
                 for a in step[1:]]
@@ -205,10 +329,21 @@ def _drive(script, send, other) -> tuple[list, object]:
 
 
 def run_local(workdir: str, script):
+    """The reference: what lands while a read is in flight lands right
+    after it."""
     fs = _mount(workdir)
     me, other = InversionClient(fs), InversionClient(fs)
+    armed = []
+
+    def send(verb, *args):
+        try:
+            return getattr(me, verb)(*args)
+        finally:
+            if verb == "p_read" and armed:
+                armed.pop()()
+
     try:
-        return _drive(script, lambda verb, *a: getattr(me, verb)(*a), other)
+        return _drive(script, send, other, armed.append)
     finally:
         fs.db.close()
 
@@ -216,12 +351,16 @@ def run_local(workdir: str, script):
 def run_cached(workdir: str, script, **batching):
     fs = _mount(workdir)
     network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
+    server = InFlight(fs)
     client = RemoteInversionClient(
-        InversionServer(fs), network,
-        cache_factory=session_cache_factory(64, 32), **batching)
+        server, network, cache_factory=session_cache_factory(64, 32),
+        **batching)
     try:
-        return _drive(script, lambda verb, *a: getattr(client, verb)(*a),
-                      InversionClient(fs))
+        outcome = _drive(
+            script, lambda verb, *a: getattr(client, verb)(*a),
+            InversionClient(fs), lambda fn: setattr(server, "during", fn))
+        assert _audit(client._cache, fs) == []
+        return outcome
     finally:
         client.close()
         fs.db.close()
@@ -247,6 +386,7 @@ def run_scheduled(workdir: str, script):
     ``p_commit`` a Txn."""
     fs = _mount(workdir)
     other = InversionClient(fs)
+    server = InFlight(fs)
     program, ordinals, block = [], {}, None
     ordinal = 0
     for i, step in enumerate(script):
@@ -259,6 +399,9 @@ def run_scheduled(workdir: str, script):
             continue
         if step[0] == "other":
             item = Txn([Apply("other", lambda fs, tx, fn=step[1]: fn(other))])
+        elif step[0] == "in_flight":
+            item = Txn([Apply("in_flight", lambda fs, tx, fn=step[1]: setattr(
+                server, "during", lambda: fn(other)))])
         else:
             args = [Ref(ordinals[a.step]) if isinstance(a, FD) else a
                     for a in step[1:]]
@@ -268,8 +411,15 @@ def run_scheduled(workdir: str, script):
         (block if block is not None else program).append(item)
     if block is not None:
         program.append(Txn(block))
-    sched = MultiUserScheduler(InversionServer(fs), seed=0,
-                               cache_factory=session_cache_factory())
+    caches, untrue = {}, []
+    factory = session_cache_factory()
+
+    def keep(server, conn):
+        caches[conn] = factory(server, conn)
+        return caches[conn]
+
+    server.audit = lambda conn: untrue.extend(_audit(caches[conn], fs))
+    sched = MultiUserScheduler(server, seed=0, cache_factory=keep)
     error = None
     try:
         session = sched.add_session(program)
@@ -280,6 +430,7 @@ def run_scheduled(workdir: str, script):
     finally:
         sched.close()
         fs.db.close()
+    assert untrue == []
     values = []
     for i, step in enumerate(script):
         if i in ordinals:
@@ -332,7 +483,29 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
                        ("written_by_this_session_auto_commit", 6)]:
         values, error = run_local(str(tmp_path / name), SCRIPTS[name])
         assert error is None and values[read] == b"S" * 50, name
+    values, error = run_local(
+        str(tmp_path / "before"),
+        SCRIPTS["renamed_away_and_replaced_before_the_first_read"])
+    assert error is None and values[3] == B[:50] and values[6] == A[:50]
+    assert [_shown(values[i]) for i in (5, 7)] == [
+        ("att", len(A), "plain"), ("att", len(B), "plain")]
+    values, error = run_local(str(tmp_path / "grown"),
+                              SCRIPTS["grown_while_the_read_is_in_flight"])
+    assert error is None and values[3] == A[:50]
+    assert _shown(values[4]) == ("att", len(A) + CHUNK_SIZE, "plain")
+    assert values[6] == b"G" * 100 + A[100:150]
+    values, error = run_local(
+        str(tmp_path / "pending"),
+        SCRIPTS["read_beside_a_size_this_session_left_pending"])
+    assert error is None and values[5] == A[:50]
+    assert _shown(values[6]) == ("att", len(A) + 100, "plain")
+    values, error = run_local(str(tmp_path / "past"),
+                              SCRIPTS["opened_in_the_past"])
+    assert error is None and values[4] == A[:200]
+    assert values[6] == b"W" * 100 + A[100:200]
     for name, failing_step in [("unlinked_then_read", 4),
+                               ("a_directory_read_through_a_local_"
+                                "descriptor", 5),
                                ("written_through_a_read_only_descriptor", 3),
                                ("negative_seek_set", 4),
                                ("a_missing_name_fails_at_the_open", 1),
@@ -404,6 +577,92 @@ def test_scheduled_warm_unit_sends_nothing_and_a_miss_one_pread(tmp_path):
         assert session.values[3] == session.values[7] == chunk
         hits = factory.stats.hits
         assert (hits["open"], hits["seek"], hits["chunk"]) == (2, 2, 1)
+    finally:
+        sched.close()
+        fs.db.close()
+
+
+def _unit(send) -> list:
+    """A read unit on ``/a`` through ``send(verb, *args)``: open,
+    ``SEEK_SET`` to the second chunk, read it, close, stat."""
+    fd = send("p_open", "/a", O_RDONLY)
+    values = [send("p_lseek", fd, *off(CHUNK_SIZE), SEEK_SET),
+              send("p_read", fd, CHUNK_SIZE)]
+    send("p_close", fd)
+    values.append(_shown(send("p_stat", "/a")))
+    return values
+
+
+#: what a unit reads of ``/a`` once ``write_into_a_second_chunk`` ran.
+WRITTEN_UNIT = [CHUNK_SIZE,
+                A[CHUNK_SIZE:CHUNK_SIZE + 10] + b"V" * 100
+                + A[CHUNK_SIZE + 110:2 * CHUNK_SIZE],
+                ("att", len(A), "plain")]
+
+
+def test_cached_client_miss_after_a_commit_brings_the_att(tmp_path):
+    """Another session's commit drops ``/a``'s att and chunks; the next
+    unit sends one p_pread, whose reply brings the att, so its stat is
+    an att hit, and the unit after it sends nothing."""
+    fs = _mount(str(tmp_path / "db"))
+    network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
+    client = RemoteInversionClient(
+        InversionServer(fs), network,
+        cache_factory=session_cache_factory(64, 32))
+    send = lambda verb, *a: getattr(client, verb)(*a)  # noqa: E731
+    try:
+        client.p_stat("/a")
+        write_into_a_second_chunk(InversionClient(fs))
+        d0, b0 = _dispatches(fs), network.stats.bytes_sent
+        assert _unit(send) == WRITTEN_UNIT
+        assert _delta(d0, _dispatches(fs)) == {"p_pread": 1}
+        # The reply counts the att's bytes: five numbers, owner, type.
+        request = 64 + len("/a") + 8 + 8
+        reply = 32 + CHUNK_SIZE + 5 * 8 + len("root") + len("plain")
+        assert network.stats.bytes_sent - b0 == request + reply
+        d1, m1 = _dispatches(fs), network.stats.messages
+        assert _unit(send) == WRITTEN_UNIT
+        assert _delta(d1, _dispatches(fs)) == {}
+        assert network.stats.messages == m1
+        stats = client._cache.stats
+        assert (stats.hits["att"], stats.hits["chunk"]) == (2, 1)
+        assert stats.misses == {"att": 1, "chunk": 1}
+    finally:
+        client.close()
+        fs.db.close()
+
+
+def test_scheduled_miss_after_a_commit_brings_the_att(tmp_path):
+    """The same on a scheduler session: besides the first stat and the
+    transaction that runs the other session's write, one p_pread."""
+    fs = _mount(str(tmp_path / "db"))
+    factory = session_cache_factory()
+    other = InversionClient(fs)
+    program = [Call("p_stat", "/a"),
+               Txn([Apply("other", lambda fs, tx: write_into_a_second_chunk(
+                   other))])]
+    for unit in range(2):
+        fd = Ref(2 + 5 * unit)
+        program += [Call("p_open", "/a", O_RDONLY),
+                    Call("p_lseek", fd, *off(CHUNK_SIZE), SEEK_SET),
+                    Call("p_read", fd, CHUNK_SIZE),
+                    Call("p_close", fd),
+                    Call("p_stat", "/a")]
+    sched = MultiUserScheduler(InversionServer(fs), seed=0,
+                               cache_factory=factory)
+    try:
+        session = sched.add_session(program)
+        d0 = _dispatches(fs) if "rpc.dispatches" in fs.db.obs.metrics else {}
+        sched.run(strict=True)
+        assert _delta(d0, _dispatches(fs)) == {
+            "p_stat": 1, "p_begin": 1, "p_commit": 1, "p_pread": 1}
+        for unit in range(2):
+            first = 2 + 5 * unit
+            assert [session.values[first + 1], session.values[first + 2],
+                    _shown(session.values[first + 4])] == WRITTEN_UNIT
+        stats = factory.stats
+        assert (stats.hits["att"], stats.hits["chunk"]) == (2, 1)
+        assert stats.misses == {"att": 1, "chunk": 1}
     finally:
         sched.close()
         fs.db.close()

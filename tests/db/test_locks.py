@@ -243,3 +243,32 @@ def test_cycle_through_a_waiter_that_never_relooked_is_found():
     assert lm.holders("R1") == {1: EXCLUSIVE}
     lm.release_all(t1)
     assert lm._locks == {}
+
+
+def test_a_wait_on_a_transaction_suspended_beneath_is_a_deadlock():
+    """T1 parks on R1 behind T0.  While it is parked, T2 asks for R2,
+    which T1 holds.  The lock table holds no cycle (T2 waits on T1, T1
+    on T0, T0 on nobody), but T1 is suspended beneath T2: it cannot
+    take R1, finish or release R2 until T2's request returns.  So T2 is
+    the victim at once, instead of waiting out a timeout while T0's
+    commit frees R1 for a waiter that cannot run."""
+    lm = LockManager()
+    t0, t1, t2 = tx(0), tx(1), tx(2)
+    lm.acquire(t0, "R1", EXCLUSIVE)
+    lm.acquire(t1, "R2", EXCLUSIVE)
+    outcome = {}
+
+    def t2_asks_for_r2():
+        try:
+            lm.acquire(t2, "R2", EXCLUSIVE)
+        except (DeadlockError, LockTimeoutError) as exc:
+            outcome["t2"] = type(exc)
+
+    lm.wait_strategy = Steps(t2_asks_for_r2, lambda: lm.release_all(t0),
+                             nested=True)
+    lm.acquire(t1, "R1", EXCLUSIVE)
+    assert outcome["t2"] is DeadlockError
+    assert lm.stats.deadlocks == 1 and lm.stats.timeouts == 0
+    assert lm.holders("R1") == {1: EXCLUSIVE}
+    lm.release_all(t1)
+    assert lm._locks == {}

@@ -169,7 +169,8 @@ def test_a_cached_reader_reads_ahead_on_a_miss(tmp_path):
     """A cached reader's miss fetches a read-ahead window, as its server
     descriptor's read does: a cold read of a 3-chunk file is the open and
     one read; a re-read (the name granted, its att not yet known) one
-    read; after a stat, one read that fills the chunk tier, then none."""
+    read, whose reply brings the att and fills the chunk tier; after a
+    stat (an att hit), none, and none again."""
     cluster = _cluster(tmp_path)
     cached = cluster.reader_client(
         cache_factory=session_cache_factory(16, 16))
@@ -182,8 +183,9 @@ def test_a_cached_reader_reads_ahead_on_a_miss(tmp_path):
             before = stats.round_trips
             assert _read_file(cached, "/f") == OLD
             trips.append(stats.round_trips - before)
-        assert trips == [2, 1, 1, 0]
-        assert cached._cache.stats.hits["chunk"] == 3
+        assert trips == [2, 1, 0, 0]
+        assert cached._cache.stats.hits["chunk"] == 6
+        assert cached._cache.stats.hits["att"] == 1
     finally:
         cached.close()
         cluster.close()

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.constants import (CHUNK_SIZE, O_RDONLY, SEEK_CUR, SEEK_END,
-                                  SEEK_SET)
+from repro.core.constants import (CHUNK_SIZE, O_RDONLY, O_RDWR, SEEK_CUR,
+                                  SEEK_END, SEEK_SET)
 from repro.core.fileatt import FileAtt
+from repro.core.library import InversionClient
 from repro.errors import ReproError
 from repro.sched import Call, Ref, Txn
 from repro.shard import ClientOp, ShardedCluster, ShardedScheduler
@@ -82,6 +83,15 @@ SCRIPTS = {
         ("p_lseek", FD(1), *off(10), SEEK_SET),
         ("p_read", FD(1), CHUNK_SIZE),
         ("p_close", FD(1))],
+    "renamed_away_and_replaced_before_the_first_read": [
+        ("p_stat", "/a/f"), ("p_open", "/a/f", O_RDONLY),
+        ("other", rename_g_onto_f),
+        ("p_read", FD(1), 50),
+        ("p_open", "/a/gone", O_RDONLY),
+        ("p_stat", "/a/gone"),
+        ("p_read", FD(4), 50),
+        ("p_stat", "/a/f"),
+        ("p_close", FD(1)), ("p_close", FD(4))],
     "renamed_to_the_other_shard": [
         ("p_stat", "/a/f"), ("p_open", "/a/f", O_RDONLY),
         ("p_read", FD(1), 10),
@@ -257,6 +267,10 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
     assert error is None
     assert values[3] == A[CHUNK_SIZE:CHUNK_SIZE + 50]
     assert values[5] == B[CHUNK_SIZE + 50:CHUNK_SIZE + 100]
+    values, error = run_uncached(
+        str(tmp_path / "before"),
+        SCRIPTS["renamed_away_and_replaced_before_the_first_read"])
+    assert error is None and values[3] == B[:50] and values[6] == A[:50]
     for name, failing_step in [("renamed_to_the_other_shard", 4),
                                ("unlinked_then_read", 4),
                                ("written_through_a_read_only_descriptor", 3),
@@ -319,6 +333,50 @@ def test_every_session_reports_into_one_cache_stats(tmp_path):
             hits = db.obs.metrics.get("cache.hits").series()
             assert hits[("open",)] == 6 and hits[("seek",)] == 6
             assert hits[("chunk",)] == 3
+    finally:
+        sched.close()
+        cluster.close()
+
+
+def test_a_miss_after_a_commit_brings_the_att_on_a_sharded_session(
+        tmp_path):
+    """Another session's commit to ``/a/f`` drops its att and chunks;
+    the next read unit (open, ``SEEK_SET``, read, close, stat) sends its
+    shard one p_pread, whose reply brings the att, so the stat is an
+    att hit; the unit after it sends nothing."""
+    cluster = _cluster(str(tmp_path / "c"))
+    writer = InversionClient(cluster.servers[0].fs)
+
+    def write_second_chunk(client) -> None:
+        fd = writer.p_open("/a/f", O_RDWR)
+        writer.p_lseek(fd, *off(CHUNK_SIZE + 10), SEEK_SET)
+        writer.p_write(fd, b"V" * 100)
+        writer.p_close(fd)
+
+    program = [Call("p_stat", "/a/f"), ClientOp("other", write_second_chunk)]
+    for unit in range(2):
+        fd = Ref(2 + 5 * unit)
+        program += [Call("p_open", "/a/f", O_RDONLY),
+                    Call("p_lseek", fd, *off(CHUNK_SIZE), SEEK_SET),
+                    Call("p_read", fd, CHUNK_SIZE),
+                    Call("p_close", fd),
+                    Call("p_stat", "/a/f")]
+    before = [_dispatches(db) for db in cluster.dbs]
+    sched = ShardedScheduler(cluster, seed=0)
+    try:
+        session = sched.add_session(program)
+        sched.run(strict=True)
+        sent = [{verb: n - was.get(verb, 0)
+                 for verb, n in _dispatches(db).items()
+                 if n != was.get(verb, 0)}
+                for db, was in zip(cluster.dbs, before)]
+        assert sent == [{"p_stat": 1, "p_pread": 1}, {}]
+        chunk = (A[CHUNK_SIZE:CHUNK_SIZE + 10] + b"V" * 100
+                 + A[CHUNK_SIZE + 110:2 * CHUNK_SIZE])
+        assert session.values[4] == session.values[9] == chunk
+        assert session.values[6].size == session.values[11].size == len(A)
+        hits = cluster.dbs[0].obs.metrics.get("cache.hits").series()
+        assert (hits[("att",)], hits[("chunk",)]) == (2, 1)
     finally:
         sched.close()
         cluster.close()

@@ -80,6 +80,12 @@ GATES = [
      "10.18 s with link-local descriptors, 10 619 requests dispatched; "
      "15.05 s, 16 502 requests, when every read unit's open, seek and "
      "close was a request of its own"),
+    # A leased miss brings its attributes: a p_pread reply carries the
+    # file's att, so the link caches the chunk it fetched.
+    ("multiuser_mix", "cache.client.hit_rate", ">=", 0.7,
+     "0.744 when a p_pread reply fills the att and chunk tiers and the "
+     "read unit's p_stat is an att hit; 0.580 when the fetched chunk was "
+     "dropped for want of an att and the p_stat was a request of its own"),
     # Sharded sessions are leased too: a warm read unit sends nothing to
     # its shard, and a miss is one p_pread.
     ("sharded_mix", "ledger.cpu_s", "<=", 3.2,
