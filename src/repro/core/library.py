@@ -103,9 +103,6 @@ class InversionClient:
         self.fs.finish_prepared(self._tx, commit)
         self._tx = None
 
-    def in_transaction(self) -> bool:
-        return self._tx is not None
-
     def _detach_handles(self) -> None:
         for desc in self._fds.values():
             if desc.handle is not None:

@@ -465,10 +465,6 @@ class Database:
         from repro.db.funcmgr import FunctionManager
         return FunctionManager(self)
 
-    def define_type(self, tx: Transaction, name: str, description: str = ""):
-        """``define type`` — extend the type system."""
-        return self.catalog.define_type(tx, name, description)
-
     # -- query language -------------------------------------------------------------------
 
     def execute(self, tx: Transaction, query: str) -> list[tuple]:

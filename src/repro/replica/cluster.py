@@ -34,14 +34,17 @@ class ReplicatedCluster:
     """Primary + replicas + routing, with one shared ``repl.*`` stats
     family across every member."""
 
-    def __init__(self, primary_db: Database, primary_fs: InversionFS,
-                 primary_server: InversionServer, feed: PrimaryFeed,
-                 replicas: list[ReplicaServer]) -> None:
+    def __init__(self, base_dir: str, primary_db: Database,
+                 primary_fs: InversionFS, primary_server: InversionServer,
+                 feed: PrimaryFeed) -> None:
+        self.base_dir = base_dir
         self.primary_db = primary_db
         self.primary_fs = primary_fs
         self.primary_server = primary_server
         self.feed = feed
-        self.replicas = replicas
+        self.replicas: list[ReplicaServer] = []
+        #: replicas seeded so far, promoted ones included: names the next.
+        self._seeded = 0
         self._next_reader = 0
         self._networks: dict[int, NetworkModel] = {}
 
@@ -56,12 +59,21 @@ class ReplicatedCluster:
         primary_fs = InversionFS.mkfs(primary_db)
         primary_server = InversionServer(primary_fs)
         feed = PrimaryFeed.attach(primary_db, stats=ReplStats())
-        replicas = [
-            ReplicaServer.seed(feed, os.path.join(base_dir, f"replica{i}"),
-                               f"replica{i}", staleness_xids=staleness_xids)
-            for i in range(nreplicas)
-        ]
-        return cls(primary_db, primary_fs, primary_server, feed, replicas)
+        cluster = cls(base_dir, primary_db, primary_fs, primary_server, feed)
+        for _ in range(nreplicas):
+            cluster.add_replica(staleness_xids)
+        return cluster
+
+    def add_replica(self, staleness_xids: int | None = None) -> ReplicaServer:
+        """Seed one more replica from the current primary, under
+        ``base_dir/replicaK`` (K counts every replica ever seeded)."""
+        rid = f"replica{self._seeded}"
+        self._seeded += 1
+        replica = ReplicaServer.seed(self.feed,
+                                     os.path.join(self.base_dir, rid), rid,
+                                     staleness_xids=staleness_xids)
+        self.replicas.append(replica)
+        return replica
 
     # -- routing ----------------------------------------------------------
 

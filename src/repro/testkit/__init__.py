@@ -15,10 +15,16 @@ turns that claim into a checkable property:
   recovered database is compared against.
 - :mod:`repro.testkit.workload` holds deterministic scripted workloads
   (create/write/unlink/rename/vacuum/migrate) expressed as data.
+- :mod:`repro.testkit.stacks` builds every deployment — one server
+  mounted locally, behind remote, cached and batched clients or the
+  scheduler; a sharded cluster; a primary with replicas — behind one
+  interface, named by a stack id (:func:`open_stack`, :data:`STACKS`).
+  A stack's ``crash()`` returns a fresh stack over the media the crash
+  left: reopened, recovered in doubt, or a replica promoted.
 - :mod:`repro.testkit.explorer` enumerates every durable-write boundary
-  of a workload, crashes the system at each one, reopens it via
-  ``Database.open`` + ``InversionFS.attach``, and checks the recovered
-  state against the oracle and the ``core.checker`` invariants.
+  of a workload on the stack it is given by id, crashes it at each one,
+  recovers through ``crash()``, and checks the recovered state against
+  the oracle and the ``core.checker`` invariants.
 
 Everything is seeded and driven by the simulated clock, so CI results
 are bit-for-bit reproducible.
@@ -28,11 +34,11 @@ from repro.testkit.explorer import (
     CrashExplorer,
     CrashPointResult,
     ExplorationReport,
-    OneServer,
     WorkloadRunner,
 )
 from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
 from repro.testkit.oracle import ModelFS, harvest_state
+from repro.testkit.stacks import STACKS, open_stack
 from repro.testkit.workload import (
     MigrateStep,
     TxStep,
@@ -53,7 +59,7 @@ __all__ = [
     "FaultyDevice",
     "MigrateStep",
     "ModelFS",
-    "OneServer",
+    "STACKS",
     "TxStep",
     "VacuumStep",
     "Workload",
@@ -61,6 +67,7 @@ __all__ = [
     "commit_workload",
     "harvest_state",
     "migration_workload",
+    "open_stack",
     "payload",
     "vacuum_workload",
 ]

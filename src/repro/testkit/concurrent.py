@@ -44,15 +44,20 @@ class ConcurrentWorkloadRunner(WorkloadRunner):
 
     ``pending`` stays None: concurrent runs are explored without torn
     appends, where an in-flight transaction can never land on the
-    committed side, so there is never a pending candidate."""
+    committed side, so there is never a pending candidate.
 
-    def __init__(self, db, fs, workload: Workload,
-                 cached: bool = False) -> None:
-        super().__init__(db, fs, workload)
-        #: run the sessions with lease-coherent client caches attached
-        #: (the cache must be invisible: lease bookkeeping is pure dict
-        #: work, so write boundaries and oracle outcomes are unchanged).
-        self.cached = cached
+    On the ``scheduled`` stack the sessions run through its server with
+    its lease caches attached (the cache must be invisible: lease
+    bookkeeping is pure dict work, so write boundaries and oracle
+    outcomes are unchanged); on ``local`` / ``grouped`` uncached."""
+
+    def __init__(self, stack, workload: Workload) -> None:
+        if stack.kind not in ("local", "grouped", "scheduled"):
+            raise ValueError(f"stack {stack.kind!r} runs no scheduler "
+                             f"sessions")
+        if not workload.sessions:
+            raise ValueError(f"workload {workload.name!r} has no sessions")
+        super().__init__(stack, workload)
 
     def _program(self, steps) -> list[Txn]:
         program = []
@@ -67,11 +72,10 @@ class ConcurrentWorkloadRunner(WorkloadRunner):
         return program
 
     def run(self) -> None:
-        server = InversionServer(self.fs)
-        factory = None
-        if self.cached:
-            from repro.cache import session_cache_factory
-            factory = session_cache_factory()
+        if self.stack.kind == "scheduled":
+            server, factory = self.stack.server, self.stack.factory
+        else:
+            server, factory = InversionServer(self.fs), None
         sched = MultiUserScheduler(server, seed=self.workload.sched_seed,
                                    cache_factory=factory)
         sched.commit_hook = (

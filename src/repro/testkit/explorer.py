@@ -19,13 +19,13 @@ volatile state, recovers, and checks the recovered mounts three ways:
 3. **recovery accounting** — the recovery report must load without
    error (its numbers are recorded per crash point).
 
-There is one engine and one :class:`Topology` per kind of deployment:
-a fresh instance over crashed media is the whole interface.
-:class:`OneServer` and :class:`ShardedServers` live here,
-:class:`~repro.testkit.failover.PrimaryWithReplicas` beside the
-replication code it drives.  A new deployment is a new ``Topology``
-subclass, passed to the explorer (its options bound with
-``functools.partial``) — no pass logic.
+The deployment is named by a stack id (one of
+:data:`~repro.testkit.stacks.STACKS`): each pass builds it with
+:func:`~repro.testkit.stacks.open_stack`, runs the workload's setup
+there, arms the stack's ``node`` and, on a crash, judges the stack
+``stack.crash()`` returns — a fresh instance over the crashed media is
+the whole interface.  A new deployment is a new stack id, with no pass
+logic of its own.
 
 Everything is seeded and simulated-clock-driven; the same (workload,
 seed, k) always reproduces the same crash byte-for-byte.
@@ -38,28 +38,28 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.checker import ConsistencyChecker
-from repro.core.filesystem import InversionFS
-from repro.db.database import Database
 from repro.errors import ReproError, SimulatedCrashError
 from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
 from repro.testkit.oracle import (ModelFS, apply_client_op, apply_fs_op,
-                                  harvest_state)
+                                  diff_states)
+from repro.testkit.stacks import open_stack
 from repro.testkit.workload import (FlushStep, MigrateStep, TxStep,
                                     VacuumStep, Workload)
 
 
 class WorkloadRunner:
-    """Executes a workload's steps against one mounted fs, keeping the
-    oracle in lock-step: a step's ops reach the model only once its
-    commit returned (i.e. its commit record was performed)."""
+    """Executes a workload's steps against the stack's one (or primary)
+    mount, keeping the oracle in lock-step: a step's ops reach the
+    model only once its commit returned (i.e. its commit record was
+    performed)."""
 
-    def __init__(self, db: Database, fs: InversionFS, workload: Workload) -> None:
-        self.db = db
-        self.fs = fs
+    def __init__(self, stack, workload: Workload) -> None:
+        self.stack = stack
+        self.fs = stack.mounts[0]
+        self.db = self.fs.db
         self.workload = workload
-        # setup ops committed before the run was armed: part of the base.
-        self.oracle = ModelFS()
-        self.oracle.apply_many(workload.setup_ops)
+        # what setup committed before the run was armed: the base.
+        self.oracle = ModelFS(stack.ground_truth())
         #: ops of the transaction in flight when a crash fired, or None
         #: when the crash hit outside any visible-state-changing commit.
         self.pending: tuple | None = None
@@ -106,14 +106,14 @@ class WorkloadRunner:
         else:
             self.oracle.apply_many(ops)
 
-    def completed_state(self) -> dict:
+    def completed(self) -> ModelFS:
         """The expected visible state of a run that finished without a
         crash: the durable oracle base plus every floating commit (they
         are visible in memory even before their records are forced)."""
         model = self.oracle
         for _, ops in self.floating:
             model = model.preview(ops)
-        return model.state()
+        return model
 
     def _run_tx(self, step: TxStep) -> None:
         tx = self.fs.begin()
@@ -129,6 +129,7 @@ class WorkloadRunner:
             self.fs.commit(tx)
             self.pending = None
             self._committed(tx.xid, step.ops)
+        self.stack.step_done()
 
     def _run_vacuum(self, step: VacuumStep) -> None:
         table = step.table or self.fs.chunk_table_of(step.path)
@@ -148,44 +149,27 @@ class WorkloadRunner:
         self.db.commit(tx)
 
 
-class ShardedWorkloadRunner:
-    """Executes a sharded workload's steps through one
-    :class:`~repro.shard.client.ShardedInversionClient`, each
-    :class:`~repro.testkit.workload.TxStep` as one explicit cluster
-    transaction — so a step that touches two subtrees commits through
-    2PC, and the in-flight step's fate at a crash is decided by the
-    prepare records and the coordinator's decision log.
+class ClientWorkloadRunner(WorkloadRunner):
+    """The lock-step runner with each
+    :class:`~repro.testkit.workload.TxStep` one explicit transaction
+    through the stack's ``p_*`` client — on a cluster a step that
+    touches two subtrees commits through 2PC, and the in-flight step's
+    fate at a crash is decided by the prepare records and the
+    coordinator's decision log.
 
-    Sharded workloads run without a group-commit window (2PC forces
-    bypass the batching queue anyway), so nothing ever floats and the
-    oracle is strictly two-valued at every boundary: the durable base,
-    or the base plus the one in-flight group."""
+    A client does not say which xid its commit got, so nothing may
+    float: client workloads run without a group-commit window, and the
+    oracle is two-valued at every boundary — the durable base, or the
+    base plus the one in-flight step."""
 
-    floating: tuple = ()
-
-    def __init__(self, cluster, workload: Workload,
-                 cached: bool = False) -> None:
-        self.cluster = cluster
-        self.workload = workload
-        self.client = (cluster.client(cache_paths=64, cache_chunks=32)
-                       if cached else cluster.client())
-        # setup ops committed before the run was armed: part of the base.
-        self.oracle = ModelFS()
-        self.oracle.apply_many(workload.setup_ops)
-        #: ops of the group in flight when a crash fired, or None.
-        self.pending: tuple | None = None
-
-    def run(self) -> None:
-        for step in self.workload.steps:
-            if not isinstance(step, TxStep):
-                raise TypeError(
-                    f"sharded workloads take TxStep only, got {step!r}")
-            self.pending = None
-            self._run_tx(step)
-        self.pending = None
+    def __init__(self, stack, workload: Workload) -> None:
+        if workload.group_commit_window:
+            raise ValueError(f"workload {workload.name!r} floats commits "
+                             f"a client runner cannot see")
+        super().__init__(stack, workload)
 
     def _run_tx(self, step: TxStep) -> None:
-        client = self.client
+        client = self.stack.client
         client.p_begin()
         if not step.abort:
             self.pending = step.ops
@@ -198,177 +182,23 @@ class ShardedWorkloadRunner:
             self.pending = None
             self.oracle.apply_many(step.ops)
 
-    def completed_state(self) -> dict:
-        return self.oracle.state()
+
+#: the stacks a lock-step workload runs on straight through their one
+#: (or primary) mount; every other stack but ``scheduled`` runs its
+#: transaction steps through its client.
+FS_STACKS = ("local", "grouped", "replica")
 
 
-def _harvest(mounts) -> dict[str, bytes | None]:
-    """The committed visible state of a set of mounts, in the model's
-    shape.  Each shard's root lists only the top-level entries it owns,
-    so the union over a cluster's mounts is disjoint by construction."""
-    state: dict[str, bytes | None] = {}
-    for fs in mounts:
-        state.update(harvest_state(fs))
-    return state
-
-
-def harvest_cluster(cluster) -> dict[str, bytes | None]:
-    """The committed visible state of a whole cluster."""
-    return _harvest(cluster.fss)
-
-
-# -- topologies -------------------------------------------------------------
-
-class Topology:
-    """One deployment under test, built pristine per run: what the
-    engine needs beyond "run the workload".  A subclass's constructor
-    builds the deployment under ``run_dir``, runs the workload's setup,
-    and leaves the live node — anything with ``wrap_devices``,
-    ``simulate_crash`` and ``close`` — in ``self.node``."""
-
-    #: True when the in-flight step may land on the committed side
-    #: even without a torn append (its fate was in doubt).
-    in_doubt = False
-    #: what a report's summary line says about the deployment.
-    labels: dict = {}
-
-    def __init__(self, run_dir: str, workload: Workload,
-                 cached: bool = False) -> None:
-        self.run_dir = run_dir
-        self.workload = workload
-        #: drive the workload through caching clients — leases keep
-        #: them coherent and the bookkeeping does no device I/O, so
-        #: crash points and oracle outcomes are identical either way.
-        self.cached = cached
-        #: the live :class:`Database` / cluster; None while crashed.
-        self.node = None
-
-    def wrap_devices(self, wrapper) -> None:
-        """Interpose ``wrapper`` over every device (one controller, so
-        the deployment's durable writes form one global ordering)."""
-        self.node.wrap_devices(wrapper)
-
-    def make_runner(self):
-        """A runner exposing ``run()``, ``oracle``, ``pending``,
-        ``floating`` and ``completed_state()``."""
-        raise NotImplementedError
-
-    def live_states(self):
-        """After a crash-free run: settle the deployment and yield
-        ``(who, visible state)`` for every member that must agree with
-        the oracle."""
-        raise NotImplementedError
-
-    def crash(self) -> None:
-        """Discard every volatile byte; only the media survive."""
-        self.node.simulate_crash()
-        self.node = None
-
-    def recover(self) -> list:
-        """Bring a fresh instance up over the crashed media; returns
-        the recovered mounts whose union is the visible state."""
-        raise NotImplementedError
-
-    def recovery_report(self) -> dict:
-        raise NotImplementedError
-
-    def extra_verdicts(self, state: dict) -> tuple[dict, str]:
-        """Deployment-specific checks on the recovered ``state``: the
-        result's ``extra`` (a ``False`` in it fails the point), and a
-        detail line when one failed."""
-        return {}, ""
-
-    def close(self) -> None:
-        if self.node is not None:
-            self.node.close()
-            self.node = None
-
-
-class OneServer(Topology):
-    """One database, one mount; recovery is ``Database.open`` +
-    ``InversionFS.attach``.  Workloads that declare per-client
-    ``sessions`` run through the scheduler-driven concurrent runner,
-    the rest through the lock-step one (same interface)."""
-
-    def __init__(self, run_dir: str, workload: Workload,
-                 cached: bool = False) -> None:
-        super().__init__(run_dir, workload, cached)
-        self.node = Database.create(run_dir)
-        self.fs = InversionFS.mkfs(self.node)
-        workload.setup(self.node, self.fs)
-
-    def make_runner(self):
-        if self.workload.sessions:
-            from repro.testkit.concurrent import ConcurrentWorkloadRunner
-            return ConcurrentWorkloadRunner(self.node, self.fs, self.workload,
-                                            cached=self.cached)
-        return WorkloadRunner(self.node, self.fs, self.workload)
-
-    def live_states(self):
-        yield f"workload {self.workload.name!r}", harvest_state(self.fs)
-
-    def recover(self) -> list:
-        self.node = Database.open(self.run_dir)
-        return [InversionFS.attach(self.node)]
-
-    def recovery_report(self) -> dict:
-        return self.node.tm.recovery_report()
-
-
-class ShardedServers(Topology):
-    """A sharded cluster.  One controller is shared by every device
-    proxy on every shard, so "crash at write #k" is a cluster-wide
-    coordinate that lands, across the sweep, on every prepare force,
-    every coordinator decision force, and every phase-two commit
-    record, on coordinator and participant shards alike.  Recovery is
-    :meth:`~repro.shard.cluster.ShardedCluster.open`, which resolves
-    in-doubt prepared transactions against the decision log.
-
-    Both sides of the in-flight group are reachable without tears: a
-    crash between the last prepare and the decision force aborts it,
-    one between the decision force and the last phase-two record
-    commits it through in-doubt recovery.  Half a cross-shard rename —
-    either name missing from both shards, or present on both — matches
-    neither and is a violation."""
-
-    in_doubt = True
-
-    def __init__(self, run_dir: str, workload: Workload,
-                 cached: bool = False) -> None:
-        from repro.shard.cluster import ShardedCluster
-        if not workload.shards:
-            raise ValueError(
-                f"workload {workload.name!r} is not sharded "
-                f"(shards={workload.shards})")
-        super().__init__(run_dir, workload, cached)
-        self.node = ShardedCluster.create(
-            run_dir, workload.shards, policy="subtree",
-            assignments=dict(workload.assignments))
-        client = self.node.client()
-        for op in workload.setup_ops:
-            # auto-commit, one op per transaction, before arming.
-            apply_client_op(client, op)
-        client.close()
-
-    def make_runner(self):
-        return ShardedWorkloadRunner(self.node, self.workload,
-                                     cached=self.cached)
-
-    def live_states(self):
-        yield (f"sharded workload {self.workload.name!r}",
-               harvest_cluster(self.node))
-
-    def recover(self) -> list:
-        from repro.shard.cluster import ShardedCluster
-        self.node = ShardedCluster.open(self.run_dir)
-        return self.node.fss
-
-    def recovery_report(self) -> dict:
-        return {
-            "shards": [db.tm.recovery_report() for db in self.node.dbs],
-            "in_doubt_commits": self.node.stats.in_doubt_commits,
-            "in_doubt_aborts": self.node.stats.in_doubt_aborts,
-        }
+def make_runner(stack, workload: Workload):
+    """The runner that drives ``workload`` on ``stack``: per-client
+    sessions through the scheduler (on ``local``, or ``scheduled`` with
+    its lease caches), lock-step steps on the mount or the client."""
+    if workload.sessions or stack.kind == "scheduled":
+        from repro.testkit.concurrent import ConcurrentWorkloadRunner
+        return ConcurrentWorkloadRunner(stack, workload)
+    if stack.kind in FS_STACKS:
+        return WorkloadRunner(stack, workload)
+    return ClientWorkloadRunner(stack, workload)
 
 
 # -- the engine -------------------------------------------------------------
@@ -384,7 +214,7 @@ class CrashPointResult:
     ambiguous: bool          # recovered to a state past the durable base
     recovery: dict = field(default_factory=dict)
     detail: str = ""
-    #: the topology's own verdicts and counts (``extra_verdicts``).
+    #: the stack's own verdicts and counts (``extra_verdicts``).
     extra: dict = field(default_factory=dict)
 
     @property
@@ -418,78 +248,94 @@ class ExplorationReport:
 
 class CrashExplorer:
     """Enumerates a workload's write boundaries and crash-tests each,
-    on the deployment ``topology(run_dir, workload)`` builds."""
+    on the stack named ``kind`` (``replicas``: the replica stack's
+    replica count)."""
 
-    def __init__(self, base_dir: str, workload: Workload, topology,
-                 torn_append: bool = False, seed: int = 0) -> None:
+    def __init__(self, base_dir: str, workload: Workload, kind: str,
+                 torn_append: bool = False, seed: int = 0,
+                 replicas: int = 1) -> None:
         self.base_dir = str(base_dir)
         self.workload = workload
-        self.topology = topology
+        self.kind = kind
         self.torn_append = torn_append
         self.seed = seed
+        self.replicas = replicas
 
     def _start(self, run_name: str, crash_after: int | None):
-        """A pristine deployment, armed to crash in place of write
-        ``crash_after`` (None: count writes, never crash), and its
-        runner."""
-        deployment = self.topology(os.path.join(self.base_dir, run_name),
-                                   self.workload)
+        """A pristine stack with the workload's setup done, its runner,
+        and a controller armed to crash in place of write
+        ``crash_after`` (None: count writes, never crash)."""
+        stack = open_stack(self.kind, os.path.join(self.base_dir, run_name),
+                           setup=self.workload.setup, replicas=self.replicas)
+        runner = make_runner(stack, self.workload)
         plan = FaultPlan(crash_after=crash_after,
                          torn_append=self.torn_append, seed=self.seed)
         controller = CrashController(plan)
-        deployment.wrap_devices(lambda dev: FaultyDevice(dev, controller))
-        return deployment, controller, deployment.make_runner()
+        stack.node.wrap_devices(lambda dev: FaultyDevice(dev, controller))
+        return stack, controller, runner
 
     def count_write_boundaries(self) -> int:
         """Profiling pass: run to completion, return the number of
-        durable writes — each index is one crash point.  Also sanity-
-        checks that the completed run matches the oracle."""
-        deployment, controller, runner = self._start("profile", None)
-        runner.run()
-        controller.disarm()
-        expected = runner.completed_state()
-        for who, state in deployment.live_states():
-            if state != expected:
+        durable writes — each index is one crash point.  Also checks
+        that the completed run shows the oracle's state, through the
+        stack's read path and underneath."""
+        stack, controller, runner = self._start("profile", None)
+        try:
+            runner.run()
+            controller.disarm()
+            expected = runner.completed()
+            try:
+                stack.check(expected)
+            except AssertionError as exc:
                 raise AssertionError(
-                    f"{who} diverges from the oracle even without a "
-                    f"crash: {_diff(state, expected)}")
-        deployment.close()
-        self.labels = deployment.labels
+                    f"stack {self.kind!r} diverges from the oracle even "
+                    f"without a crash: "
+                    f"{diff_states(stack.ground_truth(), expected.state())}"
+                ) from exc
+        finally:
+            stack.close()
+        self.labels = stack.labels
         #: what each boundary wrote, by index: (kind, device, detail).
         self.write_log = controller.write_log
         return controller.writes
 
     def run_crash_point(self, point: int) -> CrashPointResult:
-        deployment, controller, runner = self._start(f"run{point:05d}", point)
+        stack, controller, runner = self._start(f"run{point:05d}", point)
         try:
-            runner.run()
-        except SimulatedCrashError:
-            pass
-        controller.disarm()
-        try:
+            try:
+                runner.run()
+            except SimulatedCrashError:
+                pass
+            controller.disarm()
             if not controller.crashed:
                 return CrashPointResult(point, completed=True, state_ok=True,
                                         checker_clean=True, ambiguous=False)
-            deployment.crash()
-            return self._judge(point, deployment, runner)
+            # Only the recovered stack is closed: the crashed one holds
+            # nothing but media.
+            crashed, stack = stack, None
+            try:
+                stack = crashed.crash()
+            except Exception as exc:
+                # Recovery itself must never fail — "no special log
+                # processing is required at crash recovery time".
+                return CrashPointResult(point, completed=False,
+                                        state_ok=False, checker_clean=False,
+                                        ambiguous=False,
+                                        detail=f"recovery failed: {exc!r}")
+            return self._judge(point, stack, runner)
         finally:
-            deployment.close()
+            if stack is not None:
+                stack.close()
 
-    def _judge(self, point: int, deployment, runner) -> CrashPointResult:
-        """Recover the crashed deployment and hold it to the oracle,
-        the checker and the topology's own verdicts."""
+    def _judge(self, point: int, stack, runner) -> CrashPointResult:
+        """Hold the stack recovered from a crash to the oracle, the
+        checker and the stack's own verdicts."""
         # a failed verdict unless the checks below say otherwise.
         verdict = functools.partial(CrashPointResult, point, completed=False,
                                     state_ok=False, checker_clean=False,
                                     ambiguous=False)
         try:
-            mounts = deployment.recover()
-        except Exception as exc:
-            # Recovery itself must never fail — "no special log
-            # processing is required at crash recovery time".
-            return verdict(detail=f"recovery failed: {exc!r}")
-        try:
-            state = _harvest(mounts)
+            state = stack.ground_truth()
         except ReproError as exc:
             # The recovered store is so damaged it cannot even be
             # read back — the strongest possible violation verdict.
@@ -504,17 +350,17 @@ class CrashExplorer:
             model = model.preview(ops)
             allowed.append(model.state())
         if runner.pending is not None and (self.torn_append
-                                           or deployment.in_doubt):
+                                           or stack.in_doubt):
             # The in-flight transaction lands on either side: a tear
             # may have left a parseable commit record, or 2PC left it
             # in doubt for recovery to decide.
             allowed.append(model.preview(runner.pending).state())
         state_ok = state in allowed
         ambiguous = state_ok and len(allowed) > 1 and state != allowed[0]
-        extra, extra_detail = deployment.extra_verdicts(state)
+        extra, extra_detail = stack.extra_verdicts()
         corruptions = []
         try:
-            for index, fs in enumerate(mounts):
+            for index, fs in enumerate(stack.mounts):
                 check = ConsistencyChecker(fs).check_all()
                 corruptions += [f"mount {index}: {c}"
                                 for c in check.corruptions]
@@ -523,13 +369,13 @@ class CrashExplorer:
                            detail=f"checker raised: {exc!r}", extra=extra)
         detail = extra_detail
         if not state_ok:
-            detail = _diff(state, allowed[0])
+            detail = diff_states(state, allowed[0])
         elif corruptions and not detail:
             detail = (f"{len(corruptions)} corruptions; "
                       f"first: {corruptions[0]}")
         return verdict(state_ok=state_ok, checker_clean=not corruptions,
                        ambiguous=ambiguous, detail=detail,
-                       recovery=deployment.recovery_report(), extra=extra)
+                       recovery=stack.recovery_report(), extra=extra)
 
     def explore(self, max_points: int | None = None) -> ExplorationReport:
         """Crash-test the workload at every write boundary (or, with
@@ -553,17 +399,3 @@ def select_points(total: int, max_points: int | None) -> list[int]:
         return [0]
     step = (total - 1) / (max_points - 1)
     return sorted({round(i * step) for i in range(max_points)})
-
-
-def _diff(got: dict, want: dict) -> str:
-    missing = sorted(set(want) - set(got))
-    extra = sorted(set(got) - set(want))
-    changed = sorted(k for k in set(got) & set(want) if got[k] != want[k])
-    parts = []
-    if missing:
-        parts.append(f"missing={missing[:5]}")
-    if extra:
-        parts.append(f"extra={extra[:5]}")
-    if changed:
-        parts.append(f"changed={changed[:5]}")
-    return " ".join(parts) or "states differ"

@@ -276,3 +276,18 @@ def harvest_state(fs) -> dict[str, bytes | None]:
 
     walk("/")
     return state
+
+
+def diff_states(got: dict, want: dict) -> str:
+    """One line naming the paths where two visible states differ."""
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    changed = sorted(k for k in set(got) & set(want) if got[k] != want[k])
+    parts = []
+    if missing:
+        parts.append(f"missing={missing[:5]}")
+    if extra:
+        parts.append(f"extra={extra[:5]}")
+    if changed:
+        parts.append(f"changed={changed[:5]}")
+    return " ".join(parts) or "states differ"

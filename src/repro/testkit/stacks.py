@@ -1,10 +1,10 @@
-"""Every client stack, built one way.
+"""Every deployment, built one way.
 
 The ``p_*`` protocol is declared once (:mod:`repro.core.protocol`) and
 carried by several deployments.  :func:`open_stack` builds any of them
-behind one small interface, so the VFS suite (``tests/vfs``) and the
-executable spec (``tests/integration/test_spec_machine.py``) run the
-same assertions over all of them:
+behind one small interface, so the VFS suite (``tests/vfs``), the
+executable spec (``tests/integration/test_spec_machine.py``) and the
+crash explorer (:mod:`repro.testkit.explorer`) run over all of them:
 
 ``client``
     the ``p_*`` surface operations are applied through.
@@ -24,8 +24,14 @@ same assertions over all of them:
     every file system the stack serves, and the databases under them.
 ``crash()``
     power fails under ``node``; returns a fresh stack of the same kind
-    over the media it left: reopened, or on ``replica`` the replica
-    promoted (and a new one seeded from it).
+    over the media it left: reopened, or on ``replica`` the most
+    caught-up replica promoted (and a new one seeded from it).
+``in_doubt`` / ``labels`` / ``recovery_report()`` / ``extra_verdicts()``
+    what the crash explorer needs to know beyond that: whether a
+    transaction in flight at a crash may land committed without a torn
+    append (2PC), what its summary line says, what recovery did, and
+    the deployment's own verdicts on the recovery (a ``False`` among
+    them fails the crash point).
 """
 
 from __future__ import annotations
@@ -39,13 +45,14 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
+from repro.db.vacuum import RENAME_JOURNAL_TAG
 from repro.errors import InversionError
-from repro.replica import ReplicatedCluster, ReplicaServer
+from repro.replica import ReplicatedCluster
 from repro.sched import Call, MultiUserScheduler, Ref, Txn
 from repro.shard import ShardedCluster
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
-from repro.testkit.oracle import apply_client_op, harvest_state
+from repro.testkit.oracle import apply_client_op, diff_states, harvest_state
 
 #: the capacities of every leased stack's client cache.
 _CACHE = {"cache_paths": 64, "cache_chunks": 32}
@@ -73,6 +80,10 @@ _SHARDED = {
 #: ``grouped`` is ``local`` under a 0.5 s group-commit window: commits
 #: float, and groups close at deadlines mid-run.
 STACKS = ("local", "grouped", *_REMOTE, *_SHARDED, "scheduled", "replica")
+#: transaction steps between the replica stack's sync rounds under the
+#: crash explorer, so crashes land while its replicas lag by varying
+#: amounts.
+SYNC_EVERY = 3
 
 
 def observe(client) -> dict:
@@ -106,6 +117,11 @@ class Stack:
     #: window a group may close between them, and a crash would keep a
     #: state no sequence of whole ops reaches.
     atomic = False
+    #: a transaction in flight at a crash may come back committed even
+    #: without a torn append: its fate was in doubt for recovery to decide.
+    in_doubt = False
+    #: what a crash report's summary line says about the deployment.
+    labels: dict = {}
 
     def __init__(self, kind: str, workdir: str, client, mounts: list,
                  node, closers: list) -> None:
@@ -146,6 +162,18 @@ class Stack:
         """xids committed in memory whose records still wait in a group."""
         return [x for db in self.dbs() for x in db.tm.pending_commit_xids()]
 
+    def recovery_report(self) -> dict:
+        """What recovery did when this stack came up over crashed media."""
+        return self.node.tm.recovery_report()
+
+    def extra_verdicts(self) -> tuple[dict, str]:
+        """The deployment's own verdicts on the recovery that brought
+        this stack up, and a detail line when one of them failed."""
+        return {}, ""
+
+    def step_done(self) -> None:
+        """A crash-explorer runner finished one transaction step."""
+
     def crash(self) -> "Stack":
         self.node.simulate_crash()
         return open_stack(self.kind, self.workdir, recover=True)
@@ -155,36 +183,132 @@ class Stack:
             close()
 
 
+class ShardedStack(Stack):
+    """A sharded cluster.  Both sides of an in-flight group are
+    reachable without tears: a crash between the last prepare and the
+    decision force aborts it, one between the decision force and the
+    last phase-two record commits it through in-doubt recovery."""
+
+    in_doubt = True
+
+    def recovery_report(self) -> dict:
+        return {
+            "shards": [db.tm.recovery_report() for db in self.node.dbs],
+            "in_doubt_commits": self.node.stats.in_doubt_commits,
+            "in_doubt_aborts": self.node.stats.in_doubt_aborts,
+        }
+
+
 class ReplicaStack(Stack):
     """Writes go to the primary; the state is read back on a replica
-    that has been synced since.  A crash takes the primary: the replica
-    is promoted, and a new one is seeded from it."""
+    that has been synced since.  A crash takes the primary: the most
+    caught-up replica is promoted, and a new one is seeded from it.
 
-    def __init__(self, kind: str, workdir: str, cluster=None) -> None:
-        self.cluster = cluster or ReplicatedCluster.create(workdir, 1)
-        writer = self.cluster.writer_client()
-        self._reader = self.cluster.reader_client()
+    Failover is crash recovery replayed on another machine: the feed
+    records only writes that reached the media (a fault proxy wraps
+    outside its tap), so the promoted replica must show what a local
+    restart of the dead primary would, and every surviving follower
+    must be a promotable copy of it.  :meth:`crash` judges both before
+    it seeds the new replica (:meth:`extra_verdicts`)."""
+
+    def __init__(self, kind: str, workdir: str, cluster=None, setup=None,
+                 replicas: int = 1, verdicts=({}, "")) -> None:
+        if cluster is None:
+            cluster = ReplicatedCluster.create(workdir, 0)
+            if setup is not None:
+                setup(cluster.primary_db, cluster.primary_fs)
+            for _ in range(replicas):
+                cluster.add_replica()
+        self.cluster = cluster
+        self.labels = {"replicas": len(cluster.replicas)}
+        self._verdicts = verdicts
+        self._steps = 0
+        writer = cluster.writer_client()
+        self._reader = cluster.reader_client()
         super().__init__(kind, workdir, writer,
-                         [self.cluster.primary_fs,
-                          *(r.fs for r in self.cluster.replicas)],
-                         self.cluster.primary_db,
-                         [writer.close, self._reader.close,
-                          self.cluster.close])
+                         [cluster.primary_fs,
+                          *(r.fs for r in cluster.replicas)],
+                         cluster.primary_db,
+                         [writer.close, self._reader.close, cluster.close])
 
     def reader(self):
+        self.node.tm.flush_commits()
         self.cluster.sync_all()
         return self._reader
 
     def ground_truth(self) -> dict:
         return harvest_state(self.cluster.primary_fs)
 
+    def check(self, model) -> None:
+        super().check(model)
+        for replica in self.cluster.replicas:
+            assert harvest_state(replica.fs) == model.state(), \
+                replica.replica_id
+
+    def step_done(self) -> None:
+        self._steps += 1
+        if self._steps % SYNC_EVERY == 0:
+            self.cluster.sync_all()
+
+    def extra_verdicts(self) -> tuple[dict, str]:
+        return self._verdicts
+
     def crash(self) -> "Stack":
         self.node.simulate_crash()
-        self.cluster.promote()
-        rid = f"replica{len(os.listdir(self.workdir))}"
-        self.cluster.replicas.append(ReplicaServer.seed(
-            self.cluster.feed, os.path.join(self.workdir, rid), rid))
-        return ReplicaStack(self.kind, self.workdir, self.cluster)
+        victim = self.cluster.max_horizon_replica()
+        applied = victim.cursor
+        self.cluster.promote(victim)
+        verdicts = self._judge_failover(victim.cursor - applied)
+        self.cluster.add_replica()
+        return ReplicaStack(self.kind, self.workdir, self.cluster,
+                            verdicts=verdicts)
+
+    def _judge_failover(self, drained: int) -> tuple[dict, str]:
+        """``matches_local_recovery``: the promoted state is what the
+        dead primary's media recover to locally — local recovery keeps
+        every durable commit, so nothing durable was lost;
+        ``followers_converged``: every surviving follower, synced from
+        the new feed, shows that state over the same media;
+        ``drained_entries``: what promotion drained from the old feed."""
+        primary = self.cluster.primary_db
+        state = harvest_state(self.cluster.primary_fs)
+        detail = ""
+        try:
+            local_db = Database.open(self.node.path)
+            local = harvest_state(InversionFS.attach(local_db))
+            local_db.close()
+            matches = state == local
+            if not matches:
+                detail = "promoted != local recovery: " + diff_states(state,
+                                                                      local)
+        except Exception as exc:
+            matches = False
+            detail = f"local recovery failed: {exc!r}"
+        converged = True
+        for follower in self.cluster.replicas:
+            try:
+                follower.sync()
+                same = (harvest_state(follower.fs) == state
+                        and _media(follower.db) == _media(primary))
+                problem = "" if same else "diverged after failover"
+            except Exception as exc:
+                problem = f"resume failed: {exc!r}"
+            if problem:
+                converged = False
+                detail = detail or f"{follower.replica_id} {problem}"
+        return {"matches_local_recovery": matches,
+                "followers_converged": converged,
+                "drained_entries": drained}, detail
+
+
+def _media(db) -> tuple:
+    """What a later promotion of this node would start from, beyond
+    file contents: every device's relations and the rename journal."""
+    switch = db.switch
+    root = switch.get(switch.default_name)
+    return ({name: sorted(switch.get(name).list_relations())
+             for name in switch.names()},
+            root.read_meta(RENAME_JOURNAL_TAG) or b"")
 
 
 class ScheduledStack(Stack):
@@ -274,19 +398,27 @@ class ScheduledStack(Stack):
         assert self.ground_truth() == model.state()
 
 
-def open_stack(kind: str, workdir: str, recover: bool = False) -> Stack:
+def open_stack(kind: str, workdir: str, recover: bool = False,
+               setup=None, replicas: int = 1) -> Stack:
     """Build the stack named ``kind`` (one of :data:`STACKS`) under
     ``workdir`` — or, with ``recover``, bring it up again over the media
-    a crash left there.  The caller closes it."""
+    a crash left there.  ``setup(db, fs)`` runs on every fresh database
+    right after mkfs: on each shard of a cluster, and on the primary
+    before any of the ``replicas`` is seeded.  The caller closes it."""
     if kind == "replica":
-        return ReplicaStack(kind, workdir)
+        return ReplicaStack(kind, workdir, setup=setup, replicas=replicas)
     if kind in _SHARDED:
         nshards, partitioning, options = _SHARDED[kind]
-        cluster = (ShardedCluster.open(workdir) if recover else
-                   ShardedCluster.create(workdir, nshards, **partitioning))
+        if recover:
+            cluster = ShardedCluster.open(workdir)
+        else:
+            cluster = ShardedCluster.create(workdir, nshards, **partitioning)
+            if setup is not None:
+                for fs in cluster.fss:
+                    setup(fs.db, fs)
         client = cluster.client(**options)
-        stack = Stack(kind, workdir, client, cluster.fss, cluster,
-                      [client.close, cluster.close])
+        stack = ShardedStack(kind, workdir, client, cluster.fss, cluster,
+                             [client.close, cluster.close])
         if partitioning is _SUBTREES:
             stack.prefix = "/a"
             if not recover:
@@ -302,6 +434,8 @@ def open_stack(kind: str, workdir: str, recover: bool = False) -> Stack:
         db = Database.create(workdir, clock=clock)
         fs = InversionFS.mkfs(db)
         db.tm.group_commit_window = window   # after mkfs: its commits forced
+        if setup is not None:
+            setup(db, fs)
     if kind == "scheduled":
         return ScheduledStack(kind, workdir, fs)
     if kind in ("local", "grouped"):

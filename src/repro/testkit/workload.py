@@ -75,14 +75,6 @@ class Workload:
     sessions: tuple = ()
     #: seed for the scheduler's interleaving lottery.
     sched_seed: int = 0
-    #: shard count; non-zero makes this a *sharded* workload, run on
-    #: :class:`~repro.testkit.explorer.ShardedServers` — a cluster
-    #: instead of one server.
-    shards: int = 0
-    #: subtree placement for sharded workloads, as (component, shard)
-    #: pairs — explicit so the cross-shard steps are cross-shard by
-    #: construction, not by hash luck.
-    assignments: tuple = ()
     #: model ops committed once during :meth:`setup`, before the run is
     #: armed for crashes — shared fixtures concurrent sessions contend
     #: on (e.g. a pre-created hot file, so no two sessions race to
@@ -237,7 +229,9 @@ def concurrent_workload(seed: int = 0) -> Workload:
 
 
 def cross_shard_workload(seed: int = 0) -> Workload:
-    """Two explicitly-placed subtrees on two shards, driven through the
+    """The ``sharded`` stack's two subtrees, ``/a`` on shard 0 and
+    ``/b`` on shard 1 (placed explicitly, so the cross-shard steps are
+    cross-shard by construction, not by hash luck), driven through the
     sharded client: multi-shard atomic groups (2PC), a cross-shard file
     rename, a cross-shard *directory* rename, an abort, and plain
     single-shard transactions in between.  Every durable write — data
@@ -260,8 +254,7 @@ def cross_shard_workload(seed: int = 0) -> Workload:
                 ("write", "/a/w", p("w0", 1200)))),        # dir mv + write
         TxStep((("unlink", "/b/x"),
                 ("write", "/b/y", p("y1", 400)))),         # single-shard
-    ], setup_ops=(("mkdir", "/a"), ("mkdir", "/b")),
-        shards=2, assignments=(("a", 0), ("b", 1)))
+    ])
 
 
 ALL_WORKLOADS = {
@@ -273,7 +266,7 @@ ALL_WORKLOADS = {
     "concurrent": concurrent_workload,
 }
 
-#: sharded workloads are explored on ShardedServers; they are
+#: sharded workloads are explored on the ``sharded`` stacks; they are
 #: kept out of ALL_WORKLOADS so single-server tooling never sees them.
 SHARDED_WORKLOADS = {
     "cross_shard": cross_shard_workload,

@@ -21,7 +21,7 @@ from repro.db.database import Database
 from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
 from repro.sim.clock import SimClock
 from repro.testkit.concurrent import ConcurrentWorkloadRunner
-from repro.testkit.oracle import harvest_state
+from repro.testkit.stacks import open_stack
 from repro.testkit.workload import TxStep, Workload
 
 HOT_SIZE = 1000
@@ -70,15 +70,13 @@ def test_cached_concurrent_sessions_match_oracle(sessions, seed):
     workload = Workload("cached_diff", [], sessions=sessions,
                         sched_seed=seed, setup_ops=_setup_ops())
     with tempfile.TemporaryDirectory() as root:
-        db = Database.create(root + "/db", clock=SimClock())
+        stack = open_stack("scheduled", root + "/db", setup=workload.setup)
         try:
-            fs = InversionFS.mkfs(db)
-            workload.setup(db, fs)
-            runner = ConcurrentWorkloadRunner(db, fs, workload, cached=True)
+            runner = ConcurrentWorkloadRunner(stack, workload)
             runner.run()
-            assert harvest_state(fs) == runner.completed_state()
+            assert stack.ground_truth() == runner.completed().state()
         finally:
-            db.close()
+            stack.close()
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ def behind_feed_tap(db) -> None:
 
 
 def behind_both(db) -> None:
-    """As ``PrimaryWithReplicas`` stacks them: the fault proxy outside
+    """As the replica stack arms them: the fault proxy outside
     the tap."""
     behind_feed_tap(db)
     behind_faults(db)

@@ -8,16 +8,13 @@ workloads.  ``-m torture`` opts into full enumeration of every
 boundary in both clean and torn-append modes.
 """
 
-from functools import partial
-
 import pytest
 
 from repro.core.constants import CHUNK_SIZE
 from repro.core.filesystem import InversionFS
 from repro.db.transactions import TransactionManager
-from repro.testkit import CrashExplorer, OneServer
-from repro.testkit.explorer import ShardedServers, select_points
-from repro.testkit.failover import PrimaryWithReplicas
+from repro.testkit import CrashExplorer
+from repro.testkit.explorer import select_points
 from repro.testkit.workload import (ALL_WORKLOADS, TxStep, Workload,
                                     commit_workload, cross_shard_workload,
                                     group_commit_workload, payload,
@@ -26,6 +23,9 @@ from repro.testkit.workload import (ALL_WORKLOADS, TxStep, Workload,
 #: per-workload bound for the CI run: 3 workloads × 40 + the torn run
 #: below ≈ 150 crash points, each a full build/crash/recover/verify cycle.
 CI_POINTS = 40
+#: the single-server stacks whose client carries each step's
+#: transaction to the server: plain, leased, batched, and both.
+CLIENT_STACKS = ("remote", "cached", "batched", "cached_batched")
 
 
 def test_select_points_sampling():
@@ -41,7 +41,7 @@ def test_select_points_sampling():
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_bounded_exploration_finds_no_violations(tmp_path, name):
-    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), OneServer)
+    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), "local")
     report = explorer.explore(max_points=CI_POINTS)
     assert report.total_writes >= CI_POINTS, (
         f"workload {name!r} got shorter; not enough crash points to sample")
@@ -50,9 +50,27 @@ def test_bounded_exploration_finds_no_violations(tmp_path, name):
         f"point {v.point}: {v.detail}" for v in report.violations)
 
 
+@pytest.mark.parametrize("kind", CLIENT_STACKS)
+def test_client_stack_sweep_finds_no_violations(tmp_path, kind):
+    report = CrashExplorer(str(tmp_path), commit_workload(),
+                           kind).explore(max_points=10)
+    assert len(report.points_tested) == 10
+    assert report.violations == [], "\n".join(
+        f"point {v.point}: {v.detail}" for v in report.violations)
+
+
+@pytest.mark.torture
+@pytest.mark.parametrize("kind", CLIENT_STACKS)
+def test_client_stack_full_enumeration(tmp_path, kind):
+    report = CrashExplorer(str(tmp_path), commit_workload(), kind).explore()
+    assert len(report.points_tested) == report.total_writes
+    assert report.violations == [], "\n".join(
+        f"point {v.point}: {v.detail}" for v in report.violations)
+
+
 def test_recovery_reports_are_collected(tmp_path):
     report = CrashExplorer(str(tmp_path), commit_workload(),
-                           OneServer).explore(max_points=10)
+                           "local").explore(max_points=10)
     assert report.violations == []
     crashed = [r for r in report.results if not r.completed]
     assert crashed, "no crash point actually fired"
@@ -64,7 +82,7 @@ def test_recovery_reports_are_collected(tmp_path):
 def test_torn_append_exploration_allows_both_outcomes(tmp_path):
     """With torn status appends the in-flight transaction may land on
     either side of the crash; anything else is still a violation."""
-    explorer = CrashExplorer(str(tmp_path), commit_workload(), OneServer,
+    explorer = CrashExplorer(str(tmp_path), commit_workload(), "local",
                              torn_append=True)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.violations == [], "\n".join(
@@ -81,18 +99,18 @@ def test_explorer_detects_unsafe_vacuum_swap(tmp_path, monkeypatch):
     monkeypatch.setattr(vacuum_mod, "replay_rename_journal",
                         lambda switch, root: 0)
     report = CrashExplorer(str(tmp_path), vacuum_workload(),
-                           OneServer).explore()
+                           "local").explore()
     assert report.violations, (
         "sabotaged recovery went undetected — the explorer has no teeth")
 
 
-@pytest.mark.parametrize("topology, workload", [
-    (OneServer, group_commit_workload),
-    (ShardedServers, cross_shard_workload),
-    (partial(PrimaryWithReplicas, nreplicas=1), commit_workload),
+@pytest.mark.parametrize("kind, workload", [
+    ("local", group_commit_workload),
+    ("sharded", cross_shard_workload),
+    ("replica", commit_workload),
 ], ids=["one_server", "sharded", "failover"])
 def test_explorer_detects_a_status_line_ahead_of_its_sweep(
-        tmp_path, monkeypatch, topology, workload):
+        tmp_path, monkeypatch, kind, workload):
     """Teeth check for the group close: append the group's status line
     first and sweep afterwards, and every crash in between recovers
     commits whose pages never reached the medium.  On all three
@@ -111,7 +129,7 @@ def test_explorer_detects_a_status_line_ahead_of_its_sweep(
         return forced
 
     monkeypatch.setattr(TransactionManager, "_close_group", force_then_sweep)
-    report = CrashExplorer(str(tmp_path), workload(), topology).explore()
+    report = CrashExplorer(str(tmp_path), workload(), kind).explore()
     assert report.violations, (
         "a force ahead of the sweep went undetected — the explorer "
         "does not cross the group close")
@@ -122,7 +140,7 @@ def test_explorer_detects_a_status_line_ahead_of_its_sweep(
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_full_enumeration(tmp_path, name, torn):
     """Every single write boundary of every workload, both append modes."""
-    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), OneServer,
+    explorer = CrashExplorer(str(tmp_path), ALL_WORKLOADS[name](), "local",
                              torn_append=torn)
     report = explorer.explore()
     assert len(report.points_tested) == report.total_writes
@@ -148,13 +166,13 @@ def test_explorer_detects_an_unregistered_clone(tmp_path, monkeypatch):
     ``vfsref`` registration reads back the right bytes at every crash
     point — only the checker knows vacuum would not protect it."""
     report = CrashExplorer(str(tmp_path / "intact"), _aligned_reflinks(),
-                           OneServer).explore()
+                           "local").explore()
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)
     monkeypatch.setattr(InversionFS, "_register_clone",
                         lambda self, tx, *claim: None)
     report = CrashExplorer(str(tmp_path / "sabotaged"), _aligned_reflinks(),
-                           OneServer).explore()
+                           "local").explore()
     assert any("unregistered-reference" in v.detail
                for v in report.violations), (
         "an unregistered clone went undetected — the judge does not "

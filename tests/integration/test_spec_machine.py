@@ -28,9 +28,8 @@ from repro.db.transactions import STATUS_TAG
 from repro.errors import InversionError, SimulatedCrashError
 from repro.testkit import CrashController, FaultPlan, FaultyDevice
 from repro.testkit.oracle import ModelFS
+from repro.testkit.stacks import STACKS, open_stack
 from repro.testkit.workload import payload
-
-from tests.stacks import STACKS, open_stack
 
 TOP = st.sampled_from(["a", "b", "c", "d"])
 NAMES = st.sampled_from(["x", "y", "sub"])
@@ -214,6 +213,8 @@ class SpecMachine(RuleBasedStateMachine):
                 and self.model.why_invalid(op) is None):
             allowed.append(allowed[-1].preview([op]))
         self.stack = self.stack.crash()
+        verdicts, detail = self.stack.extra_verdicts()
+        assert all(v is not False for v in verdicts.values()), detail
         state = self.stack.ground_truth()
         assert state in [model.state() for model in allowed], (
             f"{op[:2]} crashed at write {k}: {sorted(state)}")

@@ -15,9 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.constants import CHUNK_SIZE
 from repro.testkit.oracle import ModelFS
+from repro.testkit.stacks import open_stack
 from repro.testkit.workload import payload
-
-from tests.stacks import open_stack
 
 TOP = st.sampled_from(["a", "b", "c", "d"])
 NAMES = st.sampled_from(["x", "y", "z", "sub"])

@@ -13,7 +13,6 @@ import pytest
 from repro.db.vacuum import RENAME_JOURNAL_TAG
 from repro.testkit.explorer import (CrashExplorer, CrashPointResult,
                                     ExplorationReport)
-from repro.testkit.failover import PrimaryWithReplicas
 from repro.testkit.workload import commit_workload, vacuum_workload
 
 #: sampled boundaries per CI run — each is a full build/seed/crash/
@@ -28,7 +27,7 @@ def _assert_clean(report):
 
 def test_commit_failover_no_lost_transactions(tmp_path):
     explorer = CrashExplorer(str(tmp_path), commit_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=2))
+                             "replica", replicas=2)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.total_writes >= CI_POINTS
     _assert_clean(report)
@@ -44,7 +43,7 @@ def test_torn_append_failover(tmp_path):
     the in-flight transaction may land on either side — and the replica
     must agree with local recovery about which side it landed on."""
     explorer = CrashExplorer(str(tmp_path), commit_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=2),
+                             "replica", replicas=2,
                              torn_append=True)
     _assert_clean(explorer.explore(max_points=4))
 
@@ -53,7 +52,7 @@ def test_vacuum_failover_replays_rename_journal(tmp_path):
     """Crashes inside vacuum's heap+index swap window: promotion must
     finish the shipped rename journal exactly like local recovery."""
     explorer = CrashExplorer(str(tmp_path), vacuum_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=1))
+                             "replica", replicas=1)
     _assert_clean(explorer.explore(max_points=4))
 
 
@@ -65,7 +64,7 @@ def test_swap_window_failover_leaves_promotable_followers(tmp_path):
     later promotion of a follower replays a stale swap over newer
     data.  The windows are found by what the workload writes there."""
     explorer = CrashExplorer(str(tmp_path), vacuum_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=2))
+                             "replica", replicas=2)
     explorer.count_write_boundaries()
     journal = [i for i, (_kind, _dev, detail) in enumerate(explorer.write_log)
                if detail == f"meta:{RENAME_JOURNAL_TAG}"]
@@ -98,7 +97,7 @@ def test_summary_line_carries_the_topology_labels():
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 def test_exhaustive_commit_failover(tmp_path, torn):
     explorer = CrashExplorer(str(tmp_path), commit_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=2),
+                             "replica", replicas=2,
                              torn_append=torn)
     _assert_clean(explorer.explore())
 
@@ -106,5 +105,5 @@ def test_exhaustive_commit_failover(tmp_path, torn):
 @pytest.mark.torture
 def test_exhaustive_vacuum_failover(tmp_path):
     explorer = CrashExplorer(str(tmp_path), vacuum_workload(),
-                             partial(PrimaryWithReplicas, nreplicas=2))
+                             "replica", replicas=2)
     _assert_clean(explorer.explore())

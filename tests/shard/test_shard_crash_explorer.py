@@ -7,27 +7,23 @@ is ``-m torture``."""
 
 import pytest
 
-from repro.testkit.explorer import (CrashExplorer, ShardedServers,
-                                    ShardedWorkloadRunner, harvest_cluster)
+from repro.testkit.explorer import ClientWorkloadRunner, CrashExplorer
+from repro.testkit.stacks import open_stack
 from repro.testkit.workload import SHARDED_WORKLOADS, cross_shard_workload
-
-
-def test_sharded_explorer_rejects_unsharded_workloads(tmp_path):
-    from repro.testkit.workload import commit_workload
-    explorer = CrashExplorer(str(tmp_path), commit_workload(), ShardedServers)
-    with pytest.raises(ValueError, match="not sharded"):
-        explorer.count_write_boundaries()
 
 
 def test_cross_shard_workload_registered():
     assert "cross_shard" in SHARDED_WORKLOADS
     wl = SHARDED_WORKLOADS["cross_shard"]()
-    assert wl.shards == 2
+    # every path lies in the sharded stack's two placed subtrees.
+    paths = {path for step in wl.steps for op in step.ops
+             for path in op[1:] if isinstance(path, str)}
+    assert {path.split("/")[1] for path in paths} == {"a", "b"}
 
 
 def test_profile_pass_matches_oracle(tmp_path):
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
-                             ShardedServers)
+                             "sharded")
     total = explorer.count_write_boundaries()
     # data forces + 4 prepares + 2 decisions + phase-2 records + ...
     assert total > 40
@@ -35,7 +31,7 @@ def test_profile_pass_matches_oracle(tmp_path):
 
 def test_bounded_cross_shard_sweep_no_violations(tmp_path):
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
-                             ShardedServers, torn_append=True, seed=3)
+                             "sharded", torn_append=True, seed=3)
     report = explorer.explore(max_points=14)
     assert report.total_writes > 0
     assert len(report.points_tested) > 0
@@ -50,7 +46,7 @@ def test_full_cross_shard_sweep_every_boundary(tmp_path):
     in-doubt verdicts (some crashes land between prepare and decision,
     some between decision and phase two)."""
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
-                             ShardedServers, torn_append=True, seed=3)
+                             "sharded", torn_append=True, seed=3)
     report = explorer.explore()
     assert report.total_writes > 80
     assert len(report.points_tested) == report.total_writes
@@ -71,7 +67,7 @@ def test_full_cross_shard_sweep_clean_appends(tmp_path):
     """The same enumeration without torn appends (whole-write crashes
     only) — the protocol must hold in both failure models."""
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
-                             ShardedServers, torn_append=False, seed=0)
+                             "sharded", torn_append=False, seed=0)
     report = explorer.explore()
     assert report.violations == [], \
         "; ".join(f"@{r.point}: {r.detail}" for r in report.violations)
@@ -80,17 +76,8 @@ def test_full_cross_shard_sweep_clean_appends(tmp_path):
 def test_runner_without_crash_matches_model(tmp_path):
     """The sharded runner's oracle bookkeeping is itself correct: an
     unarmed full run ends in exactly the modelled state."""
-    from repro.shard import ShardedCluster
-    wl = cross_shard_workload()
-    cluster = ShardedCluster.create(str(tmp_path / "c"), wl.shards,
-                                    policy="subtree",
-                                    assignments=dict(wl.assignments))
-    client = cluster.client()
-    from repro.testkit.oracle import apply_client_op
-    for op in wl.setup_ops:
-        apply_client_op(client, op)
-    client.close()
-    runner = ShardedWorkloadRunner(cluster, wl)
+    stack = open_stack("sharded", str(tmp_path / "c"))
+    runner = ClientWorkloadRunner(stack, cross_shard_workload())
     runner.run()
-    assert harvest_cluster(cluster) == runner.completed_state()
-    cluster.close()
+    assert stack.ground_truth() == runner.completed().state()
+    stack.close()

@@ -17,8 +17,7 @@ import pytest
 
 from repro.errors import IsADirectoryError_
 from repro.shard import ShardedCluster
-from repro.testkit.explorer import harvest_cluster
-from repro.testkit.oracle import ModelFS, apply_client_op
+from repro.testkit.oracle import ModelFS, apply_client_op, harvest_state
 from repro.testkit.workload import payload
 
 
@@ -46,7 +45,10 @@ def test_mixed_workload_any_shard_count(tmp_path, nshards):
         apply_client_op(client, op)
         model.apply(op)
     client.close()
-    assert harvest_cluster(cluster) == model.state()
+    state = {}
+    for fs in cluster.fss:
+        state.update(harvest_state(fs))
+    assert state == model.state()
     cluster.close()
 
 

@@ -11,12 +11,9 @@ tier-1, rather than in a ``-m torture`` sweep nobody ran.
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
-from repro.testkit.explorer import CrashExplorer, OneServer, ShardedServers
-from repro.testkit.failover import PrimaryWithReplicas
+from repro.testkit.explorer import CrashExplorer
 from repro.testkit.workload import (commit_workload, concurrent_workload,
                                     cross_shard_workload,
                                     group_commit_workload, migration_workload,
@@ -42,20 +39,31 @@ SINGLE_SERVER = {
     "group_commit": (group_commit_workload, 53),
     "concurrent": (concurrent_workload, 68),
 }
+#: ``commit`` through each single-server client stack: the client
+#: changes how the requests travel, not what the server's transactions
+#: write, so each id forces ``local``'s pages.
+CLIENT_STACKS = {"remote": 51, "cached": 51, "batched": 51,
+                 "cached_batched": 51}
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 @pytest.mark.parametrize("name", SINGLE_SERVER)
 def test_single_server_boundaries(tmp_path, name, torn):
     factory, expected = SINGLE_SERVER[name]
-    explorer = CrashExplorer(str(tmp_path), factory(), OneServer,
+    explorer = CrashExplorer(str(tmp_path), factory(), "local",
                              torn_append=torn)
     assert explorer.count_write_boundaries() == expected
 
 
+@pytest.mark.parametrize("kind", CLIENT_STACKS)
+def test_client_stack_boundaries(tmp_path, kind):
+    explorer = CrashExplorer(str(tmp_path), commit_workload(), kind)
+    assert explorer.count_write_boundaries() == CLIENT_STACKS[kind]
+
+
 def test_cross_shard_boundaries(tmp_path):
     explorer = CrashExplorer(str(tmp_path), cross_shard_workload(),
-                             ShardedServers)
+                             "sharded")
     assert explorer.count_write_boundaries() == 83
 
 
@@ -66,6 +74,6 @@ def test_cross_shard_boundaries(tmp_path):
 def test_failover_boundaries(tmp_path, factory, expected, nreplicas):
     """Replicas only read the feed: the primary's write count is the
     single-server count, whatever the replica count."""
-    explorer = CrashExplorer(str(tmp_path), factory(),
-                             partial(PrimaryWithReplicas, nreplicas=nreplicas))
+    explorer = CrashExplorer(str(tmp_path), factory(), "replica",
+                             replicas=nreplicas)
     assert explorer.count_write_boundaries() == expected

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testkit.explorer import CrashExplorer, OneServer
+from repro.testkit.explorer import CrashExplorer
 from repro.testkit.workload import concurrent_workload
 
 
 def test_profiling_pass_matches_oracle(tmp_path):
     """A crash-free concurrent run ends in exactly the state the
     commit-order oracle predicts."""
-    explorer = CrashExplorer(str(tmp_path), concurrent_workload(), OneServer)
+    explorer = CrashExplorer(str(tmp_path), concurrent_workload(), "local")
     boundaries = explorer.count_write_boundaries()
     assert boundaries > 20
 
 
 @pytest.mark.parametrize("torn", [False, True])
 def test_concurrent_crash_points_zero_violations(tmp_path, torn):
-    explorer = CrashExplorer(str(tmp_path), concurrent_workload(), OneServer,
+    explorer = CrashExplorer(str(tmp_path), concurrent_workload(), "local",
                              torn_append=torn)
     report = explorer.explore(max_points=5)
     assert not report.violations, report.summary()
@@ -38,7 +38,7 @@ def test_same_sched_seed_same_boundaries(tmp_path):
     same number of durable write boundaries (the crash coordinates are
     replayable)."""
     first = CrashExplorer(str(tmp_path / "a"), concurrent_workload(),
-                          OneServer)
+                          "local")
     second = CrashExplorer(str(tmp_path / "b"), concurrent_workload(),
-                           OneServer)
+                           "local")
     assert first.count_write_boundaries() == second.count_write_boundaries()

@@ -15,7 +15,7 @@ from repro.devices.memdisk import MemDisk
 from repro.errors import InjectedFaultError
 from repro.sim.clock import SimClock
 from repro.testkit import (CrashController, CrashExplorer, FaultPlan,
-                           FaultyDevice, OneServer)
+                           FaultyDevice)
 from repro.testkit.oracle import harvest_state
 from repro.testkit.workload import TxStep, Workload, payload
 
@@ -93,13 +93,13 @@ def _no_readahead(monkeypatch):
 def test_explorer_schedule_identical_with_and_without_readahead(
         tmp_path, monkeypatch):
     base = CrashExplorer(str(tmp_path / "ra"), seqread_workload(),
-                         OneServer).explore(max_points=20)
+                         "local").explore(max_points=20)
     assert base.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in base.violations)
 
     _no_readahead(monkeypatch)
     plain = CrashExplorer(str(tmp_path / "nora"), seqread_workload(),
-                          OneServer).explore(max_points=20)
+                          "local").explore(max_points=20)
     assert plain.violations == []
     # Same durable-write trace → same crash points, point for point.
     assert base.total_writes == plain.total_writes
@@ -107,7 +107,7 @@ def test_explorer_schedule_identical_with_and_without_readahead(
 
 
 def test_explorer_with_readahead_survives_torn_appends(tmp_path):
-    report = CrashExplorer(str(tmp_path), seqread_workload(), OneServer,
+    report = CrashExplorer(str(tmp_path), seqread_workload(), "local",
                            torn_append=True).explore(max_points=15)
     assert report.violations == [], "\n".join(
         f"point {v.point}: {v.detail}" for v in report.violations)

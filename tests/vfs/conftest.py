@@ -1,15 +1,14 @@
 """Fixtures for the transactional-VFS suite: the same VFS surface
 constructed over every kind of client stack — in-process, remote,
 remote with the lease-coherent cache, and sharded (built by the shared
-:func:`tests.stacks.open_stack`)."""
+:func:`repro.testkit.stacks.open_stack`)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.testkit.stacks import open_stack
 from repro.vfs import VFS
-
-from tests.stacks import open_stack
 
 STACKS = ("local", "remote", "cached", "sharded")
 

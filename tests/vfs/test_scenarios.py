@@ -13,7 +13,7 @@ from repro.core.checker import ConsistencyChecker
 from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.db.database import Database
-from repro.testkit.explorer import CrashExplorer, OneServer
+from repro.testkit.explorer import CrashExplorer
 from repro.vfs import VFS
 from repro.vfs.scenarios import (VFS_WORKLOADS, build_and_publish,
                                  populate_flat_dir, scan_flat_dir)
@@ -24,7 +24,7 @@ CI_POINTS = 8
 
 @pytest.mark.parametrize("name", sorted(VFS_WORKLOADS))
 def test_bounded_exploration_zero_violations(tmp_path, name):
-    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), OneServer)
+    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), "local")
     report = explorer.explore(max_points=CI_POINTS)
     assert report.total_writes >= CI_POINTS, (
         f"workload {name!r} too short to sample {CI_POINTS} crash points")
@@ -37,7 +37,7 @@ def test_reflink_churn_torn_append_bounded(tmp_path):
     in-flight group may land on either side of the crash, nothing
     in between."""
     explorer = CrashExplorer(str(tmp_path),
-                             VFS_WORKLOADS["vfs_reflink_churn"](), OneServer,
+                             VFS_WORKLOADS["vfs_reflink_churn"](), "local",
                              torn_append=True)
     report = explorer.explore(max_points=CI_POINTS)
     assert report.violations == [], "\n".join(
@@ -67,7 +67,7 @@ def test_drivers_roundtrip(tmp_path):
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
 @pytest.mark.parametrize("name", sorted(VFS_WORKLOADS))
 def test_full_enumeration(tmp_path, name, torn):
-    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), OneServer,
+    explorer = CrashExplorer(str(tmp_path), VFS_WORKLOADS[name](), "local",
                              torn_append=torn)
     report = explorer.explore()
     assert report.violations == [], "\n".join(

@@ -8,9 +8,9 @@ import pytest
 
 from repro.errors import SimulatedCrashError, TransactionError
 from repro.testkit import CrashController, FaultPlan, FaultyDevice
+from repro.testkit.stacks import open_stack
 from repro.vfs import VFS
 
-from tests.stacks import open_stack
 from tests.vfs.conftest import STACKS
 
 DATA = bytes(range(256)) * 3
