@@ -52,6 +52,7 @@ METRICS = (
     MetricSpec("cache.hits", "counter", "ops",
                "Client-cache hits served without a server RPC, by tier "
                "(att, negative, chunk, seek, and open: a read-only open "
+               "outside a transaction, or a write-mode open inside one, "
                "answered with a link-local descriptor).",
                "repro.cache.client", labels=("tier",)),
     MetricSpec("cache.misses", "counter", "ops",

@@ -11,8 +11,8 @@ What the link enforces, so that no caller has to remember it:
 
 - **Poll before serve** — :meth:`ready` drains the lease channel
   before any tier is consulted, and refuses inside an explicit
-  transaction (transactional traffic always reaches the server and is
-  never cached) or once the lease is revoked.
+  transaction (every write reaches the server, and nothing a
+  transaction reads is served or cached) or once the lease is revoked.
 - **Drain after every exchange** — :meth:`call` applies piggybacked
   notices whether the request succeeded or failed.
 - **Drop before fill** — :meth:`call` notes ``inval_seq`` on the way
@@ -24,12 +24,13 @@ What the link enforces, so that no caller has to remember it:
 
 **The descriptor table.**  Every descriptor the session holds through
 the link is one :class:`Descriptor` in :attr:`SessionLink.fds`, keyed
-by the number the caller holds: the path (when known), the position,
-the server's descriptor and where it stands (None = unknown), the
-sequential-read streak, one read-ahead buffer, the write buffer, and
-three flags — ``readonly``, ``plain`` (a write-mode open learnt that it
-names a plain file) and ``forward`` (calls go to the server's
-descriptor).  A descriptor the remote client opened on the server is
+by the number the caller holds: the path (when known), the mode, the
+position, the server's descriptor and where it stands (None =
+unknown), the sequential-read streak, one read-ahead buffer, the write
+buffer, and three flags — ``plain`` (a write-mode open learnt that it
+names a plain file), ``forward`` (calls go to the server's descriptor)
+and ``pwrote`` (a link-local write-mode descriptor sent its
+``p_pwrite``).  A descriptor the remote client opened on the server is
 keyed by the server's number and forwards from the start; the link's
 own are below.  One rule governs every read-ahead buffer: it is served
 (:meth:`~SessionLink.take_ahead`, the one routine that compares a
@@ -64,9 +65,25 @@ it, untouched until it is closed.  Until it forwards:
   a miss while the streak runs fetches that many times ``length``;
 - any other use (a write, ``SEEK_CUR`` / ``SEEK_END``, an out-of-range
   seek, a read inside a transaction) first *materializes* it: the real
-  ``p_open`` (unless the server's descriptor is already behind it) and
-  ``p_lseek`` are sent, and from then on calls go to that server
-  descriptor, so replies and errors are the server's.
+  ``p_open`` with its mode (unless the server's descriptor is already
+  behind it) and ``p_lseek`` are sent, and from then on calls go to
+  that server descriptor, so replies and errors are the server's.
+
+A write-mode ``p_open`` (``O_WRONLY`` or ``O_RDWR``, no timestamp) is
+the link's too when it is inside an explicit transaction that has sent
+no verb that may change a name (any write but ``p_write`` and
+``p_pwrite``; :meth:`~SessionLink.note_renaming` for an operation the
+link does not see), of a name the polled cache resolves and holds no
+negative entry for, on a server that does not bound its staleness.  The
+library's ``p_open`` only resolves the name, under the transaction's
+read-committed snapshot and taking no lock, so it would find what the
+cache holds.  On that descriptor ``SEEK_SET`` seeks and the close are
+the link's; its first write inside a transaction is one
+``p_pwrite(path, pos, data)``, sent at the write (so the exclusive lock
+is taken on the same call as a server descriptor's write), the
+open-by-path, seek, write and close of a descriptor opened ``O_RDWR``;
+any other use — a read, ``SEEK_CUR`` / ``SEEK_END``, a second write, a
+write outside a transaction — materializes it.
 
 A server descriptor is addressed by its path, not by the file it
 resolved at its open: every auto-commit read opens the path afresh.  So
@@ -75,20 +92,29 @@ is a link-local one, which is why it keeps no oid.
 
 from __future__ import annotations
 
-from repro.core.constants import (MAX_FILE_SIZE, O_RDONLY, SEEK_SET,
-                                  TYPE_DIRECTORY)
-from repro.core.protocol import CLOSES, USES, VERBS
+from repro.core.constants import (MAX_FILE_SIZE, O_RDONLY, O_RDWR,
+                                  O_WRONLY, SEEK_SET, TYPE_DIRECTORY)
+from repro.core.protocol import CLOSES, USES, VERBS, WRITE
 from repro.errors import FileNotFoundError_
+
+#: the verbs that may change a name: every write but the two that only
+#: write a file's bytes.
+_RENAMING = frozenset(name for name, verb in VERBS.items()
+                      if verb.kind == WRITE
+                      and name not in ("p_write", "p_pwrite"))
 
 
 class Descriptor:
     """One descriptor of the session (see the module docstring)."""
 
-    __slots__ = ("path", "pos", "fd", "srv_pos", "streak", "buf", "wbuf",
-                 "readonly", "plain", "forward")
+    __slots__ = ("path", "mode", "pos", "fd", "srv_pos", "streak", "buf",
+                 "wbuf", "plain", "forward", "pwrote")
 
-    def __init__(self, path, fd, readonly: bool, forward: bool) -> None:
+    def __init__(self, path, fd, mode: int, forward: bool) -> None:
         self.path = path
+        #: the mode it was opened with (a server descriptor behind it
+        #: is opened with it).
+        self.mode = mode
         self.pos = 0
         #: the server's descriptor (None until the server opened one)
         #: and where it stands (None: unknown).
@@ -97,15 +123,20 @@ class Descriptor:
         #: consecutive sequential reads: a read-only descriptor is read
         #: from the top, so its first read already counts; a seek or a
         #: drop ends the streak.
-        self.streak = 1 if readonly else 0
+        self.streak = 1 if self.readonly else 0
         #: (offset, bytes read ahead, EOF right after them, stamp), or
         #: None.
         self.buf = None
         #: (start offset, buffered bytes, absorbed call count), or None.
         self.wbuf = None
-        self.readonly = readonly
         self.plain = False
         self.forward = forward
+        #: a link-local write-mode descriptor sent its one ``p_pwrite``.
+        self.pwrote = False
+
+    @property
+    def readonly(self) -> bool:
+        return not self.mode & (O_WRONLY | O_RDWR)
 
 
 class SessionLink:
@@ -135,6 +166,10 @@ class SessionLink:
         self.riders: list[tuple[str, tuple]] = []
         #: read-ahead drops declared so far (half of a buffer's stamp).
         self._drops = 0
+        #: xid of the last transaction in which a verb that may change
+        #: a name was sent (or the owner ran an operation the link does
+        #: not see, :meth:`note_renaming`).
+        self._renamed_in = None
 
     def close(self) -> None:
         self.fds.clear()
@@ -163,8 +198,15 @@ class SessionLink:
         try:
             return self._send(self.conn, method, *args, **kwargs)
         finally:
+            if method in _RENAMING:
+                self.note_renaming()
             if not cache.revoked:
                 cache.poll()
+
+    def note_renaming(self) -> None:
+        """The session's open transaction may have changed a name: until
+        it ends, every write-mode open is sent."""
+        self._renamed_in = self.xid()
 
     def ready(self):
         """The cache, if it may serve right now; else None."""
@@ -188,12 +230,12 @@ class SessionLink:
         """The table's record of ``fd``, if it has one."""
         return self.fds.get(fd) if isinstance(fd, int) else None
 
-    def track(self, fd, path=None, readonly: bool = False):
+    def track(self, fd, path, mode: int):
         """Enter the server's descriptor ``fd`` (an open's reply) in the
         table; its record, or None when the reply is no descriptor."""
         if not isinstance(fd, int):
             return None
-        self.fds[fd] = Descriptor(path, fd, readonly, forward=True)
+        self.fds[fd] = Descriptor(path, fd, mode, forward=True)
         return self.fds[fd]
 
     def stamp(self):
@@ -255,20 +297,33 @@ class SessionLink:
             self.cache.stats.hit("seek")
         return True
 
-    def materialize(self, rec: Descriptor) -> None:
+    def materialize(self, rec: Descriptor, pos: int | None = None) -> None:
         """From now on ``rec``'s calls go to a server descriptor: open
-        one (unless it is behind it already) and bring it to the
-        position."""
+        one with its mode (unless it is behind it already) and bring it
+        to ``pos`` (default: the position)."""
         if rec.forward:
             return
+        pos = rec.pos if pos is None else pos
         if rec.fd is None:
-            rec.fd = self.call("p_open", rec.path, O_RDONLY, None)
+            rec.fd = self.call("p_open", rec.path, rec.mode, None)
             rec.srv_pos = 0
-        if rec.srv_pos != rec.pos:
-            self.call("p_lseek", rec.fd, rec.pos >> 32,
-                      rec.pos & 0xFFFFFFFF, SEEK_SET)
-            rec.srv_pos = rec.pos
+        if rec.srv_pos != pos:
+            self.call("p_lseek", rec.fd, pos >> 32, pos & 0xFFFFFFFF,
+                      SEEK_SET)
+            rec.srv_pos = pos
         rec.forward = True
+
+    def pwrite(self, rec: Descriptor, pos: int, data):
+        """Write ``data`` at ``pos`` through ``rec`` as one ``p_pwrite``
+        when it is the link's write-mode descriptor writing for the
+        first time inside a transaction: the reply, or None (nothing
+        sent) when the write needs the server's descriptor."""
+        if (rec.forward or rec.readonly or rec.pwrote
+                or self.tx() is None):
+            return None
+        result = self.call("p_pwrite", rec.path, pos, data)
+        rec.pwrote = True
+        return result
 
     def drop_write_riders(self) -> None:
         """Take the queued ``p_write`` riders off the queue: where their
@@ -326,6 +381,10 @@ class SessionLink:
         """``p_open`` (the library's p_open never creates, so a negative
         entry answers it): a link-local descriptor when it may be one,
         else the server's."""
+        if timestamp is None and mode in (O_WRONLY, O_RDWR):
+            local = self._open_writable_locally(fname, mode)
+            if local is not None:
+                return local
         cache = self.ready() if timestamp is None else None
         if cache is None:
             return self.call("p_open", fname, mode, timestamp)
@@ -341,11 +400,32 @@ class SessionLink:
         else:
             cache.stats.hit("open")
             fd = None
-        # A link-local descriptor, with the server's (if any) behind it.
+        return self._local(fname, fd, mode)
+
+    def _local(self, fname, fd, mode) -> int:
+        """A link-local descriptor, with the server's (if any) behind
+        it."""
         local, self._next_local = self._next_local, self._next_local - 1
-        self.fds[local] = Descriptor(fname, fd, readonly=True,
-                                     forward=False)
+        self.fds[local] = Descriptor(fname, fd, mode, forward=False)
         return local
+
+    def _open_writable_locally(self, fname, mode):
+        """A write-mode open inside a transaction that has sent no verb
+        that may change a name, of a name the polled cache resolves: a
+        link-local descriptor, or None.  The library's ``p_open`` only
+        resolves the name, under the transaction's read-committed
+        snapshot and taking no lock, so there it finds what the cache
+        holds."""
+        cache, tx = self.cache, self.tx()
+        if (cache is None or cache.revoked or tx is None
+                or self._renamed_in == tx.xid or self._bounded()):
+            return None
+        cache.poll()
+        if (cache.revoked or cache.lookup_negative(fname) is not None
+                or cache.lookup_oid(fname) is None):
+            return None
+        cache.stats.hit("open")
+        return self._local(fname, None, mode)
 
     def _bounded(self) -> bool:
         """Does the server bound its staleness?  Then every open must
@@ -394,9 +474,15 @@ class SessionLink:
                 offset = (offset_high << 32) | (offset_low & 0xFFFFFFFF)
                 if whence == SEEK_SET and self.seek_set(rec, offset):
                     return offset
-            elif method == "p_read" and self.tx() is None:
+            elif (method == "p_read" and rec.readonly
+                    and self.tx() is None):
                 piece = self.take_ahead(rec, *rest)
                 return piece if piece is not None else self.read(rec, *rest)
+            elif method == "p_write":
+                written = self.pwrite(rec, rec.pos, *rest)
+                if written is not None:
+                    rec.pos += written
+                    return written
             self.materialize(rec)
         return self.call(method, rec.fd, *rest)
 

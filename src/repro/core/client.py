@@ -23,7 +23,9 @@ from hashlib import sha256
 from repro.cache.leases import normalize_path
 from repro.cache.link import SessionLink
 from repro.core.constants import (CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR,
-                                  O_WRONLY, SEEK_CUR, SEEK_SET)
+                                  O_WRONLY, SEEK_CUR, SEEK_SET,
+                                  TYPE_DIRECTORY)
+from repro.core.fileatt import FileAtt
 from repro.core.protocol import OPENS, REMOTE, TX, exposes
 from repro.core.server import InversionServer
 from repro.obs.registry import MetricSpec
@@ -88,6 +90,8 @@ def _arg_bytes(args: tuple, kwargs: dict) -> int:
 
 
 def _result_bytes(result: object) -> int:
+    if isinstance(result, FileAtt):
+        result = result.to_row()
     if isinstance(result, (bytes, bytearray)):
         return len(result)
     if isinstance(result, str):
@@ -275,13 +279,15 @@ class RemoteInversionClient:
         if rec.wbuf is None:
             return
         (start, data, ncalls), rec.wbuf = rec.wbuf, None
-        if rec.srv_pos != start:
-            self._seek_server(rec, start)
-        if ride:
-            self._ride("p_write", rec.fd, bytes(data))
-        else:
-            self._call("p_write", rec.fd, bytes(data))
-        rec.srv_pos = start + len(data)
+        if self._link.pwrite(rec, start, bytes(data)) is None:
+            self._link.materialize(rec, start)
+            if rec.srv_pos != start:
+                self._seek_server(rec, start)
+            if ride:
+                self._ride("p_write", rec.fd, bytes(data))
+            else:
+                self._call("p_write", rec.fd, bytes(data))
+            rec.srv_pos = start + len(data)
         if ncalls > 1:
             self.batched_writes += 1
 
@@ -370,8 +376,11 @@ class RemoteInversionClient:
         if verb.kind == TX:
             return self._transaction(verb.name)
         result = self._call(verb.name, *args)
-        if verb.fd == OPENS:
-            self._link.track(result, args[0])
+        if verb.fd == OPENS:        # p_creat
+            named = dict(zip((p.name for p in verb.params), args))
+            rec = self._link.track(result, named["path"], named["mode"])
+            if rec is not None:
+                rec.plain = named["ftype"] != TYPE_DIRECTORY
         return result
 
     def _transaction(self, method: str) -> None:
@@ -402,7 +411,7 @@ class RemoteInversionClient:
         fd = self._link.open(fname, mode, timestamp)
         rec = self._link.record(fd)
         if rec is None or rec.forward:      # not a link-local descriptor
-            self._link.track(fd, fname, readonly)
+            self._link.track(fd, fname, mode)
         return fd
 
     def _open_writable(self, fname, mode):
@@ -419,7 +428,7 @@ class RemoteInversionClient:
 
         fd, plain = self._round_trip(
             "p_open", _arg_bytes((fname, mode, None), {}), serve)
-        self._link.track(fd, fname).plain = plain
+        self._link.track(fd, fname, mode).plain = plain
         return fd
 
     def _open_filled(self, fname, mode, timestamp):
@@ -448,7 +457,7 @@ class RemoteInversionClient:
         fd, reply = self._round_trip(
             "p_open", _arg_bytes((fname, mode, timestamp, window), {})
             + _DIGEST_BYTES * len(digests), serve)
-        rec = self._link.track(fd, fname, readonly=True)
+        rec = self._link.track(fd, fname, mode)
         if reply is None:
             return fd
         chunks, sums = [], []
@@ -479,7 +488,7 @@ class RemoteInversionClient:
         if piece is not None:
             self.buffered_reads += 1
             return piece
-        if not rec.forward and link.tx() is None:
+        if rec.readonly and not rec.forward and link.tx() is None:
             return link.read(rec, length)
         link.materialize(rec)
         self._resync(rec)
@@ -506,6 +515,10 @@ class RemoteInversionClient:
         rec.streak = 0
         if self.write_batch_chunks > 1 and not rec.readonly:
             return self._gather(rec, buf)
+        result = link.pwrite(rec, rec.pos, buf)
+        if result is not None:
+            rec.pos += result
+            return result
         link.materialize(rec)
         self._resync(rec)
         result = self._call("p_write", rec.fd, buf)
@@ -572,6 +585,15 @@ class RemoteInversionClient:
             return None
         # Closing a written descriptor publishes its pending size.
         link.drop_read_ahead()
+        if rec is not None and not rec.forward:
+            # The link's write-mode descriptor: its gathered run ships
+            # (one p_pwrite) and the close is the link's — unless that
+            # run was its second write, which opened the server's.
+            self._flush_fd_writes(rec)
+            if not rec.forward:
+                del link.fds[fd]
+                return None
+        server_fd = fd if rec is None else rec.fd
         if self._in_tx is True and self._batching and rec is not None:
             # Inside a transaction the reconcile is seen at commit, and
             # so are the buffered writes, if the reply of each — its
@@ -580,10 +602,10 @@ class RemoteInversionClient:
                 r.plain and r.wbuf[0] + len(r.wbuf[1]) <= MAX_FILE_SIZE
                 for r in link.fds.values() if r.wbuf is not None))
             del link.fds[fd]
-            self._ride("p_close", fd)
+            self._ride("p_close", server_fd)
             return None
         self._flush_writes()
-        result = self._call("p_close", fd)
+        result = self._call("p_close", server_fd)
         link.fds.pop(fd, None)
         return result
 

@@ -147,10 +147,17 @@ class InversionClient:
         descriptor position coherent across auto-commit boundaries."""
         return self._on_handle(self._desc(fd), op)
 
-    def _on_handle(self, desc: _Descriptor, op):
+    def _on_handle(self, desc: _Descriptor, op, reads: bool = False,
+                   defer_att: bool = True):
         """:meth:`_with_handle`'s body: a descriptor is its path, reopened
-        by name — in the open transaction once, or in each auto-commit."""
+        by name — in the open transaction once, or in each auto-commit.
+        ``reads``: ``op`` reads, so inside a transaction the session's
+        other written handles of the file are flushed first
+        (:meth:`_publish_writes`).  ``defer_att=False``: an auto-commit
+        write updates the file's size itself, leaving none pending."""
         if self._tx is not None:
+            if reads and desc.timestamp is None:
+                self._publish_writes(desc.path, desc.handle)
             if desc.handle is None or not desc.handle._open:
                 desc.handle = self.fs.open(
                     desc.path, desc.mode & ~O_CREAT, tx=self._tx,
@@ -174,7 +181,7 @@ class InversionClient:
         def run(tx):
             handle = self.fs.open(desc.path, desc.mode & ~O_CREAT, tx=tx,
                                   timestamp=desc.timestamp)
-            handle.defer_att = True
+            handle.defer_att = defer_att
             if desc.pending_size is not None:
                 handle._size = max(handle._size, desc.pending_size)
             try:
@@ -188,6 +195,27 @@ class InversionClient:
             finally:
                 handle.close()
         return self._run(run)
+
+    def _publish_writes(self, path: str, reader=None) -> None:
+        """Inside a transaction, before a read, stat or ``p_pread`` of
+        ``path`` (through ``reader``, the descriptor's open handle, if
+        any): flush the session's other written handles of the file it
+        names, so the read finds their bytes and the size they grew it
+        to — what it finds once their descriptors closed, and what a
+        ``p_pwrite``, which closes its handle, leaves."""
+        written = [desc.handle for desc in self._fds.values()
+                   if desc.handle is not None and desc.handle is not reader
+                   and desc.handle._open and desc.handle._wrote]
+        if not written:
+            return
+        if reader is not None and reader._open:
+            fileid = reader.fileid
+        else:
+            fileid = self.fs.namespace.try_resolve(
+                path, self.fs._snap(self._tx), self._tx)
+        for handle in written:
+            if handle.fileid == fileid:
+                handle.flush()
 
     def _reconcile_att(self, desc: _Descriptor) -> None:
         """Apply a pending size/mtime update left by auto-commit
@@ -235,7 +263,8 @@ class InversionClient:
         del self._fds[fd]
 
     def p_read(self, fd: int, length: int) -> bytes:
-        return self._with_handle(fd, lambda h: h.read(length))
+        return self._on_handle(self._desc(fd), lambda h: h.read(length),
+                               reads=True)
 
     def p_write(self, fd: int, buf: bytes) -> int:
         return self._with_handle(fd, lambda h: h.write(buf))
@@ -254,7 +283,21 @@ class InversionClient:
             self.pread_att = handle.att
             return data
         try:
-            return self._on_handle(desc, read)
+            return self._on_handle(desc, read, reads=True)
+        finally:
+            if desc.handle is not None:
+                desc.handle.close()
+
+    def p_pwrite(self, path: str, offset: int, data: bytes) -> int:
+        """Write ``data`` to ``path`` at ``offset`` with no descriptor
+        (NFS's WRITE): the open by path, seek, write and close that a
+        descriptor opened ``O_RDWR`` on ``path`` runs, in the open
+        transaction; outside one, one auto-commit that also writes the
+        file's size, so it leaves none pending."""
+        desc = _Descriptor(None, path, O_RDWR, offset)
+        try:
+            return self._on_handle(desc, lambda handle: handle.write(data),
+                                   defer_att=False)
         finally:
             if desc.handle is not None:
                 desc.handle.close()
@@ -296,6 +339,8 @@ class InversionClient:
         for desc in self._fds.values():
             if desc.path == path and desc.pending_size is not None:
                 self._reconcile_att(desc)
+        if self._tx is not None and timestamp is None:
+            self._publish_writes(path)
         return self.fs.stat(path, tx=self._tx, timestamp=timestamp)
 
     def p_readdir(self, path: str, timestamp: float | None = None,

@@ -105,6 +105,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
     Verb("p_write", WRITE, fd=USES),
     Verb("p_lseek", READ, fd=USES),
     Verb("p_pread", READ, paths=(0,)),
+    Verb("p_pwrite", WRITE, paths=(0,), drops_buffers=True),
     Verb("p_mkdir", WRITE, paths=(0,)),
     Verb("p_unlink", WRITE, paths=(0,), drops_buffers=True),
     Verb("p_rmdir", WRITE, paths=(0,)),

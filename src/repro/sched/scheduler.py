@@ -776,6 +776,7 @@ class MultiUserScheduler:
         the server when it may."""
         link = session.link
         if isinstance(op, Apply):
+            link.note_renaming()    # it may change a name behind the link
             return op.fn(self.server.fs, link.tx())
         return link.request(op, *args, **kwargs)
 

@@ -17,7 +17,7 @@ and ``rename`` requires the target name to be free.
 
 from __future__ import annotations
 
-from repro.core.constants import CHUNK_SIZE
+from repro.core.constants import CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR
 from repro.errors import InversionError
 
 
@@ -79,6 +79,12 @@ class ModelFS:
                 return "parent is not an existing directory"
             if self.is_dir(path):
                 return "path is a directory"
+        elif kind == "pwrite":
+            path, offset, data = args
+            if not self.is_file(path):
+                return "not an existing plain file"
+            if offset + len(data) > MAX_FILE_SIZE:
+                return "past the size limit"
         elif kind == "unlink":
             (path,) = args
             if not self.is_file(path):
@@ -158,6 +164,11 @@ class ModelFS:
             # write_file writes from offset 0 and never truncates: a
             # shorter overwrite keeps the old tail.
             self.entries[path] = data + old[len(data):]
+        elif kind == "pwrite":
+            path, offset, data = args
+            old = self.entries[path].ljust(offset, b"\0")
+            self.entries[path] = (old[:offset] + data
+                                  + old[offset + len(data):])
         elif kind == "unlink":
             del self.entries[args[0]]
         elif kind == "rmdir":
@@ -204,6 +215,10 @@ def apply_fs_op(fs, tx, op: tuple) -> None:
         fs.mkdir(tx, args[0])
     elif kind == "write":
         fs.write_file(tx, args[0], args[1])
+    elif kind == "pwrite":
+        with fs.open(args[0], O_RDWR, tx=tx) as handle:
+            handle.seek(args[1])
+            handle.write(args[2])
     elif kind == "unlink":
         fs.unlink(tx, args[0])
     elif kind == "rmdir":
@@ -228,7 +243,6 @@ def apply_client_op(client, op: tuple) -> None:
     :func:`apply_fs_op`, but routed the way an application's requests
     are.  ``write`` mirrors ``write_file``: from offset zero, never
     truncating."""
-    from repro.core.constants import O_RDWR
     from repro.errors import FileNotFoundError_
     kind, args = op[0], op[1:]
     if kind == "mkdir":
@@ -241,6 +255,8 @@ def apply_client_op(client, op: tuple) -> None:
             fd = client.p_creat(path)
         client.p_write(fd, data)
         client.p_close(fd)
+    elif kind == "pwrite":
+        client.p_pwrite(*args)
     elif kind == "unlink":
         client.p_unlink(args[0])
     elif kind == "rmdir":

@@ -1,6 +1,8 @@
 """Link-local descriptors against the server's: a leased session's
 read-only open, its ``SEEK_SET`` seeks and its close send nothing, and
-a read the chunk tier cannot answer is one ``p_pread``.
+a read the chunk tier cannot answer is one ``p_pread``; inside a
+transaction that changed no name, so does a write-mode open of a name
+the cache resolves, and its first write is one ``p_pwrite``.
 
 Each script runs five ways — a local :class:`InversionClient`
 descriptor (the reference), the ``cached`` remote client, the same
@@ -44,6 +46,9 @@ FAILURES = (ReproError, ValueError)
 
 A = bytes(range(256)) * (2 * CHUNK_SIZE // 256) + b"a" * 300
 B = b"B" * (2 * CHUNK_SIZE + 700)
+#: a write the light protocol ships at the call (a whole batch), so
+#: that its error is the call's on every way.
+BATCH = b"x" * (RPC_BATCH_CHUNKS * CHUNK_SIZE)
 
 
 class FD:
@@ -118,8 +123,9 @@ def now(other) -> Instant:
     return Instant(other.fs.db.clock.now())
 
 
-#: every script opens ``/a`` read-only at step 1, after a stat that
-#: caches its name (so a leased session opens it locally).
+#: every read-only script opens ``/a`` at step 1, after a stat that
+#: caches its name (so a leased session opens it locally); the
+#: write-mode scripts, last, open inside a transaction.
 SCRIPTS = {
     "renamed_away_and_replaced": [
         ("p_stat", "/a"), ("p_open", "/a", O_RDONLY),
@@ -257,6 +263,81 @@ SCRIPTS = {
         ("p_read", FD(5), 200),
         ("p_stat", "/a"),
         ("p_close", FD(3)), ("p_close", FD(5))],
+    # Write-mode opens inside a transaction.
+    "written_once_and_closed": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(2), *off(CHUNK_SIZE + 10), SEEK_SET),
+        ("p_write", FD(2), b"W" * 100),
+        ("p_close", FD(2)),
+        ("p_commit",),
+        ("p_stat", "/a"),
+        ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(8), *off(CHUNK_SIZE), SEEK_SET),
+        ("p_read", FD(8), 120),
+        ("p_close", FD(8))],
+    "written_twice": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(2), *off(len(A) - 50), SEEK_SET),
+        ("p_write", FD(2), b"1" * 100),
+        ("p_write", FD(2), b"2" * 100),
+        ("p_lseek", FD(2), *off(len(A) - 60), SEEK_SET),
+        ("p_read", FD(2), 300),
+        ("p_close", FD(2)),
+        ("p_commit",),
+        ("p_stat", "/a"),
+        ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(11), *off(len(A) - 60), SEEK_SET),
+        ("p_read", FD(11), 300),
+        ("p_close", FD(11))],
+    "read_back_before_the_close": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(2), *off(len(A)), SEEK_SET),
+        ("p_write", FD(2), b"R" * 100),
+        ("p_open", "/a", O_RDONLY),
+        ("p_lseek", FD(5), *off(len(A) - 10), SEEK_SET),
+        ("p_read", FD(5), 50),
+        ("p_lseek", FD(2), *off(len(A) - 20), SEEK_SET),
+        ("p_read", FD(2), 50),
+        ("p_close", FD(2)), ("p_close", FD(5)),
+        ("p_commit",),
+        ("p_stat", "/a")],
+    "stat_before_the_close": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(2), *off(len(A)), SEEK_SET),
+        ("p_write", FD(2), b"S" * 100),
+        ("p_stat", "/a"),
+        ("p_close", FD(2)),
+        ("p_stat", "/a"),
+        ("p_commit",),
+        ("p_stat", "/a")],
+    "renamed_in_the_transaction_then_opened_for_writing": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_rename", "/a", "/gone"),
+        ("p_open", "/a", O_RDWR)],
+    "unlinked_in_the_transaction_then_opened_for_writing": [
+        ("p_stat", "/a"), ("p_stat", "/b"), ("p_begin",),
+        ("p_unlink", "/a"),
+        ("p_open", "/b", O_RDWR),
+        ("p_write", FD(4), b"U" * 10),
+        ("p_close", FD(4)),
+        ("p_open", "/a", O_RDWR)],
+    "a_missing_name_opened_for_writing": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/nope", O_RDWR)],
+    "unlinked_by_another_session_between_the_open_and_the_write": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDWR),
+        ("other", lambda other: other.p_unlink("/a")),
+        ("p_write", FD(2), BATCH)],
+    "a_directory_opened_for_writing": [
+        ("other", lambda other: other.p_mkdir("/d")),
+        ("p_stat", "/d"), ("p_begin",),
+        ("p_open", "/d", O_RDWR),
+        ("p_write", FD(3), BATCH)],
 }
 
 
@@ -381,9 +462,9 @@ def run_cached_light(workdir: str, script):
 
 def run_scheduled(workdir: str, script):
     """One scheduler session: the script's calls are its program, each
-    ``other`` step an Apply in a transaction of its own (run by the other
-    session, whatever transaction it is handed), and ``p_begin`` …
-    ``p_commit`` a Txn."""
+    ``other`` step an Apply (in a transaction of its own outside a
+    block; run by the other session, whatever transaction it is
+    handed), and ``p_begin`` … ``p_commit`` a Txn."""
     fs = _mount(workdir)
     other = InversionClient(fs)
     server = InFlight(fs)
@@ -398,7 +479,9 @@ def run_scheduled(workdir: str, script):
             block = None
             continue
         if step[0] == "other":
-            item = Txn([Apply("other", lambda fs, tx, fn=step[1]: fn(other))])
+            item = Apply("other", lambda fs, tx, fn=step[1]: fn(other))
+            if block is None:
+                item = Txn([item])
         elif step[0] == "in_flight":
             item = Txn([Apply("in_flight", lambda fs, tx, fn=step[1]: setattr(
                 server, "during", lambda: fn(other)))])
@@ -503,6 +586,25 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
                               SCRIPTS["opened_in_the_past"])
     assert error is None and values[4] == A[:200]
     assert values[6] == b"W" * 100 + A[100:200]
+    values, error = run_local(str(tmp_path / "once"),
+                              SCRIPTS["written_once_and_closed"])
+    assert error is None and values[10] == (
+        A[CHUNK_SIZE:CHUNK_SIZE + 10] + b"W" * 100
+        + A[CHUNK_SIZE + 110:CHUNK_SIZE + 120])
+    values, error = run_local(str(tmp_path / "twice"),
+                              SCRIPTS["written_twice"])
+    assert error is None
+    assert values[7] == values[13] == A[-60:-50] + b"1" * 100 + b"2" * 100
+    assert _shown(values[10]) == ("att", len(A) + 150, "plain")
+    # Before the close, another descriptor reads what the write added.
+    values, error = run_local(str(tmp_path / "back"),
+                              SCRIPTS["read_back_before_the_close"])
+    assert error is None and values[7] == A[-10:] + b"R" * 40
+    assert values[9] == A[-20:] + b"R" * 30
+    values, error = run_local(str(tmp_path / "stat"),
+                              SCRIPTS["stat_before_the_close"])
+    assert error is None
+    assert _shown(values[5]) == ("att", len(A) + 100, "plain")
     for name, failing_step in [("unlinked_then_read", 4),
                                ("a_directory_read_through_a_local_"
                                 "descriptor", 5),
@@ -510,7 +612,15 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
                                ("negative_seek_set", 4),
                                ("a_missing_name_fails_at_the_open", 1),
                                ("unlinked_in_the_session_transaction_"
-                                "then_opened", 3)]:
+                                "then_opened", 3),
+                               ("renamed_in_the_transaction_then_opened_"
+                                "for_writing", 3),
+                               ("unlinked_in_the_transaction_then_opened_"
+                                "for_writing", 7),
+                               ("a_missing_name_opened_for_writing", 2),
+                               ("unlinked_by_another_session_between_the_"
+                                "open_and_the_write", 4),
+                               ("a_directory_opened_for_writing", 4)]:
         values, error = run_local(str(tmp_path / name), SCRIPTS[name])
         assert error is not None and len(values) == failing_step, name
 
@@ -665,4 +775,62 @@ def test_scheduled_miss_after_a_commit_brings_the_att(tmp_path):
         assert stats.misses == {"att": 1, "chunk": 1}
     finally:
         sched.close()
+        fs.db.close()
+
+
+def _write_unit(first: int, tag: bytes) -> Txn:
+    """A write unit on ``/a`` whose open is the session's call
+    ``first``: open ``O_RDWR``, ``SEEK_SET`` to the second chunk, write
+    100 bytes, close, in one transaction."""
+    return Txn([Call("p_open", "/a", O_RDWR),
+                Call("p_lseek", Ref(first), *off(CHUNK_SIZE), SEEK_SET),
+                Call("p_write", Ref(first), tag * 100),
+                Call("p_close", Ref(first))])
+
+
+def test_scheduled_warm_write_unit_sends_begin_pwrite_commit(tmp_path):
+    """A cold name sends the real open, seek, write and close; the
+    reply leases the name, so the next unit sends p_begin, p_pwrite
+    and p_commit."""
+    fs = _mount(str(tmp_path / "db"))
+    factory = session_cache_factory()
+    sched = MultiUserScheduler(InversionServer(fs), seed=0,
+                               cache_factory=factory)
+    try:
+        sched.add_session([_write_unit(0, b"1"), _write_unit(4, b"2")])
+        d0 = _dispatches(fs) if "rpc.dispatches" in fs.db.obs.metrics else {}
+        sched.run(strict=True)
+        assert _delta(d0, _dispatches(fs)) == {
+            "p_begin": 2, "p_open": 1, "p_lseek": 1, "p_write": 1,
+            "p_close": 1, "p_pwrite": 1, "p_commit": 2}
+        assert (factory.stats.hits["open"], factory.stats.hits["seek"]) \
+            == (1, 1)
+        assert fs.read_file("/a") == (A[:CHUNK_SIZE] + b"2" * 100
+                                      + A[CHUNK_SIZE + 100:])
+    finally:
+        sched.close()
+        fs.db.close()
+
+
+def test_cached_client_warm_write_unit_sends_begin_pwrite_commit(tmp_path):
+    fs = _mount(str(tmp_path / "db"))
+    network = NetworkModel(clock=fs.db.clock, params=ETHERNET_10MBIT)
+    client = RemoteInversionClient(
+        InversionServer(fs), network,
+        cache_factory=session_cache_factory(64, 32))
+    try:
+        client.p_stat("/a")
+        d0 = _dispatches(fs)
+        client.p_begin()
+        fd = client.p_open("/a", O_RDWR)
+        assert client.p_lseek(fd, *off(CHUNK_SIZE), SEEK_SET) == CHUNK_SIZE
+        assert client.p_write(fd, b"2" * 100) == 100
+        client.p_close(fd)
+        client.p_commit()
+        assert _delta(d0, _dispatches(fs)) == {
+            "p_begin": 1, "p_pwrite": 1, "p_commit": 1}
+        assert fs.read_file("/a") == (A[:CHUNK_SIZE] + b"2" * 100
+                                      + A[CHUNK_SIZE + 100:])
+    finally:
+        client.close()
         fs.db.close()

@@ -167,3 +167,48 @@ def test_handles_rebind_after_commit(client):
     client.p_lseek(fd, 0, 0)
     assert client.p_read(fd, 20) == b"first-more"
     client.p_close(fd)
+
+
+def _file_of_1000_bytes(client) -> None:
+    fd = client.p_creat("/a")
+    client.p_write(fd, bytes(range(250)) * 4)
+    client.p_close(fd)
+
+
+def test_a_transaction_reads_its_own_writes_before_their_close(client):
+    """A write through one descriptor is seen by a stat and by another
+    descriptor's read in the same transaction before its close — as it
+    is once the descriptor closed, and as a ``p_pwrite`` leaves it."""
+    _file_of_1000_bytes(client)
+    client.p_begin()
+    fd = client.p_open("/a", O_RDWR)
+    client.p_lseek(fd, 0, 1000)
+    assert client.p_write(fd, b"w" * 100) == 100
+    assert client.p_stat("/a").size == 1100
+    reader = client.p_open("/a", O_RDONLY)
+    client.p_lseek(reader, 0, 990)
+    assert client.p_read(reader, 50) == bytes(range(240, 250)) + b"w" * 40
+    assert client.p_pread("/a", 1090, 50) == b"w" * 10
+    client.p_close(fd)
+    assert client.p_stat("/a").size == 1100
+    client.p_close(reader)
+    client.p_commit()
+    assert client.p_stat("/a").size == 1100
+
+
+def test_p_pwrite_is_a_descriptor_write_and_its_close(client, fs):
+    """Inside a transaction it is seen at once and undone by an abort;
+    outside one it commits bytes and size in one transaction, leaving
+    no size pending."""
+    _file_of_1000_bytes(client)
+    client.p_begin()
+    assert client.p_pwrite("/a", 1000, b"t" * 20) == 20
+    assert client.p_stat("/a").size == 1020
+    assert client.p_pread("/a", 990, 40) == bytes(range(240, 250)) + b"t" * 20
+    client.p_abort()
+    assert client.p_stat("/a").size == 1000
+    commits = fs.db.tm.stats.commits_recorded
+    assert client.p_pwrite("/a", 1010, b"u" * 10) == 10
+    assert fs.db.tm.stats.commits_recorded == commits + 1
+    assert fs.stat("/a").size == 1020
+    assert fs.read_file("/a")[1000:] == bytes(10) + b"u" * 10

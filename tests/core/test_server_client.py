@@ -152,3 +152,14 @@ def test_bad_arity_rejected_before_dispatch(fs):
     server.dispatch(session, "p_close", fd)
     server.dispatch(session, "p_commit")
     assert fs.read_file("/valid") == b"ok"
+
+
+def test_a_stat_reply_counts_the_att_by_its_row(remote):
+    """The reply carries the row: five numbers, the owner, the type."""
+    _fs, client, net = remote
+    client.p_close(client.p_creat("/s"))
+    sent = net.stats.bytes_sent
+    client.p_stat("/s")
+    request = 64 + len("/s") + 8
+    reply = 32 + 5 * 8 + len("root") + len("plain")
+    assert net.stats.bytes_sent - sent == request + reply

@@ -19,6 +19,7 @@ from repro.core.server import InversionServer
 from repro.db.database import Database
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
+from repro.testkit import open_stack
 
 
 def make_remote(fs, clock, **kwargs):
@@ -233,3 +234,30 @@ def test_two_descriptors_of_one_file_write_in_program_order(fs, clock):
     client.p_close(second)
     assert fs.read_file("/two") == b"b" * 10 + b"c" * 10 + b"x" * 20
     client.close()
+
+
+def test_a_created_file_s_writes_ride_its_close_in_a_transaction(tmp_path):
+    """A ``p_creat`` descriptor names a plain file, so on the ``batched``
+    stack its gathered writes and its close ride the next request, as
+    an ``O_RDWR`` reopen's do: two exchanges in all."""
+    stack = open_stack("batched", str(tmp_path / "s"))
+    client = stack.client
+    trace, round_trip = [], client._round_trip
+
+    def spy(method, arg_bytes, serve):
+        trace.append((method, [rider for rider, _ in client._link.riders]))
+        return round_trip(method, arg_bytes, serve)
+
+    client._round_trip = spy
+    try:
+        client.p_begin()
+        fd = client.p_creat("/new")
+        assert client.p_write(fd, b"n" * 100) == 100
+        assert client.p_write(fd, b"m" * 100) == 100
+        client.p_close(fd)
+        client.p_commit()
+        assert trace == [("p_creat", ["p_begin"]),
+                         ("p_commit", ["p_write", "p_close"])]
+        assert stack.ground_truth()["/new"] == b"n" * 100 + b"m" * 100
+    finally:
+        stack.close()

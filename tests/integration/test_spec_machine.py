@@ -45,6 +45,7 @@ ANYWHERE = st.tuples(TOP, st.lists(NAMES, max_size=2)).map(
 OPS = {
     "p_mkdir": lambda m, d: ("mkdir", m.new(d)),
     "p_write": lambda m, d: m.write(d),
+    "p_pwrite": lambda m, d: m.pwrite(d),
     "p_unlink": lambda m, d: ("unlink", m.old(d)),
     "p_rmdir": lambda m, d: ("rmdir", m.old(d, files=False)),
     "p_rename": lambda m, d: m.rename(d),
@@ -108,6 +109,12 @@ class SpecMachine(RuleBasedStateMachine):
         path = self.old(data) if data.draw(st.booleans()) else self.new(data)
         return ("write", path, payload(data.draw(st.integers(0, 7)), path,
                                        data.draw(SIZES)))
+
+    def pwrite(self, data) -> tuple:
+        path = self.old(data)
+        return ("pwrite", path, data.draw(st.sampled_from(
+            [0, 100, CHUNK_SIZE, 2 * CHUNK_SIZE + 50])), payload(
+                data.draw(st.integers(0, 7)), path, data.draw(SIZES)))
 
     def rename(self, data) -> tuple:
         old = self.old(data, files=None)

@@ -58,8 +58,9 @@ def enlisted(client) -> list[int]:
             if client.xid_on(k) is not None]
 
 
-#: every script opens ``/a/f`` read-only at step 1, after a stat that
-#: caches its name (so a leased session opens it locally).
+#: every read-only script opens ``/a/f`` at step 1, after a stat that
+#: caches its name (so a leased session opens it locally); the
+#: write-mode scripts, last, open inside a cluster transaction.
 SCRIPTS = {
     "opened_outside_read_inside_a_transaction_on_the_other_shard": [
         ("p_stat", "/a/f"), ("p_open", "/a/f", O_RDONLY),
@@ -124,6 +125,44 @@ SCRIPTS = {
         ("p_read", FD(1), 10),
         ("p_lseek", FD(1), *off(-5), SEEK_SET),
         ("p_read", FD(1), 1)],
+    # Write-mode opens inside a cluster transaction.
+    "written_on_both_shards": [
+        ("p_stat", "/a/f"), ("p_stat", "/b/h"), ("p_begin",),
+        ("p_open", "/a/f", O_RDWR),
+        ("p_lseek", FD(3), *off(CHUNK_SIZE + 10), SEEK_SET),
+        ("p_write", FD(3), b"W" * 100),
+        ("p_close", FD(3)),
+        ("p_open", "/b/h", O_RDWR),
+        ("p_write", FD(7), b"V" * 100),
+        ("p_write", FD(7), b"U" * 100),
+        ("p_close", FD(7)),
+        ("enlisted",),
+        ("p_commit",),
+        ("p_open", "/a/f", O_RDONLY),
+        ("p_lseek", FD(13), *off(CHUNK_SIZE), SEEK_SET),
+        ("p_read", FD(13), 120),
+        ("p_close", FD(13)),
+        ("p_stat", "/b/h")],
+    "read_back_before_the_close": [
+        ("p_stat", "/a/f"), ("p_begin",),
+        ("p_open", "/a/f", O_RDWR),
+        ("p_lseek", FD(2), *off(len(A)), SEEK_SET),
+        ("p_write", FD(2), b"R" * 100),
+        ("p_stat", "/a/f"),
+        ("p_open", "/a/f", O_RDONLY),
+        ("p_lseek", FD(6), *off(len(A) - 10), SEEK_SET),
+        ("p_read", FD(6), 50),
+        ("p_close", FD(2)), ("p_close", FD(6)),
+        ("p_commit",)],
+    "renamed_in_the_transaction_then_opened_for_writing": [
+        ("p_stat", "/a/f"), ("p_begin",),
+        ("p_rename", "/a/f", "/a/gone"),
+        ("p_open", "/a/f", O_RDWR)],
+    "unlinked_by_another_session_between_the_open_and_the_write": [
+        ("p_stat", "/a/f"), ("p_begin",),
+        ("p_open", "/a/f", O_RDWR),
+        ("other", lambda other: other.p_unlink("/a/f")),
+        ("p_write", FD(2), b"x" * 10)],
 }
 
 
@@ -183,7 +222,7 @@ def run_leased(workdir: str, script):
 def run_scheduled(workdir: str, script):
     """One scheduler session: the script's calls are its program, each
     ``other`` step a ClientOp run by the other client, and ``p_begin``
-    … ``p_commit`` a Txn."""
+    … ``p_commit`` (or the script's end) a Txn."""
     cluster = _cluster(workdir)
     other = cluster.client()
     program, ordinals, block = [], {}, None
@@ -205,6 +244,8 @@ def run_scheduled(workdir: str, script):
                                    for a in step[1:]])
         ordinals[i] = len(ordinals)
         (block if block is not None else program).append(item)
+    if block is not None:
+        program.append(Txn(block))
     sched = ShardedScheduler(cluster, seed=0)
     error = None
     try:
@@ -255,7 +296,8 @@ def test_a_leased_sharded_descriptor_answers_as_an_unleased_one(
 def test_the_scripts_reach_what_they_are_named_for(tmp_path):
     """The reference run shows each hazard: a reader of a replaced name
     sees the new file's bytes, a seek inside a transaction enlists its
-    shard, and the error cases fail where named."""
+    shard, a write is seen before its descriptor's close, and the error
+    cases fail where named."""
     values, error = run_uncached(
         str(tmp_path / "tx"),
         SCRIPTS["opened_outside_read_inside_a_transaction_on_the_other_shard"])
@@ -271,10 +313,23 @@ def test_the_scripts_reach_what_they_are_named_for(tmp_path):
         str(tmp_path / "before"),
         SCRIPTS["renamed_away_and_replaced_before_the_first_read"])
     assert error is None and values[3] == B[:50] and values[6] == A[:50]
+    values, error = run_uncached(str(tmp_path / "both"),
+                                 SCRIPTS["written_on_both_shards"])
+    assert error is None and values[11] == [0, 1]
+    assert values[15] == (A[CHUNK_SIZE:CHUNK_SIZE + 10] + b"W" * 100
+                          + A[CHUNK_SIZE + 110:CHUNK_SIZE + 120])
+    values, error = run_uncached(str(tmp_path / "back"),
+                                 SCRIPTS["read_back_before_the_close"])
+    assert error is None and values[5].size == len(A) + 100
+    assert values[8] == A[-10:] + b"R" * 40
     for name, failing_step in [("renamed_to_the_other_shard", 4),
                                ("unlinked_then_read", 4),
                                ("written_through_a_read_only_descriptor", 3),
-                               ("negative_seek_set", 4)]:
+                               ("negative_seek_set", 4),
+                               ("renamed_in_the_transaction_then_opened_"
+                                "for_writing", 3),
+                               ("unlinked_by_another_session_between_the_"
+                                "open_and_the_write", 4)]:
         values, error = run_uncached(str(tmp_path / name), SCRIPTS[name])
         assert error is not None and len(values) == failing_step, name
 
@@ -379,4 +434,55 @@ def test_a_miss_after_a_commit_brings_the_att_on_a_sharded_session(
         assert (hits[("att",)], hits[("chunk",)]) == (2, 1)
     finally:
         sched.close()
+        cluster.close()
+
+
+def _write_unit(path: str, first: int, tag: bytes) -> list:
+    """Open ``path`` ``O_RDWR`` (the session's call ``first``), write
+    100 bytes at the second chunk, close."""
+    return [Call("p_open", path, O_RDWR),
+            Call("p_lseek", Ref(first), *off(CHUNK_SIZE), SEEK_SET),
+            Call("p_write", Ref(first), tag * 100),
+            Call("p_close", Ref(first))]
+
+
+def test_a_warm_write_unit_sends_begin_pwrite_commit_to_its_shard(tmp_path):
+    """A cold name's unit sends its shard the real open, seek, write and
+    close; the reply leases the name, so the next unit sends p_begin,
+    p_pwrite and p_commit.  A two-shard write of leased names sends
+    each shard p_begin and p_pwrite, then the 2PC's prepare and
+    resolve."""
+    cluster = _cluster(str(tmp_path / "c"))
+    program = [Txn(_write_unit("/a/f", 0, b"1")),
+               Txn(_write_unit("/a/f", 4, b"2")),
+               Call("p_stat", "/b/h"),
+               Txn(_write_unit("/a/f", 9, b"3")
+                   + _write_unit("/b/h", 13, b"4"))]
+    before = [_dispatches(db) for db in cluster.dbs]
+    sched = ShardedScheduler(cluster, seed=0)
+    try:
+        sched.add_session(program, home=0)
+        sched.run(strict=True)
+        sent = [{verb: n - was.get(verb, 0)
+                 for verb, n in _dispatches(db).items()
+                 if n != was.get(verb, 0)}
+                for db, was in zip(cluster.dbs, before)]
+        assert sent == [
+            {"p_begin": 3, "p_open": 1, "p_lseek": 1, "p_write": 1,
+             "p_close": 1, "p_pwrite": 2, "p_commit": 2, "p_prepare": 1,
+             "p_resolve": 1},
+            {"p_stat": 1, "p_begin": 1, "p_pwrite": 1, "p_prepare": 1,
+             "p_resolve": 1}]
+        assert cluster.stats.cross_shard_txns == 1
+    finally:
+        sched.close()
+    check = cluster.client()
+    try:
+        for path, data, tag in [("/a/f", A, b"3"), ("/b/h", H, b"4")]:
+            fd = check.p_open(path, O_RDONLY)
+            assert check.p_read(fd, len(data)) == (
+                data[:CHUNK_SIZE] + tag * 100 + data[CHUNK_SIZE + 100:])
+            check.p_close(fd)
+    finally:
+        check.close()
         cluster.close()

@@ -80,8 +80,10 @@ def _run(sched) -> tuple[list[tuple], list[bytes]]:
         reads = [session.values[16] for session in sched.sessions]
     assert all(row["state"] == "done" for row in report["sessions"])
     assert report["lock_parks"] > 0, "the programs never contended"
-    # every read unit's open was answered by its session's link.
-    assert sched.cache_factory.stats.hits["open"] == SESSIONS
+    # every read unit's open was answered by its session's link, and so
+    # were the second transaction's two write-mode opens (names leased
+    # by the first's).
+    assert sched.cache_factory.stats.hits["open"] == 3 * SESSIONS
     # (kind, session, detail) whatever the deployment's time stamp.
     return [event[-3:] for event in sched.trace], reads
 

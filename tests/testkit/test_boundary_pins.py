@@ -40,10 +40,14 @@ SINGLE_SERVER = {
     "concurrent": (concurrent_workload, 68),
 }
 #: ``commit`` through each single-server client stack: the client
-#: changes how the requests travel, not what the server's transactions
-#: write, so each id forces ``local``'s pages.
-CLIENT_STACKS = {"remote": 51, "cached": 51, "batched": 51,
-                 "cached_batched": 51}
+#: changes how the requests travel, not what the server's committed
+#: transactions write, so ``remote`` and ``cached`` force ``local``'s
+#: pages.  A batching client's writes to the file a transaction just
+#: created ride that file's close; in the aborted step the abort drops
+#: them with it, so the server never writes ``/never``'s chunk pages
+#: or builds its chunkno index: 6 writes fewer.
+CLIENT_STACKS = {"remote": 51, "cached": 51, "batched": 45,
+                 "cached_batched": 45}
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
