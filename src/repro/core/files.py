@@ -154,6 +154,14 @@ class FileHandle:
         if self._pos + len(data) > MAX_FILE_SIZE:
             raise FileTooLargeError(
                 f"write would exceed the {MAX_FILE_SIZE}-byte limit")
+        if not data and self._pos > self._size:
+            # No bytes past the end still grow the file to the position,
+            # and a file ends in a chunk, never a hole: write the zeros
+            # that fall in the final chunk.
+            end = self._pos
+            self._pos = max(self._size, (end - 1) // CHUNK_SIZE * CHUNK_SIZE)
+            self.write(bytes(end - self._pos))
+            return 0
         view = memoryview(data)
         # Only the first and last chunks of the span can be partial
         # (middle chunks are fully overwritten).  Resolve their existing

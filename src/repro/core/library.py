@@ -43,6 +43,9 @@ class _Descriptor:
     #: forces only the chunk page, the B-tree leaf, and the status
     #: record, matching the paper's measured per-write cost).
     pending_size: int | None = None
+    #: the session's write count when ``handle`` was opened or last
+    #: took the file's size (see :meth:`InversionClient._adopt_growth`).
+    writes_seen: int = 0
 
 
 @dataclass
@@ -60,6 +63,10 @@ class InversionClient:
     #: the fileatt row the last ``p_pread`` read under (its snapshot's),
     #: or None if it failed.
     pread_att: object = None
+    #: writes made in transactions, counted, and per fileid the count
+    #: and the handle of the open transaction's latest write to it.
+    _writes: int = 0
+    _last_write: dict = field(default_factory=dict)
 
     # -- transactions (p_begin / p_commit / p_abort) -----------------------
 
@@ -69,6 +76,7 @@ class InversionClient:
                 "only one transaction may be active at any time")
         self._tx = self.fs.begin()
         self.last_xid = self._tx.xid
+        self._last_write = {}
 
     def p_commit(self) -> None:
         if self._tx is None:
@@ -148,13 +156,16 @@ class InversionClient:
         return self._on_handle(self._desc(fd), op)
 
     def _on_handle(self, desc: _Descriptor, op, reads: bool = False,
-                   defer_att: bool = True):
+                   defer_att: bool = True, writes: bool = False):
         """:meth:`_with_handle`'s body: a descriptor is its path, reopened
         by name — in the open transaction once, or in each auto-commit.
         ``reads``: ``op`` reads, so inside a transaction the session's
         other written handles of the file are flushed first
-        (:meth:`_publish_writes`).  ``defer_att=False``: an auto-commit
-        write updates the file's size itself, leaving none pending."""
+        (:meth:`_publish_writes`) and the handle takes the size they
+        grew it to (:meth:`_adopt_growth`).  ``writes``: ``op`` writes,
+        which such a read then knows of.  ``defer_att=False``: an
+        auto-commit write updates the file's size itself, leaving none
+        pending."""
         if self._tx is not None:
             if reads and desc.timestamp is None:
                 self._publish_writes(desc.path, desc.handle)
@@ -162,15 +173,21 @@ class InversionClient:
                 desc.handle = self.fs.open(
                     desc.path, desc.mode & ~O_CREAT, tx=self._tx,
                     timestamp=desc.timestamp)
+                desc.writes_seen = self._writes
                 if desc.pending_size is not None:
                     # Un-reconciled auto-commit writes: the descriptor
                     # knows the real size even though fileatt lags.
                     desc.handle._size = max(desc.handle._size,
                                             desc.pending_size)
                 desc.handle.seek(desc.pos, SEEK_SET)
+            elif reads and desc.timestamp is None:
+                self._adopt_growth(desc)
             handle = desc.handle
             result = op(handle)
             desc.pos = handle.tell()
+            if writes:
+                self._writes += 1
+                self._last_write[handle.fileid] = (self._writes, handle)
             if desc.pending_size is not None and handle._wrote:
                 # The transactional flush will reconcile fileatt; the
                 # pending marker can only shrink the truth, so keep the
@@ -216,6 +233,20 @@ class InversionClient:
         for handle in written:
             if handle.fileid == fileid:
                 handle.flush()
+
+    def _adopt_growth(self, desc: _Descriptor) -> None:
+        """Before a read through ``desc``'s open handle: if the session
+        wrote the file through another handle (or a ``p_pwrite``) since
+        this one opened, take the size the transaction sees — what a
+        fresh descriptor would open with.  No other read pays for it."""
+        handle = desc.handle
+        last = self._last_write.get(handle.fileid)
+        if last is None or last[1] is handle or last[0] <= desc.writes_seen:
+            return
+        desc.writes_seen = last[0]
+        att = self.fs.fileatt.get(handle.fileid, self.fs.db.snapshot(self._tx),
+                                  self._tx)
+        handle._size = max(handle._size, att.size)
 
     def _reconcile_att(self, desc: _Descriptor) -> None:
         """Apply a pending size/mtime update left by auto-commit
@@ -267,7 +298,8 @@ class InversionClient:
                                reads=True)
 
     def p_write(self, fd: int, buf: bytes) -> int:
-        return self._with_handle(fd, lambda h: h.write(buf))
+        return self._on_handle(self._desc(fd), lambda h: h.write(buf),
+                               writes=True)
 
     def p_pread(self, path: str, offset: int, length: int) -> bytes:
         """Read ``length`` bytes of ``path`` at ``offset`` with no
@@ -297,7 +329,7 @@ class InversionClient:
         desc = _Descriptor(None, path, O_RDWR, offset)
         try:
             return self._on_handle(desc, lambda handle: handle.write(data),
-                                   defer_att=False)
+                                   defer_att=False, writes=True)
         finally:
             if desc.handle is not None:
                 desc.handle.close()

@@ -123,6 +123,7 @@ class Database:
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
         db.tm.sweep = db.buffers.flush_all
+        db.tm.drives = db.drives
         db.catalog = Catalog(db.switch, db.buffers, "magnetic0", cpu=db.cpu)
         db.obs.bind_database(db)
         tx = db.begin()
@@ -164,6 +165,7 @@ class Database:
                                    group_commit_window=group_commit_window)
         db.tm.obs = db.obs
         db.tm.sweep = db.buffers.flush_all
+        db.tm.drives = db.drives
         db.catalog = Catalog(db.switch, db.buffers, config["root"], cpu=db.cpu)
         db.obs.bind_database(db)
         # Resume simulated time beyond all recorded history, so that
@@ -491,11 +493,21 @@ class Database:
         self.buffers.invalidate_all(write_dirty=True)
         if self.tm is not None:
             self.tm.flush_commits()
-        for dev in self.switch:
-            disk = getattr(dev, "disk", None)
-            if disk is not None:
-                disk.reset_head()
+        for disk in self.drives():
+            disk.reset_head()
         self.catalog.invalidate_cache()
+
+    def drives(self) -> list:
+        """The simulated drives under this database's devices: each
+        magnetic device's :class:`~repro.sim.disk.DiskModel` (MemDisk,
+        jukebox and tape charge through none)."""
+        return [dev.disk for dev in self.switch if hasattr(dev, "disk")]
+
+    def ready_at(self) -> float:
+        """When this database can next work: now, or later while a drive
+        is still writing what was queued behind the clock."""
+        return max([self.clock.now()]
+                   + [disk.busy_until for disk in self.drives()])
 
     def simulate_crash(self) -> None:
         """Power-failure model: volatile caches vanish, media survive.

@@ -31,6 +31,7 @@ from repro.errors import RecoveryError, TransactionError
 from repro.obs.registry import HistogramValue, MetricSpec
 from repro.obs.tracing import NO_SPAN
 from repro.sim.clock import SimClock
+from repro.sim.disk import drain, queued
 
 METRICS = (
     MetricSpec("txn.status_forces", "counter", "ops",
@@ -210,7 +211,10 @@ class TransactionManager:
     :meth:`commit` (the paper's protocol); otherwise once the window
     has elapsed (checked at the next begin/commit), on
     :meth:`flush_commits`, and before any ``P`` or ``C`` forced outside
-    the queue, never for an ``A``.  A crash loses the open group."""
+    the queue, never for an ``A``.  A crash loses the open group.  A
+    close nobody waits for — a window-expired group, a resolved ``C`` —
+    is written by the drives behind the clock; everything else, and
+    :meth:`flush_commits`, waits for them."""
 
     def __init__(self, device: DeviceManager, clock: SimClock,
                  group_commit_window: float = 0.0) -> None:
@@ -236,6 +240,10 @@ class TransactionManager:
         #: the commit sweep, ``fn() -> pages written``: the database
         #: binds ``BufferCache.flush_all``.
         self.sweep: Callable[[], int] | None = None
+        #: ``fn() -> DiskModels`` the sweep and the force charge: the
+        #: database binds :meth:`~repro.db.database.Database.drives`.
+        #: A close nobody waits for runs behind the clock on them.
+        self.drives: Callable[[], list] = list
         #: highest committed xid whose C record is durable on the status
         #: file — the horizon replication lag is measured against (a
         #: queued group-commit record is visible but not yet durable, so
@@ -461,15 +469,22 @@ class TransactionManager:
         return len(pending)
 
     def _maybe_close_group(self) -> None:
+        """Close a group whose window has expired.  Its committers
+        returned at pre-commit, so the drives write it behind the clock
+        (:func:`repro.sim.disk.queued`)."""
         if (self._batch_deadline is not None
                 and self._clock.now() >= self._batch_deadline):
-            self._close_group()
+            with queued(self.drives()):
+                self._close_group()
 
     def flush_commits(self) -> int:
         """Close the open group now (close and checkpoint call this;
-        benchmarks call it to end a batch).  Returns the number of
-        commit records forced."""
-        return self._close_group()
+        benchmarks call it to end a batch) and wait until every queued
+        write is on the medium.  Returns the number of commit records
+        forced."""
+        forced = self._close_group()
+        drain(self.drives())
+        return forced
 
     def pending_commit_xids(self) -> list[int]:
         """xids committed in memory whose status records are still
@@ -556,11 +571,14 @@ class TransactionManager:
         commit record bypasses the group-commit queue (closing the open
         group first) — the decision is already durable on the
         coordinator, so delaying the local record would only widen the
-        in-doubt window."""
+        in-doubt window.  Nobody waits for a commit's record, though
+        (the decision it carries is durable already): the drives write
+        it behind the clock."""
         if tx.state != PREPARED:
             raise TransactionError(
                 f"transaction {tx.xid} is {tx.state}, not prepared")
-        self._decide(tx, commit)
+        with queued(self.drives() if commit else ()):
+            self._decide(tx, commit)
 
     def resolve_in_doubt(self, xid: int, commit: bool) -> None:
         """Recovery-time resolution of an in-doubt transaction (one

@@ -588,7 +588,9 @@ class MultiUserScheduler:
         runnable for longer than ``fairness_bound`` simulated seconds
         (on its home clock) preempts the lottery, oldest wait first.
         Otherwise the lottery runs among the ready sessions homed on
-        the database whose clock is furthest behind — the laggiest
+        the database furthest behind, by when it can next work (its
+        clock, or later while its drives write a queued flush:
+        :meth:`~repro.db.database.Database.ready_at`) — the laggiest
         timeline runs next, which keeps the databases advancing
         together; with one database that is every ready session.
 
@@ -610,7 +612,7 @@ class MultiUserScheduler:
         now = [db.clock.now() for db in self.dbs]
         overdue = [s for s in ready
                    if now[s.home] - s.ready_since >= self.fairness_bound]
-        chosen = self._choose(ready, overdue, now)
+        chosen = self._choose(ready, overdue)
         for s in overdue:
             if s is not chosen:
                 s.passed_over += 1
@@ -618,13 +620,13 @@ class MultiUserScheduler:
                     s.max_passed_over = s.passed_over
         return chosen
 
-    def _choose(self, ready: list[Session], overdue: list[Session],
-                now: list[float]) -> Session:
+    def _choose(self, ready: list[Session],
+                overdue: list[Session]) -> Session:
         if overdue:
             return min(overdue, key=lambda s: (s.ready_since, s.sid))
         homes = {s.home for s in ready}
         if len(homes) > 1:
-            behind = min(homes, key=lambda i: (now[i], i))
+            behind = min(homes, key=lambda i: (self.dbs[i].ready_at(), i))
             ready = [s for s in ready if s.home == behind]
         ordered = sorted(ready, key=lambda s: s.sid)
         if self.cluster_commits:

@@ -16,7 +16,9 @@ on the paper's DECsystem 5900): ~12.9 ms average seek, 5400 rpm
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.obs.registry import MetricSpec
 from repro.sim.clock import SimClock
@@ -47,6 +49,11 @@ METRICS = (
     MetricSpec("disk.busy_seconds", "counter", "seconds",
                "Simulated seconds the drive spent positioning and "
                "transferring.",
+               "repro.sim.disk", ("device",)),
+    MetricSpec("disk.queued_seconds", "counter", "seconds",
+               "Of disk.busy_seconds, those charged behind the clock: "
+               "writes issued in a queued section, which the drive "
+               "finishes while the caller goes on computing.",
                "repro.sim.disk", ("device",)),
 )
 
@@ -105,6 +112,7 @@ class DiskStats:
     bytes_read: int = 0
     bytes_written: int = 0
     busy_seconds: float = 0.0
+    queued_seconds: float = 0.0
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(**vars(self))
@@ -120,12 +128,23 @@ class DiskModel:
     distance-dependent seek plus rotational latency.  The seek curve is
     the standard ``a + b*sqrt(distance)`` approximation fit through the
     (min, avg, max) points of the geometry.
+
+    A charge made inside a *queued section* (:func:`queued`) is computed
+    the same way, head position and counters included, but the drive
+    does it behind the clock: its cost is added after
+    ``max(busy_until, now)`` and no clock moves.  Every other charge, and
+    :func:`drain`, first advances the clock to :attr:`busy_until` — the
+    caller waits for the drive to finish what it was handed.
     """
 
     clock: SimClock
     geometry: DiskGeometry = RZ58
     stats: DiskStats = field(default_factory=DiskStats)
+    #: when the drive finishes its queued writes, on ``clock``; at or
+    #: before ``clock.now()`` once it is idle.
+    busy_until: float = 0.0
     _head_block: int = field(default=-(10 ** 9), repr=False)
+    _queued: bool = field(default=False, repr=False)
 
     def _seek_time(self, from_cyl: int, to_cyl: int) -> float:
         distance = abs(to_cyl - from_cyl)
@@ -160,9 +179,25 @@ class DiskModel:
             cost = seek + g.avg_rotational_delay_s + transfer
         nblocks = max(1, (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE)
         self._head_block = block + nblocks - 1
+        return self._spend(cost)
+
+    def _spend(self, cost: float) -> float:
+        """Book ``cost`` drive seconds: behind the clock inside a queued
+        section, else after waiting for the queue to empty."""
         self.stats.busy_seconds += cost
-        self.clock.advance(cost)
+        if self._queued:
+            self.busy_until = max(self.busy_until, self.clock.now()) + cost
+            self.stats.queued_seconds += cost
+        else:
+            self._drain()
+            self.clock.advance(cost)
         return cost
+
+    def _drain(self) -> None:
+        """Advance the clock to :attr:`busy_until`, when the writes
+        queued behind it are on the medium."""
+        if self.busy_until > self.clock.now():
+            self.clock.advance(self.busy_until - self.clock.now())
 
     def read_block(self, block: int, nbytes: int = BLOCK_SIZE) -> float:
         """Charge for one read of ``nbytes`` starting at ``block``: a
@@ -184,11 +219,33 @@ class DiskModel:
     def flush(self) -> float:
         """Charge for a synchronous cache flush barrier (controller
         settle time).  Small but non-zero; commits pay it."""
-        cost = self.geometry.rotation_s / 4.0
-        self.stats.busy_seconds += cost
-        self.clock.advance(cost)
-        return cost
+        return self._spend(self.geometry.rotation_s / 4.0)
 
     def reset_head(self) -> None:
         """Forget head position (e.g. after the OS reuses the drive)."""
         self._head_block = -(10 ** 9)
+
+
+def drain(drives: Iterable[DiskModel]) -> None:
+    """Wait until every one of ``drives`` has written what was queued
+    behind the clock: advance the clock to the latest ``busy_until``."""
+    for drive in drives:
+        drive._drain()
+
+
+@contextmanager
+def queued(drives: Iterable[DiskModel]) -> Iterator[None]:
+    """A queued section over ``drives``: they are drained first, so at
+    most one section's writes are in flight, then every charge to them
+    until the section ends runs behind the clock.  For writes nobody
+    waits for — they are issued where and in the order they always
+    were, only the clock does not stop for them."""
+    drives = list(drives)
+    drain(drives)
+    for drive in drives:
+        drive._queued = True
+    try:
+        yield
+    finally:
+        for drive in drives:
+            drive._queued = False

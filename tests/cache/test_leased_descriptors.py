@@ -333,6 +333,21 @@ SCRIPTS = {
         ("p_open", "/a", O_RDWR),
         ("other", lambda other: other.p_unlink("/a")),
         ("p_write", FD(2), BATCH)],
+    "grown_by_the_session_then_read_through_an_older_descriptor": [
+        ("p_stat", "/a"), ("p_begin",),
+        ("p_open", "/a", O_RDONLY),
+        ("p_read", FD(2), 10),
+        ("p_open", "/a", O_RDWR),
+        ("p_lseek", FD(4), *off(len(A)), SEEK_SET),
+        ("p_write", FD(4), b"g" * 100),
+        ("p_lseek", FD(2), *off(len(A) - 10), SEEK_SET),
+        ("p_read", FD(2), 50),
+        ("p_close", FD(4)),
+        ("p_lseek", FD(2), *off(len(A) + 90), SEEK_SET),
+        ("p_read", FD(2), 50),
+        ("p_close", FD(2)),
+        ("p_commit",),
+        ("p_stat", "/a")],
     "a_directory_opened_for_writing": [
         ("other", lambda other: other.p_mkdir("/d")),
         ("p_stat", "/d"), ("p_begin",),
@@ -834,3 +849,19 @@ def test_cached_client_warm_write_unit_sends_begin_pwrite_commit(tmp_path):
     finally:
         client.close()
         fs.db.close()
+
+
+@pytest.mark.parametrize("run", [run_local, run_scheduled],
+                         ids=["local", "scheduled"])
+def test_an_older_descriptor_reads_the_sessions_growth(tmp_path, run):
+    """A descriptor that read before the session grew the file in its
+    transaction reads up to the new end, before and after the writer's
+    close — on a local client, and on a leased session whose writer is
+    the link's."""
+    values, error = run(
+        str(tmp_path),
+        SCRIPTS["grown_by_the_session_then_read_through_an_older_descriptor"])
+    assert error is None
+    assert values[8] == A[-10:] + b"g" * 40
+    assert values[11] == b"g" * 10
+    assert values[-1].size == len(A) + 100

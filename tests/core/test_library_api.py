@@ -3,6 +3,7 @@ p_lseek plus p_begin/p_commit/p_abort."""
 
 import pytest
 
+from repro.core.checker import ConsistencyChecker
 from repro.core.constants import O_RDONLY, O_RDWR, SEEK_CUR, SEEK_END
 from repro.errors import BadFileDescriptorError, TransactionError
 
@@ -212,3 +213,52 @@ def test_p_pwrite_is_a_descriptor_write_and_its_close(client, fs):
     assert fs.db.tm.stats.commits_recorded == commits + 1
     assert fs.stat("/a").size == 1020
     assert fs.read_file("/a")[1000:] == bytes(10) + b"u" * 10
+
+
+@pytest.mark.parametrize("grow", ["descriptor", "p_pwrite"])
+def test_an_older_descriptor_reads_its_transactions_growth(client, grow):
+    """A descriptor that read before the session grew the file in the
+    same transaction — through another descriptor or a ``p_pwrite`` —
+    reads up to the new end, as a fresh descriptor does, before and
+    after the writer's close."""
+    _file_of_1000_bytes(client)
+    client.p_begin()
+    old = client.p_open("/a", O_RDONLY)
+    assert client.p_read(old, 10) == bytes(range(10))
+    if grow == "descriptor":
+        writer = client.p_open("/a", O_RDWR)
+        client.p_lseek(writer, 0, 1000)
+        assert client.p_write(writer, b"w" * 100) == 100
+    else:
+        assert client.p_pwrite("/a", 1000, b"w" * 100) == 100
+    want = bytes(range(240, 250)) + b"w" * 40
+    client.p_lseek(old, 0, 990)
+    assert client.p_read(old, 50) == want
+    fresh = client.p_open("/a", O_RDONLY)
+    client.p_lseek(fresh, 0, 990)
+    assert client.p_read(fresh, 50) == want
+    assert client.p_stat("/a").size == 1100
+    if grow == "descriptor":
+        client.p_close(writer)
+    client.p_lseek(old, 0, 1090)
+    assert client.p_read(old, 50) == b"w" * 10
+    client.p_close(old)
+    client.p_close(fresh)
+    client.p_commit()
+
+
+@pytest.mark.parametrize("in_transaction", [False, True])
+def test_an_empty_write_past_the_end_ends_the_file_in_a_chunk(client, fs,
+                                                              in_transaction):
+    """``p_pwrite`` of no bytes at 100 grows a 0-byte file to 100 zero
+    bytes, as the bytes before it would; the file's last chunk is
+    written, so the checker finds no trailing hole."""
+    client.p_close(client.p_creat("/a"))
+    if in_transaction:
+        client.p_begin()
+    assert client.p_pwrite("/a", 100, b"") == 0
+    if in_transaction:
+        client.p_commit()
+    assert client.p_stat("/a").size == 100
+    assert fs.read_file("/a") == bytes(100)
+    assert ConsistencyChecker(fs).check_all().corruptions == []

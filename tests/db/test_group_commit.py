@@ -26,6 +26,8 @@ from repro.db.transactions import (
     TransactionManager,
 )
 from repro.db.tuples import Column, Schema
+from repro.db.page import PAGE_SIZE
+from repro.devices.magnetic import MagneticDisk
 from repro.devices.memdisk import MemDisk
 from repro.sim.clock import SimClock
 from repro.testkit.oracle import ModelFS, harvest_state
@@ -297,6 +299,113 @@ def test_records_forced_outside_the_queue_close_the_group_first(device):
         ("C", [str(prepared.xid)]),
         ("C", [str(third.xid), str(fourth.xid)]),
     ]
+
+
+# -- a close nobody waits for runs behind the clock --------------------------
+
+
+class Drive:
+    """A manager over a magnetic device whose sweep writes one page
+    after 0.125 s of CPU; its drive is the one the closes charge."""
+
+    CPU = 0.125
+
+    def __init__(self, workdir, window):
+        self.clock = SimClock()
+        self.dev = MagneticDisk("magnetic0", self.clock, str(workdir))
+        self.dev.create_relation("swept")
+        self.disk = self.dev.disk
+        self.tm = TransactionManager(self.dev, self.clock,
+                                     group_commit_window=window)
+        self.tm.sweep = self.sweep
+        self.tm.drives = lambda: [self.disk]
+
+    def sweep(self):
+        self.clock.advance(self.CPU)
+        self.dev.write_pages("swept", self.dev.extend("swept"),
+                             [bytes(PAGE_SIZE)])
+        return 1
+
+    def writer(self):
+        tx = self.tm.begin()
+        tx.wrote = True
+        return tx
+
+    def expire(self):
+        """Commit one writer and let the window run out."""
+        tx = self.writer()
+        self.tm.commit(tx)
+        self.clock.advance(self.tm.group_commit_window)
+        return tx
+
+
+def test_a_window_expired_close_returns_with_only_cpu_on_the_clock(tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    tx = d.expire()
+    before, queued_before = d.clock.now(), d.disk.stats.queued_seconds
+    d.tm.begin()                      # closes the expired group
+    assert d.clock.now() == before + Drive.CPU
+    assert d.disk.busy_until > d.clock.now()
+    assert d.disk.stats.queued_seconds > queued_before
+    # issued, though: a read of the status file finds it (after waiting)
+    assert status_lines(d.dev)[-1].split()[:2] == ["C", str(tx.xid)]
+    assert d.clock.now() >= d.disk.busy_until
+
+
+def test_the_next_queued_close_drains_the_first(tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    d.expire()
+    d.tm.begin()
+    first_done = d.disk.busy_until
+    d.expire()
+    assert d.clock.now() < first_done  # the first flush is still running
+    d.tm.begin()
+    assert d.clock.now() == pytest.approx(first_done + Drive.CPU, abs=1e-12)
+
+
+def test_flush_commits_returns_with_every_queued_write_on_the_medium(
+        tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    d.expire()
+    d.tm.begin()
+    assert d.tm.pending_commit_xids() == []
+    assert d.disk.busy_until > d.clock.now()
+    assert d.tm.flush_commits() == 0
+    assert d.clock.now() >= d.disk.busy_until
+
+
+def test_a_window_zero_commit_charges_the_clock_for_all_it_writes(tmp_path):
+    d = Drive(tmp_path, window=0.0)
+    before, busy = d.clock.now(), d.disk.stats.busy_seconds
+    d.tm.commit(d.writer())
+    assert d.disk.stats.queued_seconds == 0.0
+    assert d.clock.now() - before == pytest.approx(
+        Drive.CPU + d.disk.stats.busy_seconds - busy, abs=1e-12)
+    assert d.disk.busy_until <= d.clock.now()
+
+
+def test_prepare_returns_with_its_p_record_on_the_medium(tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    d.expire()
+    d.tm.begin()
+    prepared = d.writer()
+    queued_before = d.disk.stats.queued_seconds
+    d.tm.prepare(prepared, "g.1")
+    assert d.disk.stats.queued_seconds == queued_before
+    assert d.clock.now() >= d.disk.busy_until
+    assert status_lines(d.dev)[-1].split()[:2] == ["P", str(prepared.xid)]
+
+
+def test_a_resolved_commit_is_written_behind_the_clock(tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    prepared = d.writer()
+    d.tm.prepare(prepared, "g.1")
+    before = d.clock.now()
+    d.tm.resolve_prepared(prepared, commit=True)
+    assert d.clock.now() == before
+    assert d.disk.busy_until > d.clock.now()
+    assert d.tm.is_committed(prepared.xid)
+    assert status_lines(d.dev)[-1].split()[:2] == ["C", str(prepared.xid)]
 
 
 # -- torn multi-record appends ------------------------------------------------

@@ -17,6 +17,7 @@ from repro.db.database import Database
 from repro.errors import SchedAdmissionError, SessionFailedError
 from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
 from repro.sched.scheduler import DONE, FAILED
+from repro.shard import ShardedCluster, ShardedScheduler
 from repro.testkit.workload import payload
 
 
@@ -272,8 +273,8 @@ class TestStarvationVerdict:
 
     def test_a_pick_that_ignores_the_overdue_list_starves(self, fs):
         class Lottery(MultiUserScheduler):
-            def _choose(self, ready, overdue, now):
-                return super()._choose(ready, [], now)
+            def _choose(self, ready, overdue):
+                return super()._choose(ready, [])
 
         report = self._report(fs, Lottery)
         assert report["max_passed_over"] >= 4
@@ -446,3 +447,37 @@ class TestMetrics:
             sched.close()
         # the wait strategy is uninstalled on close
         assert fs.db.locks.wait_strategy is None
+
+
+# -- several databases: the one that can work first runs first ----------------
+
+
+def _first_home_to_run(tmp_path, drive_busy: bool) -> int:
+    """Shard 1's clock is a second ahead of shard 0's; with
+    ``drive_busy`` shard 0's drive is writing a queued flush for a
+    second past that.  Which shard's session gets the first slice?"""
+    cluster = ShardedCluster.create(str(tmp_path / "c"), 2, policy="subtree",
+                                    assignments={"a": 0, "b": 1})
+    try:
+        boot = cluster.client()
+        boot.p_mkdir("/a")
+        boot.p_mkdir("/b")
+        boot.close()
+        db0, db1 = cluster.dbs
+        db1.clock.advance(db0.clock.now() + 1.0 - db1.clock.now())
+        if drive_busy:
+            db0.drives()[0].busy_until = db1.clock.now() + 1.0
+        assert db0.clock.now() < db1.clock.now()
+        with ShardedScheduler(cluster, seed=0) as sched:
+            sched.add_session([Call("p_stat", "/a")], name="on0")
+            sched.add_session([Call("p_stat", "/b")], name="on1")
+            sched.run()
+        return next(home for _t, home, kind, *_ in sched.trace
+                    if kind == "slice")
+    finally:
+        cluster.close()
+
+
+def test_the_pick_follows_when_a_database_can_work_not_its_clock(tmp_path):
+    assert _first_home_to_run(tmp_path / "idle", drive_busy=False) == 0
+    assert _first_home_to_run(tmp_path / "busy", drive_busy=True) == 1

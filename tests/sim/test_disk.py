@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.disk import BLOCK_SIZE, RZ58, DiskGeometry, DiskModel
+from repro.sim.disk import (BLOCK_SIZE, RZ58, DiskGeometry, DiskModel, drain,
+                            queued)
 
 
 @pytest.fixture
@@ -89,3 +90,64 @@ def test_custom_geometry():
     disk = DiskModel(clock=SimClock(), geometry=slow)
     cost = disk.read_block(0)
     assert cost > 0.05  # dominated by rotation at 300 rpm
+
+
+# -- queued sections: writes the drive finishes behind the clock -------------
+
+SETTLE = RZ58.rotation_s / 4.0
+
+
+def test_a_queued_write_advances_nothing(disk):
+    """Costed as in the foreground — positioning, transfer, the flush
+    barrier, every counter — but added after ``busy_until``, with the
+    clock left where it was."""
+    disk.clock.advance(1.0)
+    with queued([disk]):
+        cost = disk.write_block(500, 2 * BLOCK_SIZE)
+        assert disk.flush() == SETTLE
+    assert cost == (disk._seek_time(0, 500 // RZ58.blocks_per_cylinder)
+                    + RZ58.avg_rotational_delay_s
+                    + 2 * BLOCK_SIZE / RZ58.transfer_rate_bps)
+    assert disk.clock.now() == 1.0
+    assert disk.busy_until == 1.0 + cost + SETTLE
+    assert disk.stats.busy_seconds == cost + SETTLE
+    assert disk.stats.queued_seconds == cost + SETTLE
+    assert (disk.stats.writes, disk.stats.seeks) == (1, 1)
+
+
+def test_the_next_foreground_read_waits_then_positions_from_the_queued_head(
+        disk):
+    with queued([disk]):
+        disk.write_block(500, 2 * BLOCK_SIZE)      # the head ends on 501
+    busy = disk.busy_until
+    disk.clock.advance(0.25 * busy)               # computing meanwhile
+    cost = disk.read_block(502)
+    assert cost == BLOCK_SIZE / RZ58.transfer_rate_bps   # sequential
+    assert disk.clock.now() == pytest.approx(busy + cost, abs=1e-15)
+    assert disk.stats.queued_seconds == busy
+
+
+def test_a_queued_charge_starts_when_the_drive_or_the_clock_is_free(disk):
+    with queued([disk]):
+        first = disk.write_block(500)
+    disk.clock.advance(10.0)                      # the drive went idle
+    with queued([disk]):
+        second = disk.write_block(501)
+    assert second == BLOCK_SIZE / RZ58.transfer_rate_bps
+    assert disk.busy_until == 10.0 + second
+    drain([disk])
+    assert disk.clock.now() == pytest.approx(10.0 + second, abs=1e-15)
+    drain([disk])                                 # idle: nothing to wait
+    assert disk.clock.now() == pytest.approx(10.0 + second, abs=1e-15)
+    assert disk.stats.queued_seconds == first + second
+
+
+def test_a_section_drains_first_so_one_flush_is_in_flight(disk):
+    with queued([disk]):
+        disk.write_block(500)
+    busy = disk.busy_until
+    with queued([disk]):
+        assert disk.clock.now() == busy
+        cost = disk.write_block(9000)
+    assert disk.busy_until == busy + cost
+

@@ -89,6 +89,13 @@ GATES = [
      "0.744 when a p_pread reply fills the att and chunk tiers and the "
      "read unit's p_stat is an att hit; 0.580 when the fetched chunk was "
      "dropped for want of an att and the p_stat was a request of its own"),
+    # A group flush nobody waits for runs behind the clock: the drive
+    # writes a window-expired group, and a decided 2PC participant's C,
+    # while the server computes.
+    ("multiuser_mix", "ledger.disk_s", "<=", 30,
+     "27.37 s when a window-expired group's sweep and force run behind "
+     "the clock, with at most one such flush in flight; 32.33 s when "
+     "every group close held the clock"),
     # Sharded sessions are leased too: a warm read unit sends nothing to
     # its shard, a miss is one p_pread, and a warm write is one p_pwrite.
     ("sharded_mix", "ledger.cpu_s", "<=", 2.4,
@@ -97,6 +104,11 @@ GATES = [
      "all shards; 2.56 s, 10 313 requests, when they were requests of "
      "their own; 3.65 s, 14 528 requests, when every session was "
      "unleased"),
+    ("sharded_mix", "ledger.sched_idle_s", "<=", 2.2,
+     "the slowest shard's clock dragged forward by sync_clocks to a 2PC "
+     "peer's (no shard idles with nothing runnable): 2.02 s when a "
+     "resolved C is written behind the clock and the pick goes to the "
+     "shard that can work first; 2.25 s when both held the clock"),
     # A replica keeps its buffer cache across sync rounds: a shipped page
     # refreshes a resident frame in place.
     ("replica_reads", "db.buffer.hit_rate", ">=", 0.98,
