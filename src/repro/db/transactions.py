@@ -43,6 +43,10 @@ METRICS = (
                "Forced xid high-water-mark writes, kept separate from "
                "commit forces.",
                "repro.db.transactions"),
+    MetricSpec("txn.hwm_floor_forces", "counter", "ops",
+               "Of txn.hwm_forces, those begin paid on its own: it found "
+               "no headroom below the durable mark (the hard floor).",
+               "repro.db.transactions"),
     MetricSpec("txn.commits_recorded", "counter", "txns",
                "C records durably appended.",
                "repro.db.transactions"),
@@ -70,6 +74,11 @@ METRICS = (
                "repro.db.transactions"),
     MetricSpec("txn.group_size", "histogram", "txns",
                "Commit records per closed group.",
+               "repro.db.transactions"),
+    MetricSpec("txn.durable_lag_seconds", "histogram", "seconds",
+               "Per commit record forced by a group close: from its "
+               "pre-commit until its group is on the medium (the last "
+               "drive's busy_until after the close, or the clock).",
                "repro.db.transactions"),
 )
 
@@ -153,6 +162,8 @@ class TxStats:
     #: forced xid high-water-mark writes, reported separately so the
     #: bench can tell hwm maintenance from commit forces.
     hwm_forces: int = 0
+    #: of those, the ones begin's hard floor paid on the allocation path.
+    hwm_floor_forces: int = 0
     #: ``C`` records durably appended.
     commits_recorded: int = 0
     #: ``A`` records durably appended.
@@ -167,6 +178,9 @@ class TxStats:
     group_closes: int = 0
     group_sweep_pages: int = 0
     group_size: HistogramValue = field(default_factory=HistogramValue)
+    #: per closed commit record, pre-commit until its group is durable.
+    durable_lag_seconds: HistogramValue = field(
+        default_factory=HistogramValue)
 
     def commits_per_force(self) -> float:
         """Average commit records per forced status append — 1.0 is the
@@ -214,7 +228,9 @@ class TransactionManager:
     the queue, never for an ``A``.  A crash loses the open group.  A
     close nobody waits for — a window-expired group, a resolved ``C`` —
     is written by the drives behind the clock; everything else, and
-    :meth:`flush_commits`, waits for them."""
+    :meth:`flush_commits`, waits for them.  An expired group waits for
+    the drives too: it stays open, collecting commits, until they have
+    written the last one, so no begin or commit drains for it."""
 
     def __init__(self, device: DeviceManager, clock: SimClock,
                  group_commit_window: float = 0.0) -> None:
@@ -255,6 +271,9 @@ class TransactionManager:
         #: refreshes keeps nothing.
         self._parsed = _NOTHING_PARSED
         self._load()
+        #: ``_next_xid`` when the last group closed: the xids handed
+        #: out since size the next close's hwm top-up.
+        self._xid_at_close = self._next_xid
 
     # -- persistence ----------------------------------------------------
 
@@ -374,12 +393,13 @@ class TransactionManager:
         if self._durable_hwm - self._next_xid < XID_HWM_STRIDE:
             self._force_hwm()
 
-    def _force_hwm(self) -> None:
-        """Durably advance the xid high-water mark a stride past the
-        next xid.  Called ahead of need (at load, and by piggybacking on
-        status forces when headroom runs low), so the hard floor in
-        ``begin`` almost never pays this on the allocation path."""
-        hwm = self._next_xid + XID_HWM_STRIDE
+    def _force_hwm(self, ahead: int = XID_HWM_STRIDE) -> None:
+        """Durably advance the xid high-water mark ``ahead`` xids past
+        the next xid.  Called ahead of need (at load, and by
+        piggybacking on status forces and group closes when headroom
+        runs low), so the hard floor in ``begin`` almost never pays
+        this on the allocation path."""
+        hwm = self._next_xid + ahead
         self._device.sync_write_meta(XID_HWM_TAG, str(hwm).encode("ascii"))
         self._durable_hwm = hwm
         self.stats.hwm_forces += 1
@@ -462,20 +482,44 @@ class TransactionManager:
             after, self._after_force = self._after_force, []
             self._batch_deadline = None
             self._append_status(pending, len(pending))
+            self._top_up_hwm()
         self.stats.group_closes += 1
         self.stats.group_size.observe(len(pending))
+        durable = max([self._clock.now()]
+                      + [drive.busy_until for drive in self.drives()])
+        for xid, _ in pending:
+            self.stats.durable_lag_seconds.observe(
+                durable - self._records[xid].commit_time)
         for fn in after:
             fn()
         return len(pending)
 
+    def _top_up_hwm(self) -> None:
+        """At a group close, with the head in the metadata region: keep
+        twice the xids handed out since the last close as headroom, so
+        read-only begins between closes do not reach the hard floor.
+        While that is 16 or fewer, :meth:`_append_status`'s top-up has
+        left at least that much already."""
+        used = self._next_xid - self._xid_at_close
+        self._xid_at_close = self._next_xid
+        if self._durable_hwm - self._next_xid < 2 * used:
+            self._force_hwm(max(XID_HWM_STRIDE, 4 * used))
+
     def _maybe_close_group(self) -> None:
-        """Close a group whose window has expired.  Its committers
-        returned at pre-commit, so the drives write it behind the clock
+        """Close a group whose window has expired, once every drive has
+        written what it was handed: until then the group stays open and
+        collects commits, so no caller drains for the last flush and
+        at most one is in flight.  Its committers returned at
+        pre-commit, so the drives write it behind the clock
         (:func:`repro.sim.disk.queued`)."""
-        if (self._batch_deadline is not None
-                and self._clock.now() >= self._batch_deadline):
-            with queued(self.drives()):
-                self._close_group()
+        now = self._clock.now()
+        if self._batch_deadline is None or now < self._batch_deadline:
+            return
+        drives = self.drives()
+        if any(drive.busy_until > now for drive in drives):
+            return
+        with queued(drives):
+            self._close_group()
 
     def flush_commits(self) -> int:
         """Close the open group now (close and checkpoint call this;
@@ -501,6 +545,7 @@ class TransactionManager:
             # durable high-water mark — after a crash it could be
             # reissued and resurrect invisible records.  The
             # ahead-of-need forcing keeps this branch cold.
+            self.stats.hwm_floor_forces += 1
             self._force_hwm()
         xid = self._next_xid
         self._next_xid += 1

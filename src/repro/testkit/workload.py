@@ -204,14 +204,20 @@ def concurrent_workload(seed: int = 0) -> Workload:
     a version whose record is still queued).  Every interleaving is
     semantically valid, so the differential oracle — fed at commit
     order by the scheduler's commit hook — must match at every crash
-    point."""
+    point.  An expired group stays open while the drive writes the
+    last one, and the sessions compute far faster than it writes; an
+    abort forces its record in the foreground, waiting for the drive,
+    so the commit after each session's closing abort closes the held
+    group inside the armed run."""
     p = lambda tag, size: payload(seed, tag, size)  # noqa: E731
     return Workload("concurrent", [], sessions=(
         (TxStep((("mkdir", "/c0"),
                  ("write", "/c0/a", p("0a", 3000)))),
          TxStep((("write", "/hot", p("0h", 1800)),)),
          TxStep((("write", "/c0/b", p("0b", 9000)),)),
-         TxStep((("write", "/hot", p("0i", 900)),))),
+         TxStep((("write", "/hot", p("0i", 900)),)),
+         TxStep((("write", "/c0/x", p("0x", 2000)),), abort=True),
+         TxStep((("write", "/c0/c", p("0j", 9000)),))),
         (TxStep((("mkdir", "/c1"),
                  ("write", "/c1/a", p("1a", 500)))),
          TxStep((("write", "/hot", p("1h", 2600)),)),
@@ -223,7 +229,9 @@ def concurrent_workload(seed: int = 0) -> Workload:
                  ("write", "/c2/a", p("2a", 14000)))),
          TxStep((("write", "/hot", p("2i", 2100)),)),
          TxStep((("unlink", "/c2/a"),
-                 ("write", "/c2/b", p("2b", 6000))))),
+                 ("write", "/c2/b", p("2b", 6000)))),
+         TxStep((("write", "/c2/x", p("2x", 3000)),), abort=True),
+         TxStep((("write", "/c2/c", p("2j", 9000)),))),
     ), setup_ops=(("write", "/hot", p("seed", 1000)),),
         group_commit_window=CRASH_GROUP_WINDOW, sched_seed=seed)
 

@@ -17,6 +17,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.checker import ConsistencyChecker
 from repro.core.filesystem import InversionFS
 from repro.db.database import Database
 from repro.db.transactions import (
@@ -352,15 +353,106 @@ def test_a_window_expired_close_returns_with_only_cpu_on_the_clock(tmp_path):
     assert d.clock.now() >= d.disk.busy_until
 
 
-def test_the_next_queued_close_drains_the_first(tmp_path):
+def test_an_expired_group_stays_open_while_the_drive_is_busy(tmp_path):
+    d = Drive(tmp_path, window=0.001)
+    d.expire()
+    d.tm.begin()                      # the first group: on the drive now
+    first_done = d.disk.busy_until
+    second = d.expire()
+    assert d.clock.now() < first_done  # the first flush is still running
+    before = d.clock.now()
+    third = d.tm.begin()              # expired, but the drive is busy
+    assert d.clock.now() == before
+    assert d.tm.pending_commit_xids() == [second.xid]
+    third.wrote = True
+    d.tm.commit(third)
+    assert d.tm.pending_commit_xids() == [second.xid, third.xid]
+    assert d.disk.busy_until == first_done
+
+
+def test_a_held_group_closes_at_the_first_begin_once_the_drive_is_idle(
+        tmp_path):
     d = Drive(tmp_path, window=0.001)
     d.expire()
     d.tm.begin()
     first_done = d.disk.busy_until
-    d.expire()
-    assert d.clock.now() < first_done  # the first flush is still running
-    d.tm.begin()
-    assert d.clock.now() == pytest.approx(first_done + Drive.CPU, abs=1e-12)
+    held = d.expire()
+    d.clock.advance(first_done - d.clock.now() - 1e-6)
+    d.tm.begin()                      # a microsecond early: still held
+    assert d.tm.pending_commit_xids() == [held.xid]
+    d.clock.advance(first_done - d.clock.now())
+    before = d.clock.now()
+    assert before >= first_done
+    d.tm.begin()                      # at busy_until: the held group closes
+    assert d.tm.pending_commit_xids() == []
+    assert d.clock.now() == before + Drive.CPU  # its sweep; no drain
+    assert d.disk.busy_until > d.clock.now()
+    # its record waited out the first flush and then its own
+    lag = d.tm.stats.durable_lag_seconds
+    assert lag.count == 2
+    assert lag.max == pytest.approx(
+        d.disk.busy_until - d.tm.commit_time(held.xid), abs=1e-12)
+
+
+def test_never_more_than_one_queued_close_is_in_flight(tmp_path):
+    """Writers commit and begin every 2 ms, far faster than the drive
+    writes a group: each close finds the drive idle, and no begin or
+    commit waits on it — the clock moves by the sweeps' CPU alone."""
+    d = Drive(tmp_path, window=0.001)
+    idle_at_close = []
+    sweep = d.sweep
+
+    def watched_sweep():
+        idle_at_close.append(d.disk.busy_until <= d.clock.now())
+        return sweep()
+
+    d.tm.sweep = watched_sweep
+    start = d.clock.now()
+    for _ in range(100):
+        d.tm.commit(d.writer())
+        d.clock.advance(0.002)
+    assert len(idle_at_close) > 2
+    assert all(idle_at_close)
+    assert d.clock.now() - start == pytest.approx(
+        100 * 0.002 + len(idle_at_close) * Drive.CPU, abs=1e-9)
+    assert d.tm.stats.group_size.max > 1
+
+
+def test_a_crash_loses_exactly_the_held_open_group(tmp_path):
+    """Group 1 is on the drive (issued, so durable), group 2 is held
+    open behind it: a crash then loses group 2 and nothing else."""
+    db = Database.create(str(tmp_path / "db"))
+    fs = InversionFS.mkfs(db)
+    db.tm.group_commit_window = 0.001
+    db.tm.flush_commits()
+    tx = fs.begin()
+    fs.write_file(tx, "/a", b"first" * 300)
+    fs.commit(tx)
+    first = tx.xid
+    db.clock.advance(0.002)
+    tx = fs.begin()                   # closes group 1, behind the clock
+    fs.commit(tx)
+    assert db.tm.pending_commit_xids() == []
+    assert db.ready_at() > db.clock.now()
+    tx = fs.begin()
+    fs.write_file(tx, "/b", b"second" * 300)
+    fs.commit(tx)
+    second = tx.xid
+    db.clock.advance(0.002)
+    assert db.ready_at() > db.clock.now()
+    fs.begin()                        # expired, held: the drive is busy
+    assert db.tm.pending_commit_xids() == [second]
+    db.simulate_crash()
+    recovered = Database.open(str(tmp_path / "db"))
+    try:
+        assert recovered.tm.is_committed(first)
+        assert not recovered.tm.is_committed(second)
+        rfs = InversionFS.attach(recovered)
+        assert rfs.read_file("/a") == b"first" * 300
+        assert not rfs.exists("/b")
+        assert ConsistencyChecker(rfs).check_all().clean
+    finally:
+        recovered.simulate_crash()
 
 
 def test_flush_commits_returns_with_every_queued_write_on_the_medium(
@@ -484,6 +576,34 @@ def test_hwm_hard_floor_still_guards_xid_reuse(device):
     assert tm.stats.hwm_forces >= 2
     tm2 = TransactionManager(device, clock)
     assert tm2.begin().xid > last.xid
+
+
+def test_read_only_begins_between_closes_hit_the_floor_at_most_once(
+        tmp_path):
+    """A group close tops the hwm up by what the last interval used: a
+    second run of 200 read-only begins finds its headroom waiting."""
+    d = Drive(tmp_path, window=0.001)
+
+    def close_a_group():
+        d.expire()
+        d.clock.advance(max(0.0, d.disk.busy_until - d.clock.now()))
+        d.tm.begin()
+        assert d.tm.pending_commit_xids() == []
+
+    def read_only_begins():
+        floor = d.tm.stats.hwm_floor_forces
+        for _ in range(200):
+            tx = d.tm.begin()
+            assert tx.xid < d.tm._durable_hwm
+            d.tm.commit(tx)
+        return d.tm.stats.hwm_floor_forces - floor
+
+    close_a_group()
+    assert read_only_begins() >= 2    # 200 xids on a 64-xid stride
+    close_a_group()
+    assert read_only_begins() <= 1
+    last_handed_out = d.tm._next_xid - 1
+    assert TransactionManager(d.dev, d.clock).begin().xid > last_handed_out
 
 
 def test_commit_state_values_unchanged(device):
