@@ -78,7 +78,10 @@ METRICS = (
     MetricSpec("txn.durable_lag_seconds", "histogram", "seconds",
                "Per commit record forced by a group close: from its "
                "pre-commit until its group is on the medium (the last "
-               "drive's busy_until after the close, or the clock).",
+               "drive's busy_until after the close, or the clock).  A "
+               "read the drive serves ahead of the group later pushes "
+               "that back (disk.deferred_seconds); that is not booked "
+               "here.",
                "repro.db.transactions"),
 )
 

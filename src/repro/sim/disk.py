@@ -55,6 +55,15 @@ METRICS = (
                "writes issued in a queued section, which the drive "
                "finishes while the caller goes on computing.",
                "repro.sim.disk", ("device",)),
+    MetricSpec("disk.reads_ahead", "counter", "ops",
+               "Foreground reads the drive served ahead of queued "
+               "requests (between a queued section's writes).",
+               "repro.sim.disk", ("device",)),
+    MetricSpec("disk.deferred_seconds", "counter", "seconds",
+               "Seconds the queued requests were pushed back by the "
+               "reads served ahead of them: each read's cost plus the "
+               "change in the next request's positioning.",
+               "repro.sim.disk", ("device",)),
 )
 
 
@@ -113,9 +122,22 @@ class DiskStats:
     bytes_written: int = 0
     busy_seconds: float = 0.0
     queued_seconds: float = 0.0
+    reads_ahead: int = 0
+    deferred_seconds: float = 0.0
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(**vars(self))
+
+
+@dataclass
+class _Request:
+    """One command a queued section handed the drive: blocks ``first``
+    through ``last``, where it leaves the head."""
+
+    end: float           # when the drive finishes it, on the clock
+    first: int
+    last: int
+    positioning: float   # seek + rotation it was costed with
 
 
 @dataclass
@@ -131,20 +153,27 @@ class DiskModel:
 
     A charge made inside a *queued section* (:func:`queued`) is computed
     the same way, head position and counters included, but the drive
-    does it behind the clock: its cost is added after
-    ``max(busy_until, now)`` and no clock moves.  Every other charge, and
-    :func:`drain`, first advances the clock to :attr:`busy_until` — the
-    caller waits for the drive to finish what it was handed.
+    does it behind the clock, as one request of a queue: its cost is
+    added after ``max(busy_until, now)`` and no clock moves.  A barrier
+    joins the request before it (a forced write is one command).  A
+    foreground read on a busy drive waits only for the request in
+    flight — or, if a queued request holds a block it wants, for that
+    request — and the requests behind it move back
+    (:meth:`_read_ahead`), as in a kernel disk queue.  A foreground
+    write or barrier, and :func:`drain`, first advances the clock to
+    :attr:`busy_until` — the caller waits for the drive to finish all it
+    was handed — so the order of writes on the medium never changes.
     """
 
     clock: SimClock
     geometry: DiskGeometry = RZ58
     stats: DiskStats = field(default_factory=DiskStats)
-    #: when the drive finishes its queued writes, on ``clock``; at or
+    #: when the drive finishes its queued requests, on ``clock``; at or
     #: before ``clock.now()`` once it is idle.
     busy_until: float = 0.0
     _head_block: int = field(default=-(10 ** 9), repr=False)
     _queued: bool = field(default=False, repr=False)
+    _requests: list[_Request] = field(default_factory=list, repr=False)
 
     def _seek_time(self, from_cyl: int, to_cyl: int) -> float:
         distance = abs(to_cyl - from_cyl)
@@ -162,28 +191,85 @@ class DiskModel:
     def _cylinder(self, block: int) -> int:
         return block // self.geometry.blocks_per_cylinder
 
-    def _charge(self, block: int, nbytes: int) -> float:
+    def _positioning(self, head: int, block: int) -> float:
+        """Seek plus rotation to start at ``block`` with the head on
+        ``head``: nothing when ``block`` follows it."""
+        if block == head + 1:
+            return 0.0
+        seek = self._seek_time(self._cylinder(max(head, 0)),
+                               self._cylinder(block))
+        return seek + self.geometry.avg_rotational_delay_s
+
+    def _count(self, positioning: float, n: int = 1) -> None:
+        """Book an access positioned at ``positioning`` as sequential or
+        seeking (``n = -1`` takes one back)."""
+        if positioning == 0.0:
+            self.stats.sequential_ops += n
+        elif positioning > self.geometry.avg_rotational_delay_s:
+            self.stats.seeks += n
+
+    def _charge(self, block: int, nbytes: int, write: bool) -> float:
         """Compute and charge the cost of touching ``block`` and
         transferring ``nbytes``."""
-        g = self.geometry
-        transfer = nbytes / g.transfer_rate_bps
-        if block == self._head_block + 1:
-            cost = transfer
-            self.stats.sequential_ops += 1
-        else:
-            from_cyl = self._cylinder(max(self._head_block, 0))
-            to_cyl = self._cylinder(block)
-            seek = self._seek_time(from_cyl, to_cyl)
-            if seek > 0.0:
-                self.stats.seeks += 1
-            cost = seek + g.avg_rotational_delay_s + transfer
-        nblocks = max(1, (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        self._head_block = block + nblocks - 1
-        return self._spend(cost)
+        last = block + max(1, (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE) - 1
+        transfer = nbytes / self.geometry.transfer_rate_bps
+        if self._requests and not (write or self._queued):
+            now = self.clock.now()
+            queue = [r for r in self._requests if r.end > now]
+            if queue:
+                return self._read_ahead(queue, block, last, transfer)
+        positioning = self._positioning(self._head_block, block)
+        self._count(positioning)
+        self._head_block = last
+        cost = self._spend(positioning + transfer)
+        if self._queued:
+            self._requests.append(
+                _Request(self.busy_until, block, last, positioning))
+        return cost
+
+    def _read_ahead(self, queue: list[_Request], block: int, last: int,
+                    transfer: float) -> float:
+        """A foreground read of ``block``..``last`` on a busy drive.  It
+        waits for the request in flight, or for the last queued request
+        holding a block it wants (read-after-write), and is costed from
+        where that request left the head.  Every request behind it moves
+        back by its cost plus the change in the next request's
+        positioning, re-costed from the read's last block."""
+        at = 0
+        for i, request in enumerate(queue):
+            if request.first <= last and block <= request.last:
+                at = i
+        ahead, behind = queue[at], queue[at + 1:]
+        positioning = self._positioning(ahead.last, block)
+        self._count(positioning)
+        cost = positioning + transfer
+        self.stats.busy_seconds += cost
+        self.clock.advance(ahead.end - self.clock.now())
+        self.clock.advance(cost)
+        self._requests = behind
+        if not behind:
+            self._head_block = last
+            return cost
+        following = behind[0]
+        repositioning = self._positioning(last, following.first)
+        self._count(following.positioning, -1)
+        self._count(repositioning)
+        delta = repositioning - following.positioning
+        following.positioning = repositioning
+        self.stats.busy_seconds += delta
+        self.stats.queued_seconds += delta
+        shift = cost + delta
+        for request in behind:
+            request.end += shift
+        self.busy_until = behind[-1].end
+        self.stats.reads_ahead += 1
+        self.stats.deferred_seconds += shift
+        return cost
 
     def _spend(self, cost: float) -> float:
         """Book ``cost`` drive seconds: behind the clock inside a queued
-        section, else after waiting for the queue to empty."""
+        section, else after waiting for the whole queue to empty (a
+        foreground read on a busy drive is :meth:`_read_ahead`'s)."""
         self.stats.busy_seconds += cost
         if self._queued:
             self.busy_until = max(self.busy_until, self.clock.now()) + cost
@@ -194,10 +280,11 @@ class DiskModel:
         return cost
 
     def _drain(self) -> None:
-        """Advance the clock to :attr:`busy_until`, when the writes
-        queued behind it are on the medium."""
+        """Advance the clock to :attr:`busy_until`, when every request
+        queued behind it is done."""
         if self.busy_until > self.clock.now():
             self.clock.advance(self.busy_until - self.clock.now())
+        self._requests.clear()
 
     def read_block(self, block: int, nbytes: int = BLOCK_SIZE) -> float:
         """Charge for one read of ``nbytes`` starting at ``block``: a
@@ -206,7 +293,7 @@ class DiskModel:
         bytes span.  A run is one read operation."""
         self.stats.reads += 1
         self.stats.bytes_read += nbytes
-        return self._charge(block, nbytes)
+        return self._charge(block, nbytes, write=False)
 
     def write_block(self, block: int, nbytes: int = BLOCK_SIZE) -> float:
         """Charge for one write of ``nbytes`` starting at ``block`` —
@@ -214,12 +301,16 @@ class DiskModel:
         write operation, whatever the run length."""
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
-        return self._charge(block, nbytes)
+        return self._charge(block, nbytes, write=True)
 
     def flush(self) -> float:
         """Charge for a synchronous cache flush barrier (controller
-        settle time).  Small but non-zero; commits pay it."""
-        return self._spend(self.geometry.rotation_s / 4.0)
+        settle time).  Small but non-zero; commits pay it.  Queued, it
+        is part of the request before it: the write it forces."""
+        cost = self._spend(self.geometry.rotation_s / 4.0)
+        if self._queued and self._requests:
+            self._requests[-1].end = self.busy_until
+        return cost
 
     def reset_head(self) -> None:
         """Forget head position (e.g. after the OS reuses the drive)."""
@@ -227,7 +318,7 @@ class DiskModel:
 
 
 def drain(drives: Iterable[DiskModel]) -> None:
-    """Wait until every one of ``drives`` has written what was queued
+    """Wait until every one of ``drives`` has done what was queued
     behind the clock: advance the clock to the latest ``busy_until``."""
     for drive in drives:
         drive._drain()
@@ -236,10 +327,11 @@ def drain(drives: Iterable[DiskModel]) -> None:
 @contextmanager
 def queued(drives: Iterable[DiskModel]) -> Iterator[None]:
     """A queued section over ``drives``: they are drained first, so at
-    most one section's writes are in flight, then every charge to them
-    until the section ends runs behind the clock.  For writes nobody
-    waits for — they are issued where and in the order they always
-    were, only the clock does not stop for them."""
+    most one section's requests are in flight, then every charge to
+    them until the section ends is a request the drive does behind the
+    clock.  For writes nobody waits for — they are issued where and in
+    the order they always were, only the clock does not stop for them,
+    and a foreground read may be served between them."""
     drives = list(drives)
     drain(drives)
     for drive in drives:

@@ -455,6 +455,29 @@ def test_a_crash_loses_exactly_the_held_open_group(tmp_path):
         recovered.simulate_crash()
 
 
+def test_a_read_miss_during_a_queued_close_returns_before_the_flush_ends(
+        tmp_path):
+    """The drive serves a read between a group's writes: it waits for
+    the sweep's write in flight, not for the status force behind it,
+    and the records land in the status file in commit order."""
+    d = Drive(tmp_path, window=0.001)
+    d.dev.create_relation("cold")
+    d.dev.write_pages("cold", d.dev.extend("cold"), [bytes(PAGE_SIZE)])
+    first = d.expire()
+    d.tm.begin()                      # closes the expired group, queued
+    flushed = d.disk.busy_until
+    assert d.dev.read_pages("cold", 0, 1) == [bytes(PAGE_SIZE)]
+    assert d.clock.now() < d.disk.busy_until
+    assert d.disk.busy_until > flushed        # the force moved back
+    assert d.disk.stats.reads_ahead == 1
+    d.clock.advance(d.disk.busy_until - d.clock.now())
+    second = d.expire()
+    d.tm.begin()
+    d.tm.flush_commits()
+    assert [line.split()[:2] for line in status_lines(d.dev)] == [
+        ["C", str(first.xid)], ["C", str(second.xid)]]
+
+
 def test_flush_commits_returns_with_every_queued_write_on_the_medium(
         tmp_path):
     d = Drive(tmp_path, window=0.001)

@@ -151,3 +151,94 @@ def test_a_section_drains_first_so_one_flush_is_in_flight(disk):
         cost = disk.write_block(9000)
     assert disk.busy_until == busy + cost
 
+
+
+# -- a foreground read on a busy drive: a queue of requests ------------------
+
+TRANSFER = BLOCK_SIZE / RZ58.transfer_rate_bps
+FAR = 100_000                      # a block no queued request holds
+
+
+def positioning(disk, head, block):
+    """Seek plus rotation from ``head`` to ``block``, as the model
+    costs it."""
+    return (disk._seek_time(head // RZ58.blocks_per_cylinder,
+                            block // RZ58.blocks_per_cylinder)
+            + RZ58.avg_rotational_delay_s)
+
+
+def three_queued_writes(disk):
+    """Three one-block writes at 500, 9000 and 20000, queued at t=0;
+    returns when each request ends."""
+    ends = []
+    with queued([disk]):
+        for block in (500, 9000, 20000):
+            disk.write_block(block)
+            ends.append(disk.busy_until)
+    return ends
+
+
+def test_a_read_during_a_queued_section_waits_only_for_the_request_in_flight(
+        disk):
+    ends = three_queued_writes(disk)
+    cost = disk.read_block(FAR)
+    assert cost == positioning(disk, 500, FAR) + TRANSFER
+    assert disk.clock.now() == pytest.approx(ends[0] + cost, abs=1e-15)
+    assert disk.clock.now() < disk.busy_until
+    assert disk.stats.reads_ahead == 1
+
+
+def test_a_read_of_a_block_with_an_unfinished_queued_write_waits_for_it(disk):
+    ends = three_queued_writes(disk)
+    cost = disk.read_block(9000)             # written by the second request
+    assert cost == RZ58.avg_rotational_delay_s + TRANSFER   # head on 9000
+    assert disk.clock.now() == pytest.approx(ends[1] + cost, abs=1e-15)
+    assert disk.clock.now() < disk.busy_until
+    cost = disk.read_block(20000)            # the last request's block
+    assert disk.clock.now() == pytest.approx(disk.busy_until + cost,
+                                             abs=1e-15)
+    # the queue emptied: the head is where the read left it
+    assert disk.read_block(20001) == TRANSFER
+
+
+def test_a_read_arriving_during_a_forced_write_also_waits_for_its_barrier(
+        disk):
+    with queued([disk]):
+        disk.write_block(500)
+        disk.flush()                         # forces the write: one command
+        forced = disk.busy_until
+        disk.write_block(9000)
+    cost = disk.read_block(FAR)
+    assert disk.clock.now() == pytest.approx(forced + cost, abs=1e-15)
+
+
+def test_the_requests_behind_a_read_move_back_by_its_cost_and_repositioning(
+        disk):
+    ends = three_queued_writes(disk)
+    queued_before = disk.stats.queued_seconds
+    cost = disk.read_block(FAR)
+    # the next request now starts from the read's block, not from 500
+    shift = cost + (positioning(disk, FAR, 9000)
+                    - positioning(disk, 500, 9000))
+    assert disk.busy_until == pytest.approx(ends[2] + shift, abs=1e-15)
+    assert disk.stats.deferred_seconds == pytest.approx(shift, abs=1e-15)
+    assert disk.stats.queued_seconds == pytest.approx(
+        queued_before + shift - cost, abs=1e-15)
+    drain([disk])
+    assert disk.clock.now() == pytest.approx(ends[2] + shift, abs=1e-15)
+    # the drive was busy the whole time: foreground read plus the queue
+    assert disk.stats.busy_seconds == pytest.approx(disk.clock.now(),
+                                                    abs=1e-15)
+    assert disk.stats.busy_seconds == pytest.approx(
+        cost + disk.stats.queued_seconds, abs=1e-15)
+    assert (disk.stats.seeks, disk.stats.reads) == (4, 1)
+    assert disk.write_block(20001) == TRANSFER   # the head: queue's last
+
+
+@pytest.mark.parametrize("charge", ["write", "flush"])
+def test_a_foreground_write_or_barrier_still_drains_everything(disk, charge):
+    ends = three_queued_writes(disk)
+    cost = disk.write_block(FAR) if charge == "write" else disk.flush()
+    assert disk.clock.now() == pytest.approx(ends[2] + cost, abs=1e-15)
+    assert disk.stats.reads_ahead == 0
+    assert disk.stats.deferred_seconds == 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.transactions import STATUS_TAG
 from repro.testkit.explorer import CrashExplorer
 from repro.testkit.workload import (commit_workload, concurrent_workload,
                                     cross_shard_workload,
@@ -42,6 +43,11 @@ SINGLE_SERVER = {
     "group_commit": (group_commit_workload, 52),
     "concurrent": (concurrent_workload, 76),
 }
+#: Status appends inside the armed run.  The explorer disarms before
+#: the stack's ``close()``, so the group that ``close()`` flushes is
+#: never crashed inside: a change that pushes commits into that final
+#: group lowers these counts even where the boundary count holds.
+ARMED_STATUS_APPENDS = {"group_commit": 4, "concurrent": 7}
 #: ``commit`` through each single-server client stack: the client
 #: changes how the requests travel, not what the server's committed
 #: transactions write, so ``remote`` and ``cached`` force ``local``'s
@@ -60,6 +66,16 @@ def test_single_server_boundaries(tmp_path, name, torn):
     explorer = CrashExplorer(str(tmp_path), factory(), "local",
                              torn_append=torn)
     assert explorer.count_write_boundaries() == expected
+
+
+@pytest.mark.parametrize("name", ARMED_STATUS_APPENDS)
+def test_status_appends_inside_the_armed_run(tmp_path, name):
+    factory, _ = SINGLE_SERVER[name]
+    explorer = CrashExplorer(str(tmp_path), factory(), "local")
+    explorer.count_write_boundaries()
+    appends = [entry for entry in explorer.write_log
+               if entry[0] == "append" and entry[2] == STATUS_TAG]
+    assert len(appends) == ARMED_STATUS_APPENDS[name]
 
 
 @pytest.mark.parametrize("kind", CLIENT_STACKS)
