@@ -54,9 +54,6 @@ class FsAdapter(ABC):
         """Create an empty file; returns an opaque handle."""
 
     @abstractmethod
-    def open_file(self, name: str) -> object: ...
-
-    @abstractmethod
     def write_at(self, handle: object, offset: int, data: bytes) -> None: ...
 
     @abstractmethod
@@ -273,11 +270,6 @@ class InversionAdapter(FsAdapter):
         self._pos[fd] = 0
         return fd
 
-    def open_file(self, name: str):
-        fd = self.client.p_open(name, 2)
-        self._pos[fd] = 0
-        return fd
-
     def _seek_to(self, handle, offset: int) -> None:
         if self._pos.get(handle) != offset:
             self.client.p_lseek(handle, offset >> 32, offset & 0xFFFFFFFF, 0)
@@ -315,9 +307,6 @@ class NfsAdapter(FsAdapter):
 
     def create_file(self, name: str):
         return self.client.create(name)
-
-    def open_file(self, name: str):
-        return self.client.lookup(name)
 
     def write_at(self, handle, offset: int, data: bytes) -> None:
         self.client.write(handle, offset, data)

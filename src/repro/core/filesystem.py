@@ -533,26 +533,45 @@ class InversionFS:
             raise IsADirectoryError_(f"{path!r} is a directory")
         return fileid, att
 
+    def _lock_sources(self, tx: Transaction,
+                      src_paths) -> list[tuple[int, FileAtt]]:
+        """The structural ops' prelude: flush the open handles, then
+        resolve and ``SHARED``-lock each source under one snapshot."""
+        self._flush_open_handles(tx)
+        snapshot = self.db.snapshot(tx)
+        return [self._resolve_source_file(p, snapshot, tx, lock=SHARED)
+                for p in src_paths]
+
+    def _clone_new(self, tx: Transaction, dst_path: str, pieces,
+                   owner: str, device: str | None,
+                   ftype: str = TYPE_PLAIN) -> tuple[int, int]:
+        """The structural ops' tail: create ``dst_path`` holding each
+        ``(src_id, lo, hi)`` piece's bytes in turn, by reference.
+        Returns (chunks referenced, chunks materialized)."""
+        dst_id = self.creat(tx, dst_path, owner=owner, ftype=ftype,
+                            device=device)
+        dst_store = ChunkStore(self.db, dst_id, tx)
+        offset = referenced = materialized = 0
+        for src_id, lo, hi in pieces:
+            r, m = self._clone_into(tx, src_id, lo, hi, dst_store, offset)
+            referenced += r
+            materialized += m
+            offset += hi - lo
+        materialized += self._ensure_tail_chunk(tx, dst_store, offset)
+        self.fileatt.update(tx, dst_id, size=offset,
+                            mtime=self.db.clock.now())
+        self.note_data_write(dst_id, tx)
+        return referenced, materialized
+
     def reflink(self, tx: Transaction, src_path: str, dst_path: str,
                 device: str | None = None) -> tuple[int, int]:
         """Create ``dst_path`` as a by-reference copy of ``src_path``:
         O(chunks) pointer rows, zero data movement (one materialized
         chunk if the size is not chunk-aligned).  Copy-on-write: later
         writes to either file supersede only that file's rows."""
-        self._flush_open_handles(tx)
-        snapshot = self.db.snapshot(tx)
-        src_id, att = self._resolve_source_file(src_path, snapshot, tx,
-                                                lock=SHARED)
-        dst_id = self.creat(tx, dst_path, owner=att.owner, ftype=att.type,
-                            device=device)
-        dst_store = ChunkStore(self.db, dst_id, tx)
-        referenced, materialized = self._clone_into(
-            tx, src_id, 0, att.size, dst_store, 0)
-        materialized += self._ensure_tail_chunk(tx, dst_store, att.size)
-        self.fileatt.update(tx, dst_id, size=att.size,
-                            mtime=self.db.clock.now())
-        self.note_data_write(dst_id, tx)
-        return referenced, materialized
+        ((src_id, att),) = self._lock_sources(tx, [src_path])
+        return self._clone_new(tx, dst_path, [(src_id, 0, att.size)],
+                               att.owner, device, ftype=att.type)
 
     def concat(self, tx: Transaction, src_paths, dst_path: str,
                device: str | None = None) -> tuple[int, int]:
@@ -562,29 +581,15 @@ class InversionFS:
         could not apply)."""
         if not src_paths:
             raise FileNotFoundError_("concat requires at least one source")
-        self._flush_open_handles(tx)
-        snapshot = self.db.snapshot(tx)
-        sources = [self._resolve_source_file(p, snapshot, tx, lock=SHARED)
-                   for p in src_paths]
+        sources = self._lock_sources(tx, src_paths)
         for path, (_fid, att) in zip(src_paths[:-1], sources[:-1]):
             if att.size % CHUNK_SIZE:
                 raise StructuralOpError(
                     f"concat source {path!r} size {att.size} is not "
                     f"chunk-aligned ({CHUNK_SIZE})")
-        dst_id = self.creat(tx, dst_path, owner=sources[0][1].owner,
-                            device=device)
-        dst_store = ChunkStore(self.db, dst_id, tx)
-        offset = referenced = materialized = 0
-        for fid, att in sources:
-            r, m = self._clone_into(tx, fid, 0, att.size, dst_store, offset)
-            referenced += r
-            materialized += m
-            offset += att.size
-        materialized += self._ensure_tail_chunk(tx, dst_store, offset)
-        self.fileatt.update(tx, dst_id, size=offset,
-                            mtime=self.db.clock.now())
-        self.note_data_write(dst_id, tx)
-        return referenced, materialized
+        return self._clone_new(tx, dst_path,
+                               [(fid, 0, att.size) for fid, att in sources],
+                               sources[0][1].owner, device)
 
     def slice(self, tx: Transaction, src_path: str, lo: int, hi: int,
               dst_path: str, device: str | None = None) -> tuple[int, int]:
@@ -594,22 +599,12 @@ class InversionFS:
         if lo % CHUNK_SIZE:
             raise StructuralOpError(
                 f"slice start {lo} is not chunk-aligned ({CHUNK_SIZE})")
-        self._flush_open_handles(tx)
-        snapshot = self.db.snapshot(tx)
-        src_id, att = self._resolve_source_file(src_path, snapshot, tx,
-                                                lock=SHARED)
+        ((src_id, att),) = self._lock_sources(tx, [src_path])
         if not (0 <= lo <= hi <= att.size):
             raise StructuralOpError(
                 f"slice range [{lo}, {hi}) outside file of {att.size} bytes")
-        dst_id = self.creat(tx, dst_path, owner=att.owner, device=device)
-        dst_store = ChunkStore(self.db, dst_id, tx)
-        referenced, materialized = self._clone_into(
-            tx, src_id, lo, hi, dst_store, 0)
-        materialized += self._ensure_tail_chunk(tx, dst_store, hi - lo)
-        self.fileatt.update(tx, dst_id, size=hi - lo,
-                            mtime=self.db.clock.now())
-        self.note_data_write(dst_id, tx)
-        return referenced, materialized
+        return self._clone_new(tx, dst_path, [(src_id, lo, hi)], att.owner,
+                               device)
 
     def truncate(self, tx: Transaction, path: str, size: int) -> None:
         """Set a file's length.  Shrinking deletes the chunk rows past

@@ -36,9 +36,6 @@ class FileTypeManager:
         type with :meth:`InversionFS.set_file_type`."""
         self.fs.db.catalog.define_type(tx, name, description)
 
-    def assign(self, tx: Transaction, path: str, ftype: str) -> None:
-        self.fs.set_file_type(tx, path, ftype)
-
     # -- functions ----------------------------------------------------------------
 
     def register_content_function(self, tx: Transaction, name: str,

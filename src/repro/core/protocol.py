@@ -15,7 +15,9 @@ gives, per verb:
 ``paths``
     positions (``self`` not counted) of the arguments that are paths —
     ``p_concat``'s first is a *list* of paths.  The sharded client
-    routes a single-path verb on it.
+    routes every one of them: a verb whose paths land on one shard is
+    one request there, one whose paths span shards its cross-shard
+    composite.
 ``fd``
     :data:`OPENS` when the verb returns a new descriptor, :data:`USES`
     or :data:`CLOSES` when its first argument is one; ``None`` when it

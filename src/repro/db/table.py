@@ -136,10 +136,6 @@ class Table:
 
     # -- read path --------------------------------------------------------------------
 
-    def fetch(self, tid: TID, snapshot: Snapshot,
-              tx: Transaction | None = None) -> tuple | None:
-        return self.heap.fetch(tid, snapshot)
-
     def scan(self, snapshot: Snapshot,
              tx: Transaction | None = None) -> Iterator[tuple[TID, tuple]]:
         """Visible rows.  For historical snapshots the archive relation
@@ -293,6 +289,3 @@ class Table:
 
     def row_count(self, snapshot: Snapshot) -> int:
         return sum(1 for __ in self.scan(snapshot))
-
-    def column(self, name: str) -> int:
-        return self.schema.column_index(name)

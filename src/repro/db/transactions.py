@@ -31,7 +31,7 @@ from repro.errors import RecoveryError, TransactionError
 from repro.obs.registry import HistogramValue, MetricSpec
 from repro.obs.tracing import NO_SPAN
 from repro.sim.clock import SimClock
-from repro.sim.disk import drain, queued
+from repro.sim.disk import drain, queued, settled, unfinished
 
 METRICS = (
     MetricSpec("txn.status_forces", "counter", "ops",
@@ -77,11 +77,12 @@ METRICS = (
                "repro.db.transactions"),
     MetricSpec("txn.durable_lag_seconds", "histogram", "seconds",
                "Per commit record forced by a group close: from its "
-               "pre-commit until its group is on the medium (the last "
-               "drive's busy_until after the close, or the clock).  A "
-               "read the drive serves ahead of the group later pushes "
-               "that back (disk.deferred_seconds); that is not booked "
-               "here.",
+               "pre-commit until its group is on the medium (the end of "
+               "the last request the close queued, or the clock).  "
+               "Booked at a later close or flush, once that end is "
+               "final (the request in flight): reads the drive serves "
+               "ahead of it before then push it back "
+               "(disk.deferred_seconds), and the lag includes them.",
                "repro.db.transactions"),
 )
 
@@ -256,6 +257,8 @@ class TransactionManager:
         self._pending: list[tuple[int, str]] = []
         self._batch_deadline: float | None = None
         self._after_force: list[Callable[[], None]] = []
+        #: closed groups whose lag is not booked yet (:meth:`_book_lags`).
+        self._unbooked: list[tuple[list, list[float]]] = []
         #: the commit sweep, ``fn() -> pages written``: the database
         #: binds ``BufferCache.flush_all``.
         self.sweep: Callable[[], int] | None = None
@@ -488,14 +491,29 @@ class TransactionManager:
             self._top_up_hwm()
         self.stats.group_closes += 1
         self.stats.group_size.observe(len(pending))
-        durable = max([self._clock.now()]
-                      + [drive.busy_until for drive in self.drives()])
-        for xid, _ in pending:
-            self.stats.durable_lag_seconds.observe(
-                durable - self._records[xid].commit_time)
+        self._unbooked.append(
+            (unfinished(self.drives()),
+             [self._records[xid].commit_time for xid, _ in pending]))
+        self._book_lags()
         for fn in after:
             fn()
         return len(pending)
+
+    def _book_lags(self) -> None:
+        """Book each closed group's durability lag once the requests
+        still pending at its close are settled (a read served ahead of
+        one pushes its end back until then): to the last one's end, or
+        to the close if none was pending.  Run at each close and flush,
+        so a group is booked by the next one's close at the latest."""
+        waiting = []
+        for requests, commit_times in self._unbooked:
+            if not settled(self.drives(), requests):
+                waiting.append((requests, commit_times))
+                continue
+            durable = max([r.end for r in requests] or [self._clock.now()])
+            for commit_time in commit_times:
+                self.stats.durable_lag_seconds.observe(durable - commit_time)
+        self._unbooked = waiting
 
     def _top_up_hwm(self) -> None:
         """At a group close, with the head in the metadata region: keep
@@ -531,6 +549,7 @@ class TransactionManager:
         forced."""
         forced = self._close_group()
         drain(self.drives())
+        self._book_lags()
         return forced
 
     def pending_commit_xids(self) -> list[int]:
@@ -667,10 +686,6 @@ class TransactionManager:
         if rec is None or rec.state != COMMITTED:
             return None
         return rec.commit_time
-
-    def start_time(self, xid: int) -> float | None:
-        rec = self._records.get(xid)
-        return None if rec is None else rec.start_time
 
     # -- recovery ----------------------------------------------------------------
 

@@ -109,9 +109,6 @@ class Schema:
             plan.append(("f", struct.Struct(run_fmt), tuple(run_cols)))
         return tuple(plan)
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schema) and self.columns == other.columns
 

@@ -110,6 +110,3 @@ class TxAccountant:
     def breakdown(self) -> dict[int, dict[str, float]]:
         """Every accounted transaction's cost row, in begin order."""
         return {xid: dict(row) for xid, row in self._rows.items()}
-
-    def reset(self) -> None:
-        self._rows.clear()

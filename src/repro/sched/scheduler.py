@@ -134,10 +134,6 @@ class Call:
         self.args = args
         self.kwargs = kwargs
 
-    @property
-    def label(self) -> str:
-        return self.method
-
     def __repr__(self) -> str:
         return f"Call({self.method!r})"
 

@@ -15,7 +15,7 @@ a shard inside an open transaction sends that shard a ``p_begin``.  At
 writer (or none) commits locally, two or more run the two-phase
 protocol (:mod:`repro.shard.twophase`).
 
-Two operations are inherently multi-shard and are composed here:
+Some operations are inherently multi-shard and are composed here:
 
 - ``p_readdir("/")`` — the root directory exists on every shard; the
   listing is the sorted union of the shards' root listings.
@@ -25,6 +25,8 @@ Two operations are inherently multi-shard and are composed here:
   one cluster transaction whose 2PC commit makes the move atomic:
   every observer sees the old name or the new name, never both and
   never neither.
+- ``p_reflink`` / ``p_concat`` / ``p_slice`` across shards — for the
+  same reason a copy of the bytes, inside one cluster transaction.
 """
 
 from __future__ import annotations
@@ -52,11 +54,13 @@ class ShardedInversionClient:
     """One application's session with a sharded cluster: lazy per-shard
     server links, one cluster-level transaction at a time.
 
-    Verbs addressed by one path or by a descriptor are not written out
+    Verbs addressed by paths or by a descriptor are not written out
     here: :func:`repro.core.protocol.exposes` generates them from the
     verb table, each one :meth:`_forward` (route, translate the
-    descriptor, enlist the shard, one request through its link).  What
-    stays hand-written is what spans shards."""
+    descriptor, enlist the shard, one request through its link), or
+    its ``_across_<verb>`` composite when its paths span shards.  What
+    stays hand-written is transaction control and the root's
+    ``p_readdir``."""
 
     def __init__(self, cluster, cache_factory=None) -> None:
         self.cluster = cluster
@@ -122,12 +126,18 @@ class ShardedInversionClient:
         return link.request(method, *args)
 
     def _forward(self, verb, args: tuple):
-        """Body of every generated verb: find the shard (by the verb's
-        path, or by the descriptor's owner), send, and keep the cluster
-        descriptor table in step."""
+        """Body of every generated verb: find the shard (by every path
+        the verb names, or by the descriptor's owner), send, and keep
+        the cluster descriptor table in step.  A verb whose paths land
+        on more than one shard runs its cross-shard composite
+        (``_across_<verb>``) instead."""
         if verb.fd in (None, OPENS):
-            (where,) = verb.paths   # two-path composites are hand-written
-            shard = self._route(args[where])
+            shards = {self._route(path) for i in verb.paths
+                      for path in ([args[i]] if isinstance(args[i], str)
+                                   else args[i])}
+            if len(shards) > 1:
+                return getattr(self, "_across" + verb.name[1:])(*args)
+            (shard,) = shards
             result = self._request(shard, verb.name, *args)
             return self._register_fd(shard, result) if verb.fd else result
         fd = args[0]
@@ -262,55 +272,41 @@ class ShardedInversionClient:
         more = more_shards or len(out) < len(candidates)
         return out, (out[-1] if out and more else None)
 
-    # -- rename (the cross-shard composite) -------------------------------
+    # -- the cross-shard composites -----------------------------------------
 
-    def p_rename(self, old: str, new: str) -> None:
+    def _across_rename(self, old: str, new: str) -> None:
         src, dst = self._route(old), self._route(new)
-        if src == dst:
-            self._call(src, "p_rename", old, new)
-            return
-        self._own_tx(lambda: self._rename_across(old, new, src, dst))
 
-    def _rename_across(self, old: str, new: str, src: int, dst: int) -> None:
-        if not old.strip("/"):
-            raise FileNotFoundError_("cannot rename the root directory")
-        st = self._call(src, "p_stat", old)  # raises if old is missing
-        try:
-            self._call(dst, "p_stat", new)
-        except FileNotFoundError_:
-            pass
-        else:
-            raise FileExistsError_(f"{new!r} already exists")
-        if st.type == _DIRECTORY:
-            self._move_dir(old, new, src, dst)
-        else:
-            self._move_file(old, new, st.size)
+        def run() -> None:
+            if not old.strip("/"):
+                raise FileNotFoundError_("cannot rename the root directory")
+            st = self._call(src, "p_stat", old)  # raises if old is missing
+            try:
+                self._call(dst, "p_stat", new)
+            except FileNotFoundError_:
+                pass
+            else:
+                raise FileExistsError_(f"{new!r} already exists")
+            if st.type == _DIRECTORY:
+                self._move_dir(old, new, src, dst)
+            else:
+                self._move_file(old, new, st.size)
+        self._own_tx(run)
 
     def _move_file(self, old: str, new: str, size: int) -> None:
         self._write_new(new, self._read_whole(old, size), None)
         self._call(self._route(old), "p_unlink", old)
 
-    # -- structural ops ----------------------------------------------------
+    # Shards share no storage, so a structural op whose names span
+    # shards copies the bytes instead of referencing them, inside one
+    # cluster transaction (its 2PC commit still makes the copy atomic).
 
-    def p_reflink(self, src: str, dst: str,
-                  device: str | None = None) -> tuple[int, int]:
-        """By-reference copy when both names route to one shard; a
-        physical copy inside one cluster transaction otherwise (shards
-        share no storage, so references cannot cross them — the 2PC
-        commit still makes the copy atomic)."""
-        s, d = self._route(src), self._route(dst)
-        if s == d:
-            return self._call(s, "p_reflink", src, dst, device=device)
+    def _across_reflink(self, src: str, dst: str,
+                        device: str | None) -> tuple[int, int]:
         return self._own_tx(lambda: self._copy_physical([src], dst, device))
 
-    def p_concat(self, srcs, dst: str,
-                 device: str | None = None) -> tuple[int, int]:
-        srcs = list(srcs)
-        if not srcs:
-            raise FileNotFoundError_("concat requires at least one source")
-        d = self._route(dst)
-        if all(self._route(p) == d for p in srcs):
-            return self._call(d, "p_concat", srcs, dst, device=device)
+    def _across_concat(self, srcs, dst: str,
+                       device: str | None) -> tuple[int, int]:
         for path in srcs[:-1]:
             st = self._call(self._route(path), "p_stat", path)
             if st.size % CHUNK_SIZE:
@@ -319,15 +315,12 @@ class ShardedInversionClient:
                     f"chunk-aligned ({CHUNK_SIZE})")
         return self._own_tx(lambda: self._copy_physical(srcs, dst, device))
 
-    def p_slice(self, src: str, lo: int, hi: int, dst: str,
-                device: str | None = None) -> tuple[int, int]:
-        s, d = self._route(src), self._route(dst)
-        if s == d:
-            return self._call(s, "p_slice", src, lo, hi, dst, device=device)
+    def _across_slice(self, src: str, lo: int, hi: int, dst: str,
+                      device: str | None) -> tuple[int, int]:
         if lo % CHUNK_SIZE:
             raise StructuralOpError(
                 f"slice start {lo} is not chunk-aligned ({CHUNK_SIZE})")
-        st = self._call(s, "p_stat", src)
+        st = self._call(self._route(src), "p_stat", src)
         if not (0 <= lo <= hi <= st.size):
             raise StructuralOpError(
                 f"slice range [{lo}, {hi}) outside file of {st.size} bytes")

@@ -226,10 +226,6 @@ class ShardedCluster:
         for db in self.dbs:
             db.wrap_devices(wrapper)
 
-    def unwrap_devices(self) -> None:
-        for db in self.dbs:
-            db.unwrap_devices()
-
     # -- routing / dispatch ---------------------------------------------
 
     def dispatch(self, shard: int, conn: int, method: str, *args, **kwargs):

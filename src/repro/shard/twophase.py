@@ -105,4 +105,5 @@ class TwoPhaseCoordinator:
                 else:
                     self.cluster.dispatch(shard, links[shard].conn, "p_abort")
             except Exception:
+                # safe: no decision was logged, so recovery presumes abort
                 pass

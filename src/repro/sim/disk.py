@@ -324,6 +324,23 @@ def drain(drives: Iterable[DiskModel]) -> None:
         drive._drain()
 
 
+def unfinished(drives: Iterable[DiskModel]) -> list[_Request]:
+    """The last queued request of each of ``drives`` not yet done."""
+    return [d._requests[-1] for d in drives
+            if d._requests and d._requests[-1].end > d.clock.now()]
+
+
+def settled(drives: Iterable[DiskModel], requests: list[_Request]) -> bool:
+    """Are the ends of ``requests`` final: is each in flight, or done?
+    A read is served ahead only of the requests behind the one in
+    flight."""
+    for drive in drives:
+        queue = [r for r in drive._requests if r.end > drive.clock.now()]
+        if any(r is q for q in queue[1:] for r in requests):
+            return False
+    return True
+
+
 @contextmanager
 def queued(drives: Iterable[DiskModel]) -> Iterator[None]:
     """A queued section over ``drives``: they are drained first, so at

@@ -207,39 +207,32 @@ class VFS:
 
     # -- structural (by-reference) ops ------------------------------------
 
+    def _structural(self, verb: str, *args) -> tuple[int, int]:
+        self.ops += 1
+        self.reflinks += 1
+        r, m = getattr(self.client, verb)(*args)
+        self.chunks_referenced += r
+        self.chunks_materialized += m
+        return r, m
+
     def reflink(self, src: str, dst: str,
                 device: str | None = None) -> tuple[int, int]:
         """Copy ``src`` to new file ``dst`` by reference: chunk-pointer
         rows, no data movement, copy-on-write afterwards.  Returns
         (chunks referenced, chunks materialized)."""
-        self.ops += 1
-        self.reflinks += 1
-        r, m = self.client.p_reflink(src, dst, device=device)
-        self.chunks_referenced += r
-        self.chunks_materialized += m
-        return r, m
+        return self._structural("p_reflink", src, dst, device)
 
     def concat(self, srcs, dst: str,
                device: str | None = None) -> tuple[int, int]:
         """Concatenate ``srcs`` into new file ``dst`` by reference
         (every source but the last must be chunk-aligned in size)."""
-        self.ops += 1
-        self.reflinks += 1
-        r, m = self.client.p_concat(list(srcs), dst, device=device)
-        self.chunks_referenced += r
-        self.chunks_materialized += m
-        return r, m
+        return self._structural("p_concat", list(srcs), dst, device)
 
     def slice(self, src: str, lo: int, hi: int, dst: str,
               device: str | None = None) -> tuple[int, int]:
         """Extract ``src[lo:hi]`` into new file ``dst`` by reference
         (``lo`` chunk-aligned; the partial tail is materialized)."""
-        self.ops += 1
-        self.reflinks += 1
-        r, m = self.client.p_slice(src, lo, hi, dst, device=device)
-        self.chunks_referenced += r
-        self.chunks_materialized += m
-        return r, m
+        return self._structural("p_slice", src, lo, hi, dst, device)
 
     def truncate(self, path: str, size: int) -> None:
         self.ops += 1

@@ -48,6 +48,16 @@ def test_client_classes_expose_exactly_what_the_table_says(cls, reach):
         assert _params(method) == _params(getattr(InversionClient, name))
 
 
+def test_the_sharded_client_writes_by_hand_only_what_no_row_routes():
+    """Every verb addressed by paths — the two-path ones included — is
+    generated and routed by the ``paths`` column; transaction control
+    and the root-spanning ``p_readdir`` are the only verbs written out."""
+    by_hand = {name for name in _verbs_of(ShardedInversionClient)
+               if vars(ShardedInversionClient)[name].__code__.co_filename
+               != "<string>"}
+    assert by_hand == {"p_begin", "p_commit", "p_abort", "p_readdir"}
+
+
 def test_the_table_states_the_omissions():
     """The 2PC half-calls stop at the server and ``p_query`` stops
     short of the sharded client because a row says so, not because a

@@ -387,11 +387,15 @@ def test_a_held_group_closes_at_the_first_begin_once_the_drive_is_idle(
     assert d.tm.pending_commit_xids() == []
     assert d.clock.now() == before + Drive.CPU  # its sweep; no drain
     assert d.disk.busy_until > d.clock.now()
-    # its record waited out the first flush and then its own
+    # its record waited out the first flush and then its own; the lag
+    # is booked once its force is final, at the next close or flush
+    force_end = d.disk.busy_until
     lag = d.tm.stats.durable_lag_seconds
+    assert lag.count == 1
+    d.tm.flush_commits()
     assert lag.count == 2
     assert lag.max == pytest.approx(
-        d.disk.busy_until - d.tm.commit_time(held.xid), abs=1e-12)
+        force_end - d.tm.commit_time(held.xid), abs=1e-12)
 
 
 def test_never_more_than_one_queued_close_is_in_flight(tmp_path):
@@ -476,6 +480,26 @@ def test_a_read_miss_during_a_queued_close_returns_before_the_flush_ends(
     d.tm.flush_commits()
     assert [line.split()[:2] for line in status_lines(d.dev)] == [
         ["C", str(first.xid)], ["C", str(second.xid)]]
+
+
+def test_a_read_served_ahead_of_the_force_is_in_the_booked_lag(tmp_path):
+    """A group's durability lag ends where its force finally ends: a
+    read the drive serves between the sweep's write and the force
+    pushes the force back, and the booked lag says so."""
+    d = Drive(tmp_path, window=0.001)
+    d.dev.create_relation("cold")
+    d.dev.write_pages("cold", d.dev.extend("cold"), [bytes(PAGE_SIZE)])
+    first = d.expire()
+    d.tm.begin()                      # closes the expired group, queued
+    queued_end = d.disk.busy_until
+    d.dev.read_pages("cold", 0, 1)    # served ahead of the force
+    force_end = d.disk.busy_until
+    assert force_end > queued_end
+    d.tm.flush_commits()
+    lag = d.tm.stats.durable_lag_seconds
+    assert lag.count == 1
+    assert lag.max == pytest.approx(
+        force_end - d.tm.commit_time(first.xid), abs=1e-12)
 
 
 def test_flush_commits_returns_with_every_queued_write_on_the_medium(

@@ -14,6 +14,7 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
+from repro.db.locks import EXCLUSIVE
 from repro.errors import SchedAdmissionError, SessionFailedError
 from repro.sched import Apply, Call, MultiUserScheduler, Ref, Txn
 from repro.sched.scheduler import DONE, FAILED
@@ -181,6 +182,30 @@ class TestVictimRetry:
         failed = [s for s in sched.sessions if s.state == FAILED]
         done = [s for s in sched.sessions if s.state == DONE]
         assert len(failed) == 1 and len(done) == 1
+
+
+    def test_when_every_unfinished_session_sleeps_the_clock_jumps_to_the_first_wake(
+            self, fs):
+        """Opposite lock orders with no I/O: the survivor commits and
+        is done before the victim's backoff ends, so the only unfinished
+        session is asleep — the loop moves the clock to its wake time,
+        not past it, and the retry runs there."""
+        def lock(name):
+            return Apply(f"lock {name}", lambda fs, tx: fs.db.locks.acquire(
+                tx, ("probe", name), EXCLUSIVE))
+
+        programs = [[Txn([lock("x"), lock("y")], tag="xy")],
+                    [Txn([lock("y"), lock("x")], tag="yx")]]
+        sched, _ = _run(fs, programs, seed=3)
+        assert all(s.state == DONE for s in sched.sessions)
+        (retry,) = [e for e in sched.trace if e[1] == "retry"]
+        victim, backoff = retry[2], sched.backoff_base
+        done = [e[0] for e in sched.trace if e[1] == "done"
+                and e[2] != victim]
+        after = [e for e in sched.trace if e[2] == victim
+                 and e[1] == "slice" and e[0] > retry[0]]
+        assert done[0] < retry[0] + backoff
+        assert after[0][0] == round(retry[0] + backoff, 9)
 
 
 class TestLockWaits:

@@ -164,6 +164,37 @@ def test_cross_shard_lock_cycle_resolves_by_timeout(tmp_path):
     cluster.close()
 
 
+def test_the_commit_hook_sees_each_committed_transaction_once(tmp_path):
+    """The cluster's ``commit_hook`` is ``fn(session, tag)`` — a
+    cluster transaction has one xid per enlisted shard, not one — and
+    runs once per committed Txn, never for an aborted one."""
+    cluster = _mkcluster(tmp_path)
+    programs = [
+        [Txn([Call("p_mkdir", "/a/s0")], tag="a0"),
+         Txn([Call("p_mkdir", "/a/gone")], abort=True, tag="dropped"),
+         Txn([Call("p_mkdir", "/a/s1")], tag="a1")],
+        [Txn([Call("p_mkdir", "/b/t0"), Call("p_mkdir", "/a/t0")],
+             tag="ab")],
+    ]
+    seen = []
+    with ShardedScheduler(cluster, seed=5) as sched:
+        sched.commit_hook = lambda session, tag: seen.append(
+            (session.name, tag))
+        for i, prog in enumerate(programs):
+            sched.add_session(prog, name=f"s{i}")
+        sched.run()
+    assert sorted(seen) == [("s0", "a0"), ("s0", "a1"), ("s1", "ab")]
+    assert [tag for name, tag in seen if name == "s0"] == ["a0", "a1"]
+    cluster.close()
+
+
+def test_a_shard_clock_is_its_database_clock(cluster2):
+    """``cluster.clock(k)``, which the sharded e2e workload times its
+    shards on, is shard ``k``'s own simulated clock."""
+    assert all(cluster2.clock(k) is db.clock
+               for k, db in enumerate(cluster2.dbs))
+
+
 def test_victim_retry_preserves_effects_exactly_once(tmp_path):
     """After timeout-driven retries, each session's transaction must
     have applied exactly once (no doubled appends, no lost writes)."""

@@ -8,7 +8,7 @@ explorer then sweeps the same windows mechanically
 
 import pytest
 
-from repro.db.transactions import PREPARED
+from repro.db.transactions import ABORTED, PREPARED
 from repro.errors import FileNotFoundError_, TransactionError
 from repro.shard import DECISION_TAG, ShardedCluster
 from repro.testkit.workload import payload
@@ -235,6 +235,103 @@ def test_recovery_is_idempotent(tmp_path):
     assert _exists(check, "/a/f") and _exists(check, "/b/g")
     check.close()
     twice.close()
+
+
+# -- a failed prepare: presumed abort, live ---------------------------------
+
+
+class _Refused(Exception):
+    """What the wrapped ``cluster.dispatch`` raises for a refused request."""
+
+
+def _refuse(monkeypatch, cluster, *refused):
+    """Wrap ``cluster.dispatch`` so each ``(shard, method)`` in
+    ``refused`` raises :class:`_Refused`; returns the list of every
+    request sent, ``(shard, method, *args)``, and the errors raised."""
+    sent, raised = [], []
+    dispatch = cluster.dispatch
+
+    def refusing(shard, conn, method, *args, **kwargs):
+        sent.append((shard, method, *args))
+        if (shard, method) in refused:
+            raised.append(_Refused(f"{method} refused on shard {shard}"))
+            raise raised[-1]
+        return dispatch(shard, conn, method, *args, **kwargs)
+    monkeypatch.setattr(cluster, "dispatch", refusing)
+    return sent, raised
+
+
+def _two_writers(tmp_path):
+    cluster = _fresh(tmp_path)
+    client = cluster.client()
+    client.p_begin()
+    _write(client, "/a/f", b"A")
+    _write(client, "/b/g", b"B")
+    return cluster, client, [client.xid_on(0), client.xid_on(1)]
+
+
+def _reopened_holds_neither_write(tmp_path):
+    reopened = ShardedCluster.open(str(tmp_path / "c"))
+    check = reopened.client()
+    assert not _exists(check, "/a/f")
+    assert not _exists(check, "/b/g")
+    check.close()
+    return reopened
+
+
+def test_a_failed_prepare_aborts_every_shard_and_reaches_the_caller(
+        tmp_path, monkeypatch):
+    """The second writer refuses ``p_prepare``: the first writer's
+    ``P`` is resolved to abort and the other shard aborted, no lock
+    survives, and the caller gets the prepare's own error."""
+    cluster, client, (x0, x1) = _two_writers(tmp_path)
+    sent, raised = _refuse(monkeypatch, cluster, (1, "p_prepare"))
+    with pytest.raises(_Refused) as failed:
+        client.p_commit()
+    assert failed.value is raised[0]
+    assert [request[:2] for request in sent] == [
+        (0, "p_prepare"), (1, "p_prepare"), (0, "p_resolve"), (1, "p_abort")]
+    assert sent[2] == (0, "p_resolve", False)
+    assert cluster.dbs[0].tm.state(x0) == ABORTED
+    assert cluster.dbs[1].tm.state(x1) == ABORTED
+    for db in cluster.dbs:
+        assert db.locks._locks == {}
+        assert db.tm.in_doubt() == {}
+    assert not client.in_transaction()
+    monkeypatch.undo()
+    client.close()
+    cluster.close()
+    reopened = _reopened_holds_neither_write(tmp_path)
+    assert reopened.stats.in_doubt_aborts == 0
+    assert reopened.stats.in_doubt_commits == 0
+    reopened.close()
+
+
+def test_a_failed_rollback_leaves_the_prepared_shard_to_presumed_abort(
+        tmp_path, monkeypatch):
+    """The rollback's own ``p_resolve`` fails too: the rollback goes on
+    to abort the other shard, the caller still gets the prepare's
+    error, and the shard left prepared is aborted at reopen — no
+    decision was logged."""
+    cluster, client, (x0, _x1) = _two_writers(tmp_path)
+    sent, raised = _refuse(monkeypatch, cluster,
+                           (1, "p_prepare"), (0, "p_resolve"))
+    with pytest.raises(_Refused) as failed:
+        client.p_commit()
+    assert failed.value is raised[0]
+    assert len(raised) == 2
+    assert sent[-1] == (1, "p_abort")
+    assert cluster.dbs[1].locks._locks == {}
+    assert cluster.dbs[0].tm.state(x0) == PREPARED
+    assert cluster.decisions(0) == set()
+    monkeypatch.undo()
+    client.close()
+    cluster.close()
+    reopened = _reopened_holds_neither_write(tmp_path)
+    assert reopened.stats.in_doubt_aborts == 1
+    assert reopened.stats.in_doubt_commits == 0
+    assert all(db.tm.in_doubt() == {} for db in reopened.dbs)
+    reopened.close()
 
 
 # -- the decision log ----------------------------------------------------
