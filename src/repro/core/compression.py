@@ -57,19 +57,8 @@ class CompressionService:
 
     def __init__(self, fs) -> None:
         self.fs = fs
-        self._ensure_table()
-
-    def _ensure_table(self) -> None:
-        db = self.fs.db
-        if not db.table_exists(COMPRESSION_TABLE):
-            tx = db.begin()
-            try:
-                db.create_table(tx, COMPRESSION_TABLE, COMPRESSION_SCHEMA,
-                                indexes=COMPRESSION_INDEXES)
-                db.commit(tx)
-            except BaseException:
-                db.abort(tx)
-                raise
+        fs.db.ensure_table(COMPRESSION_TABLE, COMPRESSION_SCHEMA,
+                           indexes=COMPRESSION_INDEXES)
 
     # -- write path ---------------------------------------------------------
 

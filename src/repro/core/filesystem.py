@@ -29,7 +29,7 @@ from repro.core.naming import Namespace, basename_dirname, split_path
 from repro.db.database import Database
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, Snapshot
 from repro.db.locks import EXCLUSIVE, SHARED
-from repro.db.transactions import Transaction
+from repro.db.transactions import Transaction, atomic
 from repro.db.tuples import Column, Schema
 from repro.errors import (
     DirectoryNotEmptyError,
@@ -134,18 +134,13 @@ class InversionFS:
         """Initialize Inversion in a database: namespace, attribute
         table, root directory, and the built-in metadata functions —
         all in one transaction."""
-        tx = db.begin()
-        try:
+        with atomic(db) as tx:
             namespace = Namespace.bootstrap(db, tx)
             fileatt = FileAttributes.bootstrap(db, tx)
             fs = cls(db, namespace, fileatt)
             fs.fileatt.create(tx, namespace.root_fileid, "root", TYPE_DIRECTORY)
             fs._define_metadata_functions(tx)
-            db.commit(tx)
-            return fs
-        except BaseException:
-            db.abort(tx)
-            raise
+        return fs
 
     @classmethod
     def attach(cls, db: Database) -> "InversionFS":

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.constants import O_CREAT, O_RDONLY, O_RDWR, SEEK_SET
 from repro.core.filesystem import InversionFS
+from repro.db.transactions import atomic
 from repro.errors import BadFileDescriptorError, TransactionError
 
 
@@ -134,15 +135,9 @@ class InversionClient:
         if self._tx is not None:
             self.last_xid = self._tx.xid
             return op(self._tx)
-        tx = self.fs.begin()
-        self.last_xid = tx.xid
-        try:
-            result = op(tx)
-        except BaseException:
-            self.fs.abort(tx)
-            raise
-        self.fs.commit(tx)
-        return result
+        with atomic(self.fs) as tx:
+            self.last_xid = tx.xid
+            return op(tx)
 
     def _desc(self, fd: int) -> _Descriptor:
         desc = self._fds.get(fd)

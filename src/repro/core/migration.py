@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.core.chunks import chunk_table_name
 from repro.db.snapshot import BootstrapSnapshot
-from repro.db.transactions import Transaction
+from repro.db.transactions import Transaction, atomic
+from repro.db.tuples import Column, Schema
 from repro.errors import MigrationError
 
 
@@ -46,6 +47,12 @@ class MigrationReport:
 
 
 MIGRATION_RULES_TABLE = "inv_migration_rules"
+MIGRATION_RULES_SCHEMA = Schema([
+    Column("rulename", "text"),
+    Column("qualification", "text"),
+    Column("target", "text"),
+    Column("priority", "int4"),
+])
 
 
 class MigrationEngine:
@@ -57,29 +64,11 @@ class MigrationEngine:
 
     def __init__(self, fs) -> None:
         self.fs = fs
-        self._ensure_table()
-
-    def _ensure_table(self) -> None:
-        db = self.fs.db
-        if not db.table_exists(MIGRATION_RULES_TABLE):
-            from repro.db.tuples import Column, Schema
-            tx = db.begin()
-            try:
-                db.create_table(tx, MIGRATION_RULES_TABLE, Schema([
-                    Column("rulename", "text"),
-                    Column("qualification", "text"),
-                    Column("target", "text"),
-                    Column("priority", "int4"),
-                ]))
-                db.commit(tx)
-            except BaseException:
-                db.abort(tx)
-                raise
+        fs.db.ensure_table(MIGRATION_RULES_TABLE, MIGRATION_RULES_SCHEMA)
 
     @property
     def rules(self) -> list[MigrationRule]:
         """The declared rules, highest priority first."""
-        from repro.db.snapshot import BootstrapSnapshot
         snapshot = BootstrapSnapshot(self.fs.db.tm)
         rows = [MigrationRule(*row) for _tid, row in
                 self.fs.db.table(MIGRATION_RULES_TABLE).scan(snapshot)]
@@ -92,32 +81,20 @@ class MigrationEngine:
             raise MigrationError(f"no device named {target_device!r}")
         from repro.db.query.parser import parse_expression
         parse_expression(qualification)  # validate now, not at run()
-        db = self.fs.db
-        tx = db.begin()
-        try:
-            db.table(MIGRATION_RULES_TABLE, tx).insert(
+        with atomic(self.fs.db) as tx:
+            self.fs.db.table(MIGRATION_RULES_TABLE, tx).insert(
                 tx, (name, qualification, target_device, priority))
-            db.commit(tx)
-        except BaseException:
-            db.abort(tx)
-            raise
         return MigrationRule(name, qualification, target_device, priority)
 
     def drop_rule(self, name: str) -> bool:
         db = self.fs.db
-        tx = db.begin()
-        try:
+        with atomic(db) as tx:
             table = db.table(MIGRATION_RULES_TABLE, tx)
             for tid, row in list(table.scan(db.snapshot(tx), tx)):
                 if row[0] == name:
                     table.delete(tx, tid)
-                    db.commit(tx)
                     return True
-            db.commit(tx)
             return False
-        except BaseException:
-            db.abort(tx)
-            raise
 
     # -- evaluation -----------------------------------------------------------
 

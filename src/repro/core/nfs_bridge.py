@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.core.constants import O_RDONLY, O_RDWR
 from repro.core.filesystem import InversionFS
+from repro.db.transactions import atomic
 from repro.errors import NfsError, ReadOnlyFileError
 from repro.nfs.server import NFS_MAX_TRANSFER, NfsAttr
 
@@ -54,14 +55,8 @@ class InversionNFSBridge:
 
     def _auto(self, op):
         """Run ``op(tx)`` as its own transaction — the NFS rule."""
-        tx = self.fs.begin()
-        try:
-            result = op(tx)
-        except BaseException:
-            self.fs.abort(tx)
-            raise
-        self.fs.commit(tx)
-        return result
+        with atomic(self.fs) as tx:
+            return op(tx)
 
     def _timestamp_for(self, fh: int) -> float | None:
         return self._timestamps.get(fh)

@@ -45,6 +45,10 @@ class InversionServer:
         #: enables caching (:meth:`enable_leases`); None = no lease
         #: bookkeeping at all, the zero-overhead default.
         self.leases = None
+        #: ``(session id, fd, error)`` per abort (fd None) or close that
+        #: :meth:`disconnect` could not finish: teardown goes on, and
+        #: what it dropped is kept here.
+        self.teardown_errors: list[tuple[int, int | None, str]] = []
 
     def enable_leases(self):
         """Turn on lease bookkeeping for this server (idempotent).
@@ -146,7 +150,8 @@ class InversionServer:
         deadlock every other session touching the same files.  Surviving
         descriptors are then closed so attribute updates left pending by
         auto-commit writes are reconciled rather than silently dropped
-        (their chunk data already committed; only fileatt lagged).
+        (their chunk data already committed; only fileatt lagged).  An
+        abort or close that fails is kept in :attr:`teardown_errors`.
 
         One exception: a PREPARED (in-doubt 2PC) transaction must
         *survive* its session.  Its fate belongs to the coordinator's
@@ -171,17 +176,19 @@ class InversionServer:
         if tx is not None:
             try:
                 session.p_abort()
-            except Exception:
+            except Exception as exc:
                 # The session is dead — a failing abort hook (or status
                 # append) must not leave teardown half-done.
-                pass
+                self.teardown_errors.append((session_id, None, repr(exc)))
             finally:
                 session._tx = None
                 self.fs.db.locks.release_all(tx)
         for fd in list(session._fds):
             try:
                 session.p_close(fd)
-            except Exception:
+            except Exception as exc:
+                # The fd's pending size never reaches fileatt.
+                self.teardown_errors.append((session_id, fd, repr(exc)))
                 session._fds.pop(fd, None)
 
     def dispatch(self, session_id: int, method: str, *args, **kwargs):

@@ -27,7 +27,7 @@ from repro.db.heap import TID_FMT, HeapFile
 from repro.db.locks import LockManager
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, CurrentSnapshot, Snapshot
 from repro.db.table import Table
-from repro.db.transactions import Transaction, TransactionManager
+from repro.db.transactions import Transaction, TransactionManager, atomic
 from repro.db.tuples import Schema
 from repro.devices.jukebox import SonyJukebox
 from repro.devices.magnetic import MagneticDisk
@@ -126,9 +126,8 @@ class Database:
         db.tm.drives = db.drives
         db.catalog = Catalog(db.switch, db.buffers, "magnetic0", cpu=db.cpu)
         db.obs.bind_database(db)
-        tx = db.begin()
-        db.catalog.bootstrap_create(tx)
-        db.commit(tx)
+        with atomic(db) as tx:
+            db.catalog.bootstrap_create(tx)
         return db
 
     @classmethod
@@ -343,6 +342,14 @@ class Database:
             self._create_index_on(tx, oid, name, dev.name, schema, list(keycols))
         info = self.catalog.lookup_table(name, snapshot, use_cache=False)
         return Table(self, info)
+
+    def ensure_table(self, name: str, schema: Schema,
+                     indexes: Sequence[Sequence[str]] = ()) -> None:
+        """Create table ``name`` in a transaction of its own, unless
+        some committed state already holds it."""
+        if not self.table_exists(name):
+            with atomic(self) as tx:
+                self.create_table(tx, name, schema, indexes=indexes)
 
     def create_index(self, tx: Transaction, table_name: str,
                      keycols: Sequence[str], name: str | None = None) -> Table:

@@ -307,6 +307,3 @@ class Page:
 
     def to_bytes(self) -> bytes:
         return bytes(self.buf)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Page(nslots={self.nslots}, free={self.free_space}, flags={self.flags:#x})"

@@ -75,16 +75,6 @@ class RuleSystem:
 
     # -- storage --------------------------------------------------------
 
-    def _ensure_table(self) -> None:
-        if not self.db.table_exists(PG_RULES_TABLE):
-            tx = self.db.begin()
-            try:
-                self.db.create_table(tx, PG_RULES_TABLE, PG_RULES_SCHEMA)
-                self.db.commit(tx)
-            except BaseException:
-                self.db.abort(tx)
-                raise
-
     def invalidate(self) -> None:
         self._cache = None
 
@@ -110,7 +100,7 @@ class RuleSystem:
         if action != "reject" and not action.startswith("do "):
             raise QueryError(
                 f"rule action must be 'reject' or 'do <key>', not {action!r}")
-        self._ensure_table()
+        self.db.ensure_table(PG_RULES_TABLE, PG_RULES_SCHEMA)
         # Validate the qualification parses now, not at first firing.
         from repro.db.query.parser import parse_expression
         parse_expression(qualification)

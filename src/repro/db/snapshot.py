@@ -53,9 +53,6 @@ class CurrentSnapshot(Snapshot):
             return False  # we deleted it ourselves
         return not self._tm.is_committed(xmax)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CurrentSnapshot(xid={self._xid})"
-
 
 class AsOfSnapshot(Snapshot):
     """The historical view as of simulated time ``when``."""
@@ -74,9 +71,6 @@ class AsOfSnapshot(Snapshot):
             return True
         t_out = self._tm.commit_time(xmax)
         return t_out is None or t_out > self.when
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AsOfSnapshot(when={self.when})"
 
 
 class IntervalSnapshot(Snapshot):
@@ -103,9 +97,6 @@ class IntervalSnapshot(Snapshot):
             return True
         t_out = self._tm.commit_time(xmax)
         return t_out is None or t_out > self.t1
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"IntervalSnapshot({self.t1}, {self.t2})"
 
 
 class BootstrapSnapshot(Snapshot):

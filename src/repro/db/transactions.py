@@ -23,6 +23,7 @@ exactly the paper's ``p_begin``/``p_commit``/``p_abort``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -212,6 +213,27 @@ class Transaction:
     def require_active(self) -> None:
         if self.state != IN_PROGRESS:
             raise TransactionError(f"transaction {self.xid} is {self.state}")
+
+
+@contextmanager
+def atomic(owner):
+    """``with atomic(db) as tx: ...`` — begin, run the body, commit.
+
+    ``owner`` is anything with ``begin()`` / ``commit(tx)`` /
+    ``abort(tx)`` (a :class:`~repro.db.database.Database`, an
+    ``InversionFS``).  The one rule for a failure: if the body or the
+    commit raises while ``tx`` is still in progress, abort it and
+    re-raise; if ``tx`` is already past that (a commit that failed
+    after marking it committed), re-raise the error as it is — an abort
+    there could only fail, hiding it."""
+    tx = owner.begin()
+    try:
+        yield tx
+        owner.commit(tx)
+    except BaseException:
+        if tx.state == IN_PROGRESS:
+            owner.abort(tx)
+        raise
 
 
 class TransactionManager:

@@ -213,10 +213,6 @@ class Schema:
     def from_dict(cls, desc: Sequence[dict[str, str]]) -> "Schema":
         return cls([Column(d["name"], d["typ"]) for d in desc])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cols = ", ".join(f"{c.name} {c.typ}" for c in self.columns)
-        return f"Schema({cols})"
-
 
 def pack_record(xmin: int, xmax: int, payload: bytes) -> bytes:
     """Prefix ``payload`` with the (xmin, xmax) record header."""

@@ -29,7 +29,7 @@ from repro.db.catalog import TableInfo
 from repro.db.heap import HeapFile
 from repro.db.locks import EXCLUSIVE
 from repro.db.snapshot import BootstrapSnapshot
-from repro.db.transactions import ABORTED
+from repro.db.transactions import ABORTED, atomic
 from repro.db.tuples import INVALID_XID
 from repro.errors import RecoveryError, TableError
 
@@ -135,8 +135,7 @@ class VacuumCleaner:
             name, BootstrapSnapshot(self.db.tm), use_cache=False)
         devname = self.archive_device or info.devname
         if archive_info is None:
-            ddl = self.db.begin()
-            try:
+            with atomic(self.db) as ddl:
                 dev = self.db.switch.get(devname)
                 oid = self.db.catalog.allocate_oid()
                 dev.create_relation(name)
@@ -151,10 +150,6 @@ class VacuumCleaner:
                         ddl, self.db.catalog.allocate_oid(), idxname, oid,
                         list(ix.keycols))
                 ddl.wrote = True
-                self.db.commit(ddl)
-            except BaseException:
-                self.db.abort(ddl)
-                raise
             self.db.tm.flush_commits()  # group commit must not buffer DDL
             archive_info = self.db.catalog.lookup_table(
                 name, BootstrapSnapshot(self.db.tm), use_cache=False)
@@ -178,9 +173,8 @@ class VacuumCleaner:
         if info.relkind != "h":
             raise TableError(f"cannot vacuum relation of kind {info.relkind!r}")
 
-        tx = self.db.begin()
         stats = VacuumStats(table=table_name)
-        try:
+        with atomic(self.db) as tx:
             self.db.locks.acquire(tx, ("rel", info.oid), EXCLUSIVE)
             # A writer holding the lock may have given the table an
             # index (a chunk table's is born when it outgrows a page):
@@ -246,11 +240,7 @@ class VacuumCleaner:
             stats.pages_after = HeapFile(self.db.buffers, info.devname,
                                          info.name, schema).npages()
             tx.wrote = True
-            self.db.commit(tx)
-            return stats
-        except BaseException:
-            self.db.abort(tx)
-            raise
+        return stats
 
     def _rewrite_heap(self, info: TableInfo,
                       keep: list[tuple[int, int, tuple]]) -> None:

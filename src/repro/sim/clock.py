@@ -51,9 +51,6 @@ class SimClock:
         self._now = float(origin)
         self._ticks = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f})"
-
 
 class Stopwatch:
     """Measures simulated elapsed time over a block of work.

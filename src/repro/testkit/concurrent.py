@@ -86,4 +86,4 @@ class ConcurrentWorkloadRunner(WorkloadRunner):
             sched.run(strict=True)
         finally:
             sched.close()
-        self._drain_floating()
+        self._flush_final_group()

@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.checker import ConsistencyChecker
+from repro.db.transactions import atomic
 from repro.errors import ReproError, SimulatedCrashError
 from repro.testkit.faults import CrashController, FaultPlan, FaultyDevice
 from repro.testkit.oracle import (ModelFS, apply_client_op, apply_fs_op,
@@ -84,6 +85,13 @@ class WorkloadRunner:
             else:
                 raise TypeError(f"unknown step {step!r}")
         self.pending = None
+        self._flush_final_group()
+
+    def _flush_final_group(self) -> None:
+        """Force the group ``close()`` would, inside the run, so the
+        armed run can crash in it too, then fold it into the oracle."""
+        for db in self.stack.dbs():
+            db.tm.flush_commits()
         self._drain_floating()
 
     def _drain_floating(self) -> None:
@@ -140,13 +148,8 @@ class WorkloadRunner:
         engine = MigrationEngine(self.fs)
         if all(r.name != step.rule_name for r in engine.rules):
             engine.add_rule(step.rule_name, step.qualification, step.target)
-        tx = self.db.begin()
-        try:
+        with atomic(self.db) as tx:
             engine.run(tx)
-        except BaseException:
-            self.db.abort(tx)
-            raise
-        self.db.commit(tx)
 
 
 class ClientWorkloadRunner(WorkloadRunner):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.db.transactions import atomic
+
 
 def payload(seed: int, tag: str, size: int) -> bytes:
     """``size`` deterministic bytes, independent of PYTHONHASHSEED."""
@@ -87,10 +89,9 @@ class Workload:
             db.add_device(devname, kind)
         if self.setup_ops:
             from repro.testkit.oracle import apply_fs_op
-            tx = fs.begin()
-            for op in self.setup_ops:
-                apply_fs_op(fs, tx, op)
-            fs.commit(tx)
+            with atomic(fs) as tx:
+                for op in self.setup_ops:
+                    apply_fs_op(fs, tx, op)
         if self.group_commit_window:
             db.tm.group_commit_window = self.group_commit_window
 

@@ -85,6 +85,29 @@ def test_disconnect_aborts_open_transaction(fs, clock):
     assert not fs.exists("/leak")
 
 
+def test_disconnect_keeps_what_its_teardown_dropped(fs, monkeypatch):
+    """A dead session's abort and close may fail; teardown still
+    finishes — locks released, session gone — and keeps each error."""
+    server = InversionServer(fs)
+    sid = server.connect()
+    fd = server.dispatch(sid, "p_creat", "/kept")
+    server.dispatch(sid, "p_begin")
+    server.dispatch(sid, "p_mkdir", "/held")
+    session = server._sessions[sid]
+    held = [handle.resource for handle in session._tx.held_locks]
+    assert held
+
+    def fail(*_args):
+        raise OSError("the medium is gone")
+    monkeypatch.setattr(session, "p_abort", fail)
+    monkeypatch.setattr(session, "p_close", fail)
+    server.disconnect(sid)
+    error = repr(OSError("the medium is gone"))
+    assert server.teardown_errors == [(sid, None, error), (sid, fd, error)]
+    assert sid not in server._sessions
+    assert all(fs.db.locks.holders(resource) == {} for resource in held)
+
+
 def test_unknown_method_rejected(fs):
     server = InversionServer(fs)
     session = server.connect()

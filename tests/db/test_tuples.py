@@ -87,3 +87,15 @@ def test_property_roundtrip(n, s, b):
 def test_property_float_roundtrip(f):
     schema = Schema([Column("f", "float8")])
     assert schema.unpack(schema.pack((f,)))[0] == f
+
+
+def test_equal_schemas_hash_equal():
+    """A catalog row's ``TableInfo`` is a frozen dataclass: hashing it
+    hashes its schema, so equal schemas must hash equal."""
+    from repro.db.catalog import TableInfo
+    a = Schema([Column("k", "int4"), Column("v", "text")])
+    b = Schema.from_dict(a.to_dict())
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({TableInfo(1, "t", "m0", "h", a),
+                TableInfo(1, "t", "m0", "h", b)}) == 1

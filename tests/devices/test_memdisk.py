@@ -108,3 +108,12 @@ def test_bad_relation_names(dev):
         dev.create_relation("")
     with pytest.raises(ValueError):
         dev.create_relation("a/b")
+
+
+def test_meta_tags_lists_every_stored_blob_sorted(dev):
+    """What a base backup copies meta by meta (``replica.backup``)."""
+    assert dev.meta_tags() == []
+    dev.sync_write_meta("pg_status", b"C 2")
+    dev.sync_write_meta("pg_allocmap", b"")
+    dev.sync_write_meta("pg_status", b"C 2 C 3")
+    assert dev.meta_tags() == ["pg_allocmap", "pg_status"]

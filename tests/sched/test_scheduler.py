@@ -63,6 +63,21 @@ def _run(fs, programs, **kw):
     return sched, report
 
 
+def test_program_items_name_themselves(fs):
+    """What a program's items print as, and how a misplaced ``Apply``
+    is refused: by its own name."""
+    assert repr(Ref(2)) == "Ref(2)"
+    assert repr(Call("p_open", "/f", 0)) == "Call('p_open')"
+    assert repr(_hold(1.0)) == "Apply('hold 1.0')"
+    sched = MultiUserScheduler(InversionServer(fs))
+    try:
+        with pytest.raises(TypeError,
+                           match=r"^Apply\('hold 1\.0'\) outside a Txn"):
+            sched.add_session([_hold(1.0)])
+    finally:
+        sched.close()
+
+
 class TestDeterminism:
     def test_same_seed_same_trace(self, tmp_path):
         hashes = []

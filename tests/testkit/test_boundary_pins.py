@@ -39,15 +39,19 @@ SINGLE_SERVER = {
     # them share a group.  Since an expired group waits for the drive
     # to write the last one, more commits share a group again:
     # group_commit 53 → 52, concurrent 68 → 42, lengthened by an abort
-    # and a commit in two of its sessions to 76.
-    "group_commit": (group_commit_workload, 52),
-    "concurrent": (concurrent_workload, 76),
+    # and a commit in two of its sessions to 76.  The runners now end
+    # with the final group's flush, which ``close()`` used to write
+    # outside the armed run: its sweep and force are crash points too,
+    # group_commit 52 → 64, concurrent 76 → 88.
+    "group_commit": (group_commit_workload, 64),
+    "concurrent": (concurrent_workload, 88),
 }
-#: Status appends inside the armed run.  The explorer disarms before
-#: the stack's ``close()``, so the group that ``close()`` flushes is
-#: never crashed inside: a change that pushes commits into that final
-#: group lowers these counts even where the boundary count holds.
-ARMED_STATUS_APPENDS = {"group_commit": 4, "concurrent": 7}
+#: Status appends inside the armed run, the final group's included
+#: (group_commit 4 → 5, concurrent 7 → 8 when the runners took over
+#: that flush from ``close()``): a change that pushes commits into
+#: fewer groups lowers these counts even where the boundary count
+#: holds.
+ARMED_STATUS_APPENDS = {"group_commit": 5, "concurrent": 8}
 #: ``commit`` through each single-server client stack: the client
 #: changes how the requests travel, not what the server's committed
 #: transactions write, so ``remote`` and ``cached`` force ``local``'s

@@ -8,8 +8,9 @@ code object never ran.  Abstract methods and bodies that hold nothing
 but a docstring, ``...``, ``pass`` or ``raise NotImplementedError`` are
 not counted: there is nothing in them to enter.  Functions built by
 ``exec`` (the verb table's generated methods) have no source file and
-are not listed either.  No threshold: it prints the list CHANGES.md
-quotes.  Arguments after the options go to pytest, so
+are not listed either.  It is a gate: it exits 1 when the list is not
+empty (each function on it is owed a test or a deletion), and with
+pytest's status when the suite fails.  Arguments go to pytest, so
 ``python tools/reach.py tests/shard`` asks what one package's tests
 reach.  Under the hook tier-1 runs three to four times slower.
 
@@ -124,7 +125,7 @@ def main() -> int:
     print(f"\n{len(lines)} of {len(counted)} functions in src/repro "
           "never entered:")
     print("\n".join(lines))
-    return int(status)
+    return int(status) or int(bool(lines))
 
 
 if __name__ == "__main__":
