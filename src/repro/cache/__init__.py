@@ -21,19 +21,12 @@ every link that caches is handed one of its factories.
 
 from __future__ import annotations
 
-from repro.cache.client import (
-    CacheStats,
-    ClientCache,
-    METRICS as CLIENT_METRICS,
-    bind_cache_stats,
-)
+from repro.cache.client import CacheStats, ClientCache
 from repro.cache.link import SessionLink
 from repro.cache.leases import (
     EPOCH_MODULUS,
     LeaseManager,
     LeaseStats,
-    METRICS as LEASE_METRICS,
-    bind_lease_stats,
     epoch_newer,
     normalize_path,
 )
@@ -41,14 +34,10 @@ from repro.cache.leases import (
 __all__ = [
     "CacheStats",
     "ClientCache",
-    "CLIENT_METRICS",
     "EPOCH_MODULUS",
     "LeaseManager",
     "LeaseStats",
-    "LEASE_METRICS",
     "SessionLink",
-    "bind_cache_stats",
-    "bind_lease_stats",
     "epoch_newer",
     "normalize_path",
     "session_cache_factory",
@@ -72,7 +61,7 @@ def session_cache_factory(max_paths: int = 128, max_chunks: int = 64,
         leases.subscribe(conn)
         obs = getattr(getattr(server.fs, "db", None), "obs", None)
         if obs is not None:
-            bind_cache_stats(obs.metrics, shared)
+            obs.metrics.mirror_all(shared)
         return ClientCache(leases, conn, max_paths=max_paths,
                            max_chunks=max_chunks, stats=shared)
 

@@ -44,64 +44,36 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.core.chunks import CHUNK_SIZE
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 
 from repro.cache.leases import normalize_path
 
-METRICS = (
-    MetricSpec("cache.hits", "counter", "ops",
-               "Client-cache hits served without a server RPC, by tier "
-               "(att, negative, chunk, seek, and open: a read-only open "
-               "outside a transaction, or a write-mode open inside one, "
-               "answered with a link-local descriptor).",
-               "repro.cache.client", labels=("tier",)),
-    MetricSpec("cache.misses", "counter", "ops",
-               "Cache-eligible requests that still went to the server, "
-               "by tier (att, chunk).",
-               "repro.cache.client", labels=("tier",)),
-    MetricSpec("cache.invalidations", "counter", "ops",
-               "Cache entries dropped by lease invalidation notices.",
-               "repro.cache.client"),
-    MetricSpec("cache.evictions", "counter", "ops",
-               "Cache entries evicted by the LRU capacity bound.",
-               "repro.cache.client"),
-)
 
-
+@metric_stats("cache")
 class CacheStats:
     """Lifetime counters for one cache (or a set of caches sharing one
     registry — the scheduler and the sharded client deliberately share
     a single instance across sessions/shards so the mirrored metric
     reflects the whole run)."""
 
-    def __init__(self) -> None:
-        self.hits: dict[str, int] = {}
-        self.misses: dict[str, int] = {}
-        self.invalidations = 0
-        self.evictions = 0
-        #: id() of every registry these stats are already mirrored on.
-        self._bound: set[int] = set()
+    hits: dict = counter(
+        "ops", "Client-cache hits served without a server RPC, by tier "
+        "(att, negative, chunk, seek, and open: a read-only open "
+        "outside a transaction, or a write-mode open inside one, "
+        "answered with a link-local descriptor).", labels=("tier",))
+    misses: dict = counter(
+        "ops", "Cache-eligible requests that still went to the server, "
+        "by tier (att, chunk).", labels=("tier",))
+    invalidations: int = counter(
+        "ops", "Cache entries dropped by lease invalidation notices.")
+    evictions: int = counter(
+        "ops", "Cache entries evicted by the LRU capacity bound.")
 
     def hit(self, tier: str) -> None:
         self.hits[tier] = self.hits.get(tier, 0) + 1
 
     def miss(self, tier: str) -> None:
         self.misses[tier] = self.misses.get(tier, 0) + 1
-
-
-def bind_cache_stats(registry, stats: CacheStats) -> None:
-    """Mirror ``stats`` onto ``registry`` once (idempotent per
-    registry; a second cache sharing the stats is a no-op)."""
-    if id(registry) in stats._bound:
-        return
-    stats._bound.add(id(registry))
-    hits = registry.register(METRICS[0])
-    for tier in ("att", "negative", "chunk", "seek", "open"):
-        hits.mirror(lambda s=stats, t=tier: s.hits.get(t, 0), tier=tier)
-    misses = registry.register(METRICS[1])
-    for tier in ("att", "chunk"):
-        misses.mirror(lambda s=stats, t=tier: s.misses.get(t, 0), tier=tier)
-    registry.mirror_all(METRICS[2:], stats)
 
 
 class ClientCache:

@@ -39,9 +39,7 @@ timings byte-identical whether or not leases are enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 
 #: epochs live in 32-bit serial-number space (RFC 1982 style), so the
 #: counter can run forever; compare with :func:`epoch_newer`.
@@ -50,25 +48,6 @@ EPOCH_MODULUS = 2 ** 32
 #: undrained notices a channel holds before collapsing to one
 #: ``("all", "", epoch)`` flush marker.
 MAX_PENDING = 1024
-
-METRICS = (
-    MetricSpec("cache.lease_bumps", "counter", "ops",
-               "Object-epoch bumps emitted by committed (or aborted, "
-               "conservatively) mutations.",
-               "repro.cache.leases"),
-    MetricSpec("cache.lease_notices", "counter", "msgs",
-               "Invalidation notices appended to subscribed sessions' "
-               "channels (one bump fans out to every subscriber).",
-               "repro.cache.leases"),
-    MetricSpec("cache.lease_grants", "counter", "ops",
-               "Name-resolution grants piggybacked on p_open/p_creat "
-               "replies (they pre-fill the client's path cache).",
-               "repro.cache.leases"),
-    MetricSpec("cache.lease_revocations", "counter", "ops",
-               "Session lease revocations: disconnects, explicit "
-               "revoke_all sweeps, and cluster in-doubt recovery.",
-               "repro.cache.leases"),
-)
 
 
 def normalize_path(path: str) -> str:
@@ -85,21 +64,22 @@ def epoch_newer(a: int, b: int) -> bool:
     return (a - b) % EPOCH_MODULUS < EPOCH_MODULUS // 2 and a != b
 
 
-@dataclass
+@metric_stats("cache")
 class LeaseStats:
-    """Lease-manager lifetime counters, mirrored onto the owning
-    database's metrics registry under the ``cache.lease_*`` families."""
+    """Lease-manager lifetime counters."""
 
-    lease_bumps: int = 0
-    lease_notices: int = 0
-    lease_grants: int = 0
-    lease_revocations: int = 0
-
-
-def bind_lease_stats(registry, stats: LeaseStats) -> None:
-    """Mirror ``stats`` onto ``registry`` (idempotent — re-registering
-    an identical spec returns the existing family)."""
-    registry.mirror_all(METRICS, stats)
+    lease_bumps: int = counter(
+        "ops", "Object-epoch bumps emitted by committed (or aborted, "
+        "conservatively) mutations.")
+    lease_notices: int = counter(
+        "msgs", "Invalidation notices appended to subscribed sessions' "
+        "channels (one bump fans out to every subscriber).")
+    lease_grants: int = counter(
+        "ops", "Name-resolution grants piggybacked on p_open/p_creat "
+        "replies (they pre-fill the client's path cache).")
+    lease_revocations: int = counter(
+        "ops", "Session lease revocations: disconnects, explicit "
+        "revoke_all sweeps, and cluster in-doubt recovery.")
 
 
 class _Channel:

@@ -33,23 +33,8 @@ from repro.db.snapshot import Snapshot
 from repro.db.transactions import Transaction
 from repro.db.tuples import Column, Schema
 from repro.errors import FileTooLargeError, TableError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.obs.tracing import NO_SPAN
-
-METRICS = (
-    MetricSpec("chunks.range_reads", "counter", "ops",
-               "Multi-chunk read_range calls (one index range scan "
-               "instead of per-chunk probes).",
-               "repro.core.chunks"),
-    MetricSpec("chunks.flushes", "counter", "ops",
-               "Coalescing-buffer flushes pushing dirty chunks into "
-               "the data table.",
-               "repro.core.chunks"),
-    MetricSpec("chunks.chunks_written", "counter", "chunks",
-               "Chunk versions written by those flushes (inserts and "
-               "no-overwrite updates).",
-               "repro.core.chunks"),
-)
 
 CHUNK_SCHEMA = Schema([
     Column("chunkno", "int4"),
@@ -78,6 +63,23 @@ def encode_ref(src_fileid: int, src_chunkno: int, src_xmin: int) -> bytes:
 def chunk_table_name(fileid: int) -> str:
     """File identifier → data table name (``inv23114`` for 23114)."""
     return f"inv{fileid}"
+
+
+@metric_stats("chunks")
+class ChunkStats:
+    """The session's chunk-layer counters (one instance on the
+    session's :class:`~repro.obs.Observability`: a :class:`ChunkStore`
+    is made per file and use)."""
+
+    range_reads: int = counter(
+        "ops", "Multi-chunk read_range calls (one index range scan "
+        "instead of per-chunk probes).")
+    flushes: int = counter(
+        "ops", "Coalescing-buffer flushes pushing dirty chunks into "
+        "the data table.")
+    chunks_written: int = counter(
+        "chunks", "Chunk versions written by those flushes (inserts and "
+        "no-overwrite updates).")
 
 
 class ChunkStore:

@@ -28,45 +28,42 @@ from repro.core.constants import (CHUNK_SIZE, MAX_FILE_SIZE, O_RDWR,
 from repro.core.fileatt import FileAtt
 from repro.core.protocol import OPENS, REMOTE, TX, exposes
 from repro.core.server import InversionServer
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.obs.tracing import NO_SPAN
 from repro.sim.network import NetworkModel
 
-METRICS = (
-    MetricSpec("rpc.client.batched_reads", "counter", "ops",
-               "RPCs that fetched more than the caller asked for "
-               "(read-ahead window).",
-               "repro.core.client"),
-    MetricSpec("rpc.client.buffered_reads", "counter", "ops",
-               "p_read calls answered from a descriptor's read-ahead "
-               "buffer, no RPC at all (EOF included, once a short "
-               "batched reply recorded it; a link-local descriptor's "
-               "buffer included).",
-               "repro.core.client"),
-    MetricSpec("rpc.client.batched_writes", "counter", "ops",
-               "p_write RPCs that shipped more than one buffered "
-               "call's data.",
-               "repro.core.client"),
-    MetricSpec("rpc.client.buffered_writes", "counter", "ops",
-               "p_write calls absorbed into the write buffer, no RPC "
-               "at all.",
-               "repro.core.client"),
-    MetricSpec("rpc.client.riders", "counter", "ops",
-               "Calls that sent no message of their own: each rode the "
-               "session's next request, ahead of it (read-only closes; "
-               "on a batching client also p_begin, SEEK_SET seeks and "
-               "in-transaction closes with their buffered writes).",
-               "repro.core.client"),
-    MetricSpec("rpc.client.filled_opens", "counter", "ops",
-               "Read-only p_open exchanges whose reply carried the whole "
-               "file and EOF into the read-ahead buffer.",
-               "repro.core.client"),
-    MetricSpec("rpc.client.unchanged_chunks", "counter", "chunks",
-               "Chunks a filled open's reply marked unchanged, 8 bytes "
-               "each: the client's copy from its last open of the path "
-               "had the same SHA-256 digest at the same index.",
-               "repro.core.client"),
-)
+
+@metric_stats("rpc.client")
+class ClientStats:
+    """A remote client's own calls, by how they reached the server."""
+
+    batched_reads: int = counter(
+        "ops", "RPCs that fetched more than the caller asked for "
+        "(read-ahead window).")
+    buffered_reads: int = counter(
+        "ops", "p_read calls answered from a descriptor's read-ahead "
+        "buffer, no RPC at all (EOF included, once a short "
+        "batched reply recorded it; a link-local descriptor's "
+        "buffer included).")
+    batched_writes: int = counter(
+        "ops", "p_write RPCs that shipped more than one buffered "
+        "call's data.")
+    buffered_writes: int = counter(
+        "ops", "p_write calls absorbed into the write buffer, no RPC "
+        "at all.")
+    riders: int = counter(
+        "ops", "Calls that sent no message of their own: each rode the "
+        "session's next request, ahead of it (read-only closes; "
+        "on a batching client also p_begin, SEEK_SET seeks and "
+        "in-transaction closes with their buffered writes).")
+    filled_opens: int = counter(
+        "ops", "Read-only p_open exchanges whose reply carried the whole "
+        "file and EOF into the read-ahead buffer.")
+    unchanged_chunks: int = counter(
+        "chunks", "Chunks a filled open's reply marked unchanged, 8 bytes "
+        "each: the client's copy from its last open of the path "
+        "had the same SHA-256 digest at the same index.")
+
 
 #: chunks a batching client fetches per read RPC and ships per write
 #: RPC: the replicated cluster's clients use it for both.
@@ -199,20 +196,7 @@ class RemoteInversionClient:
         #: is a transaction open, by this client's own begin / commit /
         #: abort bookkeeping?  None once a reply left it unknown.
         self._in_tx: bool | None = False
-        #: RPCs that fetched more than the caller asked for.
-        self.batched_reads = 0
-        #: p_read calls answered from a read-ahead buffer, no RPC at all.
-        self.buffered_reads = 0
-        #: p_write RPCs that shipped more than one buffered call's data.
-        self.batched_writes = 0
-        #: p_write calls absorbed into the write buffer, no RPC at all.
-        self.buffered_writes = 0
-        #: calls that sent no message of their own (riders).
-        self.riders = 0
-        #: read-only opens whose reply carried the whole file.
-        self.filled_opens = 0
-        #: chunks a filled open's reply marked unchanged.
-        self.unchanged_chunks = 0
+        self.stats = ClientStats()
         #: path -> (chunks, their SHA-256 digests) of its last filled
         #: open, least recently opened first.
         self._copies: dict[str, tuple[list, list]] = {}
@@ -242,7 +226,7 @@ class RemoteInversionClient:
     def _ride(self, method: str, *args) -> None:
         """Queue a call whose reply is known to ride the next request."""
         self._link.riders.append((method, args))
-        self.riders += 1
+        self.stats.riders += 1
 
     def _seek_server(self, rec, pos: int) -> None:
         """Move the server's descriptor to ``pos``: a rider on a
@@ -289,7 +273,7 @@ class RemoteInversionClient:
                 self._call("p_write", rec.fd, bytes(data))
             rec.srv_pos = start + len(data)
         if ncalls > 1:
-            self.batched_writes += 1
+            self.stats.batched_writes += 1
 
     def _flush_writes(self, ride: bool = False) -> None:
         """Ship every descriptor's buffered writes — called before any
@@ -463,7 +447,7 @@ class RemoteInversionClient:
         chunks, sums = [], []
         for i, piece in enumerate(reply):
             if piece is None:
-                self.unchanged_chunks += 1
+                self.stats.unchanged_chunks += 1
                 chunks.append(held[i])
                 sums.append(digests[i])
             else:
@@ -475,7 +459,7 @@ class RemoteInversionClient:
         data = b"".join(chunks)
         rec.buf = (0, data, True, self._link.stamp())
         rec.srv_pos = len(data)
-        self.filled_opens += 1
+        self.stats.filled_opens += 1
         return fd
 
     def p_read(self, fd, length):
@@ -486,7 +470,7 @@ class RemoteInversionClient:
             return self._call("p_read", fd, length)
         piece = link.take_ahead(rec, length)
         if piece is not None:
-            self.buffered_reads += 1
+            self.stats.buffered_reads += 1
             return piece
         if rec.readonly and not rec.forward and link.tx() is None:
             return link.read(rec, length)
@@ -502,7 +486,7 @@ class RemoteInversionClient:
         result = self._call("p_read", rec.fd, want)
         rec.srv_pos = rec.pos + len(result)
         if want != length and len(result) > length:
-            self.batched_reads += 1
+            self.stats.batched_reads += 1
         return link.keep_ahead(rec, result, length, want, stamp)
 
     def p_write(self, fd, buf):
@@ -545,7 +529,7 @@ class RemoteInversionClient:
             data = bytearray(buf)
             rec.wbuf = (rec.pos, data, 1)
         rec.pos += len(buf)
-        self.buffered_writes += 1
+        self.stats.buffered_writes += 1
         if len(data) >= self.write_batch_chunks * CHUNK_SIZE:
             self._flush_fd_writes(rec)
         return len(buf)

@@ -23,14 +23,18 @@ from repro.core.library import InversionClient
 from repro.core.protocol import OPENS, VERBS
 from repro.db.transactions import PREPARED
 from repro.errors import InversionError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 
-METRICS = (
-    MetricSpec("rpc.dispatches", "counter", "calls",
-               "RPC requests dispatched into the file system, by "
-               "method.",
-               "repro.core.server", ("method",)),
-)
+
+@metric_stats("rpc")
+class RpcStats:
+    """The session's RPC dispatches, by method (one instance on the
+    session's :class:`~repro.obs.Observability`, whichever server
+    dispatched them)."""
+
+    dispatches: dict = counter(
+        "calls", "RPC requests dispatched into the file system, by "
+        "method.", labels=("method",))
 
 
 class InversionServer:
@@ -55,7 +59,7 @@ class InversionServer:
         Shares the file system's manager if another server on the same
         ``fs`` already enabled it, so epochs stay one space."""
         if self.leases is None:
-            from repro.cache.leases import LeaseManager, bind_lease_stats
+            from repro.cache.leases import LeaseManager
             manager = getattr(self.fs, "lease_manager", None)
             if manager is None:
                 manager = LeaseManager()
@@ -63,7 +67,7 @@ class InversionServer:
             self.leases = manager
             obs = getattr(self.fs.db, "obs", None)
             if obs is not None:
-                bind_lease_stats(obs.metrics, manager.stats)
+                obs.metrics.mirror_all(manager.stats)
         return self.leases
 
     def session_tx(self, session_id: int):

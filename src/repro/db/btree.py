@@ -67,26 +67,9 @@ from repro.db.page import (
 )
 from repro.db.transactions import Transaction
 from repro.errors import BTreeError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.obs.tracing import NO_SPAN
 from repro.sim.cpu import CpuModel
-
-METRICS = (
-    MetricSpec("btree.total_descents", "counter", "descents",
-               "Root-to-leaf descents this session (the registry "
-               "re-baselines the process-global class counter at bind "
-               "time).",
-               "repro.db.btree"),
-    MetricSpec("btree.descents", "counter", "descents",
-               "Root-to-leaf descents per index relation this session.",
-               "repro.db.btree", ("relation",)),
-    MetricSpec("btree.leaf_entries_decoded", "counter", "entries",
-               "Leaf TIDs decoded into the per-page node cache: each "
-               "slot once per cached view, when a scan first covers it. "
-               "Host work only (no simulated charge); it should track "
-               "entries written, not entries scanned.",
-               "repro.db.btree"),
-)
 
 _KLEN_FMT = "<H"
 _CHILD_FMT = "<I"
@@ -180,21 +163,36 @@ def _replay_ncmp(n: int, p: int) -> int:
     return ncmp
 
 
+@metric_stats("btree")
+class BTreeStats:
+    """The B-tree's families.  Their counts are :class:`BTree`'s
+    process-global class attributes; each session reads them as deltas
+    (:meth:`repro.obs.Observability.bind_btree`)."""
+
+    total_descents: int = counter(
+        "descents", "Root-to-leaf descents this session (the registry "
+        "re-baselines the process-global class counter at bind "
+        "time).")
+    descents: dict = counter(
+        "descents", "Root-to-leaf descents per index relation this session.",
+        labels=("relation",))
+    leaf_entries_decoded: int = counter(
+        "entries", "Leaf TIDs decoded into the per-page node cache: each "
+        "slot once per cached view, when a scan first covers it. "
+        "Host work only (no simulated charge); it should track "
+        "entries written, not entries scanned.")
+
+
 class BTree:
     """A B+ tree index over (composite key → TID)."""
 
     META_PAGE = 0
 
-    #: process-wide count of root-to-leaf descents.  Benchmarks snapshot
-    #: this around a workload to assert the range-read fast path really
-    #: does O(1) descents where the per-chunk path did O(N).
+    #: process-wide counts of :class:`BTreeStats`'s families (tests and
+    #: benchmarks snapshot them around a workload; ``descents_by_rel``
+    #: is ``btree.descents``).
     total_descents = 0
-    #: the same count broken down by index relation name — lets the
-    #: sequential-read benchmark assert on chunk-index descents alone,
-    #: separate from naming/fileatt bookkeeping probes.
     descents_by_rel: dict[str, int] = {}
-    #: leaf TIDs decoded into node caches (bumped once per fill, by the
-    #: number of slots filled).
     leaf_entries_decoded = 0
 
     def __init__(self, buffers: BufferCache, dev_name: str, relname: str,

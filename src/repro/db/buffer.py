@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.db.page import PAGE_HEAP, Page
 from repro.devices.switch import DeviceSwitch
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.obs.tracing import NO_SPAN
 from repro.sim.cpu import CpuModel
 
@@ -48,78 +48,50 @@ DEFAULT_BUFFERS = 300
 DEFAULT_READAHEAD = 8
 """Pages fetched per device call once a scan turns sequential."""
 
-METRICS = (
-    MetricSpec("buffer.hits", "counter", "pages",
-               "Page requests served from a resident frame.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.misses", "counter", "pages",
-               "Page requests that paid a device read.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.evictions", "counter", "pages",
-               "Frames pushed out in LRU order to admit new pages.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.dirty_writebacks", "counter", "pages",
-               "Dirty pages written back to their device (eviction or "
-               "flush).",
-               "repro.db.buffer"),
-    MetricSpec("buffer.forced_writes", "counter", "pages",
-               "Dirty pages written by an explicit flush (commit force, "
-               "relation flush).",
-               "repro.db.buffer"),
-    MetricSpec("buffer.batched_writes", "counter", "ops",
-               "write_pages device calls that carried more than one page.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.write_coalesce_hits", "counter", "pages",
-               "Pages that rode along in a batched write beyond the "
-               "first — each one a positioning charge a write of its "
-               "own would have paid.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.prefetches", "counter", "pages",
-               "Pages fetched ahead of an explicit request by the "
-               "read-ahead window.",
-               "repro.db.buffer"),
-    MetricSpec("buffer.prefetch_hits", "counter", "pages",
-               "Hits served from a prefetched, not-yet-requested frame.",
-               "repro.db.buffer"),
-)
 
-#: pushed per-relation device families — charged at the buffer/device
-#: seam, where both the device name and the relation are known (the
-#: registry's ``device.reads{device=...,relation=...}`` series).
-DEVICE_METRICS = (
-    MetricSpec("device.reads", "counter", "ops",
-               "Device read calls issued by the buffer cache (a batched "
-               "run counts once).",
-               "repro.db.buffer", ("device", "relation")),
-    MetricSpec("device.pages_read", "counter", "pages",
-               "Pages transferred by those reads.",
-               "repro.db.buffer", ("device", "relation")),
-    MetricSpec("device.writes", "counter", "ops",
-               "Device write calls issued by the buffer cache (a run "
-               "counts once).",
-               "repro.db.buffer", ("device", "relation")),
-    MetricSpec("device.pages_written", "counter", "pages",
-               "Pages transferred by those writes.",
-               "repro.db.buffer", ("device", "relation")),
-)
-
-
-@dataclass
+@metric_stats("buffer")
 class BufferStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_writebacks: int = 0
-    forced_writes: int = 0
-    #: ``write_pages`` device calls that carried more than one page.
-    batched_writes: int = 0
-    #: pages that rode along in a batched write beyond the first — each
-    #: one a device positioning a write of its own would have paid.
-    write_coalesce_hits: int = 0
-    #: pages fetched ahead of an explicit request (beyond the missed page).
-    prefetches: int = 0
-    #: hits that were served from a prefetched (not yet requested) frame.
-    prefetch_hits: int = 0
+    hits: int = counter("pages", "Page requests served from a resident frame.")
+    misses: int = counter("pages", "Page requests that paid a device read.")
+    evictions: int = counter(
+        "pages", "Frames pushed out in LRU order to admit new pages.")
+    dirty_writebacks: int = counter(
+        "pages", "Dirty pages written back to their device (eviction or "
+        "flush).")
+    forced_writes: int = counter(
+        "pages", "Dirty pages written by an explicit flush (commit force, "
+        "relation flush).")
+    batched_writes: int = counter(
+        "ops", "write_pages device calls that carried more than one page.")
+    write_coalesce_hits: int = counter(
+        "pages", "Pages that rode along in a batched write beyond the "
+        "first — each one a positioning charge a write of its "
+        "own would have paid.")
+    prefetches: int = counter(
+        "pages", "Pages fetched ahead of an explicit request by the "
+        "read-ahead window.")
+    prefetch_hits: int = counter(
+        "pages", "Hits served from a prefetched, not-yet-requested frame.")
+
+
+@metric_stats("device")
+class DeviceIOStats:
+    """The session's device calls, per ``(device, relation)``: charged
+    at the buffer/device seam, where both are known
+    (:meth:`repro.obs.Observability.device_read`)."""
+
+    reads: dict = counter(
+        "ops", "Device read calls issued by the buffer cache (a batched "
+        "run counts once).", labels=("device", "relation"))
+    pages_read: dict = counter(
+        "pages", "Pages transferred by those reads.",
+        labels=("device", "relation"))
+    writes: dict = counter(
+        "ops", "Device write calls issued by the buffer cache (a run "
+        "counts once).", labels=("device", "relation"))
+    pages_written: dict = counter(
+        "pages", "Pages transferred by those writes.",
+        labels=("device", "relation"))
 
 
 def sweep_runs(switch: DeviceSwitch, pages) -> list[tuple]:

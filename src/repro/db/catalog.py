@@ -36,22 +36,8 @@ from repro.db.transactions import (ABORTED, COMMITTED, Transaction,
 from repro.db.tuples import INVALID_XID, Column, Schema
 from repro.devices.switch import DeviceSwitch
 from repro.errors import CatalogError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.cpu import CpuModel
-
-METRICS = (
-    MetricSpec("catalog.relcache_hits", "counter", "lookups",
-               "Table lookups answered by the relcache: no catalog page "
-               "touched.", "repro.db.catalog"),
-    MetricSpec("catalog.probes", "counter", "lookups",
-               "Lookups answered through a syscache map: one heap fetch "
-               "per row version carrying the key, whatever the size of "
-               "the catalog.", "repro.db.catalog"),
-    MetricSpec("catalog.rebuilds", "counter", "events",
-               "Syscache builds: one pass over every row version of "
-               "pg_class and pg_index, on first use and after each "
-               "invalidate_cache().", "repro.db.catalog"),
-)
 
 # Fixed oids for the catalogs themselves.
 PG_CLASS_OID = 10
@@ -160,6 +146,21 @@ def _settled(tm: TransactionManager, xmin: int, xmax: int) -> bool:
     return xmax == INVALID_XID or tm.state(xmax) in (COMMITTED, ABORTED)
 
 
+@metric_stats("catalog")
+class CatalogStats:
+    relcache_hits: int = counter(
+        "lookups", "Table lookups answered by the relcache: no catalog page "
+        "touched.")
+    probes: int = counter(
+        "lookups", "Lookups answered through a syscache map: one heap fetch "
+        "per row version carrying the key, whatever the size of "
+        "the catalog.")
+    rebuilds: int = counter(
+        "events", "Syscache builds: one pass over every row version of "
+        "pg_class and pg_index, on first use and after each "
+        "invalidate_cache().")
+
+
 @dataclass
 class Catalog:
     """Catalog accessor bound to a buffer cache and device switch."""
@@ -177,9 +178,7 @@ class Catalog:
     #: carrying the key, in physical order.  None until first use and
     #: after :meth:`invalidate_cache`.
     _syscache: dict[str, dict[object, list[TID]]] | None = None
-    relcache_hits: int = 0
-    probes: int = 0
-    rebuilds: int = 0
+    stats: CatalogStats = field(default_factory=CatalogStats)
 
     # -- bootstrap -------------------------------------------------------
 
@@ -251,7 +250,7 @@ class Catalog:
             rows += 1
         if self.cpu is not None:
             self.cpu.tuple_unpack(rows)
-        self.rebuilds += 1
+        self.stats.rebuilds += 1
         self._syscache = maps
         return maps
 
@@ -263,7 +262,7 @@ class Catalog:
         ``headers`` collects the ``(xmin, xmax)`` of every version
         examined, visible or not."""
         maps = self._syscache or self._build_syscache()
-        self.probes += 1
+        self.stats.probes += 1
         heap = self._heap(_INDEXED[column])
         for tid in maps[column].get(key, ()):
             xmin, xmax, values = heap.fetch_raw(tid)
@@ -299,7 +298,7 @@ class Catalog:
         use_cache = use_cache and isinstance(
             snapshot, (CurrentSnapshot, BootstrapSnapshot))
         if use_cache and (info := self._table_cache.get(name)) is not None:
-            self.relcache_hits += 1
+            self.stats.relcache_hits += 1
             return info
         headers: list | None = [] if use_cache else None
         row = next(self._probe("relname", name, snapshot, headers), None)

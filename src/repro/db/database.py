@@ -27,7 +27,8 @@ from repro.db.heap import TID_FMT, HeapFile
 from repro.db.locks import LockManager
 from repro.db.snapshot import AsOfSnapshot, BootstrapSnapshot, CurrentSnapshot, Snapshot
 from repro.db.table import Table
-from repro.db.transactions import Transaction, TransactionManager, atomic
+from repro.db.transactions import (ABORTED, COMMITTED, Transaction,
+                                   TransactionManager, atomic)
 from repro.db.tuples import Schema
 from repro.devices.jukebox import SonyJukebox
 from repro.devices.magnetic import MagneticDisk
@@ -37,7 +38,7 @@ from repro.devices.tape import TapeJukebox
 from repro.errors import CatalogError, TableError
 from repro.obs import Observability
 from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel, CpuParams, DECSYSTEM_5900
+from repro.sim.cpu import CpuModel, DECSYSTEM_5900
 
 _DEVICES_FILE = "devices.json"
 #: how every B-tree entry is keyed: the encoded user key, then the heap
@@ -76,11 +77,10 @@ def write_device_config(path: str, config: dict) -> None:
 class Database:
     """One POSTGRES database ≙ one Inversion mount point."""
 
-    def __init__(self, path: str, clock: SimClock, buffer_pages: int,
-                 cpu_params: CpuParams | None) -> None:
+    def __init__(self, path: str, clock: SimClock, buffer_pages: int) -> None:
         self.path = path
         self.clock = clock
-        self.cpu = CpuModel(clock, cpu_params or DECSYSTEM_5900)
+        self.cpu = CpuModel(clock, DECSYSTEM_5900)
         #: the session's observability bundle — metrics registry, tracer
         #: and per-transaction accountant (one per Database session, per
         #: the reset rule in :mod:`repro.obs.registry`).
@@ -107,7 +107,6 @@ class Database:
     @classmethod
     def create(cls, path: str, clock: SimClock | None = None,
                buffer_pages: int = DEFAULT_BUFFERS,
-               cpu_params: CpuParams | None = None,
                group_commit_window: float = 0.0) -> "Database":
         """Create a new database rooted at ``path`` with one magnetic
         root device."""
@@ -115,7 +114,7 @@ class Database:
         if os.path.exists(os.path.join(path, _DEVICES_FILE)):
             raise CatalogError(f"database already exists at {path}")
         os.makedirs(path, exist_ok=True)
-        db = cls(path, clock, buffer_pages, cpu_params)
+        db = cls(path, clock, buffer_pages)
         root = MagneticDisk("magnetic0", clock, os.path.join(path, "magnetic0"))
         db.switch.register(root, default=True)
         db._save_device_config([("magnetic0", "magnetic")])
@@ -133,7 +132,6 @@ class Database:
     @classmethod
     def open(cls, path: str, clock: SimClock | None = None,
              buffer_pages: int = DEFAULT_BUFFERS,
-             cpu_params: CpuParams | None = None,
              group_commit_window: float = 0.0) -> "Database":
         """Open an existing database.  Recovery is implicit and
         essentially instantaneous: it consists of reading the
@@ -151,7 +149,7 @@ class Database:
                 f"{config_path}: index key format "
                 f"{found or 'unstamped (key+tid<IH)'}, but this build "
                 f"reads {INDEX_KEY_FORMAT}")
-        db = cls(path, clock, buffer_pages, cpu_params)
+        db = cls(path, clock, buffer_pages)
         for entry in config["devices"]:
             db._instantiate_device(entry["name"], entry["type"],
                                    default=entry["name"] == config["root"])
@@ -267,9 +265,16 @@ class Database:
         try:
             self.tm.commit(tx, lambda: self._drop_relations(tx))
             self._notify_outcome(tx.xid, True)
-            self.locks.release_all(tx)
         finally:
-            self.obs.tx.end(tx.xid)
+            self._settle(tx)
+
+    def _settle(self, tx: Transaction) -> None:
+        """The end of commit, abort and finish_prepared: a transaction
+        whose outcome is decided releases its locks even when an outcome
+        listener raised, and stops being charged."""
+        if tx.state in (COMMITTED, ABORTED):
+            self.locks.release_all(tx)
+        self.obs.tx.end(tx.xid)
 
     def _drop_relations(self, tx: Transaction) -> None:
         for dev_name, relname in getattr(tx, "_pending_drops", []):
@@ -282,9 +287,8 @@ class Database:
         try:
             self.tm.abort(tx)
             self._notify_outcome(tx.xid, False)
-            self.locks.release_all(tx)
         finally:
-            self.obs.tx.end(tx.xid)
+            self._settle(tx)
 
     def prepare(self, tx: Transaction, gid: str) -> None:
         """2PC phase one: force the transaction's dirty pages, then its
@@ -303,9 +307,8 @@ class Database:
             self._notify_outcome(tx.xid, commit)
             if commit:
                 self._drop_relations(tx)
-            self.locks.release_all(tx)
         finally:
-            self.obs.tx.end(tx.xid)
+            self._settle(tx)
 
     def snapshot(self, tx: Transaction) -> CurrentSnapshot:
         return CurrentSnapshot(self.tm, tx.xid)

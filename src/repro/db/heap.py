@@ -27,16 +27,9 @@ from repro.db.tuples import (
     pack_xmax_patch,
     unpack_header,
 )
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.obs.tracing import NO_SPAN
 from repro.sim.cpu import CpuModel
-
-METRICS = (
-    MetricSpec("heap.rows_inserted", "counter", "rows",
-               "Record versions appended per heap relation (inserts, "
-               "update-new-versions, vacuum moves).",
-               "repro.db.heap", ("relation",)),
-)
 
 #: page then slot, big-endian: packed TIDs sort as TIDs do, so the
 #: (user key, TID) entries of a B-tree keep a key's versions in
@@ -61,6 +54,17 @@ class TID:
     def unpack(cls, data, offset: int = 0) -> "TID":
         pageno, slot = _TID_STRUCT.unpack_from(data, offset)
         return cls(pageno, slot)
+
+
+@metric_stats("heap")
+class HeapStats:
+    """The session's heap appends, per relation (one instance on the
+    session's :class:`~repro.obs.Observability`: a :class:`HeapFile`
+    is made per relation and use)."""
+
+    rows_inserted: dict = counter(
+        "rows", "Record versions appended per heap relation (inserts, "
+        "update-new-versions, vacuum moves).", labels=("relation",))
 
 
 class HeapFile:

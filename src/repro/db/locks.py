@@ -56,45 +56,34 @@ from typing import Hashable
 
 from repro.db.transactions import Transaction
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import (HistogramValue, counter, histogram,
+                                metric_stats)
 
 SHARED = "S"
 EXCLUSIVE = "X"
 
-METRICS = (
-    MetricSpec("lock.waits", "counter", "waits",
-               "Blocking lock acquisitions (counted once per acquire "
-               "that had to wait, however many wait rounds it took).",
-               "repro.db.locks"),
-    MetricSpec("lock.wait_seconds", "histogram", "seconds",
-               "Simulated seconds per blocking lock acquisition (a "
-               "session parked in the multi-session scheduler while "
-               "others ran).",
-               "repro.db.locks"),
-    MetricSpec("lock.deadlocks", "counter", "txns",
-               "Transactions chosen as deadlock victims (the waits-for "
-               "graph closed a cycle through them; under the scheduler "
-               "a session suspended beneath the requester waits on "
-               "it).",
-               "repro.db.locks"),
-    MetricSpec("lock.timeouts", "counter", "txns",
-               "Lock acquisitions abandoned after no progress for "
-               "`timeout_s`: the transactions the request waited for "
-               "stayed the same that long (at once when no scheduler "
-               "could run them).",
-               "repro.db.locks"),
-)
 
-
-@dataclass
+@metric_stats("lock")
 class LockStats:
-    """Session-lifetime contention counters (the metric families above
-    mirror the obs-pushed series; these plain integers stay readable
-    without an Observability bundle, e.g. from a bare unit test)."""
+    """Session-lifetime contention counters."""
 
-    waits: int = 0
-    deadlocks: int = 0
-    timeouts: int = 0
+    waits: int = counter(
+        "waits", "Blocking lock acquisitions (counted once per acquire "
+        "that had to wait, however many wait rounds it took).")
+    wait_seconds: HistogramValue = histogram(
+        "seconds", "Simulated seconds per blocking lock acquisition (a "
+        "session parked in the multi-session scheduler while "
+        "others ran).")
+    deadlocks: int = counter(
+        "txns", "Transactions chosen as deadlock victims (the waits-for "
+        "graph closed a cycle through them; under the scheduler "
+        "a session suspended beneath the requester waits on "
+        "it).")
+    timeouts: int = counter(
+        "txns", "Lock acquisitions abandoned after no progress for "
+        "`timeout_s`: the transactions the request waited for "
+        "stayed the same that long (at once when no scheduler "
+        "could run them).")
 
 
 @dataclass
@@ -178,8 +167,6 @@ class LockManager:
                     # and the stall clock restarts.
                     if self._cycle_from(tx.xid, blockers, exempt):
                         self.stats.deadlocks += 1
-                        if self.obs is not None:
-                            self.obs.lock_deadlock(tx.xid)
                         raise DeadlockError(
                             f"transaction {tx.xid} chosen as deadlock "
                             f"victim requesting {mode} on {resource!r} "
@@ -216,6 +203,7 @@ class LockManager:
             if ctx is not None:
                 elapsed = strategy.finish(self, ctx, tx.xid)
                 self.stats.waits += 1
+                self.stats.wait_seconds.observe(elapsed)
                 if self.obs is not None:
                     self.obs.lock_wait(tx.xid, elapsed)
 
@@ -224,8 +212,6 @@ class LockManager:
         """Count one lock timeout of ``xid``; the error names the
         holders."""
         self.stats.timeouts += 1
-        if self.obs is not None:
-            self.obs.lock_timeout(xid)
         return LockTimeoutError(f"transaction {xid} {what} held by "
                                 f"{self._holders_text(state)}: {why}")
 

@@ -40,16 +40,7 @@ from __future__ import annotations
 import struct
 
 from repro.errors import PageError, PageOverflowError
-from repro.obs.registry import MetricSpec
-
-METRICS = (
-    MetricSpec("page.header_cache_invalidations", "counter", "events",
-               "Cached page views (decoded slot directory, or a B-tree "
-               "node's decoded keys and TIDs) dropped by a mutation that "
-               "could not patch them in place.  Session-relative delta "
-               "of the process-global class counter.",
-               "repro.db.page"),
-)
+from repro.obs.registry import counter, metric_stats
 
 PAGE_SIZE = 8192
 HEADER_FMT = "<HHHHI"
@@ -68,6 +59,20 @@ PAGE_BTREE_META = 0x0008
 MAX_RECORD_SIZE = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
 """Largest record payload that fits on an otherwise empty page."""
 
+
+@metric_stats("page")
+class PageStats:
+    """The page layer's family.  Its count is the process-global
+    :attr:`Page.header_cache_invalidations`; each session reads it as a
+    delta (:meth:`repro.obs.Observability.bind_btree`)."""
+
+    header_cache_invalidations: int = counter(
+        "events", "Cached page views (decoded slot directory, or a B-tree "
+        "node's decoded keys and TIDs) dropped by a mutation that "
+        "could not patch them in place.  Session-relative delta "
+        "of the process-global class counter.")
+
+
 _EMPTY_PAGE = bytes(PAGE_SIZE)
 
 
@@ -77,10 +82,7 @@ class Page:
     __slots__ = ("buf", "mv", "_nslots", "_lower", "_upper", "_flags",
                  "_special", "_slotdir", "cache", "version")
 
-    #: process-wide count of dropped cached views (decoded slot
-    #: directories / higher-layer ``cache`` payloads) — mutations that
-    #: could not be patched coherently.  Mirrored session-relative by
-    #: the observability registry.
+    #: process-wide count of :class:`PageStats`'s one family.
     header_cache_invalidations = 0
 
     def __init__(self, buf: bytes | bytearray | None = None, flags: int = 0) -> None:

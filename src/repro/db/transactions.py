@@ -29,63 +29,11 @@ from typing import Callable
 
 from repro.devices.base import DeviceManager
 from repro.errors import RecoveryError, TransactionError
-from repro.obs.registry import HistogramValue, MetricSpec
+from repro.obs.registry import (HistogramValue, counter, gauge, histogram,
+                                metric_stats)
 from repro.obs.tracing import NO_SPAN
 from repro.sim.clock import SimClock
 from repro.sim.disk import drain, queued, settled, unfinished
-
-METRICS = (
-    MetricSpec("txn.status_forces", "counter", "ops",
-               "Forced status-file appends (one meta-region block write "
-               "plus a device flush each — the per-commit cost group "
-               "commit amortizes).",
-               "repro.db.transactions"),
-    MetricSpec("txn.hwm_forces", "counter", "ops",
-               "Forced xid high-water-mark writes, kept separate from "
-               "commit forces.",
-               "repro.db.transactions"),
-    MetricSpec("txn.hwm_floor_forces", "counter", "ops",
-               "Of txn.hwm_forces, those begin paid on its own: it found "
-               "no headroom below the durable mark (the hard floor).",
-               "repro.db.transactions"),
-    MetricSpec("txn.commits_recorded", "counter", "txns",
-               "C records durably appended.",
-               "repro.db.transactions"),
-    MetricSpec("txn.aborts_recorded", "counter", "txns",
-               "A records durably appended.",
-               "repro.db.transactions"),
-    MetricSpec("txn.prepares_recorded", "counter", "txns",
-               "P (two-phase-commit prepare) records durably appended.",
-               "repro.db.transactions"),
-    MetricSpec("txn.group_batches", "counter", "ops",
-               "Status forces that carried more than one commit record.",
-               "repro.db.transactions"),
-    MetricSpec("txn.max_group", "gauge", "txns",
-               "Largest number of commit records carried by one force.",
-               "repro.db.transactions"),
-    MetricSpec("txn.group_closes", "counter", "ops",
-               "Commit groups closed: one commit sweep and one status "
-               "force each (with no window, one per writing commit).",
-               "repro.db.transactions"),
-    MetricSpec("txn.group_sweep_pages", "counter", "pages",
-               "Dirty pages written by group-closing sweeps.  TxAccountant "
-               "books a close's sweep and force to the transaction current "
-               "when the group closed (a committer, a preparer), and to "
-               "nobody when none is (begin, close).",
-               "repro.db.transactions"),
-    MetricSpec("txn.group_size", "histogram", "txns",
-               "Commit records per closed group.",
-               "repro.db.transactions"),
-    MetricSpec("txn.durable_lag_seconds", "histogram", "seconds",
-               "Per commit record forced by a group close: from its "
-               "pre-commit until its group is on the medium (the end of "
-               "the last request the close queued, or the clock).  "
-               "Booked at a later close or flush, once that end is "
-               "final (the request in flight): reads the drive serves "
-               "ahead of it before then push it back "
-               "(disk.deferred_seconds), and the lag includes them.",
-               "repro.db.transactions"),
-)
 
 IN_PROGRESS = "in_progress"
 COMMITTED = "committed"
@@ -155,37 +103,48 @@ def _parse_record(tokens: list[str], i: int) -> tuple[int, _TxRecord, int]:
     return xid, rec, end
 
 
-@dataclass
+@metric_stats("txn")
 class TxStats:
     """Force accounting for the write-path bench: how many synchronous
     metadata writes commits actually paid, and how many commit records
     each one carried."""
 
-    #: forced status-file appends (each is one meta-region block write
-    #: plus a device flush — the per-commit cost group commit amortizes).
-    status_forces: int = 0
-    #: forced xid high-water-mark writes, reported separately so the
-    #: bench can tell hwm maintenance from commit forces.
-    hwm_forces: int = 0
-    #: of those, the ones begin's hard floor paid on the allocation path.
-    hwm_floor_forces: int = 0
-    #: ``C`` records durably appended.
-    commits_recorded: int = 0
-    #: ``A`` records durably appended.
-    aborts_recorded: int = 0
-    #: ``P`` (two-phase-commit prepare) records durably appended.
-    prepares_recorded: int = 0
-    #: status forces that carried more than one commit record.
-    group_batches: int = 0
-    #: largest number of commit records carried by one force.
-    max_group: int = 0
-    #: groups closed, the pages their sweeps wrote, records per group.
-    group_closes: int = 0
-    group_sweep_pages: int = 0
-    group_size: HistogramValue = field(default_factory=HistogramValue)
-    #: per closed commit record, pre-commit until its group is durable.
-    durable_lag_seconds: HistogramValue = field(
-        default_factory=HistogramValue)
+    status_forces: int = counter(
+        "ops", "Forced status-file appends (one meta-region block write "
+        "plus a device flush each — the per-commit cost group "
+        "commit amortizes).")
+    hwm_forces: int = counter(
+        "ops", "Forced xid high-water-mark writes, kept separate from "
+        "commit forces.")
+    hwm_floor_forces: int = counter(
+        "ops", "Of txn.hwm_forces, those begin paid on its own: it found "
+        "no headroom below the durable mark (the hard floor).")
+    commits_recorded: int = counter("txns", "C records durably appended.")
+    aborts_recorded: int = counter("txns", "A records durably appended.")
+    prepares_recorded: int = counter(
+        "txns", "P (two-phase-commit prepare) records durably appended.")
+    group_batches: int = counter(
+        "ops", "Status forces that carried more than one commit record.")
+    max_group: int = gauge(
+        "txns", "Largest number of commit records carried by one force.")
+    group_closes: int = counter(
+        "ops", "Commit groups closed: one commit sweep and one status "
+        "force each (with no window, one per writing commit).")
+    group_sweep_pages: int = counter(
+        "pages", "Dirty pages written by group-closing sweeps.  TxAccountant "
+        "books a close's sweep and force to the transaction current "
+        "when the group closed (a committer, a preparer), and to "
+        "nobody when none is (begin, close).")
+    group_size: HistogramValue = histogram(
+        "txns", "Commit records per closed group.")
+    durable_lag_seconds: HistogramValue = histogram(
+        "seconds", "Per commit record forced by a group close: from its "
+        "pre-commit until its group is on the medium (the end of "
+        "the last request the close queued, or the clock).  "
+        "Booked at a later close or flush, once that end is "
+        "final (the request in flight): reads the drive serves "
+        "ahead of it before then push it back "
+        "(disk.deferred_seconds), and the lag includes them.")
 
     def commits_per_force(self) -> float:
         """Average commit records per forced status append — 1.0 is the

@@ -30,32 +30,12 @@ from dataclasses import dataclass
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import RelationTable
 from repro.errors import DeviceError, DeviceFullError, WormViolationError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskGeometry, DiskModel, RZ58
 
 JUKEBOX_EXTENT_PAGES = 16
 """Default extent size: 16 physically contiguous pages."""
-
-METRICS = (
-    MetricSpec("jukebox.platter_loads", "counter", "ops",
-               "Times a drive had to load an optical platter "
-               "(multi-second setup cost each).",
-               "repro.devices.jukebox", ("device",)),
-    MetricSpec("jukebox.burns", "counter", "pages",
-               "Pages burned to write-once optical blocks on destage.",
-               "repro.devices.jukebox", ("device",)),
-    MetricSpec("jukebox.optical_reads", "counter", "pages",
-               "Pages read from the platter (staging-cache misses).",
-               "repro.devices.jukebox", ("device",)),
-    MetricSpec("jukebox.staging_hits", "counter", "pages",
-               "Page reads served by the magnetic staging cache.",
-               "repro.devices.jukebox", ("device",)),
-    MetricSpec("jukebox.staging_misses", "counter", "pages",
-               "Page reads that missed the staging cache and went to "
-               "the platter.",
-               "repro.devices.jukebox", ("device",)),
-)
 
 
 @dataclass(frozen=True)
@@ -76,13 +56,20 @@ class JukeboxParams:
         return self.platter_capacity_bytes // PAGE_SIZE
 
 
-@dataclass
+@metric_stats("jukebox", labels=("device",))
 class JukeboxStats:
-    platter_loads: int = 0
-    burns: int = 0
-    optical_reads: int = 0
-    staging_hits: int = 0
-    staging_misses: int = 0
+    platter_loads: int = counter(
+        "ops", "Times a drive had to load an optical platter "
+        "(multi-second setup cost each).")
+    burns: int = counter(
+        "pages", "Pages burned to write-once optical blocks on destage.")
+    optical_reads: int = counter(
+        "pages", "Pages read from the platter (staging-cache misses).")
+    staging_hits: int = counter(
+        "pages", "Page reads served by the magnetic staging cache.")
+    staging_misses: int = counter(
+        "pages", "Page reads that missed the staging cache and went to "
+        "the platter.")
 
 
 class _Platter:

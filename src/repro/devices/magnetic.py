@@ -25,7 +25,7 @@ journal of the mutations since, so creating a relation costs the host
 one appended line however many relations exist.  At most
 ``MAX_OPEN_FILES`` of the backing files are held open at a time.
 
-Block address 0 up to ``meta_region_blocks`` is reserved for small
+Block address 0 up to ``META_REGION_BLOCKS`` is reserved for small
 metadata blobs — the transaction status file lives there, which is why
 every commit seeks to the front of the disk.
 """
@@ -36,27 +36,17 @@ import json
 import os
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import RelationTable
 from repro.errors import DeviceError, DeviceFullError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskGeometry, DiskModel, RZ58
 
-METRICS = (
-    MetricSpec("device.allocmap_checkpoints", "counter", "checkpoints",
-               "Whole allocation maps written to `_alloc.json` (on "
-               "flush/close with changes pending, and when the journal "
-               "outgrows the map).",
-               "repro.devices.magnetic", ("device",)),
-    MetricSpec("device.allocmap_journal_records", "counter", "records",
-               "Allocation-map mutations (create / drop / rename / new "
-               "extent) appended to `_alloc.log` as one line each.",
-               "repro.devices.magnetic", ("device",)),
-)
+META_REGION_BLOCKS = 64
+"""Blocks at the front of the disk that hold metadata blobs."""
 
 EXTENT_PAGES = 64
 """Pages in the largest allocation extent — the contiguity unit of a
@@ -101,10 +91,15 @@ class _RelState:
         self.bounds.append(self.bounds[-1] + length)
 
 
-@dataclass
+@metric_stats("device", labels=("device",))
 class AllocMapStats:
-    allocmap_checkpoints: int = 0
-    allocmap_journal_records: int = 0
+    allocmap_checkpoints: int = counter(
+        "checkpoints", "Whole allocation maps written to `_alloc.json` (on "
+        "flush/close with changes pending, and when the journal "
+        "outgrows the map).")
+    allocmap_journal_records: int = counter(
+        "records", "Allocation-map mutations (create / drop / rename / new "
+        "extent) appended to `_alloc.log` as one line each.")
 
 
 class MagneticDisk(RelationTable):
@@ -116,16 +111,14 @@ class MagneticDisk(RelationTable):
     state_type = _RelState
 
     def __init__(self, name: str, clock: SimClock, directory: str,
-                 geometry: DiskGeometry = RZ58,
-                 meta_region_blocks: int = 64) -> None:
+                 geometry: DiskGeometry = RZ58) -> None:
         super().__init__(name, clock)
         self.directory = directory
         self.disk = DiskModel(clock=clock, geometry=geometry)
-        self.meta_region_blocks = meta_region_blocks
         self.stats = AllocMapStats()
         os.makedirs(directory, exist_ok=True)
         self._files: OrderedDict[str, object] = OrderedDict()  # LRU
-        self._next_block = meta_region_blocks
+        self._next_block = META_REGION_BLOCKS
         self._meta_slots: dict[str, int] = {}
         # Journal state: the last sequence number issued, the open
         # journal, its size and the size of the checkpoint it amends.
@@ -482,7 +475,7 @@ class MagneticDisk(RelationTable):
     def _meta_slot(self, tag: str) -> int:
         slot = self._meta_slots.get(tag)
         if slot is None:
-            slot = len(self._meta_slots) % self.meta_region_blocks
+            slot = len(self._meta_slots) % META_REGION_BLOCKS
             self._meta_slots[tag] = self._new_slots[tag] = slot
         return slot
 

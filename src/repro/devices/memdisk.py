@@ -12,30 +12,24 @@ durability tests use :class:`repro.devices.magnetic.MagneticDisk`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import RelationTable
 from repro.errors import DeviceError, DeviceFullError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 
-METRICS = (
-    MetricSpec("memdisk.reads", "counter", "pages",
-               "Pages copied out of non-volatile RAM (batched reads "
-               "count per page).",
-               "repro.devices.memdisk", ("device",)),
-    MetricSpec("memdisk.writes", "counter", "pages",
-               "Pages copied into non-volatile RAM (batched writes "
-               "count per page).",
-               "repro.devices.memdisk", ("device",)),
-)
 
-
-@dataclass
+@metric_stats("memdisk", labels=("device",))
 class MemDiskStats:
-    reads: int = 0
-    writes: int = 0
+    reads: int = counter(
+        "pages", "Pages copied out of non-volatile RAM (batched reads "
+        "count per page).")
+    writes: int = counter(
+        "pages", "Pages copied into non-volatile RAM (batched writes "
+        "count per page).")
+
+DMA_RATE_BPS = 20_000_000.0
+"""Bytes per second a page copy into or out of the board moves."""
 
 
 class MemDisk(RelationTable):
@@ -44,11 +38,9 @@ class MemDisk(RelationTable):
     nonvolatile = True
 
     def __init__(self, name: str, clock: SimClock,
-                 capacity_bytes: int = 64 * 1024 * 1024,
-                 dma_rate_bps: float = 20_000_000.0) -> None:
+                 capacity_bytes: int = 64 * 1024 * 1024) -> None:
         super().__init__(name, clock)
         self.capacity_bytes = capacity_bytes
-        self.dma_rate_bps = dma_rate_bps
         self.stats = MemDiskStats()
         self._used = 0
 
@@ -77,7 +69,7 @@ class MemDisk(RelationTable):
     def read_pages(self, relname: str, start: int, count: int) -> list[bytes]:
         """One DMA burst for the whole run — same bytes, one charge call."""
         pages = super().read_pages(relname, start, count)
-        self.clock.advance(count * PAGE_SIZE / self.dma_rate_bps)
+        self.clock.advance(count * PAGE_SIZE / DMA_RATE_BPS)
         self.stats.reads += count
         return pages
 
@@ -85,7 +77,7 @@ class MemDisk(RelationTable):
                     datas: list[bytes]) -> None:
         """One DMA burst for the whole run — same bytes, one charge call."""
         super().write_pages(relname, start, datas)
-        self.clock.advance(len(datas) * PAGE_SIZE / self.dma_rate_bps)
+        self.clock.advance(len(datas) * PAGE_SIZE / DMA_RATE_BPS)
         self.stats.writes += len(datas)
 
     def _read_one(self, relname: str, st, pageno: int) -> bytes:
@@ -100,7 +92,7 @@ class MemDisk(RelationTable):
         """NVRAM needs no flushing."""
 
     def sync_write_meta(self, tag: str, data: bytes) -> None:
-        self.clock.advance(len(data) / self.dma_rate_bps)
+        self.clock.advance(len(data) / DMA_RATE_BPS)
         super().sync_write_meta(tag, data)
 
     def close(self) -> None:

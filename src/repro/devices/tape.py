@@ -21,23 +21,8 @@ from dataclasses import dataclass
 from repro.db.page import PAGE_SIZE
 from repro.devices.base import RelationTable
 from repro.errors import DeviceFullError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
-
-METRICS = (
-    MetricSpec("tape.loads", "counter", "ops",
-               "Cartridge loads into the single drive.",
-               "repro.devices.tape", ("device",)),
-    MetricSpec("tape.reads", "counter", "pages",
-               "Pages streamed off tape.",
-               "repro.devices.tape", ("device",)),
-    MetricSpec("tape.writes", "counter", "pages",
-               "Pages streamed onto tape.",
-               "repro.devices.tape", ("device",)),
-    MetricSpec("tape.wind_seconds", "counter", "seconds",
-               "Simulated seconds spent winding to target positions.",
-               "repro.devices.tape", ("device",)),
-)
 
 
 @dataclass(frozen=True)
@@ -53,12 +38,14 @@ class TapeParams:
         return self.cartridge_capacity_bytes // PAGE_SIZE
 
 
-@dataclass
+@metric_stats("tape", labels=("device",))
 class TapeStats:
-    loads: int = 0
-    reads: int = 0
-    writes: int = 0
-    wind_seconds: float = 0.0
+    loads: int = counter("ops", "Cartridge loads into the single drive.")
+    reads: int = counter("pages", "Pages streamed off tape.")
+    writes: int = counter("pages", "Pages streamed onto tape.")
+    wind_seconds: float = counter(
+        "seconds", "Simulated seconds spent winding to target positions.",
+        default=0.0)
 
 
 class TapeJukebox(RelationTable):

@@ -22,30 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import FfsError, FfsFileTooLargeError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 from repro.sim.disk import BLOCK_SIZE, DiskModel
-
-METRICS = (
-    MetricSpec("ffs.data_reads", "counter", "blocks",
-               "Data-block reads (cache hits included — each still "
-               "returns a block to the caller).",
-               "repro.nfs.ffs"),
-    MetricSpec("ffs.data_writes", "counter", "blocks",
-               "Data-block writes.  Disjoint from ffs.indirect_writes "
-               "and ffs.inode_writes — the three sum to total block "
-               "writes.",
-               "repro.nfs.ffs"),
-    MetricSpec("ffs.inode_writes", "counter", "blocks",
-               "Forced inode writes to the cylinder-group inode area.",
-               "repro.nfs.ffs"),
-    MetricSpec("ffs.indirect_writes", "counter", "blocks",
-               "Indirect (pointer) block writes.",
-               "repro.nfs.ffs"),
-    MetricSpec("ffs.cache_hits", "counter", "blocks",
-               "Block reads served from the FFS buffer cache.",
-               "repro.nfs.ffs"),
-)
 
 MAX_FFS_FILE_SIZE = 4 * 1024 ** 3
 """The paper: "the practical upper limit on file sizes in the current
@@ -56,6 +35,8 @@ PTRS_PER_INDIRECT = BLOCK_SIZE // 4
 
 CG_BLOCKS = 2048
 """Blocks per cylinder group."""
+
+N_CYLINDER_GROUPS = 64
 
 
 @dataclass
@@ -69,24 +50,31 @@ class Inode:
     indirect_blocks: list[int] = field(default_factory=list)
 
 
-@dataclass
+@metric_stats("ffs")
 class FfsStats:
-    data_reads: int = 0
-    data_writes: int = 0
-    inode_writes: int = 0
-    indirect_writes: int = 0
-    cache_hits: int = 0
+    data_reads: int = counter(
+        "blocks", "Data-block reads (cache hits included — each still "
+        "returns a block to the caller).")
+    data_writes: int = counter(
+        "blocks", "Data-block writes.  Disjoint from ffs.indirect_writes "
+        "and ffs.inode_writes — the three sum to total block "
+        "writes.")
+    inode_writes: int = counter(
+        "blocks", "Forced inode writes to the cylinder-group inode area.")
+    indirect_writes: int = counter(
+        "blocks", "Indirect (pointer) block writes.")
+    cache_hits: int = counter(
+        "blocks", "Block reads served from the FFS buffer cache.")
 
 
 class FastFileSystem:
     """In-memory FFS with a cost-charging block layer and buffer cache."""
 
     def __init__(self, clock: SimClock, disk: DiskModel,
-                 cache_blocks: int = 300, n_cylinder_groups: int = 64) -> None:
+                 cache_blocks: int = 300) -> None:
         self.clock = clock
         self.disk = disk
         self.stats = FfsStats()
-        self.n_cylinder_groups = n_cylinder_groups
         self._inodes: dict[int, Inode] = {}
         self._directory: dict[str, int] = {}
         self._data: dict[int, bytes] = {}  # physical block -> contents
@@ -94,7 +82,7 @@ class FastFileSystem:
         self._cg_cursor = 0
         #: next free data block per cylinder group (block 0 of each
         #: group is its inode area).
-        self._cg_free = [cg * CG_BLOCKS + 1 for cg in range(n_cylinder_groups)]
+        self._cg_free = [cg * CG_BLOCKS + 1 for cg in range(N_CYLINDER_GROUPS)]
         # Buffer cache: physical block -> dirty flag (contents live in
         # self._data; the cache models which blocks are memory-resident).
         from collections import OrderedDict
@@ -108,8 +96,8 @@ class FastFileSystem:
 
     def _allocate_block(self, inode: Inode) -> int:
         cg = inode.cylinder_group
-        for probe in range(self.n_cylinder_groups):
-            candidate = (cg + probe) % self.n_cylinder_groups
+        for probe in range(N_CYLINDER_GROUPS):
+            candidate = (cg + probe) % N_CYLINDER_GROUPS
             addr = self._cg_free[candidate]
             if addr < (candidate + 1) * CG_BLOCKS:
                 self._cg_free[candidate] += 1
@@ -125,12 +113,6 @@ class FastFileSystem:
             victim, was_dirty = self._cache.popitem(last=False)
             if was_dirty:
                 self.disk.write_block(victim)
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror this file system's stats onto a metrics registry.
-        The NFS baseline has no Database session, so binding is the
-        harness's (or a test's) call."""
-        registry.mirror_all(METRICS, self.stats)
 
     def _read_block(self, block: int) -> bytes:
         if block in self._cache:
@@ -183,7 +165,7 @@ class FastFileSystem:
         ino = self._next_ino
         self._next_ino += 1
         inode = Inode(ino=ino, cylinder_group=self._cg_cursor)
-        self._cg_cursor = (self._cg_cursor + 1) % self.n_cylinder_groups
+        self._cg_cursor = (self._cg_cursor + 1) % N_CYLINDER_GROUPS
         self._inodes[ino] = inode
         self._directory[path] = ino
         self.sync_inode(inode)

@@ -1,9 +1,8 @@
 """METRICS.md generation and drift checking.
 
-Every instrumented module declares a module-level ``METRICS`` tuple of
-:class:`~repro.obs.registry.MetricSpec` (plus ``DEVICE_METRICS`` for
-the buffer cache's per-relation device families) next to the code that
-bumps the values.  This module gathers those declarations — no live
+Every instrumented module declares its counters as the fields of a
+stats dataclass (:func:`~repro.obs.registry.metric_stats`), next to the
+code that bumps them.  This module gathers those declarations — no live
 Database needed — renders them as METRICS.md, and compares the
 rendered text against the committed file so CI fails when code and
 docs drift (``python -m repro.obs --check-docs``).
@@ -16,7 +15,8 @@ import os
 
 from repro.obs.registry import MetricSpec
 
-#: every module that declares metrics, in the order sections render.
+#: every module that declares metrics, in the order sections render
+#: (within one, its stats classes in the order it defines them).
 OWNING_MODULES = (
     "repro.db.page",
     "repro.db.buffer",
@@ -52,9 +52,10 @@ HEADER = """\
      Regenerate with:  PYTHONPATH=src python -m repro.obs --write-docs
      CI runs:          PYTHONPATH=src python -m repro.obs --check-docs -->
 
-Every metric the storage system keeps, generated from the
-`MetricSpec` declarations each module registers (`METRICS` tuples —
-the same specs a live `Database` session binds into `db.obs.metrics`).
+Every metric the storage system keeps, generated from the stats
+fields each module declares with `counter`, `gauge` or `histogram`
+(`repro.obs.registry` — the same fields a live `Database` session
+reads into `db.obs.metrics`).
 Counters follow one reset rule: **a metric belongs to its owning
 component instance and spans exactly one `Database` session** — it
 starts at zero at construction, is never implicitly reset by
@@ -77,17 +78,14 @@ def catalog() -> list[MetricSpec]:
     specs: list[MetricSpec] = []
     seen: set[str] = set()
     for modname in OWNING_MODULES:
-        module = importlib.import_module(modname)
-        for attr in ("METRICS", "DEVICE_METRICS"):
-            for spec in getattr(module, attr, ()):
+        for cls in vars(importlib.import_module(modname)).values():
+            if getattr(cls, "__module__", None) != modname:
+                continue
+            for _field, spec in getattr(cls, "metric_specs", ()):
                 if spec.name in seen:
                     raise ValueError(
                         f"metric {spec.name!r} declared twice "
                         f"(second time in {modname})")
-                if spec.module != modname:
-                    raise ValueError(
-                        f"metric {spec.name!r} declared in {modname} but "
-                        f"claims module {spec.module!r}")
                 seen.add(spec.name)
                 specs.append(spec)
     return specs

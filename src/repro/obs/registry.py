@@ -1,25 +1,24 @@
 """The metrics registry — one self-describing home for every counter.
 
 The paper's evaluation (Tables 3–5, Figures 3–6) is an exercise in
-accounting: positioning charges, status-file forces, RPC counts.  PRs
-2–3 grew those counters as ad-hoc attributes (``prefetches``,
-``batched_writes``, ``hwm_forces``, …) scattered across eight modules.
-This registry gives them a common shape without moving them: every
-metric is declared as a :class:`MetricSpec` (name, kind, unit, labels,
-help string, owning module) next to the code that increments it, and a
-:class:`MetricsRegistry` instance — one per :class:`~repro.db.database.
-Database` session — collects live values.
+accounting: positioning charges, status-file forces, RPC counts.  Each
+of those counts is a field of its component's stats dataclass, and the
+field is its only declaration: :func:`counter`, :func:`gauge` and
+:func:`histogram` return a ``dataclasses.field`` carrying the unit and
+help text, and the :func:`metric_stats` class decorator turns each such
+field into a :class:`MetricSpec` named ``<prefix>.<field>`` and owned
+by the declaring class's module.  A :class:`MetricsRegistry` — one per
+:class:`~repro.db.database.Database` session — registers a stats
+object's families with :meth:`MetricsRegistry.mirror_all` and reads
+each one off the live field at collection time.  The hot paths keep
+their plain ``stats.hits += 1`` bumps, so benchmark numbers are
+byte-identical with the registry active.
 
-Two value sources coexist per metric family:
-
-- *mirrored* series read an existing stats attribute (or callable) at
-  collection time.  The hot paths keep their plain ``stats.hits += 1``
-  integer bumps — nothing is re-routed, so benchmark numbers are
-  byte-identical with the registry active — while the registry still
-  exposes the value under its registered name;
-- *pushed* series are incremented through the registry
-  (``metric.inc(...)``) and carry labels, e.g.
-  ``device.pages_read{device=magnetic0,relation=inv23114}``.
+A labelled family is a dict field keyed by its label values (the
+value itself for one label, a tuple for several), e.g.
+``device.pages_read{device=magnetic0,relation=inv23114}``.  Labels a
+whole stats object carries — the ``device`` of a device's counters —
+are declared once on the class and given to ``mirror_all``.
 
 Reset rule (the one rule, applied everywhere): **a metric belongs to
 its owning component instance and spans exactly one Database session.**
@@ -37,7 +36,7 @@ benchmarks) keep counting process-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 KINDS = ("counter", "gauge", "histogram")
 
@@ -87,91 +86,99 @@ class HistogramValue:
         return self.sum / self.count if self.count else 0.0
 
 
-class Metric:
-    """One metric family: a spec plus its labelled series."""
+# -- declaring ---------------------------------------------------------------
 
-    __slots__ = ("spec", "_pushed", "_mirrors", "_dynamic")
+def _field(kind: str, unit: str, help: str, labels, default):
+    metadata = {"metric": (kind, unit, help, tuple(labels))}
+    if labels:
+        return field(default_factory=dict, metadata=metadata)
+    if kind == "histogram":
+        return field(default_factory=HistogramValue, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def counter(unit: str, help: str, labels=(), default=0):
+    """A monotonic count.  With ``labels`` the field is a dict keyed by
+    their values (one label: the value; several: a tuple)."""
+    return _field("counter", unit, help, labels, default)
+
+
+def gauge(unit: str, help: str, default=0):
+    """A value that is set, not summed (its last sample)."""
+    return _field("gauge", unit, help, (), default)
+
+
+def histogram(unit: str, help: str):
+    """A :class:`HistogramValue` the owner feeds with ``observe``."""
+    return _field("histogram", unit, help, (), None)
+
+
+def metric_stats(prefix: str, labels: tuple[str, ...] = ()):
+    """Class decorator: make the class a dataclass and each of its
+    :func:`counter` / :func:`gauge` / :func:`histogram` fields the
+    family ``<prefix>.<field>``, owned by the class's module.  Every
+    family also carries ``labels`` (leading its own), whose values
+    :meth:`MetricsRegistry.mirror_all` is given."""
+    def wrap(cls):
+        cls = dataclass(cls)
+        specs = []
+        for f in fields(cls):
+            if "metric" in f.metadata:
+                kind, unit, help, keys = f.metadata["metric"]
+                specs.append((f.name, MetricSpec(
+                    f"{prefix}.{f.name}", kind, unit, help, cls.__module__,
+                    tuple(labels) + keys)))
+        cls.metric_labels = tuple(labels)
+        cls.metric_specs = tuple(specs)
+        return cls
+    return wrap
+
+
+# -- reading -----------------------------------------------------------------
+
+class Metric:
+    """One metric family: a spec plus the getters of its series."""
+
+    __slots__ = ("spec", "_sources")
 
     def __init__(self, spec: MetricSpec) -> None:
         self.spec = spec
-        #: label values -> float (counter/gauge) or HistogramValue
-        self._pushed: dict[LabelValues, object] = {}
-        #: label values -> zero-arg callable returning the live value
-        self._mirrors: dict[LabelValues, object] = {}
-        #: callables returning {label values: value} — for families whose
-        #: label sets are discovered at runtime (per-relation descents).
-        self._dynamic: list = []
+        #: bound label values -> zero-arg callable returning the live
+        #: value, or a dict of the remaining label values -> value.
+        self._sources: dict[LabelValues, object] = {}
 
-    def _labelvals(self, labels: dict[str, str]) -> LabelValues:
-        if tuple(sorted(labels)) != tuple(sorted(self.spec.labels)):
+    def mirror(self, fn, **labels: str) -> None:
+        """Read the series labelled ``labels`` (the leading labels of
+        the spec; a dict from ``fn`` keys the rest) from ``fn()`` at
+        collection time.  Binding the same labels again replaces it."""
+        names = self.spec.labels[:len(labels)]
+        if tuple(labels) != names:
             raise ValueError(
                 f"metric {self.spec.name!r} takes labels {self.spec.labels}, "
                 f"got {tuple(labels)}")
-        return tuple(str(labels[k]) for k in self.spec.labels)
-
-    # -- pushed series ---------------------------------------------------
-
-    def inc(self, amount: float = 1, **labels: str) -> None:
-        if self.spec.kind != "counter":
-            raise TypeError(f"{self.spec.name!r} is a {self.spec.kind}, not a counter")
-        key = self._labelvals(labels)
-        self._pushed[key] = self._pushed.get(key, 0) + amount
-
-    def set(self, value: float, **labels: str) -> None:
-        if self.spec.kind != "gauge":
-            raise TypeError(f"{self.spec.name!r} is a {self.spec.kind}, not a gauge")
-        self._pushed[self._labelvals(labels)] = value
-
-    def observe(self, value: float, **labels: str) -> None:
-        if self.spec.kind != "histogram":
-            raise TypeError(f"{self.spec.name!r} is a {self.spec.kind}, not a histogram")
-        key = self._labelvals(labels)
-        hist = self._pushed.get(key)
-        if hist is None:
-            hist = self._pushed[key] = HistogramValue()
-        hist.observe(value)
-
-    # -- mirrored series -------------------------------------------------
-
-    def mirror(self, fn, **labels: str) -> None:
-        """Attach a pull source: the series' value is ``fn()`` at
-        collection time.  This is how the existing stats dataclasses are
-        migrated without touching their hot paths."""
-        self._mirrors[self._labelvals(labels)] = fn
-
-    def mirror_series(self, fn) -> None:
-        """Attach a pull source yielding a whole dict of
-        ``{label values: value}`` at collection time — for families
-        whose series appear as the workload runs, like per-relation
-        B-tree descents."""
-        self._dynamic.append(fn)
-
-    # -- reading ---------------------------------------------------------
-
-    def value(self, **labels: str):
-        key = self._labelvals(labels)
-        mirror = self._mirrors.get(key)
-        if mirror is not None:
-            return mirror()
-        for fn in self._dynamic:
-            hit = fn().get(key)
-            if hit is not None:
-                return hit
-        v = self._pushed.get(key)
-        if v is None:
-            return HistogramValue() if self.spec.kind == "histogram" else 0
-        return v
+        self._sources[tuple(str(labels[k]) for k in names)] = fn
 
     def series(self) -> dict[LabelValues, object]:
         """Every labelled series' current value."""
         out: dict[LabelValues, object] = {}
-        for key, v in self._pushed.items():
-            out[key] = v
-        for fn in self._dynamic:
-            out.update(fn())
-        for key, fn in self._mirrors.items():
-            out[key] = fn()
+        for key, fn in self._sources.items():
+            v = fn()
+            if isinstance(v, dict):
+                for k, x in v.items():
+                    out[key + (k if isinstance(k, tuple) else (k,))] = x
+            else:
+                out[key] = v
         return out
+
+    def value(self, **labels: str):
+        if sorted(labels) != sorted(self.spec.labels):
+            raise ValueError(
+                f"metric {self.spec.name!r} takes labels {self.spec.labels}, "
+                f"got {tuple(labels)}")
+        v = self.series().get(tuple(str(labels[k]) for k in self.spec.labels))
+        if v is None:
+            return HistogramValue() if self.spec.kind == "histogram" else 0
+        return v
 
     def total(self) -> float:
         """Sum across series (histograms contribute their counts)."""
@@ -179,12 +186,6 @@ class Metric:
         for v in self.series().values():
             total += v.count if isinstance(v, HistogramValue) else v
         return total
-
-    def reset(self) -> None:
-        """Zero the pushed series.  Mirrored series belong to their
-        stats object and follow the owning component's lifetime — see
-        the reset rule in the module docstring."""
-        self._pushed.clear()
 
 
 @dataclass
@@ -195,9 +196,9 @@ class MetricsRegistry:
 
     def register(self, spec: MetricSpec) -> Metric:
         """Register a family.  Re-registering the identical spec returns
-        the existing family (components created twice in one session,
-        e.g. a second HeapFile over the same stats object, share it);
-        a conflicting spec under the same name is an error."""
+        the existing family (components created twice in one session
+        share it); a conflicting spec under the same name is an
+        error."""
         existing = self._metrics.get(spec.name)
         if existing is not None:
             if existing.spec != spec:
@@ -209,16 +210,17 @@ class MetricsRegistry:
         self._metrics[spec.name] = metric
         return metric
 
-    def mirror_all(self, specs, obj, **labels: str) -> None:
-        """Register ``specs`` and mirror each from the attribute named
-        by the spec's last dotted component (``buffer.hits`` reads
-        ``obj.hits``).  The migration convention: family names end in
-        the legacy attribute name, so the hot paths keep their plain
-        integer bumps."""
-        for spec in specs:
-            attr = spec.name.rsplit(".", 1)[-1]
+    def mirror_all(self, stats, **labels: str) -> None:
+        """Register every family ``stats``'s :func:`metric_stats` class
+        declares, each read from its field of ``stats``; ``labels`` are
+        the class's own (``device=...`` on a device's counters)."""
+        cls = type(stats)
+        if tuple(labels) != cls.metric_labels:
+            raise ValueError(f"{cls.__name__} takes labels "
+                             f"{cls.metric_labels}, got {tuple(labels)}")
+        for name, spec in cls.metric_specs:
             self.register(spec).mirror(
-                lambda o=obj, a=attr: getattr(o, a), **labels)
+                lambda s=stats, a=name: getattr(s, a), **labels)
 
     def get(self, name: str) -> Metric:
         return self._metrics[name]
@@ -240,10 +242,3 @@ class MetricsRegistry:
     def collect(self) -> dict[str, dict[LabelValues, object]]:
         """Snapshot of every family's series."""
         return {name: self._metrics[name].series() for name in self.names()}
-
-    def reset(self) -> None:
-        """The only sanctioned explicit reset: zero every pushed series.
-        Mirrored stats objects are reset by recreating their owning
-        component (the session rule)."""
-        for metric in self._metrics.values():
-            metric.reset()

@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 from typing import IO
 
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 
-METRICS = (
-    MetricSpec("trace.spans", "counter", "events",
-               "Trace spans emitted since tracing was enabled.",
-               "repro.obs.tracing"),
-)
+
+@metric_stats("trace")
+class TraceStats:
+    spans: int = counter(
+        "events", "Trace spans emitted since tracing was enabled.")
 
 
 class _NoopSpan:
@@ -107,7 +107,7 @@ class Tracer:
     def __init__(self, clock=None) -> None:
         self.enabled = False
         self.clock = clock
-        self.spans_emitted = 0
+        self.stats = TraceStats()
         self._events: list[dict] | None = None
         self._file: IO[str] | None = None
         self._path: str | None = None
@@ -165,7 +165,7 @@ class Tracer:
         return self._id
 
     def _emit(self, event: dict) -> None:
-        self.spans_emitted += 1
+        self.stats.spans += 1
         if self._events is not None:
             self._events.append(event)
         if self._file is not None:

@@ -14,7 +14,7 @@ byte-identical behaviour.
 from repro.replica.backup import clone_database, copy_device
 from repro.replica.cluster import ReplicatedCluster
 from repro.replica.feed import (ENTRY_HEADER_BYTES, FeedEntry, FeedTapDevice,
-                                PrimaryFeed, ReplStats, bind_repl_stats)
+                                PrimaryFeed, ReplStats)
 from repro.replica.server import (DEFAULT_BATCH_ENTRIES, REPL_CURSOR_TAG,
                                   ReplicaServer)
 
@@ -28,7 +28,6 @@ __all__ = [
     "ReplStats",
     "ReplicaServer",
     "ReplicatedCluster",
-    "bind_repl_stats",
     "clone_database",
     "copy_device",
 ]

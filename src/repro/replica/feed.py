@@ -30,75 +30,46 @@ tap, no overhead, byte-identical benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.devices.base import DeviceManager, DeviceProxy
 from repro.errors import FeedGapError
-from repro.obs.registry import MetricSpec
-
-METRICS = (
-    MetricSpec("repl.rounds", "counter", "ops",
-               "Sync rounds completed (one pull + apply + durable "
-               "cursor save + ack).",
-               "repro.replica.feed"),
-    MetricSpec("repl.entries_shipped", "counter", "ops",
-               "Feed entries shipped to replicas across all rounds.",
-               "repro.replica.feed"),
-    MetricSpec("repl.pages_shipped", "counter", "pages",
-               "Page-write entries shipped (the data volume of the "
-               "no-overwrite feed).",
-               "repro.replica.feed"),
-    MetricSpec("repl.bytes_shipped", "counter", "bytes",
-               "Payload bytes shipped to replicas (page images + "
-               "status/meta blobs + entry headers).",
-               "repro.replica.feed"),
-    MetricSpec("repl.cursor_saves", "counter", "ops",
-               "Durable replica-cursor writes (one forced meta write "
-               "per applied round).",
-               "repro.replica.feed"),
-    MetricSpec("repl.lag_xids", "gauge", "xids",
-               "Primary durable commit horizon minus the slowest "
-               "replica's published horizon, at last sample.",
-               "repro.replica.feed"),
-    MetricSpec("repl.lag_seconds", "gauge", "seconds",
-               "Commit-time gap (simulated seconds) between the "
-               "primary's horizon transaction and the slowest "
-               "replica's, at last sample.",
-               "repro.replica.feed"),
-    MetricSpec("repl.promotions", "counter", "ops",
-               "Replicas promoted to primary after a failover.",
-               "repro.replica.feed"),
-    MetricSpec("repl.replica_reads", "counter", "calls",
-               "RPC requests served by read-only replicas.",
-               "repro.replica.feed"),
-    MetricSpec("repl.staleness_syncs", "counter", "ops",
-               "Reads that exceeded the bounded-staleness contract and "
-               "triggered a catch-up sync round before being served.",
-               "repro.replica.feed"),
-)
+from repro.obs.registry import counter, gauge, metric_stats
 
 
-@dataclass
+@metric_stats("repl")
 class ReplStats:
     """Plain counters, mirrored into every member's metrics registry by
-    :func:`bind_repl_stats` (the hot paths keep integer bumps)."""
+    their owner (the hot paths keep integer bumps)."""
 
-    rounds: int = 0
-    entries_shipped: int = 0
-    pages_shipped: int = 0
-    bytes_shipped: int = 0
-    cursor_saves: int = 0
-    lag_xids: int = 0
-    lag_seconds: float = 0.0
-    promotions: int = 0
-    replica_reads: int = 0
-    staleness_syncs: int = 0
-
-
-def bind_repl_stats(registry, stats: ReplStats) -> None:
-    """Mirror one :class:`ReplStats` onto a metrics registry (called
-    for the primary's and every replica's Database session)."""
-    registry.mirror_all(METRICS, stats)
+    rounds: int = counter(
+        "ops", "Sync rounds completed (one pull + apply + durable "
+        "cursor save + ack).")
+    entries_shipped: int = counter(
+        "ops", "Feed entries shipped to replicas across all rounds.")
+    pages_shipped: int = counter(
+        "pages", "Page-write entries shipped (the data volume of the "
+        "no-overwrite feed).")
+    bytes_shipped: int = counter(
+        "bytes", "Payload bytes shipped to replicas (page images + "
+        "status/meta blobs + entry headers).")
+    cursor_saves: int = counter(
+        "ops", "Durable replica-cursor writes (one forced meta write "
+        "per applied round).")
+    lag_xids: int = gauge(
+        "xids", "Primary durable commit horizon minus the slowest "
+        "replica's published horizon, at last sample.")
+    lag_seconds: float = gauge(
+        "seconds", "Commit-time gap (simulated seconds) between the "
+        "primary's horizon transaction and the slowest "
+        "replica's, at last sample.", default=0.0)
+    promotions: int = counter(
+        "ops", "Replicas promoted to primary after a failover.")
+    replica_reads: int = counter(
+        "calls", "RPC requests served by read-only replicas.")
+    staleness_syncs: int = counter(
+        "ops", "Reads that exceeded the bounded-staleness contract and "
+        "triggered a catch-up sync round before being served.")
 
 
 #: per-entry bookkeeping overhead charged on the wire (seq + kind +

@@ -52,7 +52,7 @@ from repro.db.database import Database
 from repro.db.page import PAGE_HEAP, Page
 from repro.errors import ReplicaError, ReplicaReadOnlyError
 from repro.replica.backup import clone_database
-from repro.replica.feed import FeedEntry, PrimaryFeed, ReplStats, bind_repl_stats
+from repro.replica.feed import FeedEntry, PrimaryFeed, ReplStats
 from repro.sim.clock import SimClock
 
 #: metadata tag holding the replica's durable feed cursor (on the
@@ -109,7 +109,7 @@ class ReplicaServer(InversionServer):
         replica = cls(fs, feed, replica_id, cursor,
                       batch_entries=batch_entries,
                       staleness_xids=staleness_xids)
-        bind_repl_stats(db.obs.metrics, replica.stats)
+        db.obs.metrics.mirror_all(replica.stats)
         replica._save_cursor()
         feed.ack(replica_id, cursor)
         return replica
@@ -131,7 +131,7 @@ class ReplicaServer(InversionServer):
         replica = cls(fs, feed, replica_id, int(raw.decode("ascii")),
                       batch_entries=batch_entries,
                       staleness_xids=staleness_xids)
-        bind_repl_stats(db.obs.metrics, replica.stats)
+        db.obs.metrics.mirror_all(replica.stats)
         return replica
 
     def rebind_feed(self, feed: PrimaryFeed) -> None:
@@ -141,7 +141,7 @@ class ReplicaServer(InversionServer):
         feed with the entries it had applied."""
         self.feed = feed
         self.stats = feed.stats
-        bind_repl_stats(self.db.obs.metrics, self.stats)
+        self.db.obs.metrics.mirror_all(self.stats)
 
     # -- the apply loop ---------------------------------------------------
 

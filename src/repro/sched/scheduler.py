@@ -52,49 +52,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 
 from repro.cache.link import SessionLink
 from repro.errors import (DeadlockError, LockTimeoutError,
                           SchedAdmissionError, SchedStalledError,
                           SessionFailedError)
-from repro.obs.registry import HistogramValue, MetricSpec
-
-METRICS = (
-    MetricSpec("sched.slices", "counter", "slices",
-               "Requests dispatched by the scheduler (one slice = one "
-               "request of one session).",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.context_switches", "counter", "switches",
-               "Slices that ran a different session than the previous "
-               "slice.",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.lock_parks", "counter", "parks",
-               "Times a session parked in the scheduler waiting for a "
-               "lock while other sessions ran.",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.retries", "counter", "retries",
-               "Transactions re-run after their session was chosen as "
-               "a deadlock victim or timed out on a lock.",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.backoff_seconds", "histogram", "seconds",
-               "Simulated seconds slept before each victim retry "
-               "(capped exponential).",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.admission_waits", "counter", "sessions",
-               "Sessions that queued for admission because the "
-               "in-flight limit was reached.",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.rejected", "counter", "sessions",
-               "Session submissions refused by backpressure (admission "
-               "queue full).",
-               "repro.sched.scheduler"),
-    MetricSpec("sched.idle_advances", "counter", "ops",
-               "Wait quanta burned with every other session parked or "
-               "asleep (a parked waiter advancing the clock toward its "
-               "own timeout).",
-               "repro.sched.scheduler"),
-)
+from repro.obs.registry import (HistogramValue, counter, histogram,
+                                metric_stats)
 
 # Session states.
 QUEUED = "queued"        # waiting for admission
@@ -183,19 +147,36 @@ class Txn:
         self.tag = tag
 
 
-@dataclass
+@metric_stats("sched")
 class SchedStats:
     """Scheduler-lifetime counters, mirrored onto the session's metrics
     registry under the ``sched.*`` families."""
 
-    slices: int = 0
-    context_switches: int = 0
-    lock_parks: int = 0
-    retries: int = 0
-    backoff_seconds: HistogramValue = field(default_factory=HistogramValue)
-    admission_waits: int = 0
-    rejected: int = 0
-    idle_advances: int = 0
+    slices: int = counter(
+        "slices", "Requests dispatched by the scheduler (one slice = one "
+        "request of one session).")
+    context_switches: int = counter(
+        "switches", "Slices that ran a different session than the previous "
+        "slice.")
+    lock_parks: int = counter(
+        "parks", "Times a session parked in the scheduler waiting for a "
+        "lock while other sessions ran.")
+    retries: int = counter(
+        "retries", "Transactions re-run after their session was chosen as "
+        "a deadlock victim or timed out on a lock.")
+    backoff_seconds: HistogramValue = histogram(
+        "seconds", "Simulated seconds slept before each victim retry "
+        "(capped exponential).")
+    admission_waits: int = counter(
+        "sessions", "Sessions that queued for admission because the "
+        "in-flight limit was reached.")
+    rejected: int = counter(
+        "sessions", "Session submissions refused by backpressure (admission "
+        "queue full).")
+    idle_advances: int = counter(
+        "ops", "Wait quanta burned with every other session parked or "
+        "asleep (a parked waiter advancing the clock toward its "
+        "own timeout).")
 
 
 class _Unit:
@@ -404,13 +385,7 @@ class MultiUserScheduler:
         self._closed = False
         for index, db in enumerate(self.dbs):
             db.locks.wait_strategy = SchedulerWaitStrategy(self, index)
-        self._bind_metrics()
-
-    # -- wiring ----------------------------------------------------------
-
-    def _bind_metrics(self) -> None:
-        for db in self.dbs:
-            db.obs.metrics.mirror_all(METRICS, self.stats)
+            db.obs.metrics.mirror_all(self.stats)
 
     def close(self) -> None:
         """Uninstall the lock managers' wait strategies (a lock wait

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 from repro.core.filesystem import InversionFS
 from repro.core.server import InversionServer
 from repro.db.buffer import DEFAULT_BUFFERS
 from repro.db.database import Database
 from repro.errors import CatalogError
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.shard.router import (
     HashPartitionPolicy,
     ShardRouter,
@@ -50,54 +49,35 @@ DECISION_TAG = "pg_2pc"
 
 _CLUSTER_FILE = "cluster.json"
 
-METRICS = (
-    MetricSpec("shard.routed_ops", "counter", "calls",
-               "RPC requests routed to a shard by the sharded client "
-               "(every dispatch, single- or cross-shard).",
-               "repro.shard.cluster"),
-    MetricSpec("shard.single_shard_txns", "counter", "txns",
-               "Cluster transactions whose writes touched at most one "
-               "shard — committed locally, zero coordination messages.",
-               "repro.shard.cluster"),
-    MetricSpec("shard.cross_shard_txns", "counter", "txns",
-               "Cluster transactions that wrote on two or more shards "
-               "and committed through the 2PC coordinator.",
-               "repro.shard.cluster"),
-    MetricSpec("shard.cross_shard_messages", "counter", "msgs",
-               "Messages sent beyond a transaction's first shard: "
-               "enlistments, routed requests, prepares, decision "
-               "forces, and resolves.  Zero for single-shard work.",
-               "repro.shard.cluster"),
-    MetricSpec("shard.prepares", "counter", "ops",
-               "2PC prepare requests sent to participant shards.",
-               "repro.shard.cluster"),
-    MetricSpec("shard.decisions", "counter", "ops",
-               "Commit decisions forced to a coordinator decision log.",
-               "repro.shard.cluster"),
-    MetricSpec("shard.in_doubt_commits", "counter", "txns",
-               "In-doubt prepared transactions committed during "
-               "cluster recovery (decision log had their gid).",
-               "repro.shard.cluster"),
-    MetricSpec("shard.in_doubt_aborts", "counter", "txns",
-               "In-doubt prepared transactions presumed aborted during "
-               "cluster recovery (no durable decision).",
-               "repro.shard.cluster"),
-)
 
-
-@dataclass
+@metric_stats("shard")
 class ShardStats:
     """Cluster-lifetime counters, mirrored onto every shard's metrics
     registry under the ``shard.*`` families."""
 
-    routed_ops: int = 0
-    single_shard_txns: int = 0
-    cross_shard_txns: int = 0
-    cross_shard_messages: int = 0
-    prepares: int = 0
-    decisions: int = 0
-    in_doubt_commits: int = 0
-    in_doubt_aborts: int = 0
+    routed_ops: int = counter(
+        "calls", "RPC requests routed to a shard by the sharded client "
+        "(every dispatch, single- or cross-shard).")
+    single_shard_txns: int = counter(
+        "txns", "Cluster transactions whose writes touched at most one "
+        "shard — committed locally, zero coordination messages.")
+    cross_shard_txns: int = counter(
+        "txns", "Cluster transactions that wrote on two or more shards "
+        "and committed through the 2PC coordinator.")
+    cross_shard_messages: int = counter(
+        "msgs", "Messages sent beyond a transaction's first shard: "
+        "enlistments, routed requests, prepares, decision "
+        "forces, and resolves.  Zero for single-shard work.")
+    prepares: int = counter(
+        "ops", "2PC prepare requests sent to participant shards.")
+    decisions: int = counter(
+        "ops", "Commit decisions forced to a coordinator decision log.")
+    in_doubt_commits: int = counter(
+        "txns", "In-doubt prepared transactions committed during "
+        "cluster recovery (decision log had their gid).")
+    in_doubt_aborts: int = counter(
+        "txns", "In-doubt prepared transactions presumed aborted during "
+        "cluster recovery (no durable decision).")
 
 
 class ShardedCluster:
@@ -111,7 +91,8 @@ class ShardedCluster:
         self.servers = [InversionServer(fs) for fs in fss]
         self.router = router
         self.stats = ShardStats()
-        self._bind_metrics()
+        for db in dbs:
+            db.obs.metrics.mirror_all(self.stats)
 
     # -- construction ----------------------------------------------------
 
@@ -171,10 +152,6 @@ class ShardedCluster:
                       ShardRouter(policy_from_config(config), nshards))
         cluster._recover_in_doubt()
         return cluster
-
-    def _bind_metrics(self) -> None:
-        for db in self.dbs:
-            db.obs.metrics.mirror_all(METRICS, self.stats)
 
     # -- lifecycle -------------------------------------------------------
 

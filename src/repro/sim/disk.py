@@ -20,51 +20,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 
 BLOCK_SIZE = 8192
 """The unit of disk transfer — one POSTGRES/FFS page."""
-
-METRICS = (
-    MetricSpec("disk.reads", "counter", "ops",
-               "Disk read operations (a batched contiguous run counts once).",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.writes", "counter", "ops",
-               "Disk write operations (a batched contiguous run counts once).",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.seeks", "counter", "ops",
-               "Operations that paid a head seek (non-sequential access).",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.sequential_ops", "counter", "ops",
-               "Operations that hit the next sequential block — transfer "
-               "time only, no positioning charge.",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.bytes_read", "counter", "bytes",
-               "Bytes transferred from the platter.",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.bytes_written", "counter", "bytes",
-               "Bytes transferred to the platter.",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.busy_seconds", "counter", "seconds",
-               "Simulated seconds the drive spent positioning and "
-               "transferring.",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.queued_seconds", "counter", "seconds",
-               "Of disk.busy_seconds, those charged behind the clock: "
-               "writes issued in a queued section, which the drive "
-               "finishes while the caller goes on computing.",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.reads_ahead", "counter", "ops",
-               "Foreground reads the drive served ahead of queued "
-               "requests (between a queued section's writes).",
-               "repro.sim.disk", ("device",)),
-    MetricSpec("disk.deferred_seconds", "counter", "seconds",
-               "Seconds the queued requests were pushed back by the "
-               "reads served ahead of them: each read's cost plus the "
-               "change in the next request's positioning.",
-               "repro.sim.disk", ("device",)),
-)
 
 
 @dataclass(frozen=True)
@@ -110,20 +70,35 @@ RZ58 = DiskGeometry(
 )
 
 
-@dataclass
+@metric_stats("disk", labels=("device",))
 class DiskStats:
     """Operation counters, useful for ablation benches and tests."""
 
-    reads: int = 0
-    writes: int = 0
-    seeks: int = 0
-    sequential_ops: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    busy_seconds: float = 0.0
-    queued_seconds: float = 0.0
-    reads_ahead: int = 0
-    deferred_seconds: float = 0.0
+    reads: int = counter(
+        "ops", "Disk read operations (a batched contiguous run counts once).")
+    writes: int = counter(
+        "ops", "Disk write operations (a batched contiguous run counts once).")
+    seeks: int = counter(
+        "ops", "Operations that paid a head seek (non-sequential access).")
+    sequential_ops: int = counter(
+        "ops", "Operations that hit the next sequential block — transfer "
+        "time only, no positioning charge.")
+    bytes_read: int = counter("bytes", "Bytes transferred from the platter.")
+    bytes_written: int = counter("bytes", "Bytes transferred to the platter.")
+    busy_seconds: float = counter(
+        "seconds", "Simulated seconds the drive spent positioning and "
+        "transferring.", default=0.0)
+    queued_seconds: float = counter(
+        "seconds", "Of disk.busy_seconds, those charged behind the clock: "
+        "writes issued in a queued section, which the drive "
+        "finishes while the caller goes on computing.", default=0.0)
+    reads_ahead: int = counter(
+        "ops", "Foreground reads the drive served ahead of queued "
+        "requests (between a queued section's writes).")
+    deferred_seconds: float = counter(
+        "seconds", "Seconds the queued requests were pushed back by the "
+        "reads served ahead of them: each read's cost plus the "
+        "change in the next request's positioning.", default=0.0)
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(**vars(self))

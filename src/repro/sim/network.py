@@ -17,24 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
-
-METRICS = (
-    MetricSpec("net.messages", "counter", "msgs",
-               "One-directional messages carried (requests + responses).",
-               "repro.sim.network"),
-    MetricSpec("net.round_trips", "counter", "ops",
-               "Request/response RPC exchanges.",
-               "repro.sim.network"),
-    MetricSpec("net.bytes_sent", "counter", "bytes",
-               "Payload bytes serialized onto the wire.",
-               "repro.sim.network"),
-    MetricSpec("net.busy_seconds", "counter", "seconds",
-               "Simulated seconds of protocol overhead, wire time and "
-               "propagation.",
-               "repro.sim.network"),
-)
 
 
 @dataclass(frozen=True)
@@ -58,12 +42,16 @@ ETHERNET_10MBIT = EthernetParams(
 )
 
 
-@dataclass
+@metric_stats("net")
 class NetStats:
-    messages: int = 0
-    round_trips: int = 0
-    bytes_sent: int = 0
-    busy_seconds: float = 0.0
+    messages: int = counter(
+        "msgs", "One-directional messages carried (requests + responses).")
+    round_trips: int = counter("ops", "Request/response RPC exchanges.")
+    bytes_sent: int = counter(
+        "bytes", "Payload bytes serialized onto the wire.")
+    busy_seconds: float = counter(
+        "seconds", "Simulated seconds of protocol overhead, wire time and "
+        "propagation.", default=0.0)
 
 
 @dataclass

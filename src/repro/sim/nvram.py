@@ -20,35 +20,23 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.obs.registry import MetricSpec
+from repro.obs.registry import counter, metric_stats
 from repro.sim.clock import SimClock
 from repro.sim.disk import BLOCK_SIZE, DiskModel
 
-METRICS = (
-    MetricSpec("nvram.hits", "counter", "ops",
-               "Writes that overwrote a block already resident on the "
-               "board (a subset of nvram.absorbed_writes).",
-               "repro.sim.nvram"),
-    MetricSpec("nvram.absorbed_writes", "counter", "ops",
-               "Stable writes satisfied by battery-backed RAM without "
-               "touching the disk.",
-               "repro.sim.nvram"),
-    MetricSpec("nvram.destages", "counter", "blocks",
-               "Dirty blocks written back to the disk.",
-               "repro.sim.nvram"),
-    MetricSpec("nvram.overflow_destages", "counter", "blocks",
-               "Destages forced by a full board to make room for an "
-               "incoming write.",
-               "repro.sim.nvram"),
-)
 
-
-@dataclass
+@metric_stats("nvram")
 class NvramStats:
-    hits: int = 0
-    absorbed_writes: int = 0
-    destages: int = 0
-    overflow_destages: int = 0
+    hits: int = counter(
+        "ops", "Writes that overwrote a block already resident on the "
+        "board (a subset of nvram.absorbed_writes).")
+    absorbed_writes: int = counter(
+        "ops", "Stable writes satisfied by battery-backed RAM without "
+        "touching the disk.")
+    destages: int = counter("blocks", "Dirty blocks written back to the disk.")
+    overflow_destages: int = counter(
+        "blocks", "Destages forced by a full board to make room for an "
+        "incoming write.")
 
 
 @dataclass

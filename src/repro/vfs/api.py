@@ -18,37 +18,34 @@ from contextlib import contextmanager
 
 from repro.core.constants import O_CREAT, O_RDONLY, O_RDWR, SEEK_SET
 from repro.errors import FileNotFoundError_
-from repro.obs.registry import MetricSpec
-
-METRICS = (
-    MetricSpec("vfs.ops", "counter", "ops",
-               "Calls issued through the transactional VFS surface "
-               "(every public method counts one).",
-               "repro.vfs.api"),
-    MetricSpec("vfs.group_commits", "counter", "ops",
-               "Commits that closed an explicit begin() group — "
-               "multi-file atomic batches, as opposed to auto-committed "
-               "single calls.",
-               "repro.vfs.api"),
-    MetricSpec("vfs.reflinks", "counter", "ops",
-               "By-reference structural ops (reflink, concat, slice).",
-               "repro.vfs.api"),
-    MetricSpec("vfs.chunks_referenced", "counter", "chunks",
-               "Chunks cloned as pointer rows by structural ops — "
-               "each one a ~24-byte metadata write instead of a chunk "
-               "copy.",
-               "repro.vfs.api"),
-    MetricSpec("vfs.chunks_materialized", "counter", "chunks",
-               "Chunks structural ops had to copy physically "
-               "(unaligned tails, and cross-shard fallbacks).",
-               "repro.vfs.api"),
-    MetricSpec("vfs.readdir_pages", "counter", "ops",
-               "Paged readdir requests (bounded listing pages instead "
-               "of whole-directory replies).",
-               "repro.vfs.api"),
-)
+from repro.obs.registry import counter, metric_stats
 
 DEFAULT_READDIR_PAGE = 512
+
+
+@metric_stats("vfs")
+class VfsStats:
+    """One VFS session's calls and what its structural ops moved."""
+
+    ops: int = counter(
+        "ops", "Calls issued through the transactional VFS surface "
+        "(every public method counts one).")
+    group_commits: int = counter(
+        "ops", "Commits that closed an explicit begin() group — "
+        "multi-file atomic batches, as opposed to auto-committed "
+        "single calls.")
+    reflinks: int = counter(
+        "ops", "By-reference structural ops (reflink, concat, slice).")
+    chunks_referenced: int = counter(
+        "chunks", "Chunks cloned as pointer rows by structural ops — "
+        "each one a ~24-byte metadata write instead of a chunk "
+        "copy.")
+    chunks_materialized: int = counter(
+        "chunks", "Chunks structural ops had to copy physically "
+        "(unaligned tails, and cross-shard fallbacks).")
+    readdir_pages: int = counter(
+        "ops", "Paged readdir requests (bounded listing pages instead "
+        "of whole-directory replies).")
 
 
 class VFS:
@@ -70,33 +67,28 @@ class VFS:
     def __init__(self, client, obs=None) -> None:
         self.client = client
         self._in_group = False
-        self.ops = 0
-        self.group_commits = 0
-        self.reflinks = 0
-        self.chunks_referenced = 0
-        self.chunks_materialized = 0
-        self.readdir_pages = 0
+        self.stats = VfsStats()
         if obs is not None:
-            obs.bind_vfs(self)
+            obs.metrics.mirror_all(self.stats)
 
     # -- transactions -----------------------------------------------------
 
     def begin(self) -> None:
         """Open an explicit transaction: every call until ``commit()``
         (or ``abort()``) becomes one atomic group."""
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_begin()
         self._in_group = True
 
     def commit(self) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_commit()
         if self._in_group:
             self._in_group = False
-            self.group_commits += 1
+            self.stats.group_commits += 1
 
     def abort(self) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self._in_group = False
         self.client.p_abort()
 
@@ -119,7 +111,7 @@ class VFS:
              device: str | None = None) -> int:
         """Open (optionally create, with ``O_CREAT``) a file; returns a
         descriptor.  ``timestamp`` opens the historical version."""
-        self.ops += 1
+        self.stats.ops += 1
         if mode & O_CREAT:
             try:
                 return self.client.p_open(path, mode & ~O_CREAT,
@@ -130,46 +122,46 @@ class VFS:
         return self.client.p_open(path, mode, timestamp)
 
     def read(self, fd: int, nbytes: int) -> bytes:
-        self.ops += 1
+        self.stats.ops += 1
         return self.client.p_read(fd, nbytes)
 
     def write(self, fd: int, data: bytes) -> int:
-        self.ops += 1
+        self.stats.ops += 1
         return self.client.p_write(fd, data)
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
-        self.ops += 1
+        self.stats.ops += 1
         return self.client.p_lseek(fd, offset >> 32,
                                    offset & 0xFFFFFFFF, whence)
 
     def close(self, fd: int) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_close(fd)
 
     # -- namespace --------------------------------------------------------
 
     def mkdir(self, path: str, owner: str = "root") -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_mkdir(path, owner=owner)
 
     def rename(self, old: str, new: str) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_rename(old, new)
 
     def unlink(self, path: str) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_unlink(path)
 
     def rmdir(self, path: str) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_rmdir(path)
 
     def stat(self, path: str, timestamp: float | None = None):
-        self.ops += 1
+        self.stats.ops += 1
         return self.client.p_stat(path, timestamp)
 
     def exists(self, path: str) -> bool:
-        self.ops += 1
+        self.stats.ops += 1
         try:
             self.client.p_stat(path)
             return True
@@ -179,7 +171,7 @@ class VFS:
     def readdir(self, path: str, timestamp: float | None = None) -> list[str]:
         """The full (sorted) listing in one call — fine for small
         directories; use :meth:`iterdir` for large ones."""
-        self.ops += 1
+        self.stats.ops += 1
         return self.client.p_readdir(path, timestamp)
 
     def readdir_page(self, path: str, cookie: str | None = None,
@@ -188,8 +180,8 @@ class VFS:
                      ) -> tuple[list[str], str | None]:
         """One bounded page of a listing: (names after ``cookie``,
         next cookie or None)."""
-        self.ops += 1
-        self.readdir_pages += 1
+        self.stats.ops += 1
+        self.stats.readdir_pages += 1
         return self.client.p_readdir(path, timestamp,
                                      cookie=cookie, limit=limit)
 
@@ -208,11 +200,11 @@ class VFS:
     # -- structural (by-reference) ops ------------------------------------
 
     def _structural(self, verb: str, *args) -> tuple[int, int]:
-        self.ops += 1
-        self.reflinks += 1
+        self.stats.ops += 1
+        self.stats.reflinks += 1
         r, m = getattr(self.client, verb)(*args)
-        self.chunks_referenced += r
-        self.chunks_materialized += m
+        self.stats.chunks_referenced += r
+        self.stats.chunks_materialized += m
         return r, m
 
     def reflink(self, src: str, dst: str,
@@ -235,7 +227,7 @@ class VFS:
         return self._structural("p_slice", src, lo, hi, dst, device)
 
     def truncate(self, path: str, size: int) -> None:
-        self.ops += 1
+        self.stats.ops += 1
         self.client.p_truncate(path, size)
 
     # -- whole-file conveniences ------------------------------------------

@@ -300,7 +300,7 @@ def test_a_read_to_eof_reads_from_the_clients_position(tmp_path):
     _server, client = _read_ahead_client(fs)
     try:
         fd = client.p_open("/f1", O_RDONLY)
-        assert client.filled_opens == 1
+        assert client.stats.filled_opens == 1
         assert client.p_read(fd, -1) == _contents("/f1", 100)
         assert client.p_read(fd, 10) == b""
     finally:
@@ -452,7 +452,7 @@ def test_only_a_read_only_first_read_reads_ahead(tmp_path):
         # Read-ahead from the top; a lone read after a seek, and the
         # first read of a writable descriptor, fetch exactly their length.
         assert asked == [RPC_BATCH_CHUNKS * CHUNK_SIZE, 100, 100]
-        assert client.filled_opens == 0
+        assert client.stats.filled_opens == 0
     finally:
         client.close()
         fs.db.close()
@@ -466,7 +466,7 @@ def test_a_small_file_opens_with_its_bytes_and_eof(tmp_path):
     try:
         fd = client.p_open("/f1", O_RDONLY)
         assert asked == [RPC_BATCH_CHUNKS * CHUNK_SIZE]
-        assert (stats.round_trips, client.filled_opens) == (1, 1)
+        assert (stats.round_trips, client.stats.filled_opens) == (1, 1)
         assert client.p_read(fd, CHUNK_SIZE) == _contents("/f1", 100)
         assert client.p_read(fd, CHUNK_SIZE) == b""
         assert stats.round_trips == 1       # bytes and EOF came with it
@@ -489,8 +489,8 @@ def test_eof_and_read_only_close_cost_no_message(tmp_path):
         assert b"".join(pieces) == _contents("/f0", FILES["/f0"])
         client.p_close(fd)
         assert messages.messages - before == 2      # p_open, with the file
-        assert client.buffered_reads == 5           # 4 pieces and EOF
-        assert client.riders == 1
+        assert client.stats.buffered_reads == 5           # 4 pieces and EOF
+        assert client.stats.riders == 1
         assert _holds(server, client._link.conn, fd)
         client.p_stat("/f1")                        # the close rides it
         assert not _holds(server, client._link.conn, fd)
@@ -534,5 +534,5 @@ def test_batched_reads_take_under_half_the_time_of_the_paper_protocol(
     assert plain_s / batched_s >= 2.0
     assert batched_msgs * 4 < plain_msgs
     # One read RPC per batch, the rest served from its buffer.
-    assert client.batched_reads == -(-128 // RPC_BATCH_CHUNKS)
-    assert client.buffered_reads >= 128 - 2 * client.batched_reads
+    assert client.stats.batched_reads == -(-128 // RPC_BATCH_CHUNKS)
+    assert client.stats.buffered_reads >= 128 - 2 * client.stats.batched_reads

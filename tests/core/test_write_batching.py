@@ -40,8 +40,8 @@ def test_sequential_writes_ship_as_batched_rpcs(fs, clock):
         client.p_write(fd, piece)
     client.p_commit()
     client.p_close(fd)
-    assert client.buffered_writes == 8
-    assert client.batched_writes == 2  # 8 chunks / window of 4
+    assert client.stats.buffered_writes == 8
+    assert client.stats.batched_writes == 2  # 8 chunks / window of 4
     assert fs.read_file("/wb") == b"".join(chunks(8))
     client.close()
 
@@ -54,8 +54,8 @@ def test_default_batch_size_preserves_paper_protocol(fs, clock):
         client.p_write(fd, piece)
     client.p_commit()
     client.p_close(fd)
-    assert client.buffered_writes == 0
-    assert client.batched_writes == 0
+    assert client.stats.buffered_writes == 0
+    assert client.stats.batched_writes == 0
     client.close()
 
 
@@ -212,9 +212,9 @@ def test_a_batched_1mb_write_takes_under_half_the_time(tmp_path):
     assert batched_msgs * 4 < plain_msgs
     # One write RPC per batch, every chunk buffered; the unbatched
     # client buffers nothing.
-    assert client.batched_writes == -(-128 // RPC_BATCH_CHUNKS)
-    assert client.buffered_writes == 128
-    assert (plain.batched_writes, plain.buffered_writes) == (0, 0)
+    assert client.stats.batched_writes == -(-128 // RPC_BATCH_CHUNKS)
+    assert client.stats.buffered_writes == 128
+    assert (plain.stats.batched_writes, plain.stats.buffered_writes) == (0, 0)
 
 
 def test_two_descriptors_of_one_file_write_in_program_order(fs, clock):

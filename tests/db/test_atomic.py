@@ -68,6 +68,21 @@ def test_a_commit_that_raises_once_committed_keeps_its_own_error(db):
     assert db.table_exists("t")
 
 
+def test_a_raising_commit_listener_leaves_no_lock_held(db):
+    """A listener that raises after the commit is decided must not keep
+    the committed transaction's locks: the next DDL takes ``("ddl",)``
+    at once instead of timing out on a finished xid."""
+    def listener(_xid, _committed):
+        raise Boom("a listener failed")
+    db.add_commit_listener(listener)
+    for name in ("t", "u"):
+        with pytest.raises(Boom, match="a listener failed"):
+            with atomic(db) as tx:
+                db.create_table(tx, name, SCHEMA)
+        assert tx.state == COMMITTED
+    assert db.locks.holders(("ddl",)) == {}
+
+
 def test_an_auto_commit_whose_commit_fails_leaks_no_transaction(
         fs, monkeypatch):
     """The library's one-shot transaction goes through the runner: a

@@ -140,9 +140,9 @@ def test_an_aborted_drop_leaves_the_table_cacheable(db):
     db.abort(a)
     info = db.table("t", b).info
     assert [ix.name for ix in info.indexes] == ["t_x_idx"]
-    hits = db.catalog.relcache_hits
+    hits = db.catalog.stats.relcache_hits
     assert db.table("t", db.begin()).info is info
-    assert db.catalog.relcache_hits == hits + 1
+    assert db.catalog.stats.relcache_hits == hits + 1
 
 
 def test_no_dirty_catalog_read(db):
@@ -152,9 +152,9 @@ def test_no_dirty_catalog_read(db):
     assert db.table("u", x).info.name == "u"
     assert not db.table_exists("u", y)
     assert not db.table_exists("u")
-    probes = db.catalog.probes
+    probes = db.catalog.stats.probes
     assert db.table_exists("u", x)          # answered by a probe each time
-    assert db.catalog.probes > probes
+    assert db.catalog.stats.probes > probes
     db.commit(x)
     assert db.table_exists("u", y) and db.table_exists("u")
 
@@ -222,7 +222,7 @@ def test_scans_per_lookup_is_answerable_from_the_registry(db):
     db.commit(tx)
     assert value("catalog.rebuilds") == 1
     probes = value("catalog.probes")
-    assert probes == db.catalog.probes > 0
+    assert probes == db.catalog.stats.probes > 0
     assert db.table_exists("t") and value("catalog.probes") > probes
     probes, hits = value("catalog.probes"), value("catalog.relcache_hits")
     for _ in range(5):

@@ -264,4 +264,4 @@ def test_syscache_holds_one_tid_per_row_version_and_dies_whole(db):
     assert catalog._syscache is None
     assert not catalog._table_cache and not catalog._cached_names
     assert db.table_exists("pg_class") and not db.table_exists("t3")
-    assert catalog.rebuilds == 2
+    assert catalog.stats.rebuilds == 2

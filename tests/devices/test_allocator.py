@@ -15,7 +15,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from repro.db.page import PAGE_SIZE
 from repro.devices import magnetic
-from repro.devices.magnetic import EXTENT_PAGES, MagneticDisk
+from repro.devices.magnetic import (EXTENT_PAGES, META_REGION_BLOCKS,
+                                     MagneticDisk)
 from repro.errors import DeviceFullError
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskGeometry, RZ58
@@ -122,7 +123,7 @@ class Allocator(RuleBasedStateMachine):
         disk = self.disk
         runs = sorted((block, length) for s in disk._rels.values()
                       for block, length in zip(s.extents, s.lengths))
-        end = disk.meta_region_blocks
+        end = META_REGION_BLOCKS
         for block, length in runs:
             assert block >= end
             end = block + length

@@ -150,7 +150,7 @@ def test_bind_metrics_mirrors_stats(ffs):
     from repro.obs.registry import MetricsRegistry
 
     registry = MetricsRegistry()
-    ffs.bind_metrics(registry)
+    registry.mirror_all(ffs.stats)
     inode = ffs.create("/f")
     ffs.write(inode, 0, bytes(2 * BLOCK_SIZE))
     assert registry.value("ffs.data_writes") == ffs.stats.data_writes == 2

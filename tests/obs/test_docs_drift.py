@@ -1,6 +1,7 @@
 """METRICS.md generation and drift checking (`python -m repro.obs`),
 and the link checker CI runs beside it."""
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,79 @@ def test_every_live_registry_metric_is_documented(tmp_path):
     db.close()
     documented = {s.name for s in docs.catalog()}
     assert live <= documented, f"undocumented: {sorted(live - documented)}"
+
+
+#: documented families no session binds, and why.
+UNBOUND = {
+    "nvram.hits": "the NFS baseline has no `Database` session",
+    "nvram.absorbed_writes": "the NFS baseline has no `Database` session",
+    "nvram.destages": "the NFS baseline has no `Database` session",
+    "nvram.overflow_destages": "the NFS baseline has no `Database` session",
+    "ffs.data_reads": "the NFS baseline has no `Database` session",
+    "ffs.data_writes": "the NFS baseline has no `Database` session",
+    "ffs.inode_writes": "the NFS baseline has no `Database` session",
+    "ffs.indirect_writes": "the NFS baseline has no `Database` session",
+    "ffs.cache_hits": "the NFS baseline has no `Database` session",
+}
+
+
+def test_every_documented_metric_is_live(tmp_path):
+    """The reverse of the test above: every family METRICS.md lists is
+    registered by some session — every stack of the testkit after one
+    write and one read, and a local database with the other device
+    kinds and a VFS — or is in :data:`UNBOUND` with its reason."""
+    from repro.core.filesystem import InversionFS
+    from repro.core.library import InversionClient
+    from repro.db.database import Database
+    from repro.testkit.oracle import ModelFS
+    from repro.testkit.stacks import STACKS, open_stack
+    from repro.vfs.api import VFS
+
+    live: set[str] = set()
+    for kind in STACKS:
+        stack = open_stack(kind, str(tmp_path / kind))
+        model = ModelFS()
+        if stack.prefix:                     # the stack made /a and /b
+            model.apply(("mkdir", "/a"))
+            model.apply(("mkdir", "/b"))
+        for op in (("mkdir", "/a/d" if stack.prefix else "/d"),
+                   ("write", stack.prefix + "/d/f", b"x" * 9000)):
+            stack.apply(op, model, atomic=stack.atomic)
+            model.apply(op)
+        stack.check(model)
+        live.update(n for fs in stack.mounts for n in fs.db.obs.metrics.names())
+        stack.close()
+    db = Database.create(str(tmp_path / "devices"))
+    fs = InversionFS.mkfs(db)
+    for name, kind in (("j0", "jukebox"), ("t0", "tape"), ("m0", "memdisk")):
+        db.add_device(name, kind)
+        tx = fs.begin()
+        fs.write_file(tx, f"/{name}", b"y" * 9000, device=name)
+        fs.commit(tx)
+        assert fs.read_file(f"/{name}") == b"y" * 9000
+    vfs = VFS(InversionClient(fs), obs=db.obs)
+    vfs.write_file("/v", b"z")
+    assert vfs.read_file("/v") == b"z"
+    live.update(db.obs.metrics.names())
+    db.close()
+    documented = {s.name for s in docs.catalog()}
+    assert documented - live == set(UNBOUND)
+
+
+def test_no_metric_spec_is_constructed_outside_obs():
+    """A family is declared by its stats field; ``MetricSpec(`` is
+    called only inside ``repro.obs``."""
+    src = Path(__file__).parents[2] / "src" / "repro"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        if path.parent.name == "obs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) \
+                    == "MetricSpec":
+                calls.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert calls == []
 
 
 def test_check_docs_missing_file(tmp_path):

@@ -14,7 +14,7 @@ def test_disabled_tracer_returns_shared_noop():
     assert span is NO_SPAN
     with span as s:
         s.set(bar=2)  # no-op, must not raise
-    assert tr.spans_emitted == 0
+    assert tr.stats.spans == 0
     assert tr.events() == []
 
 
@@ -103,7 +103,7 @@ def test_jsonl_sink(tmp_path):
     # disabled again: no further emission
     with tr.span("op2"):
         pass
-    assert tr.spans_emitted == 1
+    assert tr.stats.spans == 1
 
 
 def test_reserved_envelope_keys_win_over_attrs():

@@ -43,7 +43,7 @@ def test_a_whole_file_read_is_one_round_trip(tmp_path):
             before = stats.round_trips
             assert _read_file(reader, path) == OLD
             assert stats.round_trips - before == 1
-        assert (reader.riders, reader.filled_opens) == (2, 2)
+        assert (reader.stats.riders, reader.stats.filled_opens) == (2, 2)
     finally:
         reader.close()
         cluster.close()
@@ -80,7 +80,7 @@ def test_a_re_read_ships_only_the_chunks_that_changed(tmp_path):
         assert _read_file(reader, "/f") == new
         assert replies[-1] == [None, new[CHUNK_SIZE:2 * CHUNK_SIZE], None]
         assert sent[-1] == whole - 2 * CHUNK_SIZE + 2 * 8
-        assert (reader.filled_opens, reader.unchanged_chunks) == (3, 5)
+        assert (reader.stats.filled_opens, reader.stats.unchanged_chunks) == (3, 5)
     finally:
         for client in (reader, writer):
             client.close()
@@ -101,7 +101,7 @@ def test_a_write_transaction_is_two_round_trips(tmp_path):
         assert writer.p_write(fd, b"n" * 100) == 100
         writer.p_close(fd)
         writer.p_commit()
-        assert (stats.round_trips - before, writer.riders) == (2, 4)
+        assert (stats.round_trips - before, writer.stats.riders) == (2, 4)
         cluster.sync_all()
         reader = cluster.reader_client()
         expected = OLD[:CHUNK_SIZE] + b"n" * 100 + OLD[CHUNK_SIZE + 100:]

@@ -245,7 +245,7 @@ def test_a_table_created_at_the_primary_appears_with_the_next_round(
     replica = make_replica(tmp_path, feed)
     rdb = replica.db
     assert _read(replica, "/a") == b"old"          # warms both caches
-    assert rdb.catalog.rebuilds == 1
+    assert rdb.catalog.stats.rebuilds == 1
     write_file(writer, "/b", b"new file, new chunk table")
     db.tm.flush_commits()
     table = fs.chunk_table_of("/b")
@@ -256,7 +256,7 @@ def test_a_table_created_at_the_primary_appears_with_the_next_round(
     assert rdb.table_exists(table, reader) and rdb.table_exists(table)
     assert rdb.table(table).info == db.table(table).info
     assert _read(replica, "/b") == b"new file, new chunk table"
-    assert rdb.catalog.rebuilds == 2
+    assert rdb.catalog.stats.rebuilds == 2
     replica.close()
 
 

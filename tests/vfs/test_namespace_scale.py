@@ -12,6 +12,7 @@ from repro.core.filesystem import InversionFS
 from repro.core.library import InversionClient
 from repro.core.server import InversionServer
 from repro.db.database import Database
+from repro.devices.magnetic import META_REGION_BLOCKS
 from repro.sim.clock import SimClock
 from repro.sim.network import ETHERNET_10MBIT, NetworkModel
 from repro.vfs import VFS
@@ -27,7 +28,7 @@ def first_and_last_decile(series: list) -> tuple[float, float]:
 
 def blocks_used(db) -> int:
     dev = db.switch.get(db.switch.default_name)
-    return dev._next_block - dev.meta_region_blocks
+    return dev._next_block - META_REGION_BLOCKS
 
 
 def test_create_cost_is_flat_in_the_number_of_files(tmp_path):
@@ -55,8 +56,8 @@ def test_create_cost_is_flat_in_the_number_of_files(tmp_path):
     # One build, at the first lookup; afterwards a create is a handful
     # of probes and no scan, however many relations there are.
     catalog = db.catalog
-    assert catalog.rebuilds == 1
-    assert catalog.probes <= 6 * FILES
+    assert catalog.stats.rebuilds == 1
+    assert catalog.stats.probes <= 6 * FILES
     db.close()
 
 

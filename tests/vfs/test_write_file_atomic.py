@@ -83,7 +83,7 @@ def test_inside_a_group_it_neither_commits_nor_nests(stack):
         vfs.write_file(prefix + "/a", DATA)
         vfs.write_file(prefix + "/b", DATA)
     assert vfs.read_file(prefix + "/a") == vfs.read_file(prefix + "/b") == DATA
-    assert vfs.group_commits == 1
+    assert vfs.stats.group_commits == 1
 
 
 @pytest.mark.parametrize("kind", STACKS)
@@ -91,13 +91,13 @@ def test_one_call_is_one_status_force(tmp_path, kind):
     built = open_stack(kind, str(tmp_path / "stack"))
     try:
         vfs = VFS(built.client)
-        forces, ops = status_forces(built), vfs.ops
+        forces, ops = status_forces(built), vfs.stats.ops
         vfs.write_file(built.prefix + "/new", DATA)
         assert status_forces(built) == forces + 1
         # counted as before: the open, the write and the close it makes,
         # and not as an explicit group
-        assert vfs.ops == ops + 3
-        assert vfs.group_commits == 0
+        assert vfs.stats.ops == ops + 3
+        assert vfs.stats.group_commits == 0
     finally:
         built.close()
 
