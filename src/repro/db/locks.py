@@ -155,7 +155,10 @@ class LockManager:
         stalled = False
         try:
             while True:
-                exempt = suspended() if suspended is not None else ()
+                # Only waiters queued ahead and a cycle check read the
+                # exemptions: a request with no one ahead does not ask.
+                ahead = bool(state.waiters) and state.waiters[0] is not entry
+                exempt = suspended() if suspended is not None and ahead else ()
                 blockers = self._blockers(state, tx.xid, mode, upgrading,
                                           entry, exempt)
                 if not blockers:
@@ -165,6 +168,8 @@ class LockManager:
                     # can only close as a transaction starts waiting on
                     # someone new, so this is where one is looked for;
                     # and the stall clock restarts.
+                    if suspended is not None and not ahead:
+                        exempt = suspended()
                     if self._cycle_from(tx.xid, blockers, exempt):
                         self.stats.deadlocks += 1
                         raise DeadlockError(

@@ -66,6 +66,7 @@ READY = "ready"          # runnable, waiting to be picked
 RUNNING = "running"      # currently dispatching a request
 PARKED = "parked"        # blocked on a lock inside a dispatch
 SLEEPING = "sleeping"    # backing off before a victim retry
+WAITING = "waiting"      # mid-request, until other databases' clocks catch up
 DONE = "done"
 FAILED = "failed"
 
@@ -177,6 +178,9 @@ class SchedStats:
         "ops", "Wait quanta burned with every other session parked or "
         "asleep (a parked waiter advancing the clock toward its "
         "own timeout).")
+    peer_waits: int = counter(
+        "waits", "Times a session suspended mid-request until its peer "
+        "databases' clocks caught up (a 2PC commit's meet).")
 
 
 class _Unit:
@@ -697,15 +701,23 @@ class MultiUserScheduler:
         if self._last_ran is not session:
             self.stats.context_switches += 1
         self._last_ran = session
-        home_clock = self.dbs[session.home].clock
         if session.state == READY:
-            waited = home_clock.now() - session.ready_since
+            waited = self.dbs[session.home].clock.now() - session.ready_since
             if waited > session.max_ready_wait:
                 session.max_ready_wait = waited
         session.passed_over = 0
+        self._event("slice", session, label)
+        self._run_as(session, unit, ordinal, "sched.slice", label,
+                     self._dispatch, op, args, kwargs)
+
+    def _run_as(self, session: Session, unit: _Unit, ordinal, span_name: str,
+                label: str, fn, *args) -> None:
+        """Run ``fn(session, *args)`` as ``session``, then keep its
+        result under ``ordinal`` and advance its program — unless ``fn``
+        left it WAITING mid-request."""
+        home_clock = self.dbs[session.home].clock
         session.state = RUNNING
         self._running.append(session)
-        self._event("slice", session, label)
         # The context switch, once per database: point its per-xid
         # accountant at this session's transaction there (or at no
         # one), and swap in the session's span stack on its tracer.
@@ -717,12 +729,12 @@ class MultiUserScheduler:
                 old_stack = tracer.swap_stack(
                     session.span_stacks.setdefault(index, []))
                 traced.append((tracer, old_stack, tracer.span(
-                    "sched.slice", session=session.name, method=label)))
+                    span_name, session=session.name, method=label)))
         try:
             for _, _, span in traced:
                 span.__enter__()
             try:
-                result = self._dispatch(session, op, args, kwargs)
+                result = fn(session, *args)
             finally:
                 for _, _, span in reversed(traced):
                     span.__exit__(None, None, None)
@@ -736,6 +748,8 @@ class MultiUserScheduler:
             if session.state == RUNNING:
                 session.state = READY
                 session.ready_since = home_clock.now()
+        if session.state == WAITING:
+            return
         if ordinal is not None:
             session.values[ordinal] = result
         self._advance_pc(session, unit)

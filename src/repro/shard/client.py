@@ -13,7 +13,10 @@ Cluster transactions enlist shards lazily: the first request routed to
 a shard inside an open transaction sends that shard a ``p_begin``.  At
 ``p_commit`` the client counts the shards that actually *wrote*; one
 writer (or none) commits locally, two or more run the two-phase
-protocol (:mod:`repro.shard.twophase`).
+protocol (:mod:`repro.shard.twophase`).  The protocol's clock meets
+are settled here with :meth:`~repro.shard.cluster.ShardedCluster.sync_clocks`,
+or handed to the caller of :meth:`ShardedInversionClient.steps` (the
+sharded scheduler, which waits for the lagging shards instead).
 
 Some operations are inherently multi-shard and are composed here:
 
@@ -78,6 +81,9 @@ class ShardedInversionClient:
         #: one lease-coherent cache per shard (each shard has its own
         #: epoch space); every link serves from it by the same rules.
         self._cache_factory = cache_factory
+        #: set while :meth:`steps` runs a request: a cross-shard commit
+        #: hands out its clock meets instead of settling them.
+        self._handing = False
 
     # -- plumbing --------------------------------------------------------
 
@@ -166,6 +172,30 @@ class ShardedInversionClient:
         link = self._links.get(shard)
         return None if link is None else link.xid()
 
+    def steps(self, method: str, *args, **kwargs):
+        """Run ``method`` with its clock meets handed to the caller (the
+        sharded scheduler's seam): returns the verb's result, or, when
+        it commits across shards, a generator that yields each list of
+        shards whose clocks must meet before it is resumed and returns
+        the verb's result."""
+        self._handing = True
+        try:
+            return getattr(self, method)(*args, **kwargs)
+        finally:
+            self._handing = False
+
+    def _settle(self, meets):
+        """A commit's ``meets`` (see :meth:`_commit`): handed out under
+        :meth:`steps`, else run to the end with every meet a
+        :meth:`~repro.shard.cluster.ShardedCluster.sync_clocks`."""
+        if self._handing:
+            return meets
+        try:
+            while True:
+                self.cluster.sync_clocks(next(meets))
+        except StopIteration as done:
+            return done.value
+
     def close(self) -> None:
         for link in self._links.values():
             link.close()
@@ -192,17 +222,20 @@ class ShardedInversionClient:
             self._in_tx = False
             self._tx_shards = []
 
-    def p_commit(self) -> None:
+    def p_commit(self):
         if not self._in_tx:
             raise TransactionError("no transaction in progress")
-        participants = list(self._tx_shards)
+        return self._settle(self._commit())
+
+    def _commit(self, result=None):
+        """The open transaction's commit, as a generator of clock meets
+        that returns ``result``.  Two or more writers run the 2PC
+        protocol; its second meet comes after the transaction has ended
+        here (decided, every participant resolved)."""
+        participants = self._tx_shards
         try:
             writers = [s for s in participants if self._tx_wrote(s)]
-            if len(writers) >= 2:
-                self.coordinator.commit_group(self._links, participants,
-                                              writers)
-                self.cluster.stats.cross_shard_txns += 1
-            else:
+            if len(writers) < 2:
                 # At most one shard wrote: the local commit *is* the
                 # atomic commit point; read-only enlistments have
                 # nothing durable to coordinate.
@@ -211,9 +244,17 @@ class ShardedInversionClient:
                                           "p_commit")
                 if participants:
                     self.cluster.stats.single_shard_txns += 1
+                return result
+            meets = self.coordinator.commit_group(self._links, participants,
+                                                  writers)
+            yield next(meets)
+            resolved = next(meets)
+            self.cluster.stats.cross_shard_txns += 1
         finally:
             self._in_tx = False
             self._tx_shards = []
+        yield resolved
+        return result
 
     def in_transaction(self) -> bool:
         return self._in_tx
@@ -274,7 +315,7 @@ class ShardedInversionClient:
 
     # -- the cross-shard composites -----------------------------------------
 
-    def _across_rename(self, old: str, new: str) -> None:
+    def _across_rename(self, old: str, new: str):
         src, dst = self._route(old), self._route(new)
 
         def run() -> None:
@@ -291,7 +332,7 @@ class ShardedInversionClient:
                 self._move_dir(old, new, src, dst)
             else:
                 self._move_file(old, new, st.size)
-        self._own_tx(run)
+        return self._own_tx(run)
 
     def _move_file(self, old: str, new: str, size: int) -> None:
         self._write_new(new, self._read_whole(old, size), None)
@@ -342,8 +383,7 @@ class ShardedInversionClient:
         except BaseException:
             self.p_abort()
             raise
-        self.p_commit()
-        return result
+        return self._settle(self._commit(result))
 
     def _read_whole(self, path: str, size: int | None = None) -> bytes:
         shard = self._route(path)

@@ -225,9 +225,14 @@ class ShardedCluster:
             return
         target = max(self.dbs[i].clock.now() for i in shards)
         for i in shards:
-            clock = self.dbs[i].clock
-            if clock.now() < target:
-                clock.advance(target - clock.now())
+            self.idle_until(i, target)
+
+    def idle_until(self, shard: int, until: float) -> None:
+        """Advance ``shard``'s clock to ``until`` if it is behind: the
+        shard has nothing to do before then."""
+        clock = self.dbs[shard].clock
+        if clock.now() < until:
+            clock.advance(until - clock.now())
 
     def elapsed_max(self, starts: list[float]) -> float:
         """Cluster elapsed time against per-shard start stamps: the

@@ -16,7 +16,17 @@ the probe primitive the atomicity tests use to observe two paths at a
 single instant of the interleaving.
 
 Each shard keeps its own simulated clock, so a lock wait's deadline is
-measured on the clock of the shard it parked on.  Cross-shard
+measured on the clock of the shard it parked on.  A cross-shard commit
+needs its participants' clocks to meet (a message cannot be processed
+before it was sent; :mod:`repro.shard.twophase`).  Here the
+committing session does not drag its peers' clocks forward: at each
+meet it goes WAITING (a ``wait`` trace event) until every lagging
+participant's clock has reached the latest one, while the lagging
+shards' own sessions run.  A lagging shard with no READY session homed
+on it idles forward to the earlier of the target and its next
+sleeper's wake-up.  The session then resumes where it stopped (a
+``resume`` event — not a slice, and not counted as one); a 2PC unit's
+commit hook fires at its decision, before the trailing wait.  Cross-shard
 deadlocks never appear in any single shard's waits-for graph, so they
 resolve by lock timeout — the timeout path here is load-bearing, not a
 safety net.  A lock wait times out on a stall, and a cycle's blockers
@@ -31,10 +41,17 @@ unit's open, seek and close send nothing to its shard.
 
 from __future__ import annotations
 
+from bisect import insort
+from types import GeneratorType
+
 from repro.cache import session_cache_factory
-from repro.sched.scheduler import (Call, MultiUserScheduler, Session, Txn,
-                                   DirectOp)
+from repro.sched.scheduler import (READY, SLEEPING, WAITING, Call, DirectOp,
+                                   MultiUserScheduler, Session, Txn)
 from repro.shard.client import ShardedInversionClient
+
+
+def _by_target(session) -> float:
+    return session.target
 
 
 class ClientOp(DirectOp):
@@ -51,9 +68,16 @@ class ClientOp(DirectOp):
 
 class ShardSession(Session):
     """One cluster client session: ``client`` is its
-    :class:`~repro.shard.client.ShardedInversionClient`."""
+    :class:`~repro.shard.client.ShardedInversionClient`.  While WAITING,
+    ``meets`` is the suspended request's generator of clock meets, and
+    ``lagging`` the shards whose clocks must reach ``target``;
+    ``decided`` is set while a 2PC unit whose hook has fired waits."""
 
     client = None
+    meets = None
+    lagging = ()
+    target = 0.0
+    decided = False
 
 
 class ShardedScheduler(MultiUserScheduler):
@@ -71,6 +95,10 @@ class ShardedScheduler(MultiUserScheduler):
                          admission_queue=0, max_retries=max_retries,
                          fairness_bound=fairness_bound, cluster_commits=False,
                          cache_factory=session_cache_factory())
+        #: WAITING sessions, earliest target first.
+        self._waiters: list[ShardSession] = []
+        #: shard → the sessions homed on it.
+        self._homed: list[list[ShardSession]] = [[] for _ in self.dbs]
 
     def add_session(self, program, name: str | None = None,
                     home: int | None = None) -> ShardSession:
@@ -81,7 +109,9 @@ class ShardedScheduler(MultiUserScheduler):
         lives)."""
         if home is None:
             home = self._infer_home(program)
-        return self._submit(program, name, home)
+        session = self._submit(program, name, home)
+        self._homed[home].append(session)
+        return session
 
     def _infer_home(self, program) -> int:
         for item in program:
@@ -118,13 +148,98 @@ class ShardedScheduler(MultiUserScheduler):
 
     def _call_commit_hook(self, session: ShardSession, tag) -> None:
         """``commit_hook`` is ``fn(session, tag)`` here: a cluster
-        transaction has one xid per enlisted shard, not one."""
-        self.commit_hook(session, tag)
+        transaction has one xid per enlisted shard, not one.  A 2PC
+        unit's hook has already fired at its decision (:meth:`_meet`)."""
+        if session.decided:
+            session.decided = False
+        else:
+            self.commit_hook(session, tag)
 
     def _dispatch(self, session: ShardSession, op, args: tuple, kwargs: dict):
         if isinstance(op, ClientOp):
             return op.fn(session.client)
-        return getattr(session.client, op)(*args, **kwargs)
+        result = session.client.steps(op, *args, **kwargs)
+        if isinstance(result, GeneratorType):
+            return self._meet(session, result)
+        return result
+
+    # -- clock meets: a 2PC commit waits for its peer shards ---------------
+
+    def _meet(self, session: ShardSession, meets):
+        """Run ``meets`` (a request's clock meets, from
+        :meth:`~repro.shard.client.ShardedInversionClient.steps`) to its
+        end, returning the request's result — or, at the first meet
+        whose shards' clocks differ, leave the session WAITING for the
+        lagging ones to reach the latest."""
+        dbs = self.dbs
+        try:
+            while True:
+                shards = next(meets)
+                target = max(dbs[i].clock.now() for i in shards)
+                lagging = [i for i in shards if dbs[i].clock.now() < target]
+                if lagging:
+                    break
+        except StopIteration as done:
+            return done.value
+        if (self.commit_hook is not None and self._at_commit_gate(session)
+                and not session.client.in_transaction()):
+            # Decided and resolved: the commit is what any later
+            # transaction on these files sees, whatever the wait.
+            unit = session.units[session.unit_idx]
+            self.commit_hook(session, unit.txn.tag)
+            session.decided = True
+        session.state = WAITING
+        session.meets, session.lagging, session.target = meets, lagging, target
+        insort(self._waiters, session, key=_by_target)
+        self.stats.peer_waits += 1
+        self._event("wait", session, f"{lagging} {target:.9f}")
+        return None
+
+    def _run_ready(self) -> bool:
+        """Resume a waiter whose lagging shards have caught up, else
+        run a slice."""
+        if self._waiters:
+            waiter = self._caught_up()
+            if waiter is not None:
+                self._resume(waiter)
+                return True
+        return super()._run_ready()
+
+    def _caught_up(self) -> ShardSession | None:
+        """The first waiter, by target, whose lagging shards' clocks
+        have all reached its target."""
+        for session in self._waiters:
+            met = True
+            for shard in session.lagging:
+                met = self._idle_toward(shard, session.target) and met
+            if met:
+                return session
+        return None
+
+    def _idle_toward(self, shard: int, target: float) -> bool:
+        """Has ``shard``'s clock reached ``target``?  A shard with no
+        READY session homed on it has nothing to run before then: its
+        clock idles forward to ``target``, or to its next sleeper's
+        wake-up if that comes first."""
+        if self.dbs[shard].clock.now() >= target:
+            return True
+        until = target
+        for other in self._homed[shard]:
+            if other.state == READY:
+                return False
+            if other.state == SLEEPING and other.wake_time < until:
+                until = other.wake_time
+        self.cluster.idle_until(shard, until)
+        return until == target
+
+    def _resume(self, session: ShardSession) -> None:
+        """Carry a waiter's suspended request on from its meet."""
+        self._waiters.remove(session)
+        meets, session.meets = session.meets, None
+        label, _op, _args, _kwargs, ordinal = self._next_request(session)
+        self._event("resume", session, label)
+        self._run_as(session, session.units[session.unit_idx], ordinal,
+                     "sched.resume", label, self._meet, meets)
 
     def _event(self, kind: str, session: ShardSession,
                detail: str = "") -> None:

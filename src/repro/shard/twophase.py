@@ -9,13 +9,25 @@ primitives the single-server system already has:
    (:meth:`~repro.db.transactions.TransactionManager.prepare`, via the
    ``p_prepare`` RPC).  A prepared transaction keeps its locks, is
    invisible, and survives both disconnect and crash.
-2. **Decide** — the coordinator (the first writing participant's
+2. **Meet** — the prepare acks flow back: no participant may see the
+   decision before every prepare was sent, so the participants' clocks
+   must meet (each reach the latest of them) before the decision.
+3. **Decide** — the coordinator (the first writing participant's
    shard) forces ``D <gid> C`` to its decision log
    (:meth:`~repro.shard.cluster.ShardedCluster.log_decision`).  This
    single append is the atomic commit point for the whole group.
-3. **Resolve** — each participant forces its final ``C`` record and
+4. **Resolve** — each participant forces its final ``C`` record and
    releases its locks (``p_resolve``).  Read-only participants never
    prepared; they just commit locally (nothing durable to decide).
+5. **Meet** again — the resolve acks flow back to the client.
+
+:meth:`TwoPhaseCoordinator.commit_group` is a generator that yields the
+participants at each meet and leaves how their clocks meet to whoever
+drives it.  The plain sharded client drives it with
+:meth:`~repro.shard.cluster.ShardedCluster.sync_clocks` (the lagging
+clocks jump forward); the sharded scheduler suspends the committing
+session until the lagging shards' own sessions have carried their
+clocks there (:mod:`repro.shard.sched`).
 
 A crash anywhere leaves a recoverable history: before the decision
 force, no participant can be driven to commit, so recovery presumes
@@ -38,13 +50,17 @@ class TwoPhaseCoordinator:
         self.cluster = cluster
 
     def commit_group(self, links: dict, participants: list[int],
-                     writers: list[int]) -> None:
-        """Commit one cluster transaction.  ``links`` maps shard → the
+                     writers: list[int]):
+        """Commit one cluster transaction: a generator that yields
+        ``participants`` at each of the two meets (their clocks must
+        meet before it is resumed).  ``links`` maps shard → the
         client's :class:`~repro.cache.link.SessionLink` there;
         ``participants`` is every enlisted shard
         (enlistment order); ``writers`` the subset whose local
         transaction wrote.  The caller guarantees ``len(writers) >= 2``
-        — smaller groups commit locally without coordination."""
+        — smaller groups commit locally without coordination.  The
+        second yield comes after phase two: the group is decided and
+        every participant resolved."""
         cluster = self.cluster
         coord = writers[0]
         coord_tx = links[coord].tx()
@@ -69,9 +85,9 @@ class TwoPhaseCoordinator:
             raise
 
         # The commit point: one forced append on the coordinator.  The
-        # participants' clocks synchronize here — prepare acks flowed
-        # in, the decision flows out.
-        cluster.sync_clocks(participants)
+        # participants' clocks meet here — prepare acks flowed in, the
+        # decision flows out.
+        yield participants
         cluster.log_decision(coord, gid)
         cluster.stats.cross_shard_messages += 1
 
@@ -82,7 +98,7 @@ class TwoPhaseCoordinator:
         for shard in participants:
             if shard not in writers:
                 cluster.dispatch(shard, links[shard].conn, "p_commit")
-        cluster.sync_clocks(participants)
+        yield participants
 
     def abort_group(self, links: dict, participants: list[int]) -> None:
         """Abort every enlisted shard's local transaction (none of
